@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
@@ -16,20 +15,21 @@ import (
 // bit-identical cuts, partitions, virtual clocks, and message traffic
 // across worker counts 1/2/8 and both replay modes — including batched
 // worlds where simulated P far exceeds the worker batch. The reference
-// is the fully legacy configuration: serial embedding kernels,
-// goroutine-per-rank replay.
+// is one hostpar worker under goroutine-per-rank replay.
 func TestReplayModesBitIdentical(t *testing.T) {
 	g := gen.Grid2D(96, 96)
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer embed.SetParallel(embed.SetParallel(false))
 			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 			serial := Partition(g.G, p, DefaultOptions(42))
-			embed.SetParallel(true)
 			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
 				mpi.SetReplayMode(mode)
 				for _, w := range []int{1, 2, 8} {
-					defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+					if mode == mpi.ReplayGoroutine && w == 1 {
+						continue // the reference configuration
+					}
+					hostpar.SetWorkers(w)
 					par := Partition(g.G, p, DefaultOptions(42))
 					tag := fmt.Sprintf("replay=%s workers=%d", mode, w)
 					if par.Cut != serial.Cut {

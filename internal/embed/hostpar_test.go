@@ -25,59 +25,54 @@ func embedRun(t *testing.T, g *gen.Generated, p int, opt ParallelOptions) ([]geo
 }
 
 // TestEmbedWorkerCountBitIdentical is the embedding worker-determinism
-// regression: the legacy serial kernels and the hostpar kernels at
-// worker counts 1, 2, and 8 must produce exactly identical coordinates
-// and exactly identical virtual clocks / traffic. This pins the
-// bit-identity discipline (static chunks, serial index-order
-// reductions, serial tree build) for iterate, Smooth, computeCells,
-// ghost packing/installation, and projectLevel.
+// regression: the hostpar kernels at worker counts 2 and 8 must produce
+// exactly the coordinates and virtual clocks / traffic of a one-worker
+// run. This pins the bit-identity discipline (static chunks, serial
+// index-order reductions, serial tree build) for iterate, Smooth,
+// computeCells, ghost packing/installation, and projectLevel.
 func TestEmbedWorkerCountBitIdentical(t *testing.T) {
 	g := gen.Grid2D(28, 28)
 	opt := ParallelOptions{Seed: 9, IterCoarsest: 40, IterSmooth: 8}
 	const p = 4
 
-	defer SetParallel(SetParallel(false))
+	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	refPos, refStats := embedRun(t, g, p, opt)
 
-	for _, workers := range []int{1, 2, 8} {
-		SetParallel(true)
-		prev := hostpar.SetWorkers(workers)
+	for _, workers := range []int{2, 8} {
+		hostpar.SetWorkers(workers)
 		pos, stats := embedRun(t, g, p, opt)
-		hostpar.SetWorkers(prev)
 		for i := range refPos {
 			if pos[i] != refPos[i] {
-				t.Fatalf("workers=%d: vertex %d position %v, legacy %v", workers, i, pos[i], refPos[i])
+				t.Fatalf("workers=%d: vertex %d position %v, one worker %v", workers, i, pos[i], refPos[i])
 			}
 		}
 		for r := range refStats {
 			a, b := stats[r], refStats[r]
 			if a.Time != b.Time || a.CommTime != b.CommTime ||
 				a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-				t.Fatalf("workers=%d rank %d: stats %+v, legacy %+v", workers, r, a, b)
+				t.Fatalf("workers=%d rank %d: stats %+v, one worker %+v", workers, r, a, b)
 			}
 		}
 	}
 }
 
 // TestSequentialLayoutWorkerBitIdentical pins the sequential
-// Barnes–Hut baseline: the hostpar force pass with any worker count
-// must reproduce the legacy serial layout exactly (per-vertex forces
-// from a read-only tree, energy reduced serially in vertex order).
+// Barnes–Hut baseline: the force pass with any worker count must
+// reproduce the one-worker layout exactly (per-vertex forces from a
+// read-only tree, energy reduced serially in vertex order).
 func TestSequentialLayoutWorkerBitIdentical(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	opt := SeqOptions{Seed: 5, IterCoarsest: 40, IterSmooth: 10}
 
-	defer SetParallel(SetParallel(false))
+	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	ref := SequentialLayout(g.G, opt)
 
-	for _, workers := range []int{1, 8} {
-		SetParallel(true)
-		prev := hostpar.SetWorkers(workers)
+	for _, workers := range []int{2, 8} {
+		hostpar.SetWorkers(workers)
 		got := SequentialLayout(g.G, opt)
-		hostpar.SetWorkers(prev)
 		for v := range ref {
 			if got[v] != ref[v] {
-				t.Fatalf("workers=%d: vertex %d at %v, legacy %v", workers, v, got[v], ref[v])
+				t.Fatalf("workers=%d: vertex %d at %v, one worker %v", workers, v, got[v], ref[v])
 			}
 		}
 	}

@@ -429,44 +429,6 @@ func (s *levelState) cellOf(p geometry.Vec2) int {
 	return cy*s.subS + cx
 }
 
-// computeCells refreshes this rank's sub-cell aggregates from the owned
-// points and installs them in the global cell array. Runs the
-// host-parallel classification (see hostpar.go) unless SetParallel
-// disabled it; the two paths are bit-identical.
-func (s *levelState) computeCells() {
-	if parallelOn.Load() {
-		s.computeCellsHostpar()
-		return
-	}
-	s.computeCellsLegacy()
-}
-
-func (s *levelState) computeCellsLegacy() {
-	for i := range s.myCells {
-		s.myCells[i] = beta{}
-	}
-	sums := s.cellSums
-	for i := range sums {
-		sums[i] = geometry.Vec2{}
-	}
-	for i := range s.pos {
-		c := s.cellOf(s.pos[i])
-		sums[c] = sums[c].Add(s.pos[i].Scale(s.mass[i]))
-		s.myCells[c].Mu += s.mass[i]
-	}
-	box := s.lat.BoxRect(s.homeR, s.homeC)
-	for c := range s.myCells {
-		if s.myCells[c].Mu > 0 {
-			s.myCells[c].Phi = sums[c].Scale(1 / s.myCells[c].Mu)
-		} else {
-			// Empty cell: park its centre inside the box; zero mass
-			// keeps it out of force sums.
-			s.myCells[c].Phi = box.Center()
-		}
-	}
-	s.placeCells(s.comm.Rank(), s.myCells)
-}
-
 // pushGhosts sends subscribed coordinates to every subscription
 // partner: the full once-per-block refresh. Payloads travel through the
 // pooled typed fast path, so the steady-state refresh allocates
@@ -573,151 +535,15 @@ func (s *levelState) refreshBetasGlobal() {
 	}
 }
 
-// iterate runs one force iteration. Repulsion has three tiers:
-// within this rank's own box a Barnes–Hut quadtree over the owned
-// points gives sequential-quality near-field forces (at P=1 the scheme
-// therefore reduces to the sequential algorithm); remote boxes act
-// through their special-vertex aggregates, inherited once per local
-// sub-cell exactly as in Eq. (1)–(2) of the paper; and the sub-cells of
-// neighbouring boxes that touch a border cell are evaluated per vertex
-// to correct the border near field. Attraction is exact, with ghost
-// positions clamped to the 4-neighbourhood per the paper. The paper's
-// mass products are interpreted per unit mass so repulsion and
-// attraction stay commensurate.
-//
-// Dispatches to the host-parallel kernels (hostpar.go) unless
-// SetParallel disabled them; the two paths are bit-identical, including
-// the virtual-clock charge.
-func (s *levelState) iterate() {
-	if parallelOn.Load() {
-		s.iterateHostpar()
-		return
-	}
-	s.iterateLegacy()
-}
-
-func (s *levelState) iterateLegacy() {
-	me := s.comm.Rank()
-	fp := s.fp
-	nc := len(s.myCells)
-	// Remote-rank aggregates from the (possibly block-stale) cell
-	// array.
-	aggs := s.rankAggs
-	for r := range aggs {
-		aggs[r] = beta{}
-		if r == me {
-			continue
-		}
-		br, bc := s.lat.Grid.RowOf(r), s.lat.Grid.ColOf(r)
-		var sum geometry.Vec2
-		mu := 0.0
-		for cy := 0; cy < s.subS; cy++ {
-			gr := br*s.subS + cy
-			base := gr*s.cellCols() + bc*s.subS
-			for cx := 0; cx < s.subS; cx++ {
-				b := s.betas[base+cx]
-				sum = sum.Add(b.Phi.Scale(b.Mu))
-				mu += b.Mu
-			}
-		}
-		if mu > 0 {
-			aggs[r] = beta{Phi: sum.Scale(1 / mu), Mu: mu}
-		}
-	}
-	// Per-cell inherited far field: all remote rank aggregates, minus
-	// the ring cells handled per vertex below (they are part of their
-	// rank's aggregate, so their lumped contribution is subtracted).
-	for c := 0; c < nc; c++ {
-		mine := s.betas[s.globalCell(c/s.subS, c%s.subS)]
-		var f geometry.Vec2
-		if mine.Mu > 0 {
-			for r, a := range aggs {
-				if r == me || a.Mu == 0 {
-					continue
-				}
-				f = f.Add(fp.Repulsive(mine.Phi, a.Phi, a.Mu))
-			}
-			for _, gi := range s.ring[c] {
-				b := s.betas[gi]
-				if b.Mu > 0 {
-					f = f.Sub(fp.Repulsive(mine.Phi, b.Phi, b.Mu))
-				}
-			}
-		}
-		s.inherit[c] = f
-	}
-	// Own-box Barnes–Hut tree, rebuilt in place over the reused arena.
-	tree := &s.tree
-	tree.Rebuild(s.pos, s.mass)
-	energy := 0.0
-	aSum, rSum := 0.0, 0.0
-	for i := range s.pos {
-		p := s.pos[i]
-		cell := s.cellOf(p)
-		rep := s.inherit[cell].Scale(s.mass[i])
-		for _, gi := range s.ring[cell] {
-			b := s.betas[gi]
-			if b.Mu > 0 {
-				rep = rep.Add(fp.Repulsive(p, b.Phi, b.Mu).Scale(s.mass[i]))
-			}
-		}
-		mi := s.mass[i]
-		tree.ForEachCluster(p, int32(i), 0.9, func(com geometry.Vec2, m float64, _ int32) {
-			rep = rep.Add(fp.Repulsive(p, com, m).Scale(mi))
-		})
-		var att geometry.Vec2
-		for _, ref := range s.adj[i] {
-			var q geometry.Vec2
-			if ref.ghost {
-				q = s.ghostClamped[ref.idx]
-			} else {
-				q = s.pos[ref.idx]
-			}
-			att = att.Add(fp.Attractive(p, q).Scale(ref.w))
-		}
-		aSum += att.Norm()
-		rSum += rep.Norm()
-		f := rep.Add(att)
-		energy += f.Dot(f)
-		n := f.Norm()
-		if n > 1e-12 {
-			s.moves[i] = f.Scale(s.step.Step / n)
-		} else {
-			s.moves[i] = geometry.Vec2{}
-		}
-	}
-	for i := range s.pos {
-		s.pos[i] = s.pos[i].Add(s.moves[i])
-	}
-	s.energy = energy
-	s.aSum = aSum
-	s.rSum = rSum
-	// Model: per owned vertex, ~theta-visit Barnes–Hut terms plus the
-	// degree attractive terms; per cell, the remote-aggregate loop. A
-	// charged unit is one force kernel evaluation (a handful of fused
-	// floating-point operations).
-	ops := float64(nc * (s.lat.Grid.Size() + 8))
-	for i := range s.adj {
-		ops += float64(len(s.adj[i])) + 16
-	}
-	s.comm.Charge(ops)
-}
-
 // rescale multiplies every coordinate and the lattice geometry by f,
 // moving the layout toward its force equilibrium (attraction scales as
 // f², repulsion as 1/f). Every rank applies the same factor, so box
 // ownership and all relative geometry are preserved.
 func (s *levelState) rescale(f float64) {
-	if parallelOn.Load() {
-		// Element-wise scale: exact for any chunking. The ghost/beta/cut
-		// loops below stay serial — they are a small constant share.
-		s.hp.scaleF = f
-		hostpar.ForChunked(len(s.pos), grainCopy, s.hp.fnScalePos)
-	} else {
-		for i := range s.pos {
-			s.pos[i] = s.pos[i].Scale(f)
-		}
-	}
+	// Element-wise scale: exact for any chunking. The ghost/beta/cut
+	// loops below stay serial — they are a small constant share.
+	s.hp.scaleF = f
+	hostpar.ForChunked(len(s.pos), grainCopy, s.hp.fnScalePos)
 	for i := range s.ghostPos {
 		s.ghostPos[i] = s.ghostPos[i].Scale(f)
 		s.ghostClamped[i] = s.ghostClamped[i].Scale(f)

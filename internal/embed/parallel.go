@@ -164,47 +164,32 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 		for _, cid := range coarse.ownedIDs {
 			nKids += len(fineLev.ChildrenOf(cid))
 		}
-		if !parallelOn.Load() {
-			created = make([]idPos, 0, nKids)
-			for ci, cid := range coarse.ownedIDs {
-				q := coarse.pos[ci].Scale(2)
-				for _, v := range fineLev.ChildrenOf(cid) {
-					j := geometry.Vec2{
-						X: jrng.Float64() - 0.5,
-						Y: jrng.Float64() - 0.5,
-					}.Scale(0.5 * opt.Force.K)
-					created = append(created, idPos{ID: v, P: q.Add(j)})
-				}
-			}
-		} else {
-			// Jitter draws must stay a single serial RNG stream; the
-			// inheritance arithmetic is element-wise, so draw all jitters
-			// in the original child order first, then fill the routed
-			// records in parallel via per-parent prefix offsets. Same
-			// draws, same expressions — bit-identical coordinates.
-			offs := make([]int, len(coarse.ownedIDs)+1)
-			for ci, cid := range coarse.ownedIDs {
-				offs[ci+1] = offs[ci] + len(fineLev.ChildrenOf(cid))
-			}
-			jit := make([]geometry.Vec2, nKids)
-			for k := range jit {
-				jit[k] = geometry.Vec2{
-					X: jrng.Float64() - 0.5,
-					Y: jrng.Float64() - 0.5,
-				}.Scale(0.5 * opt.Force.K)
-			}
-			created = make([]idPos, nKids)
-			hostpar.ForChunked(len(coarse.ownedIDs), 16, func(_, clo, chi int) {
-				for ci := clo; ci < chi; ci++ {
-					q := coarse.pos[ci].Scale(2)
-					k := offs[ci]
-					for _, v := range fineLev.ChildrenOf(coarse.ownedIDs[ci]) {
-						created[k] = idPos{ID: v, P: q.Add(jit[k])}
-						k++
-					}
-				}
-			})
+		// Jitter draws must stay a single serial RNG stream; the
+		// inheritance arithmetic is element-wise, so draw all jitters in
+		// child order first, then fill the routed records in parallel via
+		// per-parent prefix offsets.
+		offs := make([]int, len(coarse.ownedIDs)+1)
+		for ci, cid := range coarse.ownedIDs {
+			offs[ci+1] = offs[ci] + len(fineLev.ChildrenOf(cid))
 		}
+		jit := make([]geometry.Vec2, nKids)
+		for k := range jit {
+			jit[k] = geometry.Vec2{
+				X: jrng.Float64() - 0.5,
+				Y: jrng.Float64() - 0.5,
+			}.Scale(0.5 * opt.Force.K)
+		}
+		created = make([]idPos, nKids)
+		hostpar.ForChunked(len(coarse.ownedIDs), 16, func(_, clo, chi int) {
+			for ci := clo; ci < chi; ci++ {
+				q := coarse.pos[ci].Scale(2)
+				k := offs[ci]
+				for _, v := range fineLev.ChildrenOf(coarse.ownedIDs[ci]) {
+					created[k] = idPos{ID: v, P: q.Add(jit[k])}
+					k++
+				}
+			}
+		})
 		coarse.comm.Charge(float64(len(created)) * 4)
 	}
 	// Global bounds of the projected coordinates. min/max is associative
@@ -212,14 +197,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	// give exactly the serial result.
 	lo := geometry.Vec2{X: math.Inf(1), Y: math.Inf(1)}
 	hi := geometry.Vec2{X: math.Inf(-1), Y: math.Inf(-1)}
-	if !parallelOn.Load() || len(created) == 0 {
-		for _, ip := range created {
-			lo.X = math.Min(lo.X, ip.P.X)
-			lo.Y = math.Min(lo.Y, ip.P.Y)
-			hi.X = math.Max(hi.X, ip.P.X)
-			hi.Y = math.Max(hi.Y, ip.P.Y)
-		}
-	} else {
+	if len(created) > 0 {
 		chunks := hostpar.NumChunks(len(created), 1024)
 		pLo := make([]geometry.Vec2, chunks)
 		pHi := make([]geometry.Vec2, chunks)
@@ -265,41 +243,26 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	// exactly-sized per-destination buffers.
 	counts := make([]int, sub.Size())
 	dest := make([][]idPos, sub.Size())
-	if !parallelOn.Load() {
-		for _, ip := range created {
-			counts[lat.RankOf(ip.P)]++
+	// RankOf is a pure per-point lookup (two binary searches), so
+	// precompute it in parallel; the count and append passes stay
+	// serial in point order, so each destination's record order is the
+	// point order.
+	destRank := make([]int32, len(created))
+	hostpar.ForChunked(len(created), 512, func(_, clo, chi int) {
+		for i := clo; i < chi; i++ {
+			destRank[i] = int32(lat.RankOf(created[i].P))
 		}
-		for r, cnt := range counts {
-			if cnt > 0 {
-				dest[r] = make([]idPos, 0, cnt)
-			}
+	})
+	for _, r := range destRank {
+		counts[r]++
+	}
+	for r, cnt := range counts {
+		if cnt > 0 {
+			dest[r] = make([]idPos, 0, cnt)
 		}
-		for _, ip := range created {
-			r := lat.RankOf(ip.P)
-			dest[r] = append(dest[r], ip)
-		}
-	} else {
-		// RankOf is a pure per-point lookup (two binary searches), so
-		// precompute it in parallel; the count and append passes stay
-		// serial in point order, keeping each destination's record order
-		// identical to the legacy fill.
-		destRank := make([]int32, len(created))
-		hostpar.ForChunked(len(created), 512, func(_, clo, chi int) {
-			for i := clo; i < chi; i++ {
-				destRank[i] = int32(lat.RankOf(created[i].P))
-			}
-		})
-		for _, r := range destRank {
-			counts[r]++
-		}
-		for r, cnt := range counts {
-			if cnt > 0 {
-				dest[r] = make([]idPos, 0, cnt)
-			}
-		}
-		for i, ip := range created {
-			dest[destRank[i]] = append(dest[destRank[i]], ip)
-		}
+	}
+	for i, ip := range created {
+		dest[destRank[i]] = append(dest[destRank[i]], ip)
 	}
 	recv := mpi.AllToAllV(sub, dest, 20)
 	total := 0

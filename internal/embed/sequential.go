@@ -80,13 +80,13 @@ func SequentialLayout(g *graph.Graph, opt SeqOptions) []geometry.Vec2 {
 	return pos
 }
 
-// smoothLevel runs force iterations with Barnes–Hut repulsion. With the
-// host-parallel kernels enabled the force pass runs chunked on the
-// hostpar pool (the tree traversal is read-only and forces[v] is
-// written by exactly one chunk) and the energy is reduced serially in
-// vertex order from the stored forces — the identical float sum the
-// legacy interleaved loop produces — so positions are bit-identical for
-// every worker count.
+// smoothLevel runs force iterations with Barnes–Hut repulsion. The
+// force pass runs chunked on the hostpar pool (the tree is read-only
+// there and forces[v] is written by exactly one chunk) and the energy
+// is reduced serially in vertex order from the stored forces, so
+// positions are bit-identical for every worker count. One tree arena
+// is reused across iterations and the chunk bodies are hoisted out of
+// the loop, so steady state allocates nothing.
 func smoothLevel(g *graph.Graph, pos []geometry.Vec2, opt SeqOptions, iters int) {
 	n := g.NumVertices()
 	if n <= 1 {
@@ -98,52 +98,15 @@ func smoothLevel(g *graph.Graph, pos []geometry.Vec2, opt SeqOptions, iters int)
 	}
 	ctl := NewStepController(opt.Force.K)
 	fp := opt.Force
+	ck2 := fp.C * fp.K * fp.K
 	forces := make([]geometry.Vec2, n)
-	if !parallelOn.Load() {
-		cur := graph.GetCursor(g)
-		defer cur.Release()
-		for it := 0; it < iters; it++ {
-			tree := quadtree.Build(pos, mass)
-			energy := 0.0
-			for v := 0; v < n; v++ {
-				var f geometry.Vec2
-				p := pos[v]
-				tree.ForEachCluster(p, int32(v), opt.Theta, func(com geometry.Vec2, m float64, _ int32) {
-					f = f.Add(fp.Repulsive(p, com, m).Scale(mass[v]))
-				})
-				nbrs, wgts := cur.Arcs(int32(v))
-				for k, w := range nbrs {
-					f = f.Add(fp.Attractive(p, pos[w]).Scale(float64(wgts[k])))
-				}
-				forces[v] = f
-				energy += f.Dot(f)
-			}
-			for v := 0; v < n; v++ {
-				norm := forces[v].Norm()
-				if norm < 1e-12 {
-					continue
-				}
-				pos[v] = pos[v].Add(forces[v].Scale(ctl.Step / norm))
-			}
-			ctl.Update(energy)
-			if ctl.Step < 1e-3*fp.K {
-				break
-			}
-		}
-		return
-	}
-	// Hostpar path: one tree arena reused across iterations, chunk
-	// bodies hoisted out of the loop so steady state allocates nothing.
 	var tree quadtree.Tree
 	forceBody := func(_, lo, hi int) {
 		cur := graph.GetCursor(g)
 		defer cur.Release()
 		for v := lo; v < hi; v++ {
-			var f geometry.Vec2
 			p := pos[v]
-			tree.ForEachCluster(p, int32(v), opt.Theta, func(com geometry.Vec2, m float64, _ int32) {
-				f = f.Add(fp.Repulsive(p, com, m).Scale(mass[v]))
-			})
+			f := tree.Repulsion(p, int32(v), opt.Theta, ck2, mass[v], geometry.Vec2{})
 			nbrs, wgts := cur.Arcs(int32(v))
 			for k, w := range nbrs {
 				f = f.Add(fp.Attractive(p, pos[w]).Scale(float64(wgts[k])))

@@ -17,6 +17,33 @@ func randomPoints(n int, seed int64) []geometry.Vec2 {
 	return pts
 }
 
+// forEachFlat walks the flat layout the way Repulsion does, but with the
+// unfiltered opening test and a visit callback in place of the fused
+// force term, so the layout can be checked cluster by cluster.
+func (t *Tree) forEachFlat(p geometry.Vec2, exclude int32, theta float64, visit func(com geometry.Vec2, mass float64, point int32)) {
+	for i := 0; i < len(t.flat); {
+		n := &t.flat[i]
+		com := geometry.Vec2{X: n.x, Y: n.y}
+		d := p.Dist(com)
+		switch {
+		case n.pt >= 0:
+			if n.pt != exclude {
+				visit(com, n.m, n.pt)
+			}
+			i++
+		case d > 0 && n.w/d < theta:
+			visit(com, n.m, -1)
+			i = int(n.skip)
+		default:
+			if n.pt < -1 {
+				c := t.caps[-2-n.pt]
+				visit(c.sum.Scale(1/c.mass), c.mass, -1)
+			}
+			i++
+		}
+	}
+}
+
 func TestMassConservation(t *testing.T) {
 	pts := randomPoints(500, 1)
 	mass := make([]float64, len(pts))
@@ -43,7 +70,7 @@ func TestVisitedMassComplete(t *testing.T) {
 	for _, theta := range []float64{0.3, 0.85, 1.5} {
 		for q := 0; q < 50; q++ {
 			sum := 0.0
-			tr.ForEachCluster(pts[q], int32(q), theta, func(_ geometry.Vec2, m float64, _ int32) {
+			tr.forEachFlat(pts[q], int32(q), theta, func(_ geometry.Vec2, m float64, _ int32) {
 				sum += m
 			})
 			// With theta >= 1 a cell containing the query point may be
@@ -61,8 +88,8 @@ func TestVisitedMassComplete(t *testing.T) {
 	}
 }
 
-// TestForceApproximation: 1/d-kernel force from the tree must be close
-// to the exact sum for moderate theta.
+// TestForceApproximation: the 1/d-kernel repulsion from the tree must be
+// close to the exact sum for moderate theta.
 func TestForceApproximation(t *testing.T) {
 	pts := randomPoints(800, 7)
 	tr := Build(pts, nil)
@@ -75,16 +102,14 @@ func TestForceApproximation(t *testing.T) {
 		return d.Scale(m / dist2)
 	}
 	for q := 0; q < 30; q++ {
-		var exact, approx geometry.Vec2
+		var exact geometry.Vec2
 		for j := range pts {
 			if j == q {
 				continue
 			}
 			exact = exact.Add(kernel(pts[q], pts[j], 1))
 		}
-		tr.ForEachCluster(pts[q], int32(q), 0.6, func(com geometry.Vec2, m float64, _ int32) {
-			approx = approx.Add(kernel(pts[q], com, m))
-		})
+		approx := tr.Repulsion(pts[q], int32(q), 0.6, 1, 1, geometry.Vec2{})
 		relErr := exact.Sub(approx).Norm() / (exact.Norm() + 1e-12)
 		if relErr > 0.12 {
 			t.Fatalf("query %d: relative error %.3f", q, relErr)
@@ -102,7 +127,7 @@ func TestDuplicatePoints(t *testing.T) {
 		t.Fatalf("len=%d mass=%v", tr.Len(), tr.TotalMass())
 	}
 	sum := 0.0
-	tr.ForEachCluster(geometry.Vec2{X: 0.1, Y: 0.1}, -1, 0.85, func(_ geometry.Vec2, m float64, _ int32) {
+	tr.forEachFlat(geometry.Vec2{X: 0.1, Y: 0.1}, -1, 0.85, func(_ geometry.Vec2, m float64, _ int32) {
 		sum += m
 	})
 	if math.Abs(sum-64) > 1e-9 {
@@ -111,7 +136,7 @@ func TestDuplicatePoints(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if tr := Build(nil, nil); tr.Len() != 0 {
+	if tr := Build(nil, nil); tr.Len() != 0 || tr.TotalMass() != 0 {
 		t.Fatal("empty tree not empty")
 	}
 	tr := Build([]geometry.Vec2{{X: 1, Y: 2}}, nil)
@@ -119,8 +144,86 @@ func TestEmptyAndSingle(t *testing.T) {
 		t.Fatal("single tree wrong")
 	}
 	count := 0
-	tr.ForEachCluster(geometry.Vec2{}, 0, 0.85, func(_ geometry.Vec2, _ float64, _ int32) { count++ })
+	tr.forEachFlat(geometry.Vec2{}, 0, 0.85, func(_ geometry.Vec2, _ float64, _ int32) { count++ })
 	if count != 0 {
 		t.Fatal("excluded point visited")
+	}
+	acc := geometry.Vec2{X: 3, Y: -4}
+	if got := tr.Repulsion(geometry.Vec2{}, 0, 0.85, 0.2, 1, acc); got != acc {
+		t.Fatalf("excluded point contributed: %v", got)
+	}
+	tr.Rebuild(nil, nil)
+	if tr.Len() != 0 || tr.TotalMass() != 0 || len(tr.flat) != 0 {
+		t.Fatal("rebuild over no points left a non-empty tree")
+	}
+}
+
+// TestFarFilterMatchesHypot holds the filtered opening test to the exact
+// expression on offsets crafted a few ulps either side of w/d = θ, where
+// the exact fallback must decide, and on magnitudes outside the range
+// the filter handles.
+func TestFarFilterMatchesHypot(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	thetas := []float64{0.5, 0.9, 1.2, 0, -0.9, math.NaN(), math.Inf(1), 1e-200, 1e200}
+	scales := []float64{1, 1e-3, 1e3, 1e-160, 1e-170, 1e160, 1e170, 0}
+	for k := 0; k < 20000; k++ {
+		theta := thetas[k%len(thetas)]
+		s := scales[(k/len(thetas))%len(scales)]
+		dx, dy := (rng.Float64()-0.5)*s, (rng.Float64()-0.5)*s
+		w := theta * math.Hypot(dx, dy)
+		switch k % 3 {
+		case 0: // a few ulps around the boundary
+			w = math.Float64frombits(math.Float64bits(w) + uint64(rng.Intn(9)) - 4)
+		case 1: // anywhere
+			w = rng.Float64() * 3 * s
+		}
+		want := farExact(dx, dy, w, theta)
+		got, sure := farFilter(dx*dx+dy*dy, w, filterTheta2(theta))
+		if sure && got != want {
+			t.Fatalf("dx=%g dy=%g w=%g theta=%g: filter says far=%v, exact test %v", dx, dy, w, theta, got, want)
+		}
+	}
+}
+
+// TestRebuildRepulsionSteadyStateAllocs: once a tree's storage has grown
+// to a point set, rebuilding over it and sweeping the force kernel over
+// every point allocates nothing.
+func TestRebuildRepulsionSteadyStateAllocs(t *testing.T) {
+	pts, mass := cloud(1, 2000, 80, 1, 1)
+	var tr Tree
+	tr.Rebuild(pts, mass)
+	var acc geometry.Vec2
+	allocs := testing.AllocsPerRun(5, func() {
+		tr.Rebuild(pts, mass)
+		for i, p := range pts {
+			acc = tr.Repulsion(p, int32(i), 0.9, 0.2, mass[i], acc)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Rebuild + Repulsion sweep: %v allocations per run, want 0", allocs)
+	}
+	if len(tr.caps) == 0 {
+		t.Fatal("duplicate points did not reach the depth cap")
+	}
+}
+
+var benchSink geometry.Vec2
+
+// BenchmarkRepulsion measures one force iteration's tree work on a
+// 16384-point unit-mass cloud: a Rebuild plus the repulsion on every
+// point at θ = 0.9, as the lattice embedding's near field runs it.
+func BenchmarkRepulsion(b *testing.B) {
+	pts := randomPoints(16384, 1)
+	var tr Tree
+	tr.Rebuild(pts, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		tr.Rebuild(pts, nil)
+		var acc geometry.Vec2
+		for i, p := range pts {
+			acc = tr.Repulsion(p, int32(i), 0.9, 0.2, 1, acc)
+		}
+		benchSink = acc
 	}
 }

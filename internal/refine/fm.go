@@ -5,7 +5,6 @@
 // locked surroundings, or a baseline's band graph uniformly.
 package refine
 
-
 // Arc is one internal adjacency entry of a Problem.
 type Arc struct {
 	To int32
