@@ -285,17 +285,19 @@ func refineLevel(c *mpi.Comm, lev *coarsen.Level, side []int8, totalW int64, cfg
 		// before committing moves.
 		mpi.AllReduce(c, int64(0), 8, mpi.SumInt64)
 		// Exchange moves (the collective also orders the writes below
-		// against this pass's reads).
-		all := mpi.AllGatherV(c, moved, 4)
+		// against this pass's reads). Everyone observes the same weight
+		// shift, summed once.
+		shift := mpi.AllGatherVWith(c, moved, 4, func(parts [][]int32) int64 {
+			var w int64
+			for _, part := range parts {
+				for _, v := range part {
+					w += int64(g.VertexWeight(v))
+				}
+			}
+			return w
+		})
 		for _, v := range moved {
 			side[v] = 1 - dir
-		}
-		// Everyone observes the same weight shift.
-		var shift int64
-		for _, part := range all {
-			for _, v := range part {
-				shift += int64(g.VertexWeight(v))
-			}
 		}
 		sideW[dir] -= shift
 		sideW[1-dir] += shift
@@ -364,7 +366,7 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 	}
 	sort.Slice(band, func(i, j int) bool { return band[i] < band[j] })
 	c.Charge(float64(g.XAdj[end]-g.XAdj[begin]) * float64(cfg.BandHops))
-	all := mpi.Concat(mpi.AllGatherV(c, band, 4))
+	all := mpi.AllGatherVWith(c, band, 4, mpi.Concat[int32])
 	if len(all) == 0 {
 		return
 	}

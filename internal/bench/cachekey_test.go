@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/geopart"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
@@ -11,8 +10,7 @@ import (
 // TestCacheKeySeparatesEnvironments is the regression test for the
 // singleflight cache handing back a stale Run after a process-global
 // knob changed: the key must fingerprint the worker-pool size, the
-// batching and parallel-build toggles, the fault plan, and the tracing
-// flag — not just (graph, method, p).
+// fault plan, and the tracing flag — not just (graph, method, p).
 func TestCacheKeySeparatesEnvironments(t *testing.T) {
 	h := New(0.03, []int{8})
 	base := h.Get("ecology1", MethodSP, 8)
@@ -26,18 +24,6 @@ func TestCacheKeySeparatesEnvironments(t *testing.T) {
 		// The knob must not change modeled results, only the cache slot.
 		if r.Cut != base.Cut || r.Time != base.Time {
 			t.Fatalf("worker count changed modeled results: %v/%v vs %v/%v",
-				r.Cut, r.Time, base.Cut, base.Time)
-		}
-	})
-
-	t.Run("geopart batching", func(t *testing.T) {
-		defer geopart.SetBatching(geopart.SetBatching(!geopart.Batching()))
-		r := h.Get("ecology1", MethodSP, 8)
-		if r == base {
-			t.Fatal("cache ignored the candidate-batching toggle")
-		}
-		if r.Cut != base.Cut || r.Time != base.Time {
-			t.Fatalf("batching changed modeled results: %v/%v vs %v/%v",
 				r.Cut, r.Time, base.Cut, base.Time)
 		}
 	})

@@ -191,8 +191,8 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 
 // envKey fingerprints the process-global and harness-level knobs a run
 // depends on beyond (graph, method, P): the host worker pool, replay
-// scheduler and collective engine (wall clocks), the batching /
-// parallel-build / pooling hooks (wall clocks and allocations), the
+// scheduler and collective engine (wall clocks), the parallel-build /
+// pooling hooks (wall clocks and allocations), the
 // fault plan (everything), and tracing (the Breakdown field). Two Gets
 // with different fingerprints compute independent runs instead of
 // sharing a stale cache entry.
@@ -201,8 +201,8 @@ func (h *Harness) envKey() string {
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|replay:%s|coll:%s|batch%t|pbuild%t|pool%t|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|rcbv:%d|faults:%s",
-		hostpar.Workers(), mpi.Replay(), mpi.Collectives(), geopart.Batching(), graph.ParallelBuild(),
+	return fmt.Sprintf("w%d|replay:%s|coll:%s|pbuild%t|pool%t|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|rcbv:%d|faults:%s",
+		hostpar.Workers(), mpi.Replay(), mpi.Collectives(), graph.ParallelBuild(),
 		mpi.PoolingEnabled(), h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
 		trials, refine.FullCut(), geopart.RCBModel(),

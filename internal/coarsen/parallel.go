@@ -39,9 +39,9 @@ var parallelOn atomic.Bool
 func init() { parallelOn.Store(true) }
 
 // SetParallel enables or disables the fork-join coarsening kernels and
-// returns the previous setting. Test hook à la geopart.SetBatching:
-// host parallelism must never change results, and the determinism tests
-// prove it by flipping this switch.
+// returns the previous setting. Test hook: host parallelism must never
+// change results, and the determinism tests prove it by flipping this
+// switch.
 func SetParallel(on bool) bool {
 	prev := parallelOn.Load()
 	parallelOn.Store(on)

@@ -5,46 +5,53 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/geopart"
+	"repro/internal/hostpar"
+	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
-// TestBatchingBitIdentical runs the full pipeline with the batched
-// geometric-candidate kernel enabled and disabled and requires
-// bit-identical outcomes at every world size: same cut, same per-vertex
-// partition, same per-rank virtual clocks and message traffic. The
-// batched kernel is a host-side rearrangement of the same arithmetic
-// (edge-topology cache, fused projections, bitset sides); any visible
-// difference means it changed an evaluation order or a modeled charge.
+// TestBatchingBitIdentical runs the full pipeline with strip and
+// full-cut refinement under batched replay with eight hostpar workers
+// and requires the outcome of a one-worker goroutine-replay run at
+// every world size: same cut, same per-vertex partition, same per-rank
+// virtual clocks and message traffic. The geometric partitioner's
+// sample, candidate set and gathered records are derived once per
+// collective and shared by every rank, whichever rank finishes the
+// collective; any visible difference means a derived value depended on
+// that rank or a rank wrote into a shared value.
 func TestBatchingBitIdentical(t *testing.T) {
 	g := gen.Grid2D(40, 40)
+	defer refine.SetFullCut(refine.SetFullCut(true))
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer geopart.SetBatching(geopart.SetBatching(true))
-			batched := Partition(g.G, p, DefaultOptions(42))
-			geopart.SetBatching(false)
-			plain := Partition(g.G, p, DefaultOptions(42))
-			if batched.Cut != plain.Cut {
-				t.Errorf("cut differs: batched %d plain %d", batched.Cut, plain.Cut)
+			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+			ref := Partition(g.G, p, DefaultOptions(42))
+			mpi.SetReplayMode(mpi.ReplayBatched)
+			hostpar.SetWorkers(8)
+			got := Partition(g.G, p, DefaultOptions(42))
+			if got.Cut != ref.Cut {
+				t.Errorf("cut differs: batched %d, one worker %d", got.Cut, ref.Cut)
 			}
-			if len(batched.Part) != len(plain.Part) {
-				t.Fatalf("partition length differs: %d vs %d", len(batched.Part), len(plain.Part))
+			if len(got.Part) != len(ref.Part) {
+				t.Fatalf("partition length differs: %d vs %d", len(got.Part), len(ref.Part))
 			}
-			for v := range batched.Part {
-				if batched.Part[v] != plain.Part[v] {
-					t.Fatalf("vertex %d assigned to part %d batched, %d plain", v, batched.Part[v], plain.Part[v])
+			for v := range got.Part {
+				if got.Part[v] != ref.Part[v] {
+					t.Fatalf("vertex %d assigned to part %d batched, %d one worker", v, got.Part[v], ref.Part[v])
 				}
 			}
-			if len(batched.Stats) != len(plain.Stats) {
-				t.Fatalf("stats length differs: %d vs %d", len(batched.Stats), len(plain.Stats))
+			if len(got.Stats) != len(ref.Stats) {
+				t.Fatalf("stats length differs: %d vs %d", len(got.Stats), len(ref.Stats))
 			}
-			for r := range batched.Stats {
-				a, b := batched.Stats[r], plain.Stats[r]
+			for r := range got.Stats {
+				a, b := got.Stats[r], ref.Stats[r]
 				if a.Time != b.Time || a.CommTime != b.CommTime {
-					t.Errorf("rank %d clocks differ: batched (%v, %v) plain (%v, %v)",
+					t.Errorf("rank %d clocks differ: batched (%v, %v) one worker (%v, %v)",
 						r, a.Time, a.CommTime, b.Time, b.CommTime)
 				}
 				if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-					t.Errorf("rank %d traffic differs: batched (%d msg, %d B) plain (%d msg, %d B)",
+					t.Errorf("rank %d traffic differs: batched (%d msg, %d B) one worker (%d msg, %d B)",
 						r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
 				}
 			}

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geometry"
@@ -48,6 +49,14 @@ func NewLatticeFromAxes(grid mpi.Grid, xs, ys []float64, bounds geometry.Rect) *
 	return l
 }
 
+// clone returns a copy of l that shares no cut slice with it.
+func (l *Lattice) clone() *Lattice {
+	c := *l
+	c.XCuts = slices.Clone(l.XCuts)
+	c.YCuts = slices.Clone(l.YCuts)
+	return &c
+}
+
 // quantileCuts returns k+1 ascending cut positions over [lo, hi] with
 // interior cuts at the sorted sample's quantiles; degenerate samples
 // fall back to uniform spacing.
@@ -79,7 +88,7 @@ func quantileCuts(sorted []float64, k int, lo, hi float64) []float64 {
 	return cuts
 }
 
-// colOf locates x among the X cuts (clamped to valid columns).
+// locate returns the cell of v among cuts, clamped to valid cells.
 func locate(cuts []float64, v float64) int {
 	// cuts has k+1 entries for k cells; find the cell index.
 	k := len(cuts) - 1
@@ -390,8 +399,8 @@ func (s *levelState) globalCell(cy, cx int) int {
 	return gr*s.cellCols() + gc
 }
 
-// cellBase returns the global index of another rank's first cell row
-// offset; used when scattering gathered cells.
+// placeCells copies another rank's gathered sub-cells into their rows
+// of the global cell grid.
 func (s *levelState) placeCells(rank int, cells []beta) {
 	br := s.lat.Grid.RowOf(rank)
 	bc := s.lat.Grid.ColOf(rank)

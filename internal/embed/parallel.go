@@ -237,8 +237,12 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 			mySample = append(mySample, created[i].P)
 		}
 	}
-	sample := mpi.Concat(mpi.AllGatherV(sub, mySample, 16))
-	lat := NewLattice(grid, sample, bounds)
+	// The cuts are rank-identical (grid and bounds are too), so they
+	// are computed once per gather; each rank copies them because
+	// rescale scales its lattice in place.
+	lat := mpi.AllGatherVWith(sub, mySample, 16, func(parts [][]geometry.Vec2) *Lattice {
+		return NewLattice(grid, mpi.Concat(parts), bounds)
+	}).clone()
 	// Route vertices to their new owners: count first, then fill
 	// exactly-sized per-destination buffers.
 	counts := make([]int, sub.Size())

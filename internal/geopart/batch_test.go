@@ -3,12 +3,16 @@ package geopart
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hostpar"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
 // TestGatherSamplePinned pins the sampled (id, coordinate) sequence for
@@ -21,7 +25,7 @@ func TestGatherSamplePinned(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	views := embed.SplitCoords(g.G, g.Coords, 4)
 	mpi.Run(4, mpi.DefaultModel(), func(c *mpi.Comm) {
-		s := gatherSample(c, views[c.Rank()], 16)
+		s := gatherSample(c, views[c.Rank()], 16, func(s []sampleEntry) []sampleEntry { return s })
 		if len(s) != len(want) {
 			t.Errorf("rank %d: sample has %d entries, want %d", c.Rank(), len(s), len(want))
 			return
@@ -99,44 +103,128 @@ func TestEdgeCacheResolvesEndpoints(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelMatchesLegacy runs SP-PG7-NL and parallel RCB with
-// the batched kernel on and off and requires identical cuts, sides,
-// weights, and strip sizes. The full clock comparison across the P
-// sweep lives in core's TestBatchingBitIdentical; this is the
-// package-local fast check.
-func TestBatchedKernelMatchesLegacy(t *testing.T) {
+// TestParallelPartitionReplayBitIdentical runs SP-PG7-NL and parallel
+// RCB under batched replay and several hostpar worker counts and
+// requires the cuts, sides, weights, strip sizes and per-rank clocks of
+// a one-worker goroutine-replay run. The full-pipeline sweep lives in
+// core's TestBatchingBitIdentical; this is the package-local check.
+func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 5)
+	type outcome struct {
+		part   []int32
+		sp     ParallelResult
+		rcb    ParallelResult
+		clocks []float64
+	}
+	run := func(p int) outcome {
+		views := embed.SplitCoords(g.G, g.Coords, p)
+		o := outcome{part: make([]int32, g.G.NumVertices()), clocks: make([]float64, p)}
+		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
+			for i, id := range res.OwnedIDs {
+				o.part[id] = res.Side[i]
+			}
+			r2 := ParallelRCB(c, g.G, views[c.Rank()])
+			o.clocks[c.Rank()] = c.Elapsed()
+			if c.Rank() == 0 {
+				o.sp, o.rcb = *res, *r2
+			}
+		})
+		return o
+	}
 	for _, p := range []int{1, 4, 16} {
-		run := func(batched bool) ([]int32, *ParallelResult, *ParallelResult) {
-			defer SetBatching(SetBatching(batched))
-			views := embed.SplitCoords(g.G, g.Coords, p)
-			part := make([]int32, g.G.NumVertices())
-			var sp, rcb *ParallelResult
-			mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-				res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
-				for i, id := range res.OwnedIDs {
-					part[id] = res.Side[i]
-				}
-				r2 := ParallelRCB(c, g.G, views[c.Rank()])
-				if c.Rank() == 0 {
-					sp, rcb = res, r2
-				}
-			})
-			return part, sp, rcb
-		}
-		bPart, bSP, bRCB := run(true)
-		lPart, lSP, lRCB := run(false)
-		if bSP.Cut != lSP.Cut || bSP.CutBefore != lSP.CutBefore || bSP.SideW != lSP.SideW || bSP.StripSize != lSP.StripSize {
-			t.Fatalf("P=%d SP results differ: batched %+v legacy %+v", p, bSP, lSP)
-		}
-		if bRCB.Cut != lRCB.Cut || bRCB.SideW != lRCB.SideW {
-			t.Fatalf("P=%d RCB results differ: batched %+v legacy %+v", p, bRCB, lRCB)
-		}
-		for v := range bPart {
-			if bPart[v] != lPart[v] {
-				t.Fatalf("P=%d vertex %d: side %d batched, %d legacy", p, v, bPart[v], lPart[v])
+		ref := func() outcome {
+			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+			return run(p)
+		}()
+		for _, w := range []int{2, 8} {
+			name := fmt.Sprintf("P=%d batched replay, %d workers", p, w)
+			got := func() outcome {
+				defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayBatched))
+				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+				return run(p)
+			}()
+			if got.sp.Cut != ref.sp.Cut || got.sp.CutBefore != ref.sp.CutBefore || got.sp.SideW != ref.sp.SideW || got.sp.StripSize != ref.sp.StripSize {
+				t.Fatalf("%s: SP results differ: %+v, one worker %+v", name, got.sp, ref.sp)
+			}
+			if got.rcb.Cut != ref.rcb.Cut || got.rcb.SideW != ref.rcb.SideW {
+				t.Fatalf("%s: RCB results differ: %+v, one worker %+v", name, got.rcb, ref.rcb)
+			}
+			if !slices.Equal(got.part, ref.part) {
+				t.Fatalf("%s: per-vertex sides differ from the one-worker run", name)
+			}
+			if !slices.Equal(got.clocks, ref.clocks) {
+				t.Fatalf("%s: clocks %v, one worker %v", name, got.clocks, ref.clocks)
 			}
 		}
+	}
+}
+
+// TestParallelPartitionSharedValuesRace runs SP-PG7-NL at P=64 with
+// strip and full-cut refinement on. The sample, the candidate set, the
+// strip records and the free-set records are shared read-only by every
+// rank, so under -race any rank writing into them trips the detector.
+// Without -race it still checks that the reported cut matches a
+// recount and that a second run is identical.
+func TestParallelPartitionSharedValuesRace(t *testing.T) {
+	defer refine.SetFullCut(refine.SetFullCut(true))
+	g := gen.DelaunayRandom(6000, 3)
+	const p = 64
+	part, res := runSP(g, p, DefaultParallelConfig())
+	if res.StripSize == 0 || res.Boundary == 0 {
+		t.Fatalf("refinement did not run: strip %d, boundary %d", res.StripSize, res.Boundary)
+	}
+	if got := graph.CutSize(g.G, part); got != res.Cut {
+		t.Fatalf("reported cut %d, recount %d", res.Cut, got)
+	}
+	part2, res2 := runSP(g, p, DefaultParallelConfig())
+	if res2.Cut != res.Cut || !slices.Equal(part2, part) {
+		t.Fatalf("second run differs: cut %d vs %d", res2.Cut, res.Cut)
+	}
+}
+
+// TestParallelPartitionSampleNotCopiedPerRank guards the shared sample:
+// at P=256 a partition call allocates, world-wide, less than one copy of
+// the gathered sample per rank would. Before the sample, its
+// normalisation, its lift to the sphere and the candidate set were
+// derived once per collective, every rank built its own, several
+// sample-sized arrays each. Strip refinement is off: its width is still
+// a per-rank quantile over the sample, which this guard does not cover.
+func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("P=256 world")
+	}
+	const p = 256
+	g := gen.Grid2D(128, 128)
+	views := embed.SplitCoords(g.G, g.Coords, p)
+	cfg := DefaultParallelConfig()
+	cfg.Refine = false
+	var perCall float64
+	var sampleLen int
+	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		d := views[c.Rank()]
+		ParallelPartition(c, g.G, d, cfg) // warm pools
+		n := gatherSample(c, d, 4096, func(s []sampleEntry) int { return len(s) })
+		c.Barrier()
+		var m0, m1 runtime.MemStats
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		c.Barrier()
+		ParallelPartition(c, g.G, d, cfg)
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			perCall, sampleLen = float64(m1.TotalAlloc-m0.TotalAlloc), n
+		}
+		c.Barrier()
+	})
+	perRankCopies := float64(p * sampleLen * int(unsafe.Sizeof(sampleEntry{})))
+	t.Logf("P=%d: %.1f MB allocated per call; one sample copy per rank would be %.1f MB",
+		p, perCall/1e6, perRankCopies/1e6)
+	if perCall >= perRankCopies {
+		t.Errorf("partition call allocated %.0f B world-wide, at least one sample copy per rank (%.0f B)", perCall, perRankCopies)
 	}
 }
 
@@ -189,66 +277,52 @@ func benchViews(b *testing.B, p int) (*gen.Generated, []*embed.Distributed) {
 }
 
 // BenchmarkParallelPartition measures the full SP-PG7-NL bisection
-// (simulated world included) with the batched kernel and with the
-// legacy per-candidate kernel, at P=4 and P=16.
+// (simulated world included) at P=4 and P=16.
 func BenchmarkParallelPartition(b *testing.B) {
 	for _, p := range []int{4, 16} {
-		for _, mode := range []struct {
-			name    string
-			batched bool
-		}{{"batched", true}, {"legacy", false}} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode.name), func(b *testing.B) {
-				g, views := benchViews(b, p)
-				defer SetBatching(SetBatching(mode.batched))
-				cfg := DefaultParallelConfig()
-				var cut int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-						res := ParallelPartition(c, g.G, views[c.Rank()], cfg)
-						if c.Rank() == 0 {
-							cut = res.Cut
-						}
-					})
-				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			g, views := benchViews(b, p)
+			cfg := DefaultParallelConfig()
+			var cut int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+					res := ParallelPartition(c, g.G, views[c.Rank()], cfg)
+					if c.Rank() == 0 {
+						cut = res.Cut
+					}
+				})
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }
 
-// BenchmarkRCBParallel measures the parallel RCB single cut with the
-// edge-cache kernel and with the legacy per-edge resolution.
+// BenchmarkRCBParallel measures the parallel RCB single cut at P=4 and
+// P=16.
 func BenchmarkRCBParallel(b *testing.B) {
 	for _, p := range []int{4, 16} {
-		for _, mode := range []struct {
-			name    string
-			batched bool
-		}{{"batched", true}, {"legacy", false}} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode.name), func(b *testing.B) {
-				g, views := benchViews(b, p)
-				defer SetBatching(SetBatching(mode.batched))
-				var cut int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-						res := ParallelRCB(c, g.G, views[c.Rank()])
-						if c.Rank() == 0 {
-							cut = res.Cut
-						}
-					})
-				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			g, views := benchViews(b, p)
+			var cut int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+					res := ParallelRCB(c, g.G, views[c.Rank()])
+					if c.Rank() == 0 {
+						cut = res.Cut
+					}
+				})
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }
 
 // TestEdgeCacheRemoteSlot: a view whose ghost ring misses a neighbour
-// must skip the edge (slot -1), matching the legacy "neither owned nor
-// ghost" branch.
+// must skip the edge (slot -1): it is neither owned nor ghost here.
 func TestEdgeCacheRemoteSlot(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)

@@ -2,7 +2,6 @@ package geopart
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/embed"
 	"repro/internal/graph"
@@ -10,31 +9,7 @@ import (
 
 // Candidate-batched kernel support: the per-level edge topology cache,
 // packed side bitsets, and the pooled scratch block the fused
-// projection kernel writes into. The batched kernel is semantically
-// invisible — cuts, sides, strip sizes, and virtual clocks are
-// bit-identical to the legacy per-candidate kernel — and SetBatching
-// exists so the determinism tests can prove it, mirroring
-// mpi.SetPooling.
-
-// batchingOn gates the batched kernels globally; disabled, the
-// partitioners run the original per-candidate scan (map lookups and
-// binary searches per edge endpoint, per candidate).
-var batchingOn atomic.Bool
-
-func init() { batchingOn.Store(true) }
-
-// SetBatching enables or disables the batched candidate kernels and
-// returns the previous setting. Test hook: batching must never change
-// results, and the determinism tests prove it by flipping this switch.
-func SetBatching(on bool) bool {
-	prev := batchingOn.Load()
-	batchingOn.Store(on)
-	return prev
-}
-
-// Batching reports whether the batched candidate kernels are enabled.
-// Cache keys that fingerprint process-global knobs read it.
-func Batching() bool { return batchingOn.Load() }
+// projection kernel writes into.
 
 // edgeCache is the per-partition edge topology cache: one pass over
 // d.OwnedIDs resolves every CSR edge endpoint of an owned vertex to a
@@ -62,16 +37,13 @@ type edgeCache struct {
 	cutW []int64
 }
 
-var edgeCachePool sync.Pool
+var edgeCachePool = sync.Pool{New: func() any { return new(edgeCache) }}
 
 // buildEdgeCache resolves the owned adjacency of d against g. The cache
 // is drawn from a pool; callers release() it when the partition call is
 // done.
 func buildEdgeCache(g *graph.Graph, d *embed.Distributed) *edgeCache {
-	ec, _ := edgeCachePool.Get().(*edgeCache)
-	if ec == nil {
-		ec = &edgeCache{}
-	}
+	ec := edgeCachePool.Get().(*edgeCache)
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	ec.nOwn, ec.nGhost = nOwn, nGhost
 	ec.start = append(ec.start[:0], 0)
@@ -104,11 +76,7 @@ func buildEdgeCache(g *graph.Graph, d *embed.Distributed) *edgeCache {
 
 // release returns the cache to the pool. The caller must not use it
 // afterwards.
-func (ec *edgeCache) release() {
-	if ec != nil {
-		edgeCachePool.Put(ec)
-	}
-}
+func (ec *edgeCache) release() { edgeCachePool.Put(ec) }
 
 // countCut runs the branchless cut kernel for one candidate: bits is
 // the packed side vector over [0, nOwn+nGhost) slots (bit s = side of
@@ -138,16 +106,13 @@ type kernelScratch struct {
 	ghostRow []float64 // one vertex's candidate values during the ghost pass
 }
 
-var kernelScratchPool sync.Pool
+var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
 // getKernelScratch returns pooled buffers sized for ncand candidates,
 // nOwn owned and nGhost ghost vertices. bits comes back zeroed; block
 // and ghostRow are fully overwritten by the kernel.
 func getKernelScratch(ncand, nOwn, nGhost int) (*kernelScratch, int) {
-	sc, _ := kernelScratchPool.Get().(*kernelScratch)
-	if sc == nil {
-		sc = &kernelScratch{}
-	}
+	sc := kernelScratchPool.Get().(*kernelScratch)
 	words := (nOwn + nGhost + 63) / 64
 	sc.block = grow(sc.block, ncand*nOwn)
 	sc.bits = grow(sc.bits, ncand*words)
@@ -158,11 +123,7 @@ func getKernelScratch(ncand, nOwn, nGhost int) (*kernelScratch, int) {
 	return sc, words
 }
 
-func (sc *kernelScratch) release() {
-	if sc != nil {
-		kernelScratchPool.Put(sc)
-	}
-}
+func (sc *kernelScratch) release() { kernelScratchPool.Put(sc) }
 
 // grow returns s resized to length n, reusing capacity when possible.
 func grow[T any](s []T, n int) []T {

@@ -22,6 +22,23 @@ import (
 // historical strip-only pipeline stays bit-identical; see ISSUE 10's
 // bit-identity guard.
 
+// gatheredFree is the global free set of one RefineFreeSet round,
+// built once per gather and shared read-only: the records in rank
+// order and the set of their ids.
+type gatheredFree struct {
+	recs []refine.SideRecord
+	ids  map[int32]bool
+}
+
+func gatherFree(parts [][]refine.SideRecord) gatheredFree {
+	recs := mpi.Concat(parts)
+	ids := make(map[int32]bool, len(recs))
+	for _, r := range recs {
+		ids[r.ID] = true
+	}
+	return gatheredFree{recs: recs, ids: ids}
+}
+
 // freeSetOutcomeBytes is the fixed bookkeeping payload of the
 // broadcast outcome (gain, side weights, free count), on top of one
 // byte per gathered record.
@@ -43,8 +60,8 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 			recs = append(recs, refine.SideRecord{ID: id, Side: int8(side[i]), Free: true})
 		}
 	}
-	allFree := mpi.Concat(mpi.AllGatherV(c, recs, refine.SideRecordBytes))
-	if len(allFree) == 0 {
+	free := mpi.AllGatherVWith(c, recs, refine.SideRecordBytes, gatherFree)
+	if len(free.recs) == 0 {
 		// Collective-consistent: the gathered length is identical on
 		// every rank.
 		return refine.FreeSetResult{SideW: sideW}
@@ -53,10 +70,6 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 	// neighbour any free vertex anywhere. Membership must be checked
 	// against the *global* free set — a neighbour across a rank border
 	// is invisible to the local mask.
-	inFree := make(map[int32]bool, len(allFree))
-	for _, r := range allFree {
-		inFree[r.ID] = true
-	}
 	cur := graph.GetCursor(g)
 	ring := recs[:0:0]
 	for i, id := range d.OwnedIDs {
@@ -65,7 +78,7 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 		}
 		nbrs, _ := cur.Arcs(id)
 		for _, nb := range nbrs {
-			if inFree[nb] {
+			if free.ids[nb] {
 				ring = append(ring, refine.SideRecord{ID: id, Side: int8(side[i])})
 				break
 			}
@@ -73,17 +86,21 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 	}
 	cur.Release()
 	c.Charge(float64(len(d.OwnedIDs))) // the ring scan
-	allRing := mpi.Concat(mpi.AllGatherV(c, ring, refine.SideRecordBytes))
+	// The free records followed by the ring records, built once; free is
+	// identical on every rank, so the derive may read it.
+	all := mpi.AllGatherVWith(c, ring, refine.SideRecordBytes, func(parts [][]refine.SideRecord) []refine.SideRecord {
+		return mpi.Concat(append([][]refine.SideRecord{free.recs}, parts...))
+	})
 
 	// Rank 0 solves; everyone receives the flips. The broadcast payload
 	// is modeled from the gathered record counts, identical on all
 	// ranks, so the collective cost is symmetric.
 	var out refine.FreeSetResult
 	if c.Rank() == 0 {
-		out = refine.SolveFreeSet(g, append(allFree, allRing...), sideW, totalW, tol, passes)
+		out = refine.SolveFreeSet(g, all, sideW, totalW, tol, passes)
 		c.Charge(float64(out.Free) * 20)
 	}
-	got := c.Bcast(0, out, freeSetOutcomeBytes+len(allFree)+len(allRing))
+	got := c.Bcast(0, out, freeSetOutcomeBytes+len(all))
 	out = got.(refine.FreeSetResult)
 	for _, id := range out.Flips {
 		if li, ok := d.LocalSlot(id); ok {
@@ -97,16 +114,9 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 // FM after strip refinement. ghostSide is this rank's replica of its
 // ghosts' sides under the winning candidate (strip flips already
 // applied); it is updated alongside res.Side as flips arrive, because
-// the next round's boundary extraction reads both. With ec nil (legacy
-// kernel), the driver resolves its own edge topology cache — the
-// resulting records, charges, and collectives are identical either
-// way, preserving the batching bit-identity contract.
+// the next round's boundary extraction reads both.
 func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, ghostSide []int8, totalW int64, res *ParallelResult) {
 	c.SetPhase("refine-full")
-	if ec == nil {
-		ec = buildEdgeCache(g, d)
-		defer ec.release()
-	}
 	nOwn, nGhost := ec.nOwn, ec.nGhost
 	slotSide := make([]int8, nOwn+nGhost)
 	for i, s := range res.Side {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hostpar"
 	"repro/internal/mpi"
 	"repro/internal/refine"
 )
@@ -74,19 +75,18 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 
 // TestFullCutDeterministic: with full-cut on, the partition must be a
 // pure function of (graph, config, P) — identical across repeated
-// runs, both candidate kernels, and both replay schedulers. This is
-// the PR 3/4-style reproducibility contract extended to the new pass.
+// runs, hostpar worker counts, and both replay schedulers.
 func TestFullCutDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 9)
 	defer refine.SetFullCut(refine.SetFullCut(true))
 	for _, p := range []int{1, 4, 16, 64} {
 		var base []int32
 		var baseCut int64
-		for _, batched := range []bool{true, false} {
+		for _, workers := range []int{1, 8} {
 			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-				name := fmt.Sprintf("P=%d batched=%t replay=%v", p, batched, mode)
+				name := fmt.Sprintf("P=%d workers=%d replay=%v", p, workers, mode)
 				part, res := func() ([]int32, *ParallelResult) {
-					defer SetBatching(SetBatching(batched))
+					defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
 					defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
 					return runSP(g, p, DefaultParallelConfig())
 				}()

@@ -85,11 +85,10 @@ func valueAbove(val float64, id int32, tVal float64, tID int32) bool {
 	return id > tID
 }
 
-// candSet is the great-circle candidate set, built redundantly and
-// deterministically on every rank: per retained centerpoint one Möbius
-// map, and per candidate a direction with its sampled median threshold.
-// Candidates of centerpoint m occupy the contiguous index range
-// [mobStart[m], mobStart[m+1]).
+// candSet is the great-circle candidate set: per retained centerpoint
+// one Möbius map, and per candidate a direction with its sampled median
+// threshold. Candidates of centerpoint m occupy the contiguous index
+// range [mobStart[m], mobStart[m+1]).
 type candSet struct {
 	ms       []geometry.Moebius
 	dirs     []geometry.Vec3
@@ -153,10 +152,9 @@ func buildCandidates(cfg ParallelConfig, rng *rand.Rand, sample3 []geometry.Vec3
 	return cs
 }
 
-// evaluated is what the selection and refinement stages consume from a
-// candidate-evaluation kernel, independent of which kernel produced it:
-// the reduced (cut, w0, w1) triples plus accessors for the winning
-// candidate's sides and separator values.
+// evaluated is what the selection and refinement stages consume from
+// candidate evaluation: the reduced (cut, w0, w1) triples plus
+// accessors for the winning candidate's sides and separator values.
 type evaluated struct {
 	global       []int64 // reduced contrib: (cut, w0, w1) per candidate
 	ec           *edgeCache
@@ -167,62 +165,32 @@ type evaluated struct {
 }
 
 // ParallelPartition bisects g in parallel from a distributed embedding:
-// a gathered coordinate sample yields centerpoints (computed
-// redundantly on every rank, as in the paper), random great circles
-// become candidates whose cut and balance contributions are reduced
-// across ranks, and the best candidate is refined by FM on a
+// a gathered coordinate sample yields centerpoints, random great
+// circles become candidates whose cut and balance contributions are
+// reduced across ranks, and the best candidate is refined by FM on a
 // coordinate strip around the separating circle.
 //
-// Candidate evaluation runs the batched kernel (edge topology cache,
-// fused projections, packed side bitsets) unless SetBatching disabled
-// it; both kernels produce bit-identical cuts, sides, and virtual
-// clocks — batching only changes host wall-clock and allocations.
+// The paper computes the centerpoints and candidates redundantly on
+// every processor from the same gathered sample. Here that
+// rank-identical construction runs once, inside the sample gather (see
+// sharedSample), and every rank reads the one result; the virtual clock
+// never charged it, so no modeled value depends on where it runs.
 func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig) *ParallelResult {
 	c.SetPhase("geopart")
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
 	totalW := g.TotalVertexWeight()
 
-	// Gather a coordinate sample with ids (identical on every rank).
-	sample := gatherSample(c, d, 4096)
-
-	// Normalisation constants from the sample.
-	var sum geometry.Vec2
-	for _, s := range sample {
-		sum = sum.Add(s.P)
-	}
-	count := len(sample)
-	centroid := sum.Scale(1 / math.Max(float64(count), 1))
-	rs := make([]float64, count)
-	for i, s := range sample {
-		rs[i] = s.P.Sub(centroid).Norm()
-	}
-	scale := 1.0
-	if count > 0 {
-		if med := stats.Quantile(rs, 0.5); med > 1e-12 {
-			scale = 1 / med
-		}
-	}
-	norm := func(p geometry.Vec2) geometry.Vec2 { return p.Sub(centroid).Scale(scale) }
-
-	// Candidate construction (redundant, deterministic on all ranks).
-	sample3 := make([]geometry.Vec3, count)
-	for i, s := range sample {
-		sample3[i] = geometry.StereoUp(norm(s.P))
-	}
-	cs := buildCandidates(cfg, rng, sample3)
+	ss := gatherSample(c, d, 4096, func(sample []sampleEntry) *sharedSample {
+		return deriveSample(cfg, sample)
+	})
+	cs := &ss.cs
 	if len(cs.dirs) == 0 {
 		panic("geopart: ParallelPartition needs at least one great-circle candidate")
 	}
 	ncand := len(cs.dirs)
 
 	// Evaluate every candidate locally and reduce (cut, w0, w1) triples.
-	var ev *evaluated
-	if batchingOn.Load() {
-		ev = evaluateBatched(c, g, d, &cs, norm)
-	} else {
-		ev = evaluateLegacy(c, g, d, &cs, norm)
-	}
+	ev := evaluate(c, g, d, cs, ss.norm)
 	defer ev.release()
 
 	// Select the best balanced candidate (identical on all ranks).
@@ -271,8 +239,8 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 		ev.fillValGhost(bestK, valGhost)
 		bestMob := cs.ms[cs.mobOf[bestK]]
 		bestU, bestT := cs.dirs[bestK], cs.tVal[bestK]
-		sampleAbs := make([]float64, count)
-		for i, q := range sample3 {
+		sampleAbs := make([]float64, len(ss.sample3))
+		for i, q := range ss.sample3 {
 			sampleAbs[i] = math.Abs(bestMob.Apply(q).Dot(bestU) - bestT)
 		}
 		stripFlips := refineStrip(c, g, d, cfg, ev.ec, valOwned, valGhost, sampleAbs, bestT, totalW, res)
@@ -297,22 +265,21 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 	return res
 }
 
-// evaluateBatched is the candidate-batched kernel: one edge topology
-// cache shared by every candidate, a fused per-vertex projection pass
-// that evaluates all candidate dot products for a vertex while its
-// lifted point is cache-resident, packed side bitsets over owned+ghost
-// slots, and a branchless XOR cut count over the edge cache. Charges
-// and reduced values are bit-identical to evaluateLegacy.
-func evaluateBatched(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
+// evaluate is the candidate-batched kernel: one edge topology cache
+// shared by every candidate, a fused per-vertex projection pass that
+// evaluates all candidate dot products for a vertex while its lifted
+// point is cache-resident, packed side bitsets over owned+ghost slots,
+// and a branchless XOR cut count over the edge cache.
+func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	ncand := len(cs.dirs)
 	ec := buildEdgeCache(g, d)
 	sc, words := getKernelScratch(ncand, nOwn, nGhost)
 	block, bits := sc.block, sc.bits
 
-	// The legacy kernel charges one pre-mapping pass per centerpoint
-	// and one scan per candidate; the batched kernel does the same work
-	// fused, so it charges identically — only host time drops.
+	// Charged as one mapping pass per centerpoint and one scan per
+	// candidate; the kernel does that work fused, which only the host
+	// clock sees.
 	for range cs.ms {
 		c.Charge(float64(nOwn+nGhost) * 6)
 	}
@@ -392,101 +359,6 @@ func evaluateBatched(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *cand
 	}
 }
 
-// evaluateLegacy is the original per-candidate kernel, kept verbatim as
-// the reference implementation behind SetBatching(false): owned and
-// ghost points are pre-mapped per centerpoint into materialised []Vec3
-// arrays, and every candidate re-scans the full owned adjacency with a
-// ghost map lookup or an owned binary search per edge endpoint.
-func evaluateLegacy(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
-	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
-	ncand := len(cs.dirs)
-
-	// Pre-map owned and ghost points once per centerpoint.
-	mappedOwn := make([][]geometry.Vec3, len(cs.ms))
-	mappedGhost := make([][]geometry.Vec3, len(cs.ms))
-	for m := range cs.ms {
-		mob := cs.ms[m]
-		mo := make([]geometry.Vec3, nOwn)
-		for i, p := range d.OwnedPos {
-			mo[i] = mob.Apply(geometry.StereoUp(norm(p)))
-		}
-		mg := make([]geometry.Vec3, nGhost)
-		for i, p := range d.GhostPos {
-			mg[i] = mob.Apply(geometry.StereoUp(norm(p)))
-		}
-		mappedOwn[m], mappedGhost[m] = mo, mg
-		c.Charge(float64(nOwn+nGhost) * 6)
-	}
-
-	// Evaluate every candidate locally: cut and side weights.
-	ghostSlotOf := make(map[int32]int32, nGhost)
-	for i, id := range d.GhostIDs {
-		ghostSlotOf[id] = int32(i)
-	}
-	contrib := make([]int64, 3*ncand)
-	sideBuf := make([][]bool, ncand) // per candidate: side of each owned vertex
-	cur := graph.GetCursor(g)
-	defer cur.Release()
-	for k := 0; k < ncand; k++ {
-		mobID := cs.mobOf[k]
-		u, tVal, tID := cs.dirs[k], cs.tVal[k], cs.tID[k]
-		sides := make([]bool, nOwn)
-		cut := int64(0)
-		var w0, w1 int64
-		for i, id := range d.OwnedIDs {
-			v := mappedOwn[mobID][i].Dot(u)
-			s := valueAbove(v, id, tVal, tID)
-			sides[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
-		}
-		for i, id := range d.OwnedIDs {
-			nbrs, wgts := cur.Arcs(id)
-			for e, nb := range nbrs {
-				if nb < id {
-					continue // counted by the owner of the smaller id
-				}
-				var nbSide bool
-				if slot, ok := ghostSlotOf[nb]; ok {
-					nbSide = valueAbove(mappedGhost[mobID][slot].Dot(u), nb, tVal, tID)
-				} else if li, ok2 := ownedIndex(d, nb); ok2 {
-					nbSide = sides[li]
-				} else {
-					continue // neither owned nor ghost: not adjacent here
-				}
-				if nbSide != sides[i] {
-					cut += int64(wgts[e])
-				}
-			}
-		}
-		contrib[3*k] = cut
-		contrib[3*k+1] = w0
-		contrib[3*k+2] = w1
-		sideBuf[k] = sides
-		c.Charge(float64(nOwn) * 4)
-	}
-	global := mpi.AllReduceSlice(c, contrib, 8, mpi.SumInt64)
-
-	return &evaluated{
-		global: global,
-		sideOf: func(k, i int) bool { return sideBuf[k][i] },
-		fillValOwned: func(k int, out []float64) {
-			for i := range out {
-				out[i] = mappedOwn[cs.mobOf[k]][i].Dot(cs.dirs[k])
-			}
-		},
-		fillValGhost: func(k int, out []float64) {
-			for i := range out {
-				out[i] = mappedGhost[cs.mobOf[k]][i].Dot(cs.dirs[k])
-			}
-		},
-		release: func() {},
-	}
-}
-
 // ownedIndex binary-searches the local index of an owned vertex; owned
 // ids are sorted by construction.
 func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
@@ -512,11 +384,12 @@ func imbalance2(w0, w1 int64) float64 {
 	return graph.Imbalance2(w0, w1)
 }
 
-// gatherSample collects an id-tagged coordinate sample of roughly
-// `target` global entries, identical on every rank. The local slice is
-// pre-sized: the stride loop contributes exactly
+// gatherSample gathers an id-tagged coordinate sample of roughly
+// `target` global entries and hands it to derive once per collective;
+// every rank receives derive's result, which is read-only. The local
+// slice is pre-sized: the stride loop contributes exactly
 // ceil(len(OwnedIDs)/stride) <= len(OwnedIDs)/stride + 1 entries.
-func gatherSample(c *mpi.Comm, d *embed.Distributed, target int) []sampleEntry {
+func gatherSample[R any](c *mpi.Comm, d *embed.Distributed, target int, derive func(sample []sampleEntry) R) R {
 	per := target/c.Size() + 1
 	var mine []sampleEntry
 	if len(d.OwnedIDs) > 0 {
@@ -526,5 +399,52 @@ func gatherSample(c *mpi.Comm, d *embed.Distributed, target int) []sampleEntry {
 			mine = append(mine, sampleEntry{ID: d.OwnedIDs[i], P: d.OwnedPos[i]})
 		}
 	}
-	return mpi.Concat(mpi.AllGatherV(c, mine, 20))
+	return mpi.AllGatherVWith(c, mine, 20, func(parts [][]sampleEntry) R {
+		return derive(mpi.Concat(parts))
+	})
+}
+
+// sharedSample is the rank-identical state of one ParallelPartition
+// call, derived once from the gathered sample and read by every rank:
+// the normalisation (centroid and inverse median radius), the sample
+// lifted to the sphere, and the candidate set.
+type sharedSample struct {
+	centroid geometry.Vec2
+	scale    float64
+	sample3  []geometry.Vec3
+	cs       candSet
+}
+
+// norm maps a coordinate into the sample's normalised frame.
+func (ss *sharedSample) norm(p geometry.Vec2) geometry.Vec2 {
+	return p.Sub(ss.centroid).Scale(ss.scale)
+}
+
+// deriveSample builds the sharedSample from the gathered sample. It
+// reads only the sample and cfg, both identical on every rank, and its
+// rng is seeded here: nothing after candidate construction draws from
+// it.
+func deriveSample(cfg ParallelConfig, sample []sampleEntry) *sharedSample {
+	ss := &sharedSample{scale: 1}
+	var sum geometry.Vec2
+	for _, s := range sample {
+		sum = sum.Add(s.P)
+	}
+	count := len(sample)
+	ss.centroid = sum.Scale(1 / math.Max(float64(count), 1))
+	if count > 0 {
+		rs := make([]float64, count)
+		for i, s := range sample {
+			rs[i] = s.P.Sub(ss.centroid).Norm()
+		}
+		if med := stats.Quantile(rs, 0.5); med > 1e-12 {
+			ss.scale = 1 / med
+		}
+	}
+	ss.sample3 = make([]geometry.Vec3, count)
+	for i, s := range sample {
+		ss.sample3[i] = geometry.StereoUp(ss.norm(s.P))
+	}
+	ss.cs = buildCandidates(cfg, rand.New(rand.NewSource(cfg.Seed+17)), ss.sample3)
+	return ss
 }

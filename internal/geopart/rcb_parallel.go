@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/embed"
+	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 )
@@ -13,137 +14,44 @@ import (
 // coordinates): the median plane orthogonal to the wider global extent,
 // with the median estimated from a gathered sample as Zoltan does. Its
 // communication is three short collectives, which is why RCB is the
-// scalability yardstick of the paper.
-//
-// The cut count runs over the edge topology cache (pure array
-// indexing) unless SetBatching disabled it; results and clocks are
-// bit-identical either way.
+// scalability yardstick of the paper. The axis and the median are
+// rank-identical, so they are derived once inside the sample gather;
+// the cut is counted over the edge topology cache.
 func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelResult {
-	sample := gatherSample(c, d, 4096)
-	// Global extent (from the sample; the cut only needs the wider
-	// axis, not exact bounds).
-	var lo, hi [2]float64
-	for i, s := range sample {
-		x, y := s.P.X, s.P.Y
-		if i == 0 {
-			lo, hi = [2]float64{x, y}, [2]float64{x, y}
-			continue
+	pl := gatherSample(c, d, 4096, rcbMedian)
+	axis := func(p geometry.Vec2) float64 {
+		if pl.useX {
+			return p.X
 		}
-		if x < lo[0] {
-			lo[0] = x
-		}
-		if x > hi[0] {
-			hi[0] = x
-		}
-		if y < lo[1] {
-			lo[1] = y
-		}
-		if y > hi[1] {
-			hi[1] = y
-		}
-	}
-	useX := hi[0]-lo[0] >= hi[1]-lo[1]
-	axis := func(i int) float64 {
-		if useX {
-			return d.OwnedPos[i].X
-		}
-		return d.OwnedPos[i].Y
-	}
-	ghostAxis := func(i int32) float64 {
-		if useX {
-			return d.GhostPos[i].X
-		}
-		return d.GhostPos[i].Y
-	}
-	// Sample median with id tie-break.
-	type vi struct {
-		v  float64
-		id int32
-	}
-	vis := make([]vi, len(sample))
-	for i, s := range sample {
-		v := s.P.Y
-		if useX {
-			v = s.P.X
-		}
-		vis[i] = vi{v, s.ID}
-	}
-	sort.Slice(vis, func(a, b int) bool {
-		if vis[a].v != vis[b].v {
-			return vis[a].v < vis[b].v
-		}
-		return vis[a].id < vis[b].id
-	})
-	tVal, tID := 0.0, int32(0)
-	if len(vis) > 0 {
-		m := vis[len(vis)/2]
-		tVal, tID = m.v, m.id
+		return p.Y
 	}
 
-	nOwn := len(d.OwnedIDs)
+	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	sides := make([]bool, nOwn)
 	var cut, w0, w1 int64
-	if batchingOn.Load() {
-		// Batched kernel: resolve the topology once, side every owned
-		// and ghost slot, and count the cut by array indexing.
-		ec := buildEdgeCache(g, d)
-		nGhost := len(d.GhostIDs)
-		slotSide := make([]bool, nOwn+nGhost)
-		for i, id := range d.OwnedIDs {
-			s := valueAbove(axis(i), id, tVal, tID)
-			sides[i] = s
-			slotSide[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
+	// Resolve the topology once, side every owned and ghost slot, and
+	// count the cut by array indexing.
+	ec := buildEdgeCache(g, d)
+	slotSide := make([]bool, nOwn+nGhost)
+	for i, id := range d.OwnedIDs {
+		s := valueAbove(axis(d.OwnedPos[i]), id, pl.tVal, pl.tID)
+		sides[i] = s
+		slotSide[i] = s
+		if s {
+			w1 += int64(g.VertexWeight(id))
+		} else {
+			w0 += int64(g.VertexWeight(id))
 		}
-		for gi, id := range d.GhostIDs {
-			slotSide[nOwn+gi] = valueAbove(ghostAxis(int32(gi)), id, tVal, tID)
-		}
-		for e := range ec.cutA {
-			if slotSide[ec.cutA[e]] != slotSide[ec.cutB[e]] {
-				cut += ec.cutW[e]
-			}
-		}
-		ec.release()
-	} else {
-		ghostSlotOf := make(map[int32]int32, len(d.GhostIDs))
-		for i, id := range d.GhostIDs {
-			ghostSlotOf[id] = int32(i)
-		}
-		for i, id := range d.OwnedIDs {
-			s := valueAbove(axis(i), id, tVal, tID)
-			sides[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
-		}
-		cur := graph.GetCursor(g)
-		for i, id := range d.OwnedIDs {
-			nbrs, wgts := cur.Arcs(id)
-			for e, nb := range nbrs {
-				if nb < id {
-					continue
-				}
-				var nbSide bool
-				if slot, ok := ghostSlotOf[nb]; ok {
-					nbSide = valueAbove(ghostAxis(slot), nb, tVal, tID)
-				} else if li, ok2 := ownedIndex(d, nb); ok2 {
-					nbSide = sides[li]
-				} else {
-					continue
-				}
-				if nbSide != sides[i] {
-					cut += int64(wgts[e])
-				}
-			}
-		}
-		cur.Release()
 	}
+	for gi, id := range d.GhostIDs {
+		slotSide[nOwn+gi] = valueAbove(axis(d.GhostPos[gi]), id, pl.tVal, pl.tID)
+	}
+	for e := range ec.cutA {
+		if slotSide[ec.cutA[e]] != slotSide[ec.cutB[e]] {
+			cut += ec.cutW[e]
+		}
+	}
+	ec.release()
 	c.Charge(float64(nOwn) * 3)
 	if rcbModelVersion.Load() >= 2 {
 		chargeZoltanRCB(c, g.NumVertices(), nOwn)
@@ -164,6 +72,64 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	}
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
 	return res
+}
+
+// rcbPlane is the cut plane of ParallelRCB: the axis and the
+// id-tie-broken sample median along it.
+type rcbPlane struct {
+	useX bool
+	tVal float64
+	tID  int32
+}
+
+// rcbMedian picks the wider axis of the gathered sample's extent (the
+// cut only needs the wider axis, not exact bounds) and the sample
+// median along it, with an id tie-break.
+func rcbMedian(sample []sampleEntry) rcbPlane {
+	var lo, hi [2]float64
+	for i, s := range sample {
+		x, y := s.P.X, s.P.Y
+		if i == 0 {
+			lo, hi = [2]float64{x, y}, [2]float64{x, y}
+			continue
+		}
+		if x < lo[0] {
+			lo[0] = x
+		}
+		if x > hi[0] {
+			hi[0] = x
+		}
+		if y < lo[1] {
+			lo[1] = y
+		}
+		if y > hi[1] {
+			hi[1] = y
+		}
+	}
+	pl := rcbPlane{useX: hi[0]-lo[0] >= hi[1]-lo[1]}
+	type vi struct {
+		v  float64
+		id int32
+	}
+	vis := make([]vi, len(sample))
+	for i, s := range sample {
+		v := s.P.Y
+		if pl.useX {
+			v = s.P.X
+		}
+		vis[i] = vi{v, s.ID}
+	}
+	sort.Slice(vis, func(a, b int) bool {
+		if vis[a].v != vis[b].v {
+			return vis[a].v < vis[b].v
+		}
+		return vis[a].id < vis[b].id
+	})
+	if len(vis) > 0 {
+		m := vis[len(vis)/2]
+		pl.tVal, pl.tID = m.v, m.id
+	}
+	return pl
 }
 
 // chargeZoltanRCB charges the cost a real Zoltan RCB run pays that the

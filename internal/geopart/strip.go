@@ -24,13 +24,10 @@ type stripRecord struct {
 // whose separator value lies within eps of the threshold are free, the
 // ring of their outside neighbours is locked, and eps is set from the
 // sample so the strip holds roughly StripFactor × |separator| vertices.
-// Strip records are gathered to every rank and the (small) FM problem
-// is solved redundantly, so no result broadcast is needed — the same
-// trick the paper uses for the great-circle selection itself.
-//
-// When the batched kernel ran, ec carries the resolved edge topology
-// and the ring scan is pure array indexing; with ec nil (legacy
-// kernel) the scan falls back to the ghost map and owned binary search.
+// Strip and ring records are gathered, concatenated and sorted by id
+// once per collective; rank 0 solves the (small) FM problem on them and
+// broadcasts the flips. ec carries the resolved edge topology, so the
+// ring scan is pure array indexing.
 //
 // The returned slice is the broadcast flip list (global vertex ids),
 // identical on every rank; the full-cut pass uses it to bring its
@@ -63,54 +60,26 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 		return x
 	}
 	inStrip := func(val float64) bool { return abs(val-tVal) < eps }
-	// ringTouchesStrip reports whether owned vertex i (id) has a
-	// resolvable neighbour inside the strip.
-	var ringTouchesStrip func(i int, id int32) bool
-	if ec != nil {
-		nOwn := ec.nOwn
-		ringTouchesStrip = func(i int, id int32) bool {
-			for a := ec.start[i]; a < ec.start[i+1]; a++ {
-				s := ec.slot[a]
-				if s < 0 {
-					continue
-				}
-				var v float64
-				if int(s) < nOwn {
-					v = valOwned[s]
-				} else {
-					v = valGhost[int(s)-nOwn]
-				}
-				if inStrip(v) {
-					return true
-				}
+	// ringTouchesStrip reports whether owned vertex i has a resolvable
+	// neighbour inside the strip.
+	nOwn := ec.nOwn
+	ringTouchesStrip := func(i int) bool {
+		for a := ec.start[i]; a < ec.start[i+1]; a++ {
+			s := ec.slot[a]
+			if s < 0 {
+				continue
 			}
-			return false
-		}
-	} else {
-		ghostSlot := make(map[int32]int32, len(d.GhostIDs))
-		for i, id := range d.GhostIDs {
-			ghostSlot[id] = int32(i)
-		}
-		valOf := func(id int32) (float64, bool) {
-			if li, ok := ownedIndex(d, id); ok {
-				return valOwned[li], true
+			var v float64
+			if int(s) < nOwn {
+				v = valOwned[s]
+			} else {
+				v = valGhost[int(s)-nOwn]
 			}
-			if gi, ok := ghostSlot[id]; ok {
-				return valGhost[gi], true
+			if inStrip(v) {
+				return true
 			}
-			return 0, false
 		}
-		cur := graph.GetCursor(g)
-		defer cur.Release()
-		ringTouchesStrip = func(_ int, id int32) bool {
-			nbrs, _ := cur.Arcs(id)
-			for _, nb := range nbrs {
-				if v, ok := valOf(nb); ok && inStrip(v) {
-					return true
-				}
-			}
-			return false
-		}
+		return false
 	}
 	// Collect local strip and ring records.
 	var recs []stripRecord
@@ -119,11 +88,11 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 			recs = append(recs, stripRecord{ID: id, Side: int8(res.Side[i]), Strip: true})
 			continue
 		}
-		if ringTouchesStrip(i, id) {
+		if ringTouchesStrip(i) {
 			recs = append(recs, stripRecord{ID: id, Side: int8(res.Side[i])})
 		}
 	}
-	all := mpi.Concat(mpi.AllGatherV(c, recs, 6))
+	all := mpi.AllGatherVWith(c, recs, 6, sortedRecords)
 	// Rank 0 solves the (small) strip FM problem and broadcasts the
 	// flipped vertices plus the bookkeeping updates.
 	type outcome struct {
@@ -134,7 +103,6 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 	}
 	var out outcome
 	if c.Rank() == 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 		sideOfMap := make(map[int32]int8, len(all))
 		var free []int32
 		for _, rec := range all {
@@ -178,4 +146,12 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
 	res.StripSize = out.StripSize
 	return out.Flips
+}
+
+// sortedRecords concatenates the gathered strip records and sorts them
+// by vertex id, once per collective; the result is shared read-only.
+func sortedRecords(parts [][]stripRecord) []stripRecord {
+	all := mpi.Concat(parts)
+	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	return all
 }

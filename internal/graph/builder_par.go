@@ -27,9 +27,9 @@ var parallelBuild atomic.Bool
 func init() { parallelBuild.Store(true) }
 
 // SetParallelBuild enables or disables the parallel Build path and
-// returns the previous setting. Test hook à la geopart.SetBatching:
-// the parallel path must never change results, and the determinism
-// tests prove it by flipping this switch.
+// returns the previous setting. Test hook: the parallel path must never
+// change results, and the determinism tests prove it by flipping this
+// switch.
 func SetParallelBuild(on bool) bool {
 	prev := parallelBuild.Load()
 	parallelBuild.Store(on)

@@ -30,8 +30,7 @@ var workerSetting atomic.Int32
 
 // SetWorkers sets the host worker count and returns the previous
 // setting (0 meaning "one per core"). Passing 0 restores the default.
-// Mirrors geopart.SetBatching: tests flip it to prove worker count
-// never changes results.
+// Tests flip it to prove worker count never changes results.
 func SetWorkers(n int) int {
 	if n < 0 {
 		n = 0

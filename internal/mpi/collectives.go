@@ -215,12 +215,31 @@ func AllGather[T any](c *Comm, val T, bytes int) []T {
 }
 
 // AllGatherV collects a variable-length slice per rank; every rank
-// receives the concatenation in rank order (returned per-rank to allow
+// receives the contributions in rank order (returned per-rank to allow
 // offset recovery). bytesPerElem sizes elements; the modeled cost uses
 // the true total payload, which requires the combine callback, so the
 // cost is charged as an extra clock adjustment inside the collective:
 // Latency·log2(P) + PerByte·totalBytes.
 func AllGatherV[T any](c *Comm, vals []T, bytesPerElem int) [][]T {
+	return AllGatherVWith(c, vals, bytesPerElem, func(parts [][]T) [][]T { return parts })
+}
+
+// AllGatherVWith is AllGatherV whose gathered contributions are turned
+// into a value once per collective: derive runs inside the combine, on
+// the one rank that arrives last, and every rank receives the same R.
+// It is how rank-identical work on gathered data — a concatenation, a
+// sort, a candidate set built from a sample — runs once on the host
+// instead of once per simulated rank. Cost, traffic, fault positions
+// and trace events are exactly AllGatherV's, which is this function
+// with an identity derive.
+//
+// derive may read the gathered parts and values that are identical on
+// every rank, never rank-local state: it runs on whichever rank
+// happens to finish the collective. It must not modify the parts,
+// which are the ranks' own contributions. Its result is shared by all
+// ranks and is read-only to each of them. A panic in derive fails the
+// collective like a panicking combine.
+func AllGatherVWith[T, R any](c *Comm, vals []T, bytesPerElem int, derive func(parts [][]T) R) R {
 	m := c.Model()
 	// The total size is unknown until all contributions arrive, so the
 	// collective is run with a size-exchange first: a cheap AllReduce
@@ -238,9 +257,9 @@ func AllGatherV[T any](c *Comm, vals []T, bytesPerElem int) [][]T {
 		for i, v := range contribs {
 			out[i] = v.([]T)
 		}
-		return out
+		return derive(out)
 	}, cost)
-	return res.([][]T)
+	return res.(R)
 }
 
 // Concat flattens the rank-ordered slices an AllGatherV returns.

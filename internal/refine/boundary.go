@@ -13,14 +13,14 @@
 package refine
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // fullCutOn gates the full-cut boundary-FM rounds globally, mirroring
-// geopart.SetBatching / mpi.SetPooling: a process-global atomic the
+// mpi.SetPooling: a process-global atomic the
 // CLI flags set once and the bit-identity tests flip.
 var fullCutOn atomic.Bool
 
@@ -63,11 +63,12 @@ type FreeSetResult struct {
 
 // SolveFreeSet assembles and runs the FM subproblem over the gathered
 // records: free records become movable vertices, the rest are the
-// locked ring folded into terminal weights. Records are sorted by
-// vertex id in place, so the heap's insertion order — and therefore
-// every tie-break in the move sequence — is a deterministic function
-// of the record set alone, independent of gather arrival order, rank
-// count, workers, or replay mode.
+// locked ring folded into terminal weights. The free vertices enter
+// the subproblem in vertex-id order, so the heap's insertion order —
+// and therefore every tie-break in the move sequence — is a
+// deterministic function of the record set alone, independent of
+// gather arrival order, rank count, workers, or replay mode. recs is
+// only read: geopart.RefineFreeSet passes a slice every rank shares.
 //
 // An empty free set returns immediately with zero flips and no
 // allocations: the full-cut driver reaches this on any level whose
@@ -83,7 +84,6 @@ func SolveFreeSet(g *graph.Graph, recs []SideRecord, sideW [2]int64, totalW int6
 	if nfree == 0 {
 		return out
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 	sideOfMap := make(map[int32]int8, len(recs))
 	free := make([]int32, 0, nfree)
 	for _, r := range recs {
@@ -92,6 +92,7 @@ func SolveFreeSet(g *graph.Graph, recs []SideRecord, sideW [2]int64, totalW int6
 			free = append(free, r.ID)
 		}
 	}
+	slices.Sort(free)
 	out.Free = len(free)
 	prob, ids := BuildSubproblem(g, free, func(id int32) int8 {
 		s, ok := sideOfMap[id]

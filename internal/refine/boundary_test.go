@@ -155,12 +155,10 @@ func BenchmarkBoundaryFM(b *testing.B) {
 	recs := boundaryRecords(b, gr.G, side)
 	sideW := sideWeights(gr.G, side)
 	total := sideW[0] + sideW[1]
-	scratch := make([]SideRecord, len(recs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(scratch, recs) // SolveFreeSet sorts in place
-		out := SolveFreeSet(gr.G, scratch, sideW, total, 0.03, 4)
+		out := SolveFreeSet(gr.G, recs, sideW, total, 0.03, 4)
 		if out.Gain <= 0 {
 			b.Fatal("boundary FM found no improvement")
 		}

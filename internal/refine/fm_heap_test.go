@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,9 +134,9 @@ func TestFMTieBreakDeterministic(t *testing.T) {
 		t.Fatalf("clean bisection refined with gain %d, want 0", g1)
 	}
 
-	// Gather-order invariance: SolveFreeSet sorts records by id before
-	// building the problem, so a permuted record set (different rank
-	// arrival order) yields bit-identical flips.
+	// Gather-order invariance: SolveFreeSet orders the free vertices by
+	// id before building the problem, so a permuted record set
+	// (different rank arrival order) yields bit-identical flips.
 	noisy := noisyBisection(gr.G, 16, 0.08, 7)
 	recs := boundaryRecords(t, gr.G, noisy)
 	var sideW [2]int64
@@ -149,7 +150,11 @@ func TestFMTieBreakDeterministic(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
+		before := append([]SideRecord(nil), shuffled...)
 		got := SolveFreeSet(gr.G, shuffled, sideW, total, 0.05, 4)
+		if !slices.Equal(shuffled, before) {
+			t.Fatalf("shuffle seed %d: SolveFreeSet modified its records", seed)
+		}
 		if got.Gain != base.Gain || got.SideW != base.SideW || got.Free != base.Free ||
 			len(got.Flips) != len(base.Flips) {
 			t.Fatalf("shuffle seed %d: result drifted: %+v vs %+v", seed, got, base)
