@@ -171,6 +171,9 @@ func PartitionGeometric(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopa
 // PartitionGeometricChecked is PartitionGeometric with structured error
 // reporting instead of panics.
 func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopart.ParallelConfig, model mpi.Model) (*Result, error) {
+	if err := checkGeometricInput(g, coords, p); err != nil {
+		return nil, fmt.Errorf("PartitionGeometric: %w", err)
+	}
 	if model == (mpi.Model{}) {
 		model = mpi.DefaultModel()
 	}
@@ -219,6 +222,9 @@ func RCBParallel(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model)
 // RCBParallelChecked is RCBParallel with structured error reporting
 // instead of panics.
 func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model) (*Result, error) {
+	if err := checkGeometricInput(g, coords, p); err != nil {
+		return nil, fmt.Errorf("RCBParallel: %w", err)
+	}
 	if model == (mpi.Model{}) {
 		model = mpi.DefaultModel()
 	}
@@ -249,6 +255,20 @@ func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi
 		Part: part, Cut: cut, CutBefore: cut, Imbalance: imb,
 		P: p, Times: maxTimes(times), Stats: stats,
 	}, nil
+}
+
+// checkGeometricInput validates what embed.SplitCoords requires of the
+// geometric entry points' input: a positive world size and one
+// coordinate per vertex. Non-finite coordinates are accepted; they
+// partition like any other (TestGeometricCheckedBadInput).
+func checkGeometricInput(g *graph.Graph, coords []geometry.Vec2, p int) error {
+	if p < 1 {
+		return fmt.Errorf("world size p=%d, want at least 1", p)
+	}
+	if n := g.NumVertices(); len(coords) != n {
+		return fmt.Errorf("%d coordinates for %d vertices", len(coords), n)
+	}
+	return nil
 }
 
 // maxTimes reduces per-rank phase times to their maxima, the modeled

@@ -399,7 +399,10 @@ func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 			rs.Shrinks++
 			newP := curP - 1
 			plan = plan.ShrinkRank(dead)
-			cfg, ck = shrinkConfig(g, opt, cfg, ck, coords, dead, newP)
+			var err error
+			if cfg, ck, err = shrinkConfig(g, opt, cfg, ck, coords, dead, newP); err != nil {
+				return nil, fmt.Errorf("recovery shrink to P=%d: %w", newP, err)
+			}
 			curP = newP
 			rs.FinalP = newP
 			rs.Resumes = append(rs.Resumes, fmt.Sprintf("shrink@P=%d/%s", newP, cfg.start))
@@ -463,7 +466,7 @@ func respawnConfig(cfg attemptConfig, ck *checkpoint) attemptConfig {
 // (embed.SplitCoords) and re-enter at the partition phase; without one
 // the shrunken world restarts the pipeline (the hierarchy layout
 // depends on P, so coarsen-level state cannot be reused across sizes).
-func shrinkConfig(g *graph.Graph, opt Options, cfg attemptConfig, ck *checkpoint, coords []geometry.Vec2, dead, newP int) (attemptConfig, *checkpoint) {
+func shrinkConfig(g *graph.Graph, opt Options, cfg attemptConfig, ck *checkpoint, coords []geometry.Vec2, dead, newP int) (attemptConfig, *checkpoint, error) {
 	var snaps []mpi.RankSnapshot
 	var baseT []PhaseTimes
 	switch {
@@ -475,13 +478,16 @@ func shrinkConfig(g *graph.Graph, opt Options, cfg attemptConfig, ck *checkpoint
 		snaps, baseT = ck.embedSnap, ck.embedT
 	}
 	if coords != nil && snaps != nil {
+		if err := checkGeometricInput(g, coords, newP); err != nil {
+			return attemptConfig{}, nil, err
+		}
 		return attemptConfig{
 			p: newP, start: stagePartition,
 			resume:    dropIndex(snaps, dead),
 			baseTimes: dropIndex(baseT, dead),
 			views:     embed.SplitCoords(g, coords, newP),
 			h:         cfg.h, boundary: cfg.boundary, rejoin: true,
-		}, nil
+		}, nil, nil
 	}
 	h := coarsen.BuildHierarchy(g, newP, opt.Coarsen)
 	nck := newCheckpoint(newP)
@@ -489,7 +495,7 @@ func shrinkConfig(g *graph.Graph, opt Options, cfg attemptConfig, ck *checkpoint
 		p: newP, start: stageStart,
 		h: h, boundary: coarsen.BoundaryEdges(h),
 		save: nck, rejoin: true,
-	}, nck
+	}, nck, nil
 }
 
 // assembleCoords unions the finest-level owned coordinates of every

@@ -648,35 +648,86 @@ type Distributed struct {
 	GhostIDs []int32
 	GhostPos []geometry.Vec2
 
+	// adjStart/adjSlot is the slot-resolved adjacency (see Adjacency):
+	// the arcs of OwnedIDs[i] resolve to adjSlot[adjStart[i]:adjStart[i+1]].
+	adjStart []int32
+	adjSlot  []int32
+
 	ghostSlot map[int32]int32
 	localSlot map[int32]int32
 }
 
 // finish freezes the level state into a Distributed embedding after a
-// final full ghost refresh.
+// final full ghost refresh. The adjacency the level already resolved
+// becomes the view's slot-resolved adjacency, so no rank re-resolves
+// its arcs by vertex id.
 func (s *levelState) finish() *Distributed {
 	s.pushGhosts()
-	d := &Distributed{
+	nOwn := int32(len(s.ownedIDs))
+	start := make([]int32, len(s.adj)+1)
+	for i, refs := range s.adj {
+		start[i+1] = start[i] + int32(len(refs))
+	}
+	slot := make([]int32, start[len(s.adj)])
+	k := 0
+	for _, refs := range s.adj {
+		for _, ref := range refs {
+			slot[k] = ref.idx
+			if ref.ghost {
+				slot[k] += nOwn
+			}
+			k++
+		}
+	}
+	return &Distributed{
 		Lat:       s.lat,
 		OwnedIDs:  s.ownedIDs,
 		OwnedPos:  s.pos,
 		GhostIDs:  s.ghostIDs,
 		GhostPos:  s.ghostPos,
+		adjStart:  start,
+		adjSlot:   slot,
 		ghostSlot: s.ghostSlot,
-		localSlot: make(map[int32]int32, len(s.ownedIDs)),
 	}
-	for i, id := range s.ownedIDs {
-		d.localSlot[id] = int32(i)
+}
+
+// Adjacency returns the view's slot-resolved adjacency: a CSR over
+// OwnedIDs, aligned with graph.Cursor.Arcs order, whose arcs of owned
+// vertex i are slot[start[i]:start[i+1]]. Slots [0, nOwn) are owned
+// vertices (their OwnedIDs index), nOwn+g is ghost g, and -1 marks a
+// neighbour that is neither owned nor ghosted here. ParallelEmbed and
+// SplitCoords resolve it where ownership is decided; a view built by
+// hand (tests, benchmarks) resolves it against g on first use through
+// LocalSlot and GhostSlot. The slices are shared and read-only.
+func (d *Distributed) Adjacency(g *graph.Graph) (start, slot []int32) {
+	if d.adjStart == nil {
+		nOwn := int32(len(d.OwnedIDs))
+		d.adjStart = make([]int32, 1, len(d.OwnedIDs)+1)
+		cur := graph.GetCursor(g)
+		for _, id := range d.OwnedIDs {
+			nbrs, _ := cur.Arcs(id)
+			for _, nb := range nbrs {
+				s := int32(-1)
+				if li, ok := d.LocalSlot(nb); ok {
+					s = li
+				} else if gi, ok := d.GhostSlot(nb); ok {
+					s = nOwn + gi
+				}
+				d.adjSlot = append(d.adjSlot, s)
+			}
+			d.adjStart = append(d.adjStart, int32(len(d.adjSlot)))
+		}
+		cur.Release()
 	}
-	return d
+	return d.adjStart, d.adjSlot
 }
 
 // PosOf returns the coordinate of an owned or ghost vertex.
 func (d *Distributed) PosOf(id int32) (geometry.Vec2, bool) {
-	if li, ok := d.localSlot[id]; ok {
+	if li, ok := d.LocalSlot(id); ok {
 		return d.OwnedPos[li], true
 	}
-	if gi, ok := d.ghostSlot[id]; ok {
+	if gi, ok := d.GhostSlot(id); ok {
 		return d.GhostPos[gi], true
 	}
 	return geometry.Vec2{}, false
@@ -684,13 +735,13 @@ func (d *Distributed) PosOf(id int32) (geometry.Vec2, bool) {
 
 // Owns reports whether id is owned by this rank.
 func (d *Distributed) Owns(id int32) bool {
-	_, ok := d.localSlot[id]
+	_, ok := d.LocalSlot(id)
 	return ok
 }
 
 // LocalSlot returns the OwnedIDs/OwnedPos index of an owned vertex.
-// Views built outside ParallelEmbed/SplitCoords (tests, benchmarks)
-// may lack the index maps; they are rebuilt on first use.
+// The index is built on first use: the few per-id lookups (strip and
+// full-cut flips) are all that need it, so no constructor builds it.
 func (d *Distributed) LocalSlot(id int32) (int32, bool) {
 	if d.localSlot == nil {
 		d.localSlot = make(map[int32]int32, len(d.OwnedIDs))
@@ -702,7 +753,9 @@ func (d *Distributed) LocalSlot(id int32) (int32, bool) {
 	return li, ok
 }
 
-// GhostSlot returns the GhostIDs/GhostPos index of a ghost vertex.
+// GhostSlot returns the GhostIDs/GhostPos index of a ghost vertex. Like
+// LocalSlot, the index is built on first use unless the constructor
+// already had it.
 func (d *Distributed) GhostSlot(id int32) (int32, bool) {
 	if d.ghostSlot == nil {
 		d.ghostSlot = make(map[int32]int32, len(d.GhostIDs))

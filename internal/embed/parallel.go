@@ -77,10 +77,7 @@ func ParallelEmbed(c *mpi.Comm, h *coarsen.Hierarchy, opt ParallelOptions) *Dist
 		// onto fewer ranks than the world holds (small graph, large P).
 		// It owns nothing but still participates in later full-world
 		// collectives.
-		return &Distributed{
-			ghostSlot: map[int32]int32{},
-			localSlot: map[int32]int32{},
-		}
+		return &Distributed{}
 	}
 	return st.finish()
 }

@@ -103,6 +103,24 @@ func TestEdgeCacheResolvesEndpoints(t *testing.T) {
 	}
 }
 
+// ownedIndex binary-searches the local index of an owned vertex; owned
+// ids are sorted by construction.
+func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
+	lo, hi := 0, len(d.OwnedIDs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if d.OwnedIDs[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(d.OwnedIDs) && d.OwnedIDs[lo] == id {
+		return int32(lo), true
+	}
+	return 0, false
+}
+
 // TestParallelPartitionReplayBitIdentical runs SP-PG7-NL and parallel
 // RCB under batched replay and several hostpar worker counts and
 // requires the cuts, sides, weights, strip sizes and per-rank clocks of
@@ -185,12 +203,14 @@ func TestParallelPartitionSharedValuesRace(t *testing.T) {
 }
 
 // TestParallelPartitionSampleNotCopiedPerRank guards the shared sample:
-// at P=256 a partition call allocates, world-wide, less than one copy of
-// the gathered sample per rank would. Before the sample, its
+// at P=256 a partition call with strip refinement allocates, world-wide,
+// less than one float64 per sample entry per rank, the smallest
+// sample-sized array a rank could build. Before the sample, its
 // normalisation, its lift to the sphere and the candidate set were
-// derived once per collective, every rank built its own, several
-// sample-sized arrays each. Strip refinement is off: its width is still
-// a per-rank quantile over the sample, which this guard does not cover.
+// derived once per collective, every rank built several sample-sized
+// arrays; before the strip width was derived once in the candidate
+// reduction, every rank projected the sample onto the winning separator
+// and took a quantile of it.
 func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P=256 world")
@@ -199,7 +219,6 @@ func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
 	g := gen.Grid2D(128, 128)
 	views := embed.SplitCoords(g.G, g.Coords, p)
 	cfg := DefaultParallelConfig()
-	cfg.Refine = false
 	var perCall float64
 	var sampleLen int
 	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
@@ -220,11 +239,11 @@ func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
 		}
 		c.Barrier()
 	})
-	perRankCopies := float64(p * sampleLen * int(unsafe.Sizeof(sampleEntry{})))
-	t.Logf("P=%d: %.1f MB allocated per call; one sample copy per rank would be %.1f MB",
+	perRankCopies := float64(p * sampleLen * int(unsafe.Sizeof(float64(0))))
+	t.Logf("P=%d: %.1f MB allocated per call; one float64 per sample entry per rank would be %.1f MB",
 		p, perCall/1e6, perRankCopies/1e6)
 	if perCall >= perRankCopies {
-		t.Errorf("partition call allocated %.0f B world-wide, at least one sample copy per rank (%.0f B)", perCall, perRankCopies)
+		t.Errorf("partition call allocated %.0f B world-wide, at least one sample-sized array per rank (%.0f B)", perCall, perRankCopies)
 	}
 }
 
@@ -318,6 +337,49 @@ func BenchmarkRCBParallel(b *testing.B) {
 			}
 			b.ReportMetric(float64(cut), "cut")
 		})
+	}
+}
+
+// BenchmarkSplitCoords measures the host-side split of known
+// coordinates into per-rank views with resolved adjacency, at the
+// repartitioning workload's size: a 262144-vertex Delaunay mesh at
+// P=256.
+func BenchmarkSplitCoords(b *testing.B) {
+	g := gen.DelaunayRandom(262144, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		splitSink = embed.SplitCoords(g.G, g.Coords, 256)
+	}
+}
+
+var splitSink []*embed.Distributed
+
+// TestEdgeCacheReadsViewAdjacency: the cache reads the view's resolved
+// adjacency in place and never writes it. Reusing a pooled cache for a
+// second view, and a partition call with strip and full-cut refinement,
+// leave the first view's adjacency as it was.
+func TestEdgeCacheReadsViewAdjacency(t *testing.T) {
+	defer refine.SetFullCut(refine.SetFullCut(true))
+	g := gen.DelaunayRandom(3000, 2)
+	const p = 4
+	views := embed.SplitCoords(g.G, g.Coords, p)
+	start, slot := views[0].Adjacency(g.G)
+	wantStart, wantSlot := slices.Clone(start), slices.Clone(slot)
+	ec := buildEdgeCache(g.G, views[0])
+	if &ec.start[0] != &start[0] || &ec.slot[0] != &slot[0] {
+		t.Fatal("the cache copied the view's adjacency instead of reading it")
+	}
+	ec.release()
+	for r := 1; r < p; r++ {
+		buildEdgeCache(g.G, views[r]).release()
+	}
+	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
+	})
+	start, slot = views[0].Adjacency(g.G)
+	if !slices.Equal(start, wantStart) || !slices.Equal(slot, wantSlot) {
+		t.Fatal("the view's adjacency changed")
 	}
 }
 

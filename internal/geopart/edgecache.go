@@ -11,10 +11,11 @@ import (
 // packed side bitsets, and the pooled scratch block the fused
 // projection kernel writes into.
 
-// edgeCache is the per-partition edge topology cache: one pass over
-// d.OwnedIDs resolves every CSR edge endpoint of an owned vertex to a
-// dense slot id, so the per-candidate cut loop and the strip extraction
-// become pure array indexing with no map lookup or binary search.
+// edgeCache is the per-partition edge topology cache: the view's
+// slot-resolved adjacency (embed.Distributed.Adjacency, resolved where
+// ownership was decided) plus the cut-kernel view built from it, so the
+// per-candidate cut loop and the strip extraction are pure array
+// indexing with no map lookup or binary search.
 //
 // Slot encoding: owned vertices occupy [0, nOwn) (their local index),
 // ghosts occupy [nOwn, nOwn+nGhost) (nOwn + ghost slot), and -1 marks
@@ -24,14 +25,15 @@ type edgeCache struct {
 	nOwn, nGhost int
 
 	// Full resolved adjacency, aligned with CSR edge order: the
-	// neighbours of owned vertex i are slot[start[i]:start[i+1]].
+	// neighbours of owned vertex i are slot[start[i]:start[i+1]]. Both
+	// belong to the view; the cache only reads them.
 	start []int32
 	slot  []int32
 
 	// Cut-kernel view: the edges the cut loop counts (neighbour id
 	// greater than the owned id, endpoint resolvable), as flat arrays.
 	// cutA is the owned endpoint's slot, cutB the neighbour's, cutW the
-	// arc weight.
+	// arc weight. These are the cache's own, reused through the pool.
 	cutA []int32
 	cutB []int32
 	cutW []int64
@@ -39,15 +41,13 @@ type edgeCache struct {
 
 var edgeCachePool = sync.Pool{New: func() any { return new(edgeCache) }}
 
-// buildEdgeCache resolves the owned adjacency of d against g. The cache
-// is drawn from a pool; callers release() it when the partition call is
-// done.
+// buildEdgeCache reads the owned adjacency of d resolved against g and
+// builds the cut view from it. The cache is drawn from a pool; callers
+// release() it when the partition call is done.
 func buildEdgeCache(g *graph.Graph, d *embed.Distributed) *edgeCache {
 	ec := edgeCachePool.Get().(*edgeCache)
-	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
-	ec.nOwn, ec.nGhost = nOwn, nGhost
-	ec.start = append(ec.start[:0], 0)
-	ec.slot = ec.slot[:0]
+	ec.nOwn, ec.nGhost = len(d.OwnedIDs), len(d.GhostIDs)
+	ec.start, ec.slot = d.Adjacency(g)
 	ec.cutA = ec.cutA[:0]
 	ec.cutB = ec.cutB[:0]
 	ec.cutW = ec.cutW[:0]
@@ -55,28 +55,24 @@ func buildEdgeCache(g *graph.Graph, d *embed.Distributed) *edgeCache {
 	defer cur.Release()
 	for i, id := range d.OwnedIDs {
 		nbrs, wgts := cur.Arcs(id)
+		slots := ec.slot[ec.start[i]:ec.start[i+1]]
 		for e, nb := range nbrs {
-			s := int32(-1)
-			if li, ok := d.LocalSlot(nb); ok {
-				s = li
-			} else if gi, ok := d.GhostSlot(nb); ok {
-				s = int32(nOwn) + gi
-			}
-			ec.slot = append(ec.slot, s)
-			if nb > id && s >= 0 {
+			if s := slots[e]; nb > id && s >= 0 {
 				ec.cutA = append(ec.cutA, int32(i))
 				ec.cutB = append(ec.cutB, s)
 				ec.cutW = append(ec.cutW, int64(wgts[e]))
 			}
 		}
-		ec.start = append(ec.start, int32(len(ec.slot)))
 	}
 	return ec
 }
 
-// release returns the cache to the pool. The caller must not use it
-// afterwards.
-func (ec *edgeCache) release() { edgeCachePool.Put(ec) }
+// release returns the cache to the pool, dropping its references to the
+// view's adjacency. The caller must not use it afterwards.
+func (ec *edgeCache) release() {
+	ec.start, ec.slot = nil, nil
+	edgeCachePool.Put(ec)
+}
 
 // countCut runs the branchless cut kernel for one candidate: bits is
 // the packed side vector over [0, nOwn+nGhost) slots (bit s = side of

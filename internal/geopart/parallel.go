@@ -152,11 +152,85 @@ func buildCandidates(cfg ParallelConfig, rng *rand.Rand, sample3 []geometry.Vec3
 	return cs
 }
 
-// evaluated is what the selection and refinement stages consume from
-// candidate evaluation: the reduced (cut, w0, w1) triples plus
+// selection is the rank-identical outcome of the candidate reduction,
+// derived once per collective from the reduced (cut, w0, w1) triples:
+// the winning candidate, its cut and side weights, and the half-width
+// of the refinement strip around its separator (0: no strip).
+type selection struct {
+	k     int
+	cut   int64
+	sideW [2]int64
+	eps   float64
+}
+
+// selectCandidate picks the best balanced candidate from the reduced
+// triples, or the most balanced one when none is within tolerance, and
+// sets the strip half-width when strip refinement will run. It reads
+// only the reduced triples, the shared sample, cfg and n, all identical
+// on every rank, so it runs once inside the reduction.
+func selectCandidate(cfg ParallelConfig, ss *sharedSample, n int, global []int64) selection {
+	ncand := len(ss.cs.dirs)
+	bestK := -1
+	bestCut := int64(math.MaxInt64)
+	for k := 0; k < ncand; k++ {
+		cut, w0, w1 := global[3*k], global[3*k+1], global[3*k+2]
+		imb := imbalance2(w0, w1)
+		if imb <= cfg.BalanceTol && cut < bestCut {
+			bestCut = cut
+			bestK = k
+		}
+	}
+	if bestK < 0 {
+		// No candidate within tolerance: take the most balanced one.
+		bestImb := math.Inf(1)
+		for k := 0; k < ncand; k++ {
+			if imb := imbalance2(global[3*k+1], global[3*k+2]); imb < bestImb {
+				bestImb = imb
+				bestK = k
+			}
+		}
+		bestCut = global[3*bestK]
+	}
+	sel := selection{k: bestK, cut: bestCut, sideW: [2]int64{global[3*bestK+1], global[3*bestK+2]}}
+	if cfg.Refine && n > 4 {
+		sel.eps = stripWidth(cfg, ss, bestK, bestCut, n)
+	}
+	return sel
+}
+
+// stripWidth is the strip half-width eps around candidate k's
+// separator: the sample quantile of |value - threshold| that puts
+// roughly StripFactor × cutBefore vertices (at least 64, at most n/4)
+// inside the strip. It returns 0 when there is no strip to refine.
+func stripWidth(cfg ParallelConfig, ss *sharedSample, k int, cutBefore int64, n int) float64 {
+	target := int(cfg.StripFactor * float64(cutBefore))
+	if target < 64 {
+		target = 64
+	}
+	if target > n/4 {
+		target = n / 4
+	}
+	if target < 1 || len(ss.sample3) == 0 {
+		return 0
+	}
+	frac := float64(target) / float64(n)
+	if frac > 1 {
+		frac = 1
+	}
+	cs := &ss.cs
+	m, u, t := cs.ms[cs.mobOf[k]], cs.dirs[k], cs.tVal[k]
+	abs := make([]float64, len(ss.sample3))
+	for i, q := range ss.sample3 {
+		abs[i] = math.Abs(m.Apply(q).Dot(u) - t)
+	}
+	return stats.Quantile(abs, frac)
+}
+
+// evaluated is what the refinement stages consume from candidate
+// evaluation: the selection derived from the reduced triples plus
 // accessors for the winning candidate's sides and separator values.
 type evaluated struct {
-	global       []int64 // reduced contrib: (cut, w0, w1) per candidate
+	sel          selection
 	ec           *edgeCache
 	sideOf       func(k, i int) bool
 	fillValOwned func(k int, out []float64)
@@ -187,43 +261,25 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 	if len(cs.dirs) == 0 {
 		panic("geopart: ParallelPartition needs at least one great-circle candidate")
 	}
-	ncand := len(cs.dirs)
+	n := g.NumVertices()
 
-	// Evaluate every candidate locally and reduce (cut, w0, w1) triples.
-	ev := evaluate(c, g, d, cs, ss.norm)
+	// Evaluate every candidate locally and reduce (cut, w0, w1) triples;
+	// the winner and its strip width are derived once, in the reduction.
+	ev := evaluate(c, g, d, cs, ss.norm, func(global []int64) selection {
+		return selectCandidate(cfg, ss, n, global)
+	})
 	defer ev.release()
-
-	// Select the best balanced candidate (identical on all ranks).
-	bestK := -1
-	bestCut := int64(math.MaxInt64)
-	for k := 0; k < ncand; k++ {
-		cut, w0, w1 := ev.global[3*k], ev.global[3*k+1], ev.global[3*k+2]
-		imb := imbalance2(w0, w1)
-		if imb <= cfg.BalanceTol && cut < bestCut {
-			bestCut = cut
-			bestK = k
-		}
-	}
-	if bestK < 0 {
-		// No candidate within tolerance: take the most balanced one.
-		bestImb := math.Inf(1)
-		for k := 0; k < ncand; k++ {
-			if imb := imbalance2(ev.global[3*k+1], ev.global[3*k+2]); imb < bestImb {
-				bestImb = imb
-				bestK = k
-			}
-		}
-		bestCut = ev.global[3*bestK]
-	}
+	sel := ev.sel
+	bestK := sel.k
 
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	res := &ParallelResult{
 		OwnedIDs:  d.OwnedIDs,
 		Side:      make([]int32, nOwn),
-		Cut:       bestCut,
-		CutBefore: bestCut,
-		SideW:     [2]int64{ev.global[3*bestK+1], ev.global[3*bestK+2]},
-		Tries:     ncand,
+		Cut:       sel.cut,
+		CutBefore: sel.cut,
+		SideW:     sel.sideW,
+		Tries:     len(cs.dirs),
 	}
 	for i := 0; i < nOwn; i++ {
 		if ev.sideOf(bestK, i) {
@@ -232,18 +288,13 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 	}
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
 
-	if cfg.Refine && g.NumVertices() > 4 {
+	if cfg.Refine && n > 4 {
 		valOwned := make([]float64, nOwn)
 		ev.fillValOwned(bestK, valOwned)
 		valGhost := make([]float64, nGhost)
 		ev.fillValGhost(bestK, valGhost)
-		bestMob := cs.ms[cs.mobOf[bestK]]
-		bestU, bestT := cs.dirs[bestK], cs.tVal[bestK]
-		sampleAbs := make([]float64, len(ss.sample3))
-		for i, q := range ss.sample3 {
-			sampleAbs[i] = math.Abs(bestMob.Apply(q).Dot(bestU) - bestT)
-		}
-		stripFlips := refineStrip(c, g, d, cfg, ev.ec, valOwned, valGhost, sampleAbs, bestT, totalW, res)
+		bestT := cs.tVal[bestK]
+		stripFlips := refineStrip(c, g, d, cfg, ev.ec, valOwned, valGhost, sel.eps, bestT, totalW, res)
 		if refine.FullCut() {
 			// Replicate the ghosts' sides under the winning candidate:
 			// the geometric side from the separator threshold, then the
@@ -269,8 +320,10 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 // shared by every candidate, a fused per-vertex projection pass that
 // evaluates all candidate dot products for a vertex while its lifted
 // point is cache-resident, packed side bitsets over owned+ghost slots,
-// and a branchless XOR cut count over the edge cache.
-func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
+// and a branchless XOR cut count over the edge cache. The reduced
+// triples are handed to pick once per collective, and every rank
+// receives its selection.
+func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2, pick func(global []int64) selection) *evaluated {
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	ncand := len(cs.dirs)
 	ec := buildEdgeCache(g, d)
@@ -332,11 +385,11 @@ func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, no
 		contrib[3*k] = ec.countCut(bits[k*words : (k+1)*words])
 		c.Charge(float64(nOwn) * 4)
 	}
-	global := mpi.AllReduceSlice(c, contrib, 8, mpi.SumInt64)
+	sel := mpi.AllReduceSliceWith(c, contrib, 8, mpi.SumInt64, pick)
 
 	return &evaluated{
-		global: global,
-		ec:     ec,
+		sel: sel,
+		ec:  ec,
 		sideOf: func(k, i int) bool {
 			return bits[k*words+(i>>6)]>>(uint(i)&63)&1 == 1
 		},
@@ -357,24 +410,6 @@ func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, no
 			ec.release()
 		},
 	}
-}
-
-// ownedIndex binary-searches the local index of an owned vertex; owned
-// ids are sorted by construction.
-func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
-	lo, hi := 0, len(d.OwnedIDs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.OwnedIDs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d.OwnedIDs) && d.OwnedIDs[lo] == id {
-		return int32(lo), true
-	}
-	return 0, false
 }
 
 // imbalance2 delegates to the canonical bisection-imbalance definition

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/refine"
-	"repro/internal/stats"
 )
 
 // stripRecord is one gathered vertex around the separator: its id,
@@ -21,9 +20,10 @@ type stripRecord struct {
 
 // refineStrip applies Fiduccia–Mattheyses to the coordinate strip
 // around the chosen separating circle (Figure 2 of the paper): vertices
-// whose separator value lies within eps of the threshold are free, the
-// ring of their outside neighbours is locked, and eps is set from the
-// sample so the strip holds roughly StripFactor × |separator| vertices.
+// whose separator value lies within eps of the threshold are free, and
+// the ring of their outside neighbours is locked. eps comes from
+// stripWidth, derived once inside the candidate reduction; eps <= 0
+// means there is no strip to refine.
 // Strip and ring records are gathered, concatenated and sorted by id
 // once per collective; rank 0 solves the (small) FM problem on them and
 // broadcasts the flips. ec carries the resolved edge topology, so the
@@ -32,24 +32,8 @@ type stripRecord struct {
 // The returned slice is the broadcast flip list (global vertex ids),
 // identical on every rank; the full-cut pass uses it to bring its
 // ghost side replicas up to date before extracting the boundary.
-func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, valOwned, valGhost, sampleAbs []float64, tVal float64, totalW int64, res *ParallelResult) []int32 {
+func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, valOwned, valGhost []float64, eps, tVal float64, totalW int64, res *ParallelResult) []int32 {
 	c.SetPhase("refine")
-	n := g.NumVertices()
-	target := int(cfg.StripFactor * float64(res.CutBefore))
-	if target < 64 {
-		target = 64
-	}
-	if target > n/4 {
-		target = n / 4
-	}
-	if target < 1 || len(sampleAbs) == 0 {
-		return nil
-	}
-	frac := float64(target) / float64(n)
-	if frac > 1 {
-		frac = 1
-	}
-	eps := stats.Quantile(sampleAbs, frac)
 	if eps <= 0 {
 		return nil
 	}

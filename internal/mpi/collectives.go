@@ -165,8 +165,27 @@ func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
 }
 
 // AllReduceSlice element-wise combines equal-length slices across
-// ranks. bytesPerElem sizes the payload.
+// ranks. bytesPerElem sizes the payload. Every rank receives the same
+// reduced slice, which is read-only.
 func AllReduceSlice[T any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) T) []T {
+	return AllReduceSliceWith(c, vals, bytesPerElem, op, func(reduced []T) []T { return reduced })
+}
+
+// AllReduceSliceWith is AllReduceSlice whose reduced slice is turned
+// into a value once per collective: derive runs inside the combine, on
+// the one rank that arrives last, and every rank receives the same R.
+// It is AllGatherVWith's counterpart for reductions — a selection made
+// from reduced totals runs once on the host instead of once per
+// simulated rank. Cost, traffic, fault positions and trace events are
+// exactly AllReduceSlice's, which is this function with an identity
+// derive.
+//
+// derive may read the reduced slice and values that are identical on
+// every rank, never rank-local state: it runs on whichever rank happens
+// to finish the collective. Its result is shared by all ranks and is
+// read-only to each of them. A panic in derive fails the collective
+// like a panicking combine.
+func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) T, derive func(reduced []T) R) R {
 	m := c.Model()
 	lg := log2ceil(c.size)
 	b := bytesPerElem * len(vals)
@@ -188,9 +207,9 @@ func AllReduceSlice[T any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) 
 				acc[i] = op(acc[i], other[i])
 			}
 		}
-		return acc
+		return derive(acc)
 	}, cost)
-	return res.([]T)
+	return res.(R)
 }
 
 // AllGather collects one value per rank, returned in rank order to
