@@ -24,16 +24,17 @@ type KWayResult struct {
 // processors is produced in practice. Each bisection runs on a
 // proportional share of the p simulated ranks; sibling sub-problems at
 // the same recursion depth are independent, so the modeled time charges
-// the per-level maximum.
-func PartitionKWay(g *graph.Graph, k, p int, opt Options) *KWayResult {
+// the per-level maximum. A k that is not a power of two, or a failed
+// bisection (see PartitionChecked), returns an error.
+func PartitionKWay(g *graph.Graph, k, p int, opt Options) (*KWayResult, error) {
 	if k < 1 || k&(k-1) != 0 {
-		panic(fmt.Sprintf("core: PartitionKWay k=%d must be a power of two", k))
+		return nil, fmt.Errorf("core: PartitionKWay k=%d must be a power of two", k)
 	}
 	n := g.NumVertices()
 	part := make([]int32, n)
 	res := &KWayResult{Part: part, K: k}
 	if k == 1 {
-		return res
+		return res, nil
 	}
 	type job struct {
 		vertices []int32 // nil means "all of g"
@@ -56,7 +57,10 @@ func PartitionKWay(g *graph.Graph, k, p int, opt Options) *KWayResult {
 			sopt.Seed = opt.Seed + int64(level)*131 + int64(j.base)
 			sopt.Coarsen.Seed = sopt.Seed
 			sopt.Embed.Seed = sopt.Seed
-			r := Partition(sub, ranks, sopt)
+			r, err := PartitionChecked(sub, ranks, sopt)
+			if err != nil {
+				return nil, fmt.Errorf("core: PartitionKWay bisection of parts [%d, %d): %w", j.base, int(j.base)+j.parts, err)
+			}
 			if r.Times.Total > levelTime {
 				levelTime = r.Times.Total
 			}
@@ -87,7 +91,7 @@ func PartitionKWay(g *graph.Graph, k, p int, opt Options) *KWayResult {
 	}
 	res.EdgeCut = graph.CutSize(g, part)
 	res.Imbalance = graph.Imbalance(g, part, k)
-	return res
+	return res, nil
 }
 
 // subgraphOf extracts the induced subgraph, or returns g itself for the

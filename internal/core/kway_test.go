@@ -1,16 +1,22 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 )
 
 func TestPartitionKWayGrid(t *testing.T) {
 	g := gen.Grid2D(32, 32)
 	for _, k := range []int{1, 2, 4, 8} {
-		res := PartitionKWay(g.G, k, 16, DefaultOptions(2))
+		res, err := PartitionKWay(g.G, k, 16, DefaultOptions(2))
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
 		if res.K != k {
 			t.Fatalf("k=%d: K=%d", k, res.K)
 		}
@@ -32,8 +38,14 @@ func TestPartitionKWayGrid(t *testing.T) {
 
 func TestPartitionKWayTimeIsCriticalPath(t *testing.T) {
 	g := gen.DelaunayRandom(8000, 4)
-	k2 := PartitionKWay(g.G, 2, 16, DefaultOptions(3))
-	k8 := PartitionKWay(g.G, 8, 16, DefaultOptions(3))
+	k2, err := PartitionKWay(g.G, 2, 16, DefaultOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k8, err := PartitionKWay(g.G, 8, 16, DefaultOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// More levels cost more, but far less than 7 sequential bisections.
 	if k8.Time <= k2.Time {
 		t.Fatalf("k=8 time %v not above k=2 time %v", k8.Time, k2.Time)
@@ -44,11 +56,29 @@ func TestPartitionKWayTimeIsCriticalPath(t *testing.T) {
 }
 
 func TestPartitionKWayRejectsNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for k=3")
-		}
-	}()
 	g := gen.Grid2D(8, 8)
-	PartitionKWay(g.G, 3, 4, DefaultOptions(1))
+	res, err := PartitionKWay(g.G, 3, 4, DefaultOptions(1))
+	if err == nil || res != nil {
+		t.Fatalf("k=3: got %v, %v; want an error", res, err)
+	}
+	if !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("k=3: error %q does not name the constraint", err)
+	}
+}
+
+// TestPartitionKWayReturnsRankFailure: a rank failure inside one
+// bisection comes back as an error carrying the *mpi.RankError, not as
+// a panic.
+func TestPartitionKWayReturnsRankFailure(t *testing.T) {
+	g := gen.Grid2D(32, 32)
+	opt := DefaultOptions(3)
+	opt.Model.Faults = mpi.NewFaultPlan().Truncate(1, 38)
+	res, err := PartitionKWay(g.G, 4, 4, opt)
+	if err == nil || res != nil {
+		t.Fatalf("got %v, %v; want an error", res, err)
+	}
+	var re *mpi.RankError
+	if !errors.As(err, &re) {
+		t.Fatalf("want a wrapped *mpi.RankError, got %T: %v", err, err)
+	}
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // TestTruncatedEmbedPayloadSurfacesDescriptiveError: a TruncatePayload
-// fault that corrupts an embedding ghost-refresh or neighbourhood
-// message must surface as a RankError explaining what was truncated —
-// not as a bare index-out-of-range panic from deep inside the lattice
-// code. The event numbers pin the two guarded exchanges of the
-// deterministic 32x32/P=4/seed-3 run (found by sweeping the fault
+// fault that corrupts an embedding directory request or reply, ghost
+// refresh, neighbourhood or cell-gather payload must surface as a
+// RankError explaining what was truncated — not as a bare
+// index-out-of-range panic from deep inside the lattice code, nor as a
+// silently wrong run. The event numbers pin the guarded exchanges of
+// the deterministic 32x32/P=4/seed-3 run (found by sweeping the fault
 // position over every event).
 func TestTruncatedEmbedPayloadSurfacesDescriptiveError(t *testing.T) {
 	cases := []struct {
@@ -22,8 +23,11 @@ func TestTruncatedEmbedPayloadSurfacesDescriptiveError(t *testing.T) {
 		event int64
 		want  string
 	}{
+		{"directory request", 24, "directory request from rank 1 carried"},
+		{"directory reply", 31, "directory reply from rank 1 carried 8 owners, want 16"},
 		{"ghost refresh", 38, "ghost refresh from rank"},
 		{"neighbourhood exchange", 47, "neighbour payload from rank"},
+		{"beta gather", 46, "beta gather from rank 1 carried 8 cells, want 16"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

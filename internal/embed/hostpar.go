@@ -31,6 +31,28 @@ const (
 	grainGhost = 256  // ghost install (clamp per coordinate)
 )
 
+// chunkCap is the most chunks a per-rank kernel forks into when the
+// given number of simulated ranks shares the host's workers. The ranks
+// of a level already run concurrently (goroutine replay runs them all,
+// batched replay admits one per worker), so once they cover the
+// workers a nested fork only adds dispatch; a level with fewer ranks
+// than workers lends each rank the idle ones.
+func chunkCap(workers, ranks int) int {
+	return max(1, workers/max(1, ranks))
+}
+
+// levelChunks returns the chunk count of a per-rank kernel over n items
+// with the given grain on a level of the given rank count: hostpar's
+// chunk count, capped by chunkCap.
+func levelChunks(ranks, n, grain int) int {
+	return min(hostpar.NumChunks(n, grain), chunkCap(hostpar.Workers(), ranks))
+}
+
+// forChunked runs a per-rank kernel over n items on levelChunks chunks.
+func (s *levelState) forChunked(n, grain int, body func(c, lo, hi int)) {
+	hostpar.ForN(n, levelChunks(s.comm.Size(), n, grain), body)
+}
+
 // hostparScratch is the levelState's host-parallel working set:
 // per-vertex force terms for the deterministic serial reduction,
 // per-point cell indices, pack/apply staging references, and the
@@ -49,10 +71,10 @@ type hostparScratch struct {
 	applyF64  []float64       // float64 payload source
 	applyBase int             // first float64 slot of the coord block
 
-	fnAggs, fnInherit, fnForce, fnMove func(c, lo, hi int)
-	fnCellIdx, fnScalePos              func(c, lo, hi int)
-	fnPackVec2, fnPackF64              func(c, lo, hi int)
-	fnApplyVec2, fnApplyF64            func(c, lo, hi int)
+	fnInherit, fnForce, fnMove func(c, lo, hi int)
+	fnCellIdx, fnScalePos      func(c, lo, hi int)
+	fnPackVec2, fnPackF64      func(c, lo, hi int)
+	fnApplyVec2, fnApplyF64    func(c, lo, hi int)
 }
 
 // initHostpar sizes the scratch and binds the chunk bodies once per
@@ -63,7 +85,6 @@ func (s *levelState) initHostpar() {
 	s.hp.aTerm = make([]float64, n)
 	s.hp.rTerm = make([]float64, n)
 	s.hp.cellIdx = make([]int32, n)
-	s.hp.fnAggs = s.aggsChunk
 	s.hp.fnInherit = s.inheritChunk
 	s.hp.fnForce = s.forceChunk
 	s.hp.fnMove = s.moveChunk
@@ -75,54 +96,32 @@ func (s *levelState) initHostpar() {
 	s.hp.fnApplyF64 = s.applyF64Chunk
 }
 
-// aggsChunk computes the per-remote-rank special-vertex aggregates for
-// ranks [lo, hi): each aggregate reads only the (frozen) cell array and
-// writes only its own slot.
-func (s *levelState) aggsChunk(_, lo, hi int) {
-	me := s.comm.Rank()
-	for r := lo; r < hi; r++ {
-		s.rankAggs[r] = beta{}
-		if r == me {
-			continue
-		}
-		br, bc := s.lat.Grid.RowOf(r), s.lat.Grid.ColOf(r)
-		var sum geometry.Vec2
-		mu := 0.0
-		for cy := 0; cy < s.subS; cy++ {
-			gr := br*s.subS + cy
-			base := gr*s.cellCols() + bc*s.subS
-			for cx := 0; cx < s.subS; cx++ {
-				b := s.betas[base+cx]
-				sum = sum.Add(b.Phi.Scale(b.Mu))
-				mu += b.Mu
-			}
-		}
-		if mu > 0 {
-			s.rankAggs[r] = beta{Phi: sum.Scale(1 / mu), Mu: mu}
-		}
-	}
-}
-
 // inheritChunk computes the inherited far-field force of local cells
-// [lo, hi) from the finished rank aggregates: all remote rank
-// aggregates, minus the ring cells forceChunk evaluates per vertex
-// (they are part of their rank's aggregate, so their lumped
-// contribution is subtracted).
+// [lo, hi): every remote rank's aggregate in rank order — the block's
+// shared aggregate, or for a grid neighbour the aggregate of its latest
+// cells — minus the ring cells forceChunk evaluates per vertex (they
+// are part of their rank's aggregate, so their lumped contribution is
+// subtracted).
 func (s *levelState) inheritChunk(_, lo, hi int) {
-	me := s.comm.Rank()
 	fp := s.fp
+	aggs := s.block.aggs
 	for c := lo; c < hi; c++ {
-		mine := s.betas[s.globalCell(c/s.subS, c%s.subS)]
+		mine := s.myCells[c]
 		var f geometry.Vec2
 		if mine.Mu > 0 {
-			for r, a := range s.rankAggs {
-				if r == me || a.Mu == 0 {
-					continue
+			from := 0
+			for _, o := range s.override {
+				f = repelAll(fp, mine.Phi, aggs[from:o.rank], f)
+				if o.nbr >= 0 {
+					if a := s.nbrAggs[o.nbr]; a.Mu != 0 {
+						f = f.Add(fp.Repulsive(mine.Phi, a.Phi, a.Mu))
+					}
 				}
-				f = f.Add(fp.Repulsive(mine.Phi, a.Phi, a.Mu))
+				from = o.rank + 1
 			}
-			for _, gi := range s.ring[c] {
-				b := s.betas[gi]
+			f = repelAll(fp, mine.Phi, aggs[from:], f)
+			for _, ni := range s.ring[c] {
+				b := s.near[ni]
 				if b.Mu > 0 {
 					f = f.Sub(fp.Repulsive(mine.Phi, b.Phi, b.Mu))
 				}
@@ -130,6 +129,17 @@ func (s *levelState) inheritChunk(_, lo, hi int) {
 		}
 		s.inherit[c] = f
 	}
+}
+
+// repelAll returns f plus the repulsion on a unit mass at p from each
+// aggregate of nonzero mass, added in order.
+func repelAll(fp ForceParams, p geometry.Vec2, aggs []beta, f geometry.Vec2) geometry.Vec2 {
+	for _, a := range aggs {
+		if a.Mu != 0 {
+			f = f.Add(fp.Repulsive(p, a.Phi, a.Mu))
+		}
+	}
+	return f
 }
 
 // forceChunk evaluates the full force on owned vertices [lo, hi),
@@ -146,8 +156,8 @@ func (s *levelState) forceChunk(_, lo, hi int) {
 		p := s.pos[i]
 		cell := s.cellOf(p)
 		rep := s.inherit[cell].Scale(s.mass[i])
-		for _, gi := range s.ring[cell] {
-			b := s.betas[gi]
+		for _, ni := range s.ring[cell] {
+			b := s.near[ni]
 			if b.Mu > 0 {
 				rep = rep.Add(fp.Repulsive(p, b.Phi, b.Mu).Scale(s.mass[i]))
 			}
@@ -251,20 +261,24 @@ func (s *levelState) applyF64Chunk(_, lo, hi int) {
 // are reduced serially from per-vertex terms in vertex order.
 func (s *levelState) iterate() {
 	nc := len(s.myCells)
-	hostpar.ForChunked(len(s.rankAggs), 1, s.hp.fnAggs)
-	hostpar.ForChunked(nc, 2, s.hp.fnInherit)
-	// Own-box Barnes–Hut tree: Rebuild stays serial — its node layout
-	// depends on insertion order, and one in-order build keeps the
-	// traversal (and therefore every force sum) worker-independent.
+	// Only the grid neighbours' cells changed since the block's gather;
+	// every other rank's aggregate is the block's shared one.
+	for i, box := range s.nbrBox {
+		s.nbrAggs[i] = aggregate(s.near[box*nc : (box+1)*nc])
+	}
+	s.aggEvals += len(s.nbrBox)
+	s.forChunked(nc, 2, s.hp.fnInherit)
+	// Own-box Barnes–Hut tree: Rebuild stays serial — one build per
+	// iteration is a small share of the force pass it serves.
 	s.tree.Rebuild(s.pos, s.mass)
-	hostpar.ForChunked(len(s.pos), grainForce, s.hp.fnForce)
+	s.forChunked(len(s.pos), grainForce, s.hp.fnForce)
 	energy, aSum, rSum := 0.0, 0.0, 0.0
 	for i := range s.pos {
 		aSum += s.hp.aTerm[i]
 		rSum += s.hp.rTerm[i]
 		energy += s.hp.eTerm[i]
 	}
-	hostpar.ForChunked(len(s.pos), grainCopy, s.hp.fnMove)
+	s.forChunked(len(s.pos), grainCopy, s.hp.fnMove)
 	s.energy = energy
 	s.aSum = aSum
 	s.rSum = rSum
@@ -280,10 +294,10 @@ func (s *levelState) iterate() {
 	s.comm.Charge(ops)
 }
 
-// computeCells refreshes this rank's sub-cell aggregates from the owned
-// points and installs them in the global cell array. Points are
+// computeCells refreshes this rank's sub-cell aggregates (myCells, the
+// own box of the near window) from the owned points. Points are
 // classified in parallel; mass and centre sums accumulate serially in
-// point order, so the aggregates (and everything downstream: betas,
+// point order, so the aggregates (and everything downstream: cells,
 // forces, clocks) do not depend on the worker count.
 func (s *levelState) computeCells() {
 	for i := range s.myCells {
@@ -293,7 +307,7 @@ func (s *levelState) computeCells() {
 	for i := range sums {
 		sums[i] = geometry.Vec2{}
 	}
-	hostpar.ForChunked(len(s.pos), grainCell, s.hp.fnCellIdx)
+	s.forChunked(len(s.pos), grainCell, s.hp.fnCellIdx)
 	for i := range s.pos {
 		c := s.hp.cellIdx[i]
 		sums[c] = sums[c].Add(s.pos[i].Scale(s.mass[i]))
@@ -309,20 +323,19 @@ func (s *levelState) computeCells() {
 			s.myCells[c].Phi = box.Center()
 		}
 	}
-	s.placeCells(s.comm.Rank(), s.myCells)
 }
 
 // packGhostPayload fills dst[k] = pos[idxs[k]].
 func (s *levelState) packGhostPayload(dst []geometry.Vec2, idxs []int32) {
 	s.hp.packIdxs, s.hp.packVec2 = idxs, dst
-	hostpar.ForChunked(len(idxs), grainCopy, s.hp.fnPackVec2)
+	s.forChunked(len(idxs), grainCopy, s.hp.fnPackVec2)
 	s.hp.packIdxs, s.hp.packVec2 = nil, nil
 }
 
 // packCoordPayload fills d[base+2k], d[base+2k+1] = pos[idxs[k]].
 func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
 	s.hp.packIdxs, s.hp.packF64, s.hp.packBase = idxs, d, base
-	hostpar.ForChunked(len(idxs), grainCopy, s.hp.fnPackF64)
+	s.forChunked(len(idxs), grainCopy, s.hp.fnPackF64)
 	s.hp.packIdxs, s.hp.packF64 = nil, nil
 }
 
@@ -330,7 +343,7 @@ func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
 // coordinate to the 4-neighbourhood).
 func (s *levelState) installGhosts(slots []int32, payload []geometry.Vec2) {
 	s.hp.applyIdxs, s.hp.applyVec2 = slots, payload
-	hostpar.ForChunked(len(slots), grainGhost, s.hp.fnApplyVec2)
+	s.forChunked(len(slots), grainGhost, s.hp.fnApplyVec2)
 	s.hp.applyIdxs, s.hp.applyVec2 = nil, nil
 }
 
@@ -338,6 +351,6 @@ func (s *levelState) installGhosts(slots []int32, payload []geometry.Vec2) {
 // starting at base.
 func (s *levelState) installGhostsFlat(slots []int32, d []float64, base int) {
 	s.hp.applyIdxs, s.hp.applyF64, s.hp.applyBase = slots, d, base
-	hostpar.ForChunked(len(slots), grainGhost, s.hp.fnApplyF64)
+	s.forChunked(len(slots), grainGhost, s.hp.fnApplyF64)
 	s.hp.applyIdxs, s.hp.applyF64 = nil, nil
 }

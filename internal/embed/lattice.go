@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 	"repro/internal/quadtree"
 )
@@ -88,11 +87,13 @@ func quantileCuts(sorted []float64, k int, lo, hi float64) []float64 {
 	return cuts
 }
 
-// locate returns the cell of v among cuts, clamped to valid cells.
+// locate returns the cell of v among cuts: the last cell whose lower
+// cut is ≤ v, clamped to the first and last cells. The bisection keeps
+// 0 ≤ lo < hi ≤ k, so the result is a valid cell for any v (NaN lands
+// in cell 0).
 func locate(cuts []float64, v float64) int {
 	// cuts has k+1 entries for k cells; find the cell index.
-	k := len(cuts) - 1
-	lo, hi := 0, k
+	lo, hi := 0, len(cuts)-1
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
 		if cuts[mid] <= v {
@@ -100,12 +101,6 @@ func locate(cuts []float64, v float64) int {
 		} else {
 			hi = mid
 		}
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= k {
-		lo = k - 1
 	}
 	return lo
 }
@@ -204,6 +199,66 @@ type beta struct {
 // neighbouring box's near-side aggregates.
 const boxSubCells = 4
 
+// The near-cell window: a rank reads sub-cells individually only from
+// its own box and the eight boxes around it, so it keeps those 3×3
+// boxes' cells in one array, box (dr, dc) ∈ {-1, 0, 1}² at slot
+// (dr+1)·3 + (dc+1), each box's cells row-major.
+const (
+	nearBoxes = 9
+	ownBox    = 4
+)
+
+// cellBlock is the rank-identical cell data of one staleness block,
+// derived once inside the block's gather and shared read-only by every
+// rank: each rank's sub-cells, rank-major (rank r's cells, row-major
+// within its box, at [r·nc, (r+1)·nc)), and each rank's special-vertex
+// aggregate of them.
+type cellBlock struct {
+	cells []beta
+	aggs  []beta
+}
+
+// aggregate returns the special vertex of one box: the mass-weighted
+// centre and total mass of its cells, summed in cell order, or the zero
+// beta when the total mass is not positive.
+func aggregate(cells []beta) beta {
+	var sum geometry.Vec2
+	mu := 0.0
+	for _, b := range cells {
+		sum = sum.Add(b.Phi.Scale(b.Mu))
+		mu += b.Mu
+	}
+	if mu > 0 {
+		return beta{Phi: sum.Scale(1 / mu), Mu: mu}
+	}
+	return beta{}
+}
+
+// deriveCellBlock is the derive of the once-per-block cell gather: it
+// concatenates the gathered cells and aggregates every rank's box once,
+// for all ranks. A contribution that does not carry a box's cells is
+// rejected, since every later read would index past it.
+func deriveCellBlock(parts [][]beta) *cellBlock {
+	const nc = boxSubCells * boxSubCells
+	blk := &cellBlock{cells: make([]beta, 0, len(parts)*nc), aggs: make([]beta, len(parts))}
+	for r, cells := range parts {
+		if len(cells) != nc {
+			panic(fmt.Errorf("embed: beta gather from rank %d carried %d cells, want %d (truncated payload?)", r, len(cells), nc))
+		}
+		blk.cells = append(blk.cells, cells...)
+		blk.aggs[r] = aggregate(cells)
+	}
+	return blk
+}
+
+// partner is one ghost-exchange partner: the owned local indices a
+// rank subscribes to (send side) or the ghost slots its pushes fill, in
+// its send order (receive side).
+type partner struct {
+	rank int
+	idxs []int32
+}
+
 // levelState is one rank's state while smoothing one level with the
 // fixed lattice scheme.
 type levelState struct {
@@ -211,7 +266,7 @@ type levelState struct {
 	lat  *Lattice
 	g    *graph.Graph
 
-	ownedIDs []int32
+	ownedIDs []int32         // ascending
 	pos      []geometry.Vec2 // aligned with ownedIDs
 	mass     []float64
 
@@ -223,17 +278,18 @@ type levelState struct {
 	adj      [][]neighborRef // per owned vertex
 	boundary []int32         // owned local indices with a ghost neighbour
 
-	// Ghost update pattern: sendTo[r] lists owned local indices whose
-	// coordinates rank r subscribes to; recvFrom[r] lists ghost slots
-	// filled by rank r's pushes, in r's send order.
-	sendTo   map[int][]int32
-	recvFrom map[int][]int32
+	// Ghost update pattern, partners in ascending rank order: sendTo
+	// lists the owned local indices each partner subscribes to,
+	// recvFrom the ghost slots each partner's pushes fill.
+	sendTo   []partner
+	recvFrom []partner
 
 	subS    int             // sub-cells per box side
-	betas   []beta          // all global cells, cell-grid row-major
-	myCells []beta          // scratch for this rank's cells (row-major within box)
+	block   *cellBlock      // this block's gathered cells and aggregates (shared)
+	near    []beta          // own and surrounding boxes' cells (see nearBoxes)
+	myCells []beta          // this rank's cells: near's own box
 	inherit []geometry.Vec2 // per local cell: far-field force per unit mass
-	ring    [][]int         // per local cell: 3x3-adjacent global cells outside this box
+	ring    [][]int32       // per local cell: near indices of 3x3-adjacent cells outside this box
 	moves   []geometry.Vec2 // scratch displacement buffer
 	homeR   int
 	homeC   int
@@ -243,25 +299,39 @@ type levelState struct {
 	aSum    float64 // local sum of attractive force magnitudes
 	rSum    float64 // local sum of repulsive force magnitudes
 
+	// Grid neighbours (N, S, W, E), and per neighbour i: its box's
+	// slot in near, its subscriptions, the ghost slots it fills, and
+	// its aggregate as of its latest cells.
+	nbrs     []int
+	nbrBox   []int
+	nbrSend  [][]int32
+	nbrRecv  [][]int32
+	nbrAggs  []beta
+	override []aggOverride // ranks whose shared aggregate inheritChunk replaces
+	aggEvals int           // box aggregates this rank computed (work counter)
+
 	// Steady-state scratch: owned by the level so the smoothing hot
 	// loop never allocates after the first block.
-	nbrs       []int                  // cached grid 4-neighbourhood
-	cellSums   []geometry.Vec2        // computeCells mass-weighted sums
-	rankAggs   []beta                 // iterate per-remote-rank aggregates
-	recvCells  []beta                 // decoded neighbour sub-cells
-	nbrBufs    []*mpi.VecBuf[float64] // per-neighbour send staging
-	gatherBuf  [2][]beta              // double-buffered AllGather contribution
-	gatherFlip int
-	tree       quadtree.Tree // Barnes–Hut tree, rebuilt in place each iteration
+	cellSums []geometry.Vec2        // computeCells mass-weighted sums
+	nbrBufs  []*mpi.VecBuf[float64] // per-neighbour send staging
+	tree     quadtree.Tree          // Barnes–Hut tree, rebuilt in place each iteration
 
 	// Host-parallel scratch and pre-bound chunk bodies (hostpar.go).
 	hp hostparScratch
 }
 
+// aggOverride marks a rank whose shared block aggregate does not apply
+// in inheritChunk: this rank itself (nbr < 0, skipped) or grid
+// neighbour nbr, whose cells changed within the block.
+type aggOverride struct {
+	rank, nbr int
+}
+
 // newLevelState wires up a rank's level: adjacency resolution, ghost
-// discovery, and subscription exchange. ownerOf must return the owning
-// rank of any ghost id; it is supplied by the level driver (directory
-// lookup or local computation at the coarsest level).
+// discovery, and subscription exchange. ownedIDs must be ascending.
+// ownerOf must return the owning rank of any ghost id; it is supplied
+// by the level driver (directory lookup or local computation at the
+// coarsest level).
 func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int32, pos []geometry.Vec2, ownerOf func(ids []int32) []int, fp ForceParams) *levelState {
 	s := &levelState{
 		comm:      comm,
@@ -271,28 +341,31 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 		pos:       pos,
 		fp:        fp,
 		ghostSlot: make(map[int32]int32),
-		sendTo:    make(map[int][]int32),
-		recvFrom:  make(map[int][]int32),
 	}
 	s.homeR = lat.Grid.RowOf(comm.Rank())
 	s.homeC = lat.Grid.ColOf(comm.Rank())
-	local := make(map[int32]int32, len(ownedIDs))
-	for i, id := range ownedIDs {
-		local[id] = int32(i)
+	local := func(id int32) (int32, bool) {
+		i, ok := slices.BinarySearch(ownedIDs, id)
+		return int32(i), ok
 	}
 	cur := graph.GetCursor(g)
 	defer cur.Release()
 	s.mass = make([]float64, len(ownedIDs))
 	s.adj = make([][]neighborRef, len(ownedIDs))
+	nArcs := 0
+	for _, id := range ownedIDs {
+		nArcs += g.Degree(id)
+	}
+	arcs := make([]neighborRef, 0, nArcs) // backs every adj[i]
 	for i, id := range ownedIDs {
 		s.mass[i] = float64(g.VertexWeight(id))
-		refs := make([]neighborRef, 0, g.Degree(id))
+		start := len(arcs)
 		isBoundary := false
 		nbrs, wgts := cur.Arcs(id)
 		for k, nb := range nbrs {
 			w := float64(wgts[k])
-			if li, ok := local[nb]; ok {
-				refs = append(refs, neighborRef{idx: li, w: w})
+			if li, ok := local(nb); ok {
+				arcs = append(arcs, neighborRef{idx: li, w: w})
 				continue
 			}
 			isBoundary = true
@@ -302,9 +375,9 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 				s.ghostSlot[nb] = slot
 				s.ghostIDs = append(s.ghostIDs, nb)
 			}
-			refs = append(refs, neighborRef{idx: slot, w: w, ghost: true})
+			arcs = append(arcs, neighborRef{idx: slot, w: w, ghost: true})
 		}
-		s.adj[i] = refs
+		s.adj[i] = arcs[start:len(arcs):len(arcs)]
 		if isBoundary {
 			s.boundary = append(s.boundary, int32(i))
 		}
@@ -329,7 +402,7 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 		for i, id := range ids {
 			slots[i] = s.ghostSlot[id]
 		}
-		s.recvFrom[o] = slots
+		s.recvFrom = append(s.recvFrom, partner{rank: o, idxs: slots})
 	}
 	got := mpi.AllToAllV(s.comm, requests, 4)
 	for r, ids := range got {
@@ -338,41 +411,53 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 		}
 		idxs := make([]int32, len(ids))
 		for i, id := range ids {
-			li, ok := local[id]
+			li, ok := local(id)
 			if !ok {
 				panic("embed: subscription request for vertex not owned here")
 			}
 			idxs[i] = li
 		}
-		s.sendTo[r] = idxs
+		s.sendTo = append(s.sendTo, partner{rank: r, idxs: idxs})
 	}
 	s.subS = boxSubCells
-	s.betas = make([]beta, lat.Grid.Size()*s.subS*s.subS)
-	s.myCells = make([]beta, s.subS*s.subS)
-	s.inherit = make([]geometry.Vec2, s.subS*s.subS)
+	nc := s.subS * s.subS
+	s.near = make([]beta, nearBoxes*nc)
+	s.myCells = s.near[ownBox*nc : (ownBox+1)*nc]
+	s.inherit = make([]geometry.Vec2, nc)
 	s.moves = make([]geometry.Vec2, len(s.pos))
 	s.nbrs = lat.Grid.Neighbors(comm.Rank())
-	s.cellSums = make([]geometry.Vec2, s.subS*s.subS)
-	s.rankAggs = make([]beta, lat.Grid.Size())
-	s.recvCells = make([]beta, s.subS*s.subS)
+	s.cellSums = make([]geometry.Vec2, nc)
 	s.nbrBufs = make([]*mpi.VecBuf[float64], 0, len(s.nbrs))
-	s.ring = make([][]int, s.subS*s.subS)
-	rows, cols := s.cellRows(), s.cellCols()
+	s.override = []aggOverride{{rank: comm.Rank(), nbr: -1}}
+	for i, r := range s.nbrs {
+		dr, dc := lat.Grid.RowOf(r)-s.homeR, lat.Grid.ColOf(r)-s.homeC
+		s.nbrBox = append(s.nbrBox, (dr+1)*3+dc+1)
+		s.nbrSend = append(s.nbrSend, partnerIdxs(s.sendTo, r))
+		s.nbrRecv = append(s.nbrRecv, partnerIdxs(s.recvFrom, r))
+		s.override = append(s.override, aggOverride{rank: r, nbr: i})
+	}
+	slices.SortFunc(s.override, func(a, b aggOverride) int { return a.rank - b.rank })
+	s.nbrAggs = make([]beta, len(s.nbrs))
+	s.ring = make([][]int32, nc)
+	rows, cols := lat.Grid.Rows*s.subS, lat.Grid.Cols*s.subS
 	for cy := 0; cy < s.subS; cy++ {
 		for cx := 0; cx < s.subS; cx++ {
-			gi := s.globalCell(cy, cx)
-			gr, gc := gi/cols, gi%cols
-			var out []int
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					nr, ncl := gr+dr, gc+dc
-					if nr < 0 || nr >= rows || ncl < 0 || ncl >= cols {
+			var out []int32
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					ly, lx := cy+dy, cx+dx
+					gr, gc := s.homeR*s.subS+ly, s.homeC*s.subS+lx
+					if gr < 0 || gr >= rows || gc < 0 || gc >= cols {
 						continue
 					}
 					// Outside this box = a different rank's cell.
-					if nr/s.subS != s.homeR || ncl/s.subS != s.homeC {
-						out = append(out, nr*cols+ncl)
+					br, bc := boxStep(ly, s.subS), boxStep(lx, s.subS)
+					if br == 0 && bc == 0 {
+						continue
 					}
+					box := (br+1)*3 + bc + 1
+					cell := (ly-br*s.subS)*s.subS + lx - bc*s.subS
+					out = append(out, int32(box*nc+cell))
 				}
 			}
 			s.ring[cy*s.subS+cx] = out
@@ -383,32 +468,26 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 	return s
 }
 
-// Cell-grid geometry: the global repulsion lattice has
-// (Grid.Rows·subS) × (Grid.Cols·subS) cells; rank (br,bc) owns the
-// subS×subS block starting at (br·subS, bc·subS). betas is row-major
-// over this global grid.
-
-// cellRows and cellCols are the global cell-grid dimensions.
-func (s *levelState) cellCols() int { return s.lat.Grid.Cols * s.subS }
-func (s *levelState) cellRows() int { return s.lat.Grid.Rows * s.subS }
-
-// globalCell converts a local cell (cy,cx) to a global cell index.
-func (s *levelState) globalCell(cy, cx int) int {
-	gr := s.homeR*s.subS + cy
-	gc := s.homeC*s.subS + cx
-	return gr*s.cellCols() + gc
+// boxStep returns the box offset (-1, 0 or 1) of a local cell
+// coordinate v that may lie one cell outside the box's [0, subS).
+func boxStep(v, subS int) int {
+	switch {
+	case v < 0:
+		return -1
+	case v >= subS:
+		return 1
+	}
+	return 0
 }
 
-// placeCells copies another rank's gathered sub-cells into their rows
-// of the global cell grid.
-func (s *levelState) placeCells(rank int, cells []beta) {
-	br := s.lat.Grid.RowOf(rank)
-	bc := s.lat.Grid.ColOf(rank)
-	for cy := 0; cy < s.subS; cy++ {
-		gr := br*s.subS + cy
-		copy(s.betas[gr*s.cellCols()+bc*s.subS:gr*s.cellCols()+bc*s.subS+s.subS],
-			cells[cy*s.subS:(cy+1)*s.subS])
+// partnerIdxs returns the index list of rank in ps, or nil.
+func partnerIdxs(ps []partner, rank int) []int32 {
+	for _, p := range ps {
+		if p.rank == rank {
+			return p.idxs
+		}
 	}
+	return nil
 }
 
 // cellOf returns the local sub-cell index of a point in this rank's
@@ -443,35 +522,23 @@ func (s *levelState) cellOf(p geometry.Vec2) int {
 // pooled typed fast path, so the steady-state refresh allocates
 // nothing: one pooled message per partner, released by the receiver.
 func (s *levelState) pushGhosts() {
-	for r := 0; r < s.comm.Size(); r++ {
-		idxs, ok := s.sendTo[r]
-		if !ok {
-			continue
-		}
-		buf := mpi.Vec2Bufs.Get(len(idxs))
-		s.packGhostPayload(buf.Data, idxs)
-		mpi.SendVec(s.comm, r, buf, 16)
+	for _, p := range s.sendTo {
+		buf := mpi.Vec2Bufs.Get(len(p.idxs))
+		s.packGhostPayload(buf.Data, p.idxs)
+		mpi.SendVec(s.comm, p.rank, buf, 16)
 	}
-	for r := 0; r < s.comm.Size(); r++ {
-		slots, ok := s.recvFrom[r]
-		if !ok {
-			continue
-		}
-		b := mpi.RecvVec[geometry.Vec2](s.comm, r)
-		if len(b.Data) != len(slots) {
+	for _, p := range s.recvFrom {
+		b := mpi.RecvVec[geometry.Vec2](s.comm, p.rank)
+		if len(b.Data) != len(p.idxs) {
 			// A corrupted (truncated) refresh must not index out of
 			// range and must not strand the pooled transport buffer.
 			n := len(b.Data)
 			b.Release()
-			panic(fmt.Errorf("embed: ghost refresh from rank %d carried %d coordinates, want %d at comm event %d (truncated payload?)", r, n, len(slots), s.comm.Events()-1))
+			panic(fmt.Errorf("embed: ghost refresh from rank %d carried %d coordinates, want %d at comm event %d (truncated payload?)", p.rank, n, len(p.idxs), s.comm.Events()-1))
 		}
-		s.applyGhostUpdate(slots, b.Data)
+		s.installGhosts(p.idxs, b.Data)
 		b.Release()
 	}
-}
-
-func (s *levelState) applyGhostUpdate(slots []int32, payload []geometry.Vec2) {
-	s.installGhosts(slots, payload)
 }
 
 // setGhost installs one ghost coordinate: the true position plus its
@@ -499,48 +566,54 @@ func (s *levelState) exchangeNeighborhood() {
 	s.computeCells()
 	nc := len(s.myCells)
 	bufs := s.nbrBufs[:0]
-	for _, r := range s.nbrs {
-		buf := mpi.Float64Bufs.Get(3*nc + 2*len(s.sendTo[r]))
+	for i := range s.nbrs {
+		buf := mpi.Float64Bufs.Get(3*nc + 2*len(s.nbrSend[i]))
 		d := buf.Data
-		for i, b := range s.myCells {
-			d[3*i], d[3*i+1], d[3*i+2] = b.Phi.X, b.Phi.Y, b.Mu
+		for j, b := range s.myCells {
+			d[3*j], d[3*j+1], d[3*j+2] = b.Phi.X, b.Phi.Y, b.Mu
 		}
-		s.packCoordPayload(d, 3*nc, s.sendTo[r])
+		s.packCoordPayload(d, 3*nc, s.nbrSend[i])
 		bufs = append(bufs, buf)
 	}
 	s.nbrBufs = bufs
-	mpi.NeighborExchange(s.comm, s.nbrs, bufs, 8, func(_, r int, d []float64) {
-		if want := 3*nc + 2*len(s.recvFrom[r]); len(d) != want {
+	mpi.NeighborExchange(s.comm, s.nbrs, bufs, 8, func(i, r int, d []float64) {
+		if want := 3*nc + 2*len(s.nbrRecv[i]); len(d) != want {
 			// NeighborExchange releases the transport buffer under
 			// defer, so rejecting a truncated payload here cannot leak.
 			panic(fmt.Errorf("embed: neighbour payload from rank %d carried %d values, want %d at comm event %d (truncated payload?)", r, len(d), want, s.comm.Events()-1))
 		}
-		for j := range s.recvCells {
-			s.recvCells[j] = beta{
+		cells := s.near[s.nbrBox[i]*nc : (s.nbrBox[i]+1)*nc]
+		for j := range cells {
+			cells[j] = beta{
 				Phi: geometry.Vec2{X: d[3*j], Y: d[3*j+1]},
 				Mu:  d[3*j+2],
 			}
 		}
-		s.placeCells(r, s.recvCells)
-		s.installGhostsFlat(s.recvFrom[r], d, 3*nc)
+		s.installGhostsFlat(s.nbrRecv[i], d, 3*nc)
 	})
 }
 
 // refreshBetasGlobal gathers every rank's sub-cell special vertices
-// (the once-per-block collective of the paper). The contribution is
-// staged into one of two alternating buffers rather than a fresh copy:
-// remote ranks read the gathered slice after the collective returns,
-// and the next boundary's collective is a synchronisation point no rank
-// can pass while another still reads the previous contribution, so two
-// buffers make the reuse race-free.
+// (the once-per-block collective of the paper). The gather's derive
+// builds the block's shared cells and every rank's aggregate once for
+// all ranks; each rank then copies only the surrounding boxes' cells
+// into its near window. The contribution is myCells itself: the derive
+// copies it before any rank leaves the collective.
 func (s *levelState) refreshBetasGlobal() {
 	s.computeCells()
-	buf := append(s.gatherBuf[s.gatherFlip][:0], s.myCells...)
-	s.gatherBuf[s.gatherFlip] = buf
-	s.gatherFlip ^= 1
-	all := mpi.AllGather(s.comm, buf, 24*len(buf))
-	for r, cells := range all {
-		s.placeCells(r, cells)
+	nc := len(s.myCells)
+	s.block = mpi.AllGatherWith(s.comm, s.myCells, 24*nc, deriveCellBlock)
+	grid := s.lat.Grid
+	for dr := -1; dr <= 1; dr++ {
+		for dc := -1; dc <= 1; dc++ {
+			r, c := s.homeR+dr, s.homeC+dc
+			if (dr == 0 && dc == 0) || r < 0 || r >= grid.Rows || c < 0 || c >= grid.Cols {
+				continue
+			}
+			rank := grid.RankAt(r, c)
+			box := (dr+1)*3 + dc + 1
+			copy(s.near[box*nc:(box+1)*nc], s.block.cells[rank*nc:(rank+1)*nc])
+		}
 	}
 }
 
@@ -549,16 +622,15 @@ func (s *levelState) refreshBetasGlobal() {
 // f², repulsion as 1/f). Every rank applies the same factor, so box
 // ownership and all relative geometry are preserved.
 func (s *levelState) rescale(f float64) {
-	// Element-wise scale: exact for any chunking. The ghost/beta/cut
-	// loops below stay serial — they are a small constant share.
+	// Element-wise scale: exact for any chunking. The ghost and cut
+	// loops below stay serial — they are a small constant share. The
+	// cells are not scaled: rescale runs only at a block boundary, and
+	// the block's gather replaces every cell a rank reads.
 	s.hp.scaleF = f
-	hostpar.ForChunked(len(s.pos), grainCopy, s.hp.fnScalePos)
+	s.forChunked(len(s.pos), grainCopy, s.hp.fnScalePos)
 	for i := range s.ghostPos {
 		s.ghostPos[i] = s.ghostPos[i].Scale(f)
 		s.ghostClamped[i] = s.ghostClamped[i].Scale(f)
-	}
-	for i := range s.betas {
-		s.betas[i].Phi = s.betas[i].Phi.Scale(f)
 	}
 	for i := range s.lat.XCuts {
 		s.lat.XCuts[i] *= f
@@ -615,21 +687,14 @@ func (s *levelState) Smooth(iters, blockSize int) {
 	}
 }
 
-// cbrt is math.Cbrt without pulling the import into the hot path docs.
+// cbrt is the cube root of x for the equilibrium rescaling, or 1 for
+// x ≤ 0: thirty Newton steps from 1. From the first step on, the
+// iterates stay at or above the root, so where thirty steps do not
+// converge (only at extreme ratios) the result lies beyond the same
+// bound of the caller's [0.75, 1.75] clamp as the root does.
 func cbrt(x float64) float64 {
 	if x <= 0 {
 		return 1
-	}
-	// Newton iterations from a decent seed are plenty here.
-	y := x
-	if y > 1 {
-		for y > 8 {
-			y /= 8
-		}
-	} else {
-		for y < 0.125 {
-			y *= 8
-		}
 	}
 	g := 1.0
 	for i := 0; i < 30; i++ {

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -155,8 +156,12 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	fineLev := &h.Levels[li]
 	g := fineLev.G
 	jrng := rand.New(rand.NewSource(opt.Seed<<8 + int64(li)*1009 + int64(sub.Rank())))
+	// The per-point loops below run on the ranks that hold coarse
+	// points, so they share the host's workers (see chunkCap).
 	var created []idPos
+	ranks := sub.Size()
 	if coarse != nil {
+		ranks = coarse.comm.Size()
 		nKids := 0
 		for _, cid := range coarse.ownedIDs {
 			nKids += len(fineLev.ChildrenOf(cid))
@@ -177,7 +182,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 			}.Scale(0.5 * opt.Force.K)
 		}
 		created = make([]idPos, nKids)
-		hostpar.ForChunked(len(coarse.ownedIDs), 16, func(_, clo, chi int) {
+		hostpar.ForN(len(coarse.ownedIDs), levelChunks(ranks, len(coarse.ownedIDs), 16), func(_, clo, chi int) {
 			for ci := clo; ci < chi; ci++ {
 				q := coarse.pos[ci].Scale(2)
 				k := offs[ci]
@@ -195,7 +200,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	lo := geometry.Vec2{X: math.Inf(1), Y: math.Inf(1)}
 	hi := geometry.Vec2{X: math.Inf(-1), Y: math.Inf(-1)}
 	if len(created) > 0 {
-		chunks := hostpar.NumChunks(len(created), 1024)
+		chunks := levelChunks(ranks, len(created), 1024)
 		pLo := make([]geometry.Vec2, chunks)
 		pHi := make([]geometry.Vec2, chunks)
 		hostpar.ForN(len(created), chunks, func(c, clo, chi int) {
@@ -249,7 +254,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	// serial in point order, so each destination's record order is the
 	// point order.
 	destRank := make([]int32, len(created))
-	hostpar.ForChunked(len(created), 512, func(_, clo, chi int) {
+	hostpar.ForN(len(created), levelChunks(ranks, len(created), 512), func(_, clo, chi int) {
 		for i := clo; i < chi; i++ {
 			destRank[i] = int32(lat.RankOf(created[i].P))
 		}
@@ -297,7 +302,8 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 }
 
 // resolveOwners resolves the owning rank of each ghost id through a
-// hashed distributed directory (vertex v is tracked by rank v mod P),
+// distributed directory (vertex v is tracked by rank v mod P, at slot
+// v/P of that rank's dense table),
 // with registration and query coalesced into a single exchange: the
 // message to directory rank d carries both the owned ids this rank
 // registers at d and the ghost ids it needs d to resolve, framed as
@@ -310,63 +316,100 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 // unchanged because the directory contents are identical.
 func resolveOwners(c *mpi.Comm, owned, ghosts []int32) []int {
 	p := c.Size()
-	regs := make([][]int32, p)
-	queries := make([][]int32, p)
-	posOf := make([][]int, p)
+	// Count each directory partner's registrations and queries, then
+	// lay every framed message out in one backing array; at is each
+	// message's fill cursor.
+	nReg, nQuery, at := make([]int32, p), make([]int32, p), make([]int32, p)
 	for _, id := range owned {
-		d := int(id) % p
-		regs[d] = append(regs[d], id)
+		nReg[int(id)%p]++
 	}
-	for i, id := range ghosts {
-		d := int(id) % p
-		queries[d] = append(queries[d], id)
-		posOf[d] = append(posOf[d], i)
+	for _, id := range ghosts {
+		nQuery[int(id)%p]++
 	}
-	dest := make([][]int32, p)
+	size := 0
 	for d := 0; d < p; d++ {
-		if len(regs[d]) == 0 && len(queries[d]) == 0 {
+		if nReg[d]+nQuery[d] > 0 {
+			size += 2 + int(nReg[d]+nQuery[d])
+		}
+	}
+	buf := make([]int32, size)
+	dest := make([][]int32, p)
+	for d, off := 0, 0; d < p; d++ {
+		if nReg[d]+nQuery[d] == 0 {
 			continue
 		}
-		msg := make([]int32, 0, 2+len(regs[d])+len(queries[d]))
-		msg = append(msg, int32(len(regs[d])), int32(len(queries[d])))
-		msg = append(msg, regs[d]...)
-		msg = append(msg, queries[d]...)
-		dest[d] = msg
+		n := 2 + int(nReg[d]+nQuery[d])
+		msg := buf[off : off+n : off+n]
+		msg[0], msg[1] = nReg[d], nQuery[d]
+		dest[d], at[d] = msg, 2
+		off += n
+	}
+	for _, id := range owned {
+		d := int(id) % p
+		dest[d][at[d]] = id
+		at[d]++
+	}
+	for _, id := range ghosts {
+		d := int(id) % p
+		dest[d][at[d]] = id
+		at[d]++
 	}
 	got := mpi.AllToAllV(c, dest, 4)
 	// Register every owned id first, then answer the queries: a query
 	// must see registrations from all ranks, not just earlier sources.
-	dir := make(map[int32]int32)
+	// This rank is directory rank c.Rank() and tracks exactly the ids
+	// congruent to it mod P, so dir[v/P] holds v's owner (-1 where no
+	// rank registered v).
+	var dir []int32
+	nAns := 0
 	for src, msg := range got {
 		if len(msg) == 0 {
 			continue
 		}
-		for _, id := range msg[2 : 2+int(msg[0])] {
-			dir[id] = int32(src)
+		if len(msg) < 2 || len(msg) != 2+int(msg[0])+int(msg[1]) {
+			panic(fmt.Errorf("embed: directory request from rank %d carried %d values, not a framed message (truncated payload?)", src, len(msg)))
 		}
+		for _, id := range msg[2 : 2+int(msg[0])] {
+			k := int(id) / p
+			for len(dir) <= k {
+				dir = append(dir, -1)
+			}
+			dir[k] = int32(src)
+		}
+		nAns += int(msg[1])
 	}
+	ansBuf := make([]int32, nAns)
 	answers := make([][]int32, p)
 	for src, msg := range got {
 		if len(msg) == 0 || msg[1] == 0 {
 			continue
 		}
 		qs := msg[2+int(msg[0]):]
-		ans := make([]int32, len(qs))
+		ans := ansBuf[:len(qs):len(qs)]
+		ansBuf = ansBuf[len(qs):]
 		for i, id := range qs {
-			owner, ok := dir[id]
-			if !ok {
+			k := int(id) / p
+			if k >= len(dir) || dir[k] < 0 {
 				panic("embed: directory miss")
 			}
-			ans[i] = owner
+			ans[i] = dir[k]
 		}
 		answers[src] = ans
 	}
 	replies := mpi.AllToAllV(c, answers, 4)
-	out := make([]int, len(ghosts))
 	for d, reply := range replies {
-		for i, owner := range reply {
-			out[posOf[d][i]] = int(owner)
+		if len(reply) != int(nQuery[d]) {
+			panic(fmt.Errorf("embed: directory reply from rank %d carried %d owners, want %d (truncated payload?)", d, len(reply), nQuery[d]))
 		}
+	}
+	// The k-th ghost queried at directory rank d is answered by the
+	// k-th entry of d's reply.
+	out := make([]int, len(ghosts))
+	clear(at)
+	for i, id := range ghosts {
+		d := int(id) % p
+		out[i] = int(replies[d][at[d]])
+		at[d]++
 	}
 	return out
 }

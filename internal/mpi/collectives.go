@@ -215,6 +215,24 @@ func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a
 // AllGather collects one value per rank, returned in rank order to
 // every rank. Cost: Latency·log2(P) + PerByte·(P-1)·bytes (ring).
 func AllGather[T any](c *Comm, val T, bytes int) []T {
+	return AllGatherWith(c, val, bytes, func(vals []T) []T { return vals })
+}
+
+// AllGatherWith is AllGather whose gathered values are turned into a
+// value once per collective: derive runs inside the combine, on the one
+// rank that arrives last, and every rank receives the same R. It is
+// AllGatherVWith for one value per rank. Cost, traffic, fault positions
+// and trace events are exactly AllGather's, which is this function with
+// an identity derive.
+//
+// derive may read the gathered values and values that are identical on
+// every rank, never rank-local state: it runs on whichever rank happens
+// to finish the collective. The values are the ranks' own
+// contributions, so derive must not modify what they reference, and a
+// result that must outlive the ranks' next writes to them copies them.
+// Its result is shared by all ranks and is read-only to each of them. A
+// panic in derive fails the collective like a panicking combine.
+func AllGatherWith[T, R any](c *Comm, val T, bytes int, derive func(vals []T) R) R {
 	m := c.Model()
 	lg := log2ceil(c.size)
 	cost := collCost{
@@ -228,9 +246,9 @@ func AllGather[T any](c *Comm, val T, bytes int) []T {
 		for i, v := range vals {
 			out[i] = v.(T)
 		}
-		return out
+		return derive(out)
 	}, cost)
-	return res.([]T)
+	return res.(R)
 }
 
 // AllGatherV collects a variable-length slice per rank; every rank

@@ -50,10 +50,13 @@ func (q *msgRing) pop() (message, bool) {
 	return m, true
 }
 
+// grow doubles the ring. A zero-value ring starts at two messages: the
+// pending ring of an out-of-order source (see enqueuePending) usually
+// holds one message, and an all-to-all files one per source.
 func (q *msgRing) grow() {
 	newCap := 2 * len(q.buf)
 	if newCap == 0 {
-		newCap = 8
+		newCap = 2
 	}
 	nb := make([]message, newCap)
 	for i := 0; i < q.n; i++ {

@@ -399,3 +399,273 @@ func FuzzRepulsion(f *testing.F) {
 		checkAgainstOracle(t, pts, mass, theta)
 	})
 }
+
+// The build oracle: the pointer build the direct preorder build
+// replaces, kept verbatim (types renamed) so Rebuild can be held to it
+// bit for bit. It inserts the points one at a time into a node arena,
+// then flattens the force-visible cells into preorder.
+
+type ptrNode struct {
+	children [4]int32 // -1 when absent
+	point    int32    // point index for a leaf, -1 otherwise
+	count    int32    // points in subtree
+	cap      int32    // index into ptrTree.caps, -1 when no point hit the depth cap here
+}
+
+type ptrTree struct {
+	nodes []ptrNode
+	caps  []capCell
+	flat  []flatNode
+	pts   []geometry.Vec2
+	mass  []float64
+	total float64
+}
+
+func buildPointer(pts []geometry.Vec2, mass []float64) *ptrTree {
+	t := &ptrTree{}
+	if len(pts) == 0 {
+		return t
+	}
+	bounds := squareBounds(geometry.BoundingRect(pts))
+	t.pts = pts
+	t.mass = mass
+	t.nodes = append(t.nodes, ptrEmptyNode())
+	for i := range pts {
+		t.insert(0, int32(i), bounds, 0)
+	}
+	_, t.total = t.flatten(0, bounds)
+	return t
+}
+
+func ptrEmptyNode() ptrNode {
+	return ptrNode{children: [4]int32{-1, -1, -1, -1}, point: -1, cap: -1}
+}
+
+func ptrQuadrant(b geometry.Rect, p geometry.Vec2) (int, geometry.Rect) {
+	c := b.Center()
+	q := 0
+	if p.X > c.X {
+		q |= 1
+	}
+	if p.Y > c.Y {
+		q |= 2
+	}
+	return q, childRect(b, c, q)
+}
+
+func (t *ptrTree) massOf(i int32) float64 {
+	if t.mass == nil {
+		return 1
+	}
+	return t.mass[i]
+}
+
+func (t *ptrTree) insert(ni int32, pi int32, b geometry.Rect, depth int) {
+	n := &t.nodes[ni]
+	n.count++
+	if depth >= maxDepth {
+		// Depth cap: fold the point into this cell's aggregate only.
+		if n.cap < 0 {
+			n.cap = int32(len(t.caps))
+			t.caps = append(t.caps, capCell{})
+		}
+		c := &t.caps[n.cap]
+		m := t.massOf(pi)
+		c.sum = c.sum.Add(t.pts[pi].Scale(m))
+		c.mass += m
+		return
+	}
+	if n.count == 1 {
+		n.point = pi
+		return
+	}
+	if n.point >= 0 {
+		// Leaf becoming internal: push the resident point down.
+		old := n.point
+		n.point = -1
+		q, qb := ptrQuadrant(b, t.pts[old])
+		ci := t.child(ni, q)
+		t.insert(ci, old, qb, depth+1)
+	}
+	q, qb := ptrQuadrant(b, t.pts[pi])
+	ci := t.child(ni, q)
+	t.insert(ci, pi, qb, depth+1)
+}
+
+func (t *ptrTree) child(ni int32, q int) int32 {
+	if c := t.nodes[ni].children[q]; c >= 0 {
+		return c
+	}
+	t.nodes = append(t.nodes, ptrEmptyNode())
+	c := int32(len(t.nodes) - 1)
+	t.nodes[ni].children[q] = c
+	return c
+}
+
+func (t *ptrTree) flatten(ni int32, b geometry.Rect) (geometry.Vec2, float64) {
+	n := t.nodes[ni]
+	at := len(t.flat)
+	t.flat = append(t.flat, flatNode{w: b.Width(), pt: -1})
+	var com geometry.Vec2
+	var mass float64
+	if n.cap >= 0 {
+		com, mass = t.caps[n.cap].sum, t.caps[n.cap].mass
+	}
+	if n.point >= 0 {
+		m := t.massOf(n.point)
+		com = com.Add(t.pts[n.point].Scale(m))
+		mass += m
+	}
+	c := b.Center()
+	for q, ci := range n.children {
+		if ci < 0 {
+			continue
+		}
+		ccom, cmass := t.flatten(ci, childRect(b, c, q))
+		com = com.Add(ccom.Scale(cmass))
+		mass += cmass
+	}
+	if mass > 0 {
+		com = com.Scale(1 / mass)
+	} else {
+		com = geometry.Vec2{}
+	}
+	if mass == 0 {
+		t.flat = t.flat[:at]
+		return com, mass
+	}
+	f := &t.flat[at]
+	f.skip = int32(len(t.flat))
+	if n.point >= 0 {
+		p := t.pts[n.point]
+		f.x, f.y, f.m, f.pt = p.X, p.Y, t.massOf(n.point), n.point
+	} else {
+		f.x, f.y, f.m = com.X, com.Y, mass
+		if n.cap >= 0 && t.caps[n.cap].mass > 0 {
+			f.pt = -2 - n.cap
+		}
+	}
+	return com, mass
+}
+
+// sameBits reports whether a and b have the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkAgainstPointerBuild holds Rebuild, run on tr, to the pointer
+// build: the flat arrays agree entry for entry and bit for bit, and so
+// do the tree totals. The pointer build numbers its caps in creation
+// order and keeps the ones of non-positive mass, while Rebuild stores
+// only the caps a cell references, in preorder; so a cap reference is
+// compared through the cap it names, and Rebuild's references must
+// count 0, 1, 2, ... through its whole caps array.
+func checkAgainstPointerBuild(t testing.TB, tr *Tree, pts []geometry.Vec2, mass []float64) {
+	t.Helper()
+	o := buildPointer(pts, mass)
+	tr.Rebuild(pts, mass)
+	if len(tr.flat) != len(o.flat) {
+		t.Fatalf("%d points: %d flat cells, pointer build %d", len(pts), len(tr.flat), len(o.flat))
+	}
+	nextCap := 0
+	for k, f := range tr.flat {
+		g := o.flat[k]
+		if !sameBits(f.x, g.x) || !sameBits(f.y, g.y) || !sameBits(f.m, g.m) || !sameBits(f.w, g.w) || f.skip != g.skip {
+			t.Fatalf("cell %d: %+v, pointer build %+v", k, f, g)
+		}
+		if (f.pt < -1) != (g.pt < -1) || (f.pt >= -1 && f.pt != g.pt) {
+			t.Fatalf("cell %d: pt %d, pointer build %d", k, f.pt, g.pt)
+		}
+		if f.pt >= -1 {
+			continue
+		}
+		if -2-f.pt != int32(nextCap) {
+			t.Fatalf("cell %d references cap %d, want %d (preorder)", k, -2-f.pt, nextCap)
+		}
+		c, d := tr.caps[-2-f.pt], o.caps[-2-g.pt]
+		if !sameBits(c.sum.X, d.sum.X) || !sameBits(c.sum.Y, d.sum.Y) || !sameBits(c.mass, d.mass) {
+			t.Fatalf("cell %d: cap %+v, pointer build %+v", k, c, d)
+		}
+		nextCap++
+	}
+	if nextCap != len(tr.caps) {
+		t.Fatalf("%d caps stored, %d referenced", len(tr.caps), nextCap)
+	}
+	if !sameBits(tr.TotalMass(), o.total) {
+		t.Fatalf("total mass %v, pointer build %v", tr.TotalMass(), o.total)
+	}
+	if tr.Len() != len(pts) {
+		t.Fatalf("Len %d, want %d", tr.Len(), len(pts))
+	}
+}
+
+// capCloud returns cloud(seed, n, dups, massMode, scale) with the
+// coordinate and mass hazards of coordMode mixed in: 1 adds clusters
+// of points a few ulps apart that only the depth cap separates from
+// each other, 2 NaN coordinates, 3 infinite coordinates, 4 NaN masses
+// (with massMode forced non-nil).
+func capCloud(seed int64, n, dups, massMode, coordMode int, scale float64) ([]geometry.Vec2, []float64) {
+	if coordMode == 4 && massMode == 0 {
+		massMode = 1
+	}
+	pts, mass := cloud(seed, n, dups, massMode, scale)
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for i := range pts {
+		if rng.Intn(7) != 0 {
+			continue
+		}
+		switch coordMode {
+		case 1:
+			base := pts[rng.Intn(len(pts))]
+			k := uint64(rng.Intn(5))
+			pts[i] = geometry.Vec2{X: math.Float64frombits(math.Float64bits(base.X) + k), Y: base.Y}
+		case 2:
+			pts[i].X = math.NaN()
+		case 3:
+			pts[i].Y = math.Inf(1 - 2*rng.Intn(2))
+		case 4:
+			mass[i] = math.NaN()
+		}
+	}
+	return pts, mass
+}
+
+// TestRebuildMatchesPointerBuild: the direct preorder build writes the
+// pointer build's flat layout, caps and total bit for bit, over random
+// clouds with duplicates, depth-cap clusters and every mass mode, and
+// a reused tree gives the same answers as a fresh one.
+func TestRebuildMatchesPointerBuild(t *testing.T) {
+	var reused Tree
+	maxCaps := 0
+	for seed := int64(0); seed < 300; seed++ {
+		n := []int{0, 1, 2, 3, 17, 470, 1024}[seed%7]
+		dups := []int{0, 0, 5, 40}[seed%4]
+		pts, mass := capCloud(seed, n, dups, int(seed/7)%4, int(seed/28)%5, []float64{1, 128, 1e-160}[seed%3])
+		checkAgainstPointerBuild(t, &reused, pts, mass)
+		checkAgainstPointerBuild(t, &Tree{}, pts, mass)
+		maxCaps = max(maxCaps, len(reused.caps))
+	}
+	if maxCaps < 2 {
+		t.Fatalf("no cloud reached the depth cap in two cells (max %d caps)", maxCaps)
+	}
+	// Every point identical, and every point within a few ulps: the
+	// whole cloud is folded at the depth cap.
+	for _, mode := range []int{0, 1, 2} {
+		pts, mass := cloud(9, 64, 63, mode, 1)
+		for i := range pts {
+			pts[i].Y = math.Float64frombits(math.Float64bits(pts[i].Y) + uint64(i%3))
+		}
+		checkAgainstPointerBuild(t, &reused, pts, mass)
+	}
+}
+
+// FuzzRebuild drives the build differential over generated clouds:
+// duplicates, depth-cap clusters, unit, zero, signed and NaN masses,
+// and NaN and infinite coordinates.
+func FuzzRebuild(f *testing.F) {
+	for seed := int64(0); seed < 20; seed++ {
+		f.Add(seed, uint16(40*seed), uint8(seed%3*20), uint8(seed%4), uint8(seed%5), 1.0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dups, massMode, coordMode uint8, scale float64) {
+		pts, mass := capCloud(seed, int(n%1500), int(dups), int(massMode%4), int(coordMode%5), scale)
+		checkAgainstPointerBuild(t, &Tree{}, pts, mass)
+	})
+}

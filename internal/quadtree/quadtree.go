@@ -5,11 +5,12 @@
 // evaluation of long-range repulsive forces with the classic theta
 // opening criterion.
 //
-// A build inserts the points into a pointer quadtree, then flattens the
-// cells that can contribute force into one preorder array. The force
-// kernel (Repulsion) walks that array without recursion or callbacks:
-// an accepted cluster jumps past its subtree, anything else steps to
-// the next entry.
+// A build writes the cells that can contribute force straight into one
+// preorder array: top down, it stable-partitions an index permutation
+// of the points into each cell's four quadrants and recurses into them
+// in quadrant order. The force kernel (Repulsion) walks that array
+// without recursion or callbacks: an accepted cluster jumps past its
+// subtree, anything else steps to the next entry.
 package quadtree
 
 import (
@@ -19,16 +20,6 @@ import (
 )
 
 const maxDepth = 48
-
-// node is one build-time quadtree cell. Leaves hold a single point
-// index; a cell at the depth cap instead folds every point that reaches
-// it into a capCell.
-type node struct {
-	children [4]int32 // -1 when absent
-	point    int32    // point index for a leaf, -1 otherwise
-	count    int32    // points in subtree
-	cap      int32    // index into Tree.caps, -1 when no point hit the depth cap here
-}
 
 // capCell accumulates the points folded into a cell at the depth cap.
 type capCell struct {
@@ -40,10 +31,11 @@ type capCell struct {
 // preorder, children in quadrant order 0..3. For a leaf (pt ≥ 0), x, y
 // and m are the raw point and its mass. For any other cell they are the
 // subtree's centre of mass and total mass, w is the cell side, and skip
-// is the index just past the cell's subtree. pt < -1 marks a cell whose
-// depth-capped residue caps[-2-pt] is visited on its own when the cell
-// is opened; an insert pushes a resident point down as soon as a second
-// one arrives, so no other cell still holds a point of its own.
+// is the index just past the cell's subtree. pt < -1 marks a cell at
+// the depth cap whose residue caps[-2-pt] is visited on its own when
+// the cell is opened. A cell holding a single point below the depth cap
+// is a leaf; a cell holding more is split, so no other cell holds a
+// point of its own.
 type flatNode struct {
 	x, y, m, w float64
 	pt, skip   int32
@@ -51,12 +43,18 @@ type flatNode struct {
 
 // Tree is a Barnes–Hut quadtree over weighted points in the plane.
 type Tree struct {
-	nodes []node
 	caps  []capCell
 	flat  []flatNode
 	pts   []geometry.Vec2
 	mass  []float64
+	n     int     // points in the tree
 	total float64 // mass of the whole tree
+
+	// Build scratch, reused across rebuilds: two index buffers that
+	// the levels of the build partition into alternately (see build),
+	// and the quadrant of each point of the cell being partitioned.
+	order, spare []int32
+	quad         []uint8
 }
 
 // Build constructs a quadtree over pts. mass may be nil for unit
@@ -74,8 +72,8 @@ func Build(pts []geometry.Vec2, mass []float64) *Tree {
 // the tree every step go through here to stay allocation-free in
 // steady state.
 func (t *Tree) Rebuild(pts []geometry.Vec2, mass []float64) {
-	t.nodes, t.caps, t.flat = t.nodes[:0], t.caps[:0], t.flat[:0]
-	t.total = 0
+	t.caps, t.flat = t.caps[:0], t.flat[:0]
+	t.n, t.total = len(pts), 0
 	if len(pts) == 0 {
 		t.pts, t.mass = nil, nil
 		return
@@ -83,21 +81,20 @@ func (t *Tree) Rebuild(pts []geometry.Vec2, mass []float64) {
 	bounds := squareBounds(geometry.BoundingRect(pts))
 	t.pts = pts
 	t.mass = mass
-	if cap(t.nodes) == 0 {
-		t.nodes = make([]node, 0, 2*len(pts))
+	n := len(pts)
+	if cap(t.order) < n {
+		t.order = make([]int32, n)
+		t.spare = make([]int32, n)
+		t.quad = make([]uint8, n)
 	}
-	t.nodes = append(t.nodes, emptyNode())
-	for i := range pts {
-		t.insert(0, int32(i), bounds, 0)
+	t.order, t.spare, t.quad = t.order[:n], t.spare[:n], t.quad[:n]
+	for i := range t.order {
+		t.order[i] = int32(i)
 	}
 	if cap(t.flat) == 0 {
-		t.flat = make([]flatNode, 0, len(t.nodes))
+		t.flat = make([]flatNode, 0, 2*n)
 	}
-	_, t.total = t.flatten(0, bounds)
-}
-
-func emptyNode() node {
-	return node{children: [4]int32{-1, -1, -1, -1}, point: -1, cap: -1}
+	_, t.total = t.build(t.order, t.spare, bounds, 0)
 }
 
 // squareBounds pads the rect into a square so quadrants stay square.
@@ -131,18 +128,6 @@ func childRect(b geometry.Rect, c geometry.Vec2, q int) geometry.Rect {
 	return b
 }
 
-func quadrant(b geometry.Rect, p geometry.Vec2) (int, geometry.Rect) {
-	c := b.Center()
-	q := 0
-	if p.X > c.X {
-		q |= 1
-	}
-	if p.Y > c.Y {
-		q |= 2
-	}
-	return q, childRect(b, c, q)
-}
-
 func (t *Tree) massOf(i int32) float64 {
 	if t.mass == nil {
 		return 1
@@ -150,82 +135,79 @@ func (t *Tree) massOf(i int32) float64 {
 	return t.mass[i]
 }
 
-func (t *Tree) insert(ni int32, pi int32, b geometry.Rect, depth int) {
-	n := &t.nodes[ni]
-	n.count++
-	if depth >= maxDepth {
-		// Depth cap: fold the point into this cell's aggregate only.
-		if n.cap < 0 {
-			n.cap = int32(len(t.caps))
-			t.caps = append(t.caps, capCell{})
-		}
-		c := &t.caps[n.cap]
-		m := t.massOf(pi)
-		c.sum = c.sum.Add(t.pts[pi].Scale(m))
-		c.mass += m
-		return
-	}
-	if n.count == 1 {
-		n.point = pi
-		return
-	}
-	if n.point >= 0 {
-		// Leaf becoming internal: push the resident point down.
-		old := n.point
-		n.point = -1
-		q, qb := quadrant(b, t.pts[old])
-		ci := t.child(ni, q)
-		t.insert(ci, old, qb, depth+1)
-	}
-	q, qb := quadrant(b, t.pts[pi])
-	ci := t.child(ni, q)
-	t.insert(ci, pi, qb, depth+1)
-}
-
-// child returns (allocating if needed) the q-th child of node ni. Note
-// the re-take of the node pointer after append, which may move nodes.
-func (t *Tree) child(ni int32, q int) int32 {
-	if c := t.nodes[ni].children[q]; c >= 0 {
-		return c
-	}
-	t.nodes = append(t.nodes, emptyNode())
-	c := int32(len(t.nodes) - 1)
-	t.nodes[ni].children[q] = c
-	return c
-}
-
-// flatten computes the mass and centre of mass of node ni's subtree
-// bottom-up and appends the subtree's force-visible cells to t.flat in
-// preorder. b is the cell's rect. A cell is written before its children
-// and completed after them; a cell of zero mass is dropped together
-// with its subtree, which a traversal would never enter.
+// build writes the cell of rect b at the given depth, holding the points
+// idx (len(idx) > 0, in ascending index order), and its force-visible
+// subtree to t.flat in preorder, and returns the cell's centre of mass
+// and total mass. spare is scratch of idx's length, disjoint from it. A
+// cell is written before its children and completed after them; a cell
+// of zero mass is dropped together with its subtree, which a traversal
+// would never enter.
 //
-// The mass-weighted sum starts from the depth-cap residue, adds the
-// cell's own point, then each child's centre·mass in quadrant order,
-// and is scaled by 1/mass when mass > 0 (zero centre otherwise). That
-// fixed order is what makes every cluster term reproducible bit for bit.
-func (t *Tree) flatten(ni int32, b geometry.Rect) (geometry.Vec2, float64) {
-	n := t.nodes[ni]
+// A cell at the depth cap folds its points into a capCell in index
+// order; below the cap, a single point makes a leaf, and more are
+// stable-partitioned into spare by quadrant (p.X > c.X sets bit 0,
+// p.Y > c.Y bit 1, c = b.Center()) and built child by child in
+// quadrant order, each child with its range of spare as its points and
+// the same range of idx as its scratch. The mass-weighted sum starts
+// from the depth-cap residue, adds the cell's own point, then each
+// child's centre·mass in quadrant order, and is scaled by 1/mass when
+// mass > 0 (zero centre otherwise). That fixed order is what makes
+// every cluster term reproducible bit for bit.
+func (t *Tree) build(idx, spare []int32, b geometry.Rect, depth int) (geometry.Vec2, float64) {
+	if len(idx) == 1 && depth < maxDepth {
+		return t.leaf(idx[0], b.Width())
+	}
 	at := len(t.flat)
 	t.flat = append(t.flat, flatNode{w: b.Width(), pt: -1})
 	var com geometry.Vec2
 	var mass float64
-	if n.cap >= 0 {
-		com, mass = t.caps[n.cap].sum, t.caps[n.cap].mass
-	}
-	if n.point >= 0 {
-		m := t.massOf(n.point)
-		com = com.Add(t.pts[n.point].Scale(m))
-		mass += m
-	}
-	c := b.Center()
-	for q, ci := range n.children {
-		if ci < 0 {
-			continue
+	capped := false
+	if depth >= maxDepth {
+		var c capCell
+		for _, pi := range idx {
+			m := t.massOf(pi)
+			c.sum = c.sum.Add(t.pts[pi].Scale(m))
+			c.mass += m
 		}
-		ccom, cmass := t.flatten(ci, childRect(b, c, q))
-		com = com.Add(ccom.Scale(cmass))
-		mass += cmass
+		com, mass = c.sum, c.mass
+		if c.mass > 0 {
+			capped = true
+			t.caps = append(t.caps, c)
+		}
+	} else {
+		c := b.Center()
+		quad := t.quad[:len(idx)]
+		var start [5]int
+		for k, pi := range idx {
+			p := t.pts[pi]
+			q := uint8(0)
+			if p.X > c.X {
+				q |= 1
+			}
+			if p.Y > c.Y {
+				q |= 2
+			}
+			quad[k] = q
+			start[q+1]++
+		}
+		for q := 1; q <= 4; q++ {
+			start[q] += start[q-1]
+		}
+		next := start
+		for k, pi := range idx {
+			q := quad[k]
+			spare[next[q]] = pi
+			next[q]++
+		}
+		for q := 0; q < 4; q++ {
+			lo, hi := start[q], start[q+1]
+			if lo == hi {
+				continue
+			}
+			ccom, cmass := t.build(spare[lo:hi], idx[lo:hi], childRect(b, c, q), depth+1)
+			com = com.Add(ccom.Scale(cmass))
+			mass += cmass
+		}
 	}
 	if mass > 0 {
 		com = com.Scale(1 / mass)
@@ -237,15 +219,29 @@ func (t *Tree) flatten(ni int32, b geometry.Rect) (geometry.Vec2, float64) {
 		return com, mass
 	}
 	f := &t.flat[at]
-	f.skip = int32(len(t.flat))
-	if n.point >= 0 {
-		p := t.pts[n.point]
-		f.x, f.y, f.m, f.pt = p.X, p.Y, t.massOf(n.point), n.point
+	f.x, f.y, f.m, f.skip = com.X, com.Y, mass, int32(len(t.flat))
+	if capped {
+		f.pt = int32(-1 - len(t.caps))
+	}
+	return com, mass
+}
+
+// leaf writes the leaf cell of side w holding point pi alone, unless
+// its mass is zero, and returns the cell's centre of mass and mass with
+// build's arithmetic for a cell whose only term is its own point.
+func (t *Tree) leaf(pi int32, w float64) (geometry.Vec2, float64) {
+	var com geometry.Vec2
+	var mass float64
+	p, m := t.pts[pi], t.massOf(pi)
+	com = com.Add(p.Scale(m))
+	mass += m
+	if mass > 0 {
+		com = com.Scale(1 / mass)
 	} else {
-		f.x, f.y, f.m = com.X, com.Y, mass
-		if n.cap >= 0 && t.caps[n.cap].mass > 0 {
-			f.pt = -2 - n.cap
-		}
+		com = geometry.Vec2{}
+	}
+	if mass != 0 {
+		t.flat = append(t.flat, flatNode{x: p.X, y: p.Y, m: m, w: w, pt: pi, skip: int32(len(t.flat) + 1)})
 	}
 	return com, mass
 }
@@ -365,10 +361,7 @@ func farExact(dx, dy, w, theta float64) bool {
 
 // Len returns the number of points in the tree.
 func (t *Tree) Len() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return int(t.nodes[0].count)
+	return t.n
 }
 
 // TotalMass returns the total mass in the tree.

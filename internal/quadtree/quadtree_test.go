@@ -3,6 +3,7 @@ package quadtree
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/geometry"
@@ -225,5 +226,23 @@ func BenchmarkRepulsion(b *testing.B) {
 			acc = tr.Repulsion(p, int32(i), 0.9, 0.2, 1, acc)
 		}
 		benchSink = acc
+	}
+}
+
+// BenchmarkRebuild measures the tree build alone at the sizes one rank
+// of the lattice embedding rebuilds every iteration: a few hundred
+// points at high P, a few thousand on the coarse, few-rank levels.
+func BenchmarkRebuild(b *testing.B) {
+	for _, n := range []int{470, 1024, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			pts := randomPoints(n, 1)
+			var tr Tree
+			tr.Rebuild(pts, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				tr.Rebuild(pts, nil)
+			}
+		})
 	}
 }
