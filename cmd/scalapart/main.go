@@ -57,10 +57,8 @@ func main() {
 		psFlag      = flag.String("ps", "", "processor sweep for -bench-json (default 1,2,...,1024)")
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials      = flag.Int("trials", 1, "evolutionary search width for ScalaPart: run the embed+partition tail N times with decorrelated seeds and combine the two best bisections (1 = single pass)")
-		rcbModel    = flag.Int("rcb-model", 2, "RCB cost-model version: 2 (Zoltan-faithful: per-level median search + migration) | 1 (historical single-scan model); partition results are identical")
 		workers     = flag.Int("workers", 0, "host worker pool size for the fork-join coarsening/embedding kernels (0 = one per core)")
 		replayFlag  = flag.String("replay", "goroutine", "rank scheduling: goroutine (one live goroutine per rank) | batched (step at most -workers ranks' compute between communication points)")
-		collFlag    = flag.String("collectives", "fanin", "collective rendezvous engine: fanin (lock-free arrival slots, allocation-free) | legacy (mutex/cond gather-all); results are bit-identical")
 		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms); with -bench-json, embed it per run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (timeline axis = virtual clock)")
 		checkInv    = flag.Bool("check-invariants", false, "validate runtime invariants (clock monotonicity, byte symmetry, collective participation) and partition invariants after the run")
@@ -68,41 +66,14 @@ func main() {
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	fc, err := checkFlags(*replayFlag, *refineFlag, *recoverFlag, *fault, *trials)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scalapart:", err)
+		os.Exit(2)
+	}
 	hostpar.SetWorkers(*workers)
-	replay, err := mpi.ParseReplayMode(*replayFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalapart:", err)
-		os.Exit(1)
-	}
-	mpi.SetReplayMode(replay)
-	coll, err := mpi.ParseCollectiveEngine(*collFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalapart:", err)
-		os.Exit(1)
-	}
-	mpi.SetCollectiveEngine(coll)
-	switch *refineFlag {
-	case "off":
-	case "full":
-		refine.SetFullCut(true)
-	default:
-		fmt.Fprintf(os.Stderr, "scalapart: unknown -refine mode %q (want off or full)\n", *refineFlag)
-		os.Exit(1)
-	}
-	if *rcbModel != 1 && *rcbModel != 2 {
-		fmt.Fprintf(os.Stderr, "scalapart: unknown -rcb-model %d (want 1 or 2)\n", *rcbModel)
-		os.Exit(1)
-	}
-	geopart.SetRCBModel(*rcbModel)
-	if *trials < 1 {
-		fmt.Fprintf(os.Stderr, "scalapart: -trials must be >= 1 (got %d)\n", *trials)
-		os.Exit(1)
-	}
-	policy, err := core.ParseRecoveryPolicy(*recoverFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalapart:", err)
-		os.Exit(1)
-	}
+	mpi.SetReplayMode(fc.replay)
+	refine.SetFullCut(fc.fullCut)
 	if *watchdog > 0 {
 		mpi.SetWatchdogTimeout(*watchdog)
 	}
@@ -142,14 +113,7 @@ func main() {
 		return
 	}
 	model := mpi.DefaultModel()
-	if *fault != "" {
-		plan, err := parseFaultPlan(*fault)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalapart:", err)
-			os.Exit(1)
-		}
-		model.Faults = plan
-	}
+	model.Faults = fc.faults
 	if *list {
 		for _, e := range gen.SuiteEntries() {
 			fmt.Println(e.Name)
@@ -168,7 +132,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "scalapart: WARNING: -phase-breakdown/-trace need a simulated-runtime method; %s runs sequentially\n", *method)
 		}
 	}
-	if policy != core.RecoverOff && *method != "ScalaPart" {
+	if fc.policy != core.RecoverOff && *method != "ScalaPart" {
 		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -recover applies to the ScalaPart pipeline; %s runs without rollback recovery\n", *method)
 	}
 	if *trials > 1 && *method != "ScalaPart" {
@@ -225,7 +189,7 @@ func main() {
 		opt := core.DefaultOptions(*seed)
 		opt.Model = model
 		opt.Trials = *trials
-		opt.Recover = core.RecoverOptions{Policy: policy, RetryBudget: *retryBudget}
+		opt.Recover = core.RecoverOptions{Policy: fc.policy, RetryBudget: *retryBudget}
 		res, runErr := core.PartitionChecked(g, *p, opt)
 		if runErr != nil {
 			res = retrySequential(runErr)
@@ -340,6 +304,51 @@ func main() {
 		}
 		fmt.Println("invariants OK")
 	}
+}
+
+// flagConfig is what checkFlags derives from the flag values that
+// flag.Parse accepts as strings and ints but the run cannot take as is.
+type flagConfig struct {
+	replay  mpi.ReplayMode
+	fullCut bool
+	policy  core.RecoveryPolicy
+	faults  *mpi.FaultPlan // nil without -fault
+}
+
+// checkFlags validates every flag value and flag combination before any
+// graph is loaded, so a configuration that cannot run fails at once with
+// one line instead of surfacing later as a rank failure. Knobs must
+// compose or be rejected here: -trials > 1 runs the evolutionary search,
+// whose trials share no checkpoint layout, so it cannot be combined
+// with a -recover policy.
+func checkFlags(replay, refineMode, recoverPolicy, faultSpec string, trials int) (flagConfig, error) {
+	var cfg flagConfig
+	var err error
+	if cfg.replay, err = mpi.ParseReplayMode(replay); err != nil {
+		return cfg, err
+	}
+	switch refineMode {
+	case "off":
+	case "full":
+		cfg.fullCut = true
+	default:
+		return cfg, fmt.Errorf("unknown -refine mode %q (want off or full)", refineMode)
+	}
+	if trials < 1 {
+		return cfg, fmt.Errorf("-trials must be >= 1 (got %d)", trials)
+	}
+	if cfg.policy, err = core.ParseRecoveryPolicy(recoverPolicy); err != nil {
+		return cfg, err
+	}
+	if trials > 1 && cfg.policy != core.RecoverOff {
+		return cfg, fmt.Errorf("-trials %d cannot be combined with -recover %s (recovery checkpoints assume one pipeline pass)", trials, cfg.policy)
+	}
+	if faultSpec != "" {
+		if cfg.faults, err = parseFaultPlan(faultSpec); err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
 }
 
 // writeBenchJSON runs the ScalaPart suite sweep at the given scale and

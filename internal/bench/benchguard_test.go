@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 // TestBenchRowsBitIdenticalToSeed recomputes a sample of BENCH_4.json
@@ -144,17 +142,16 @@ func TestBenchRowsMatchSeedCompressed(t *testing.T) {
 
 // TestBenchRowsMatchSeedHighP recomputes a P-sweep sample of
 // BENCH_6.json — the scale-1 perf-trajectory committed before the
-// high-P collective engine existed — under both collective engines, and
-// requires every modeled field to be bit-identical to the seed file
-// each time. This is the BENCH half of the engine contract
-// (mpi.TestCollectiveFaninMatchesLegacy and
+// high-P collective engine existed — and requires every modeled field
+// to be bit-identical to the seed file. This is the BENCH half of the
+// engine contract (mpi.TestCollectiveClocksGolden and
 // core.TestHighPEnginesBitIdentical are the runtime and pipeline
 // halves): the fan-in rendezvous, word fast path, ring mailboxes, and
 // rank arena may only change host wall clocks and memory footprints,
 // never a recorded result.
 func TestBenchRowsMatchSeedHighP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("recomputes scale-1 bench rows across the P sweep twice (~20s)")
+		t.Skip("recomputes scale-1 bench rows across the P sweep (~10s)")
 	}
 	raw, err := os.ReadFile("../../BENCH_6.json")
 	if err != nil {
@@ -171,24 +168,21 @@ func TestBenchRowsMatchSeedHighP(t *testing.T) {
 		}
 	}
 
-	for _, eng := range []mpi.CollectiveEngine{mpi.CollectivesFanin, mpi.CollectivesLegacy} {
-		defer mpi.SetCollectiveEngine(mpi.SetCollectiveEngine(eng))
-		h := New(file.Scale, file.Ps)
-		h.Compress = true // BENCH_6 was recorded with -compress
-		for _, p := range file.Ps {
-			want, ok := rows[p]
-			if !ok {
-				t.Fatalf("BENCH_6.json has no row for ecology1 P=%d", p)
-			}
-			got := h.Get("ecology1", MethodSP, p)
-			if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
-				got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
-				got.Messages != want.Messages || got.BytesSent != want.BytesSent {
-				t.Fatalf("engine=%s: ecology1 P=%d drifted from BENCH_6.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
-					eng, p,
-					want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
-					got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
-			}
+	h := New(file.Scale, file.Ps)
+	h.Compress = true // BENCH_6 was recorded with -compress
+	for _, p := range file.Ps {
+		want, ok := rows[p]
+		if !ok {
+			t.Fatalf("BENCH_6.json has no row for ecology1 P=%d", p)
+		}
+		got := h.Get("ecology1", MethodSP, p)
+		if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
+			got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
+			got.Messages != want.Messages || got.BytesSent != want.BytesSent {
+			t.Fatalf("ecology1 P=%d drifted from BENCH_6.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
+				p,
+				want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
+				got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
 		}
 	}
 }

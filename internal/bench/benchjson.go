@@ -23,13 +23,14 @@ type BenchRecord struct {
 	Messages    int64   `json:"messages"`
 	BytesSent   int64   `json:"bytes_sent"`
 	WallSeconds float64 `json:"wall_s"`
-	// HostWorkers, ReplayMode, and Collectives record the
-	// host-performance knobs the wall clock was measured under; every
-	// modeled field above is independent of all three by construction
-	// (TestReplayModesBitIdentical, TestHighPEnginesBitIdentical).
+	// HostWorkers and ReplayMode record the host-performance knobs the
+	// wall clock was measured under; every modeled field above is
+	// independent of both by construction (TestReplayModesBitIdentical,
+	// TestHierarchyBitIdentical). Files written while a second
+	// collective engine existed also carry a "collectives" key, which
+	// decoding ignores.
 	HostWorkers int    `json:"host_workers,omitempty"`
 	ReplayMode  string `json:"replay_mode,omitempty"`
-	Collectives string `json:"collectives,omitempty"`
 	Fallback    bool   `json:"fallback,omitempty"`
 	// Compressed records whether the run consumed the delta/varint
 	// compressed adjacency (Harness.Compress); BytesPerEdge is the
@@ -84,7 +85,6 @@ func (h *Harness) BenchJSON() ([]byte, error) {
 				WallSeconds: r.WallSeconds,
 				HostWorkers: hostpar.Workers(),
 				ReplayMode:  mpi.Replay().String(),
-				Collectives: mpi.Collectives().String(),
 				Fallback:    r.Fallback,
 
 				Compressed:   g.G.Compressed(),

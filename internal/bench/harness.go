@@ -190,23 +190,21 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 }
 
 // envKey fingerprints the process-global and harness-level knobs a run
-// depends on beyond (graph, method, P): the host worker pool, replay
-// scheduler and collective engine (wall clocks), the parallel-build /
-// pooling hooks (wall clocks and allocations), the
-// fault plan (everything), and tracing (the Breakdown field). Two Gets
-// with different fingerprints compute independent runs instead of
-// sharing a stale cache entry.
+// depends on beyond (graph, method, P): the host worker pool and replay
+// scheduler (wall clocks), tracing (the Breakdown field), the compressed
+// representation, recovery, trials and full-cut refinement (modeled
+// results), and the fault plan (everything). Two Gets with different
+// fingerprints compute independent runs instead of sharing a stale
+// cache entry.
 func (h *Harness) envKey() string {
 	trials := h.Trials
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|replay:%s|coll:%s|pbuild%t|pool%t|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|rcbv:%d|faults:%s",
-		hostpar.Workers(), mpi.Replay(), mpi.Collectives(), graph.ParallelBuild(),
-		mpi.PoolingEnabled(), h.Trace, h.Compress,
+	return fmt.Sprintf("w%d|replay:%s|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|faults:%s",
+		hostpar.Workers(), mpi.Replay(), h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
-		trials, refine.FullCut(), geopart.RCBModel(),
-		h.Model.Faults.Key())
+		trials, refine.FullCut(), h.Model.Faults.Key())
 }
 
 // ParallelMethods lists the methods whose runs execute on the simulated

@@ -52,10 +52,9 @@ func TestQualitySmoke(t *testing.T) {
 	t.Logf("ecology1 P=4: cut %d (1 trial) -> %d (3 trials)", single.Cut, multi.Cut)
 }
 
-// TestEnvKeyFingerprintsQualityKnobs: flipping any of the new quality
-// knobs — trials, the full-cut hook, the RCB cost-model version — must
-// change the cache fingerprint, or sweeps under different settings
-// would share stale entries.
+// TestEnvKeyFingerprintsQualityKnobs: flipping either quality knob —
+// trials or the full-cut hook — must change the cache fingerprint, or
+// sweeps under different settings would share stale entries.
 func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	h := New(1, []int{4})
 	base := h.envKey()
@@ -71,12 +70,6 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	}
 	refine.SetFullCut(false)
 
-	defer geopart.SetRCBModel(geopart.SetRCBModel(1))
-	if h.envKey() == base {
-		t.Error("envKey ignores the RCB cost-model version")
-	}
-	geopart.SetRCBModel(2)
-
 	// Trials 0 and 1 are the same pipeline and must share cache entries.
 	h.Trials = 1
 	if h.envKey() != base {
@@ -86,15 +79,14 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 
 // TestBenchRowsMatchSeedQuality recomputes ecology1 P ∈ {1, 4} of
 // BENCH_7.json — the scale-8 perf trajectory committed before the
-// quality layer existed — under both collective engines and both
-// replay schedulers, with the quality knobs at their defaults (full
-// cut off, one trial), and requires every modeled field bit-identical
-// to the seed file. This is the BENCH half of the quality layer's
+// quality layer existed — under both replay schedulers, with the
+// quality knobs at their defaults (full cut off, one trial), and
+// requires every modeled field bit-identical to the seed file. This is the BENCH half of the quality layer's
 // bit-identity contract: with -refine off -trials 1 the pipeline IS
 // the historical pipeline.
 func TestBenchRowsMatchSeedQuality(t *testing.T) {
 	if testing.Short() {
-		t.Skip("recomputes scale-8 bench rows four ways (minutes)")
+		t.Skip("recomputes scale-8 bench rows two ways (minutes)")
 	}
 	raw, err := os.ReadFile("../../BENCH_7.json")
 	if err != nil {
@@ -113,24 +105,21 @@ func TestBenchRowsMatchSeedQuality(t *testing.T) {
 
 	h := New(file.Scale, []int{1, 4})
 	h.Compress = true // BENCH_7 was recorded with -compress
-	for _, eng := range []mpi.CollectiveEngine{mpi.CollectivesFanin, mpi.CollectivesLegacy} {
-		defer mpi.SetCollectiveEngine(mpi.SetCollectiveEngine(eng))
-		for _, mode := range []mpi.ReplayMode{mpi.ReplayBatched, mpi.ReplayGoroutine} {
-			defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
-			for _, p := range []int{1, 4} {
-				want, ok := rows[p]
-				if !ok {
-					t.Fatalf("BENCH_7.json has no row for ecology1 P=%d", p)
-				}
-				got := h.Get("ecology1", MethodSP, p)
-				if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
-					got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
-					got.Messages != want.Messages || got.BytesSent != want.BytesSent {
-					t.Fatalf("engine=%s replay=%v: ecology1 P=%d drifted from BENCH_7.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
-						eng, mode, p,
-						want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
-						got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
-				}
+	for _, mode := range []mpi.ReplayMode{mpi.ReplayBatched, mpi.ReplayGoroutine} {
+		defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
+		for _, p := range []int{1, 4} {
+			want, ok := rows[p]
+			if !ok {
+				t.Fatalf("BENCH_7.json has no row for ecology1 P=%d", p)
+			}
+			got := h.Get("ecology1", MethodSP, p)
+			if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
+				got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
+				got.Messages != want.Messages || got.BytesSent != want.BytesSent {
+				t.Fatalf("replay=%v: ecology1 P=%d drifted from BENCH_7.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
+					mode, p,
+					want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
+					got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
 			}
 		}
 	}

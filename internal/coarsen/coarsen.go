@@ -70,65 +70,6 @@ func Contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	return cg, f2c
 }
 
-// contractBlocked is Contract specialised to contiguous block ownership
-// given by offsets (offsets[r] is the first vertex of block r). It runs
-// in O(n + m). Large graphs route to the fork-join contraction kernel
-// (see parallel.go) unless SetParallel disabled it; the two paths are
-// bit-identical.
-func contractBlocked(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
-	if parallelOn.Load() && g.NumVertices() >= contractParMinVerts {
-		return contractBlockedParallel(g, match, offsets)
-	}
-	return contractBlockedSerial(g, match, offsets)
-}
-
-// contractBlockedSerial is the legacy single-threaded contraction, kept
-// verbatim as the reference the parallel kernel is tested against.
-func contractBlockedSerial(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
-	n := g.NumVertices()
-	blocks := len(offsets) - 1
-	fineToCoarse := make([]int32, n)
-	for i := range fineToCoarse {
-		fineToCoarse[i] = -1
-	}
-	perBlock := make([]int32, blocks)
-	next := int32(0)
-	for blk := 0; blk < blocks; blk++ {
-		start := next
-		for v := offsets[blk]; v < offsets[blk+1]; v++ {
-			if fineToCoarse[v] >= 0 {
-				continue
-			}
-			u := match[v]
-			fineToCoarse[v] = next
-			fineToCoarse[u] = next
-			next++
-		}
-		perBlock[blk] = next - start
-	}
-	b := graph.NewBuilder(int(next))
-	cw := make([]int32, next)
-	for v := int32(0); v < int32(n); v++ {
-		cw[fineToCoarse[v]] += g.VertexWeight(v)
-	}
-	for cv, w := range cw {
-		b.SetVertexWeight(int32(cv), w)
-	}
-	cur := graph.GetCursor(g)
-	defer cur.Release()
-	for u := int32(0); u < int32(n); u++ {
-		cu := fineToCoarse[u]
-		nbrs, wgts := cur.Arcs(u)
-		for k, v := range nbrs {
-			cv := fineToCoarse[v]
-			if cu < cv {
-				b.AddWeightedEdge(cu, cv, wgts[k])
-			}
-		}
-	}
-	return b.Build(), fineToCoarse, perBlock
-}
-
 // Level is one retained level of a hierarchy.
 type Level struct {
 	G *graph.Graph
@@ -342,35 +283,6 @@ func mergeOffsets(offsets []int32, nextRanks int) []int32 {
 	}
 	out[nextRanks] = offsets[oldRanks]
 	return out
-}
-
-// invertMap builds the CSR grouping of fine vertices by coarse parent.
-// Large maps route to the chunked counting-sort kernel (parallel.go)
-// unless SetParallel disabled it; the two paths are bit-identical.
-func invertMap(toCoarse []int32, nCoarse int) (offsets, children []int32) {
-	if parallelOn.Load() && len(toCoarse) >= invertParMinVerts {
-		return invertMapParallel(toCoarse, nCoarse)
-	}
-	return invertMapSerial(toCoarse, nCoarse)
-}
-
-// invertMapSerial is the legacy cursor-scan inversion, kept verbatim as
-// the reference the parallel kernel is tested against.
-func invertMapSerial(toCoarse []int32, nCoarse int) (offsets, children []int32) {
-	offsets = make([]int32, nCoarse+1)
-	for _, cv := range toCoarse {
-		offsets[cv+1]++
-	}
-	for i := 0; i < nCoarse; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	children = make([]int32, len(toCoarse))
-	cursor := append([]int32(nil), offsets[:nCoarse]...)
-	for v, cv := range toCoarse {
-		children[cursor[cv]] = int32(v)
-		cursor[cv]++
-	}
-	return offsets, children
 }
 
 // ProjectPartition carries a partition of the coarse level back to the

@@ -3,57 +3,32 @@ package coarsen
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hostpar"
 )
 
-// Fork-join contraction kernels. The serial contraction assigns coarse
-// ids by scanning vertices in block order (= ascending id, blocks being
-// contiguous), accumulates coarse weights, funnels every cross-group
-// arc through graph.Builder, and pays an O(m log m) sort per step.
-// The parallel path reproduces the exact same arrays from three
-// observations:
+// Fork-join contraction kernels. The contraction assigns coarse ids in
+// block order (= ascending id, blocks being contiguous), sums coarse
+// weights, and merges every cross-group arc into the coarse CSR without
+// a global sort. It rests on three observations:
 //
-//   - Vertex v receives a fresh coarse id in the serial scan iff
+//   - Vertex v receives a fresh coarse id in an ascending scan iff
 //     match[v] >= v (otherwise its partner was visited first), and that
 //     id equals the number of such "assigners" before v — a prefix sum
 //     over static chunks.
-//   - The coarse graph the builder emits is, per coarse vertex, its
-//     unique neighbours in ascending order with parallel-edge weights
-//     summed (int32, order-insensitive). Aggregating each coarse row
-//     independently — children in ascending fine order, per-row sort
-//     and merge — yields the identical CSR without any global sort.
+//   - The coarse graph graph.Builder would emit is, per coarse vertex,
+//     its unique neighbours in ascending order with parallel-edge
+//     weights summed (int32, order-insensitive). Aggregating each
+//     coarse row independently — children in ascending fine order,
+//     per-row sort and merge — yields the identical CSR.
 //   - Coarse weightedness (EWgt nil-ness) depends only on "some
 //     cross-group arc or merged edge has weight != 1", an OR over rows.
 //
 // Every output element is written by exactly one statically assigned
-// chunk, so results are bit-identical for every worker count;
-// TestHierarchyBitIdentical pins this against the serial path.
-
-// parallelOn gates the fork-join kernels; disabled, coarsening runs the
-// original serial code.
-var parallelOn atomic.Bool
-
-func init() { parallelOn.Store(true) }
-
-// SetParallel enables or disables the fork-join coarsening kernels and
-// returns the previous setting. Test hook: host parallelism must never
-// change results, and the determinism tests prove it by flipping this
-// switch.
-func SetParallel(on bool) bool {
-	prev := parallelOn.Load()
-	parallelOn.Store(on)
-	return prev
-}
-
-// Size gates below which the serial paths win; vars so package tests
-// can force tiny graphs through the parallel kernels.
-var (
-	contractParMinVerts = 2048
-	invertParMinVerts   = 4096
-)
+// chunk, so results are bit-identical for every worker count. Graphs
+// below one chunk's grain run inline. The single-threaded scan-and-
+// builder contraction survives as the test oracle in parallel_test.go.
 
 const (
 	contractGrain = 1024 // fine vertices per chunk in id assignment
@@ -74,9 +49,10 @@ type contractScratch struct {
 
 var contractScratchPool = sync.Pool{New: func() any { return new(contractScratch) }}
 
-// contractBlockedParallel is contractBlockedSerial rebuilt on hostpar;
-// outputs are bit-identical.
-func contractBlockedParallel(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
+// contractBlocked is Contract specialised to contiguous block
+// ownership given by offsets (offsets[r] is the first vertex of block
+// r). It runs in O(n + m) plus per-row sorts, fork-join over hostpar.
+func contractBlocked(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
 	n := g.NumVertices()
 	blocks := len(offsets) - 1
 	fineToCoarse := make([]int32, n)
@@ -114,8 +90,7 @@ func contractBlockedParallel(g *graph.Graph, match []int32, offsets []int32) (*g
 		}
 	})
 
-	// Per-block coarse counts (the serial scan's perBlock), one block
-	// per task.
+	// Per-block coarse counts, one block per task.
 	perBlock := make([]int32, blocks)
 	hostpar.For(blocks, 1, func(blk int) {
 		k := int32(0)
@@ -128,7 +103,7 @@ func contractBlockedParallel(g *graph.Graph, match []int32, offsets []int32) (*g
 	})
 
 	// Coarse vertex weights: each coarse vertex sums its (at most two)
-	// children, matching the serial += order (int32, order-insensitive).
+	// children (int32, order-insensitive).
 	cw := make([]int32, nCoarse)
 	hostpar.For(int(nCoarse), composeGrain, func(cvi int) {
 		v := toFine[cvi]
@@ -249,17 +224,14 @@ func dedupArcs(seg []int64) (uniq int, anyNot1 bool) {
 	return uniq, anyNot1
 }
 
-// invertMapParallel is invertMapSerial as a chunked stable counting
-// sort: per-chunk histograms over the coarse range, a column-wise
-// conversion to starting cursors, and a scatter pass — children of each
-// coarse vertex appear in ascending fine order exactly as the serial
-// cursor scan emits them.
-func invertMapParallel(toCoarse []int32, nCoarse int) (offsets, children []int32) {
+// invertMap builds the CSR grouping of fine vertices by coarse parent
+// as a chunked stable counting sort: per-chunk histograms over the
+// coarse range, a column-wise conversion to starting cursors, and a
+// scatter pass — children of each coarse vertex appear in ascending
+// fine order.
+func invertMap(toCoarse []int32, nCoarse int) (offsets, children []int32) {
 	n := len(toCoarse)
 	nc := hostpar.NumChunks(n, composeGrain)
-	if nc == 1 {
-		return invertMapSerial(toCoarse, nCoarse)
-	}
 	counts := make([]int32, nc*nCoarse)
 	hostpar.ForN(n, nc, func(c, lo, hi int) {
 		row := counts[c*nCoarse : (c+1)*nCoarse]

@@ -10,16 +10,70 @@ import (
 	"repro/internal/hostpar"
 )
 
-// forceParallel lowers every size gate so even test-sized graphs route
-// through the fork-join kernels, and restores on cleanup.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	cm, im, bm := contractParMinVerts, invertParMinVerts, graph.SetParallelBuildMinEdges(1)
-	contractParMinVerts, invertParMinVerts = 1, 1
-	t.Cleanup(func() {
-		contractParMinVerts, invertParMinVerts = cm, im
-		graph.SetParallelBuildMinEdges(bm)
-	})
+// contractBlockedSerial is the original single-threaded contraction,
+// kept verbatim as the oracle the fork-join kernel is tested against.
+func contractBlockedSerial(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
+	n := g.NumVertices()
+	blocks := len(offsets) - 1
+	fineToCoarse := make([]int32, n)
+	for i := range fineToCoarse {
+		fineToCoarse[i] = -1
+	}
+	perBlock := make([]int32, blocks)
+	next := int32(0)
+	for blk := 0; blk < blocks; blk++ {
+		start := next
+		for v := offsets[blk]; v < offsets[blk+1]; v++ {
+			if fineToCoarse[v] >= 0 {
+				continue
+			}
+			u := match[v]
+			fineToCoarse[v] = next
+			fineToCoarse[u] = next
+			next++
+		}
+		perBlock[blk] = next - start
+	}
+	b := graph.NewBuilder(int(next))
+	cw := make([]int32, next)
+	for v := int32(0); v < int32(n); v++ {
+		cw[fineToCoarse[v]] += g.VertexWeight(v)
+	}
+	for cv, w := range cw {
+		b.SetVertexWeight(int32(cv), w)
+	}
+	cur := graph.GetCursor(g)
+	defer cur.Release()
+	for u := int32(0); u < int32(n); u++ {
+		cu := fineToCoarse[u]
+		nbrs, wgts := cur.Arcs(u)
+		for k, v := range nbrs {
+			cv := fineToCoarse[v]
+			if cu < cv {
+				b.AddWeightedEdge(cu, cv, wgts[k])
+			}
+		}
+	}
+	return b.Build(), fineToCoarse, perBlock
+}
+
+// invertMapSerial is the original cursor-scan inversion, kept verbatim
+// as the oracle the chunked counting sort is tested against.
+func invertMapSerial(toCoarse []int32, nCoarse int) (offsets, children []int32) {
+	offsets = make([]int32, nCoarse+1)
+	for _, cv := range toCoarse {
+		offsets[cv+1]++
+	}
+	for i := 0; i < nCoarse; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	children = make([]int32, len(toCoarse))
+	cursor := append([]int32(nil), offsets[:nCoarse]...)
+	for v, cv := range toCoarse {
+		children[cursor[cv]] = int32(v)
+		cursor[cv]++
+	}
+	return offsets, children
 }
 
 func levelsEqual(t *testing.T, tag string, a, b *Hierarchy) {
@@ -64,7 +118,6 @@ func levelsEqual(t *testing.T, tag string, a, b *Hierarchy) {
 // and weighted graphs with randomized matchings and multi-block
 // ownership.
 func TestContractParallelMatchesSerial(t *testing.T) {
-	forceParallel(t)
 	graphs := []*graph.Graph{
 		gen.Grid2D(37, 23).G,
 		gen.DelaunayRandom(3000, 9).G,
@@ -88,7 +141,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 			wantG, wantF2C, wantPB := contractBlockedSerial(g, match, offsets)
 			for _, w := range []int{1, 2, 8} {
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-				gotG, gotF2C, gotPB := contractBlockedParallel(g, match, offsets)
+				gotG, gotF2C, gotPB := contractBlocked(g, match, offsets)
 				tag := fmt.Sprintf("graph %d blocks %d workers %d", gi, blocks, w)
 				wantH := &Hierarchy{Levels: []Level{{G: wantG, Offsets: prefixSum(wantPB), ToCoarse: wantF2C}}}
 				gotH := &Hierarchy{Levels: []Level{{G: gotG, Offsets: prefixSum(gotPB), ToCoarse: gotF2C}}}
@@ -101,7 +154,6 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 // TestInvertMapParallelMatchesSerial: the chunked counting sort must
 // reproduce the serial cursor scan exactly, including child order.
 func TestInvertMapParallelMatchesSerial(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 100, 50000} {
 		nCoarse := n/3 + 1
@@ -112,7 +164,7 @@ func TestInvertMapParallelMatchesSerial(t *testing.T) {
 		wantOff, wantCh := invertMapSerial(toCoarse, nCoarse)
 		for _, w := range []int{1, 2, 8} {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-			gotOff, gotCh := invertMapParallel(toCoarse, nCoarse)
+			gotOff, gotCh := invertMap(toCoarse, nCoarse)
 			for i := range wantOff {
 				if wantOff[i] != gotOff[i] {
 					t.Fatalf("n=%d workers=%d: offsets[%d] = %d, want %d", n, w, i, gotOff[i], wantOff[i])
@@ -129,12 +181,11 @@ func TestInvertMapParallelMatchesSerial(t *testing.T) {
 
 // TestBuildHierarchyBitIdenticalAcrossWorkers is the package-local
 // hierarchy determinism check: every retained level's CSR arrays,
-// ownership offsets, and projection maps must agree bit-for-bit between
-// the legacy serial path and the fork-join path at workers 1, 2, and 8.
+// ownership offsets, and projection maps must agree bit-for-bit at
+// workers 1, 2, and 8, with the single-chunk run as the reference.
 // The full-pipeline version (cuts, clocks, traffic) lives in
 // internal/core's TestHierarchyBitIdentical.
 func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
-	forceParallel(t)
 	graphs := []*graph.Graph{
 		gen.Grid2D(64, 64).G,
 		gen.DelaunayRandom(6000, 12).G,
@@ -143,13 +194,10 @@ func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
 	for gi, g := range graphs {
 		for _, p := range []int{1, 4, 16, 64} {
 			opt := Options{Seed: 42, VertsPerRank: 96}
-			defer SetParallel(SetParallel(false))
-			defer graph.SetParallelBuild(graph.SetParallelBuild(false))
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 			want := BuildHierarchy(g, p, opt)
-			SetParallel(true)
-			graph.SetParallelBuild(true)
-			for _, w := range []int{1, 2, 8} {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+			for _, w := range []int{2, 8} {
+				hostpar.SetWorkers(w)
 				got := BuildHierarchy(g, p, opt)
 				levelsEqual(t, fmt.Sprintf("graph %d P=%d workers=%d", gi, p, w), want, got)
 			}
@@ -189,17 +237,16 @@ func TestBoundaryEdgesParallelMatchesSerial(t *testing.T) {
 // pooled scratch: repeated contractions of the same graph must not
 // reallocate the per-chunk row and output buffers.
 func TestContractionSteadyStateAllocs(t *testing.T) {
-	forceParallel(t)
 	defer hostpar.SetWorkers(hostpar.SetWorkers(2))
 	g := gen.Grid2D(80, 80).G
 	rng := rand.New(rand.NewSource(1))
 	match := HeavyEdgeMatch(g, rng, nil)
 	offsets := blockOffsets(g.NumVertices(), 4)
 	for i := 0; i < 3; i++ {
-		contractBlockedParallel(g, match, offsets) // warm pools
+		contractBlocked(g, match, offsets) // warm pools
 	}
 	perCall := testing.AllocsPerRun(10, func() {
-		contractBlockedParallel(g, match, offsets)
+		contractBlocked(g, match, offsets)
 	})
 	// Outputs (CSR arrays, maps, per-block counts) plus fixed
 	// bookkeeping; the per-chunk sort scratch must come from the pool.
@@ -209,10 +256,8 @@ func TestContractionSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state parallel contraction: %.1f mallocs per call", perCall)
 }
 
-// BenchmarkBuildHierarchy measures full hierarchy construction — the
-// dominant serial host cost before this PR — with the legacy serial
-// path and with the fork-join kernels, on a suite-scale grid and a
-// preferential-attachment graph.
+// BenchmarkBuildHierarchy measures full hierarchy construction on a
+// suite-scale grid and a preferential-attachment graph.
 func BenchmarkBuildHierarchy(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -223,22 +268,14 @@ func BenchmarkBuildHierarchy(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		g := sh.build()
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"parallel", true}, {"serial", false}} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, mode.name), func(b *testing.B) {
-				defer SetParallel(SetParallel(mode.on))
-				defer graph.SetParallelBuild(graph.SetParallelBuild(mode.on))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					h := BuildHierarchy(g, 64, Options{Seed: 42, VertsPerRank: 96})
-					if len(h.Levels) < 2 {
-						b.Fatal("degenerate hierarchy")
-					}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := BuildHierarchy(g, 64, Options{Seed: 42, VertsPerRank: 96})
+				if len(h.Levels) < 2 {
+					b.Fatal("degenerate hierarchy")
 				}
-			})
-		}
+			}
+		})
 	}
 }

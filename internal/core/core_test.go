@@ -62,13 +62,13 @@ func TestScalaPartDeterminism(t *testing.T) {
 }
 
 // TestPartitionGeometricAndRCB exercise the coordinate-given entry
-// points on a mesh with natural coordinates. The RCB-cheaper-than-SP
-// assertion holds under the historical single-scan RCB clock (model
-// version 1); the Zoltan-faithful default charges RCB's real median
-// iterations and inverts it at this graph size (see EXPERIMENTS.md
-// § "The quality layer").
+// points on a mesh with natural coordinates. The Zoltan-faithful RCB
+// clock charges RCB's median iterations and coordinate migration once
+// per recursion level, so at P > 1 SP-PG7-NL is the cheaper of the two
+// (about 2× at P = 8 on this graph), as in EXPERIMENTS.md § "The
+// quality layer". At P = 1 the two clocks tie within 1%, so no
+// ordering is asserted there.
 func TestPartitionGeometricAndRCB(t *testing.T) {
-	defer geopart.SetRCBModel(geopart.SetRCBModel(1))
 	g := gen.DelaunayRandom(4000, 3)
 	for _, p := range []int{1, 8} {
 		spr := PartitionGeometric(g.G, g.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
@@ -82,8 +82,8 @@ func TestPartitionGeometricAndRCB(t *testing.T) {
 		if got := graph.CutSize(g.G, rcb.Part); got != rcb.Cut {
 			t.Fatalf("RCB p=%d: cut mismatch %d vs %d", p, rcb.Cut, got)
 		}
-		if rcb.Times.Total >= spr.Times.Total {
-			t.Fatalf("p=%d: RCB (%.3g) should be cheaper than SP-PG7-NL (%.3g)", p, rcb.Times.Total, spr.Times.Total)
+		if p > 1 && spr.Times.Total >= rcb.Times.Total {
+			t.Fatalf("p=%d: SP-PG7-NL (%.3g) should be cheaper than RCB (%.3g)", p, spr.Times.Total, rcb.Times.Total)
 		}
 	}
 }

@@ -4,60 +4,54 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/coarsen"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/hostpar"
 )
 
 // TestHierarchyBitIdentical runs the full pipeline with the fork-join
 // coarsening kernels (parallel contraction, parallel CSR builder,
-// chunked map inversion) at several worker counts and with the legacy
-// serial path, and requires bit-identical outcomes at every world size:
-// same cut, same per-vertex partition, same per-rank virtual clocks and
-// message traffic. Host parallelism is a rearrangement of the same
-// arithmetic over statically assigned chunks; any visible difference
-// means a kernel changed an evaluation order or a modeled charge.
-// (PR 3's TestBatchingBitIdentical is the same contract for the
-// geometric-candidate kernel.)
+// chunked map inversion) at several worker counts, with one worker as
+// the reference, and requires bit-identical outcomes at every world
+// size: same cut, same per-vertex partition, same per-rank virtual
+// clocks and message traffic. Host parallelism is a rearrangement of
+// the same arithmetic over statically assigned chunks; any visible
+// difference means a kernel changed an evaluation order or a modeled
+// charge. The kernels' single-threaded oracles live in the coarsen and
+// graph package tests.
 func TestHierarchyBitIdentical(t *testing.T) {
-	// Large enough that hierarchy construction crosses the parallel size
-	// gates (contract >= 2048 verts, builder >= 4096 records) on the
-	// finer levels without any test-hook gate lowering.
+	// Large enough that hierarchy construction forks (contraction chunks
+	// >= 1024 vertices, builder >= 4096 records) on the finer levels.
 	g := gen.Grid2D(96, 96)
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer coarsen.SetParallel(coarsen.SetParallel(false))
-			defer graph.SetParallelBuild(graph.SetParallelBuild(false))
-			serial := Partition(g.G, p, DefaultOptions(42))
-			coarsen.SetParallel(true)
-			graph.SetParallelBuild(true)
-			for _, w := range []int{1, 2, 8} {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+			ref := Partition(g.G, p, DefaultOptions(42))
+			for _, w := range []int{2, 8} {
+				hostpar.SetWorkers(w)
 				par := Partition(g.G, p, DefaultOptions(42))
-				if par.Cut != serial.Cut {
-					t.Errorf("workers %d: cut differs: parallel %d serial %d", w, par.Cut, serial.Cut)
+				if par.Cut != ref.Cut {
+					t.Errorf("workers %d: cut differs: got %d, 1 worker %d", w, par.Cut, ref.Cut)
 				}
-				if len(par.Part) != len(serial.Part) {
-					t.Fatalf("workers %d: partition length differs: %d vs %d", w, len(par.Part), len(serial.Part))
+				if len(par.Part) != len(ref.Part) {
+					t.Fatalf("workers %d: partition length differs: %d vs %d", w, len(par.Part), len(ref.Part))
 				}
 				for v := range par.Part {
-					if par.Part[v] != serial.Part[v] {
-						t.Fatalf("workers %d: vertex %d assigned to part %d parallel, %d serial",
-							w, v, par.Part[v], serial.Part[v])
+					if par.Part[v] != ref.Part[v] {
+						t.Fatalf("workers %d: vertex %d assigned to part %d, 1 worker %d",
+							w, v, par.Part[v], ref.Part[v])
 					}
 				}
-				if len(par.Stats) != len(serial.Stats) {
-					t.Fatalf("workers %d: stats length differs: %d vs %d", w, len(par.Stats), len(serial.Stats))
+				if len(par.Stats) != len(ref.Stats) {
+					t.Fatalf("workers %d: stats length differs: %d vs %d", w, len(par.Stats), len(ref.Stats))
 				}
 				for r := range par.Stats {
-					a, b := par.Stats[r], serial.Stats[r]
+					a, b := par.Stats[r], ref.Stats[r]
 					if a.Time != b.Time || a.CommTime != b.CommTime {
-						t.Errorf("workers %d rank %d clocks differ: parallel (%v, %v) serial (%v, %v)",
+						t.Errorf("workers %d rank %d clocks differ: got (%v, %v), 1 worker (%v, %v)",
 							w, r, a.Time, a.CommTime, b.Time, b.CommTime)
 					}
 					if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-						t.Errorf("workers %d rank %d traffic differs: parallel (%d msg, %d B) serial (%d msg, %d B)",
+						t.Errorf("workers %d rank %d traffic differs: got (%d msg, %d B), 1 worker (%d msg, %d B)",
 							w, r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
 					}
 				}

@@ -8,15 +8,15 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestHighPEnginesBitIdentical extends the PR 7 replay-mode contract to
-// the high-P engine of this PR: the fan-in collective rendezvous, the
-// ring mailboxes, and the rank arena are pure host-performance
-// machinery, so the full pipeline must produce bit-identical cuts,
-// partitions, virtual clocks, and message traffic across collective
-// engines and replay modes — at the suite's upper communicator sizes,
-// where the fan-in chunked scan and the pending-ring growth paths
-// actually engage. The reference is the legacy engine under
-// goroutine-per-rank replay.
+// TestHighPEnginesBitIdentical extends the replay-mode contract to the
+// high-P machinery: the fan-in collective rendezvous, the ring
+// mailboxes, and the rank arena are pure host-performance machinery, so
+// the full pipeline must produce bit-identical cuts, partitions,
+// virtual clocks, and message traffic under both replay modes — at the
+// suite's upper communicator sizes, where the fan-in chunked scan and
+// the pending-ring growth paths actually engage. The reference is
+// goroutine-per-rank replay; mpi.TestCollectiveClocksGolden pins the
+// collective clocks themselves.
 func TestHighPEnginesBitIdentical(t *testing.T) {
 	cases := []struct {
 		p    int
@@ -30,33 +30,28 @@ func TestHighPEnginesBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("P%d", tc.p), func(t *testing.T) {
 			g := gen.Grid2D(tc.side, tc.side)
-			defer mpi.SetCollectiveEngine(mpi.SetCollectiveEngine(mpi.CollectivesLegacy))
 			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			ref := Partition(g.G, tc.p, DefaultOptions(42))
-			mpi.SetCollectiveEngine(mpi.CollectivesFanin)
-			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-				mpi.SetReplayMode(mode)
-				got := Partition(g.G, tc.p, DefaultOptions(42))
-				tag := fmt.Sprintf("fanin replay=%s", mode)
-				if got.Cut != ref.Cut {
-					t.Errorf("%s: cut differs: got %d legacy %d", tag, got.Cut, ref.Cut)
+			mpi.SetReplayMode(mpi.ReplayBatched)
+			got := Partition(g.G, tc.p, DefaultOptions(42))
+			if got.Cut != ref.Cut {
+				t.Errorf("batched replay: cut differs: got %d goroutine %d", got.Cut, ref.Cut)
+			}
+			for v := range got.Part {
+				if got.Part[v] != ref.Part[v] {
+					t.Fatalf("batched replay: vertex %d assigned to part %d, goroutine %d",
+						v, got.Part[v], ref.Part[v])
 				}
-				for v := range got.Part {
-					if got.Part[v] != ref.Part[v] {
-						t.Fatalf("%s: vertex %d assigned to part %d, legacy %d",
-							tag, v, got.Part[v], ref.Part[v])
-					}
+			}
+			for r := range got.Stats {
+				a, b := got.Stats[r], ref.Stats[r]
+				if a.Time != b.Time || a.CommTime != b.CommTime {
+					t.Errorf("batched replay rank %d clocks differ: got (%v, %v) goroutine (%v, %v)",
+						r, a.Time, a.CommTime, b.Time, b.CommTime)
 				}
-				for r := range got.Stats {
-					a, b := got.Stats[r], ref.Stats[r]
-					if a.Time != b.Time || a.CommTime != b.CommTime {
-						t.Errorf("%s rank %d clocks differ: got (%v, %v) legacy (%v, %v)",
-							tag, r, a.Time, a.CommTime, b.Time, b.CommTime)
-					}
-					if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-						t.Errorf("%s rank %d traffic differs: got (%d msg, %d B) legacy (%d msg, %d B)",
-							tag, r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
-					}
+				if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
+					t.Errorf("batched replay rank %d traffic differs: got (%d msg, %d B) goroutine (%d msg, %d B)",
+						r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
 				}
 			}
 		})

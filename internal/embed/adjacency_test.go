@@ -85,6 +85,11 @@ func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, views []*Dist
 		if !slices.Equal(start, wantStart) || !slices.Equal(slot, wantSlot) {
 			t.Fatalf("%s rank %d: adjacency differs from the map-based resolution", name, r)
 		}
+		for i, id := range d.OwnedIDs {
+			if li, ok := d.LocalSlot(id); !ok || li != int32(i) {
+				t.Fatalf("%s rank %d: LocalSlot(%d) = %d, %v; want %d", name, r, id, li, ok, i)
+			}
+		}
 		owned += len(d.OwnedIDs)
 	}
 	if owned != g.NumVertices() {
@@ -94,14 +99,18 @@ func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, views []*Dist
 
 // TestSplitCoordsAdjacencyMatchesOracle: SplitCoords resolves each
 // view's adjacency where it decides ownership, without building the
-// per-id indexes, and the result equals the map-based resolution.
+// ghost index, lists owned ids in the ascending order LocalSlot's binary
+// search needs, and the result equals the map-based resolution.
 func TestSplitCoordsAdjacencyMatchesOracle(t *testing.T) {
 	for name, g := range adjacencyGraphs() {
 		for _, p := range []int{1, 4, 64, 256} {
 			views := SplitCoords(g.G, g.Coords, p)
 			for r, d := range views {
-				if d.localSlot != nil || d.ghostSlot != nil {
+				if d.ghostSlot != nil {
 					t.Fatalf("%s P=%d rank %d: SplitCoords built a per-rank map", name, p, r)
+				}
+				if !slices.IsSorted(d.OwnedIDs) {
+					t.Fatalf("%s P=%d rank %d: OwnedIDs not ascending", name, p, r)
 				}
 			}
 			checkAgainstOracle(t, fmt.Sprintf("%s P=%d", name, p), g.G, views)
@@ -111,7 +120,7 @@ func TestSplitCoordsAdjacencyMatchesOracle(t *testing.T) {
 
 // TestParallelEmbedAdjacencyMatchesOracle: the embedding's final views
 // carry the adjacency its level state resolved, equal to the map-based
-// resolution, and build no owned-id map.
+// resolution, with owned ids in ascending order.
 func TestParallelEmbedAdjacencyMatchesOracle(t *testing.T) {
 	ps := []int{1, 4, 64, 256}
 	if testing.Short() {
@@ -125,8 +134,8 @@ func TestParallelEmbedAdjacencyMatchesOracle(t *testing.T) {
 				views[c.Rank()] = ParallelEmbed(c, h, ParallelOptions{Seed: 3, IterCoarsest: 10, IterSmooth: 2})
 			})
 			for r, d := range views {
-				if d.localSlot != nil {
-					t.Fatalf("%s P=%d rank %d: ParallelEmbed built an owned-id map", name, p, r)
+				if !slices.IsSorted(d.OwnedIDs) {
+					t.Fatalf("%s P=%d rank %d: OwnedIDs not ascending", name, p, r)
 				}
 			}
 			checkAgainstOracle(t, fmt.Sprintf("%s P=%d", name, p), g.G, views)

@@ -707,7 +707,10 @@ func cbrt(x float64) float64 {
 // partitioner: this rank's owned vertices with final coordinates, plus
 // (possibly one block stale) coordinates for every ghost neighbour.
 type Distributed struct {
-	Lat      *Lattice
+	Lat *Lattice
+	// OwnedIDs is in ascending vertex order, which LocalSlot's binary
+	// search relies on: every embedding level lists its owned points by
+	// id, and SplitCoords fills each rank's list in vertex order.
 	OwnedIDs []int32
 	OwnedPos []geometry.Vec2
 	GhostIDs []int32
@@ -719,7 +722,6 @@ type Distributed struct {
 	adjSlot  []int32
 
 	ghostSlot map[int32]int32
-	localSlot map[int32]int32
 }
 
 // finish freezes the level state into a Distributed embedding after a
@@ -804,23 +806,16 @@ func (d *Distributed) Owns(id int32) bool {
 	return ok
 }
 
-// LocalSlot returns the OwnedIDs/OwnedPos index of an owned vertex.
-// The index is built on first use: the few per-id lookups (strip and
-// full-cut flips) are all that need it, so no constructor builds it.
+// LocalSlot returns the OwnedIDs/OwnedPos index of an owned vertex, by
+// binary search over the ascending OwnedIDs.
 func (d *Distributed) LocalSlot(id int32) (int32, bool) {
-	if d.localSlot == nil {
-		d.localSlot = make(map[int32]int32, len(d.OwnedIDs))
-		for i, v := range d.OwnedIDs {
-			d.localSlot[v] = int32(i)
-		}
-	}
-	li, ok := d.localSlot[id]
-	return li, ok
+	li, ok := slices.BinarySearch(d.OwnedIDs, id)
+	return int32(li), ok
 }
 
-// GhostSlot returns the GhostIDs/GhostPos index of a ghost vertex. Like
-// LocalSlot, the index is built on first use unless the constructor
-// already had it.
+// GhostSlot returns the GhostIDs/GhostPos index of a ghost vertex.
+// Ghosts are in first-encounter order, so the index is a map, built on
+// first use unless the constructor already had it.
 func (d *Distributed) GhostSlot(id int32) (int32, bool) {
 	if d.ghostSlot == nil {
 		d.ghostSlot = make(map[int32]int32, len(d.GhostIDs))

@@ -2,38 +2,10 @@ package geopart
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/geometry"
 	"repro/internal/graph"
 )
-
-// rcbModelVersion selects ParallelRCB's cost model. Version 1 is the
-// historical model — one coordinate scan plus one short reduction,
-// which under-charges real RCB so badly that Figure 4's crossover
-// never appears. Version 2 (the default) is Zoltan-faithful: per
-// recursion level a median bisection search (iterated local scans,
-// each closed by a short reduction over the shrinking process group)
-// plus per-vertex coordinate migration. Partition results are
-// bit-identical across versions; only modeled clocks differ.
-var rcbModelVersion atomic.Int32
-
-func init() { rcbModelVersion.Store(2) }
-
-// SetRCBModel selects the RCB cost-model version (1 or 2) and returns
-// the previous setting. Test hook and CLI escape hatch; bench cache
-// keys fingerprint the current version.
-func SetRCBModel(v int) int {
-	if v != 1 && v != 2 {
-		panic(fmt.Sprintf("geopart: unknown RCB cost-model version %d", v))
-	}
-	prev := rcbModelVersion.Load()
-	rcbModelVersion.Store(int32(v))
-	return int(prev)
-}
-
-// RCBModel reports the active RCB cost-model version.
-func RCBModel() int { return int(rcbModelVersion.Load()) }
 
 // RCBBisect computes a recursive-coordinate-bisection style single cut:
 // the median plane orthogonal to the wider coordinate extent, exactly

@@ -53,9 +53,7 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	}
 	ec.release()
 	c.Charge(float64(nOwn) * 3)
-	if rcbModelVersion.Load() >= 2 {
-		chargeZoltanRCB(c, g.NumVertices(), nOwn)
-	}
+	chargeZoltanRCB(c, g.NumVertices(), nOwn)
 	global := mpi.AllReduceSlice(c, []int64{cut, w0, w1}, 8, mpi.SumInt64)
 	res := &ParallelResult{
 		OwnedIDs:  d.OwnedIDs,
@@ -132,15 +130,15 @@ func rcbMedian(sample []sampleEntry) rcbPlane {
 	return pl
 }
 
-// chargeZoltanRCB charges the cost a real Zoltan RCB run pays that the
-// version-1 model omitted: at every recursion level (log2 P levels for
-// a P-way decomposition) the median is located by bisection — each
+// chargeZoltanRCB charges the cost a real Zoltan RCB run pays beyond
+// one scan and one reduction: at every recursion level (log2 P levels
+// for a P-way decomposition) the median is located by bisection — each
 // iteration rescans the local coordinates and closes with a short
 // 3-double reduction over the process group active at that level — and
 // once the median is fixed, every local vertex's coordinate record
-// migrates to its new owner half. The version-1 model charged one scan
-// and one reduction total, which is why modeled RCB undercut SP-PG at
-// every P (the vanished Figure 4 crossover); real RCB pays
+// migrates to its new owner half. A model that charged only one scan
+// and one reduction had modeled RCB undercut SP-PG at every P (the
+// vanished Figure 4 crossover, EXPERIMENTS.md); real RCB pays
 // O(log P · iters) collective latencies plus O(n/P) migration per
 // level, and at high P the latency term dominates exactly as the paper
 // observes.

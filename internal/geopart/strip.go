@@ -1,6 +1,8 @@
 package geopart
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/embed"
@@ -87,10 +89,8 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 	}
 	var out outcome
 	if c.Rank() == 0 {
-		sideOfMap := make(map[int32]int8, len(all))
 		var free []int32
 		for _, rec := range all {
-			sideOfMap[rec.ID] = rec.Side
 			if rec.Strip {
 				free = append(free, rec.ID)
 			}
@@ -98,12 +98,16 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 		out.SideW = res.SideW
 		out.StripSize = len(free)
 		if len(free) > 0 {
+			// all is sorted by id and each vertex appears once (its owner
+			// gathered it), so a side lookup is a binary search.
 			prob, ids := refine.BuildSubproblem(g, free, func(id int32) int8 {
-				s, ok := sideOfMap[id]
+				k, ok := slices.BinarySearchFunc(all, id, func(r stripRecord, id int32) int {
+					return cmp.Compare(r.ID, id)
+				})
 				if !ok {
 					panic("geopart: strip neighbour missing from gathered ring")
 				}
-				return s
+				return all[k].Side
 			}, res.SideW, totalW, cfg.BalanceTol, cfg.FMPasses)
 			before := append([]int8(nil), prob.Side...)
 			out.Gain = prob.Run()

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates undirected edges and produces a validated CSR
 // Graph. Duplicate edges are merged (summing weights) and self-loops
@@ -61,88 +58,6 @@ func (b *Builder) SetVertexWeight(v int32, w int32) {
 		}
 	}
 	b.vwgt[v] = w
-}
-
-// Build produces the CSR graph. The builder remains usable (more edges
-// may be added and Build called again). Large builds route to the
-// parallel per-vertex bucket path (see builder_par.go) unless
-// SetParallelBuild disabled it; the two paths are bit-identical.
-func (b *Builder) Build() *Graph {
-	if parallelBuild.Load() && len(b.us) >= parallelBuildMinEdges {
-		return b.buildParallel()
-	}
-	return b.buildSerial()
-}
-
-// buildSerial is the legacy global sort-and-merge path, kept verbatim
-// as the reference the parallel path is tested against.
-func (b *Builder) buildSerial() *Graph {
-	// Sort edge records by (u, v) to merge duplicates.
-	idx := make([]int32, len(b.us))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, c := idx[i], idx[j]
-		if b.us[a] != b.us[c] {
-			return b.us[a] < b.us[c]
-		}
-		return b.vs[a] < b.vs[c]
-	})
-	type rec struct {
-		u, v, w int32
-	}
-	merged := make([]rec, 0, len(idx))
-	for _, k := range idx {
-		u, v, w := b.us[k], b.vs[k], b.ws[k]
-		if len(merged) > 0 && merged[len(merged)-1].u == u && merged[len(merged)-1].v == v {
-			merged[len(merged)-1].w += w
-			continue
-		}
-		merged = append(merged, rec{u, v, w})
-	}
-	// Count degrees (each undirected edge contributes to both rows).
-	xadj := make([]int32, b.n+1)
-	for _, e := range merged {
-		xadj[e.u+1]++
-		xadj[e.v+1]++
-	}
-	for i := 0; i < b.n; i++ {
-		xadj[i+1] += xadj[i]
-	}
-	adj := make([]int32, xadj[b.n])
-	var ewgt []int32
-	weighted := b.wsAny
-	if !weighted {
-		// Duplicate merging may have produced non-unit weights.
-		for _, e := range merged {
-			if e.w != 1 {
-				weighted = true
-				break
-			}
-		}
-	}
-	if weighted {
-		ewgt = make([]int32, len(adj))
-	}
-	cursor := append([]int32(nil), xadj[:b.n]...)
-	for _, e := range merged {
-		adj[cursor[e.u]] = e.v
-		if weighted {
-			ewgt[cursor[e.u]] = e.w
-		}
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		if weighted {
-			ewgt[cursor[e.v]] = e.w
-		}
-		cursor[e.v]++
-	}
-	g := &Graph{XAdj: xadj, Adjncy: adj, EWgt: ewgt}
-	if b.vwgt != nil {
-		g.VWgt = append([]int32(nil), b.vwgt...)
-	}
-	return g
 }
 
 // FromEdges is a convenience constructor building an unweighted graph

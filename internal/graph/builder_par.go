@@ -3,56 +3,25 @@ package graph
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hostpar"
 )
 
-// Parallel CSR assembly: instead of one global O(E log E) sort.Slice
-// over every edge record, edges are bucketed per endpoint (two directed
-// arcs per undirected record), each vertex's bucket is sorted and
+// Parallel CSR assembly: instead of one global O(E log E) sort over
+// every edge record, edges are bucketed per endpoint (two directed arcs
+// per undirected record), each vertex's bucket is sorted and
 // duplicate-merged independently — embarrassingly parallel over
 // vertices — and rows are written straight into their final offsets.
 //
-// The output is provably bit-identical to the legacy path: the legacy
-// sort-and-merge emits, for every vertex, its unique neighbours in
-// ascending order with duplicate weights summed (int32 addition is
-// order-insensitive), which is exactly what the per-bucket sort
-// produces. The determinism tests flip SetParallelBuild to prove it.
+// A global sort-and-merge emits, for every vertex, its unique
+// neighbours in ascending order with duplicate weights summed (int32
+// addition is order-insensitive), which is exactly what the per-bucket
+// sort produces; builder_par_test.go keeps that sort-and-merge as the
+// oracle.
 
-// parallelBuild gates the parallel path; disabled, Build runs the
-// original global sort-and-merge.
-var parallelBuild atomic.Bool
-
-func init() { parallelBuild.Store(true) }
-
-// SetParallelBuild enables or disables the parallel Build path and
-// returns the previous setting. Test hook: the parallel path must never
-// change results, and the determinism tests prove it by flipping this
-// switch.
-func SetParallelBuild(on bool) bool {
-	prev := parallelBuild.Load()
-	parallelBuild.Store(on)
-	return prev
-}
-
-// ParallelBuild reports whether the parallel Build path is enabled.
-// Cache keys that fingerprint process-global knobs read it.
-func ParallelBuild() bool { return parallelBuild.Load() }
-
-// parallelBuildMinEdges is the record count below which the serial path
-// is cheaper than forking. A var so package tests can force tiny builds
-// through the parallel path.
-var parallelBuildMinEdges = 4096
-
-// SetParallelBuildMinEdges adjusts the size gate below which Build stays
-// serial and returns the previous value. Test hook: lets determinism
-// tests in other packages force tiny builds through the parallel path.
-func SetParallelBuildMinEdges(n int) int {
-	prev := parallelBuildMinEdges
-	parallelBuildMinEdges = n
-	return prev
-}
+// forkMinEdges is the record count below which a build runs in one
+// chunk: forking costs more than it saves on small graphs.
+const forkMinEdges = 4096
 
 // builderGrain is the minimum vertices per parallel chunk.
 const builderGrain = 512
@@ -66,8 +35,7 @@ func arcTarget(a int64) int32 { return int32(a >> 32) }
 func arcWeight(a int64) int32 { return int32(uint32(a)) }
 
 // dedupArcs merges adjacent same-target entries of a sorted packed-arc
-// slice in place, summing weights with int32 wraparound (matching the
-// legacy merge), and reports the unique count and whether any merged
+// slice in place, summing weights with int32 wraparound, and reports the unique count and whether any merged
 // weight differs from 1.
 func dedupArcs(seg []int64) (uniq int, anyNot1 bool) {
 	if len(seg) == 0 {
@@ -92,7 +60,7 @@ func dedupArcs(seg []int64) (uniq int, anyNot1 bool) {
 	return uniq, anyNot1
 }
 
-// buildScratch is the pooled working set of one parallel build.
+// buildScratch is the pooled working set of one build.
 type buildScratch struct {
 	arcs   []int64 // packed directed arcs, bucketed by source
 	start  []int32 // bucket offsets, len n+1
@@ -109,8 +77,10 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// buildParallel assembles the CSR graph with per-vertex bucket sorts.
-func (b *Builder) buildParallel() *Graph {
+// Build produces the CSR graph with per-vertex bucket sorts. The
+// builder remains usable (more edges may be added and Build called
+// again).
+func (b *Builder) Build() *Graph {
 	n := b.n
 	nArcs := 2 * len(b.us)
 	sc := buildScratchPool.Get().(*buildScratch)
@@ -140,6 +110,9 @@ func (b *Builder) buildParallel() *Graph {
 	// Sort and merge every vertex's bucket independently; cursor[u]
 	// becomes the unique-neighbour count of u.
 	nc := hostpar.NumChunks(n, builderGrain)
+	if len(b.us) < forkMinEdges {
+		nc = min(nc, 1)
+	}
 	sc.flags = grow(sc.flags, nc)
 	flags := sc.flags
 	hostpar.ForN(n, nc, func(c, lo, hi int) {

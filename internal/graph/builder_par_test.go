@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/hostpar"
@@ -30,6 +31,77 @@ func randomBuilder(n, records int, weighted bool, seed int64) *Builder {
 		}
 	}
 	return b
+}
+
+// buildSerial is the original global sort-and-merge build, kept
+// verbatim as the oracle the bucket build is tested against.
+func (b *Builder) buildSerial() *Graph {
+	// Sort edge records by (u, v) to merge duplicates.
+	idx := make([]int32, len(b.us))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(i, j int) bool {
+		a, c := idx[i], idx[j]
+		if b.us[a] != b.us[c] {
+			return b.us[a] < b.us[c]
+		}
+		return b.vs[a] < b.vs[c]
+	})
+	type rec struct {
+		u, v, w int32
+	}
+	merged := make([]rec, 0, len(idx))
+	for _, k := range idx {
+		u, v, w := b.us[k], b.vs[k], b.ws[k]
+		if len(merged) > 0 && merged[len(merged)-1].u == u && merged[len(merged)-1].v == v {
+			merged[len(merged)-1].w += w
+			continue
+		}
+		merged = append(merged, rec{u, v, w})
+	}
+	// Count degrees (each undirected edge contributes to both rows).
+	xadj := make([]int32, b.n+1)
+	for _, e := range merged {
+		xadj[e.u+1]++
+		xadj[e.v+1]++
+	}
+	for i := 0; i < b.n; i++ {
+		xadj[i+1] += xadj[i]
+	}
+	adj := make([]int32, xadj[b.n])
+	var ewgt []int32
+	weighted := b.wsAny
+	if !weighted {
+		// Duplicate merging may have produced non-unit weights.
+		for _, e := range merged {
+			if e.w != 1 {
+				weighted = true
+				break
+			}
+		}
+	}
+	if weighted {
+		ewgt = make([]int32, len(adj))
+	}
+	cursor := append([]int32(nil), xadj[:b.n]...)
+	for _, e := range merged {
+		adj[cursor[e.u]] = e.v
+		if weighted {
+			ewgt[cursor[e.u]] = e.w
+		}
+		cursor[e.u]++
+		adj[cursor[e.v]] = e.u
+		if weighted {
+			ewgt[cursor[e.v]] = e.w
+		}
+		cursor[e.v]++
+	}
+	g := &Graph{XAdj: xadj, Adjncy: adj, EWgt: ewgt}
+	if b.vwgt != nil {
+		g.VWgt = append([]int32(nil), b.vwgt...)
+	}
+	return g
 }
 
 func graphsEqual(t *testing.T, tag string, a, b *Graph) {
@@ -60,13 +132,11 @@ func int32SlicesEqual(a, b []int32) bool {
 	return true
 }
 
-// TestParallelBuildBitIdentical compares the parallel bucket path
-// against the legacy sort-and-merge on dense, sparse, weighted, and
+// TestParallelBuildBitIdentical compares the bucket build against the
+// global sort-and-merge oracle on dense, sparse, weighted, and
 // unweighted inputs across worker counts — CSR arrays, weight arrays,
 // and weightedness detection must agree bit-for-bit.
 func TestParallelBuildBitIdentical(t *testing.T) {
-	defer func(m int) { parallelBuildMinEdges = m }(parallelBuildMinEdges)
-	parallelBuildMinEdges = 1 // force even tiny builds through the parallel path
 	cases := []struct {
 		n, records int
 		weighted   bool
@@ -81,9 +151,7 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		b := randomBuilder(tc.n, tc.records, tc.weighted, int64(1000+ci))
-		defer SetParallelBuild(SetParallelBuild(false))
-		want := b.Build() // legacy reference
-		SetParallelBuild(true)
+		want := b.buildSerial()
 		for _, w := range []int{1, 2, 8} {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(w))
 			got := b.Build()
@@ -96,8 +164,6 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 // records of the same edge merge to weight 2, which must flip the graph
 // to weighted on both paths.
 func TestParallelBuildUnitWeightMergeStaysWeighted(t *testing.T) {
-	defer func(m int) { parallelBuildMinEdges = m }(parallelBuildMinEdges)
-	parallelBuildMinEdges = 1
 	mk := func() *Builder {
 		b := NewBuilder(4)
 		b.AddEdge(0, 1)
@@ -105,12 +171,10 @@ func TestParallelBuildUnitWeightMergeStaysWeighted(t *testing.T) {
 		b.AddEdge(2, 3)
 		return b
 	}
-	defer SetParallelBuild(SetParallelBuild(false))
-	want := mk().Build()
-	SetParallelBuild(true)
+	want := mk().buildSerial()
 	got := mk().Build()
 	if want.EWgt == nil || got.EWgt == nil {
-		t.Fatalf("merged duplicate should force weights: legacy nil=%v parallel nil=%v", want.EWgt == nil, got.EWgt == nil)
+		t.Fatalf("merged duplicate should force weights: oracle nil=%v bucket nil=%v", want.EWgt == nil, got.EWgt == nil)
 	}
 	graphsEqual(t, "unit merge", want, got)
 }
@@ -142,24 +206,15 @@ func TestParallelBuildSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state parallel Build: %.1f mallocs per call", perCall)
 }
 
-// BenchmarkBuilderBuild measures CSR assembly with the legacy global
-// sort and the parallel bucket path.
+// BenchmarkBuilderBuild measures CSR assembly on the bucket path.
 func BenchmarkBuilderBuild(b *testing.B) {
 	bld := randomBuilder(1<<17, 1<<20, false, 11)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"parallel", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetParallelBuild(SetParallelBuild(mode.on))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g := bld.Build()
-				if g.NumVertices() != 1<<17 {
-					b.Fatal("bad build")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := bld.Build()
+		if g.NumVertices() != 1<<17 {
+			b.Fatal("bad build")
+		}
 	}
 }

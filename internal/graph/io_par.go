@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/hostpar"
 )
@@ -18,26 +17,12 @@ import (
 // classification, and per-line tokenise/parse all chunked over the
 // hostpar substrate at line boundaries, with a deterministic merge of
 // the per-chunk arc buffers in file order. The per-token fast path
-// replaces the Scanner + strings.Fields + strconv.Atoi stack (the old
+// replaces a Scanner + strings.Fields + strconv.Atoi stack (the old
 // 34 MB/s wall); any irregular token falls back to strconv so every
-// error string matches the serial readers byte for byte, and the
-// assembled entry list is handed to the same Builder the serial path
-// uses, so the resulting Graph is bit-identical. SetParallelParse
-// restores the legacy streaming readers (kept verbatim in io.go) for
-// differential tests.
-
-var parallelParse atomic.Bool
-
-func init() { parallelParse.Store(true) }
-
-// SetParallelParse toggles the byte-slice parallel parsing path of
-// ReadMETIS and ReadMatrixMarket, returning the previous setting. The
-// serial readers are kept verbatim as the reference the parallel path
-// is differentially tested against.
-func SetParallelParse(on bool) bool { return parallelParse.Swap(on) }
-
-// ParallelParse reports whether parallel parsing is enabled.
-func ParallelParse() bool { return parallelParse.Load() }
+// error string matches the streaming readers byte for byte, and the
+// assembled entry list is handed to the Builder, so the resulting
+// Graph is bit-identical. The streaming readers are kept verbatim in
+// io_serial_test.go as the differential oracle.
 
 const (
 	// parseGrainBytes is the minimum bytes per newline-index chunk.

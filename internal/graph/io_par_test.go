@@ -15,13 +15,11 @@ import (
 // the parallel result.
 func parseBoth(t *testing.T, data []byte, mm bool) (*graph.Graph, error) {
 	t.Helper()
-	read := graph.ReadMETIS
+	read, oracle := graph.ReadMETIS, graph.ReadMETISSerial
 	if mm {
-		read = graph.ReadMatrixMarket
+		read, oracle = graph.ReadMatrixMarket, graph.ReadMatrixMarketSerial
 	}
-	graph.SetParallelParse(false)
-	sg, serr := read(bytes.NewReader(data))
-	graph.SetParallelParse(true)
+	sg, serr := oracle(bytes.NewReader(data))
 	pg, perr := read(bytes.NewReader(data))
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error mismatch: serial=%v parallel=%v\ninput: %q", serr, perr, data)
@@ -111,7 +109,6 @@ var metisCases = []struct {
 }
 
 func TestParallelMETISMatchesSerial(t *testing.T) {
-	defer graph.SetParallelParse(graph.SetParallelParse(true))
 	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	for _, w := range []int{1, 2, 8} {
 		hostpar.SetWorkers(w)
@@ -148,7 +145,6 @@ var mmCases = []struct {
 }
 
 func TestParallelMatrixMarketMatchesSerial(t *testing.T) {
-	defer graph.SetParallelParse(graph.SetParallelParse(true))
 	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	for _, w := range []int{1, 2, 8} {
 		hostpar.SetWorkers(w)
@@ -200,10 +196,7 @@ func FuzzReadMETISParallel(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		defer graph.SetParallelParse(graph.SetParallelParse(true))
-		graph.SetParallelParse(false)
-		sg, serr := graph.ReadMETIS(bytes.NewReader(data))
-		graph.SetParallelParse(true)
+		sg, serr := graph.ReadMETISSerial(bytes.NewReader(data))
 		pg, perr := graph.ReadMETIS(bytes.NewReader(data))
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("error mismatch: serial=%v parallel=%v", serr, perr)
@@ -228,10 +221,7 @@ func FuzzReadMatrixMarketParallel(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		defer graph.SetParallelParse(graph.SetParallelParse(true))
-		graph.SetParallelParse(false)
-		sg, serr := graph.ReadMatrixMarket(bytes.NewReader(data))
-		graph.SetParallelParse(true)
+		sg, serr := graph.ReadMatrixMarketSerial(bytes.NewReader(data))
 		pg, perr := graph.ReadMatrixMarket(bytes.NewReader(data))
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("error mismatch: serial=%v parallel=%v", serr, perr)

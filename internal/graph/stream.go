@@ -20,7 +20,7 @@ import (
 // Edge semantics match Builder exactly — self-loops dropped, {u,v}
 // recorded once regardless of orientation, duplicate weights summed,
 // EWgt materialised iff some surviving weight differs from 1 — and the
-// per-vertex sort/dedup tail is the buildParallel one, so the result
+// per-vertex sort/dedup tail is the Builder one, so the result
 // is bit-identical to feeding the same stream through NewBuilder/Build
 // at any worker count.
 func BuildStreamed(n int, emit func(add func(u, v, w int32))) *Graph {
@@ -66,7 +66,7 @@ func BuildStreamed(n int, emit func(add func(u, v, w int32))) *Graph {
 	if replayed != kept {
 		panic(fmt.Sprintf("graph: BuildStreamed emit not deterministic: %d edges then %d", kept, replayed))
 	}
-	// The buildParallel tail: sort and merge every vertex's bucket
+	// The Builder tail: sort and merge every vertex's bucket
 	// independently, then write rows at their final offsets.
 	nc := hostpar.NumChunks(n, builderGrain)
 	flags := make([]bool, nc)

@@ -46,7 +46,7 @@ func deriveSum(parts [][]float64) *sumCells {
 // collective, and every rank receives the very value it returned.
 func TestAllGatherWithDerivesOnce(t *testing.T) {
 	const rounds = 3
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			var calls atomic.Int32
 			got := make([][rounds]*sumCells, p)
@@ -114,7 +114,7 @@ func TestAllGatherWithMatchesAllGather(t *testing.T) {
 		}
 		return run{sums, stats, events}
 	}
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			want, got := body(false, p), body(true, p)
 			if !reflect.DeepEqual(got.sums, want.sums) {
@@ -136,7 +136,7 @@ func TestAllGatherWithMatchesAllGather(t *testing.T) {
 // through RunChecked promptly — every parked rank is woken by the
 // abort — rather than hanging until the watchdog.
 func TestAllGatherWithPanickingDerive(t *testing.T) {
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range []int{1, 4, 64} {
 			start := time.Now()
 			_, err := RunChecked(p, DefaultModel(), func(c *Comm) {

@@ -23,15 +23,8 @@ func gatherPayload(r, k int) []int32 {
 	return out
 }
 
-// forEachEngine runs fn once under each collective engine.
-func forEachEngine(t *testing.T, fn func(t *testing.T)) {
-	for _, e := range []CollectiveEngine{CollectivesFanin, CollectivesLegacy} {
-		t.Run(e.String(), func(t *testing.T) {
-			defer SetCollectiveEngine(SetCollectiveEngine(e))
-			fn(t)
-		})
-	}
-}
+// The *With tests run their bodies as a "fanin" subtest, named for the
+// fan-in collective engine every collective runs on.
 
 // gatherSizes are the world sizes the AllGatherVWith tests sweep.
 func gatherSizes() []int {
@@ -45,7 +38,7 @@ func gatherSizes() []int {
 // collective, and every rank receives the very value it returned.
 func TestAllGatherVWithDerivesOnce(t *testing.T) {
 	const rounds = 3
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			var calls atomic.Int32
 			got := make([][rounds]*[]int32, p)
@@ -115,7 +108,7 @@ func TestAllGatherVWithMatchesAllGatherV(t *testing.T) {
 			return run{data, stats, events}
 		}
 	}
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			want, got := body(false)(p), body(true)(p)
 			if !reflect.DeepEqual(got.data, want.data) {
@@ -141,7 +134,7 @@ func TestAllGatherVWithSeesTruncatedPayload(t *testing.T) {
 	// Event 0 is AllGatherV's size exchange, event 1 the gather itself.
 	plan := NewFaultPlan().Truncate(2, 1)
 	payload := func(r int) []int32 { return []int32{int32(r), int32(r), int32(r), int32(r)} }
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		m := DefaultModel()
 		m.Faults = plan
 		var plain [][]int32
@@ -171,7 +164,7 @@ func TestAllGatherVWithSeesTruncatedPayload(t *testing.T) {
 // through RunChecked promptly — every parked rank is woken by the
 // abort — rather than hanging until the watchdog.
 func TestAllGatherVWithPanickingDerive(t *testing.T) {
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range []int{1, 4, 64} {
 			start := time.Now()
 			_, err := RunChecked(p, DefaultModel(), func(c *Comm) {

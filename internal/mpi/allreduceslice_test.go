@@ -24,7 +24,7 @@ func reducePayload(r, k int) []int64 {
 // very value it returned.
 func TestAllReduceSliceWithDerivesOnce(t *testing.T) {
 	const rounds = 3
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			var calls atomic.Int32
 			got := make([][rounds]*[]int64, p)
@@ -98,7 +98,7 @@ func TestAllReduceSliceWithMatchesAllReduceSlice(t *testing.T) {
 			return run{data, stats, events}
 		}
 	}
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range gatherSizes() {
 			want, got := body(false)(p), body(true)(p)
 			if !reflect.DeepEqual(got.data, want.data) {
@@ -120,7 +120,7 @@ func TestAllReduceSliceWithMatchesAllReduceSlice(t *testing.T) {
 // run through RunChecked promptly — every parked rank is woken by the
 // abort — rather than hanging until the watchdog.
 func TestAllReduceSliceWithPanickingDerive(t *testing.T) {
-	forEachEngine(t, func(t *testing.T) {
+	t.Run("fanin", func(t *testing.T) {
 		for _, p := range []int{1, 4, 64} {
 			start := time.Now()
 			_, err := RunChecked(p, DefaultModel(), func(c *Comm) {

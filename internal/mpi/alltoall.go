@@ -43,12 +43,10 @@ func AllToAllV[T any](c *Comm, dest [][]T, bytesPerElem int) [][]T {
 // is addressed to it: result[src] = how many elements src sends here.
 // Modeled as an all-to-all of one int32 per pair.
 //
-// Host cost: the fan-in engine's combine transposes the whole count
-// matrix once (hostpar-chunked over destinations), so each rank reads
-// its column directly — O(P²) total instead of the legacy O(P) column
-// extraction per rank (O(P²) per rank, O(P³)-ish pressure at P = 1024).
-// The column values are identical either way; the returned slice is
-// shared read-only between ranks on the fan-in path.
+// Host cost: the combine transposes the whole count matrix once
+// (hostpar-chunked over destinations), so each rank reads its column
+// directly — O(P²) total. The returned slice is shared read-only
+// between ranks.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
 	m := c.Model()
 	cost := collCost{
@@ -58,31 +56,13 @@ func exchangeCounts(c *Comm, counts []int32) []int32 {
 		to:    m.PerPeer * float64(c.size),
 		bytes: 4 * int64(c.size),
 	}
-	if c.world.legacyColl {
-		res := c.runCollective(opAllToAllVCounts, counts, func(vals []any) any {
-			// vals[src][dst]: build the full matrix once; each rank
-			// extracts its column after the collective.
-			matrix := make([][]int32, len(vals))
-			for i, v := range vals {
-				matrix[i] = v.([]int32)
-			}
-			return matrix
-		}, cost)
-		matrix := res.([][]int32)
-		col := make([]int32, c.size)
-		for src := 0; src < c.size; src++ {
-			col[src] = matrix[src][c.rank]
-		}
-		return col
-	}
 	res := c.runCollective(opAllToAllVCounts, counts, transposeCounts, cost)
 	return res.([][]int32)[c.rank]
 }
 
-// transposeCounts is the fan-in combine: cols[dst][src] =
+// transposeCounts is the count exchange's combine: cols[dst][src] =
 // vals[src][dst], built once by the finisher over one flat backing
-// slab. Each rank's column holds exactly the values the legacy path
-// extracted rank-by-rank.
+// slab.
 func transposeCounts(vals []any) any {
 	p := len(vals)
 	rows := make([][]int32, p)

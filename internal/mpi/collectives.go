@@ -16,7 +16,7 @@ import (
 // [3]float64 — are encoded into an inline [4]uint64 slot word instead
 // of boxing through `any`, and the user's operator is applied to the
 // decoded values in exactly the same rank-index order, so the result is
-// bit-identical to the boxed path (TestCollectiveFaninMatchesLegacy
+// bit-identical to the boxed path (TestCollectiveWordPathMatchesBoxed
 // pins this). Worlds with a fault plan always box, because injected
 // payload truncation is defined on boxed contributions.
 

@@ -7,14 +7,14 @@ import (
 	"repro/internal/hostpar"
 )
 
-// The fan-in collective engine (CollectivesFanin).
+// The fan-in collective engine.
 //
-// The legacy rendezvous serializes every rank through one mutex and a
-// sync.Cond broadcast, and each AllReduce boxes its contribution
-// through `any` — O(P) lock handoffs and O(P) allocations per
-// collective, which at P = 1024 made the rendezvous itself the gate on
-// the scale-8 sweep. The fan-in engine replaces it with
-// generation-stamped arrival slots:
+// A rendezvous that serializes every rank through one mutex and a
+// sync.Cond broadcast, boxing each AllReduce contribution through
+// `any`, pays O(P) lock handoffs and O(P) allocations per collective,
+// which at P = 1024 made the rendezvous itself the gate on the scale-8
+// sweep. The fan-in engine uses generation-stamped arrival slots
+// instead:
 //
 //   - Each rank owns slots[rank] and writes its contribution (clock,
 //     declared cost, and either an inline [4]uint64 word payload or a
@@ -24,8 +24,8 @@ import (
 //   - The last arriver is the finisher: it scans the slots for the
 //     clock/cost maxima (hostpar-chunked at large P — exact, since
 //     float max is associative), folds the contributions in rank-index
-//     order (never chunked: bit-identity requires the legacy fold
-//     order), publishes the result, bumps the generation counter, and
+//     order (never chunked: bit-identity requires the rank-order
+//     fold), publishes the result, bumps the generation counter, and
 //     broadcasts the rendezvous cond once.
 //   - Waiters park on the cond and re-check the generation; the
 //     rendezvous mutex guards only the park/wake handshake — never the
@@ -39,9 +39,9 @@ import (
 // every rank — including the slowest reader of the previous result —
 // to arrive again first, so no reader can observe a torn result.
 //
-// Bit-identity with the legacy engine (virtual clocks, combine order,
-// fault positions, trace events) is pinned by
-// TestCollectiveFaninMatchesLegacy up to P = 1024.
+// Virtual clocks, traffic and event counts up to P = 1024 are pinned by
+// TestCollectiveClocksGolden, recorded while a mutex+cond engine was
+// still in the tree and agreed with this one bit for bit.
 
 // collSlot is one rank's contribution to the current generation. The
 // owning rank writes it before its arrival add; only the finisher reads
@@ -214,7 +214,6 @@ func (coll *faninColl) scanMax() (mx, mc float64) {
 
 // faninBoxed is the general fan-in path: contributions box through
 // `any` and combine runs once, in rank-index order, on the finisher.
-// Identical semantics to the legacy rendezvous, minus the mutex/cond.
 func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cost collCost, t0 float64) any {
 	coll := c.world.faninFor(c.size)
 	st := c.state

@@ -27,11 +27,10 @@
 // mailbox slab), point-to-point delivery uses growable message rings
 // with O(1) dequeue instead of per-receiver channels with O(P) buffers,
 // and collectives rendezvous through generation-stamped arrival slots
-// combined once by the last arriver (see collfanin.go; the historical
-// mutex+cond engine is kept behind SetCollectiveEngine for differential
-// testing). All of it is host-side only: modeled clocks, combine order,
-// and traffic are bit-identical across engines, replay modes, and
-// worker counts.
+// combined once by the last arriver (see collfanin.go). All of it is
+// host-side only: modeled clocks, combine order, and traffic are
+// bit-identical across replay modes and worker counts, and
+// testdata/collective_clocks.golden pins the collective clocks.
 //
 // Failure semantics: the runtime is a failure domain, not just a
 // simulator. A rank that panics (or is killed by an injected fault, see
@@ -217,16 +216,9 @@ type World struct {
 	size  int
 	model Model
 
-	// legacyColl is the collective engine sampled at RunChecked: false
-	// selects the fan-in engine (collfanin.go), true the historical
-	// mutex+cond engine (colllegacy.go). A world never changes engine
-	// mid-run.
-	legacyColl bool
-
 	collMu    sync.Mutex
-	colls     map[int]*collective // legacy rendezvous, keyed by communicator size
-	fcolls    map[int]*faninColl  // fan-in rendezvous for sub-communicator sizes
-	worldColl *faninColl          // fan-in rendezvous for the full communicator
+	fcolls    map[int]*faninColl // fan-in rendezvous for sub-communicator sizes
+	worldColl *faninColl         // fan-in rendezvous for the full communicator
 
 	ranks []rankState // the rank arena: one slab, indexed by rank
 	comms []Comm      // the Comm arena: one slab, indexed by rank
@@ -275,15 +267,12 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 		panic("mpi: Run with non-positive size")
 	}
 	w := &World{
-		size:       p,
-		model:      model,
-		legacyColl: Collectives() == CollectivesLegacy,
-		abortCh:    make(chan struct{}),
+		size:      p,
+		model:     model,
+		abortCh:   make(chan struct{}),
+		worldColl: newFaninColl(p),
 	}
 	w.gate = newStepGate(p)
-	if !w.legacyColl {
-		w.worldColl = newFaninColl(p)
-	}
 	var traces []*trace.RankTrace
 	if model.Trace != nil {
 		traces = model.Trace.Attach(p)
@@ -361,7 +350,7 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 	}
 	// A faulted teardown can strand in-flight pooled payloads in
 	// mailboxes and pending rings; return them to their pools so long
-	// fault sweeps keep the pooling ledger balanced (see PoolBalance).
+	// fault sweeps keep the pooling ledger balanced (see poolBalance).
 	// All goroutines are joined, so the rings need no locks here.
 	for i := range w.ranks {
 		st := &w.ranks[i]
@@ -401,33 +390,22 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 }
 
 // abort poisons the world exactly once: the error is recorded, the
-// abort channel unblocks every rank parked in a receive or fan-in
-// collective select, and every legacy collective is broadcast so
-// cond-waiters wake, observe the abort, and tear down. Must not be
-// called while holding a collective's mutex.
+// abort channel unblocks every rank parked in a receive or collective
+// select, and every rendezvous is broadcast so cond-waiters wake,
+// observe the abort, and tear down. Must not be called while holding a
+// collective's mutex.
 func (w *World) abort(err *RankError) {
 	w.abortOnce.Do(func() {
 		w.abortErr.Store(err)
 		w.aborted.Store(true)
 		close(w.abortCh)
 		w.collMu.Lock()
-		colls := make([]*collective, 0, len(w.colls))
-		for _, coll := range w.colls {
-			colls = append(colls, coll)
-		}
 		fcolls := make([]*faninColl, 0, len(w.fcolls)+1)
-		if w.worldColl != nil {
-			fcolls = append(fcolls, w.worldColl)
-		}
+		fcolls = append(fcolls, w.worldColl)
 		for _, fc := range w.fcolls {
 			fcolls = append(fcolls, fc)
 		}
 		w.collMu.Unlock()
-		for _, coll := range colls {
-			coll.mu.Lock()
-			coll.cond.Broadcast()
-			coll.mu.Unlock()
-		}
 		for _, fc := range fcolls {
 			fc.mu.Lock()
 			fc.cond.Broadcast()
@@ -869,8 +847,7 @@ func (c *Comm) collCharge(op *string, myGen int64, cost collCost, t0, done float
 // order, when the last rank arrives; all ranks' clocks advance to
 // max(clock) + cost.total and the combined value is returned to each.
 // op names the collective in fault positions and watchdog diagnostics.
-// The rendezvous itself is engine-dispatched (see SetCollectiveEngine);
-// both engines produce bit-identical results and clocks.
+// The rendezvous itself is the fan-in engine's (collfanin.go).
 func (c *Comm) runCollective(op *string, val any, combine func(vals []any) any, cost collCost) any {
 	val, t0 := c.collPrologue(op, val, cost)
 	if c.size == 1 {
@@ -883,18 +860,14 @@ func (c *Comm) runCollective(op *string, val any, combine func(vals []any) any, 
 		}
 		return combine([]any{val})
 	}
-	if c.world.legacyColl {
-		return c.legacyCollective(op, val, combine, cost, t0)
-	}
 	return c.faninBoxed(op, val, combine, cost, t0)
 }
 
 // wordsEligible reports whether typed collectives may take the unboxed
-// word path: fan-in engine with no fault plan (payload truncation is
-// only defined on boxed contributions, and fault sweeps must exercise
-// the exact legacy semantics).
+// word path: only without a fault plan, because payload truncation is
+// only defined on boxed contributions.
 func (c *Comm) wordsEligible() bool {
-	return !c.world.legacyColl && c.world.model.Faults == nil
+	return c.world.model.Faults == nil
 }
 
 // safeCombine runs combine, converting a panic into a returned value so

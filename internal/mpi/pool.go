@@ -31,9 +31,8 @@ type VecBuf[T any] struct {
 	pool *VecPool[T]
 }
 
-// Release returns the buffer to its originating pool. Releasing a
-// buffer obtained while pooling was disabled is a no-op. The caller
-// must not use Data afterwards.
+// Release returns the buffer to its originating pool. The caller must
+// not use Data afterwards.
 func (b *VecBuf[T]) Release() {
 	if b == nil {
 		return
@@ -72,26 +71,6 @@ var (
 	Float64Bufs = NewVecPool[float64]()
 )
 
-// poolingOn gates buffer reuse globally; disabled, Get always allocates
-// and Release discards. Exists so tests can assert that pooling is
-// semantically invisible (bit-identical clocks and outputs either way).
-var poolingOn atomic.Bool
-
-func init() { poolingOn.Store(true) }
-
-// SetPooling enables or disables buffer reuse and returns the previous
-// setting. Test hook: pooling must never change results, and the
-// determinism tests prove it by flipping this switch.
-func SetPooling(on bool) bool {
-	prev := poolingOn.Load()
-	poolingOn.Store(on)
-	return prev
-}
-
-// PoolingEnabled reports whether pooled buffer reuse is on. Cache keys
-// that fingerprint process-global knobs read it.
-func PoolingEnabled() bool { return poolingOn.Load() }
-
 // Pool accounting: an opt-in ledger of buffer Gets and Releases, used
 // by fault tests to assert that every buffer drawn from a pool is
 // eventually released — a truncated or dropped message must not strand
@@ -102,9 +81,9 @@ var (
 	poolPuts       atomic.Int64
 )
 
-// SetPoolAccounting enables or disables the Get/Release ledger and
+// setPoolAccounting enables or disables the Get/Release ledger and
 // returns the previous setting; enabling it resets both counters.
-func SetPoolAccounting(on bool) bool {
+func setPoolAccounting(on bool) bool {
 	prev := poolAccounting.Swap(on)
 	if on && !prev {
 		poolGets.Store(0)
@@ -113,10 +92,10 @@ func SetPoolAccounting(on bool) bool {
 	return prev
 }
 
-// PoolBalance returns the ledger: buffers drawn from pools and buffers
+// poolBalance returns the ledger: buffers drawn from pools and buffers
 // released since accounting was enabled. A balanced run has gets ==
 // puts once every world has been torn down.
-func PoolBalance() (gets, puts int64) {
+func poolBalance() (gets, puts int64) {
 	return poolGets.Load(), poolPuts.Load()
 }
 
@@ -135,9 +114,6 @@ func releasePayload(data any) {
 func (p *VecPool[T]) Get(n int) *VecBuf[T] {
 	if poolAccounting.Load() {
 		poolGets.Add(1)
-	}
-	if !poolingOn.Load() {
-		return &VecBuf[T]{Data: make([]T, n)}
 	}
 	b, _ := p.p.Get().(*VecBuf[T])
 	if b == nil {

@@ -34,30 +34,32 @@ func TestSendVecRecvVecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVecPoolReusesBacking: a released buffer's backing array serves
+// the next Get that fits it. The race detector makes sync.Pool.Put drop
+// a random quarter of its items by design, so race builds ask for at
+// least one reuse within a bounded number of rounds instead of on the
+// first attempt.
 func TestVecPoolReusesBacking(t *testing.T) {
 	pool := NewVecPool[int32]()
-	b := pool.Get(8)
-	first := &b.Data[0]
-	b.Release()
-	b2 := pool.Get(4) // smaller fits the pooled capacity
-	if &b2.Data[0] != first {
-		t.Fatalf("pool did not reuse the released backing array")
+	rounds := 1
+	if raceEnabled {
+		rounds = 32
 	}
-	if len(b2.Data) != 4 {
-		t.Fatalf("len = %d, want 4", len(b2.Data))
+	for i := 0; i < rounds; i++ {
+		b := pool.Get(8)
+		first := &b.Data[0]
+		b.Release()
+		b2 := pool.Get(4) // smaller fits the pooled capacity
+		if len(b2.Data) != 4 {
+			t.Fatalf("len = %d, want 4", len(b2.Data))
+		}
+		reused := &b2.Data[0] == first
+		b2.Release()
+		if reused {
+			return
+		}
 	}
-}
-
-func TestSetPoolingDisablesReuse(t *testing.T) {
-	defer SetPooling(SetPooling(false))
-	pool := NewVecPool[int32]()
-	b := pool.Get(8)
-	first := &b.Data[0]
-	b.Release() // no-op: buffer was allocated outside the pool
-	b2 := pool.Get(8)
-	if &b2.Data[0] == first {
-		t.Fatalf("pooling disabled, but backing array was reused")
-	}
+	t.Fatalf("pool did not reuse the released backing array in %d rounds", rounds)
 }
 
 // TestSendVecSteadyStateAllocs asserts the typed send fast path is
@@ -152,53 +154,6 @@ func TestNeighborExchangeOneMessagePerPartner(t *testing.T) {
 		want := float64(next*10*6+0+1+2+3+4+5) + float64(prev*10*6+0+1+2+3+4+5)
 		if total != want {
 			t.Errorf("rank %d: sum %g want %g", r, total, want)
-		}
-	}
-}
-
-// TestPoolingInvisibleToClocks runs the same communication pattern with
-// pooling on and off and requires bit-identical virtual clocks and
-// payload results: buffer reuse is a host-side optimisation that must
-// not leak into the simulation.
-func TestPoolingInvisibleToClocks(t *testing.T) {
-	const p = 4
-	program := func() ([]RankStats, []float64) {
-		res := make([]float64, p)
-		stats := Run(p, DefaultModel(), func(c *Comm) {
-			partners := ringPartners(c.Rank(), p)
-			acc := 0.0
-			for round := 0; round < 5; round++ {
-				bufs := make([]*VecBuf[float64], len(partners))
-				for i := range bufs {
-					bufs[i] = Float64Bufs.Get(8 + round)
-					for j := range bufs[i].Data {
-						bufs[i].Data[j] = float64(c.Rank() + round + j)
-					}
-				}
-				NeighborExchange(c, partners, bufs, 8, func(_, _ int, data []float64) {
-					for _, v := range data {
-						acc += v
-					}
-				})
-			}
-			acc = AllReduce(c, acc, 8, SumFloat64)
-			res[c.Rank()] = acc
-		})
-		return stats, res
-	}
-	defer SetPooling(SetPooling(true))
-	pooledStats, pooledRes := program()
-	SetPooling(false)
-	plainStats, plainRes := program()
-	for r := 0; r < p; r++ {
-		if pooledStats[r].Time != plainStats[r].Time {
-			t.Errorf("rank %d clock differs: pooled %v plain %v", r, pooledStats[r].Time, plainStats[r].Time)
-		}
-		if pooledStats[r].Messages != plainStats[r].Messages {
-			t.Errorf("rank %d messages differ: pooled %d plain %d", r, pooledStats[r].Messages, plainStats[r].Messages)
-		}
-		if pooledRes[r] != plainRes[r] {
-			t.Errorf("rank %d result differs: pooled %v plain %v", r, pooledRes[r], plainRes[r])
 		}
 	}
 }

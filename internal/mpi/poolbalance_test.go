@@ -9,7 +9,7 @@ import (
 // pooled buffer drawn during the test was released back.
 func requirePoolBalance(t *testing.T) {
 	t.Helper()
-	gets, puts := PoolBalance()
+	gets, puts := poolBalance()
 	if gets != puts {
 		t.Fatalf("pool leak: %d buffers fetched, %d released", gets, puts)
 	}
@@ -22,7 +22,7 @@ func requirePoolBalance(t *testing.T) {
 // on the wire, so no receiver will ever Release it. The runtime must
 // return the pooled buffer itself instead of stranding it.
 func TestDroppedVecBufReturnsToPool(t *testing.T) {
-	defer SetPoolAccounting(SetPoolAccounting(true))
+	defer setPoolAccounting(setPoolAccounting(true))
 	m := DefaultModel()
 	m.Faults = NewFaultPlan().Drop(0, 0)
 	_, err := RunChecked(2, m, func(c *Comm) {
@@ -43,7 +43,7 @@ func TestDroppedVecBufReturnsToPool(t *testing.T) {
 // inbox when the world joins (the receiver returned without consuming
 // it) must be drained and its pooled payload released at teardown.
 func TestTeardownDrainsUnreceivedBuffers(t *testing.T) {
-	defer SetPoolAccounting(SetPoolAccounting(true))
+	defer setPoolAccounting(setPoolAccounting(true))
 	_, err := RunChecked(2, DefaultModel(), func(c *Comm) {
 		if c.Rank() == 0 {
 			SendVec(c, 1, Int32Bufs.Get(16), 4)
@@ -62,7 +62,7 @@ func TestTeardownDrainsUnreceivedBuffers(t *testing.T) {
 // exactly where leaks used to accumulate across a fault-injection
 // sweep.
 func TestAbortedWorldReleasesInFlightBuffers(t *testing.T) {
-	defer SetPoolAccounting(SetPoolAccounting(true))
+	defer setPoolAccounting(setPoolAccounting(true))
 	m := watchdogModel(time.Second)
 	m.Faults = NewFaultPlan().Kill(2, 0)
 	_, err := RunChecked(4, m, func(c *Comm) {
@@ -90,7 +90,7 @@ func TestAbortedWorldReleasesInFlightBuffers(t *testing.T) {
 // panics (e.g. on a truncated payload), the buffer must still return to
 // its pool while the panic propagates to the harness.
 func TestNeighborExchangeReleasesOnPanickingCallback(t *testing.T) {
-	defer SetPoolAccounting(SetPoolAccounting(true))
+	defer setPoolAccounting(setPoolAccounting(true))
 	m := watchdogModel(time.Second)
 	_, err := RunChecked(2, m, func(c *Comm) {
 		c.SetPhase("exchange")

@@ -226,15 +226,17 @@ func TestReliableHealsTruncatedCollective(t *testing.T) {
 	})
 	model.Reliable = &Reliability{}
 	model.Faults = NewFaultPlan().Truncate(0, 0)
-	var sum int64
+	sums := make([]int64, 2) // one slot per rank: ranks run concurrently
 	stats, err := RunChecked(2, model, func(c *Comm) {
-		sum = AllReduceSlice(c, []int64{int64(c.Rank() + 1)}, 8, add)[0]
+		sums[c.Rank()] = AllReduceSlice(c, []int64{int64(c.Rank() + 1)}, 8, add)[0]
 	})
 	if err != nil {
 		t.Fatalf("collective truncate heal failed: %v", err)
 	}
-	if sum != 3 {
-		t.Fatalf("collective combined corrupted data: sum %d, want 3", sum)
+	for r, sum := range sums {
+		if sum != 3 {
+			t.Fatalf("rank %d: collective combined corrupted data: sum %d, want 3", r, sum)
+		}
 	}
 	// The retransmission timeout enters the rendezvous max, so both
 	// ranks end strictly later than the clean run.

@@ -19,9 +19,9 @@ import (
 	"repro/internal/graph"
 )
 
-// fullCutOn gates the full-cut boundary-FM rounds globally, mirroring
-// mpi.SetPooling: a process-global atomic the
-// CLI flags set once and the bit-identity tests flip.
+// fullCutOn gates the full-cut boundary-FM rounds globally: a
+// process-global atomic the CLI flags set once and the bit-identity
+// tests flip.
 var fullCutOn atomic.Bool
 
 // SetFullCut enables or disables the full-cut boundary-FM pass after
