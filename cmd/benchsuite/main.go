@@ -19,9 +19,9 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/geopart"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 func main() {
@@ -84,16 +84,16 @@ func main() {
 	// One setting bounds both pools: concurrent sweep runs and the
 	// fork-join kernels inside each run share the host's cores.
 	hostpar.SetWorkers(*workers)
-	replay, err := mpi.ParseReplayMode(*replayFlag)
-	if err != nil {
+	h := bench.New(*scale, ps)
+	var err error
+	if h.Model.Replay, err = mpi.ParseReplayMode(*replayFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		os.Exit(1)
 	}
-	mpi.SetReplayMode(replay)
 	switch *refineFlag {
 	case "off":
 	case "full":
-		refine.SetFullCut(true)
+		h.FullCutRounds = geopart.FullRefineRounds
 	default:
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown -refine mode %q (want off or full)\n", *refineFlag)
 		os.Exit(1)
@@ -102,7 +102,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchsuite: -trials must be >= 1 (got %d)\n", *trials)
 		os.Exit(1)
 	}
-	h := bench.New(*scale, ps)
 	h.Workers = *workers
 	h.Compress = *compress
 	h.Trials = *trials

@@ -10,8 +10,8 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/geopart"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 func main() {
@@ -22,18 +22,19 @@ func main() {
 		trials    = flag.Int("trials", 3, "trial count for the evolved row")
 	)
 	flag.Parse()
-	mpi.SetReplayMode(mpi.ReplayBatched)
-	row := func(label string, fullcut bool, trials int) {
-		defer refine.SetFullCut(refine.SetFullCut(fullcut))
+	row := func(label string, fullCutRounds, trials int) {
 		h := bench.New(*scale, []int{*p})
+		h.Model.Replay = mpi.ReplayBatched
 		h.Compress = true
+		h.FullCutRounds = fullCutRounds
 		h.Trials = trials
 		h.Out = os.Stderr
 		r := h.Get(*graphName, bench.MethodSP, *p)
 		fmt.Printf("%-22s cut=%d imb=%.6f modeled=%.6f\n", label, r.Cut, r.Imbalance, r.Time)
 	}
-	row("refine=off trials=1", false, 1)
-	row("refine=full trials=1", true, 1)
+	full := geopart.FullRefineRounds
+	row("refine=off trials=1", 0, 1)
+	row("refine=full trials=1", full, 1)
 	fmt.Println()
-	row(fmt.Sprintf("refine=full trials=%d", *trials), true, *trials)
+	row(fmt.Sprintf("refine=full trials=%d", *trials), full, *trials)
 }

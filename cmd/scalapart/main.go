@@ -23,6 +23,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 	"repro/internal/trace"
 )
 
@@ -52,7 +52,7 @@ func main() {
 		fault       = flag.String("fault", "", "inject faults: comma-separated kill:R@E | drop:R@E | delay:R@E+SECS | trunc:R@E")
 		recoverFlag = flag.String("recover", "off", "rank-failure recovery policy for ScalaPart: off | respawn | shrink")
 		retryBudget = flag.Int("retry-budget", 0, "max retransmissions per message under -recover (0 = default budget)")
-		watchdog    = flag.Duration("watchdog", 0, "deadlock watchdog stall window (0 = built-in default)")
+		watchdog    = flag.Duration("watchdog", 0, "deadlock watchdog stall window (0 = built-in default of 2s; must not be negative)")
 		benchJSON   = flag.String("bench-json", "", "sweep ScalaPart over the suite and write perf-trajectory JSON to this file, then exit")
 		psFlag      = flag.String("ps", "", "processor sweep for -bench-json (default 1,2,...,1024)")
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
@@ -66,17 +66,15 @@ func main() {
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	fc, err := checkFlags(*replayFlag, *refineFlag, *recoverFlag, *fault, *trials)
+	fc, err := checkFlags(flagValues{
+		replay: *replayFlag, refine: *refineFlag, recover: *recoverFlag, fault: *fault,
+		trials: *trials, p: *p, watchdog: *watchdog,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
 		os.Exit(2)
 	}
 	hostpar.SetWorkers(*workers)
-	mpi.SetReplayMode(fc.replay)
-	refine.SetFullCut(fc.fullCut)
-	if *watchdog > 0 {
-		mpi.SetWatchdogTimeout(*watchdog)
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -105,15 +103,14 @@ func main() {
 		}
 	}()
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, *psFlag, *phaseBreak, *compress, *trials); err != nil {
+		if err := writeBenchJSON(*benchJSON, *scale, *psFlag, *phaseBreak, *compress, *trials, fc); err != nil {
 			fmt.Fprintln(os.Stderr, "scalapart:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("perf trajectory written to %s\n", *benchJSON)
 		return
 	}
-	model := mpi.DefaultModel()
-	model.Faults = fc.faults
+	model := fc.model
 	if *list {
 		for _, e := range gen.SuiteEntries() {
 			fmt.Println(e.Name)
@@ -188,6 +185,7 @@ func main() {
 	case "ScalaPart":
 		opt := core.DefaultOptions(*seed)
 		opt.Model = model
+		opt.Partition.FullCutRounds = fc.fullCutRounds
 		opt.Trials = *trials
 		opt.Recover = core.RecoverOptions{Policy: fc.policy, RetryBudget: *retryBudget}
 		res, runErr := core.PartitionChecked(g, *p, opt)
@@ -206,7 +204,9 @@ func main() {
 		fallback = fallback || res.Fallback
 		part, cut, imb, timeS = res.Part, res.Cut, res.Imbalance, res.Times.Total
 	case "SP-PG7-NL":
-		res, runErr := core.PartitionGeometricChecked(g, coords, *p, geopart.DefaultParallelConfig(), model)
+		cfg := geopart.DefaultParallelConfig()
+		cfg.FullCutRounds = fc.fullCutRounds
+		res, runErr := core.PartitionGeometricChecked(g, coords, *p, cfg, model)
 		if runErr != nil {
 			res = retrySequential(runErr)
 		}
@@ -306,45 +306,54 @@ func main() {
 	}
 }
 
+// flagValues are the flag values checkFlags validates.
+type flagValues struct {
+	replay, refine, recover, fault string
+	trials, p                      int
+	watchdog                       time.Duration
+}
+
 // flagConfig is what checkFlags derives from the flag values that
-// flag.Parse accepts as strings and ints but the run cannot take as is.
+// flag.Parse accepts as strings and numbers but the run cannot take as
+// is.
 type flagConfig struct {
-	replay  mpi.ReplayMode
-	fullCut bool
-	policy  core.RecoveryPolicy
-	faults  *mpi.FaultPlan // nil without -fault
+	model         mpi.Model // default model with the replay mode, watchdog window and fault plan
+	fullCutRounds int
+	policy        core.RecoveryPolicy
 }
 
 // checkFlags validates every flag value and flag combination before any
 // graph is loaded, so a configuration that cannot run fails at once with
-// one line instead of surfacing later as a rank failure. Knobs must
-// compose or be rejected here: -trials > 1 runs the evolutionary search,
-// whose trials share no checkpoint layout, so it cannot be combined
-// with a -recover policy.
-func checkFlags(replay, refineMode, recoverPolicy, faultSpec string, trials int) (flagConfig, error) {
-	var cfg flagConfig
+// one line instead of surfacing later as a rank failure or a panic.
+func checkFlags(v flagValues) (flagConfig, error) {
+	cfg := flagConfig{model: mpi.DefaultModel()}
 	var err error
-	if cfg.replay, err = mpi.ParseReplayMode(replay); err != nil {
+	if cfg.model.Replay, err = mpi.ParseReplayMode(v.replay); err != nil {
 		return cfg, err
 	}
-	switch refineMode {
+	switch v.refine {
 	case "off":
 	case "full":
-		cfg.fullCut = true
+		cfg.fullCutRounds = geopart.FullRefineRounds
 	default:
-		return cfg, fmt.Errorf("unknown -refine mode %q (want off or full)", refineMode)
+		return cfg, fmt.Errorf("unknown -refine mode %q (want off or full)", v.refine)
 	}
-	if trials < 1 {
-		return cfg, fmt.Errorf("-trials must be >= 1 (got %d)", trials)
+	if v.trials < 1 {
+		return cfg, fmt.Errorf("-trials must be >= 1 (got %d)", v.trials)
 	}
-	if cfg.policy, err = core.ParseRecoveryPolicy(recoverPolicy); err != nil {
+	if v.p < 1 {
+		return cfg, fmt.Errorf("-p must be >= 1 (got %d)", v.p)
+	}
+	// A negative Model.Watchdog would switch deadlock detection off.
+	if v.watchdog < 0 {
+		return cfg, fmt.Errorf("-watchdog must not be negative (got %v)", v.watchdog)
+	}
+	cfg.model.Watchdog = v.watchdog
+	if cfg.policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
 		return cfg, err
 	}
-	if trials > 1 && cfg.policy != core.RecoverOff {
-		return cfg, fmt.Errorf("-trials %d cannot be combined with -recover %s (recovery checkpoints assume one pipeline pass)", trials, cfg.policy)
-	}
-	if faultSpec != "" {
-		if cfg.faults, err = parseFaultPlan(faultSpec); err != nil {
+	if v.fault != "" {
+		if cfg.model.Faults, err = parseFaultPlan(v.fault); err != nil {
 			return cfg, err
 		}
 	}
@@ -357,8 +366,10 @@ func checkFlags(replay, refineMode, recoverPolicy, faultSpec string, trials int)
 // sweep runs traced and each row carries its phase_breakdown array;
 // with compress set the suite graphs are held in the delta/varint
 // compressed representation (modeled fields are bit-identical either
-// way, and each row records compressed/bytes_per_edge/peak_rss).
-func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compress bool, trials int) error {
+// way, and each row records compressed/bytes_per_edge/peak_rss). The
+// sweep takes the replay mode, watchdog window and full-cut setting of
+// fc, but not its fault plan.
+func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compress bool, trials int, fc flagConfig) error {
 	ps := bench.DefaultPs()
 	if psSpec != "" {
 		ps = ps[:0]
@@ -371,6 +382,9 @@ func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compre
 		}
 	}
 	h := bench.New(scale, ps)
+	h.Model.Replay = fc.model.Replay
+	h.Model.Watchdog = fc.model.Watchdog
+	h.FullCutRounds = fc.fullCutRounds
 	h.Trace = breakdown
 	h.Compress = compress
 	h.Trials = trials

@@ -3,8 +3,10 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/geopart"
 	"repro/internal/mpi"
 )
 
@@ -12,41 +14,48 @@ import (
 // is rejected by checkFlags, before any graph is loaded, with an error
 // naming the offending flag; everything else passes through decoded.
 func TestCheckFlags(t *testing.T) {
-	type flags struct {
-		replay, refine, recover, fault string
-		trials                         int
-	}
-	def := flags{replay: "goroutine", refine: "off", recover: "off", trials: 1}
-	with := func(f func(*flags)) flags { v := def; f(&v); return v }
+	def := flagValues{replay: "goroutine", refine: "off", recover: "off", trials: 1, p: 16}
+	with := func(f func(*flagValues)) flagValues { v := def; f(&v); return v }
 	for _, tc := range []struct {
 		name    string
-		in      flags
+		in      flagValues
 		wantErr string // substring; "" means valid
 		check   func(flagConfig) bool
 	}{
 		{"defaults", def, "", func(c flagConfig) bool {
-			return c.replay == mpi.ReplayGoroutine && !c.fullCut && c.policy == core.RecoverOff && c.faults == nil
+			m := mpi.DefaultModel()
+			return c.model == m && c.fullCutRounds == 0 && c.policy == core.RecoverOff
 		}},
-		{"batched-full", with(func(f *flags) { f.replay, f.refine = "batched", "full" }), "", func(c flagConfig) bool {
-			return c.replay == mpi.ReplayBatched && c.fullCut
+		{"batched-full", with(func(f *flagValues) { f.replay, f.refine = "batched", "full" }), "", func(c flagConfig) bool {
+			return c.model.Replay == mpi.ReplayBatched && c.fullCutRounds == geopart.FullRefineRounds
 		}},
-		{"trials-alone", with(func(f *flags) { f.trials = 3 }), "", nil},
-		{"recover-alone", with(func(f *flags) { f.recover = "respawn" }), "", func(c flagConfig) bool {
+		{"trials-alone", with(func(f *flagValues) { f.trials = 3 }), "", nil},
+		{"recover-alone", with(func(f *flagValues) { f.recover = "respawn" }), "", func(c flagConfig) bool {
 			return c.policy == core.RecoverRespawn
 		}},
-		{"fault", with(func(f *flags) { f.fault = "kill:2@40" }), "", func(c flagConfig) bool {
-			return c.faults != nil && c.faults.Len() == 1
+		{"fault", with(func(f *flagValues) { f.fault = "kill:2@40" }), "", func(c flagConfig) bool {
+			return c.model.Faults != nil && c.model.Faults.Len() == 1
 		}},
-		{"trials-respawn", with(func(f *flags) { f.trials, f.recover = 2, "respawn" }), "-recover respawn", nil},
-		{"trials-shrink", with(func(f *flags) { f.trials, f.recover = 4, "shrink" }), "-trials 4", nil},
-		{"bad-replay", with(func(f *flags) { f.replay = "threads" }), "threads", nil},
-		{"bad-refine", with(func(f *flags) { f.refine = "max" }), "-refine", nil},
-		{"zero-trials", with(func(f *flags) { f.trials = 0 }), "-trials", nil},
-		{"bad-recover", with(func(f *flags) { f.recover = "retry" }), "retry", nil},
-		{"bad-fault", with(func(f *flags) { f.fault = "kill" }), "kill", nil},
+		{"trials-respawn", with(func(f *flagValues) { f.trials, f.recover = 2, "respawn" }), "", func(c flagConfig) bool {
+			return c.policy == core.RecoverRespawn
+		}},
+		{"trials-shrink", with(func(f *flagValues) { f.trials, f.recover = 4, "shrink" }), "", func(c flagConfig) bool {
+			return c.policy == core.RecoverShrink
+		}},
+		{"watchdog", with(func(f *flagValues) { f.watchdog = 500 * time.Millisecond }), "", func(c flagConfig) bool {
+			return c.model.Watchdog == 500*time.Millisecond
+		}},
+		{"bad-replay", with(func(f *flagValues) { f.replay = "threads" }), "threads", nil},
+		{"bad-refine", with(func(f *flagValues) { f.refine = "max" }), "-refine", nil},
+		{"zero-trials", with(func(f *flagValues) { f.trials = 0 }), "-trials", nil},
+		{"zero-p", with(func(f *flagValues) { f.p = 0 }), "-p", nil},
+		{"negative-p", with(func(f *flagValues) { f.p = -3 }), "-p", nil},
+		{"negative-watchdog", with(func(f *flagValues) { f.watchdog = -time.Second }), "-watchdog", nil},
+		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
+		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := checkFlags(tc.in.replay, tc.in.refine, tc.in.recover, tc.in.fault, tc.in.trials)
+			cfg, err := checkFlags(tc.in)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected a valid configuration: %v", err)

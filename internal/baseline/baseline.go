@@ -102,10 +102,13 @@ func Partition(g *graph.Graph, p int, cfg Config) *Result {
 	return res
 }
 
-// PartitionChecked is Partition with structured error reporting: a rank
-// failure comes back as an *mpi.RankError instead of crashing the
-// caller.
+// PartitionChecked is Partition with structured error reporting: a
+// world size below one is an error, and a rank failure comes back as an
+// *mpi.RankError instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, cfg Config) (*Result, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("baseline: world size p=%d, want at least 1", p)
+	}
 	// The baseline is the legacy reference implementation and walks raw
 	// Adjncy throughout; a compressed input is decoded once up front
 	// (Plain is the identity on plain graphs).

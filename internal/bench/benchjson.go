@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/hostpar"
-	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
@@ -84,7 +83,7 @@ func (h *Harness) BenchJSON() ([]byte, error) {
 				BytesSent:   r.BytesSent,
 				WallSeconds: r.WallSeconds,
 				HostWorkers: hostpar.Workers(),
-				ReplayMode:  mpi.Replay().String(),
+				ReplayMode:  h.Model.Replay.String(),
 				Fallback:    r.Fallback,
 
 				Compressed:   g.G.Compressed(),

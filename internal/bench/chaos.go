@@ -168,8 +168,7 @@ func (h *Harness) chaosCase(cfg ChaosConfig, cc ChaosCase) ChaosCase {
 	plan := mpi.RandomPlan(cc.Seed, cc.P, cfg.MaxEvent, cfg.Kinds...)
 	cc.Plan = plan.Key()
 
-	opt := core.DefaultOptions(seedOf(cc.Graph))
-	opt.Model = h.Model
+	opt := h.options(seedOf(cc.Graph))
 	opt.Model.Faults = plan
 	rec := trace.New()
 	opt.Model.Trace = rec

@@ -65,9 +65,9 @@ func TestChaosSoakBatchedReplay(t *testing.T) {
 		Seed:      1,
 	}
 	run := func(mode mpi.ReplayMode) *ChaosReport {
-		defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
 		defer hostpar.SetWorkers(hostpar.SetWorkers(2))
 		h := New(0.15, cfg.Ps)
+		h.Model.Replay = mode
 		return h.ChaosSoak(cfg)
 	}
 	ref := run(mpi.ReplayGoroutine)

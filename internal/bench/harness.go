@@ -21,7 +21,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 	"repro/internal/trace"
 )
 
@@ -63,9 +62,9 @@ type Run struct {
 type runKey struct {
 	graph, method string
 	p             int
-	// env fingerprints every process-global knob that can change a
-	// run's recorded statistics, so two sweeps under different settings
-	// (worker pools, kernel hooks, fault plans, tracing) never share a
+	// env fingerprints every setting that can change a run's recorded
+	// statistics, so two sweeps under different settings (worker pools,
+	// replay modes, fault plans, tracing, quality knobs) never share a
 	// cached Run. See Harness.envKey.
 	env string
 }
@@ -98,6 +97,10 @@ type Harness struct {
 	// search (core.Options.Trials). Part of the cache fingerprint;
 	// 0 and 1 both mean the single-pass pipeline and share entries.
 	Trials int
+	// FullCutRounds > 0 adds the full-cut boundary-FM pass to the
+	// ScalaPart and SP-PG7-NL runs (geopart.ParallelConfig's field of
+	// the same name). Part of the cache fingerprint.
+	FullCutRounds int
 
 	logMu   sync.Mutex
 	graphs  cache[string, *gen.Generated]
@@ -189,22 +192,40 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 	})
 }
 
-// envKey fingerprints the process-global and harness-level knobs a run
-// depends on beyond (graph, method, P): the host worker pool and replay
-// scheduler (wall clocks), tracing (the Breakdown field), the compressed
+// envKey fingerprints the settings a run depends on beyond (graph,
+// method, P): the host worker pool and the model's replay scheduler
+// (wall clocks), tracing (the Breakdown field), the compressed
 // representation, recovery, trials and full-cut refinement (modeled
-// results), and the fault plan (everything). Two Gets with different
-// fingerprints compute independent runs instead of sharing a stale
-// cache entry.
+// results), and the fault plan (everything). Everything but the worker
+// pool is a harness field. Two Gets with different fingerprints compute
+// independent runs instead of sharing a stale cache entry.
 func (h *Harness) envKey() string {
 	trials := h.Trials
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|replay:%s|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|faults:%s",
-		hostpar.Workers(), mpi.Replay(), h.Trace, h.Compress,
+	return fmt.Sprintf("w%d|replay:%s|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%d|faults:%s",
+		hostpar.Workers(), h.Model.Replay, h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
-		trials, refine.FullCut(), h.Model.Faults.Key())
+		trials, h.FullCutRounds, h.Model.Faults.Key())
+}
+
+// partitionConfig is SP-PG7-NL as the harness runs it.
+func (h *Harness) partitionConfig() geopart.ParallelConfig {
+	cfg := geopart.DefaultParallelConfig()
+	cfg.FullCutRounds = h.FullCutRounds
+	return cfg
+}
+
+// options are the ScalaPart options of a harness run under the given
+// seed.
+func (h *Harness) options(seed int64) core.Options {
+	opt := core.DefaultOptions(seed)
+	opt.Model = h.Model
+	opt.Recover = h.Recover
+	opt.Trials = h.Trials
+	opt.Partition = h.partitionConfig()
+	return opt
 }
 
 // ParallelMethods lists the methods whose runs execute on the simulated
@@ -326,10 +347,7 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 	}()
 	switch method {
 	case MethodSP:
-		opt := core.DefaultOptions(seed)
-		opt.Model = h.Model
-		opt.Recover = h.Recover
-		opt.Trials = h.Trials
+		opt := h.options(seed)
 		var rec *trace.Recorder
 		if h.Trace {
 			rec = trace.New()
@@ -349,7 +367,7 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 			run.Breakdown = rec.Breakdown().Phases
 		}
 	case MethodSPPG:
-		res, err := core.PartitionGeometricChecked(g.G, h.HuCoords(graphName), p, geopart.DefaultParallelConfig(), h.Model)
+		res, err := core.PartitionGeometricChecked(g.G, h.HuCoords(graphName), p, h.partitionConfig(), h.Model)
 		if err != nil {
 			return h.fallbackRun(run, g, seed, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geopart"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 // TestQualitySmoke is the CI quality gate: on two suite graphs at
@@ -18,13 +17,12 @@ import (
 func TestQualitySmoke(t *testing.T) {
 	tol := geopart.DefaultParallelConfig().Defaults().BalanceTol
 	h := New(0.25, []int{4, 16})
+	hf := New(0.25, []int{4, 16})
+	hf.FullCutRounds = geopart.FullRefineRounds
 	for _, g := range []string{"ecology1", "hugetrace-00000"} {
 		for _, p := range []int{4, 16} {
-			refine.SetFullCut(false)
 			off := h.Get(g, MethodSP, p)
-			refine.SetFullCut(true)
-			full := h.Get(g, MethodSP, p)
-			refine.SetFullCut(false)
+			full := hf.Get(g, MethodSP, p)
 			if full.Cut > off.Cut {
 				t.Errorf("%s P=%d: full-cut refinement worsened the cut: %d > %d", g, p, full.Cut, off.Cut)
 			}
@@ -52,9 +50,10 @@ func TestQualitySmoke(t *testing.T) {
 	t.Logf("ecology1 P=4: cut %d (1 trial) -> %d (3 trials)", single.Cut, multi.Cut)
 }
 
-// TestEnvKeyFingerprintsQualityKnobs: flipping either quality knob —
-// trials or the full-cut hook — must change the cache fingerprint, or
-// sweeps under different settings would share stale entries.
+// TestEnvKeyFingerprintsQualityKnobs: changing either quality knob —
+// trials or full-cut rounds — or the model's replay mode must change
+// the cache fingerprint, or sweeps under different settings would share
+// stale entries.
 func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	h := New(1, []int{4})
 	base := h.envKey()
@@ -64,11 +63,17 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	}
 	h.Trials = 0
 
-	defer refine.SetFullCut(refine.SetFullCut(true))
+	h.FullCutRounds = geopart.FullRefineRounds
 	if h.envKey() == base {
-		t.Error("envKey ignores the full-cut hook")
+		t.Error("envKey ignores FullCutRounds")
 	}
-	refine.SetFullCut(false)
+	h.FullCutRounds = 0
+
+	h.Model.Replay = mpi.ReplayBatched
+	if h.envKey() == base {
+		t.Error("envKey ignores the model's replay mode")
+	}
+	h.Model.Replay = mpi.ReplayGoroutine
 
 	// Trials 0 and 1 are the same pipeline and must share cache entries.
 	h.Trials = 1
@@ -106,7 +111,7 @@ func TestBenchRowsMatchSeedQuality(t *testing.T) {
 	h := New(file.Scale, []int{1, 4})
 	h.Compress = true // BENCH_7 was recorded with -compress
 	for _, mode := range []mpi.ReplayMode{mpi.ReplayBatched, mpi.ReplayGoroutine} {
-		defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
+		h.Model.Replay = mode
 		for _, p := range []int{1, 4} {
 			want, ok := rows[p]
 			if !ok {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 // TestBatchingBitIdentical runs the full pipeline with strip and
@@ -21,15 +20,12 @@ import (
 // that rank or a rank wrote into a shared value.
 func TestBatchingBitIdentical(t *testing.T) {
 	g := gen.Grid2D(40, 40)
-	defer refine.SetFullCut(refine.SetFullCut(true))
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			ref := Partition(g.G, p, DefaultOptions(42))
-			mpi.SetReplayMode(mpi.ReplayBatched)
+			ref := Partition(g.G, p, withFullCut(DefaultOptions(42)))
 			hostpar.SetWorkers(8)
-			got := Partition(g.G, p, DefaultOptions(42))
+			got := Partition(g.G, p, withFullCut(replayOptions(42, mpi.ReplayBatched)))
 			if got.Cut != ref.Cut {
 				t.Errorf("cut differs: batched %d, one worker %d", got.Cut, ref.Cut)
 			}

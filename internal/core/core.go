@@ -40,7 +40,8 @@ type Options struct {
 	// simulated world (the modeled clock pays for all of them), and the
 	// two best bisections are combined by freeing their disagreement
 	// region under one distributed FM round. 0 or 1 means the single
-	// historical pipeline pass. Incompatible with recovery.
+	// historical pipeline pass. Composes with recovery: a respawn
+	// replays every trial from the coarsen checkpoint.
 	Trials int
 	// Recover configures rollback recovery: with a non-off policy, rank
 	// failures roll back to level checkpoints and the run continues
@@ -98,11 +99,14 @@ func Partition(g *graph.Graph, p int, opt Options) *Result {
 	return res
 }
 
-// PartitionChecked is Partition with structured error reporting: a rank
-// failure (panic, injected fault, or watchdog-detected deadlock) comes
-// back as an *mpi.RankError naming the rank and pipeline phase instead
-// of crashing the caller.
+// PartitionChecked is Partition with structured error reporting: a
+// world size below one is an error, and a rank failure (panic, injected
+// fault, or watchdog-detected deadlock) comes back as an *mpi.RankError
+// naming the rank and pipeline phase instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
+	if err := checkWorldSize(p); err != nil {
+		return nil, fmt.Errorf("Partition: %w", err)
+	}
 	if opt.Model == (mpi.Model{}) {
 		opt.Model = mpi.DefaultModel()
 	}
@@ -115,21 +119,13 @@ func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
 	if opt.CoarsenRounds == 0 {
 		opt.CoarsenRounds = 4
 	}
-	if opt.Trials > 1 {
-		// Routed before recovery so a Trials+Recover combination surfaces
-		// as partitionEvolve's explicit error instead of silently running
-		// single-trial.
-		return partitionEvolve(g, p, opt)
-	}
-	if opt.Recover.Policy != RecoverOff {
-		return partitionRecover(g, p, opt)
-	}
 	h := coarsen.BuildHierarchy(g, p, opt.Coarsen)
-	boundary := coarsen.BoundaryEdges(h)
-	res, _, err := runAttempt(g, opt, attemptConfig{
-		p: p, start: stageStart, model: opt.Model, h: h, boundary: boundary,
+	return partitionRecover(g, opt, stagePlan{
+		p: p, model: opt.Model, start: stageStart,
+		h: h, boundary: coarsen.BoundaryEdges(h), coarsenRounds: opt.CoarsenRounds,
+		embed: opt.Embed, trials: opt.Trials,
+		cfg: opt.Partition, kernel: geopart.ParallelPartition, phase: "partition",
 	})
-	return res, err
 }
 
 // SequentialFallback partitions g with the single-rank ParMetis-like
@@ -174,38 +170,9 @@ func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cf
 	if err := checkGeometricInput(g, coords, p); err != nil {
 		return nil, fmt.Errorf("PartitionGeometric: %w", err)
 	}
-	if model == (mpi.Model{}) {
-		model = mpi.DefaultModel()
-	}
-	views := embed.SplitCoords(g, coords, p)
-	part := make([]int32, g.NumVertices())
-	times := make([]PhaseTimes, p)
-	var cut, cutBefore int64
-	var imb float64
-	var strip int
-	stats, err := mpi.RunChecked(p, model, func(c *mpi.Comm) {
-		c.SetPhase("partition")
-		ph := c.StartPhase()
-		res := geopart.ParallelPartition(c, g, views[c.Rank()], cfg)
-		t := &times[c.Rank()]
-		t.Partition, t.PartitionComm = ph.Stop()
-		t.Total, t.TotalComm = t.Partition, t.PartitionComm
-		for i, id := range res.OwnedIDs {
-			part[id] = res.Side[i]
-		}
-		if c.Rank() == 0 {
-			cut, cutBefore = res.Cut, res.CutBefore
-			imb = res.Imbalance
-			strip = res.StripSize
-		}
+	return partitionCoords(g, coords, stagePlan{
+		p: p, model: model, cfg: cfg, kernel: geopart.ParallelPartition, phase: "partition",
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Part: part, Cut: cut, CutBefore: cutBefore, Imbalance: imb,
-		StripSize: strip, P: p, Times: maxTimes(times), Stats: stats,
-	}, nil
 }
 
 // RCBParallel times Zoltan-style parallel recursive coordinate
@@ -225,36 +192,28 @@ func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi
 	if err := checkGeometricInput(g, coords, p); err != nil {
 		return nil, fmt.Errorf("RCBParallel: %w", err)
 	}
-	if model == (mpi.Model{}) {
-		model = mpi.DefaultModel()
+	return partitionCoords(g, coords, stagePlan{p: p, model: model, kernel: rcbKernel, phase: "rcb"})
+}
+
+// partitionCoords runs pl from the partition stage on coordinates that
+// are already distributed: only partitioning and refinement are timed,
+// so Total is the partition time.
+func partitionCoords(g *graph.Graph, coords []geometry.Vec2, pl stagePlan) (*Result, error) {
+	if pl.model == (mpi.Model{}) {
+		pl.model = mpi.DefaultModel()
 	}
-	views := embed.SplitCoords(g, coords, p)
-	part := make([]int32, g.NumVertices())
-	times := make([]PhaseTimes, p)
-	var cut int64
-	var imb float64
-	stats, err := mpi.RunChecked(p, model, func(c *mpi.Comm) {
-		c.SetPhase("rcb")
-		ph := c.StartPhase()
-		res := geopart.ParallelRCB(c, g, views[c.Rank()])
-		t := &times[c.Rank()]
-		t.Partition, t.PartitionComm = ph.Stop()
-		t.Total, t.TotalComm = t.Partition, t.PartitionComm
-		for i, id := range res.OwnedIDs {
-			part[id] = res.Side[i]
-		}
-		if c.Rank() == 0 {
-			cut = res.Cut
-			imb = res.Imbalance
-		}
-	})
-	if err != nil {
-		return nil, err
+	pl.start = stagePartition
+	pl.views = embed.SplitCoords(g, coords, pl.p)
+	res, _, err := pl.run(g)
+	return res, err
+}
+
+// checkWorldSize validates the world size every entry point takes.
+func checkWorldSize(p int) error {
+	if p < 1 {
+		return fmt.Errorf("world size p=%d, want at least 1", p)
 	}
-	return &Result{
-		Part: part, Cut: cut, CutBefore: cut, Imbalance: imb,
-		P: p, Times: maxTimes(times), Stats: stats,
-	}, nil
+	return nil
 }
 
 // checkGeometricInput validates what embed.SplitCoords requires of the
@@ -262,8 +221,8 @@ func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi
 // coordinate per vertex. Non-finite coordinates are accepted; they
 // partition like any other (TestGeometricCheckedBadInput).
 func checkGeometricInput(g *graph.Graph, coords []geometry.Vec2, p int) error {
-	if p < 1 {
-		return fmt.Errorf("world size p=%d, want at least 1", p)
+	if err := checkWorldSize(p); err != nil {
+		return err
 	}
 	if n := g.NumVertices(); len(coords) != n {
 		return fmt.Errorf("%d coordinates for %d vertices", len(coords), n)

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 // TestEvolveValidAndNoWorseThanLegacy: the search includes the
@@ -69,14 +70,11 @@ func TestEvolveClockPaysForTrials(t *testing.T) {
 // on — parts, cuts, and modeled clocks.
 func TestEvolveDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(2000, 9)
-	defer refine.SetFullCut(refine.SetFullCut(true))
-	opt := DefaultOptions(5)
-	opt.Trials = 3
 	var base *Result
 	for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched, mpi.ReplayGoroutine} {
-		prev := mpi.SetReplayMode(mode)
+		opt := withFullCut(replayOptions(5, mode))
+		opt.Trials = 3
 		res := Partition(g.G, 8, opt)
-		mpi.SetReplayMode(prev)
 		if base == nil {
 			base = res
 			continue
@@ -95,16 +93,52 @@ func TestEvolveDeterministic(t *testing.T) {
 	}
 }
 
-// TestEvolveRejectsRecovery: Trials and recovery cannot be combined;
-// the routing must surface the explicit error rather than silently
-// dropping one of the two.
-func TestEvolveRejectsRecovery(t *testing.T) {
-	g := gen.Grid2D(16, 16)
+// TestEvolveShrinkRecoversKill: a multi-trial search composes with the
+// shrink policy. A rank killed while embedding or while combining the
+// two best trials is dropped, the P−1 world restarts the search from
+// scratch (a multi-trial run keeps no embed checkpoint to redistribute),
+// and it delivers the partition of a fault-free two-trial run at P−1.
+func TestEvolveShrinkRecoversKill(t *testing.T) {
+	g := gen.Grid2D(32, 32)
+	const p = 4
+	want, err := PartitionChecked(g.G, p-1, trialOptions3(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []string{"embed", "combine"} {
+		ev := killEventFor(t, g.G, trialOptions3(2), p, 2, class)
+		opt := trialOptions3(2)
+		opt.Model.Faults = mpi.NewFaultPlan().Kill(2, ev)
+		opt.Recover = RecoverOptions{Policy: RecoverShrink}
+		res, err := PartitionChecked(g.G, p, opt)
+		if err != nil {
+			t.Fatalf("kill in %s (event %d) not recovered by shrink: %v", class, ev, err)
+		}
+		checkShrunk(t, g.G, res, p, "trials=2 kill in "+class)
+		if r := res.Recovery.Resumes[0]; r != fmt.Sprintf("shrink@P=%d/%s", p-1, stageStart) {
+			t.Fatalf("kill in %s: resumed at %q, want a P−1 restart", class, r)
+		}
+		if res.Cut != want.Cut || !slices.Equal(res.Part, want.Part) {
+			t.Fatalf("kill in %s: shrunken cut %d differs from the fault-free P=%d run's %d", class, res.Cut, p-1, want.Cut)
+		}
+	}
+}
+
+// TestEvolveIdleRanksJoinCombine: with more ranks than the finest
+// level keeps active, some ranks own no vertices. They must still join
+// the combine's collectives — whether to combine is decided by the
+// trial count, which every rank shares, not by what a rank holds — or
+// the active ranks deadlock in the combine.
+func TestEvolveIdleRanksJoinCombine(t *testing.T) {
+	g := gen.Grid2D(16, 16) // 256 vertices: three active ranks at P=8
 	opt := DefaultOptions(3)
 	opt.Trials = 2
-	opt.Recover.Policy = RecoverRespawn
-	if _, err := PartitionChecked(g.G, 4, opt); err == nil {
-		t.Fatal("Trials=2 with recovery on returned no error")
+	res, err := PartitionChecked(g.G, 8, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckResult(g.G, res); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/gen"
 	"repro/internal/geometry"
 	"repro/internal/geopart"
@@ -34,6 +36,7 @@ func TestGeometricCheckedBadInput(t *testing.T) {
 		{"no-coords", nil, 4, true},
 		{"p=0", g.Coords, 0, true},
 		{"p=-1", g.Coords, -1, true},
+		{"p=-3", g.Coords, -3, true},
 		{"nan-x", with(5, geometry.Vec2{X: math.NaN(), Y: 1}), 4, false},
 		{"nan-y-p1", with(n-1, geometry.Vec2{X: 1, Y: math.NaN()}), 1, false},
 		{"nan-both-p64", with(3, geometry.Vec2{X: math.NaN(), Y: math.NaN()}), 64, false},
@@ -75,6 +78,50 @@ func TestGeometricCheckedBadInput(t *testing.T) {
 				}
 				if err := CheckPartition(g.G, res.Part, res.Cut, res.Imbalance); err != nil {
 					t.Fatalf("result fails CheckPartition: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestCheckedBadWorldSize: the whole-pipeline *Checked entry points
+// reject a world size below one with an error, before any host work,
+// instead of panicking in the runtime or in an allocation.
+func TestCheckedBadWorldSize(t *testing.T) {
+	g := gen.Grid2D(12, 12)
+	recovered := DefaultOptions(3)
+	recovered.Trials = 2
+	recovered.Recover.Policy = RecoverRespawn
+	entries := []struct {
+		name string
+		run  func(p int) error
+	}{
+		{"PartitionChecked", func(p int) error {
+			_, err := PartitionChecked(g.G, p, DefaultOptions(3))
+			return err
+		}},
+		{"PartitionChecked-trials-respawn", func(p int) error {
+			_, err := PartitionChecked(g.G, p, recovered)
+			return err
+		}},
+		{"baseline.PartitionChecked", func(p int) error {
+			_, err := baseline.PartitionChecked(g.G, p, baseline.ParMetisLike(3))
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, p := range []int{0, -3} {
+			t.Run(fmt.Sprintf("%s/p=%d", e.name, p), func(t *testing.T) {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked: %v", r)
+						}
+					}()
+					return e.run(p)
+				}()
+				if err == nil || !strings.Contains(err.Error(), "world size") {
+					t.Fatalf("p=%d: got %v, want a world-size error", p, err)
 				}
 			})
 		}

@@ -30,10 +30,8 @@ func TestHighPEnginesBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("P%d", tc.p), func(t *testing.T) {
 			g := gen.Grid2D(tc.side, tc.side)
-			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			ref := Partition(g.G, tc.p, DefaultOptions(42))
-			mpi.SetReplayMode(mpi.ReplayBatched)
-			got := Partition(g.G, tc.p, DefaultOptions(42))
+			got := Partition(g.G, tc.p, replayOptions(42, mpi.ReplayBatched))
 			if got.Cut != ref.Cut {
 				t.Errorf("batched replay: cut differs: got %d goroutine %d", got.Cut, ref.Cut)
 			}

@@ -43,7 +43,6 @@ import (
 	"repro/internal/coarsen"
 	"repro/internal/embed"
 	"repro/internal/geometry"
-	"repro/internal/geopart"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 )
@@ -151,25 +150,6 @@ func (s *RecoveryStats) String() string {
 		s.Attempts, s.Respawns, s.Shrinks, s.Disarmed, s.FinalP)
 }
 
-// pipelineStage is where an attempt (re-)enters the pipeline.
-type pipelineStage int
-
-const (
-	stageStart     pipelineStage = iota // full pipeline: coarsen, embed, partition
-	stageEmbed                          // resume after coarsening
-	stagePartition                      // resume after embedding: partition only
-)
-
-func (s pipelineStage) String() string {
-	switch s {
-	case stageEmbed:
-		return "coarsen-checkpoint"
-	case stagePartition:
-		return "embed-checkpoint"
-	}
-	return "start"
-}
-
 // checkpoint is the driver-side store of level-boundary state. Each
 // rank goroutine writes only its own slots; the driver reads them after
 // RunChecked returns (the WaitGroup join orders the accesses), so no
@@ -198,15 +178,20 @@ func newCheckpoint(p int) *checkpoint {
 	}
 }
 
-func (ck *checkpoint) saveCoarsen(rank int, s mpi.RankSnapshot, t PhaseTimes) {
-	ck.coarsenSnap[rank] = s
-	ck.coarsenT[rank] = t
+// saveCoarsen and saveEmbed store the calling rank's state at a level
+// boundary: its runtime counters, its phase times so far and, after
+// embedding, its embedding view.
+func (ck *checkpoint) saveCoarsen(c *mpi.Comm, t *PhaseTimes) {
+	rank := c.Rank()
+	ck.coarsenSnap[rank] = c.Snapshot()
+	ck.coarsenT[rank] = *t
 	ck.coarsenOK[rank] = true
 }
 
-func (ck *checkpoint) saveEmbed(rank int, s mpi.RankSnapshot, t PhaseTimes, d *embed.Distributed) {
-	ck.embedSnap[rank] = s
-	ck.embedT[rank] = t
+func (ck *checkpoint) saveEmbed(c *mpi.Comm, t *PhaseTimes, d *embed.Distributed) {
+	rank := c.Rank()
+	ck.embedSnap[rank] = c.Snapshot()
+	ck.embedT[rank] = *t
 	ck.embedViews[rank] = d
 	ck.embedOK[rank] = true
 }
@@ -223,125 +208,29 @@ func all(ok []bool) bool {
 func (ck *checkpoint) coarsenComplete() bool { return ck != nil && all(ck.coarsenOK) }
 func (ck *checkpoint) embedComplete() bool   { return ck != nil && all(ck.embedOK) }
 
-// attemptConfig describes one world launch: where it enters the
-// pipeline and with what restored state.
-type attemptConfig struct {
-	p         int
-	start     pipelineStage
-	model     mpi.Model
-	h         *coarsen.Hierarchy
-	boundary  [][]int64
-	resume    []mpi.RankSnapshot   // per-rank counters to restore (nil = fresh clocks)
-	baseTimes []PhaseTimes         // phase times accrued before the checkpoint
-	views     []*embed.Distributed // per-rank embedding (stagePartition only)
-	save      *checkpoint          // where to store level checkpoints (nil = don't)
-	rejoin    bool                 // charge a synchronising "recover" barrier on entry
-}
-
-// runAttempt launches one world and runs the pipeline from cfg.start.
-// It is the single body both the recovery-off path and every recovery
-// attempt execute, which is what guarantees a fresh full run charges
-// exactly the historical cost sequence (bit-identical results). The
-// returned stats are valid even on error (partial clocks at teardown);
-// the recovery driver needs their Events counters to disarm fired
-// faults.
-func runAttempt(g *graph.Graph, opt Options, cfg attemptConfig) (*Result, []mpi.RankStats, error) {
-	p := cfg.p
-	part := make([]int32, g.NumVertices())
-	times := make([]PhaseTimes, p)
-	var cut, cutBefore int64
-	var imb float64
-	var strip int
-	stats, err := mpi.RunChecked(p, cfg.model, func(c *mpi.Comm) {
-		rank := c.Rank()
-		t := &times[rank]
-		if cfg.resume != nil {
-			c.Restore(cfg.resume[rank])
-			*t = cfg.baseTimes[rank]
-		}
-		if cfg.rejoin {
-			// Recovery re-entry: one synchronising barrier models the
-			// survivors and the respawned (or shrunken) world agreeing to
-			// re-enter the pipeline, and aligns the restored clocks.
-			c.SetPhase("recover")
-			c.Barrier()
-		}
-		var d *embed.Distributed
-		if cfg.start == stageStart {
-			c.SetPhase("coarsen")
-			ph := c.StartPhase()
-			coarsen.ChargeCosts(c, cfg.h, cfg.boundary, opt.CoarsenRounds, 2)
-			t.Coarsen, t.CoarsenComm = ph.Stop()
-			if cfg.save != nil {
-				cfg.save.saveCoarsen(rank, c.Snapshot(), *t)
-			}
-		}
-		if cfg.start <= stageEmbed {
-			c.SetPhase("embed")
-			ph := c.StartPhase()
-			d = embed.ParallelEmbed(c, cfg.h, opt.Embed)
-			te, tc := ph.Stop()
-			t.Embed += te
-			t.EmbedComm += tc
-			if cfg.save != nil {
-				cfg.save.saveEmbed(rank, c.Snapshot(), *t, d)
-			}
-		} else {
-			d = cfg.views[rank]
-		}
-
-		c.SetPhase("partition")
-		ph := c.StartPhase()
-		res := geopart.ParallelPartition(c, g, d, opt.Partition)
-		t.Partition, t.PartitionComm = ph.Stop()
-		t.Total = c.Elapsed()
-		t.TotalComm = c.CommElapsed()
-
-		// Assemble the global partition outside the timed region; each
-		// rank owns a disjoint vertex set, so the writes are race-free.
-		for i, id := range res.OwnedIDs {
-			part[id] = res.Side[i]
-		}
-		if rank == 0 {
-			cut, cutBefore = res.Cut, res.CutBefore
-			imb = res.Imbalance
-			strip = res.StripSize
-		}
-	})
-	if err != nil {
-		return nil, stats, err
+// partitionRecover runs a full-pipeline plan under opt.Recover. With
+// recovery off the plan's one world is the run, as is: no reliability
+// layer, no fault-plan copy, no checkpoints, and Result.Recovery stays
+// nil. Otherwise it launches worlds until one completes, rolling back
+// to level checkpoints and applying the configured policy between
+// attempts.
+func partitionRecover(g *graph.Graph, opt Options, pl stagePlan) (*Result, error) {
+	if opt.Recover.Policy == RecoverOff {
+		res, _, err := pl.run(g)
+		return res, err
 	}
-	return &Result{
-		Part:      part,
-		Cut:       cut,
-		CutBefore: cutBefore,
-		Imbalance: imb,
-		StripSize: strip,
-		P:         p,
-		Times:     maxTimes(times),
-		Stats:     stats,
-	}, stats, nil
-}
-
-// partitionRecover is the recovery driver: it launches worlds until one
-// completes, rolling back to level checkpoints and applying the
-// configured policy between attempts.
-func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 	ro := opt.Recover.withDefaults()
-	rs := &RecoveryStats{FinalP: p}
+	rs := &RecoveryStats{FinalP: pl.p}
 
-	model := opt.Model
+	model := pl.model
 	model.Reliable = &mpi.Reliability{RetryBudget: ro.RetryBudget}
 	rec := model.Trace
 	// Never mutate the caller's plan: bench harnesses share one plan
 	// across cached runs.
 	plan := model.Faults.Clone()
 
-	h := coarsen.BuildHierarchy(g, p, opt.Coarsen)
-	boundary := coarsen.BoundaryEdges(h)
-	ck := newCheckpoint(p)
-	cfg := attemptConfig{p: p, start: stageStart, h: h, boundary: boundary, save: ck}
-	curP := p
+	ck := newCheckpoint(pl.p)
+	pl.save = ck
 	// coords is the finest-level global embedding, assembled once a
 	// post-embed checkpoint completes; it outlives world shrinks because
 	// the embedding values do not depend on the rank layout.
@@ -355,8 +244,8 @@ func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 			rec.Reset() // one recorder, final attempt only
 		}
 		model.Faults = plan
-		cfg.model = model
-		res, stats, err := runAttempt(g, opt, cfg)
+		pl.model = model
+		res, stats, err := pl.run(g)
 		if err == nil {
 			res.Recovery = rs
 			return res, nil
@@ -377,7 +266,7 @@ func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 
 		dead := 0
 		var re *mpi.RankError
-		if errors.As(err, &re) && re.Rank >= 0 && re.Rank < curP {
+		if errors.As(err, &re) && re.Rank >= 0 && re.Rank < pl.p {
 			dead = re.Rank // for deadlocks: the first blocked rank
 		}
 
@@ -390,22 +279,21 @@ func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 		if ro.Policy == RecoverRespawn && respawns < ro.MaxRespawns {
 			respawns++
 			rs.Respawns++
-			cfg = respawnConfig(cfg, ck)
-			rs.Resumes = append(rs.Resumes, "respawn@"+cfg.start.String())
+			pl = respawnPlan(pl, ck)
+			rs.Resumes = append(rs.Resumes, "respawn@"+pl.start.String())
 			continue
 		}
-		if curP > 1 && shrinks < ro.MaxShrinks {
+		if pl.p > 1 && shrinks < ro.MaxShrinks {
 			shrinks++
 			rs.Shrinks++
-			newP := curP - 1
+			newP := pl.p - 1
 			plan = plan.ShrinkRank(dead)
 			var err error
-			if cfg, ck, err = shrinkConfig(g, opt, cfg, ck, coords, dead, newP); err != nil {
+			if pl, ck, err = shrinkPlan(g, opt, pl, ck, coords, dead, newP); err != nil {
 				return nil, fmt.Errorf("recovery shrink to P=%d: %w", newP, err)
 			}
-			curP = newP
 			rs.FinalP = newP
-			rs.Resumes = append(rs.Resumes, fmt.Sprintf("shrink@P=%d/%s", newP, cfg.start))
+			rs.Resumes = append(rs.Resumes, fmt.Sprintf("shrink@P=%d/%s", newP, pl.start))
 			continue
 		}
 		break
@@ -421,81 +309,77 @@ func partitionRecover(g *graph.Graph, p int, opt Options) (*Result, error) {
 	return fb, nil
 }
 
-// respawnConfig picks the newest complete checkpoint to respawn from.
+// respawnPlan picks the newest complete checkpoint to respawn from.
 // All ranks relaunch (the runtime has no partial worlds): survivors
 // restore the same snapshots they checkpointed, so their replay is the
 // work they already did, and the respawned rank's replay recreates the
-// lost state deterministically.
-func respawnConfig(cfg attemptConfig, ck *checkpoint) attemptConfig {
+// lost state deterministically. A multi-trial run saves no embed
+// checkpoint, so it resumes after coarsening and replays every trial.
+func respawnPlan(pl stagePlan, ck *checkpoint) stagePlan {
+	pl.rejoin = true
 	switch {
-	case ck != nil && ck.p == cfg.p && ck.embedComplete():
-		return attemptConfig{
-			p: cfg.p, start: stagePartition,
-			resume:    append([]mpi.RankSnapshot(nil), ck.embedSnap...),
-			baseTimes: append([]PhaseTimes(nil), ck.embedT...),
-			views:     append([]*embed.Distributed(nil), ck.embedViews...),
-			h:         cfg.h, boundary: cfg.boundary, save: ck, rejoin: true,
-		}
-	case ck != nil && ck.p == cfg.p && ck.coarsenComplete():
-		return attemptConfig{
-			p: cfg.p, start: stageEmbed,
-			resume:    append([]mpi.RankSnapshot(nil), ck.coarsenSnap...),
-			baseTimes: append([]PhaseTimes(nil), ck.coarsenT...),
-			h:         cfg.h, boundary: cfg.boundary, save: ck, rejoin: true,
-		}
-	case cfg.start != stageStart:
+	case ck != nil && ck.p == pl.p && ck.embedComplete():
+		pl.start = stagePartition
+		pl.resume = append([]mpi.RankSnapshot(nil), ck.embedSnap...)
+		pl.baseTimes = append([]PhaseTimes(nil), ck.embedT...)
+		pl.views = append([]*embed.Distributed(nil), ck.embedViews...)
+		pl.save = ck
+	case ck != nil && ck.p == pl.p && ck.coarsenComplete():
+		pl.start = stageEmbed
+		pl.resume = append([]mpi.RankSnapshot(nil), ck.coarsenSnap...)
+		pl.baseTimes = append([]PhaseTimes(nil), ck.coarsenT...)
+		pl.views = nil
+		pl.save = ck
+	case pl.start != stageStart:
 		// A shrunken partition-only world with no checkpoint of its own:
 		// replay its entry state.
-		cfg.rejoin = true
-		return cfg
 	default:
 		// Nothing checkpointed yet: restart the pipeline from scratch
 		// (still a respawn — the world keeps its size).
-		cfg.resume = nil
-		cfg.baseTimes = nil
-		cfg.views = nil
-		cfg.start = stageStart
-		cfg.rejoin = true
-		return cfg
+		pl.resume, pl.baseTimes, pl.views = nil, nil, nil
 	}
+	return pl
 }
 
-// shrinkConfig builds the P−1 world after rank `dead` is dropped. With
-// a known global embedding the survivors redistribute the finest-level
+// shrinkPlan builds the P−1 world after rank `dead` is dropped. With a
+// known global embedding the survivors redistribute the finest-level
 // coordinates by the same block rule as the initial distribution
-// (embed.SplitCoords) and re-enter at the partition phase; without one
-// the shrunken world restarts the pipeline (the hierarchy layout
-// depends on P, so coarsen-level state cannot be reused across sizes).
-func shrinkConfig(g *graph.Graph, opt Options, cfg attemptConfig, ck *checkpoint, coords []geometry.Vec2, dead, newP int) (attemptConfig, *checkpoint, error) {
+// (embed.SplitCoords) and re-enter at the partition stage; without one
+// — always the case for a multi-trial run — the shrunken world restarts
+// the pipeline (the hierarchy layout depends on P, so coarsen-level
+// state cannot be reused across sizes).
+func shrinkPlan(g *graph.Graph, opt Options, pl stagePlan, ck *checkpoint, coords []geometry.Vec2, dead, newP int) (stagePlan, *checkpoint, error) {
 	var snaps []mpi.RankSnapshot
 	var baseT []PhaseTimes
 	switch {
-	case cfg.start == stagePartition && cfg.resume != nil:
+	case pl.start == stagePartition && pl.resume != nil:
 		// The failed world was already partition-only: its entry
 		// snapshots are the survivors' post-embed state.
-		snaps, baseT = cfg.resume, cfg.baseTimes
-	case ck != nil && ck.p == cfg.p && ck.embedComplete():
+		snaps, baseT = pl.resume, pl.baseTimes
+	case ck != nil && ck.p == pl.p && ck.embedComplete():
 		snaps, baseT = ck.embedSnap, ck.embedT
 	}
+	next := pl
+	next.p = newP
+	next.rejoin = true
 	if coords != nil && snaps != nil {
 		if err := checkGeometricInput(g, coords, newP); err != nil {
-			return attemptConfig{}, nil, err
+			return stagePlan{}, nil, err
 		}
-		return attemptConfig{
-			p: newP, start: stagePartition,
-			resume:    dropIndex(snaps, dead),
-			baseTimes: dropIndex(baseT, dead),
-			views:     embed.SplitCoords(g, coords, newP),
-			h:         cfg.h, boundary: cfg.boundary, rejoin: true,
-		}, nil, nil
+		next.start = stagePartition
+		next.resume = dropIndex(snaps, dead)
+		next.baseTimes = dropIndex(baseT, dead)
+		next.views = embed.SplitCoords(g, coords, newP)
+		next.save = nil
+		return next, nil, nil
 	}
-	h := coarsen.BuildHierarchy(g, newP, opt.Coarsen)
 	nck := newCheckpoint(newP)
-	return attemptConfig{
-		p: newP, start: stageStart,
-		h: h, boundary: coarsen.BoundaryEdges(h),
-		save: nck, rejoin: true,
-	}, nck, nil
+	next.start = stageStart
+	next.h = coarsen.BuildHierarchy(g, newP, opt.Coarsen)
+	next.boundary = coarsen.BoundaryEdges(next.h)
+	next.resume, next.baseTimes, next.views = nil, nil, nil
+	next.save = nck
+	return next, nck, nil
 }
 
 // assembleCoords unions the finest-level owned coordinates of every

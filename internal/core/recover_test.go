@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,33 +25,11 @@ func phaseClass(phase, class string) bool {
 	}
 }
 
-// killEventFor sweeps kill positions until one fires inside the wanted
-// phase class. Determinism makes the discovered position stable for a
-// fixed (graph, seed, P).
-func killEventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class string) int64 {
-	t.Helper()
-	matches := func(phase string) bool { return phaseClass(phase, class) }
-	for e := int64(0); e < 5000; e += 7 {
-		o := opt
-		o.Model.Faults = mpi.NewFaultPlan().Kill(rank, e)
-		_, err := PartitionChecked(g, p, o)
-		if err == nil {
-			break // past the end of the program: no event left to kill at
-		}
-		var re *mpi.RankError
-		if errors.As(err, &re) && re.Rank == rank && matches(re.Phase) {
-			return e
-		}
-	}
-	t.Fatalf("no kill position found inside phase class %q", class)
-	return -1
-}
-
-// sendEventFor replays a traced fault-free run and returns the
-// communication-event position of rank's first point-to-point Send
-// inside the wanted phase class — the positions DropMessage and
-// DelayMessage faults act on.
-func sendEventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class string) int64 {
+// eventFor replays a traced fault-free run and returns the
+// communication-event position of rank's first event of one of the
+// given kinds inside the wanted phase class — the positions fault plans
+// address.
+func eventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class string, kinds ...trace.Kind) int64 {
 	t.Helper()
 	rec := trace.New()
 	o := opt
@@ -63,35 +43,71 @@ func sendEventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class 
 		switch e.Kind {
 		case trace.KindPhase:
 			phase = e.Op
-		case trace.KindSend:
-			if phaseClass(phase, class) {
-				return ev
-			}
-			ev++
-		case trace.KindRecv, trace.KindColl:
-			ev++
+			continue
+		case trace.KindSend, trace.KindRecv, trace.KindColl:
+		default:
+			continue
 		}
+		if phaseClass(phase, class) && slices.Contains(kinds, e.Kind) {
+			return ev
+		}
+		ev++
 	}
-	t.Fatalf("rank %d performs no Send inside phase class %q", rank, class)
+	t.Fatalf("rank %d performs no %v event inside phase class %q", rank, kinds, class)
 	return -1
+}
+
+// killEventFor returns the position of rank's first communication
+// event inside the wanted phase class, and checks that a kill there
+// fails the run in that phase.
+func killEventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class string) int64 {
+	t.Helper()
+	e := eventFor(t, g, opt, p, rank, class, trace.KindSend, trace.KindRecv, trace.KindColl)
+	o := opt
+	o.Model.Faults = mpi.NewFaultPlan().Kill(rank, e)
+	_, err := PartitionChecked(g, p, o)
+	var re *mpi.RankError
+	if !errors.As(err, &re) || re.Rank != rank || !phaseClass(re.Phase, class) {
+		t.Fatalf("kill of rank %d at event %d: got %v, want a failure in phase class %q", rank, e, err, class)
+	}
+	return e
+}
+
+// sendEventFor returns the position of rank's first point-to-point Send
+// inside the wanted phase class — the positions DropMessage and
+// DelayMessage faults act on.
+func sendEventFor(t *testing.T, g *graph.Graph, opt Options, p, rank int, class string) int64 {
+	t.Helper()
+	return eventFor(t, g, opt, p, rank, class, trace.KindSend)
+}
+
+// trialOptions3 is DefaultOptions(3) with the given trial count.
+func trialOptions3(trials int) Options {
+	opt := DefaultOptions(3)
+	opt.Trials = trials
+	return opt
 }
 
 // TestRecoveryZeroFaultsBitIdentical: enabling recovery without any
 // fault firing must not move a single modeled number — the reliability
 // layer's sequence tracking and the driver's checkpointing are pure
-// bookkeeping.
+// bookkeeping — for a single pass and for a multi-trial search.
 func TestRecoveryZeroFaultsBitIdentical(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	for _, p := range []int{1, 4, 16, 64} {
-		base, err := PartitionChecked(g.G, p, DefaultOptions(3))
+	for _, tc := range []struct{ p, trials int }{{1, 1}, {4, 1}, {16, 1}, {64, 1}, {1, 2}, {4, 2}, {16, 2}} {
+		p := tc.p
+		base, err := PartitionChecked(g.G, p, trialOptions3(tc.trials))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions(3)
+		if base.Recovery != nil {
+			t.Fatalf("P=%d trials=%d: recovery off reported recovery stats %+v", p, tc.trials, base.Recovery)
+		}
+		opt := trialOptions3(tc.trials)
 		opt.Recover = RecoverOptions{Policy: RecoverRespawn}
 		rec, err := PartitionChecked(g.G, p, opt)
 		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
+			t.Fatalf("P=%d trials=%d: %v", p, tc.trials, err)
 		}
 		if rec.Cut != base.Cut || rec.CutBefore != base.CutBefore || rec.Imbalance != base.Imbalance {
 			t.Fatalf("P=%d: recovery-enabled quality moved: cut %d vs %d", p, rec.Cut, base.Cut)
@@ -116,40 +132,51 @@ func TestRecoveryZeroFaultsBitIdentical(t *testing.T) {
 }
 
 // TestRespawnRecoversKillInEveryPhase: a rank killed during coarsening,
-// embedding, or partitioning is respawned from the newest complete
-// checkpoint and the run finishes with the exact fault-free cut.
+// embedding, or partitioning — or, with two trials, in their combine —
+// is respawned from the newest complete checkpoint and the run finishes
+// with the exact fault-free partition. A multi-trial run resumes after
+// coarsening and replays every trial.
 func TestRespawnRecoversKillInEveryPhase(t *testing.T) {
 	g := gen.Grid2D(32, 32)
 	const p = 4
-	base, err := PartitionChecked(g.G, p, DefaultOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, class := range []string{"coarsen", "embed", "partition"} {
-		ev := killEventFor(t, g.G, DefaultOptions(3), p, 1, class)
-		opt := DefaultOptions(3)
-		opt.Model.Faults = mpi.NewFaultPlan().Kill(1, ev)
-		opt.Recover = RecoverOptions{Policy: RecoverRespawn}
-		res, err := PartitionChecked(g.G, p, opt)
+	for _, trials := range []int{1, 2} {
+		base, err := PartitionChecked(g.G, p, trialOptions3(trials))
 		if err != nil {
-			t.Fatalf("kill in %s (event %d) not recovered: %v", class, ev, err)
+			t.Fatal(err)
 		}
-		if res.Fallback {
-			t.Fatalf("kill in %s: respawn fell back to sequential", class)
+		classes := []string{"coarsen", "embed", "partition"}
+		if trials > 1 {
+			classes = append(classes, "combine")
 		}
-		if res.Recovery == nil || res.Recovery.Respawns < 1 || res.Recovery.FinalP != p {
-			t.Fatalf("kill in %s: unexpected recovery stats %+v", class, res.Recovery)
-		}
-		if res.Cut != base.Cut {
-			t.Fatalf("kill in %s: respawned cut %d != fault-free cut %d", class, res.Cut, base.Cut)
-		}
-		for v := range base.Part {
-			if res.Part[v] != base.Part[v] {
-				t.Fatalf("kill in %s: respawned side of vertex %d differs", class, v)
+		for _, class := range classes {
+			tag := fmt.Sprintf("trials=%d kill in %s", trials, class)
+			ev := killEventFor(t, g.G, trialOptions3(trials), p, 1, class)
+			opt := trialOptions3(trials)
+			opt.Model.Faults = mpi.NewFaultPlan().Kill(1, ev)
+			opt.Recover = RecoverOptions{Policy: RecoverRespawn}
+			res, err := PartitionChecked(g.G, p, opt)
+			if err != nil {
+				t.Fatalf("%s (event %d) not recovered: %v", tag, ev, err)
 			}
-		}
-		if err := CheckResult(g.G, res); err != nil {
-			t.Fatalf("kill in %s: %v", class, err)
+			if res.Fallback {
+				t.Fatalf("%s: respawn fell back to sequential", tag)
+			}
+			if res.Recovery == nil || res.Recovery.Respawns < 1 || res.Recovery.FinalP != p {
+				t.Fatalf("%s: unexpected recovery stats %+v", tag, res.Recovery)
+			}
+			if trials > 1 && class != "coarsen" && res.Recovery.Resumes[0] != "respawn@"+stageEmbed.String() {
+				t.Fatalf("%s: resumed at %v, want the coarsen checkpoint", tag, res.Recovery.Resumes)
+			}
+			if res.Cut != base.Cut || res.CutBefore != base.CutBefore || res.Imbalance != base.Imbalance {
+				t.Fatalf("%s: respawned cut %d/%d imb %v != fault-free %d/%d imb %v",
+					tag, res.Cut, res.CutBefore, res.Imbalance, base.Cut, base.CutBefore, base.Imbalance)
+			}
+			if !slices.Equal(res.Part, base.Part) {
+				t.Fatalf("%s: respawned partition differs from the fault-free run", tag)
+			}
+			if err := CheckResult(g.G, res); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
 		}
 	}
 }
@@ -169,18 +196,25 @@ func TestShrinkRecoversKill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill in %s (event %d) not recovered by shrink: %v", class, ev, err)
 		}
-		if res.Fallback {
-			t.Fatalf("kill in %s: shrink fell back to sequential", class)
-		}
-		if res.Recovery == nil || res.Recovery.Shrinks != 1 || res.Recovery.FinalP != p-1 || res.P != p-1 {
-			t.Fatalf("kill in %s: unexpected recovery stats %+v (P=%d)", class, res.Recovery, res.P)
-		}
-		if err := CheckResult(g.G, res); err != nil {
-			t.Fatalf("kill in %s: shrunken partition invalid: %v", class, err)
-		}
-		if res.Imbalance > 0.1 {
-			t.Fatalf("kill in %s: shrunken imbalance %v exceeds the balance constraint", class, res.Imbalance)
-		}
+		checkShrunk(t, g.G, res, p, "kill in "+class)
+	}
+}
+
+// checkShrunk requires res to come from one world shrink of a P=p run:
+// no fallback, final world P−1, and a valid balanced partition.
+func checkShrunk(t *testing.T, g *graph.Graph, res *Result, p int, tag string) {
+	t.Helper()
+	if res.Fallback {
+		t.Fatalf("%s: shrink fell back to sequential", tag)
+	}
+	if res.Recovery == nil || res.Recovery.Shrinks != 1 || res.Recovery.FinalP != p-1 || res.P != p-1 {
+		t.Fatalf("%s: unexpected recovery stats %+v (P=%d)", tag, res.Recovery, res.P)
+	}
+	if err := CheckResult(g, res); err != nil {
+		t.Fatalf("%s: shrunken partition invalid: %v", tag, err)
+	}
+	if res.Imbalance > 0.1 {
+		t.Fatalf("%s: shrunken imbalance %v exceeds the balance constraint", tag, res.Imbalance)
 	}
 }
 

@@ -5,9 +5,24 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geopart"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
+
+// replayOptions is DefaultOptions(seed) under the given replay mode.
+func replayOptions(seed int64, mode mpi.ReplayMode) Options {
+	opt := DefaultOptions(seed)
+	opt.Model.Replay = mode
+	return opt
+}
+
+// withFullCut switches the full-cut pass on at the round count
+// -refine full selects.
+func withFullCut(opt Options) Options {
+	opt.Partition.FullCutRounds = geopart.FullRefineRounds
+	return opt
+}
 
 // TestReplayModesBitIdentical is the PR 7 contract: the host-parallel
 // embedding kernels and the batched rank-stepping scheduler are pure
@@ -20,17 +35,15 @@ func TestReplayModesBitIdentical(t *testing.T) {
 	g := gen.Grid2D(96, 96)
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 			serial := Partition(g.G, p, DefaultOptions(42))
 			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-				mpi.SetReplayMode(mode)
 				for _, w := range []int{1, 2, 8} {
 					if mode == mpi.ReplayGoroutine && w == 1 {
 						continue // the reference configuration
 					}
 					hostpar.SetWorkers(w)
-					par := Partition(g.G, p, DefaultOptions(42))
+					par := Partition(g.G, p, replayOptions(42, mode))
 					tag := fmt.Sprintf("replay=%s workers=%d", mode, w)
 					if par.Cut != serial.Cut {
 						t.Errorf("%s: cut differs: got %d serial %d", tag, par.Cut, serial.Cut)

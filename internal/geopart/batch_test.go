@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
 // TestGatherSamplePinned pins the sampled (id, coordinate) sequence for
@@ -134,10 +133,10 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 		rcb    ParallelResult
 		clocks []float64
 	}
-	run := func(p int) outcome {
+	run := func(p int, mode mpi.ReplayMode) outcome {
 		views := embed.SplitCoords(g.G, g.Coords, p)
 		o := outcome{part: make([]int32, g.G.NumVertices()), clocks: make([]float64, p)}
-		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		mpi.Run(p, replayModel(mode), func(c *mpi.Comm) {
 			res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
 			for i, id := range res.OwnedIDs {
 				o.part[id] = res.Side[i]
@@ -152,16 +151,14 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 	}
 	for _, p := range []int{1, 4, 16} {
 		ref := func() outcome {
-			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			return run(p)
+			return run(p, mpi.ReplayGoroutine)
 		}()
 		for _, w := range []int{2, 8} {
 			name := fmt.Sprintf("P=%d batched replay, %d workers", p, w)
 			got := func() outcome {
-				defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayBatched))
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-				return run(p)
+				return run(p, mpi.ReplayBatched)
 			}()
 			if got.sp.Cut != ref.sp.Cut || got.sp.CutBefore != ref.sp.CutBefore || got.sp.SideW != ref.sp.SideW || got.sp.StripSize != ref.sp.StripSize {
 				t.Fatalf("%s: SP results differ: %+v, one worker %+v", name, got.sp, ref.sp)
@@ -186,17 +183,16 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 // Without -race it still checks that the reported cut matches a
 // recount and that a second run is identical.
 func TestParallelPartitionSharedValuesRace(t *testing.T) {
-	defer refine.SetFullCut(refine.SetFullCut(true))
 	g := gen.DelaunayRandom(6000, 3)
 	const p = 64
-	part, res := runSP(g, p, DefaultParallelConfig())
+	part, res := runSP(g, p, fullCutConfig(), mpi.DefaultModel())
 	if res.StripSize == 0 || res.Boundary == 0 {
 		t.Fatalf("refinement did not run: strip %d, boundary %d", res.StripSize, res.Boundary)
 	}
 	if got := graph.CutSize(g.G, part); got != res.Cut {
 		t.Fatalf("reported cut %d, recount %d", res.Cut, got)
 	}
-	part2, res2 := runSP(g, p, DefaultParallelConfig())
+	part2, res2 := runSP(g, p, fullCutConfig(), mpi.DefaultModel())
 	if res2.Cut != res.Cut || !slices.Equal(part2, part) {
 		t.Fatalf("second run differs: cut %d vs %d", res2.Cut, res.Cut)
 	}
@@ -360,7 +356,6 @@ var splitSink []*embed.Distributed
 // second view, and a partition call with strip and full-cut refinement,
 // leave the first view's adjacency as it was.
 func TestEdgeCacheReadsViewAdjacency(t *testing.T) {
-	defer refine.SetFullCut(refine.SetFullCut(true))
 	g := gen.DelaunayRandom(3000, 2)
 	const p = 4
 	views := embed.SplitCoords(g.G, g.Coords, p)
@@ -375,7 +370,7 @@ func TestEdgeCacheReadsViewAdjacency(t *testing.T) {
 		buildEdgeCache(g.G, views[r]).release()
 	}
 	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-		ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
+		ParallelPartition(c, g.G, views[c.Rank()], fullCutConfig())
 	})
 	start, slot = views[0].Adjacency(g.G)
 	if !slices.Equal(start, wantStart) || !slices.Equal(slot, wantSlot) {

@@ -18,9 +18,9 @@ import (
 // pattern is already proven on the high-P collectives. Rounds stop
 // when a solve yields no gain or the boundary empties.
 //
-// The pass is gated by refine.SetFullCut (default off) so the
-// historical strip-only pipeline stays bit-identical; see ISSUE 10's
-// bit-identity guard.
+// The pass runs only when ParallelConfig.FullCutRounds is positive
+// (default 0), so the historical strip-only pipeline stays
+// bit-identical.
 
 // gatheredFree is the global free set of one RefineFreeSet round,
 // built once per gather and shared read-only: the records in rank

@@ -12,16 +12,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 )
 
-// runSP runs one SP-PG7-NL bisection world and returns the assembled
-// global part vector plus rank 0's result.
-func runSP(g *gen.Generated, p int, cfg ParallelConfig) ([]int32, *ParallelResult) {
+// runSP runs one SP-PG7-NL bisection world under the given model and
+// returns the assembled global part vector plus rank 0's result.
+func runSP(g *gen.Generated, p int, cfg ParallelConfig, m mpi.Model) ([]int32, *ParallelResult) {
 	views := embed.SplitCoords(g.G, g.Coords, p)
 	part := make([]int32, g.G.NumVertices())
 	var r0 *ParallelResult
-	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+	mpi.Run(p, m, func(c *mpi.Comm) {
 		res := ParallelPartition(c, g.G, views[c.Rank()], cfg)
 		for i, id := range res.OwnedIDs {
 			part[id] = res.Side[i]
@@ -37,6 +36,21 @@ func globalCut(g *graph.Graph, part []int32) int64 {
 	return graph.CutSize(g, part)
 }
 
+// fullCutConfig is SP-PG7-NL with the full-cut pass on at the round
+// count -refine full selects.
+func fullCutConfig() ParallelConfig {
+	cfg := DefaultParallelConfig()
+	cfg.FullCutRounds = FullRefineRounds
+	return cfg
+}
+
+// replayModel is the default model under the given replay mode.
+func replayModel(mode mpi.ReplayMode) mpi.Model {
+	m := mpi.DefaultModel()
+	m.Replay = mode
+	return m
+}
+
 // TestFullCutImprovesOrKeepsCut: the full-cut pass must never worsen
 // the strip-refined cut, its reported cut must match a from-scratch
 // recount of the assembled partition, and the balance must stay inside
@@ -45,11 +59,8 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 5)
 	totalW := g.G.TotalVertexWeight()
 	for _, p := range []int{1, 4, 16} {
-		defer refine.SetFullCut(refine.SetFullCut(false))
-		stripPart, stripRes := runSP(g, p, DefaultParallelConfig())
-		refine.SetFullCut(true)
-		fullPart, fullRes := runSP(g, p, DefaultParallelConfig())
-		refine.SetFullCut(false)
+		stripPart, stripRes := runSP(g, p, DefaultParallelConfig(), mpi.DefaultModel())
+		fullPart, fullRes := runSP(g, p, fullCutConfig(), mpi.DefaultModel())
 
 		if got := globalCut(g.G, stripPart); got != stripRes.Cut {
 			t.Fatalf("P=%d strip: reported cut %d, recount %d", p, stripRes.Cut, got)
@@ -81,7 +92,6 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 // runs, hostpar worker counts, and both replay schedulers.
 func TestFullCutDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 9)
-	defer refine.SetFullCut(refine.SetFullCut(true))
 	for _, p := range []int{1, 4, 16, 64} {
 		var base []int32
 		var baseCut int64
@@ -90,8 +100,7 @@ func TestFullCutDeterministic(t *testing.T) {
 				name := fmt.Sprintf("P=%d workers=%d replay=%v", p, workers, mode)
 				part, res := func() ([]int32, *ParallelResult) {
 					defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-					defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
-					return runSP(g, p, DefaultParallelConfig())
+					return runSP(g, p, fullCutConfig(), replayModel(mode))
 				}()
 				if base == nil {
 					base, baseCut = part, res.Cut
@@ -110,14 +119,13 @@ func TestFullCutDeterministic(t *testing.T) {
 	}
 }
 
-// TestFullCutOffUnchanged: the hook off must leave the strip-only
+// TestFullCutOffUnchanged: the pass off must leave the strip-only
 // pipeline untouched — same parts, cuts, and virtual clocks as before
 // this pass existed. (The bench-level seed-row guard pins the same
 // thing against BENCH_7.json; this is the fast package-local check
 // that Boundary stays zero and the clock carries no full-cut charges.)
 func TestFullCutOffUnchanged(t *testing.T) {
 	g := gen.Grid2D(48, 48)
-	defer refine.SetFullCut(refine.SetFullCut(false))
 	views := embed.SplitCoords(g.G, g.Coords, 4)
 	var offClock, offCut = make([]float64, 4), int64(0)
 	mpi.Run(4, mpi.DefaultModel(), func(c *mpi.Comm) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/refine"
 	"repro/internal/stats"
 )
 
@@ -21,12 +20,16 @@ type ParallelConfig struct {
 	Refine      bool    // apply Fiduccia–Mattheyses on a coordinate strip
 	StripFactor float64 // strip size target, × separator edge count; default 8
 	FMPasses    int     // default 4
-	// FullCutRounds bounds the full-cut boundary-FM rounds applied
-	// after strip refinement when refine.SetFullCut is on; default 4.
-	// Each round re-extracts the boundary, so the pass also stops as
-	// soon as a round yields no gain.
+	// FullCutRounds switches on the full-cut boundary-FM pass after
+	// strip refinement and bounds its rounds: 0 (the default) runs strip
+	// refinement only, n > 0 runs up to n rounds. Each round
+	// re-extracts the boundary, so the pass also stops as soon as a
+	// round yields no gain.
 	FullCutRounds int
 }
+
+// FullRefineRounds is the full-cut round count -refine full selects.
+const FullRefineRounds = 4
 
 // DefaultParallelConfig is SP-PG7-NL with strip refinement, the
 // configuration ScalaPart uses.
@@ -42,9 +45,6 @@ func (c ParallelConfig) withDefaults() ParallelConfig {
 	}
 	if c.FMPasses == 0 {
 		c.FMPasses = 4
-	}
-	if c.FullCutRounds == 0 {
-		c.FullCutRounds = 4
 	}
 	return c
 }
@@ -295,7 +295,7 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 		ev.fillValGhost(bestK, valGhost)
 		bestT := cs.tVal[bestK]
 		stripFlips := refineStrip(c, g, d, cfg, ev.ec, valOwned, valGhost, sel.eps, bestT, totalW, res)
-		if refine.FullCut() {
+		if cfg.FullCutRounds > 0 {
 			// Replicate the ghosts' sides under the winning candidate:
 			// the geometric side from the separator threshold, then the
 			// strip flips that landed on our ghost copies.

@@ -152,41 +152,11 @@ type waitSnap struct {
 	kind int32
 }
 
-// DefaultWatchdogWindow is the built-in stall window used when neither
-// Model.Watchdog nor SetWatchdogTimeout configured one: if no rank
-// makes progress for this long while every live rank is blocked, the
-// watchdog aborts the world with a DeadlockError.
+// DefaultWatchdogWindow is the stall window of runs whose
+// Model.Watchdog is zero: if no rank makes progress for this long while
+// every live rank is blocked, the watchdog aborts the world with a
+// DeadlockError.
 const DefaultWatchdogWindow = 2 * time.Second
-
-// watchdogWindow holds the process-wide configured default stall window
-// in nanoseconds; zero means "use DefaultWatchdogWindow".
-var watchdogWindow atomic.Int64
-
-// SetWatchdogTimeout configures the process-wide default deadlock
-// watchdog window used by runs whose Model.Watchdog is zero, and
-// returns the previous default. Passing a non-positive duration
-// restores the built-in DefaultWatchdogWindow. Chaos and CI harnesses
-// use this to shorten (or lengthen, on slow machines) the watchdog
-// without threading a Model through every call site; a per-run
-// Model.Watchdog still takes precedence.
-func SetWatchdogTimeout(d time.Duration) time.Duration {
-	prev := WatchdogTimeout()
-	if d <= 0 {
-		watchdogWindow.Store(0)
-	} else {
-		watchdogWindow.Store(int64(d))
-	}
-	return prev
-}
-
-// WatchdogTimeout returns the current default watchdog stall window
-// (the value runs with Model.Watchdog == 0 use).
-func WatchdogTimeout() time.Duration {
-	if ns := watchdogWindow.Load(); ns > 0 {
-		return time.Duration(ns)
-	}
-	return DefaultWatchdogWindow
-}
 
 // watchdog polls rank states and aborts the world when it observes a
 // full window with every live rank blocked on the exact same operations

@@ -48,7 +48,7 @@ func AllToAllV[T any](c *Comm, dest [][]T, bytesPerElem int) [][]T {
 // directly — O(P²) total. The returned slice is shared read-only
 // between ranks.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
-	m := c.Model()
+	m := &c.world.model
 	cost := collCost{
 		total: m.Latency*log2ceil(c.size) + m.PerByte*4*float64(c.size) + m.PerPeer*float64(c.size),
 		ts:    m.Latency * log2ceil(c.size),

@@ -27,9 +27,9 @@ type clockSample struct {
 // clockBody runs each collective of clockOps once on p ranks, with a
 // rank-skewed compute charge before each so arrival clocks differ, and
 // returns every rank's counters after each op.
-func clockBody(p int) [][len(clockOps)]clockSample {
+func clockBody(p int, m Model) [][len(clockOps)]clockSample {
 	out := make([][len(clockOps)]clockSample, p)
-	Run(p, DefaultModel(), func(c *Comm) {
+	Run(p, m, func(c *Comm) {
 		r := c.Rank()
 		rec := func(i int, val float64) {
 			out[r][i] = clockSample{snap: c.Snapshot(), val: val}
@@ -140,9 +140,9 @@ func TestCollectiveClocksGolden(t *testing.T) {
 	}
 	for _, mode := range []ReplayMode{ReplayGoroutine, ReplayBatched} {
 		var got strings.Builder
-		withReplay(mode, 2, func() {
+		withReplay(mode, 2, func(m Model) {
 			for _, p := range ps {
-				got.WriteString(formatClocks(p, clockBody(p)))
+				got.WriteString(formatClocks(p, clockBody(p, m)))
 			}
 		})
 		w := want

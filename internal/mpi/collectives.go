@@ -127,7 +127,7 @@ func reduceBoxed[T any](c *Comm, op *string, val T, f func(a, b T) T, cost collC
 // is the payload size of one value. Cost: reduce tree + broadcast tree,
 // 2·(Latency + PerByte·bytes)·log2(P).
 func AllReduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	m := c.Model()
+	m := &c.world.model
 	lg := log2ceil(c.size)
 	cost := collCost{
 		total: 2 * (m.Latency + m.PerByte*float64(bytes)) * lg,
@@ -148,7 +148,7 @@ func AllReduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
 // value costs nothing extra in the model, matching the paper's use of
 // reductions whose results every processor ends up needing.
 func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	m := c.Model()
+	m := &c.world.model
 	lg := log2ceil(c.size)
 	cost := collCost{
 		total: (m.Latency + m.PerByte*float64(bytes)) * lg,
@@ -186,7 +186,7 @@ func AllReduceSlice[T any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) 
 // read-only to each of them. A panic in derive fails the collective
 // like a panicking combine.
 func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) T, derive func(reduced []T) R) R {
-	m := c.Model()
+	m := &c.world.model
 	lg := log2ceil(c.size)
 	b := bytesPerElem * len(vals)
 	cost := collCost{
@@ -233,7 +233,7 @@ func AllGather[T any](c *Comm, val T, bytes int) []T {
 // Its result is shared by all ranks and is read-only to each of them. A
 // panic in derive fails the collective like a panicking combine.
 func AllGatherWith[T, R any](c *Comm, val T, bytes int, derive func(vals []T) R) R {
-	m := c.Model()
+	m := &c.world.model
 	lg := log2ceil(c.size)
 	cost := collCost{
 		total: m.Latency*lg + m.PerByte*float64(bytes)*float64(c.size-1),
@@ -277,7 +277,7 @@ func AllGatherV[T any](c *Comm, vals []T, bytesPerElem int) [][]T {
 // ranks and is read-only to each of them. A panic in derive fails the
 // collective like a panicking combine.
 func AllGatherVWith[T, R any](c *Comm, vals []T, bytesPerElem int, derive func(parts [][]T) R) R {
-	m := c.Model()
+	m := &c.world.model
 	// The total size is unknown until all contributions arrive, so the
 	// collective is run with a size-exchange first: a cheap AllReduce
 	// of the local byte count, then the gather charged with the total.

@@ -157,6 +157,7 @@ func TestVoluntaryAbort(t *testing.T) {
 func TestDropMessageTriggersWatchdog(t *testing.T) {
 	m := watchdogModel(200 * time.Millisecond)
 	m.Faults = NewFaultPlan().Drop(0, 0)
+	start := time.Now()
 	_, err := RunChecked(2, m, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, "payload", 64)
@@ -172,6 +173,14 @@ func TestDropMessageTriggersWatchdog(t *testing.T) {
 	blocked := dl.Blocked()
 	if len(blocked) != 1 || blocked[0] != 1 {
 		t.Fatalf("blocked %v, want [1]", blocked)
+	}
+	// The run's Model.Watchdog sets the stall window, well inside the
+	// built-in default.
+	if dl.Window != 200*time.Millisecond {
+		t.Fatalf("watchdog ran with window %v, want the model's 200ms", dl.Window)
+	}
+	if elapsed := time.Since(start); elapsed >= DefaultWatchdogWindow {
+		t.Fatalf("watchdog took %v, should fire within a few 200ms windows", elapsed)
 	}
 }
 

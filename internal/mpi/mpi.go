@@ -73,6 +73,10 @@ type Model struct {
 	// value disables the watchdog. The watchdog never touches virtual
 	// clocks.
 	Watchdog time.Duration
+	// Replay selects how the world's ranks are scheduled on the host;
+	// the zero value is ReplayGoroutine. Like the watchdog it never
+	// touches virtual clocks: both modes produce bit-identical runs.
+	Replay ReplayMode
 	// Faults optionally injects deterministic failures into the run;
 	// nil (the default) runs fault-free. See FaultPlan.
 	Faults *FaultPlan
@@ -272,7 +276,7 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 		abortCh:   make(chan struct{}),
 		worldColl: newFaninColl(p),
 	}
-	w.gate = newStepGate(p)
+	w.gate = newStepGate(p, model.Replay)
 	var traces []*trace.RankTrace
 	if model.Trace != nil {
 		traces = model.Trace.Attach(p)
@@ -337,7 +341,7 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 	}
 	window := model.Watchdog
 	if window == 0 {
-		window = WatchdogTimeout()
+		window = DefaultWatchdogWindow
 	}
 	var stopWatchdog chan struct{}
 	if window > 0 {
@@ -593,7 +597,7 @@ func (c *Comm) sendOp(to int, data any, bytes int, op *string) {
 		panic(fmt.Sprintf("mpi: Send to rank %d of world size %d", to, c.world.size))
 	}
 	f := c.commEvent(op)
-	m := c.world.model
+	m := &c.world.model
 	// Self-healing: with a reliability layer attached, wire faults on
 	// this message are healed at the send site. The retransmission
 	// protocol is not simulated turn by turn — its deterministic outcome
@@ -797,7 +801,7 @@ type collCost struct {
 func (c *Comm) collPrologue(op *string, val any, cost collCost) (any, float64) {
 	f := c.commEvent(op)
 	if f != nil && f.Kind == TruncatePayload {
-		if m := c.world.model; m.Reliable != nil {
+		if m := &c.world.model; m.Reliable != nil {
 			// Checksummed contribution: the corrupted copy is rejected
 			// and retransmitted intact after one ack timeout. The late
 			// rank's clock enters the rendezvous max, so the whole
@@ -884,7 +888,7 @@ func safeCombine(combine func([]any) any, vals []any) (res any, panicked any) {
 // Barrier synchronises all ranks of the communicator; cost is a
 // log2(P)-depth tree of latencies.
 func (c *Comm) Barrier() {
-	m := c.world.model
+	m := &c.world.model
 	total := m.Latency * log2ceil(c.size)
 	c.runCollective(opBarrier, nil, combineNil,
 		collCost{total: total, ts: total})
@@ -900,7 +904,7 @@ func (c *Comm) Bcast(root int, data any, bytes int) any {
 	if root < 0 || root >= c.size {
 		panic("mpi: Bcast root out of range")
 	}
-	m := c.world.model
+	m := &c.world.model
 	lg := log2ceil(c.size)
 	return c.runCollective(opBcast, data, func(vals []any) any { return vals[root] },
 		collCost{
@@ -936,7 +940,7 @@ func (t PhaseTimer) Stop() (total, comm float64) {
 // data dependencies the simulation has already satisfied (e.g. the
 // replicated-topology coarsening exchange).
 func (c *Comm) ChargeComm(messages, bytes int) {
-	m := c.world.model
+	m := &c.world.model
 	d := float64(messages)*m.Latency + float64(bytes)*m.PerByte
 	t0 := c.state.clock
 	c.state.clock += d
@@ -969,6 +973,6 @@ func (c *Comm) SyncCostParts(total, ts, tw, to float64) {
 // `bytes` payload over this communicator: (Latency + PerByte·bytes) ·
 // ceil(log2 P).
 func (c *Comm) CollectiveCost(bytes int) float64 {
-	m := c.world.model
+	m := &c.world.model
 	return (m.Latency + m.PerByte*float64(bytes)) * log2ceil(c.size)
 }

@@ -60,7 +60,7 @@ func (r *Reliability) budget() int {
 // ackTimeout is the virtual time the sender waits for an acknowledgement
 // before retransmitting a bytes-sized message: AckFactor times the
 // modeled round trip of the message.
-func (r *Reliability) ackTimeout(m Model, bytes int) float64 {
+func (r *Reliability) ackTimeout(m *Model, bytes int) float64 {
 	f := r.AckFactor
 	if f <= 0 {
 		f = DefaultAckFactor

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -78,7 +77,7 @@ func TestReliableHealsDroppedMessage(t *testing.T) {
 		t.Fatalf("sender clock %.12g, want %.12g (one retry latency over clean %.12g)",
 			stats[0].Time, wantSender, clean[0].Time)
 	}
-	timeout := base.Reliable.ackTimeout(base, 8)
+	timeout := base.Reliable.ackTimeout(&base, 8)
 	wantReceiver := clean[1].Time + timeout
 	if diff := stats[1].Time - wantReceiver; diff > 1e-15 || diff < -1e-15 {
 		t.Fatalf("receiver clock %.12g, want %.12g (one backoff timeout over clean %.12g)",
@@ -116,7 +115,7 @@ func TestReliableHealsRepeatedDropWithExponentialBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("triple drop within budget must heal: %v", err)
 	}
-	timeout := model.Reliable.ackTimeout(model, 8)
+	timeout := model.Reliable.ackTimeout(&model, 8)
 	// 3 lost transmissions: backoff = timeout·(1+2+4).
 	wantBackoff := 7 * timeout
 	clean := model.Latency + model.PerByte*8
@@ -166,7 +165,7 @@ func TestReliableHealsLongDelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delay heal failed: %v", err)
 	}
-	timeout := model.Reliable.ackTimeout(model, 8)
+	timeout := model.Reliable.ackTimeout(&model, 8)
 	if stats[1].Time >= late {
 		t.Fatalf("receiver still waited the full delay (%.3g), healing did not fire", stats[1].Time)
 	}
@@ -211,7 +210,7 @@ func TestReliableHealsTruncatedSend(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("payload arrived corrupted despite checksum healing: %v", got)
 	}
-	timeout := model.Reliable.ackTimeout(model, 16)
+	timeout := model.Reliable.ackTimeout(&model, 16)
 	want := model.Latency + model.PerByte*16 + timeout
 	if diff := stats[1].Time - want; diff > 1e-15 || diff < -1e-15 {
 		t.Fatalf("receiver clock %.12g, want transfer + one timeout %.12g", stats[1].Time, want)
@@ -310,42 +309,5 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if stats[0].Events != snap.Events {
 		t.Fatalf("restored events %d, want %d", stats[0].Events, snap.Events)
-	}
-}
-
-func TestSetWatchdogTimeout(t *testing.T) {
-	prev := SetWatchdogTimeout(80 * time.Millisecond)
-	defer SetWatchdogTimeout(0)
-	if prev != DefaultWatchdogWindow {
-		t.Fatalf("previous default %v, want %v", prev, DefaultWatchdogWindow)
-	}
-	if got := WatchdogTimeout(); got != 80*time.Millisecond {
-		t.Fatalf("WatchdogTimeout() = %v after set", got)
-	}
-	// A genuine deadlock (unhealed drop) must now be detected without a
-	// per-run Model.Watchdog override, well inside the 2 s default.
-	model := DefaultModel()
-	model.Faults = NewFaultPlan().Drop(0, 0)
-	start := time.Now()
-	_, err := RunChecked(2, model, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, 8)
-		} else {
-			c.Recv(0)
-		}
-	})
-	var dl *DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("want DeadlockError, got %v", err)
-	}
-	if dl.Window != 80*time.Millisecond {
-		t.Fatalf("watchdog ran with window %v, want the configured 80ms", dl.Window)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("configured watchdog took %v, should fire in ~80-320ms", elapsed)
-	}
-	SetWatchdogTimeout(-1)
-	if got := WatchdogTimeout(); got != DefaultWatchdogWindow {
-		t.Fatalf("non-positive reset gave %v, want built-in default", got)
 	}
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/hostpar"
 )
@@ -43,7 +42,8 @@ import (
 // and a genuine deadlock still ends with every rank parked in a
 // communication wait with all slots free.
 
-// ReplayMode selects the host scheduling of simulated ranks.
+// ReplayMode selects the host scheduling of simulated ranks; each world
+// reads it from its Model.Replay.
 type ReplayMode int32
 
 const (
@@ -73,26 +73,11 @@ func ParseReplayMode(s string) (ReplayMode, error) {
 	return 0, fmt.Errorf("unknown replay mode %q (want goroutine or batched)", s)
 }
 
-// replayMode is the process-wide setting, sampled once per world at
-// RunChecked; a world never changes mode mid-run.
-var replayMode atomic.Int32
-
-// SetReplayMode selects how subsequent worlds schedule their ranks and
-// returns the previous mode. Mirrors hostpar.SetWorkers: a process-
-// global host-performance knob that must never change modeled results.
-func SetReplayMode(m ReplayMode) ReplayMode {
-	return ReplayMode(replayMode.Swap(int32(m)))
-}
-
-// Replay returns the current replay mode. Cache keys that fingerprint
-// process-global knobs read it.
-func Replay() ReplayMode { return ReplayMode(replayMode.Load()) }
-
-// newStepGate builds the admission gate for a new world of p ranks, or
-// nil when gating is pointless (goroutine mode, or a batch that already
-// covers every rank).
-func newStepGate(p int) chan struct{} {
-	if Replay() != ReplayBatched {
+// newStepGate builds the admission gate for a new world of p ranks
+// under the given replay mode, or nil when gating is pointless
+// (goroutine mode, or a batch that already covers every rank).
+func newStepGate(p int, mode ReplayMode) chan struct{} {
+	if mode != ReplayBatched {
 		return nil
 	}
 	batch := hostpar.Workers()

@@ -10,16 +10,14 @@ import (
 	"repro/internal/hostpar"
 )
 
-// withReplay runs fn with the given replay mode and worker count,
-// restoring both afterwards.
-func withReplay(mode ReplayMode, workers int, fn func()) {
-	prevMode := SetReplayMode(mode)
-	prevWorkers := hostpar.SetWorkers(workers)
-	defer func() {
-		SetReplayMode(prevMode)
-		hostpar.SetWorkers(prevWorkers)
-	}()
-	fn()
+// withReplay runs fn with the default model under the given replay
+// mode and the given host worker count, restoring the worker count
+// afterwards.
+func withReplay(mode ReplayMode, workers int, fn func(m Model)) {
+	defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
+	m := DefaultModel()
+	m.Replay = mode
+	fn(m)
 }
 
 func TestParseReplayMode(t *testing.T) {
@@ -75,13 +73,13 @@ func replayWorkload(c *Comm) {
 func TestReplayModesIdenticalStats(t *testing.T) {
 	for _, p := range []int{4, 16, 64} {
 		var ref []RankStats
-		withReplay(ReplayGoroutine, 2, func() {
-			ref = Run(p, DefaultModel(), replayWorkload)
+		withReplay(ReplayGoroutine, 2, func(m Model) {
+			ref = Run(p, m, replayWorkload)
 		})
 		for _, workers := range []int{1, 2, 8} {
 			var got []RankStats
-			withReplay(ReplayBatched, workers, func() {
-				got = Run(p, DefaultModel(), replayWorkload)
+			withReplay(ReplayBatched, workers, func(m Model) {
+				got = Run(p, m, replayWorkload)
 			})
 			for r := range ref {
 				a, b := got[r], ref[r]
@@ -100,8 +98,8 @@ func TestReplayModesIdenticalStats(t *testing.T) {
 // and the failure surfaces as a RankError.
 func TestReplayBatchedRankFailure(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	withReplay(ReplayBatched, 2, func() {
-		_, err := RunChecked(16, DefaultModel(), func(c *Comm) {
+	withReplay(ReplayBatched, 2, func(m Model) {
+		_, err := RunChecked(16, m, func(c *Comm) {
 			c.Charge(100)
 			c.Barrier()
 			if c.Rank() == 5 {
@@ -127,8 +125,9 @@ func TestReplayBatchedRankFailure(t *testing.T) {
 // picture is unchanged.
 func TestReplayBatchedWatchdog(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	withReplay(ReplayBatched, 2, func() {
-		_, err := RunChecked(8, watchdogModel(200*time.Millisecond), func(c *Comm) {
+	withReplay(ReplayBatched, 2, func(m Model) {
+		m.Watchdog = 200 * time.Millisecond
+		_, err := RunChecked(8, m, func(c *Comm) {
 			c.SetPhase("stall")
 			c.Recv((c.Rank() + 1) % c.Size()) // nobody ever sends
 		})
@@ -149,16 +148,16 @@ func TestReplayBatchedWatchdog(t *testing.T) {
 // TestReplayGateSizing: the gate only exists when it can bound
 // anything — batched mode with fewer workers than ranks.
 func TestReplayGateSizing(t *testing.T) {
-	withReplay(ReplayBatched, 4, func() {
-		if g := newStepGate(16); g == nil || cap(g) != 4 {
+	withReplay(ReplayBatched, 4, func(m Model) {
+		if g := newStepGate(16, m.Replay); g == nil || cap(g) != 4 {
 			t.Fatalf("gate for p=16, workers=4: %v (cap %d), want capacity 4", g, cap(g))
 		}
-		if g := newStepGate(4); g != nil {
+		if g := newStepGate(4, m.Replay); g != nil {
 			t.Fatal("gate for p=workers should be nil")
 		}
 	})
-	withReplay(ReplayGoroutine, 4, func() {
-		if g := newStepGate(16); g != nil {
+	withReplay(ReplayGoroutine, 4, func(m Model) {
+		if g := newStepGate(16, m.Replay); g != nil {
 			t.Fatal("goroutine mode must not gate")
 		}
 	})

@@ -7,35 +7,17 @@
 // geopart's distributed driver gathers those records, rank 0 solves
 // the FM subproblem here, and the flips are broadcast back.
 //
-// The pass is opt-in behind SetFullCut (default off): with the hook
-// off, the pipeline is bit-identical to the historical strip-only
-// refinement, which is what the BENCH seed-row guards pin down.
+// The pass is opt-in through geopart.ParallelConfig.FullCutRounds
+// (default 0, off): with it off, the pipeline is bit-identical to the
+// historical strip-only refinement, which is what the BENCH seed-row
+// guards pin down.
 package refine
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
-
-// fullCutOn gates the full-cut boundary-FM rounds globally: a
-// process-global atomic the CLI flags set once and the bit-identity
-// tests flip.
-var fullCutOn atomic.Bool
-
-// SetFullCut enables or disables the full-cut boundary-FM pass after
-// strip refinement and returns the previous setting. Off (the default)
-// preserves the historical strip-only pipeline verbatim.
-func SetFullCut(on bool) bool {
-	prev := fullCutOn.Load()
-	fullCutOn.Store(on)
-	return prev
-}
-
-// FullCut reports whether the full-cut boundary-FM pass is enabled.
-// Cache keys that fingerprint process-global knobs read it.
-func FullCut() bool { return fullCutOn.Load() }
 
 // SideRecord is one gathered vertex of a distributed free-set FM
 // solve: its id, current side, and whether it is free to move or a
