@@ -21,7 +21,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/geopart"
 	"repro/internal/hostpar"
-	"repro/internal/mpi"
 )
 
 func main() {
@@ -33,7 +32,6 @@ func main() {
 		compress   = flag.Bool("compress", false, "hold suite graphs in the delta/varint compressed adjacency representation (identical tables; smaller footprint)")
 		refineFlag = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials     = flag.Int("trials", 1, "evolutionary search width for the ScalaPart rows: N embed+partition trials with decorrelated seeds (1 = single pass)")
-		replayFlag = flag.String("replay", "goroutine", "rank scheduling: goroutine | batched (step at most -workers ranks' compute between communication points)")
 		phaseBreak = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown of the ScalaPart sweep, then exit")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "base seed for the chaos experiment's fault schedules")
 		chaosRuns  = flag.Int("chaos-schedules", 3, "fault schedules per (graph, P, policy) in the chaos experiment")
@@ -42,6 +40,11 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// hostpar.SetWorkers would read a negative count as "one per core".
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "benchsuite: -workers must not be negative (got %d)\n", *workers)
+		os.Exit(2)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -85,11 +88,6 @@ func main() {
 	// fork-join kernels inside each run share the host's cores.
 	hostpar.SetWorkers(*workers)
 	h := bench.New(*scale, ps)
-	var err error
-	if h.Model.Replay, err = mpi.ParseReplayMode(*replayFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
 	switch *refineFlag {
 	case "off":
 	case "full":

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/geopart"
-	"repro/internal/mpi"
 )
 
 func main() {
@@ -24,7 +23,6 @@ func main() {
 	flag.Parse()
 	row := func(label string, fullCutRounds, trials int) {
 		h := bench.New(*scale, []int{*p})
-		h.Model.Replay = mpi.ReplayBatched
 		h.Compress = true
 		h.FullCutRounds = fullCutRounds
 		h.Trials = trials

@@ -58,7 +58,6 @@ func main() {
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials      = flag.Int("trials", 1, "evolutionary search width for ScalaPart: run the embed+partition tail N times with decorrelated seeds and combine the two best bisections (1 = single pass)")
 		workers     = flag.Int("workers", 0, "host worker pool size for the fork-join coarsening/embedding kernels (0 = one per core)")
-		replayFlag  = flag.String("replay", "goroutine", "rank scheduling: goroutine (one live goroutine per rank) | batched (step at most -workers ranks' compute between communication points)")
 		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms); with -bench-json, embed it per run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (timeline axis = virtual clock)")
 		checkInv    = flag.Bool("check-invariants", false, "validate runtime invariants (clock monotonicity, byte symmetry, collective participation) and partition invariants after the run")
@@ -67,8 +66,8 @@ func main() {
 	)
 	flag.Parse()
 	fc, err := checkFlags(flagValues{
-		replay: *replayFlag, refine: *refineFlag, recover: *recoverFlag, fault: *fault,
-		trials: *trials, p: *p, watchdog: *watchdog,
+		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
+		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -308,16 +307,16 @@ func main() {
 
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
-	replay, refine, recover, fault string
-	trials, p                      int
-	watchdog                       time.Duration
+	refine, recover, fault string
+	trials, p, workers     int
+	watchdog               time.Duration
 }
 
 // flagConfig is what checkFlags derives from the flag values that
 // flag.Parse accepts as strings and numbers but the run cannot take as
 // is.
 type flagConfig struct {
-	model         mpi.Model // default model with the replay mode, watchdog window and fault plan
+	model         mpi.Model // default model with the watchdog window and fault plan
 	fullCutRounds int
 	policy        core.RecoveryPolicy
 }
@@ -328,9 +327,6 @@ type flagConfig struct {
 func checkFlags(v flagValues) (flagConfig, error) {
 	cfg := flagConfig{model: mpi.DefaultModel()}
 	var err error
-	if cfg.model.Replay, err = mpi.ParseReplayMode(v.replay); err != nil {
-		return cfg, err
-	}
 	switch v.refine {
 	case "off":
 	case "full":
@@ -343,6 +339,10 @@ func checkFlags(v flagValues) (flagConfig, error) {
 	}
 	if v.p < 1 {
 		return cfg, fmt.Errorf("-p must be >= 1 (got %d)", v.p)
+	}
+	// hostpar.SetWorkers would read a negative count as "one per core".
+	if v.workers < 0 {
+		return cfg, fmt.Errorf("-workers must not be negative (got %d)", v.workers)
 	}
 	// A negative Model.Watchdog would switch deadlock detection off.
 	if v.watchdog < 0 {
@@ -367,8 +367,8 @@ func checkFlags(v flagValues) (flagConfig, error) {
 // with compress set the suite graphs are held in the delta/varint
 // compressed representation (modeled fields are bit-identical either
 // way, and each row records compressed/bytes_per_edge/peak_rss). The
-// sweep takes the replay mode, watchdog window and full-cut setting of
-// fc, but not its fault plan.
+// sweep takes the watchdog window and full-cut setting of fc, but not
+// its fault plan.
 func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compress bool, trials int, fc flagConfig) error {
 	ps := bench.DefaultPs()
 	if psSpec != "" {
@@ -382,7 +382,6 @@ func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compre
 		}
 	}
 	h := bench.New(scale, ps)
-	h.Model.Replay = fc.model.Replay
 	h.Model.Watchdog = fc.model.Watchdog
 	h.FullCutRounds = fc.fullCutRounds
 	h.Trace = breakdown

@@ -14,7 +14,7 @@ import (
 // is rejected by checkFlags, before any graph is loaded, with an error
 // naming the offending flag; everything else passes through decoded.
 func TestCheckFlags(t *testing.T) {
-	def := flagValues{replay: "goroutine", refine: "off", recover: "off", trials: 1, p: 16}
+	def := flagValues{refine: "off", recover: "off", trials: 1, p: 16}
 	with := func(f func(*flagValues)) flagValues { v := def; f(&v); return v }
 	for _, tc := range []struct {
 		name    string
@@ -26,8 +26,8 @@ func TestCheckFlags(t *testing.T) {
 			m := mpi.DefaultModel()
 			return c.model == m && c.fullCutRounds == 0 && c.policy == core.RecoverOff
 		}},
-		{"batched-full", with(func(f *flagValues) { f.replay, f.refine = "batched", "full" }), "", func(c flagConfig) bool {
-			return c.model.Replay == mpi.ReplayBatched && c.fullCutRounds == geopart.FullRefineRounds
+		{"refine-full", with(func(f *flagValues) { f.refine = "full" }), "", func(c flagConfig) bool {
+			return c.fullCutRounds == geopart.FullRefineRounds
 		}},
 		{"trials-alone", with(func(f *flagValues) { f.trials = 3 }), "", nil},
 		{"recover-alone", with(func(f *flagValues) { f.recover = "respawn" }), "", func(c flagConfig) bool {
@@ -45,11 +45,11 @@ func TestCheckFlags(t *testing.T) {
 		{"watchdog", with(func(f *flagValues) { f.watchdog = 500 * time.Millisecond }), "", func(c flagConfig) bool {
 			return c.model.Watchdog == 500*time.Millisecond
 		}},
-		{"bad-replay", with(func(f *flagValues) { f.replay = "threads" }), "threads", nil},
 		{"bad-refine", with(func(f *flagValues) { f.refine = "max" }), "-refine", nil},
 		{"zero-trials", with(func(f *flagValues) { f.trials = 0 }), "-trials", nil},
 		{"zero-p", with(func(f *flagValues) { f.p = 0 }), "-p", nil},
 		{"negative-p", with(func(f *flagValues) { f.p = -3 }), "-p", nil},
+		{"negative-workers", with(func(f *flagValues) { f.workers = -4 }), "-workers", nil},
 		{"negative-watchdog", with(func(f *flagValues) { f.watchdog = -time.Second }), "-watchdog", nil},
 		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
 		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},

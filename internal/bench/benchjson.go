@@ -22,15 +22,14 @@ type BenchRecord struct {
 	Messages    int64   `json:"messages"`
 	BytesSent   int64   `json:"bytes_sent"`
 	WallSeconds float64 `json:"wall_s"`
-	// HostWorkers and ReplayMode record the host-performance knobs the
-	// wall clock was measured under; every modeled field above is
-	// independent of both by construction (TestReplayModesBitIdentical,
-	// TestHierarchyBitIdentical). Files written while a second
-	// collective engine existed also carry a "collectives" key, which
-	// decoding ignores.
-	HostWorkers int    `json:"host_workers,omitempty"`
-	ReplayMode  string `json:"replay_mode,omitempty"`
-	Fallback    bool   `json:"fallback,omitempty"`
+	// HostWorkers records the host worker count the wall clock was
+	// measured under; every modeled field above is independent of it by
+	// construction (TestHierarchyBitIdentical). Older files also
+	// carry a "collectives" key (from when a second collective engine
+	// existed) and a "replay_mode" key (from when a second rank
+	// scheduler existed), which decoding ignores.
+	HostWorkers int  `json:"host_workers,omitempty"`
+	Fallback    bool `json:"fallback,omitempty"`
 	// Compressed records whether the run consumed the delta/varint
 	// compressed adjacency (Harness.Compress); BytesPerEdge is the
 	// adjacency footprint of the input graph per undirected edge under
@@ -83,7 +82,6 @@ func (h *Harness) BenchJSON() ([]byte, error) {
 				BytesSent:   r.BytesSent,
 				WallSeconds: r.WallSeconds,
 				HostWorkers: hostpar.Workers(),
-				ReplayMode:  h.Model.Replay.String(),
 				Fallback:    r.Fallback,
 
 				Compressed:   g.G.Compressed(),

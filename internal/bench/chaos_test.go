@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hostpar"
-	"repro/internal/mpi"
 )
 
 // TestChaosSoakCI is the CI chaos soak: seeded randomized fault
@@ -43,52 +41,6 @@ func TestChaosSoakCI(t *testing.T) {
 	}
 	if acted == 0 {
 		t.Fatal("no chaos schedule triggered any recovery — the soak tested nothing")
-	}
-}
-
-// TestChaosSoakBatchedReplay: recovery must be replay-mode-agnostic. A
-// small chaos slice runs once under the goroutine replay and once under
-// the batched rank-stepping scheduler with a worker batch far below P;
-// both must verify clean, and every case must reach the identical
-// outcome — same cut, same surviving world size, same
-// respawn/shrink/fallback trajectory — because the gate only reorders
-// host execution, never the modeled run the fault schedule keys off.
-func TestChaosSoakBatchedReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a recovery-enabled chaos slice twice (~30 s)")
-	}
-	cfg := ChaosConfig{
-		Graphs:    []string{"ecology1"},
-		Ps:        []int{16},
-		Policies:  []core.RecoveryPolicy{core.RecoverRespawn, core.RecoverShrink},
-		Schedules: 2,
-		Seed:      1,
-	}
-	run := func(mode mpi.ReplayMode) *ChaosReport {
-		defer hostpar.SetWorkers(hostpar.SetWorkers(2))
-		h := New(0.15, cfg.Ps)
-		h.Model.Replay = mode
-		return h.ChaosSoak(cfg)
-	}
-	ref := run(mpi.ReplayGoroutine)
-	got := run(mpi.ReplayBatched)
-	for _, rep := range []*ChaosReport{ref, got} {
-		if rep.Failed != 0 {
-			t.Fatalf("%d chaos case(s) failed verification:\n%v", rep.Failed, rep.Failures())
-		}
-	}
-	if len(got.Cases) != len(ref.Cases) {
-		t.Fatalf("case counts differ: %d vs %d", len(got.Cases), len(ref.Cases))
-	}
-	for i := range ref.Cases {
-		a, b := got.Cases[i], ref.Cases[i]
-		if a.Plan != b.Plan || a.Cut != b.Cut || a.FinalP != b.FinalP ||
-			a.Fallback != b.Fallback ||
-			a.Recovery.Respawns != b.Recovery.Respawns ||
-			a.Recovery.Shrinks != b.Recovery.Shrinks ||
-			a.Recovery.Attempts != b.Recovery.Attempts {
-			t.Errorf("case %d diverged across replay modes:\n  batched   %+v\n  goroutine %+v", i, a, b)
-		}
 	}
 }
 

@@ -64,8 +64,8 @@ type runKey struct {
 	p             int
 	// env fingerprints every setting that can change a run's recorded
 	// statistics, so two sweeps under different settings (worker pools,
-	// replay modes, fault plans, tracing, quality knobs) never share a
-	// cached Run. See Harness.envKey.
+	// fault plans, tracing, quality knobs) never share a cached Run.
+	// See Harness.envKey.
 	env string
 }
 
@@ -193,19 +193,19 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 }
 
 // envKey fingerprints the settings a run depends on beyond (graph,
-// method, P): the host worker pool and the model's replay scheduler
-// (wall clocks), tracing (the Breakdown field), the compressed
-// representation, recovery, trials and full-cut refinement (modeled
-// results), and the fault plan (everything). Everything but the worker
-// pool is a harness field. Two Gets with different fingerprints compute
-// independent runs instead of sharing a stale cache entry.
+// method, P): the host worker pool (wall clocks), tracing (the
+// Breakdown field), the compressed representation, recovery, trials and
+// full-cut refinement (modeled results), and the fault plan
+// (everything). Everything but the worker pool is a harness field. Two
+// Gets with different fingerprints compute independent runs instead of
+// sharing a stale cache entry.
 func (h *Harness) envKey() string {
 	trials := h.Trials
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|replay:%s|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%d|faults:%s",
-		hostpar.Workers(), h.Model.Replay, h.Trace, h.Compress,
+	return fmt.Sprintf("w%d|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%d|faults:%s",
+		hostpar.Workers(), h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
 		trials, h.FullCutRounds, h.Model.Faults.Key())
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geopart"
-	"repro/internal/mpi"
 )
 
 // TestQualitySmoke is the CI quality gate: on two suite graphs at
@@ -51,9 +50,8 @@ func TestQualitySmoke(t *testing.T) {
 }
 
 // TestEnvKeyFingerprintsQualityKnobs: changing either quality knob —
-// trials or full-cut rounds — or the model's replay mode must change
-// the cache fingerprint, or sweeps under different settings would share
-// stale entries.
+// trials or full-cut rounds — must change the cache fingerprint, or
+// sweeps under different settings would share stale entries.
 func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	h := New(1, []int{4})
 	base := h.envKey()
@@ -69,12 +67,6 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	}
 	h.FullCutRounds = 0
 
-	h.Model.Replay = mpi.ReplayBatched
-	if h.envKey() == base {
-		t.Error("envKey ignores the model's replay mode")
-	}
-	h.Model.Replay = mpi.ReplayGoroutine
-
 	// Trials 0 and 1 are the same pipeline and must share cache entries.
 	h.Trials = 1
 	if h.envKey() != base {
@@ -84,14 +76,15 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 
 // TestBenchRowsMatchSeedQuality recomputes ecology1 P ∈ {1, 4} of
 // BENCH_7.json — the scale-8 perf trajectory committed before the
-// quality layer existed — under both replay schedulers, with the
-// quality knobs at their defaults (full cut off, one trial), and
-// requires every modeled field bit-identical to the seed file. This is the BENCH half of the quality layer's
-// bit-identity contract: with -refine off -trials 1 the pipeline IS
-// the historical pipeline.
+// quality layer existed, recorded under a since-removed batched rank
+// scheduler — with the quality knobs at their defaults (full cut off,
+// one trial), and requires every modeled field bit-identical to the
+// seed file. This is the BENCH half of the quality layer's bit-identity
+// contract: with -refine off -trials 1 the pipeline IS the historical
+// pipeline.
 func TestBenchRowsMatchSeedQuality(t *testing.T) {
 	if testing.Short() {
-		t.Skip("recomputes scale-8 bench rows two ways (minutes)")
+		t.Skip("recomputes scale-8 bench rows (tens of seconds)")
 	}
 	raw, err := os.ReadFile("../../BENCH_7.json")
 	if err != nil {
@@ -110,22 +103,19 @@ func TestBenchRowsMatchSeedQuality(t *testing.T) {
 
 	h := New(file.Scale, []int{1, 4})
 	h.Compress = true // BENCH_7 was recorded with -compress
-	for _, mode := range []mpi.ReplayMode{mpi.ReplayBatched, mpi.ReplayGoroutine} {
-		h.Model.Replay = mode
-		for _, p := range []int{1, 4} {
-			want, ok := rows[p]
-			if !ok {
-				t.Fatalf("BENCH_7.json has no row for ecology1 P=%d", p)
-			}
-			got := h.Get("ecology1", MethodSP, p)
-			if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
-				got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
-				got.Messages != want.Messages || got.BytesSent != want.BytesSent {
-				t.Fatalf("replay=%v: ecology1 P=%d drifted from BENCH_7.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
-					mode, p,
-					want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
-					got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
-			}
+	for _, p := range []int{1, 4} {
+		want, ok := rows[p]
+		if !ok {
+			t.Fatalf("BENCH_7.json has no row for ecology1 P=%d", p)
+		}
+		got := h.Get("ecology1", MethodSP, p)
+		if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
+			got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
+			got.Messages != want.Messages || got.BytesSent != want.BytesSent {
+			t.Fatalf("ecology1 P=%d drifted from BENCH_7.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
+				p,
+				want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
+				got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // TestBatchingBitIdentical for the geometric-candidate kernel.)
 func TestCompressedPipelineBitIdentical(t *testing.T) {
 	// Large enough that the hierarchy crosses the parallel size gates on
-	// the finer levels, matching the hierarchy guard's regime.
+	// the finer levels, matching TestHierarchyBitIdentical's regime.
 	g := gen.Grid2D(96, 96)
 	cg := graph.Compress(g.G)
 	if !cg.Compressed() || g.G.Compressed() {
@@ -34,35 +34,7 @@ func TestCompressedPipelineBitIdentical(t *testing.T) {
 			for _, w := range []int{1, 2, 8} {
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
 				comp := Partition(cg, p, DefaultOptions(42))
-				if comp.Cut != plain.Cut {
-					t.Errorf("workers %d: cut differs: compressed %d plain %d", w, comp.Cut, plain.Cut)
-				}
-				if comp.Imbalance != plain.Imbalance {
-					t.Errorf("workers %d: imbalance differs: compressed %v plain %v", w, comp.Imbalance, plain.Imbalance)
-				}
-				if len(comp.Part) != len(plain.Part) {
-					t.Fatalf("workers %d: partition length differs: %d vs %d", w, len(comp.Part), len(plain.Part))
-				}
-				for v := range comp.Part {
-					if comp.Part[v] != plain.Part[v] {
-						t.Fatalf("workers %d: vertex %d assigned to part %d compressed, %d plain",
-							w, v, comp.Part[v], plain.Part[v])
-					}
-				}
-				if len(comp.Stats) != len(plain.Stats) {
-					t.Fatalf("workers %d: stats length differs: %d vs %d", w, len(comp.Stats), len(plain.Stats))
-				}
-				for r := range comp.Stats {
-					a, b := comp.Stats[r], plain.Stats[r]
-					if a.Time != b.Time || a.CommTime != b.CommTime {
-						t.Errorf("workers %d rank %d clocks differ: compressed (%v, %v) plain (%v, %v)",
-							w, r, a.Time, a.CommTime, b.Time, b.CommTime)
-					}
-					if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-						t.Errorf("workers %d rank %d traffic differs: compressed (%d msg, %d B) plain (%d msg, %d B)",
-							w, r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
-					}
-				}
+				requireIdentical(t, fmt.Sprintf("workers=%d compressed vs plain", w), comp, plain)
 			}
 		})
 	}

@@ -8,15 +8,13 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/geopart"
-	"repro/internal/mpi"
 )
 
 // TestConcurrentConfigsMatchSerial: every run setting is a value, so
 // differently configured partitions share one process without touching
-// each other. Full-cut refinement on and off, goroutine and batched
-// replay, one and two trials, and a repartitioning call all run at
-// once, and each must equal its own serial run in partition, cut,
-// phase times and per-rank stats.
+// each other. Full-cut refinement on and off, one and two trials, and
+// a repartitioning call all run at once, and each must equal its own
+// serial run in partition, cut, phase times and per-rank stats.
 func TestConcurrentConfigsMatchSerial(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	const p = 8
@@ -26,21 +24,19 @@ func TestConcurrentConfigsMatchSerial(t *testing.T) {
 	}
 	var configs []config
 	for _, rounds := range []int{0, geopart.FullRefineRounds} {
-		for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-			for _, trials := range []int{1, 2} {
-				opt := replayOptions(5, mode)
-				opt.Partition.FullCutRounds = rounds
-				opt.Trials = trials
-				configs = append(configs, config{
-					name: fmt.Sprintf("fullcut=%d replay=%v trials=%d", rounds, mode, trials),
-					run:  func() (*Result, error) { return PartitionChecked(g.G, p, opt) },
-				})
-			}
+		for _, trials := range []int{1, 2} {
+			opt := DefaultOptions(5)
+			opt.Partition.FullCutRounds = rounds
+			opt.Trials = trials
+			configs = append(configs, config{
+				name: fmt.Sprintf("fullcut=%d trials=%d", rounds, trials),
+				run:  func() (*Result, error) { return PartitionChecked(g.G, p, opt) },
+			})
 		}
 	}
-	geo := withFullCut(replayOptions(5, mpi.ReplayBatched))
+	geo := withFullCut(DefaultOptions(5))
 	configs = append(configs, config{
-		name: "geometric fullcut=4 replay=batched",
+		name: "geometric fullcut=4",
 		run: func() (*Result, error) {
 			return PartitionGeometricChecked(g.G, g.Coords, p, geo.Partition, geo.Model)
 		},
@@ -56,8 +52,8 @@ func TestConcurrentConfigsMatchSerial(t *testing.T) {
 	}
 	// The settings must reach the run, or the comparison below proves
 	// nothing: full-cut refinement and a second trial both charge time.
-	if serial[4].Times.Partition <= serial[0].Times.Partition {
-		t.Fatalf("full-cut refinement charged nothing: %v vs %v", serial[4].Times.Partition, serial[0].Times.Partition)
+	if serial[2].Times.Partition <= serial[0].Times.Partition {
+		t.Fatalf("full-cut refinement charged nothing: %v vs %v", serial[2].Times.Partition, serial[0].Times.Partition)
 	}
 	if serial[1].Times.Embed <= serial[0].Times.Embed {
 		t.Fatalf("a second trial charged nothing: %v vs %v", serial[1].Times.Embed, serial[0].Times.Embed)

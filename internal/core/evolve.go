@@ -14,8 +14,8 @@
 // is opt-in (Options.Trials > 1) and deterministic — trial seeds are
 // derived arithmetically, scores are compared with a total order, and
 // the combine operates on globally replicated outcomes — so results
-// are bit-identical across workers and replay modes, and a respawned
-// world replays every trial exactly.
+// are bit-identical across worker counts, and a respawned world
+// replays every trial exactly.
 package core
 
 import (

@@ -66,13 +66,13 @@ func TestEvolveClockPaysForTrials(t *testing.T) {
 }
 
 // TestEvolveDeterministic: the search must be bit-identical across
-// repeated runs, both replay schedulers, and with the full-cut pass
-// on — parts, cuts, and modeled clocks.
+// repeated runs with the full-cut pass on — parts, cuts, and modeled
+// clocks.
 func TestEvolveDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(2000, 9)
 	var base *Result
-	for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched, mpi.ReplayGoroutine} {
-		opt := withFullCut(replayOptions(5, mode))
+	for run := 0; run < 2; run++ {
+		opt := withFullCut(DefaultOptions(5))
 		opt.Trials = 3
 		res := Partition(g.G, 8, opt)
 		if base == nil {
@@ -80,14 +80,14 @@ func TestEvolveDeterministic(t *testing.T) {
 			continue
 		}
 		if res.Cut != base.Cut || res.Imbalance != base.Imbalance {
-			t.Fatalf("replay %v: cut/imb %d/%v, want %d/%v", mode, res.Cut, res.Imbalance, base.Cut, base.Imbalance)
+			t.Fatalf("run %d: cut/imb %d/%v, want %d/%v", run, res.Cut, res.Imbalance, base.Cut, base.Imbalance)
 		}
 		if math.Abs(res.Times.Total-base.Times.Total) > 1e-12 {
-			t.Fatalf("replay %v: modeled time %v, want %v", mode, res.Times.Total, base.Times.Total)
+			t.Fatalf("run %d: modeled time %v, want %v", run, res.Times.Total, base.Times.Total)
 		}
 		for i := range res.Part {
 			if res.Part[i] != base.Part[i] {
-				t.Fatalf("replay %v: partition differs at %d", mode, i)
+				t.Fatalf("run %d: partition differs at %d", run, i)
 			}
 		}
 	}

@@ -2,21 +2,25 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/mpi"
+	"repro/internal/hostpar"
 )
 
-// TestHighPEnginesBitIdentical extends the replay-mode contract to the
+// TestHighPEnginesBitIdentical extends the bit-identity contract to the
 // high-P machinery: the fan-in collective rendezvous, the ring
-// mailboxes, and the rank arena are pure host-performance machinery, so
+// mailboxes and the rank arena are pure host-performance machinery, so
 // the full pipeline must produce bit-identical cuts, partitions,
-// virtual clocks, and message traffic under both replay modes — at the
-// suite's upper communicator sizes, where the fan-in chunked scan and
-// the pending-ring growth paths actually engage. The reference is
-// goroutine-per-rank replay; mpi.TestCollectiveClocksGolden pins the
-// collective clocks themselves.
+// virtual clocks and message traffic however the host runs it — at the
+// suite's upper communicator sizes too, where the collective finisher's
+// chunked scanMax (communicators of at least faninChunkMin ranks with
+// more than one worker) and the pending-ring growth paths engage. The
+// reference is one worker on one runtime thread; the run it is compared
+// with has eight workers on four threads, so the ranks arrive at each
+// rendezvous in a different order and the finisher chunks its scans.
+// mpi.TestCollectiveClocksGolden pins the collective clocks themselves.
 func TestHighPEnginesBitIdentical(t *testing.T) {
 	cases := []struct {
 		p    int
@@ -30,28 +34,13 @@ func TestHighPEnginesBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("P%d", tc.p), func(t *testing.T) {
 			g := gen.Grid2D(tc.side, tc.side)
+			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			ref := Partition(g.G, tc.p, DefaultOptions(42))
-			got := Partition(g.G, tc.p, replayOptions(42, mpi.ReplayBatched))
-			if got.Cut != ref.Cut {
-				t.Errorf("batched replay: cut differs: got %d goroutine %d", got.Cut, ref.Cut)
-			}
-			for v := range got.Part {
-				if got.Part[v] != ref.Part[v] {
-					t.Fatalf("batched replay: vertex %d assigned to part %d, goroutine %d",
-						v, got.Part[v], ref.Part[v])
-				}
-			}
-			for r := range got.Stats {
-				a, b := got.Stats[r], ref.Stats[r]
-				if a.Time != b.Time || a.CommTime != b.CommTime {
-					t.Errorf("batched replay rank %d clocks differ: got (%v, %v) goroutine (%v, %v)",
-						r, a.Time, a.CommTime, b.Time, b.CommTime)
-				}
-				if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-					t.Errorf("batched replay rank %d traffic differs: got (%d msg, %d B) goroutine (%d msg, %d B)",
-						r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
-				}
-			}
+			hostpar.SetWorkers(8)
+			runtime.GOMAXPROCS(4)
+			got := Partition(g.G, tc.p, DefaultOptions(42))
+			requireIdentical(t, "workers=8 GOMAXPROCS=4", got, ref)
 		})
 	}
 }

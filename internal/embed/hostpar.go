@@ -33,10 +33,9 @@ const (
 
 // chunkCap is the most chunks a per-rank kernel forks into when the
 // given number of simulated ranks shares the host's workers. The ranks
-// of a level already run concurrently (goroutine replay runs them all,
-// batched replay admits one per worker), so once they cover the
-// workers a nested fork only adds dispatch; a level with fewer ranks
-// than workers lends each rank the idle ones.
+// of a level already run concurrently, one goroutine each, so once they
+// cover the workers a nested fork only adds dispatch; a level with fewer
+// ranks than workers lends each rank the idle ones.
 func chunkCap(workers, ranks int) int {
 	return max(1, workers/max(1, ranks))
 }

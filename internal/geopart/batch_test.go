@@ -121,10 +121,10 @@ func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
 }
 
 // TestParallelPartitionReplayBitIdentical runs SP-PG7-NL and parallel
-// RCB under batched replay and several hostpar worker counts and
-// requires the cuts, sides, weights, strip sizes and per-rank clocks of
-// a one-worker goroutine-replay run. The full-pipeline sweep lives in
-// core's TestBatchingBitIdentical; this is the package-local check.
+// RCB under several hostpar worker counts and requires the cuts, sides,
+// weights, strip sizes and per-rank clocks of a one-worker run. The
+// full-pipeline sweep lives in core's TestBatchingBitIdentical; this is
+// the package-local check.
 func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 5)
 	type outcome struct {
@@ -133,10 +133,10 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 		rcb    ParallelResult
 		clocks []float64
 	}
-	run := func(p int, mode mpi.ReplayMode) outcome {
+	run := func(p int) outcome {
 		views := embed.SplitCoords(g.G, g.Coords, p)
 		o := outcome{part: make([]int32, g.G.NumVertices()), clocks: make([]float64, p)}
-		mpi.Run(p, replayModel(mode), func(c *mpi.Comm) {
+		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
 			res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
 			for i, id := range res.OwnedIDs {
 				o.part[id] = res.Side[i]
@@ -152,13 +152,13 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 16} {
 		ref := func() outcome {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			return run(p, mpi.ReplayGoroutine)
+			return run(p)
 		}()
 		for _, w := range []int{2, 8} {
-			name := fmt.Sprintf("P=%d batched replay, %d workers", p, w)
+			name := fmt.Sprintf("P=%d, %d workers", p, w)
 			got := func() outcome {
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-				return run(p, mpi.ReplayBatched)
+				return run(p)
 			}()
 			if got.sp.Cut != ref.sp.Cut || got.sp.CutBefore != ref.sp.CutBefore || got.sp.SideW != ref.sp.SideW || got.sp.StripSize != ref.sp.StripSize {
 				t.Fatalf("%s: SP results differ: %+v, one worker %+v", name, got.sp, ref.sp)

@@ -44,13 +44,6 @@ func fullCutConfig() ParallelConfig {
 	return cfg
 }
 
-// replayModel is the default model under the given replay mode.
-func replayModel(mode mpi.ReplayMode) mpi.Model {
-	m := mpi.DefaultModel()
-	m.Replay = mode
-	return m
-}
-
 // TestFullCutImprovesOrKeepsCut: the full-cut pass must never worsen
 // the strip-refined cut, its reported cut must match a from-scratch
 // recount of the assembled partition, and the balance must stay inside
@@ -89,30 +82,28 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 
 // TestFullCutDeterministic: with full-cut on, the partition must be a
 // pure function of (graph, config, P) — identical across repeated
-// runs, hostpar worker counts, and both replay schedulers.
+// runs and hostpar worker counts.
 func TestFullCutDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 9)
 	for _, p := range []int{1, 4, 16, 64} {
 		var base []int32
 		var baseCut int64
-		for _, workers := range []int{1, 8} {
-			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-				name := fmt.Sprintf("P=%d workers=%d replay=%v", p, workers, mode)
-				part, res := func() ([]int32, *ParallelResult) {
-					defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-					return runSP(g, p, fullCutConfig(), replayModel(mode))
-				}()
-				if base == nil {
-					base, baseCut = part, res.Cut
-					continue
-				}
-				if res.Cut != baseCut {
-					t.Fatalf("%s: cut %d, want %d", name, res.Cut, baseCut)
-				}
-				for v := range part {
-					if part[v] != base[v] {
-						t.Fatalf("%s: vertex %d side %d, want %d", name, v, part[v], base[v])
-					}
+		for run, workers := range []int{1, 8, 8} {
+			name := fmt.Sprintf("P=%d run %d workers=%d", p, run, workers)
+			part, res := func() ([]int32, *ParallelResult) {
+				defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
+				return runSP(g, p, fullCutConfig(), mpi.DefaultModel())
+			}()
+			if base == nil {
+				base, baseCut = part, res.Cut
+				continue
+			}
+			if res.Cut != baseCut {
+				t.Fatalf("%s: cut %d, want %d", name, res.Cut, baseCut)
+			}
+			for v := range part {
+				if part[v] != base[v] {
+					t.Fatalf("%s: vertex %d side %d, want %d", name, v, part[v], base[v])
 				}
 			}
 		}

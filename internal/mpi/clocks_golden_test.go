@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/hostpar"
 )
 
 // clockOps names the collectives clockBody runs, in order.
@@ -126,9 +128,10 @@ func formatClocks(p int, s [][len(clockOps)]clockSample) string {
 // TestCollectiveClocksGolden pins every rank's virtual clock, comm
 // time, traffic and event count after each collective against a file
 // recorded while a second, independent collective engine was still in
-// the tree and agreed with the current one bit for bit. Both replay
-// modes must reproduce it. The file is evidence, not a snapshot: it is
-// never regenerated, and a diff means the collective cost model moved.
+// the tree and agreed with the current one bit for bit. It runs with two
+// host workers, so the P = 1024 block exercises the chunked scanMax.
+// The file is evidence, not a snapshot: it is never regenerated, and a
+// diff means the collective cost model moved.
 func TestCollectiveClocksGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "collective_clocks.golden"))
 	if err != nil {
@@ -138,26 +141,23 @@ func TestCollectiveClocksGolden(t *testing.T) {
 	if testing.Short() {
 		ps = ps[:3]
 	}
-	for _, mode := range []ReplayMode{ReplayGoroutine, ReplayBatched} {
-		var got strings.Builder
-		withReplay(mode, 2, func(m Model) {
-			for _, p := range ps {
-				got.WriteString(formatClocks(p, clockBody(p, m)))
+	defer hostpar.SetWorkers(hostpar.SetWorkers(2))
+	m := DefaultModel()
+	var got strings.Builder
+	for _, p := range ps {
+		got.WriteString(formatClocks(p, clockBody(p, m)))
+	}
+	if testing.Short() { // P = 1024 is the file's last block
+		want = want[:min(len(want), got.Len())]
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("line %d drifted from the golden file\n got  %s\n want %s",
+					i+1, gl[i], wl[min(i, len(wl)-1)])
 			}
-		})
-		w := want
-		if testing.Short() { // P = 1024 is the file's last block
-			w = want[:min(len(want), got.Len())]
 		}
-		if got.String() != string(w) {
-			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(w), "\n")
-			for i := range gl {
-				if i >= len(wl) || gl[i] != wl[i] {
-					t.Fatalf("%v replay: line %d drifted from the golden file\n got  %s\n want %s",
-						mode, i+1, gl[i], wl[min(i, len(wl)-1)])
-				}
-			}
-			t.Fatalf("%v replay: output shorter than the golden file", mode)
-		}
+		t.Fatal("output shorter than the golden file")
 	}
 }

@@ -143,11 +143,9 @@ func (c *Comm) faninComplete(coll *faninColl) {
 	coll.mu.Unlock()
 }
 
-// faninWait parks until the generation advances past myGen, handing the
-// batched-replay compute slot on first (later arrivals need one to
-// reach this collective) and publishing the wait for the watchdog.
+// faninWait parks until the generation advances past myGen, publishing
+// the wait for the watchdog.
 func (c *Comm) faninWait(coll *faninColl, op *string, myGen int64) {
-	c.releaseSlot()
 	c.beginWait(waitColl, op, -1, coll.size, myGen)
 	coll.mu.Lock()
 	for coll.gen.Load() == myGen {
@@ -163,7 +161,6 @@ func (c *Comm) faninWait(coll *faninColl, op *string, myGen int64) {
 	}
 	coll.mu.Unlock()
 	c.endWait()
-	c.acquireSlot()
 }
 
 // scanMax returns the rank-maximum clock and declared cost of the

@@ -29,7 +29,7 @@
 // and collectives rendezvous through generation-stamped arrival slots
 // combined once by the last arriver (see collfanin.go). All of it is
 // host-side only: modeled clocks, combine order, and traffic are
-// bit-identical across replay modes and worker counts, and
+// bit-identical across worker counts and host schedules, and
 // testdata/collective_clocks.golden pins the collective clocks.
 //
 // Failure semantics: the runtime is a failure domain, not just a
@@ -73,10 +73,6 @@ type Model struct {
 	// value disables the watchdog. The watchdog never touches virtual
 	// clocks.
 	Watchdog time.Duration
-	// Replay selects how the world's ranks are scheduled on the host;
-	// the zero value is ReplayGoroutine. Like the watchdog it never
-	// touches virtual clocks: both modes produce bit-identical runs.
-	Replay ReplayMode
 	// Faults optionally injects deterministic failures into the run;
 	// nil (the default) runs fault-free. See FaultPlan.
 	Faults *FaultPlan
@@ -200,10 +196,6 @@ type rankState struct {
 	phase  string // set via Comm.SetPhase; read only by the owning goroutine
 	wait   waitRec
 
-	// slotHeld tracks whether this rank currently holds a batched-replay
-	// compute slot (see replay.go); owning goroutine only.
-	slotHeld bool
-
 	// Per-link sequence counters of the reliability layer, carved from
 	// one slab only when Model.Reliable is set: seqTo[r] numbers the next
 	// send to rank r, seqFrom[r] the next expected receive from rank r.
@@ -226,11 +218,6 @@ type World struct {
 
 	ranks []rankState // the rank arena: one slab, indexed by rank
 	comms []Comm      // the Comm arena: one slab, indexed by rank
-
-	// gate is the batched-replay admission gate (nil in goroutine mode):
-	// a buffered channel holding one token per concurrently runnable
-	// rank. See replay.go.
-	gate chan struct{}
 
 	abortCh   chan struct{}
 	abortOnce sync.Once
@@ -276,7 +263,6 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 		abortCh:   make(chan struct{}),
 		worldColl: newFaninColl(p),
 	}
-	w.gate = newStepGate(p, model.Replay)
 	var traces []*trace.RankTrace
 	if model.Trace != nil {
 		traces = model.Trace.Attach(p)
@@ -315,9 +301,6 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 			defer wg.Done()
 			defer func() {
 				e := recover()
-				// A finished (or dying) rank must hand its batched-replay
-				// compute slot on, whatever path got it here.
-				comm.releaseSlot()
 				st.wait.publish(waitDone, nil, 0, 0, 0, st.clock)
 				w.progress.Add(1)
 				if st.tr != nil {
@@ -335,7 +318,6 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 				}
 				w.abort(&RankError{Rank: rank, Phase: st.phase, Err: err})
 			}()
-			comm.acquireSlot()
 			body(comm)
 		}(r)
 	}
@@ -583,8 +565,7 @@ func (c *Comm) SubComm(n int) *Comm {
 // PerByte·bytes; the sender itself is charged the send overhead
 // (Latency). Send never blocks: the receiver's mailbox ring grows on
 // demand (send-side backpressure was host scheduling with no modeled
-// meaning, and removing it removes a park point from the batched-replay
-// gate).
+// meaning).
 func (c *Comm) Send(to int, data any, bytes int) {
 	c.sendOp(to, data, bytes, opSend)
 }
@@ -713,9 +694,6 @@ func (c *Comm) recvOp(from int, op *string) any {
 		msg, ok = c.drainMatch(from)
 	}
 	if !ok {
-		// Parking until the matching send arrives: the sender needs a
-		// batched-replay compute slot to reach its send, so give ours up.
-		c.releaseSlot()
 		c.beginWait(waitRecv, op, from, 0, 0)
 		for !ok {
 			select {
@@ -730,7 +708,6 @@ func (c *Comm) recvOp(from int, op *string) any {
 			}
 		}
 		c.endWait()
-		c.acquireSlot()
 	}
 	if st.seqFrom != nil && msg.seq >= 0 {
 		// The reliability layer numbers every link's messages; a gap here

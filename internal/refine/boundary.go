@@ -49,8 +49,8 @@ type FreeSetResult struct {
 // the subproblem in vertex-id order, so the heap's insertion order —
 // and therefore every tie-break in the move sequence — is a
 // deterministic function of the record set alone, independent of
-// gather arrival order, rank count, workers, or replay mode. recs is
-// only read: geopart.RefineFreeSet passes a slice every rank shares.
+// gather arrival order, rank count, or workers. recs is only read:
+// geopart.RefineFreeSet passes a slice every rank shares.
 //
 // An empty free set returns immediately with zero flips and no
 // allocations: the full-cut driver reaches this on any level whose
