@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/gen"
 	"repro/internal/geopart"
 	"repro/internal/hostpar"
 )
@@ -40,6 +41,10 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := gen.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: -scale: %v\n", err)
+		os.Exit(2)
+	}
 	// hostpar.SetWorkers would read a negative count as "one per core".
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "benchsuite: -workers must not be negative (got %d)\n", *workers)

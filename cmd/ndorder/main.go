@@ -28,6 +28,10 @@ func main() {
 		out   = flag.String("o", "", "write the permutation here (one vertex id per line)")
 	)
 	flag.Parse()
+	if err := gen.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "ndorder: -scale: %v\n", err)
+		os.Exit(2)
+	}
 	var g *graph.Graph
 	if *file != "" {
 		f, err := os.Open(*file)

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/gen"
 	"repro/internal/geopart"
 )
 
@@ -21,6 +22,10 @@ func main() {
 		trials    = flag.Int("trials", 3, "trial count for the evolved row")
 	)
 	flag.Parse()
+	if err := gen.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "qualityrun: -scale: %v\n", err)
+		os.Exit(2)
+	}
 	row := func(label string, fullCutRounds, trials int) {
 		h := bench.New(*scale, []int{*p})
 		h.Compress = true

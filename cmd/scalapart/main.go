@@ -68,6 +68,7 @@ func main() {
 	fc, err := checkFlags(flagValues{
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
+		scale: *scale,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -310,6 +311,7 @@ type flagValues struct {
 	refine, recover, fault string
 	trials, p, workers     int
 	watchdog               time.Duration
+	scale                  float64
 }
 
 // flagConfig is what checkFlags derives from the flag values that
@@ -349,6 +351,9 @@ func checkFlags(v flagValues) (flagConfig, error) {
 		return cfg, fmt.Errorf("-watchdog must not be negative (got %v)", v.watchdog)
 	}
 	cfg.model.Watchdog = v.watchdog
+	if err := gen.CheckScale(v.scale); err != nil {
+		return cfg, fmt.Errorf("-scale: %v", err)
+	}
 	if cfg.policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
 		return cfg, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // is rejected by checkFlags, before any graph is loaded, with an error
 // naming the offending flag; everything else passes through decoded.
 func TestCheckFlags(t *testing.T) {
-	def := flagValues{refine: "off", recover: "off", trials: 1, p: 16}
+	def := flagValues{refine: "off", recover: "off", trials: 1, p: 16, scale: 0.25}
 	with := func(f func(*flagValues)) flagValues { v := def; f(&v); return v }
 	for _, tc := range []struct {
 		name    string
@@ -51,6 +52,9 @@ func TestCheckFlags(t *testing.T) {
 		{"negative-p", with(func(f *flagValues) { f.p = -3 }), "-p", nil},
 		{"negative-workers", with(func(f *flagValues) { f.workers = -4 }), "-workers", nil},
 		{"negative-watchdog", with(func(f *flagValues) { f.watchdog = -time.Second }), "-watchdog", nil},
+		{"scale-zero", with(func(f *flagValues) { f.scale = 0 }), "-scale", nil},
+		{"scale-negative", with(func(f *flagValues) { f.scale = -3 }), "-scale", nil},
+		{"scale-nan", with(func(f *flagValues) { f.scale = math.NaN() }), "-scale", nil},
 		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
 		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},
 	} {

@@ -1,27 +1,65 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geometry"
+	"repro/internal/graph"
 )
 
-// Delaunay computes the Delaunay triangulation of pts and returns its
-// edge list as vertex-index pairs. It uses incremental insertion with
-// Lawson edge flips; points are inserted in Morton (Z-curve) order and
-// located by walking from the previously modified triangle, which makes
-// construction near-linear for the jittered point sets the generators
-// produce. Points are assumed to be in general position up to a small
-// epsilon (the generators jitter their points to guarantee this).
-func Delaunay(pts []geometry.Vec2) [][2]int32 {
-	d := newTriangulator(pts)
-	order := mortonOrder(pts)
-	for _, i := range order {
-		d.insert(i)
+// buildMesh triangulates in.pts, drops edges longer than in.maxEdge
+// (when positive) and edges in.reject (when non-nil) refuses, and
+// returns the largest component with its vertices in Morton order, as
+// MortonRelabel would number them.
+//
+// The points are sorted into Morton order once and inserted in that
+// order, so a point's insertion index is its final vertex id and the
+// CSR is built once, already relabelled. A mesh the filters split into
+// several components falls back to LargestComponent and MortonRelabel
+// on the original labels, since the kept component's own bounding box
+// sets its Morton keys.
+func buildMesh(in meshInput) *Generated {
+	order := mortonOrder(in.pts) // order[i] = original index of vertex i
+	coords := make([]geometry.Vec2, len(in.pts))
+	for i, o := range order {
+		coords[i] = in.pts[o]
 	}
-	return d.edges()
+	b := graph.NewBuilder(len(coords))
+	triangulate(coords).eachEdge(func(u, v int32) {
+		a, c := coords[u], coords[v]
+		if in.maxEdge > 0 && a.Dist(c) > in.maxEdge || in.reject != nil && in.reject(a, c) {
+			return
+		}
+		b.AddEdge(u, v)
+	})
+	g := b.Build()
+	if _, count := graph.Components(g); count > 1 {
+		orig := graph.NewBuilder(g.NumVertices())
+		for u := int32(0); u < int32(g.NumVertices()); u++ {
+			for _, v := range g.Neighbors(u) {
+				if u < v {
+					orig.AddEdge(order[u], order[v])
+				}
+			}
+		}
+		g, coords = LargestComponent(orig.Build(), in.pts)
+		g, coords = MortonRelabel(g, coords)
+	}
+	return &Generated{Name: in.name, G: g, Coords: coords}
+}
+
+// meshInput is a point set and the edge filters buildMesh applies to
+// its triangulation.
+type meshInput struct {
+	name    string
+	pts     []geometry.Vec2
+	maxEdge float64 // longest edge kept; 0 keeps every edge
+	// reject drops an edge when non-nil and true. buildMesh may pass
+	// the endpoints in either order.
+	reject func(a, b geometry.Vec2) bool
 }
 
 // tri is one triangle. Edge e (0,1,2) is the edge opposite vertex
@@ -33,11 +71,29 @@ type tri struct {
 	dead  bool
 }
 
+// triangulator builds a Delaunay triangulation by incremental
+// insertion with Lawson edge flips, locating each point by walking from
+// the previously modified triangle. Inserting points in Morton
+// (Z-curve) order keeps that walk short, which makes construction
+// near-linear for the jittered point sets the generators produce.
+// Points are assumed to be in general position up to a small epsilon
+// (the generators jitter their points to guarantee this).
 type triangulator struct {
-	pts  []geometry.Vec2 // original points plus 3 super-triangle vertices
-	n    int             // number of real points
-	tris []tri
-	last int32 // a live triangle near the last insertion, walk start
+	pts   []geometry.Vec2 // points plus 3 super-triangle vertices
+	n     int             // number of real points
+	tris  []tri
+	last  int32   // a live triangle near the last insertion, walk start
+	stack []int32 // legalisation stack, reused across inserts
+}
+
+// triangulate inserts pts in index order and returns the finished
+// triangulation; vertex i is pts[i].
+func triangulate(pts []geometry.Vec2) *triangulator {
+	t := newTriangulator(pts)
+	for i := range pts {
+		t.insert(int32(i))
+	}
+	return t
 }
 
 func newTriangulator(pts []geometry.Vec2) *triangulator {
@@ -57,12 +113,12 @@ func newTriangulator(pts []geometry.Vec2) *triangulator {
 		geometry.Vec2{X: c.X + big, Y: c.Y - big/2},
 		geometry.Vec2{X: c.X, Y: c.Y + big},
 	)
-	t := &triangulator{pts: all, n: n}
-	t.tris = append(t.tris, tri{
+	// Each insert kills one triangle and appends three.
+	t := &triangulator{pts: all, n: n, tris: make([]tri, 1, 3*n+1)}
+	t.tris[0] = tri{
 		verts: [3]int32{int32(n), int32(n + 1), int32(n + 2)},
 		adj:   [3]int32{-1, -1, -1},
-	})
-	t.last = 0
+	}
 	return t
 }
 
@@ -176,8 +232,7 @@ func (t *triangulator) insert(pi int32) {
 	}
 	t.last = ids[0]
 	// Legalise the three edges opposite pi.
-	var stack []int32
-	stack = append(stack, ids[0], ids[1], ids[2])
+	stack := append(t.stack[:0], ids[0], ids[1], ids[2])
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -238,35 +293,29 @@ func (t *triangulator) insert(pi int32) {
 		t.last = cur
 		stack = append(stack, cur, nb)
 	}
+	t.stack = stack
 }
 
-// edges lists the unique triangulation edges between real points.
-func (t *triangulator) edges() [][2]int32 {
-	seen := make(map[int64]struct{})
-	var out [][2]int32
+// eachEdge calls fn once for every triangulation edge between real
+// points, from the lower-indexed of the two live triangles holding it.
+func (t *triangulator) eachEdge(fn func(a, b int32)) {
 	for i := range t.tris {
 		tr := &t.tris[i]
 		if tr.dead {
 			continue
 		}
 		for e := 0; e < 3; e++ {
+			if nb := tr.adj[e]; nb >= 0 && nb < int32(i) {
+				continue // reported by nb
+			}
 			a := tr.verts[(e+1)%3]
 			b := tr.verts[(e+2)%3]
 			if int(a) >= t.n || int(b) >= t.n {
 				continue // super-triangle edge
 			}
-			if a > b {
-				a, b = b, a
-			}
-			key := int64(a)<<32 | int64(b)
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			out = append(out, [2]int32{a, b})
+			fn(a, b)
 		}
 	}
-	return out
 }
 
 // mortonOrder returns point indices sorted along a Z-order curve, which
@@ -278,17 +327,21 @@ func mortonOrder(pts []geometry.Vec2) []int32 {
 	r := geometry.BoundingRect(pts)
 	w := math.Max(r.Width(), 1e-12)
 	h := math.Max(r.Height(), 1e-12)
-	keys := make([]uint64, len(pts))
+	// Each entry holds a point's 32-bit key above its index. Comparing
+	// keys alone runs the same pdqsort, comparison for comparison, as
+	// sort.Slice over an index slice, so tied keys keep the order that
+	// sort gives them (the order every recorded mesh was built in).
+	keyed := make([]uint64, len(pts))
 	for i, p := range pts {
 		x := uint32((p.X - r.X0) / w * 65535)
 		y := uint32((p.Y - r.Y0) / h * 65535)
-		keys[i] = interleave16(x, y)
+		keyed[i] = interleave16(x, y)<<32 | uint64(i)
 	}
+	slices.SortFunc(keyed, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
 	order := make([]int32, len(pts))
-	for i := range order {
-		order[i] = int32(i)
+	for i, k := range keyed {
+		order[i] = int32(uint32(k))
 	}
-	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
 	return order
 }
 

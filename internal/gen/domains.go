@@ -5,35 +5,17 @@ import (
 	"math/rand"
 
 	"repro/internal/geometry"
-	"repro/internal/graph"
 )
-
-// buildMesh triangulates pts, drops edges longer than maxEdge and edges
-// rejected by the filter (when non-nil), and returns the largest
-// component with its coordinates.
-func buildMesh(name string, pts []geometry.Vec2, maxEdge float64, reject func(a, b geometry.Vec2) bool) *Generated {
-	b := graph.NewBuilder(len(pts))
-	for _, e := range Delaunay(pts) {
-		a, c := pts[e[0]], pts[e[1]]
-		if a.Dist(c) > maxEdge {
-			continue
-		}
-		if reject != nil && reject(a, c) {
-			continue
-		}
-		b.AddEdge(e[0], e[1])
-	}
-	g, coords := LargestComponent(b.Build(), pts)
-	g, coords = MortonRelabel(g, coords)
-	return &Generated{Name: name, G: g, Coords: coords}
-}
 
 // Trace builds a triangulated meandering ribbon of roughly n vertices —
 // the long, thin, hole-free domain class of hugetrace-00000. The ribbon
 // follows a sine snake several periods long; the aspect ratio makes
 // good separators short and strongly direction-dependent, which is what
 // exercises a geometric partitioner on this class.
-func Trace(n int, seed int64) *Generated {
+func Trace(n int, seed int64) *Generated { return buildMesh(traceInput(n, seed)) }
+
+// traceInput draws Trace's points and its edge-length cap.
+func traceInput(n int, seed int64) meshInput {
 	rng := rand.New(rand.NewSource(seed))
 	// Ribbon: length L in x with y = A·sin(2πfx), half-width w.
 	const periods = 4.0
@@ -51,14 +33,17 @@ func Trace(n int, seed int64) *Generated {
 	// between adjacent folds is ~amp, so a conservative length cap of
 	// several mean spacings suffices.
 	spacing := math.Sqrt(length * 2 * width / float64(n))
-	return buildMesh("trace", pts, 6*spacing, nil)
+	return meshInput{name: "trace", pts: pts, maxEdge: 6 * spacing}
 }
 
 // Bubbles builds a triangulated disk with circular holes ("bubbles") of
 // roughly n vertices, the domain class of hugebubbles-00020. Holes are
 // placed on a jittered ring pattern; points inside holes are rejected
 // and triangulation edges crossing a hole are dropped.
-func Bubbles(n, holes int, seed int64) *Generated {
+func Bubbles(n, holes int, seed int64) *Generated { return buildMesh(bubblesInput(n, holes, seed)) }
+
+// bubblesInput draws Bubbles' points and its edge filters.
+func bubblesInput(n, holes int, seed int64) meshInput {
 	rng := rand.New(rand.NewSource(seed))
 	type hole struct {
 		c geometry.Vec2
@@ -102,5 +87,5 @@ func Bubbles(n, holes int, seed int64) *Generated {
 	reject := func(a, b geometry.Vec2) bool {
 		return inHole(a.Add(b).Scale(0.5))
 	}
-	return buildMesh("bubbles", pts, 6*spacing, reject)
+	return meshInput{name: "bubbles", pts: pts, maxEdge: 6 * spacing, reject: reject}
 }

@@ -125,13 +125,7 @@ func DelaunayRandom(n int, seed int64) *Generated {
 	for i := range pts {
 		pts[i] = geometry.Vec2{X: rng.Float64(), Y: rng.Float64()}
 	}
-	b := graph.NewBuilder(n)
-	for _, e := range Delaunay(pts) {
-		b.AddEdge(e[0], e[1])
-	}
-	g, coords := LargestComponent(b.Build(), pts)
-	g, coords = MortonRelabel(g, coords)
-	return &Generated{Name: "delaunay", G: g, Coords: coords}
+	return buildMesh(meshInput{name: "delaunay", pts: pts})
 }
 
 // Circuit builds a circuit-simulation-style graph: a rows×cols grid

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -54,6 +55,20 @@ func TestSuiteScaling(t *testing.T) {
 	ratio := float64(large) / float64(small)
 	if ratio < 3 || ratio > 5 {
 		t.Fatalf("scaling ratio %v, want ~4", ratio)
+	}
+}
+
+// TestCheckScale: only positive finite scales are accepted.
+func TestCheckScale(t *testing.T) {
+	for _, s := range []float64{1, 0.05, 8, 1e-300} {
+		if err := CheckScale(s); err != nil {
+			t.Errorf("CheckScale(%v) = %v, want nil", s, err)
+		}
+	}
+	for _, s := range []float64{0, math.Copysign(0, -1), -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckScale(s); err == nil {
+			t.Errorf("CheckScale(%v) accepted", s)
+		}
 	}
 }
 

@@ -83,10 +83,20 @@ func SuiteEntries() []SuiteEntry {
 // sqrtScale converts an area scale into a side-length scale for the
 // grid-shaped graphs, so that vertex counts scale like the others.
 func sqrtScale(s float64) float64 {
-	if s <= 0 {
-		panic(fmt.Sprintf("gen: non-positive suite scale %v", s))
+	if err := CheckScale(s); err != nil {
+		panic("gen: " + err.Error())
 	}
 	return math.Sqrt(s)
+}
+
+// CheckScale rejects a suite scale that is not positive and finite.
+// Such a scale has no meaning: the grid-shaped entries cannot take its
+// square root, and every other entry would build its floor size.
+func CheckScale(s float64) error {
+	if !(s > 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("suite scale must be positive and finite (got %v)", s)
+	}
+	return nil
 }
 
 // Suite builds all nine suite graphs at the given scale.
