@@ -79,7 +79,11 @@ func BenchmarkTable4Speedups(b *testing.B) {
 func BenchmarkFig2Strip(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		if lines(h.Fig2()) < 2 {
+		out, err := h.Fig2()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lines(out) < 2 {
 			b.Fatal("fig 2 truncated")
 		}
 	}
@@ -155,35 +159,45 @@ func BenchmarkFig9Large4(b *testing.B) {
 func BenchmarkAblationLatticeVsExact(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		_ = h.AblationLatticeVsExact()
+		if _, err := h.AblationLatticeVsExact(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationBlockSize(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		_ = h.AblationBlockSize()
+		if _, err := h.AblationBlockSize(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationStripFM(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		_ = h.AblationStripFM()
+		if _, err := h.AblationStripFM(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationTries(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		_ = h.AblationTries()
+		if _, err := h.AblationTries(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkAblationLevelRetention(b *testing.B) {
 	h := sharedHarness()
 	for i := 0; i < b.N; i++ {
-		_ = h.AblationLevelRetention()
+		if _, err := h.AblationLevelRetention(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -194,7 +208,10 @@ func BenchmarkScalaPartEndToEnd(b *testing.B) {
 	g := gen.DelaunayRandom(20000, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.Partition(g.G, 16, core.DefaultOptions(int64(i)))
+		res, err := core.PartitionChecked(g.G, 16, core.DefaultOptions(int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Cut <= 0 {
 			b.Fatal("degenerate cut")
 		}

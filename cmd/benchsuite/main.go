@@ -7,6 +7,7 @@
 //	benchsuite -experiment fig3         # one experiment
 //	benchsuite -scale 0.25 -ps 1,16,256 # quicker sweep
 //	benchsuite -workers 4 -cpuprofile cpu.pb.gz
+//	benchsuite -experiment quality -scale 8 -ps 16 -compress -trials 3
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -26,13 +26,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|chaos|all (chaos runs only by name)")
+		experiment = flag.String("experiment", "all", "table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|quality|chaos|all (quality and chaos run only by name)")
 		scale      = flag.Float64("scale", 1.0, "suite size scale (1 = default bench sizes)")
 		psFlag     = flag.String("ps", "", "comma-separated processor sweep (default 1,2,...,1024)")
 		workers    = flag.Int("workers", 0, "worker pool size for the sweep and the fork-join kernels (0 = one per core)")
 		compress   = flag.Bool("compress", false, "hold suite graphs in the delta/varint compressed adjacency representation (identical tables; smaller footprint)")
-		refineFlag = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
-		trials     = flag.Int("trials", 1, "evolutionary search width for the ScalaPart rows: N embed+partition trials with decorrelated seeds (1 = single pass)")
+		refineFlag = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM); the quality experiment sets its own")
+		trials     = flag.Int("trials", 1, "evolutionary search width for the ScalaPart rows: N embed+partition trials with decorrelated seeds (1 = single pass); the width of the quality experiment's last row")
 		phaseBreak = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown of the ScalaPart sweep, then exit")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "base seed for the chaos experiment's fault schedules")
 		chaosRuns  = flag.Int("chaos-schedules", 3, "fault schedules per (graph, P, policy) in the chaos experiment")
@@ -41,14 +41,93 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if err := gen.CheckScale(*scale); err != nil {
-		fmt.Fprintf(os.Stderr, "benchsuite: -scale: %v\n", err)
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "benchsuite: "+format+"\n", args...)
 		os.Exit(2)
+	}
+	if err := gen.CheckScale(*scale); err != nil {
+		usage("-scale: %v", err)
 	}
 	// hostpar.SetWorkers would read a negative count as "one per core".
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: -workers must not be negative (got %d)\n", *workers)
-		os.Exit(2)
+		usage("-workers must not be negative (got %d)", *workers)
+	}
+	ps, err := bench.ParsePs(*psFlag)
+	if err != nil {
+		usage("-ps: %v", err)
+	}
+	h := bench.New(*scale, ps)
+	switch *refineFlag {
+	case "off":
+	case "full":
+		h.FullCutRounds = geopart.FullRefineRounds
+	default:
+		usage("unknown -refine mode %q (want off or full)", *refineFlag)
+	}
+	if *trials < 1 {
+		usage("-trials must be >= 1 (got %d)", *trials)
+	}
+	h.Compress = *compress
+	h.Trials = *trials
+	if !*quiet {
+		h.Out = os.Stderr
+	}
+	rendered := func(f func() string) func() (string, error) {
+		return func() (string, error) { return f(), nil }
+	}
+	experiments := []struct {
+		name string
+		run  func() (string, error)
+		// byName experiments run only when named, never under "all".
+		byName bool
+	}{
+		{name: "table1", run: rendered(h.Table1)},
+		{name: "table2", run: rendered(h.Table2)},
+		{name: "table3", run: rendered(h.Table3)},
+		{name: "fig2", run: h.Fig2},
+		{name: "fig3", run: rendered(h.Fig3)},
+		{name: "fig4", run: rendered(h.Fig4)},
+		{name: "fig5", run: rendered(h.Fig5)},
+		{name: "fig6", run: rendered(h.Fig6)},
+		{name: "fig7", run: rendered(h.Fig7)},
+		{name: "fig8", run: rendered(h.Fig8)},
+		{name: "fig9", run: rendered(h.Fig9)},
+		{name: "table4", run: rendered(h.Table4)},
+		{name: "ablations", run: func() (string, error) {
+			var parts []string
+			for _, ablation := range []func() (string, error){
+				h.AblationLatticeVsExact, h.AblationBlockSize, h.AblationStripFM,
+				h.AblationTries, h.AblationLevelRetention, h.AblationSSDE,
+			} {
+				out, err := ablation()
+				if err != nil {
+					return "", err
+				}
+				parts = append(parts, out)
+			}
+			return strings.Join(parts, "\n"), nil
+		}},
+		// The quality knobs on one graph: the rows behind EXPERIMENTS.md's
+		// quality tables.
+		{name: "quality", byName: true, run: rendered(h.Quality)},
+		// The chaos soak is survivability evidence, not a paper
+		// experiment: randomized fault schedules against both recovery
+		// policies, every outcome verified.
+		{name: "chaos", byName: true, run: func() (string, error) {
+			return h.ChaosSoak(bench.ChaosConfig{
+				Graphs:    []string{"ecology1", "ecology2", "delaunay_n20"},
+				Ps:        []int{4, 16},
+				Schedules: *chaosRuns,
+				Seed:      *chaosSeed,
+			}).String(), nil
+		}},
+	}
+	known := *experiment == "all"
+	for _, e := range experiments {
+		known = known || e.name == *experiment
+	}
+	if !known {
+		usage("unknown experiment %q", *experiment)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -77,40 +156,9 @@ func main() {
 			}
 		}
 	}()
-	ps := bench.DefaultPs()
-	if *psFlag != "" {
-		ps = ps[:0]
-		for _, tok := range strings.Split(*psFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "benchsuite: bad -ps entry %q\n", tok)
-				os.Exit(1)
-			}
-			ps = append(ps, v)
-		}
-	}
 	// One setting bounds both pools: concurrent sweep runs and the
 	// fork-join kernels inside each run share the host's cores.
 	hostpar.SetWorkers(*workers)
-	h := bench.New(*scale, ps)
-	switch *refineFlag {
-	case "off":
-	case "full":
-		h.FullCutRounds = geopart.FullRefineRounds
-	default:
-		fmt.Fprintf(os.Stderr, "benchsuite: unknown -refine mode %q (want off or full)\n", *refineFlag)
-		os.Exit(1)
-	}
-	if *trials < 1 {
-		fmt.Fprintf(os.Stderr, "benchsuite: -trials must be >= 1 (got %d)\n", *trials)
-		os.Exit(1)
-	}
-	h.Workers = *workers
-	h.Compress = *compress
-	h.Trials = *trials
-	if !*quiet {
-		h.Out = os.Stderr
-	}
 	if *phaseBreak {
 		fmt.Println(h.PhaseBreakdown())
 		return
@@ -120,51 +168,16 @@ func main() {
 		// experiments below then assemble tables from cached runs.
 		h.Precompute(bench.ParallelMethods())
 	}
-	experiments := []struct {
-		name string
-		run  func() string
-	}{
-		{"table1", h.Table1},
-		{"table2", h.Table2},
-		{"table3", h.Table3},
-		{"fig2", h.Fig2},
-		{"fig3", h.Fig3},
-		{"fig4", h.Fig4},
-		{"fig5", h.Fig5},
-		{"fig6", h.Fig6},
-		{"fig7", h.Fig7},
-		{"fig8", h.Fig8},
-		{"fig9", h.Fig9},
-		{"table4", h.Table4},
-		{"ablations", func() string {
-			return h.AblationLatticeVsExact() + "\n" + h.AblationBlockSize() + "\n" +
-				h.AblationStripFM() + "\n" + h.AblationTries() + "\n" +
-				h.AblationLevelRetention() + "\n" + h.AblationSSDE()
-		}},
-		{"chaos", func() string {
-			// The chaos soak is survivability evidence, not a paper
-			// experiment: randomized fault schedules against both recovery
-			// policies, every outcome verified. It runs only when asked for
-			// by name, never under "all".
-			return h.ChaosSoak(bench.ChaosConfig{
-				Graphs:    []string{"ecology1", "ecology2", "delaunay_n20"},
-				Ps:        []int{4, 16},
-				Schedules: *chaosRuns,
-				Seed:      *chaosSeed,
-				Workers:   *workers,
-			}).String()
-		}},
-	}
-	ran := false
 	for _, e := range experiments {
-		if *experiment != e.name && (*experiment != "all" || e.name == "chaos") {
+		if *experiment != e.name && (*experiment != "all" || e.byName) {
 			continue
 		}
-		ran = true
-		fmt.Println(e.run())
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "benchsuite: unknown experiment %q\n", *experiment)
-		os.Exit(1)
+		out, err := e.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchsuite: experiment %s: %v\n", e.name, err)
+			pprof.StopCPUProfile()
+			os.Exit(1)
+		}
+		fmt.Println(out)
 	}
 }

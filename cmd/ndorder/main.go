@@ -32,6 +32,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndorder: -scale: %v\n", err)
 		os.Exit(2)
 	}
+	if *p < 1 {
+		fmt.Fprintf(os.Stderr, "ndorder: -p must be at least 1 (got %d)\n", *p)
+		os.Exit(2)
+	}
 	var g *graph.Graph
 	if *file != "" {
 		f, err := os.Open(*file)
@@ -58,15 +62,22 @@ func main() {
 		}
 	}
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
-	perm := order.NestedDissection(g, *p, core.DefaultOptions(*seed))
+	perm, err := order.NestedDissection(g, *p, core.DefaultOptions(*seed))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ndorder:", err)
+		os.Exit(1)
+	}
 	natural := make([]int32, g.NumVertices())
 	for i := range natural {
 		natural[i] = int32(i)
 	}
 	ndFill := order.FillIn(g, perm)
 	natFill := order.FillIn(g, natural)
-	fmt.Printf("fill: natural %d, nested dissection %d (%.2fx reduction)\n",
-		natFill, ndFill, float64(natFill)/float64(ndFill))
+	fmt.Printf("fill: natural %d, nested dissection %d", natFill, ndFill)
+	if ndFill > 0 {
+		fmt.Printf(" (%.2fx reduction)", float64(natFill)/float64(ndFill))
+	}
+	fmt.Println()
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {

@@ -68,7 +68,7 @@ func main() {
 	fc, err := checkFlags(flagValues{
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
-		scale: *scale,
+		scale: *scale, ps: *psFlag,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -103,7 +103,7 @@ func main() {
 		}
 	}()
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, *psFlag, *phaseBreak, *compress, *trials, fc); err != nil {
+		if err := writeBenchJSON(*benchJSON, *scale, *phaseBreak, *compress, *trials, fc); err != nil {
 			fmt.Fprintln(os.Stderr, "scalapart:", err)
 			os.Exit(1)
 		}
@@ -308,10 +308,10 @@ func main() {
 
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
-	refine, recover, fault string
-	trials, p, workers     int
-	watchdog               time.Duration
-	scale                  float64
+	refine, recover, fault, ps string
+	trials, p, workers         int
+	watchdog                   time.Duration
+	scale                      float64
 }
 
 // flagConfig is what checkFlags derives from the flag values that
@@ -321,6 +321,7 @@ type flagConfig struct {
 	model         mpi.Model // default model with the watchdog window and fault plan
 	fullCutRounds int
 	policy        core.RecoveryPolicy
+	ps            []int // the -bench-json processor sweep
 }
 
 // checkFlags validates every flag value and flag combination before any
@@ -354,6 +355,9 @@ func checkFlags(v flagValues) (flagConfig, error) {
 	if err := gen.CheckScale(v.scale); err != nil {
 		return cfg, fmt.Errorf("-scale: %v", err)
 	}
+	if cfg.ps, err = bench.ParsePs(v.ps); err != nil {
+		return cfg, fmt.Errorf("-ps: %v", err)
+	}
 	if cfg.policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
 		return cfg, err
 	}
@@ -372,21 +376,10 @@ func checkFlags(v flagValues) (flagConfig, error) {
 // with compress set the suite graphs are held in the delta/varint
 // compressed representation (modeled fields are bit-identical either
 // way, and each row records compressed/bytes_per_edge/peak_rss). The
-// sweep takes the watchdog window and full-cut setting of fc, but not
-// its fault plan.
-func writeBenchJSON(path string, scale float64, psSpec string, breakdown, compress bool, trials int, fc flagConfig) error {
-	ps := bench.DefaultPs()
-	if psSpec != "" {
-		ps = ps[:0]
-		for _, tok := range strings.Split(psSpec, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad -ps entry %q", tok)
-			}
-			ps = append(ps, v)
-		}
-	}
-	h := bench.New(scale, ps)
+// sweep takes the processor sweep, watchdog window and full-cut setting
+// of fc, but not its fault plan.
+func writeBenchJSON(path string, scale float64, breakdown, compress bool, trials int, fc flagConfig) error {
+	h := bench.New(scale, fc.ps)
 	h.Model.Watchdog = fc.model.Watchdog
 	h.FullCutRounds = fc.fullCutRounds
 	h.Trace = breakdown

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,9 @@ func TestCheckFlags(t *testing.T) {
 		{"refine-full", with(func(f *flagValues) { f.refine = "full" }), "", func(c flagConfig) bool {
 			return c.fullCutRounds == geopart.FullRefineRounds
 		}},
+		{"ps", with(func(f *flagValues) { f.ps = "1, 16" }), "", func(c flagConfig) bool {
+			return slices.Equal(c.ps, []int{1, 16})
+		}},
 		{"trials-alone", with(func(f *flagValues) { f.trials = 3 }), "", nil},
 		{"recover-alone", with(func(f *flagValues) { f.recover = "respawn" }), "", func(c flagConfig) bool {
 			return c.policy == core.RecoverRespawn
@@ -57,6 +61,7 @@ func TestCheckFlags(t *testing.T) {
 		{"scale-nan", with(func(f *flagValues) { f.scale = math.NaN() }), "-scale", nil},
 		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
 		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},
+		{"bad-ps", with(func(f *flagValues) { f.ps = "1,0" }), "-ps", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := checkFlags(tc.in)

@@ -46,7 +46,11 @@ func main() {
 	}
 
 	// Partition the embedded graph so the separator strip can be drawn.
-	res := core.Partition(g, p, opt)
+	res, err := core.PartitionChecked(g, p, opt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "embedding:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("embedded %d vertices on a %dx%d processor lattice; cut %d (strip %d vertices, %.1fx separator)\n",
 		g.NumVertices(), lat.Grid.Rows, lat.Grid.Cols, res.Cut, res.StripSize,
 		float64(res.StripSize)/math.Max(float64(res.Cut), 1))

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -24,26 +25,36 @@ func main() {
 
 	fmt.Printf("%-12s %6s %8s %12s\n", "method", "P", "cut", "modeled-time")
 	for _, p := range []int{4, 64, 512} {
-		sp := core.Partition(g, p, core.DefaultOptions(1))
+		sp := must(core.PartitionChecked(g, p, core.DefaultOptions(1)))
 		fmt.Printf("%-12s %6d %8d %11.4fs\n", "ScalaPart", p, sp.Cut, sp.Times.Total)
 
-		pm := baseline.Partition(g, p, baseline.ParMetisLike(1))
+		pm := must(baseline.PartitionChecked(g, p, baseline.ParMetisLike(1)))
 		fmt.Printf("%-12s %6d %8d %11.4fs\n", "ParMetis", p, pm.Cut, pm.Total)
 
-		pts := baseline.Partition(g, p, baseline.PtScotchLike(1))
+		pts := must(baseline.PartitionChecked(g, p, baseline.PtScotchLike(1)))
 		fmt.Printf("%-12s %6d %8d %11.4fs\n", "Pt-Scotch", p, pts.Cut, pts.Total)
 
 		// The mesh has natural coordinates, so RCB and the partition-
 		// only ScalaPart (SP-PG7-NL) apply directly — the use case of
 		// the paper's Figure 4.
-		rcb := core.RCBParallel(g, mesh.Coords, p, mpi.DefaultModel())
+		rcb := must(core.RCBParallelChecked(g, mesh.Coords, p, mpi.DefaultModel()))
 		fmt.Printf("%-12s %6d %8d %11.4fs\n", "RCB", p, rcb.Cut, rcb.Times.Total)
 
-		pg := core.PartitionGeometric(g, mesh.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+		pg := must(core.PartitionGeometricChecked(g, mesh.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel()))
 		fmt.Printf("%-12s %6d %8d %11.4fs\n", "SP-PG7-NL", p, pg.Cut, pg.Times.Total)
 		fmt.Println()
 	}
 	fmt.Println("Note how RCB is fastest but cuts worst, the multilevel baselines")
 	fmt.Println("cut well but slow down at scale, and SP-PG7-NL delivers geometric-")
 	fmt.Println("partitioning speed with refined cuts once coordinates exist.")
+}
+
+// must returns a partitioner's result, or prints its error and exits 1:
+// a rank failure comes back as an error, never as a panic.
+func must[R any](res R, err error) R {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "meshpart:", err)
+		os.Exit(1)
+	}
+	return res
 }

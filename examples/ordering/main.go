@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -24,7 +25,11 @@ func main() {
 	for i := range natural {
 		natural[i] = int32(i)
 	}
-	ndPerm := order.NestedDissection(g, 8, core.DefaultOptions(7))
+	ndPerm, err := order.NestedDissection(g, 8, core.DefaultOptions(7))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ordering:", err)
+		os.Exit(1)
+	}
 
 	natFill := order.FillIn(g, natural)
 	ndFill := order.FillIn(g, ndPerm)
@@ -34,7 +39,11 @@ func main() {
 		float64(natFill)/float64(ndFill))
 
 	// The separator that drove the top split.
-	res := core.Partition(g, 8, core.DefaultOptions(7))
+	res, err := core.PartitionChecked(g, 8, core.DefaultOptions(7))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ordering:", err)
+		os.Exit(1)
+	}
 	labels := order.VertexSeparator(g, res.Part)
 	sep := 0
 	for _, l := range labels {

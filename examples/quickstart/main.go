@@ -4,6 +4,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -22,7 +23,12 @@ func main() {
 	// coordinate strip. P is the simulated processor count; results
 	// come from the real parallel algorithm, times from its modeled
 	// clocks.
-	res := core.Partition(g, 16, core.DefaultOptions(1))
+	// A rank failure comes back as an error, never as a panic.
+	res, err := core.PartitionChecked(g, 16, core.DefaultOptions(1))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("cut: %d edges (%d before strip refinement)\n", res.Cut, res.CutBefore)
 	fmt.Printf("imbalance: %.3f\n", res.Imbalance)

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -38,8 +39,8 @@ func main() {
 			rot := geometry.Vec2{X: r.X*cos - r.Y*sin, Y: r.X*sin + r.Y*cos}
 			coords[i] = geometry.Vec2{X: 0.5 + rot.X + dx, Y: 0.5 + rot.Y}
 		}
-		rcb := core.RCBParallel(g, coords, p, mpi.DefaultModel())
-		sp := core.PartitionGeometric(g, coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+		rcb := must(core.RCBParallelChecked(g, coords, p, mpi.DefaultModel()))
+		sp := must(core.PartitionGeometricChecked(g, coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel()))
 		rcbTotal += rcb.Times.Total
 		spTotal += sp.Times.Total
 		fmt.Printf("%5d %10d / %8.5fs %10d / %8.5fs\n",
@@ -48,4 +49,14 @@ func main() {
 	fmt.Printf("\ncumulative partitioning time: RCB %.5fs, SP-PG7-NL %.5fs\n", rcbTotal, spTotal)
 	fmt.Println("SP-PG7-NL's incremental cost stays within a small factor of RCB's")
 	fmt.Println("while its refined sphere separators track the deforming geometry.")
+}
+
+// must returns a partitioner's result, or prints its error and exits 1:
+// a rank failure comes back as an error, never as a panic.
+func must[R any](res R, err error) R {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repartition:", err)
+		os.Exit(1)
+	}
+	return res
 }

@@ -91,20 +91,10 @@ type Result struct {
 	Stats     []mpi.RankStats
 }
 
-// Partition bisects g on p simulated ranks with the configured
-// multilevel baseline. It panics if a rank fails; use PartitionChecked
-// to receive the failure as an error.
-func Partition(g *graph.Graph, p int, cfg Config) *Result {
-	res, err := PartitionChecked(g, p, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("baseline: %v", err))
-	}
-	return res
-}
-
-// PartitionChecked is Partition with structured error reporting: a
-// world size below one is an error, and a rank failure comes back as an
-// *mpi.RankError instead of crashing the caller.
+// PartitionChecked bisects g on p simulated ranks with the configured
+// multilevel baseline. A world size below one is an error, and a rank
+// failure comes back as an *mpi.RankError instead of crashing the
+// caller.
 func PartitionChecked(g *graph.Graph, p int, cfg Config) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("baseline: world size p=%d, want at least 1", p)

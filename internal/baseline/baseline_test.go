@@ -7,13 +7,23 @@ import (
 	"repro/internal/graph"
 )
 
+// mustPartition is PartitionChecked for tests: a returned error fails t.
+func mustPartition(t testing.TB, g *graph.Graph, p int, cfg Config) *Result {
+	t.Helper()
+	res, err := PartitionChecked(g, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestBaselinesGrid checks both baselines produce valid, balanced,
 // sensible bisections across rank counts.
 func TestBaselinesGrid(t *testing.T) {
 	g := gen.Grid2D(48, 48)
 	for _, cfg := range []Config{ParMetisLike(1), PtScotchLike(1)} {
 		for _, p := range []int{1, 4, 16} {
-			res := Partition(g.G, p, cfg)
+			res := mustPartition(t, g.G, p, cfg)
 			if got := graph.CutSize(g.G, res.Part); got != res.Cut {
 				t.Fatalf("%s p=%d: cut mismatch %d vs %d", cfg.Name, p, res.Cut, got)
 			}
@@ -40,8 +50,8 @@ func TestPtScotchBeatsParMetisOnQuality(t *testing.T) {
 	}
 	var pmSum, ptsSum int64
 	for _, g := range graphs {
-		pm := Partition(g.G, 8, ParMetisLike(3))
-		pts := Partition(g.G, 8, PtScotchLike(3))
+		pm := mustPartition(t, g.G, 8, ParMetisLike(3))
+		pts := mustPartition(t, g.G, 8, PtScotchLike(3))
 		pmSum += pm.Cut
 		ptsSum += pts.Cut
 	}
@@ -53,8 +63,8 @@ func TestPtScotchBeatsParMetisOnQuality(t *testing.T) {
 // TestBaselineDeterminism: repeated runs must agree bit-for-bit.
 func TestBaselineDeterminism(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 2)
-	a := Partition(g.G, 8, PtScotchLike(7))
-	b := Partition(g.G, 8, PtScotchLike(7))
+	a := mustPartition(t, g.G, 8, PtScotchLike(7))
+	b := mustPartition(t, g.G, 8, PtScotchLike(7))
 	if a.Cut != b.Cut || a.Total != b.Total {
 		t.Fatalf("nondeterministic: cut %d/%d total %v/%v", a.Cut, b.Cut, a.Total, b.Total)
 	}

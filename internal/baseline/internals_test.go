@@ -80,8 +80,8 @@ func TestRefinePassesImproveQuality(t *testing.T) {
 		cfgFew.RefinePasses = 1
 		cfgMany := ParMetisLike(seed)
 		cfgMany.RefinePasses = 8
-		few += Partition(g.G, 8, cfgFew).Cut
-		many += Partition(g.G, 8, cfgMany).Cut
+		few += mustPartition(t, g.G, 8, cfgFew).Cut
+		many += mustPartition(t, g.G, 8, cfgMany).Cut
 	}
 	if many > few*105/100 {
 		t.Fatalf("8 passes (%d) worse than 1 pass (%d)", many, few)
@@ -94,7 +94,7 @@ func TestBaselineBalanceUnderRefinement(t *testing.T) {
 	for _, cfg := range []Config{ParMetisLike(5), PtScotchLike(5)} {
 		for _, p := range []int{2, 16, 128} {
 			g := gen.RandomGeometric(5000, 0.025, 5)
-			res := Partition(g.G, p, cfg)
+			res := mustPartition(t, g.G, p, cfg)
 			if res.Imbalance > 0.08 {
 				t.Fatalf("%s p=%d: imbalance %.3f", cfg.Name, p, res.Imbalance)
 			}
@@ -107,8 +107,8 @@ func TestBaselineBalanceUnderRefinement(t *testing.T) {
 func TestBaselineTimesGrowWithP(t *testing.T) {
 	g := gen.DelaunayRandom(20000, 9)
 	for _, cfg := range []Config{ParMetisLike(1), PtScotchLike(1)} {
-		t64 := Partition(g.G, 64, cfg).Total
-		t1024 := Partition(g.G, 1024, cfg).Total
+		t64 := mustPartition(t, g.G, 64, cfg).Total
+		t1024 := mustPartition(t, g.G, 1024, cfg).Total
 		if t1024 <= t64 {
 			t.Fatalf("%s: time at P=1024 (%v) should exceed P=64 (%v) for a small graph",
 				cfg.Name, t1024, t64)
@@ -118,8 +118,8 @@ func TestBaselineTimesGrowWithP(t *testing.T) {
 
 func TestPtScotchSlowerButBetterOrEqual(t *testing.T) {
 	g := gen.DelaunayRandom(15000, 12)
-	pm := Partition(g.G, 64, ParMetisLike(2))
-	pts := Partition(g.G, 64, PtScotchLike(2))
+	pm := mustPartition(t, g.G, 64, ParMetisLike(2))
+	pts := mustPartition(t, g.G, 64, PtScotchLike(2))
 	if pts.Total <= pm.Total {
 		t.Fatalf("Pt-Scotch (%v) should cost more than ParMetis (%v)", pts.Total, pm.Total)
 	}

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -23,7 +21,6 @@ type ChaosConfig struct {
 	MaxEvent  int64               // fault positions are drawn from [0, MaxEvent); default 400
 	Kinds     []mpi.FaultKind     // default: kill, drop, delay, truncate
 	Recover   core.RecoverOptions // Policy is overridden per case
-	Workers   int                 // soak pool size; 0 = one per available core
 }
 
 func (c *ChaosConfig) withDefaults() ChaosConfig {
@@ -67,17 +64,6 @@ type ChaosReport struct {
 	Failed    int // verification failures — must be zero
 }
 
-// Failures returns the cases that failed verification.
-func (r *ChaosReport) Failures() []ChaosCase {
-	var out []ChaosCase
-	for _, c := range r.Cases {
-		if c.Err != "" {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func (r *ChaosReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos soak: %d case(s): %d full-strength, %d shrunk, %d fallback, %d FAILED\n",
@@ -101,12 +87,9 @@ func (r *ChaosReport) String() string {
 // constraint; only a run that exhausted its whole policy ladder may be
 // a sequential fallback. Fault-free baselines come from h.Get, so the
 // harness must carry its default (fault-free, recovery-off) settings.
+// Cases run on hostpar.Workers() goroutines.
 func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
 	c := cfg.withDefaults()
-	type job struct {
-		idx int
-		cc  ChaosCase
-	}
 	var cases []ChaosCase
 	n := 0
 	for _, gname := range c.Graphs {
@@ -122,26 +105,7 @@ func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
 			}
 		}
 	}
-	jobs := make(chan job)
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				cases[j.idx] = h.chaosCase(c, j.cc)
-			}
-		}()
-	}
-	for i, cc := range cases {
-		jobs <- job{i, cc}
-	}
-	close(jobs)
-	wg.Wait()
+	runJobs(len(cases), func(i int) { cases[i] = h.chaosCase(c, cases[i]) })
 
 	rep := &ChaosReport{Cases: cases}
 	for _, cc := range cases {

@@ -90,3 +90,14 @@ func TestRecoveryZeroFaultsMatchesSeedRows(t *testing.T) {
 		}
 	}
 }
+
+// Failures returns the cases that failed verification.
+func (r *ChaosReport) Failures() []ChaosCase {
+	var out []ChaosCase
+	for _, c := range r.Cases {
+		if c.Err != "" {
+			out = append(out, c)
+		}
+	}
+	return out
+}

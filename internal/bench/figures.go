@@ -38,9 +38,9 @@ func (h *Harness) Fig4() string {
 	return b.String()
 }
 
-// FigGraphTimes reproduces Figures 5 and 6: execution time versus P
+// figGraphTimes reproduces Figures 5 and 6: execution time versus P
 // for one graph, all four parallel methods.
-func (h *Harness) FigGraphTimes(figure, graphName string) string {
+func (h *Harness) figGraphTimes(figure, graphName string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: Execution time for %s (modeled seconds).\n", figure, graphName)
 	fmt.Fprintf(&b, "%6s %12s %12s %12s %12s\n", "P", "ScalaPart", "Pt-Scotch", "ParMetis", "RCB")
@@ -55,10 +55,10 @@ func (h *Harness) FigGraphTimes(figure, graphName string) string {
 }
 
 // Fig5 is hugebubbles-00020; Fig6 is G3_circuit.
-func (h *Harness) Fig5() string { return h.FigGraphTimes("Figure 5", "hugebubbles-00020") }
+func (h *Harness) Fig5() string { return h.figGraphTimes("Figure 5", "hugebubbles-00020") }
 
 // Fig6 reports G3_circuit times versus P.
-func (h *Harness) Fig6() string { return h.FigGraphTimes("Figure 6", "G3_circuit") }
+func (h *Harness) Fig6() string { return h.figGraphTimes("Figure 6", "G3_circuit") }
 
 // Fig7 reproduces Figure 7: ScalaPart component times (coarsening,
 // embedding, partitioning) as fractions of the total, summed over all
@@ -146,13 +146,16 @@ func (h *Harness) Fig9() string {
 // Fig2 reproduces Figure 2's statistic: the refinement strip around the
 // separator of a delaunay_n16-scale mesh contains a small multiple of
 // the separator size (the paper reports 5.6×).
-func (h *Harness) Fig2() string {
+func (h *Harness) Fig2() (string, error) {
 	n := int(65536 * h.Scale)
 	if n < 1024 {
 		n = 1024
 	}
 	g := gen.DelaunayRandom(n, 1616)
-	res := core.Partition(g.G, 16, core.DefaultOptions(16))
+	res, err := core.PartitionChecked(g.G, 16, core.DefaultOptions(16))
+	if err != nil {
+		return "", err
+	}
 	sep := graph.CutSize(g.G, res.Part)
 	ratio := 0.0
 	if sep > 0 {
@@ -162,5 +165,5 @@ func (h *Harness) Fig2() string {
 		"Figure 2: strip refinement on delaunay_n16-scale mesh (n=%d, P=16).\n"+
 			"  separator edges: %d   strip vertices: %d   ratio: %.1fx (paper: 5.6x)\n"+
 			"  cut before refinement: %d   after: %d\n",
-		g.G.NumVertices(), sep, res.StripSize, ratio, res.CutBefore, res.Cut)
+		g.G.NumVertices(), sep, res.StripSize, ratio, res.CutBefore, res.Cut), nil
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,12 +75,11 @@ type runKey struct {
 // are singleflight, so Precompute can fan the sweep across a worker
 // pool without ever duplicating a graph build, layout, or run.
 type Harness struct {
-	Scale   float64 // suite scale; 1 = default bench sizes
-	Ps      []int   // processor sweep
-	Model   mpi.Model
-	Out     io.Writer // progress log; nil silences
-	Workers int       // Precompute pool size; 0 = one per available core
-	Trace   bool      // record per-run traces and fill Run.Breakdown
+	Scale float64 // suite scale; 1 = default bench sizes
+	Ps    []int   // processor sweep
+	Model mpi.Model
+	Out   io.Writer // progress log; nil silences
+	Trace bool      // record per-run traces and fill Run.Breakdown
 	// Compress builds every suite graph in the delta/varint compressed
 	// representation (graph.Compress) before any run touches it. Modeled
 	// results are bit-identical either way (the pipeline consumes
@@ -126,6 +127,23 @@ func DefaultPs() []int {
 	return ps
 }
 
+// ParsePs parses a -ps processor sweep: comma-separated positive
+// integers, spaces allowed around each. The empty spec is DefaultPs.
+func ParsePs(spec string) ([]int, error) {
+	if spec == "" {
+		return DefaultPs(), nil
+	}
+	var ps []int
+	for _, tok := range strings.Split(spec, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad processor count %q (want an integer >= 1)", tok)
+		}
+		ps = append(ps, v)
+	}
+	return ps, nil
+}
+
 func (h *Harness) logf(format string, args ...any) {
 	if h.Out != nil {
 		h.logMu.Lock()
@@ -161,10 +179,10 @@ func SuiteNames() []string {
 	return names
 }
 
-// HuCoords returns (computing and caching) the sequential
+// huCoords returns (computing and caching) the sequential
 // force-directed layout of a suite graph — the stand-in for the
 // Mathematica embedding the paper gives to RCB and G30/G7.
-func (h *Harness) HuCoords(name string) []geometry.Vec2 {
+func (h *Harness) huCoords(name string) []geometry.Vec2 {
 	return h.layouts.get(name, func() []geometry.Vec2 {
 		g := h.Graph(name)
 		h.logf("sequential layout of %s (n=%d)...", name, g.G.NumVertices())
@@ -236,39 +254,47 @@ func ParallelMethods() []string {
 }
 
 // Precompute warms the run cache for methods × suite graphs × the P
-// sweep using a worker pool (h.Workers, defaulting to one worker per
-// available core). Runs are independent and individually seeded, so
-// execution order cannot change any result; the singleflight caches
-// keep concurrent workers from duplicating shared graph builds and
-// layouts. Table and figure assembly afterwards is pure lookup.
+// sweep on hostpar.Workers() concurrent runs. Runs are independent and
+// individually seeded, so execution order cannot change any result; the
+// singleflight caches keep concurrent workers from duplicating shared
+// graph builds and layouts. Table and figure assembly afterwards is
+// pure lookup.
 func (h *Harness) Precompute(methods []string) {
 	type job struct {
 		graph, method string
 		p             int
 	}
-	jobs := make(chan job)
-	workers := h.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	var jobs []job
+	for _, name := range SuiteNames() {
+		for _, m := range methods {
+			for _, p := range h.Ps {
+				jobs = append(jobs, job{name, m, p})
+			}
+		}
 	}
+	runJobs(len(jobs), func(i int) { h.Get(jobs[i].graph, jobs[i].method, jobs[i].p) })
+}
+
+// runJobs calls job(i) for every i in [0, n) on hostpar.Workers()
+// goroutines, each taking the next index as it frees up, and returns
+// when all calls have.
+func runJobs(n int, job func(i int)) {
+	next := make(chan int)
 	var wg sync.WaitGroup
+	workers := hostpar.Workers()
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				h.Get(j.graph, j.method, j.p)
+			for i := range next {
+				job(i)
 			}
 		}()
 	}
-	for _, name := range SuiteNames() {
-		for _, m := range methods {
-			for _, p := range h.Ps {
-				jobs <- job{name, m, p}
-			}
-		}
+	for i := 0; i < n; i++ {
+		next <- i
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
 }
 
@@ -367,7 +393,7 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 			run.Breakdown = rec.Breakdown().Phases
 		}
 	case MethodSPPG:
-		res, err := core.PartitionGeometricChecked(g.G, h.HuCoords(graphName), p, h.partitionConfig(), h.Model)
+		res, err := core.PartitionGeometricChecked(g.G, h.huCoords(graphName), p, h.partitionConfig(), h.Model)
 		if err != nil {
 			return h.fallbackRun(run, g, seed, err)
 		}
@@ -376,7 +402,7 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 		run.StripSize = res.StripSize
 		run.addStats(res.Stats)
 	case MethodRCB:
-		res, err := core.RCBParallelChecked(g.G, h.HuCoords(graphName), p, h.Model)
+		res, err := core.RCBParallelChecked(g.G, h.huCoords(graphName), p, h.Model)
 		if err != nil {
 			return h.fallbackRun(run, g, seed, err)
 		}
@@ -407,13 +433,13 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 			cfg = geopart.G7NL()
 		}
 		cfg.Seed = seed
-		_, st, err := geopart.Partition(g.G, h.HuCoords(graphName), cfg)
+		_, st, err := geopart.Partition(g.G, h.huCoords(graphName), cfg)
 		if err != nil {
 			panic("bench: " + err.Error()) // harness-built coords always match
 		}
 		run.Cut, run.Imbalance = st.Cut, st.Imbalance
 	case MethodRCBSeq:
-		_, st := geopart.RCBBisect(g.G, h.HuCoords(graphName))
+		_, st := geopart.RCBBisect(g.G, h.huCoords(graphName))
 		run.Cut, run.Imbalance = st.Cut, st.Imbalance
 	default:
 		panic("bench: unknown method " + method)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,7 +87,7 @@ func TestRemainingExperimentsRender(t *testing.T) {
 		"fig6":   h.Fig6(),
 		"fig9":   h.Fig9(),
 		"table4": h.Table4(),
-		"fig2":   h.Fig2(),
+		"fig2":   mustRender(t)(h.Fig2()),
 	} {
 		if len(out) < 40 {
 			t.Fatalf("%s suspiciously short:\n%s", name, out)
@@ -94,15 +95,27 @@ func TestRemainingExperimentsRender(t *testing.T) {
 	}
 }
 
+// mustRender unwraps an experiment's (string, error) result, failing t
+// on error.
+func mustRender(t testing.TB) func(string, error) string {
+	return func(out string, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+}
+
 func TestAblationsRender(t *testing.T) {
 	h := miniHarness()
 	for name, out := range map[string]string{
-		"block":   h.AblationBlockSize(),
-		"strip":   h.AblationStripFM(),
-		"tries":   h.AblationTries(),
-		"levels":  h.AblationLevelRetention(),
-		"lattice": h.AblationLatticeVsExact(),
-		"ssde":    h.AblationSSDE(),
+		"block":   mustRender(t)(h.AblationBlockSize()),
+		"strip":   mustRender(t)(h.AblationStripFM()),
+		"tries":   mustRender(t)(h.AblationTries()),
+		"levels":  mustRender(t)(h.AblationLevelRetention()),
+		"lattice": mustRender(t)(h.AblationLatticeVsExact()),
+		"ssde":    mustRender(t)(h.AblationSSDE()),
 	} {
 		if !strings.Contains(out, "Ablation") {
 			t.Fatalf("%s: missing header:\n%s", name, out)
@@ -141,6 +154,22 @@ func TestSPCutsLength(t *testing.T) {
 	for _, c := range cuts {
 		if c <= 0 {
 			t.Fatalf("non-positive cut in %v", cuts)
+		}
+	}
+}
+
+// TestParsePs: the empty spec is the paper's sweep, entries may carry
+// spaces, and anything but a list of positive integers is rejected.
+func TestParsePs(t *testing.T) {
+	if ps, err := ParsePs(""); err != nil || !slices.Equal(ps, DefaultPs()) {
+		t.Fatalf(`ParsePs("") = %v, %v; want DefaultPs()`, ps, err)
+	}
+	if ps, err := ParsePs("1, 16,256"); err != nil || !slices.Equal(ps, []int{1, 16, 256}) {
+		t.Fatalf("ParsePs = %v, %v; want [1 16 256]", ps, err)
+	}
+	for _, bad := range []string{"0", "-4", "1,,2", "16,", "x", "1.5", " "} {
+		if ps, err := ParsePs(bad); err == nil {
+			t.Fatalf("ParsePs(%q) = %v, want an error", bad, ps)
 		}
 	}
 }

@@ -61,15 +61,6 @@ func HeavyEdgeMatch(g *graph.Graph, rng *rand.Rand, allowed func(u, v int32) boo
 	return match
 }
 
-// Contract builds the coarse graph induced by match: one coarse vertex
-// per matched pair or unmatched singleton, vertex weights summed, and
-// parallel edges between coarse vertices merged with accumulated
-// weights. It returns the coarse graph and the fine→coarse map.
-func Contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
-	cg, f2c, _ := contractBlocked(g, match, []int32{0, int32(g.NumVertices())})
-	return cg, f2c
-}
-
 // Level is one retained level of a hierarchy.
 type Level struct {
 	G *graph.Graph
@@ -157,9 +148,6 @@ type Hierarchy struct {
 	Levels []Level
 }
 
-// Coarsest returns the last level.
-func (h *Hierarchy) Coarsest() *Level { return &h.Levels[len(h.Levels)-1] }
-
 // BuildHierarchy coarsens g over p processors. Matching at every step
 // is restricted to the contiguous ownership blocks of the level's
 // active ranks, and the active rank count divides by
@@ -234,32 +222,6 @@ func blockOffsets(n, p int) []int32 {
 	return off
 }
 
-// BlockAllowed returns a match predicate allowing matches only within
-// one ownership block (the strictly-local matching variant, kept for
-// the coarsening ablation).
-func BlockAllowed(offsets []int32) func(u, v int32) bool {
-	if len(offsets) == 2 {
-		return nil // single block: everything allowed
-	}
-	return func(u, v int32) bool {
-		return blockOf(offsets, u) == blockOf(offsets, v)
-	}
-}
-
-// blockOf binary-searches the owning block of v.
-func blockOf(offsets []int32, v int32) int {
-	lo, hi := 0, len(offsets)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if offsets[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 func prefixSum(counts []int32) []int32 {
 	off := make([]int32, len(counts)+1)
 	for i, c := range counts {
@@ -283,14 +245,4 @@ func mergeOffsets(offsets []int32, nextRanks int) []int32 {
 	}
 	out[nextRanks] = offsets[oldRanks]
 	return out
-}
-
-// ProjectPartition carries a partition of the coarse level back to the
-// fine level via the ToCoarse map.
-func ProjectPartition(toCoarse []int32, coarsePart []int32) []int32 {
-	fine := make([]int32, len(toCoarse))
-	for v, cv := range toCoarse {
-		fine[v] = coarsePart[cv]
-	}
-	return fine
 }

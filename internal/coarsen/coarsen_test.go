@@ -182,3 +182,25 @@ func TestStepsPerLevelOne(t *testing.T) {
 		}
 	}
 }
+
+// Contract builds the coarse graph induced by match: one coarse vertex
+// per matched pair or unmatched singleton, vertex weights summed, and
+// parallel edges between coarse vertices merged with accumulated
+// weights. It returns the coarse graph and the fine→coarse map.
+func Contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
+	cg, f2c, _ := contractBlocked(g, match, []int32{0, int32(g.NumVertices())})
+	return cg, f2c
+}
+
+// Coarsest returns the last level.
+func (h *Hierarchy) Coarsest() *Level { return &h.Levels[len(h.Levels)-1] }
+
+// ProjectPartition carries a partition of the coarse level back to the
+// fine level via the ToCoarse map.
+func ProjectPartition(toCoarse []int32, coarsePart []int32) []int32 {
+	fine := make([]int32, len(toCoarse))
+	for v, cv := range toCoarse {
+		fine[v] = coarsePart[cv]
+	}
+	return fine
+}

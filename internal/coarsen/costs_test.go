@@ -61,20 +61,6 @@ func TestChargeCostsAdvancesClocks(t *testing.T) {
 	}
 }
 
-func TestBlockAllowedRestrictsMatches(t *testing.T) {
-	offsets := []int32{0, 5, 10}
-	allowed := BlockAllowed(offsets)
-	if allowed == nil {
-		t.Fatal("nil predicate for 2 blocks")
-	}
-	if !allowed(1, 4) || allowed(4, 5) || !allowed(7, 9) {
-		t.Fatal("block predicate wrong")
-	}
-	if BlockAllowed([]int32{0, 10}) != nil {
-		t.Fatal("single block should be unrestricted")
-	}
-}
-
 func TestMergeOffsets(t *testing.T) {
 	off := []int32{0, 2, 5, 9, 12}
 	merged := mergeOffsets(off, 2)

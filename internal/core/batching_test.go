@@ -21,9 +21,9 @@ func TestBatchingBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			ref := Partition(g.G, p, withFullCut(DefaultOptions(42)))
+			ref := mustPartition(t, g.G, p, withFullCut(DefaultOptions(42)))
 			hostpar.SetWorkers(8)
-			got := Partition(g.G, p, withFullCut(DefaultOptions(42)))
+			got := mustPartition(t, g.G, p, withFullCut(DefaultOptions(42)))
 			requireIdentical(t, "workers=8", got, ref)
 		})
 	}

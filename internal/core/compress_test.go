@@ -30,10 +30,10 @@ func TestCompressedPipelineBitIdentical(t *testing.T) {
 	}
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			plain := Partition(g.G, p, DefaultOptions(42))
+			plain := mustPartition(t, g.G, p, DefaultOptions(42))
 			for _, w := range []int{1, 2, 8} {
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-				comp := Partition(cg, p, DefaultOptions(42))
+				comp := mustPartition(t, cg, p, DefaultOptions(42))
 				requireIdentical(t, fmt.Sprintf("workers=%d compressed vs plain", w), comp, plain)
 			}
 		})

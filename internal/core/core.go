@@ -88,21 +88,11 @@ type Result struct {
 	Recovery *RecoveryStats
 }
 
-// Partition runs ScalaPart on p simulated ranks and returns the global
-// bisection with its modeled timing breakdown. It panics if a rank
-// fails; use PartitionChecked to receive the failure as an error.
-func Partition(g *graph.Graph, p int, opt Options) *Result {
-	res, err := PartitionChecked(g, p, opt)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return res
-}
-
-// PartitionChecked is Partition with structured error reporting: a
-// world size below one is an error, and a rank failure (panic, injected
-// fault, or watchdog-detected deadlock) comes back as an *mpi.RankError
-// naming the rank and pipeline phase instead of crashing the caller.
+// PartitionChecked runs ScalaPart on p simulated ranks and returns the
+// global bisection with its modeled timing breakdown. A world size
+// below one is an error, and a rank failure (panic, injected fault, or
+// watchdog-detected deadlock) comes back as an *mpi.RankError naming
+// the rank and pipeline phase instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
 	if err := checkWorldSize(p); err != nil {
 		return nil, fmt.Errorf("Partition: %w", err)
@@ -151,21 +141,12 @@ func SequentialFallback(g *graph.Graph, seed int64) (*Result, error) {
 	}, nil
 }
 
-// PartitionGeometric runs only the parallel geometric partitioner
-// SP-PG7-NL on pre-existing coordinates (the paper's Figure 4 and the
-// dynamic-repartitioning use case of Section 5): coordinates are
-// assumed already distributed, so only partitioning and refinement are
-// timed.
-func PartitionGeometric(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopart.ParallelConfig, model mpi.Model) *Result {
-	res, err := PartitionGeometricChecked(g, coords, p, cfg, model)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return res
-}
-
-// PartitionGeometricChecked is PartitionGeometric with structured error
-// reporting instead of panics.
+// PartitionGeometricChecked runs only the parallel geometric
+// partitioner SP-PG7-NL on pre-existing coordinates (the paper's
+// Figure 4 and the dynamic-repartitioning use case of Section 5):
+// coordinates are assumed already distributed, so only partitioning and
+// refinement are timed. Bad input and rank failures come back as
+// errors, as in PartitionChecked.
 func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopart.ParallelConfig, model mpi.Model) (*Result, error) {
 	if err := checkGeometricInput(g, coords, p); err != nil {
 		return nil, fmt.Errorf("PartitionGeometric: %w", err)
@@ -175,19 +156,10 @@ func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cf
 	})
 }
 
-// RCBParallel times Zoltan-style parallel recursive coordinate
+// RCBParallelChecked times Zoltan-style parallel recursive coordinate
 // bisection on pre-existing coordinates, the paper's scalability
-// yardstick.
-func RCBParallel(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model) *Result {
-	res, err := RCBParallelChecked(g, coords, p, model)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return res
-}
-
-// RCBParallelChecked is RCBParallel with structured error reporting
-// instead of panics.
+// yardstick. Bad input and rank failures come back as errors, as in
+// PartitionChecked.
 func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model) (*Result, error) {
 	if err := checkGeometricInput(g, coords, p); err != nil {
 		return nil, fmt.Errorf("RCBParallel: %w", err)

@@ -10,6 +10,16 @@ import (
 	"repro/internal/mpi"
 )
 
+// mustPartition is PartitionChecked for tests: a returned error fails t.
+func mustPartition(t testing.TB, g *graph.Graph, p int, opt Options) *Result {
+	t.Helper()
+	res, err := PartitionChecked(g, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestScalaPartGrid runs the full pipeline on a grid across rank counts
 // and checks that the produced bisection is valid, balanced, and far
 // better than a random cut (a 48x48 grid has ~4500 edges; a decent
@@ -17,7 +27,7 @@ import (
 func TestScalaPartGrid(t *testing.T) {
 	g := gen.Grid2D(48, 48)
 	for _, p := range []int{1, 4, 16} {
-		res := Partition(g.G, p, DefaultOptions(42))
+		res := mustPartition(t, g.G, p, DefaultOptions(42))
 		if got := graph.CutSize(g.G, res.Part); got != res.Cut {
 			t.Fatalf("p=%d: reported cut %d but partition cuts %d", p, res.Cut, got)
 		}
@@ -46,8 +56,8 @@ func TestScalaPartGrid(t *testing.T) {
 // scheduling.
 func TestScalaPartDeterminism(t *testing.T) {
 	g := gen.DelaunayRandom(2000, 9)
-	a := Partition(g.G, 8, DefaultOptions(5))
-	b := Partition(g.G, 8, DefaultOptions(5))
+	a := mustPartition(t, g.G, 8, DefaultOptions(5))
+	b := mustPartition(t, g.G, 8, DefaultOptions(5))
 	if a.Cut != b.Cut {
 		t.Fatalf("cuts differ: %d vs %d", a.Cut, b.Cut)
 	}
@@ -71,14 +81,20 @@ func TestScalaPartDeterminism(t *testing.T) {
 func TestPartitionGeometricAndRCB(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 3)
 	for _, p := range []int{1, 8} {
-		spr := PartitionGeometric(g.G, g.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+		spr, err := PartitionGeometricChecked(g.G, g.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := graph.CutSize(g.G, spr.Part); got != spr.Cut {
 			t.Fatalf("SP-PG7-NL p=%d: cut mismatch %d vs %d", p, spr.Cut, got)
 		}
 		if spr.Imbalance > 0.06 {
 			t.Fatalf("SP-PG7-NL p=%d: imbalance %.3f", p, spr.Imbalance)
 		}
-		rcb := RCBParallel(g.G, g.Coords, p, mpi.DefaultModel())
+		rcb, err := RCBParallelChecked(g.G, g.Coords, p, mpi.DefaultModel())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := graph.CutSize(g.G, rcb.Part); got != rcb.Cut {
 			t.Fatalf("RCB p=%d: cut mismatch %d vs %d", p, rcb.Cut, got)
 		}

@@ -51,7 +51,7 @@ func TestPipelineDegenerateInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Partition(tc.g, tc.p, DefaultOptions(7))
+			res := mustPartition(t, tc.g, tc.p, DefaultOptions(7))
 			if got := graph.CutSize(tc.g, res.Part); got != res.Cut {
 				t.Fatalf("cut mismatch: reported %d actual %d", res.Cut, got)
 			}
@@ -71,7 +71,7 @@ func TestPipelineDegenerateInputs(t *testing.T) {
 // survive the geometric pipeline (the paper's hardest case).
 func TestPipelineKKTPower(t *testing.T) {
 	g := gen.KKTPower(3000, 44)
-	res := Partition(g.G, 16, DefaultOptions(2))
+	res := mustPartition(t, g.G, 16, DefaultOptions(2))
 	if got := graph.CutSize(g.G, res.Part); got != res.Cut {
 		t.Fatalf("cut mismatch: %d vs %d", res.Cut, got)
 	}
@@ -85,7 +85,7 @@ func TestPipelineKKTPower(t *testing.T) {
 // partition covering every vertex.
 func TestVertsPerRankFolding(t *testing.T) {
 	g := gen.Grid2D(20, 20) // 400 vertices
-	res := Partition(g.G, 256, DefaultOptions(3))
+	res := mustPartition(t, g.G, 256, DefaultOptions(3))
 	if len(res.Part) != 400 {
 		t.Fatalf("partition covers %d vertices", len(res.Part))
 	}
@@ -98,8 +98,8 @@ func TestVertsPerRankFolding(t *testing.T) {
 // decently sized graph.
 func TestTimesScaleDown(t *testing.T) {
 	g := gen.DelaunayRandom(30000, 4)
-	t1 := Partition(g.G, 1, DefaultOptions(5)).Times.Total
-	t64 := Partition(g.G, 64, DefaultOptions(5)).Times.Total
+	t1 := mustPartition(t, g.G, 1, DefaultOptions(5)).Times.Total
+	t64 := mustPartition(t, g.G, 64, DefaultOptions(5)).Times.Total
 	if t64 > t1/3 {
 		t.Fatalf("poor modeled scaling: P=1 %.4fs vs P=64 %.4fs", t1, t64)
 	}
@@ -110,9 +110,9 @@ func TestTimesScaleDown(t *testing.T) {
 func TestCutBeforeAfterConsistency(t *testing.T) {
 	g := gen.DelaunayRandom(8000, 6)
 	opt := DefaultOptions(9)
-	with := Partition(g.G, 8, opt)
+	with := mustPartition(t, g.G, 8, opt)
 	opt.Partition.Refine = false
-	without := Partition(g.G, 8, opt)
+	without := mustPartition(t, g.G, 8, opt)
 	if with.CutBefore != without.Cut {
 		t.Fatalf("CutBefore %d != unrefined cut %d", with.CutBefore, without.Cut)
 	}

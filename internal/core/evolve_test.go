@@ -21,10 +21,10 @@ func TestEvolveValidAndNoWorseThanLegacy(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 5)
 	tol := DefaultOptions(42).Partition.Defaults().BalanceTol
 	for _, p := range []int{1, 4, 16} {
-		legacy := Partition(g.G, p, DefaultOptions(42))
+		legacy := mustPartition(t, g.G, p, DefaultOptions(42))
 		opt := DefaultOptions(42)
 		opt.Trials = 3
-		res := Partition(g.G, p, opt)
+		res := mustPartition(t, g.G, p, opt)
 		if got := graph.CutSize(g.G, res.Part); got != res.Cut {
 			t.Fatalf("p=%d: reported cut %d but partition cuts %d", p, res.Cut, got)
 		}
@@ -47,10 +47,10 @@ func TestEvolveValidAndNoWorseThanLegacy(t *testing.T) {
 // free.
 func TestEvolveClockPaysForTrials(t *testing.T) {
 	g := gen.Grid2D(48, 48)
-	legacy := Partition(g.G, 4, DefaultOptions(7))
+	legacy := mustPartition(t, g.G, 4, DefaultOptions(7))
 	opt := DefaultOptions(7)
 	opt.Trials = 3
-	res := Partition(g.G, 4, opt)
+	res := mustPartition(t, g.G, 4, opt)
 	if res.Times.Embed < 2*legacy.Times.Embed {
 		t.Fatalf("3-trial embed time %v not >= 2x single-trial %v", res.Times.Embed, legacy.Times.Embed)
 	}
@@ -74,7 +74,7 @@ func TestEvolveDeterministic(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		opt := withFullCut(DefaultOptions(5))
 		opt.Trials = 3
-		res := Partition(g.G, 8, opt)
+		res := mustPartition(t, g.G, 8, opt)
 		if base == nil {
 			base = res
 			continue
@@ -147,11 +147,11 @@ func TestEvolveIdleRanksJoinCombine(t *testing.T) {
 // modeled clock as the default options.
 func TestEvolveTrialsOneIsLegacyPath(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	legacy := Partition(g.G, 4, DefaultOptions(11))
+	legacy := mustPartition(t, g.G, 4, DefaultOptions(11))
 	for _, trials := range []int{0, 1} {
 		opt := DefaultOptions(11)
 		opt.Trials = trials
-		res := Partition(g.G, 4, opt)
+		res := mustPartition(t, g.G, 4, opt)
 		if res.Cut != legacy.Cut || res.Times.Total != legacy.Times.Total {
 			t.Fatalf("Trials=%d: cut/time %d/%v, want legacy %d/%v",
 				trials, res.Cut, res.Times.Total, legacy.Cut, legacy.Times.Total)

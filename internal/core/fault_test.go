@@ -37,7 +37,7 @@ func TestPartitionCheckedReportsInjectedFault(t *testing.T) {
 // checked variant is bit-identical to the panicking one.
 func TestPartitionCheckedHealthyMatchesPartition(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	a := Partition(g.G, 8, DefaultOptions(5))
+	a := mustPartition(t, g.G, 8, DefaultOptions(5))
 	b, err := PartitionChecked(g.G, 8, DefaultOptions(5))
 	if err != nil {
 		t.Fatal(err)

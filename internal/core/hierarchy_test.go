@@ -65,10 +65,10 @@ func TestHierarchyBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 4, 16, 64} {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			ref := Partition(g.G, p, DefaultOptions(42))
+			ref := mustPartition(t, g.G, p, DefaultOptions(42))
 			for _, w := range []int{2, 8} {
 				hostpar.SetWorkers(w)
-				got := Partition(g.G, p, DefaultOptions(42))
+				got := mustPartition(t, g.G, p, DefaultOptions(42))
 				requireIdentical(t, fmt.Sprintf("workers=%d", w), got, ref)
 			}
 		})

@@ -36,10 +36,10 @@ func TestHighPEnginesBitIdentical(t *testing.T) {
 			g := gen.Grid2D(tc.side, tc.side)
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			ref := Partition(g.G, tc.p, DefaultOptions(42))
+			ref := mustPartition(t, g.G, tc.p, DefaultOptions(42))
 			hostpar.SetWorkers(8)
 			runtime.GOMAXPROCS(4)
-			got := Partition(g.G, tc.p, DefaultOptions(42))
+			got := mustPartition(t, g.G, tc.p, DefaultOptions(42))
 			requireIdentical(t, "workers=8 GOMAXPROCS=4", got, ref)
 		})
 	}

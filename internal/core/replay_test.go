@@ -24,10 +24,10 @@ func TestReplayModesBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			ref := Partition(g.G, p, DefaultOptions(42))
+			ref := mustPartition(t, g.G, p, DefaultOptions(42))
 			for _, procs := range []int{2, 4} {
 				runtime.GOMAXPROCS(procs)
-				got := Partition(g.G, p, DefaultOptions(42))
+				got := mustPartition(t, g.G, p, DefaultOptions(42))
 				requireIdentical(t, fmt.Sprintf("GOMAXPROCS=%d", procs), got, ref)
 			}
 		})

@@ -224,3 +224,20 @@ func TestSplitCoordsSteadyStateAllocs(t *testing.T) {
 	}
 	t.Logf("SplitCoords at P=%d: %.0f allocations per call", p, allocs)
 }
+
+// PosOf returns the coordinate of an owned or ghost vertex.
+func (d *Distributed) PosOf(id int32) (geometry.Vec2, bool) {
+	if li, ok := d.LocalSlot(id); ok {
+		return d.OwnedPos[li], true
+	}
+	if gi, ok := d.GhostSlot(id); ok {
+		return d.GhostPos[gi], true
+	}
+	return geometry.Vec2{}, false
+}
+
+// Owns reports whether id is owned by this rank.
+func (d *Distributed) Owns(id int32) bool {
+	_, ok := d.LocalSlot(id)
+	return ok
+}

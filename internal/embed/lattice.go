@@ -31,15 +31,15 @@ func NewLattice(grid mpi.Grid, sample []geometry.Vec2, bounds geometry.Rect) *La
 	for i, p := range sample {
 		xs[i], ys[i] = p.X, p.Y
 	}
-	return NewLatticeFromAxes(grid, xs, ys, bounds)
+	return newLatticeFromAxes(grid, xs, ys, bounds)
 }
 
-// NewLatticeFromAxes builds a lattice from per-axis coordinate samples.
+// newLatticeFromAxes builds a lattice from per-axis coordinate samples.
 // The cuts depend only on each axis's sorted multiset, so callers that
 // stream coordinates (rather than materialising []Vec2) feed the axes
 // directly. Ownership of xs and ys transfers to the lattice; both are
 // sorted in place.
-func NewLatticeFromAxes(grid mpi.Grid, xs, ys []float64, bounds geometry.Rect) *Lattice {
+func newLatticeFromAxes(grid mpi.Grid, xs, ys []float64, bounds geometry.Rect) *Lattice {
 	l := &Lattice{Grid: grid, Bounds: bounds}
 	sort.Float64s(xs)
 	sort.Float64s(ys)
@@ -787,23 +787,6 @@ func (d *Distributed) Adjacency(g *graph.Graph) (start, slot []int32) {
 		cur.Release()
 	}
 	return d.adjStart, d.adjSlot
-}
-
-// PosOf returns the coordinate of an owned or ghost vertex.
-func (d *Distributed) PosOf(id int32) (geometry.Vec2, bool) {
-	if li, ok := d.LocalSlot(id); ok {
-		return d.OwnedPos[li], true
-	}
-	if gi, ok := d.GhostSlot(id); ok {
-		return d.GhostPos[gi], true
-	}
-	return geometry.Vec2{}, false
-}
-
-// Owns reports whether id is owned by this rank.
-func (d *Distributed) Owns(id int32) bool {
-	_, ok := d.LocalSlot(id)
-	return ok
 }
 
 // LocalSlot returns the OwnedIDs/OwnedPos index of an owned vertex, by

@@ -110,7 +110,7 @@ func initCoarsest(sub *mpi.Comm, lev *coarsen.Level, opt ParallelOptions) *level
 	}
 	bounds := geometry.Rect{X0: 0, Y0: 0, X1: side, Y1: side}
 	grid := mpi.GridFor(sub.Size())
-	lat := NewLatticeFromAxes(grid, xs, ys, bounds)
+	lat := newLatticeFromAxes(grid, xs, ys, bounds)
 	// Pass 2: regenerate the sequence, keeping only owned points.
 	rng = rand.New(rand.NewSource(seed))
 	ownedIDs := make([]int32, 0, n/sub.Size()+16)

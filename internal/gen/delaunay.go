@@ -13,12 +13,12 @@ import (
 // buildMesh triangulates in.pts, drops edges longer than in.maxEdge
 // (when positive) and edges in.reject (when non-nil) refuses, and
 // returns the largest component with its vertices in Morton order, as
-// MortonRelabel would number them.
+// mortonRelabel would number them.
 //
 // The points are sorted into Morton order once and inserted in that
 // order, so a point's insertion index is its final vertex id and the
 // CSR is built once, already relabelled. A mesh the filters split into
-// several components falls back to LargestComponent and MortonRelabel
+// several components falls back to LargestComponent and mortonRelabel
 // on the original labels, since the kept component's own bounding box
 // sets its Morton keys.
 func buildMesh(in meshInput) *Generated {
@@ -46,7 +46,7 @@ func buildMesh(in meshInput) *Generated {
 			}
 		}
 		g, coords = LargestComponent(orig.Build(), in.pts)
-		g, coords = MortonRelabel(g, coords)
+		g, coords = mortonRelabel(g, coords)
 	}
 	return &Generated{Name: in.name, G: g, Coords: coords}
 }

@@ -27,11 +27,11 @@ type Generated struct {
 	Coords []geometry.Vec2 // natural coordinates; nil when none exist
 }
 
-// MortonRelabel renumbers the vertices of g along a Z-order curve of
+// mortonRelabel renumbers the vertices of g along a Z-order curve of
 // their coordinates, the locality-preserving ordering mesh files in the
 // wild have (and which block distribution over ranks relies on). It
 // returns the relabelled graph and coordinates.
-func MortonRelabel(g *graph.Graph, coords []geometry.Vec2) (*graph.Graph, []geometry.Vec2) {
+func mortonRelabel(g *graph.Graph, coords []geometry.Vec2) (*graph.Graph, []geometry.Vec2) {
 	order := mortonOrder(coords) // order[i] = old id at new position i
 	newID := make([]int32, g.NumVertices())
 	hostpar.For(len(order), relabelGrain, func(pos int) {
@@ -305,44 +305,6 @@ func RandomGeometric(n int, radius float64, seed int64) *Generated {
 		}
 	}
 	g, coords := LargestComponent(b.Build(), pts)
-	g, coords = MortonRelabel(g, coords)
+	g, coords = mortonRelabel(g, coords)
 	return &Generated{Name: "rgg", G: g, Coords: coords}
-}
-
-// RMAT builds an R-MAT graph with 2^scale vertices and roughly
-// edgeFactor·2^scale distinct edges using the standard (0.57, 0.19,
-// 0.19, 0.05) partition probabilities. Used by tests for a skewed,
-// coordinate-free workload.
-func RMAT(scale, edgeFactor int, seed int64) *Generated {
-	n := 1 << scale
-	g, _ := LargestComponent(graph.BuildStreamed(n, rmatEmit(scale, edgeFactor, seed)), nil)
-	return &Generated{Name: "rmat", G: g}
-}
-
-// rmatEmit is the R-MAT edge stream: pure per-edge RNG from the seed,
-// replayed identically on each invocation.
-func rmatEmit(scale, edgeFactor int, seed int64) func(add func(u, v, w int32)) {
-	return func(add func(u, v, w int32)) {
-		n := 1 << scale
-		rng := rand.New(rand.NewSource(seed))
-		for k := 0; k < n*edgeFactor; k++ {
-			u, v := 0, 0
-			for bit := 0; bit < scale; bit++ {
-				r := rng.Float64()
-				switch {
-				case r < 0.57:
-				case r < 0.76:
-					v |= 1 << bit
-				case r < 0.95:
-					u |= 1 << bit
-				default:
-					u |= 1 << bit
-					v |= 1 << bit
-				}
-			}
-			if u != v {
-				add(int32(u), int32(v), 1)
-			}
-		}
-	}
 }

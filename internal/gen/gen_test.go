@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -264,4 +265,42 @@ func TestStreamedGeneratorsMatchBuilder(t *testing.T) {
 	base := BarabasiAlbert(1000, 2, 13)
 	n := 1000 + base.NumEdges()
 	assertGraphsEqual(t, "kkt", viaBuilder(n, kktEmit(base, 1000)), KKTPower(3000, 13).G)
+}
+
+// RMAT builds an R-MAT graph with 2^scale vertices and roughly
+// edgeFactor·2^scale distinct edges using the standard (0.57, 0.19,
+// 0.19, 0.05) partition probabilities. Used by tests for a skewed,
+// coordinate-free workload.
+func RMAT(scale, edgeFactor int, seed int64) *Generated {
+	n := 1 << scale
+	g, _ := LargestComponent(graph.BuildStreamed(n, rmatEmit(scale, edgeFactor, seed)), nil)
+	return &Generated{Name: "rmat", G: g}
+}
+
+// rmatEmit is the R-MAT edge stream: pure per-edge RNG from the seed,
+// replayed identically on each invocation.
+func rmatEmit(scale, edgeFactor int, seed int64) func(add func(u, v, w int32)) {
+	return func(add func(u, v, w int32)) {
+		n := 1 << scale
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < n*edgeFactor; k++ {
+			u, v := 0, 0
+			for bit := 0; bit < scale; bit++ {
+				r := rng.Float64()
+				switch {
+				case r < 0.57:
+				case r < 0.76:
+					v |= 1 << bit
+				case r < 0.95:
+					u |= 1 << bit
+				default:
+					u |= 1 << bit
+					v |= 1 << bit
+				}
+			}
+			if u != v {
+				add(int32(u), int32(v), 1)
+			}
+		}
+	}
 }

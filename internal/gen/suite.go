@@ -98,19 +98,3 @@ func CheckScale(s float64) error {
 	}
 	return nil
 }
-
-// Suite builds all nine suite graphs at the given scale.
-func Suite(scale float64) []*Generated {
-	entries := SuiteEntries()
-	out := make([]*Generated, len(entries))
-	for i, e := range entries {
-		out[i] = e.Build(scale)
-	}
-	return out
-}
-
-// Large4 returns the names of the four largest suite graphs, used by
-// Figure 9 and Table 4.
-func Large4() []string {
-	return []string{"hugetrace-00000", "delaunay_n23", "delaunay_n24", "hugebubbles-00020"}
-}

@@ -13,7 +13,7 @@ import (
 //
 // The elimination runs on fixed-size stack arrays (nullVectorFixed), so
 // the call is allocation-free; the solution is bit-identical to the
-// general NullVector path.
+// general NullVector reference in the package's tests.
 func RadonPoint(pts [5]Vec3) (Vec3, bool) {
 	// Find a non-trivial affine dependence: sum l_i p_i = 0 with
 	// sum l_i = 0. That is a 4x5 homogeneous system.

@@ -43,18 +43,9 @@ func StereoUp3(p Vec3) Vec4 {
 	return Vec4{2 * p.X / d, 2 * p.Y / d, 2 * p.Z / d, (d - 2) / d}
 }
 
-// StereoDown3 inverts StereoUp3 for sphere points away from the pole.
-func StereoDown3(q Vec4) Vec3 {
-	d := 1 - q.W
-	if d < 1e-12 {
-		d = 1e-12
-	}
-	return Vec3{q.X / d, q.Y / d, q.Z / d}
-}
-
 // MoebiusToOrigin4 returns the ball automorphism of the unit ball in R⁴
 // sending the interior point a to the origin; the same formula as the
-// 3-D MoebiusToOrigin, one dimension up.
+// 3-D Moebius, one dimension up.
 func MoebiusToOrigin4(a Vec4) func(Vec4) Vec4 {
 	if n := a.Norm(); n >= 0.999 {
 		a = a.Scale(0.999 / n)

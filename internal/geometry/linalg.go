@@ -2,48 +2,6 @@ package geometry
 
 import "math"
 
-// SolveLinear solves the n×n system a·x = b in place using Gaussian
-// elimination with partial pivoting. The matrix a is given row-major as
-// a slice of rows; both a and b are overwritten. It returns false if the
-// system is singular to working precision.
-func SolveLinear(a [][]float64, b []float64) bool {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		// Partial pivot: the largest magnitude entry in this column.
-		pivot := col
-		best := math.Abs(a[col][col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r][col]); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best < 1e-12 {
-			return false
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		s := b[col]
-		for c := col + 1; c < n; c++ {
-			s -= a[col][c] * b[c]
-		}
-		b[col] = s / a[col][col]
-	}
-	return true
-}
-
 // nvMaxRows/nvMaxCols bound the fixed-size elimination used by the
 // Radon-point systems: 4×5 in R³ and 5×6 in R⁴.
 const (
@@ -51,8 +9,8 @@ const (
 	nvMaxCols = 6
 )
 
-// nullVectorFixed mirrors NullVector on stack arrays for the small
-// Radon systems. The elimination sequence (pivot choice, row
+// nullVectorFixed mirrors the slice-based NullVector reference (kept in
+// the package's tests) on stack arrays for the small Radon systems. The elimination sequence (pivot choice, row
 // normalisation, update order) is operation-for-operation the same as
 // NullVector's, so the solution is bit-identical — but nothing escapes
 // to the heap. The matrix m is clobbered.
@@ -117,86 +75,6 @@ func nullVectorFixed(m *[nvMaxRows][nvMaxCols]float64, rows, cols int) (x [nvMax
 		return x, false
 	}
 	for i := 0; i < cols; i++ {
-		x[i] /= mx
-	}
-	return x, true
-}
-
-// NullVector returns a non-trivial solution x of the homogeneous system
-// a·x = 0 where a has rows rows and cols columns with rows < cols, using
-// Gaussian elimination. The returned vector has unit infinity norm. It
-// returns ok=false if elimination degenerates (all candidate solutions
-// numerically zero).
-func NullVector(a [][]float64, cols int) (x []float64, ok bool) {
-	rows := len(a)
-	// Row-echelon reduction with partial pivoting and column pivots
-	// recorded so we can identify a free column.
-	m := make([][]float64, rows)
-	for i := range a {
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	pivotCol := make([]int, 0, rows)
-	r := 0
-	for c := 0; c < cols && r < rows; c++ {
-		pivot := -1
-		best := 1e-12
-		for i := r; i < rows; i++ {
-			if v := math.Abs(m[i][c]); v > best {
-				best, pivot = v, i
-			}
-		}
-		if pivot < 0 {
-			continue // free column
-		}
-		m[r], m[pivot] = m[pivot], m[r]
-		inv := 1 / m[r][c]
-		for j := c; j < cols; j++ {
-			m[r][j] *= inv
-		}
-		for i := 0; i < rows; i++ {
-			if i == r || m[i][c] == 0 {
-				continue
-			}
-			f := m[i][c]
-			for j := c; j < cols; j++ {
-				m[i][j] -= f * m[r][j]
-			}
-		}
-		pivotCol = append(pivotCol, c)
-		r++
-	}
-	// Choose the first free (non-pivot) column and back-substitute.
-	isPivot := make([]bool, cols)
-	for _, c := range pivotCol {
-		isPivot[c] = true
-	}
-	free := -1
-	for c := 0; c < cols; c++ {
-		if !isPivot[c] {
-			free = c
-			break
-		}
-	}
-	if free < 0 {
-		return nil, false
-	}
-	x = make([]float64, cols)
-	x[free] = 1
-	for i, c := range pivotCol {
-		// Row i reads x[c] + Σ_{j>pivots} m[i][j]·x[j] = 0.
-		x[c] = -m[i][free]
-	}
-	// Normalize to unit infinity norm for stability.
-	mx := 0.0
-	for _, v := range x {
-		if av := math.Abs(v); av > mx {
-			mx = av
-		}
-	}
-	if mx < 1e-300 {
-		return nil, false
-	}
-	for i := range x {
 		x[i] /= mx
 	}
 	return x, true

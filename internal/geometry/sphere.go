@@ -15,49 +15,29 @@ func StereoUp(p Vec2) Vec3 {
 	return Vec3{2 * p.X / d, 2 * p.Y / d, (d - 2) / d}
 }
 
-// StereoDown projects a point on the unit sphere (other than the north
-// pole) back to the plane by stereographic projection from the north
-// pole. It is the inverse of StereoUp.
-func StereoDown(q Vec3) Vec2 {
-	d := 1 - q.Z
-	if d < 1e-12 {
-		d = 1e-12 // point at (numerical) north pole: send it far away
-	}
-	return Vec2{q.X / d, q.Y / d}
-}
-
-// MoebiusToOrigin returns the Möbius automorphism of the unit ball that
-// maps the interior point a to the origin. Applied to points on the
-// unit sphere it is the conformal map used by the geometric mesh
-// partitioner: after mapping, the (approximate) centerpoint a sits at
-// the sphere's center, so every great circle through the origin is a
-// provably balanced separator of the original point set.
+// Moebius is the Möbius automorphism of the unit ball that maps an
+// interior point a to the origin. Applied to points on the unit sphere
+// it is the conformal map used by the geometric mesh partitioner: after
+// mapping, the (approximate) centerpoint a sits at the sphere's center,
+// so every great circle through the origin is a provably balanced
+// separator of the original point set.
 //
 // The transformation is the standard ball automorphism
 //
 //	phi_a(x) = ((1-|a|^2)(x-a) - |x-a|^2 a) / (1 - 2<x,a> + |x|^2 |a|^2)
 //
-// which fixes the unit sphere setwise and sends a to 0. If |a| >= 1 the
-// returned map shrinks a to just inside the ball first, since a
-// centerpoint estimate can land on (or, through rounding, outside) the
-// sphere only in degenerate inputs.
-func MoebiusToOrigin(a Vec3) func(Vec3) Vec3 {
-	m := NewMoebius(a)
-	return m.Apply
-}
-
-// Moebius is the ball automorphism of MoebiusToOrigin as a plain value,
-// so batched kernels can hold a slice of maps and apply them without a
-// closure allocation or indirect call per point. NewMoebius(a).Apply
-// computes bit-identical results to MoebiusToOrigin(a).
+// which fixes the unit sphere setwise and sends a to 0. It is a plain
+// value, so batched kernels can hold a slice of maps and apply them
+// without a closure allocation or indirect call per point.
 type Moebius struct {
 	a  Vec3
 	aa float64
 }
 
-// NewMoebius returns the ball automorphism that maps a to the origin,
-// shrinking a to just inside the unit ball first when |a| >= 1 (see
-// MoebiusToOrigin).
+// NewMoebius returns the ball automorphism that maps a to the origin.
+// If |a| >= 1 it shrinks a to just inside the ball first, since a
+// centerpoint estimate can land on (or, through rounding, outside) the
+// sphere only in degenerate inputs.
 func NewMoebius(a Vec3) Moebius {
 	if n := a.Norm(); n >= 0.999 {
 		a = a.Scale(0.999 / n)

@@ -30,21 +30,6 @@ func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
 
-// L1Dist returns the Manhattan distance between v and w.
-func (v Vec2) L1Dist(w Vec2) float64 {
-	return math.Abs(v.X-w.X) + math.Abs(v.Y-w.Y)
-}
-
-// Normalize returns v scaled to unit length, or the zero vector if v is
-// (numerically) zero.
-func (v Vec2) Normalize() Vec2 {
-	n := v.Norm()
-	if n < 1e-300 {
-		return Vec2{}
-	}
-	return v.Scale(1 / n)
-}
-
 // Vec3 is a point or vector in 3-space.
 type Vec3 struct {
 	X, Y, Z float64
@@ -62,30 +47,11 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the inner product of v and w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
-
-// Normalize returns v scaled to unit length, or the zero vector if v is
-// (numerically) zero.
-func (v Vec3) Normalize() Vec3 {
-	n := v.Norm()
-	if n < 1e-300 {
-		return Vec3{}
-	}
-	return v.Scale(1 / n)
-}
 
 // Rect is an axis-aligned bounding box in the plane with corners
 // (X0,Y0) (bottom-left) and (X1,Y1) (top-right).

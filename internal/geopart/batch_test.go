@@ -34,7 +34,7 @@ func TestGatherSamplePinned(t *testing.T) {
 				t.Errorf("rank %d: sample[%d].ID = %d, want %d", c.Rank(), i, e.ID, want[i])
 				return
 			}
-			if p, ok := views[c.Rank()].PosOf(e.ID); ok && p != e.P {
+			if e.P != g.Coords[e.ID] {
 				t.Errorf("rank %d: sample[%d] carries stale coordinate", c.Rank(), i)
 			}
 		}

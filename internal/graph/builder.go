@@ -59,13 +59,3 @@ func (b *Builder) SetVertexWeight(v int32, w int32) {
 	}
 	b.vwgt[v] = w
 }
-
-// FromEdges is a convenience constructor building an unweighted graph
-// from an edge list.
-func FromEdges(n int, edges [][2]int32) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
-}

@@ -52,13 +52,10 @@ type CGraph struct {
 	longOff  []int64 // per block: start of the block's long-stream bytes
 }
 
-// Weighted reports whether the compressed stream carries arc weights.
-func (c *CGraph) Weighted() bool { return c.weighted }
-
-// AdjBytes returns the compressed adjacency footprint: both byte
+// adjBytes returns the compressed adjacency footprint: both byte
 // streams plus the block offset tables. This is the number the ≤ 60%
 // acceptance bound measures against 4 bytes per directed arc.
-func (c *CGraph) AdjBytes() int64 {
+func (c *CGraph) adjBytes() int64 {
 	return int64(len(c.inline)) + int64(len(c.long)) +
 		8*int64(len(c.inOff)) + 8*int64(len(c.longOff))
 }
@@ -147,7 +144,7 @@ func (g *Graph) Compressed() bool { return g.Packed != nil }
 // per directed arc (plus arc weights, when present) otherwise.
 func (g *Graph) AdjacencyBytes() int64 {
 	if g.Packed != nil {
-		return g.Packed.AdjBytes()
+		return g.Packed.adjBytes()
 	}
 	b := 4 * int64(len(g.Adjncy))
 	if g.EWgt != nil {
@@ -226,13 +223,6 @@ type Cursor struct {
 	nbrs []int32
 	wgts []int32
 	ones []int32
-}
-
-// NewCursor returns a cursor over g's adjacency.
-func (g *Graph) NewCursor() *Cursor {
-	cur := &Cursor{}
-	cur.Reset(g)
-	return cur
 }
 
 // Reset points the cursor at g, keeping its scratch buffers.

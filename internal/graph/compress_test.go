@@ -116,7 +116,7 @@ func TestCursorMatchesNeighbors(t *testing.T) {
 		g := randomGraph(t, 800, 5, weighted, 7)
 		cg := graph.Compress(g)
 		for _, tg := range []*graph.Graph{g, cg} {
-			cur := tg.NewCursor()
+			cur := graph.GetCursor(tg)
 			// Sequential ascending scan (fast path).
 			for v := int32(0); v < int32(tg.NumVertices()); v++ {
 				nbrs, wgts := cur.Arcs(v)
@@ -255,7 +255,8 @@ func TestCompressionRatioSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite generation in -short")
 	}
-	for _, gg := range gen.Suite(0.05) {
+	for _, e := range gen.SuiteEntries() {
+		gg := e.Build(0.05)
 		g := gg.G
 		raw := 4 * int64(len(g.Adjncy))
 		if g.EWgt != nil {
@@ -276,7 +277,7 @@ func TestCompressionRatioSuite(t *testing.T) {
 func TestCursorSteadyStateAllocs(t *testing.T) {
 	g := randomGraph(t, 2000, 6, true, 17)
 	cg := graph.Compress(g)
-	cur := cg.NewCursor()
+	cur := graph.GetCursor(cg)
 	n := int32(cg.NumVertices())
 	// Warm up scratch.
 	for v := int32(0); v < n; v++ {
@@ -312,7 +313,7 @@ func FuzzCompressRoundTrip(f *testing.F) {
 				t.Fatalf("EWgt[%d]=%d want %d", i, pl.EWgt[i], g.EWgt[i])
 			}
 		}
-		cur := cg.NewCursor()
+		cur := graph.GetCursor(cg)
 		for v := int32(0); v < int32(n); v++ {
 			nbrs, wgts := cur.Arcs(v)
 			want := g.Neighbors(v)

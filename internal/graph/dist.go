@@ -19,58 +19,3 @@ func BlockRange(n, p, r int) (begin, end int) {
 	}
 	return begin, end
 }
-
-// BlockOwner returns the rank owning vertex v under BlockRange
-// distribution of n vertices over p ranks.
-func BlockOwner(n, p int, v int32) int {
-	base := n / p
-	extra := n % p
-	cut := extra * (base + 1)
-	if int(v) < cut {
-		return int(v) / (base + 1)
-	}
-	if base == 0 {
-		return p - 1
-	}
-	return extra + (int(v)-cut)/base
-}
-
-// BoundaryCounts returns, for each rank under block distribution, the
-// number of its boundary vertices (owned vertices with at least one
-// neighbour owned elsewhere) and its ghost vertices (distinct non-owned
-// neighbours). These counts drive the communication-cost accounting of
-// the simulated runtime.
-//
-// Ghost dedup uses an epoch-stamp array instead of a hash set: ranks
-// are visited in order, so a neighbour already counted for the current
-// rank carries stamp r+1. One O(n) array replaces a map holding every
-// (rank, ghost) pair — no hashing, no growth, no per-edge allocation.
-func BoundaryCounts(g *Graph, p int) (boundary, ghosts []int) {
-	n := g.NumVertices()
-	boundary = make([]int, p)
-	ghosts = make([]int, p)
-	cur := GetCursor(g)
-	defer cur.Release()
-	lastSeen := make([]int32, n) // 0 = never; r+1 = counted for rank r
-	for r := 0; r < p; r++ {
-		begin, end := BlockRange(n, p, r)
-		stamp := int32(r + 1)
-		for v := begin; v < end; v++ {
-			isBoundary := false
-			nbrs, _ := cur.Arcs(int32(v))
-			for _, w := range nbrs {
-				if int(w) < begin || int(w) >= end {
-					isBoundary = true
-					if lastSeen[w] != stamp {
-						lastSeen[w] = stamp
-						ghosts[r]++
-					}
-				}
-			}
-			if isBoundary {
-				boundary[r]++
-			}
-		}
-	}
-	return boundary, ghosts
-}

@@ -102,18 +102,6 @@ func (g *Graph) TotalVertexWeight() int64 {
 	return t
 }
 
-// MaxDegree returns the largest vertex degree, or 0 for the empty
-// graph.
-func (g *Graph) MaxDegree() int {
-	mx := 0
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if d := g.Degree(v); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
 // validateGrain is the minimum vertices per parallel Validate chunk.
 const validateGrain = 256
 

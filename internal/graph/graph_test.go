@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -71,10 +72,6 @@ func TestCutAndImbalance(t *testing.T) {
 	sep := SeparatorEdges(g, part)
 	if len(sep) != 1 || sep[0] != [2]int32{1, 2} {
 		t.Fatalf("separator = %v", sep)
-	}
-	bnd := BoundaryVertices(g, part)
-	if !reflect.DeepEqual(bnd, []int32{1, 2}) {
-		t.Fatalf("boundary = %v", bnd)
 	}
 }
 
@@ -162,6 +159,65 @@ func TestMETISVertexWeights(t *testing.T) {
 	}
 }
 
+// TestMETISRoundTripIsolatedVertices: WriteMETIS writes an empty line
+// for a vertex with no neighbours, and both readers (and the serial
+// oracle) read it back as one, wherever the isolated vertices sit and
+// whatever weights the file carries.
+func TestMETISRoundTripIsolatedVertices(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		vweights, ewgt bool
+	}{
+		{"plain", false, false},
+		{"vertex-weights", true, false},
+		{"edge-weights", false, true},
+		{"both-weights", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Vertices 0, 3 and 6 are isolated: first, middle and last.
+			b := NewBuilder(7)
+			for i, e := range [][2]int32{{1, 2}, {2, 4}, {4, 5}, {1, 5}} {
+				w := int32(1)
+				if tc.ewgt {
+					w = int32(i + 2)
+				}
+				b.AddWeightedEdge(e[0], e[1], w)
+			}
+			if tc.vweights {
+				for v := int32(0); v < 7; v++ {
+					b.SetVertexWeight(v, v+1)
+				}
+			}
+			g := b.Build()
+			var buf bytes.Buffer
+			if err := WriteMETIS(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			for name, read := range map[string]func(io.Reader) (*Graph, error){
+				"ReadMETIS": ReadMETIS, "serial": readMETISSerial,
+			} {
+				got, err := read(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("%s: %v\nfile:\n%s", name, err, buf.String())
+				}
+				if !reflect.DeepEqual(got.XAdj, g.XAdj) || !reflect.DeepEqual(got.Adjncy, g.Adjncy) ||
+					!reflect.DeepEqual(got.EWgt, g.EWgt) || !reflect.DeepEqual(got.VWgt, g.VWgt) {
+					t.Fatalf("%s: round trip mismatch\nfile:\n%s", name, buf.String())
+				}
+			}
+		})
+	}
+	// The file WriteMETIS produces for three vertices and the one edge
+	// 0–2.
+	g, err := ReadMETIS(bytes.NewBufferString("3 1\n3\n\n1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 3 || g.NumEdges() != 1 || g.Degree(1) != 0 {
+		t.Fatalf("n=%d m=%d deg(1)=%d", g.NumVertices(), g.NumEdges(), g.Degree(1))
+	}
+}
+
 func TestMatrixMarketRoundTrip(t *testing.T) {
 	g := randomGraph(30, 80, 9)
 	g.EWgt = nil // pattern format drops weights
@@ -186,8 +242,7 @@ func TestReadMETISRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBlockRangeProperties: ranges partition [0,n) and BlockOwner
-// inverts BlockRange.
+// TestBlockRangeProperties: ranges partition [0,n) in rank order.
 func TestBlockRangeProperties(t *testing.T) {
 	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw)
@@ -199,11 +254,6 @@ func TestBlockRangeProperties(t *testing.T) {
 				return false
 			}
 			prevEnd = end
-			for v := begin; v < end; v++ {
-				if BlockOwner(n, p, int32(v)) != r {
-					return false
-				}
-			}
 		}
 		return prevEnd == n
 	}
@@ -376,35 +426,42 @@ func TestImbalanceProperty(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := randomGraph(25, 60, 11)
-	g.EWgt = nil
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
+// BoundaryCounts returns, for each rank under block distribution, the
+// number of its boundary vertices (owned vertices with at least one
+// neighbour owned elsewhere) and its ghost vertices (distinct non-owned
+// neighbours). These counts drive the communication-cost accounting of
+// the simulated runtime.
+//
+// Ghost dedup uses an epoch-stamp array instead of a hash set: ranks
+// are visited in order, so a neighbour already counted for the current
+// rank carries stamp r+1. One O(n) array replaces a map holding every
+// (rank, ghost) pair — no hashing, no growth, no per-edge allocation.
+func BoundaryCounts(g *Graph, p int) (boundary, ghosts []int) {
+	n := g.NumVertices()
+	boundary = make([]int, p)
+	ghosts = make([]int, p)
+	cur := GetCursor(g)
+	defer cur.Release()
+	lastSeen := make([]int32, n) // 0 = never; r+1 = counted for rank r
+	for r := 0; r < p; r++ {
+		begin, end := BlockRange(n, p, r)
+		stamp := int32(r + 1)
+		for v := begin; v < end; v++ {
+			isBoundary := false
+			nbrs, _ := cur.Arcs(int32(v))
+			for _, w := range nbrs {
+				if int(w) < begin || int(w) >= end {
+					isBoundary = true
+					if lastSeen[w] != stamp {
+						lastSeen[w] = stamp
+						ghosts[r]++
+					}
+				}
+			}
+			if isBoundary {
+				boundary[r]++
+			}
+		}
 	}
-	got, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.XAdj, g.XAdj) || !reflect.DeepEqual(got.Adjncy, g.Adjncy) {
-		t.Fatal("edge list round trip mismatch")
-	}
-}
-
-func TestReadEdgeListComments(t *testing.T) {
-	in := "# header\n0 1\n% more\n1 2\n\n2 0\n"
-	g, err := ReadEdgeList(bytes.NewBufferString(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("0 -3\n")); err == nil {
-		t.Fatal("negative id accepted")
-	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("zzz\n")); err == nil {
-		t.Fatal("garbage accepted")
-	}
+	return boundary, ghosts
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // WriteMETIS writes g in the METIS graph-file format: a header line
@@ -156,78 +155,4 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return readMatrixMarketBytes(data)
-}
-
-// WriteEdgeList writes one "u v" pair per undirected edge (0-based),
-// the lowest-common-denominator exchange format. Lines are assembled
-// with strconv.AppendInt into a reused scratch buffer.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cur := GetCursor(g)
-	defer cur.Release()
-	line := make([]byte, 0, 64)
-	for u := int32(0); u < int32(g.NumVertices()); u++ {
-		nbrs, _ := cur.Arcs(u)
-		for _, v := range nbrs {
-			if u < v {
-				line = strconv.AppendInt(line[:0], int64(u), 10)
-				line = append(line, ' ')
-				line = strconv.AppendInt(line, int64(v), 10)
-				line = append(line, '\n')
-				if _, err := bw.Write(line); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses whitespace-separated "u v" pairs (0-based,
-// comments starting with '#' or '%' skipped) into a graph whose vertex
-// count is one past the largest id seen.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	type pair struct{ u, v int32 }
-	var edges []pair
-	maxID := int32(-1)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: edge list line %q", line)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: edge list: %w", err)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: edge list: %w", err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: negative vertex id in %q", line)
-		}
-		edges = append(edges, pair{int32(u), int32(v)})
-		if int32(u) > maxID {
-			maxID = int32(u)
-		}
-		if int32(v) > maxID {
-			maxID = int32(v)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	b := NewBuilder(int(maxID + 1))
-	for _, e := range edges {
-		b.AddEdge(e.u, e.v)
-	}
-	g := b.Build()
-	g.EWgt = nil // duplicates in edge lists are not weights
-	return g, nil
 }

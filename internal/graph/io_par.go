@@ -50,14 +50,15 @@ func hasHighBitAll(data []byte) bool {
 }
 
 // dataLineSpans returns the [start,end) spans of the data lines of
-// data[from:] — the lines nextDataLine would yield: trimmed form
-// non-empty and not starting with '%'. Spans exclude the terminating
+// data[from:] — the lines nextDataLine would yield: trimmed form not
+// starting with '%', and non-empty unless blank is set (see
+// isDataLine). Spans exclude the terminating
 // '\n' but keep any '\r' (the tokenisers treat it as a separator).
 // Line discovery and classification run fused in one chunked pass;
 // each chunk owns the lines that start inside it, so the merge
 // preserves file order at any worker count. clean asserts data has no
 // non-ASCII bytes, enabling the table-driven classifier.
-func dataLineSpans(data []byte, from int, clean bool) [][2]int {
+func dataLineSpans(data []byte, from int, clean, blank bool) [][2]int {
 	n := len(data)
 	if from >= n {
 		return nil
@@ -84,7 +85,7 @@ func dataLineSpans(data []byte, from int, clean bool) [][2]int {
 				e = s + k
 			}
 			line := data[s:e]
-			ok := false
+			ok := blank
 			if clean {
 				for i := 0; i < len(line); i++ {
 					if !asciiSpace[line[i]] {
@@ -93,7 +94,7 @@ func dataLineSpans(data []byte, from int, clean bool) [][2]int {
 					}
 				}
 			} else {
-				ok = isDataLine(line)
+				ok = isDataLine(line, blank)
 			}
 			if ok {
 				spans = append(spans, [2]int{s, e})
@@ -153,19 +154,40 @@ func splitTokens(line []byte, dst [][]byte) [][]byte {
 }
 
 // isDataLine mirrors nextDataLine's filter: a line whose trimmed form
-// is non-empty and does not start with '%'. Equivalent to "has a first
-// token whose first byte is not '%'" under either tokeniser.
-func isDataLine(line []byte) bool {
+// does not start with '%' and, unless blank is set, is non-empty.
+// Equivalent to "has no first token, or one whose first byte is not
+// '%'" under either tokeniser. blank is set for the lines after a METIS
+// header, where a blank line is a vertex with no neighbours.
+func isDataLine(line []byte, blank bool) bool {
 	if hasHighBit(line) {
 		s := strings.TrimSpace(string(line))
-		return s != "" && !strings.HasPrefix(s, "%")
+		if s == "" {
+			return blank
+		}
+		return !strings.HasPrefix(s, "%")
 	}
 	for i := 0; i < len(line); i++ {
 		if !asciiSpace[line[i]] {
 			return line[i] != '%'
 		}
 	}
-	return false
+	return blank
+}
+
+// firstDataLine returns the span of the first data line of data (see
+// isDataLine, blank unset), or ok=false when there is none.
+func firstDataLine(data []byte) (span [2]int, ok bool) {
+	for s := 0; s < len(data); {
+		e := len(data)
+		if k := bytes.IndexByte(data[s:], '\n'); k >= 0 {
+			e = s + k
+		}
+		if isDataLine(data[s:e], false) {
+			return [2]int{s, e}, true
+		}
+		s = e + 1
+	}
+	return span, false
 }
 
 // parseIntTok parses a base-10 integer with a digits-only fast path.
@@ -238,12 +260,10 @@ type metisEntry struct{ from, to, w int32 }
 
 // readMETISBytes is the parallel METIS parser over a complete input.
 func readMETISBytes(data []byte) (*Graph, error) {
-	clean := !hasHighBitAll(data)
-	spans := dataLineSpans(data, 0, clean)
-	if len(spans) == 0 {
+	hsp, ok := firstDataLine(data)
+	if !ok {
 		return nil, fmt.Errorf("graph: METIS header: %w", io.ErrUnexpectedEOF)
 	}
-	hsp := spans[0]
 	headerRaw := data[hsp[0]:hsp[1]]
 	fields := splitTokens(headerRaw, nil)
 	if len(fields) < 2 {
@@ -271,11 +291,14 @@ func readMETISBytes(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("graph: METIS fmt code %q unsupported", string(fields[2]))
 		}
 	}
-	// Parse the vertex lines that exist; truncation is only reported
-	// after they all parse cleanly, because the serial reader hits a
-	// vertex line's parse error before it can discover the file ends
-	// early.
-	avail := len(spans) - 1
+	// After the header every line but a '%' comment is a vertex line; a
+	// blank one is a vertex with no neighbours. Parse the vertex lines
+	// that exist; truncation is only reported after they all parse
+	// cleanly, because the serial reader hits a vertex line's parse
+	// error before it can discover the file ends early.
+	clean := !hasHighBitAll(data)
+	spans := dataLineSpans(data, hsp[1]+1, clean, true)
+	avail := len(spans)
 	if avail > n {
 		avail = n
 	}
@@ -300,7 +323,7 @@ func readMETISBytes(data []byte) (*Graph, error) {
 	hostpar.ForN(avail, nc, func(c, lo, hi int) {
 		ents := make([]metisEntry, 0, preallocHint(perV*(hi-lo)+4))
 		for v := lo; v < hi; v++ {
-			sp := spans[v+1]
+			sp := spans[v]
 			line := data[sp[0]:sp[1]]
 			if !clean && hasHighBit(line) {
 				line = normalizeLine(line)
@@ -583,7 +606,7 @@ func readMatrixMarketBytes(data []byte) (*Graph, error) {
 	}
 	hasValues := !strings.Contains(header, "pattern")
 	clean := !hasHighBitAll(data)
-	spans := dataLineSpans(data, from, clean)
+	spans := dataLineSpans(data, from, clean, false)
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("graph: MatrixMarket size line: %w", io.ErrUnexpectedEOF)
 	}

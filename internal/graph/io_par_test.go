@@ -106,6 +106,11 @@ var metisCases = []struct {
 	{"huge-number", "2 1\n99999999999999999999999\n1\n"},
 	{"negative-neighbour", "2 1\n-1\n1\n"},
 	{"no-trailing-newline", "3 2\n2\n1 3\n2"},
+	// After the header a blank line is a vertex with no neighbours.
+	{"isolated-vertex", "3 1\n3\n\n1\n"},
+	{"isolated-first-and-last", "% c\n\n4 1\n\n3\n% mid\n2\n\n"},
+	{"isolated-weighted", "3 1 11\n4 3 7\n5\n6 1 7\n"},
+	{"isolated-last-missing", "3 1\n2\n1\n"},
 }
 
 func TestParallelMETISMatchesSerial(t *testing.T) {

@@ -20,12 +20,14 @@ var (
 	ReadMatrixMarketSerial = readMatrixMarketSerial
 )
 
-// readMETISSerial is the original streaming reader, kept verbatim as
-// the oracle the byte-slice parser is differentially tested against.
+// readMETISSerial is the original streaming reader, kept as the oracle
+// the byte-slice parser is differentially tested against. After the
+// header a blank line is a vertex with no neighbours, as the METIS
+// format says (nextDataLine's blank argument).
 func readMETISSerial(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	line, err := nextDataLine(sc)
+	line, err := nextDataLine(sc, false)
 	if err != nil {
 		return nil, fmt.Errorf("graph: METIS header: %w", err)
 	}
@@ -67,7 +69,7 @@ func readMETISSerial(r io.Reader) (*Graph, error) {
 	type dirEdge struct{ from, to, w int32 }
 	entries := make([]dirEdge, 0, preallocHint(2*m))
 	for v := 0; v < n; v++ {
-		line, err := nextDataLine(sc)
+		line, err := nextDataLine(sc, true)
 		if err != nil {
 			return nil, fmt.Errorf("graph: METIS vertex %d: %w", v+1, err)
 		}
@@ -168,10 +170,14 @@ func findKey(keys []int64, perm []int32, key int64) int {
 	return -1
 }
 
-func nextDataLine(sc *bufio.Scanner) (string, error) {
+// nextDataLine returns the next line, trimmed, that is not a '%'
+// comment and, unless blank is set, not blank. The METIS vertex lines
+// after the header set blank: there a blank line is a vertex with no
+// neighbours.
+func nextDataLine(sc *bufio.Scanner, blank bool) (string, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		if (line == "" && !blank) || strings.HasPrefix(line, "%") {
 			continue
 		}
 		return line, nil
@@ -199,7 +205,7 @@ func readMatrixMarketSerial(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: only coordinate MatrixMarket supported")
 	}
 	hasValues := !strings.Contains(header, "pattern")
-	line, err := nextDataLine(sc)
+	line, err := nextDataLine(sc, false)
 	if err != nil {
 		return nil, fmt.Errorf("graph: MatrixMarket size line: %w", err)
 	}
@@ -226,7 +232,7 @@ func readMatrixMarketSerial(r io.Reader) (*Graph, error) {
 	b := NewBuilder(rows)
 	cells := make([]int64, 0, preallocHint(nnz)) // packed (i, j), in file order
 	for k := 0; k < nnz; k++ {
-		line, err := nextDataLine(sc)
+		line, err := nextDataLine(sc, false)
 		if err != nil {
 			return nil, fmt.Errorf("graph: MatrixMarket entry %d: %w", k+1, err)
 		}

@@ -94,24 +94,6 @@ func SeparatorEdges(g *Graph, part []int32) [][2]int32 {
 	return sep
 }
 
-// BoundaryVertices returns the vertices incident to at least one cut
-// edge.
-func BoundaryVertices(g *Graph, part []int32) []int32 {
-	cur := GetCursor(g)
-	defer cur.Release()
-	var bnd []int32
-	for u := int32(0); u < int32(g.NumVertices()); u++ {
-		nbrs, _ := cur.Arcs(u)
-		for _, v := range nbrs {
-			if part[v] != part[u] {
-				bnd = append(bnd, u)
-				break
-			}
-		}
-	}
-	return bnd
-}
-
 // Components labels the connected components of g, returning the label
 // array and the number of components. Labels are dense in [0, count).
 func Components(g *Graph) (label []int32, count int) {

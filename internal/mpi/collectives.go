@@ -10,14 +10,14 @@ import (
 // Go methods cannot be generic; each wraps Comm.runCollective with the
 // standard cost formula for the operation.
 //
-// The reduction-shaped collectives (AllReduce, Reduce) additionally
-// have an allocation-free fast path on the fan-in engine: the hot
-// payload types of the pipeline — float64, int64, int, geometry.Vec2,
-// [3]float64 — are encoded into an inline [4]uint64 slot word instead
-// of boxing through `any`, and the user's operator is applied to the
-// decoded values in exactly the same rank-index order, so the result is
-// bit-identical to the boxed path (TestCollectiveWordPathMatchesBoxed
-// pins this). Worlds with a fault plan always box, because injected
+// The reduction-shaped collectives (AllReduce, and Reduce, which only
+// the tests use) additionally have an allocation-free fast path on the
+// fan-in engine: the hot payload types of the pipeline — float64,
+// int64, int, geometry.Vec2, [3]float64 — are encoded into an inline
+// [4]uint64 slot word instead of boxing through `any`, and the user's
+// operator is applied to the decoded values in exactly the same
+// rank-index order, so the result is bit-identical to the boxed path
+// (TestCollectiveWordPathMatchesBoxed pins this). Worlds with a fault plan always box, because injected
 // payload truncation is defined on boxed contributions.
 
 // reduceWords runs a reduction through the word path when the payload
@@ -143,27 +143,6 @@ func AllReduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
 	return reduceBoxed(c, opAllReduce, val, op, cost)
 }
 
-// Reduce is AllReduce delivered to all ranks but charged at reduce-tree
-// cost (Latency + PerByte·bytes)·log2(P); non-root ranks receiving the
-// value costs nothing extra in the model, matching the paper's use of
-// reductions whose results every processor ends up needing.
-func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	m := &c.world.model
-	lg := log2ceil(c.size)
-	cost := collCost{
-		total: (m.Latency + m.PerByte*float64(bytes)) * lg,
-		ts:    m.Latency * lg,
-		tw:    m.PerByte * float64(bytes) * lg,
-		bytes: int64(bytes),
-	}
-	if c.wordsEligible() {
-		if done, out := reduceWords(c, opReduce, val, op, cost); done {
-			return out
-		}
-	}
-	return reduceBoxed(c, opReduce, val, op, cost)
-}
-
 // AllReduceSlice element-wise combines equal-length slices across
 // ranks. bytesPerElem sizes the payload. Every rank receives the same
 // reduced slice, which is read-only.
@@ -212,18 +191,11 @@ func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a
 	return res.(R)
 }
 
-// AllGather collects one value per rank, returned in rank order to
-// every rank. Cost: Latency·log2(P) + PerByte·(P-1)·bytes (ring).
-func AllGather[T any](c *Comm, val T, bytes int) []T {
-	return AllGatherWith(c, val, bytes, func(vals []T) []T { return vals })
-}
-
-// AllGatherWith is AllGather whose gathered values are turned into a
-// value once per collective: derive runs inside the combine, on the one
-// rank that arrives last, and every rank receives the same R. It is
-// AllGatherVWith for one value per rank. Cost, traffic, fault positions
-// and trace events are exactly AllGather's, which is this function with
-// an identity derive.
+// AllGatherWith gathers one value per rank, in rank order, and turns
+// them into a value once per collective: derive runs inside the
+// combine, on the one rank that arrives last, and every rank receives
+// the same R. It is AllGatherVWith for one value per rank. Cost:
+// Latency·log2(P) + PerByte·(P-1)·bytes (ring).
 //
 // derive may read the gathered values and values that are identical on
 // every rank, never rank-local state: it runs on whichever rank happens
@@ -251,24 +223,15 @@ func AllGatherWith[T, R any](c *Comm, val T, bytes int, derive func(vals []T) R)
 	return res.(R)
 }
 
-// AllGatherV collects a variable-length slice per rank; every rank
-// receives the contributions in rank order (returned per-rank to allow
-// offset recovery). bytesPerElem sizes elements; the modeled cost uses
-// the true total payload, which requires the combine callback, so the
-// cost is charged as an extra clock adjustment inside the collective:
-// Latency·log2(P) + PerByte·totalBytes.
-func AllGatherV[T any](c *Comm, vals []T, bytesPerElem int) [][]T {
-	return AllGatherVWith(c, vals, bytesPerElem, func(parts [][]T) [][]T { return parts })
-}
-
-// AllGatherVWith is AllGatherV whose gathered contributions are turned
-// into a value once per collective: derive runs inside the combine, on
-// the one rank that arrives last, and every rank receives the same R.
-// It is how rank-identical work on gathered data — a concatenation, a
-// sort, a candidate set built from a sample — runs once on the host
-// instead of once per simulated rank. Cost, traffic, fault positions
-// and trace events are exactly AllGatherV's, which is this function
-// with an identity derive.
+// AllGatherVWith gathers a variable-length slice per rank, in rank
+// order, and turns the contributions into a value once per collective:
+// derive runs inside the combine, on the one rank that arrives last,
+// and every rank receives the same R. It is how rank-identical work on
+// gathered data — a concatenation, a sort, a candidate set built from a
+// sample — runs once on the host instead of once per simulated rank.
+// bytesPerElem sizes elements; the cost uses the true total payload:
+// Latency·log2(P) + PerByte·totalBytes, after a size-exchange
+// AllReduce.
 //
 // derive may read the gathered parts and values that are identical on
 // every rank, never rank-local state: it runs on whichever rank
@@ -299,7 +262,7 @@ func AllGatherVWith[T, R any](c *Comm, vals []T, bytesPerElem int, derive func(p
 	return res.(R)
 }
 
-// Concat flattens the rank-ordered slices an AllGatherV returns.
+// Concat flattens rank-ordered gathered slices.
 func Concat[T any](parts [][]T) []T {
 	n := 0
 	for _, p := range parts {
@@ -311,25 +274,6 @@ func Concat[T any](parts [][]T) []T {
 	}
 	return out
 }
-
-// MaxFloat64 and SumFloat64 are common AllReduce operators.
-func MaxFloat64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinFloat64 returns the smaller of a and b.
-func MinFloat64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// SumFloat64 returns a + b.
-func SumFloat64(a, b float64) float64 { return a + b }
 
 // SumInt64 returns a + b.
 func SumInt64(a, b int64) int64 { return a + b }

@@ -131,3 +131,17 @@ func TestAsymmetricBcastCostDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// ChargeTime advances the virtual clock by the given number of seconds
+// of local computation (for costs not naturally expressed in ops).
+func (c *Comm) ChargeTime(seconds float64) {
+	c.state.clock += seconds
+}
+
+// CollectiveCost returns the modeled cost of a tree collective moving
+// `bytes` payload over this communicator: (Latency + PerByte·bytes) ·
+// ceil(log2 P).
+func (c *Comm) CollectiveCost(bytes int) float64 {
+	m := &c.world.model
+	return (m.Latency + m.PerByte*float64(bytes)) * log2ceil(c.size)
+}

@@ -204,13 +204,6 @@ func (p *FaultPlan) ShrinkRank(dead int) *FaultPlan {
 	return out
 }
 
-// RandomKillPlan derives a single seeded kill fault: a pseudo-random
-// rank of a P-rank world dies at a pseudo-random communication event
-// below maxEvent. Useful for fuzz-style robustness sweeps.
-func RandomKillPlan(seed int64, p int, maxEvent int64) *FaultPlan {
-	return RandomPlan(seed, p, maxEvent, KillRank)
-}
-
 // RandomPlan derives a seeded multi-fault schedule: one fault per
 // requested kind (kinds may repeat), each aimed at a pseudo-random rank
 // of a P-rank world and a pseudo-random communication event below

@@ -333,3 +333,10 @@ func TestRankErrorFormatting(t *testing.T) {
 		t.Fatal("phase-less formatting changed")
 	}
 }
+
+// RandomKillPlan derives a single seeded kill fault: a pseudo-random
+// rank of a P-rank world dies at a pseudo-random communication event
+// below maxEvent. Useful for fuzz-style robustness sweeps.
+func RandomKillPlan(seed int64, p int, maxEvent int64) *FaultPlan {
+	return RandomPlan(seed, p, maxEvent, KillRank)
+}

@@ -61,37 +61,3 @@ func (g Grid) Neighbors(rank int) []int {
 	}
 	return out
 }
-
-// IsGridNeighbor reports whether ranks a and b are adjacent in the
-// 4-neighbourhood (or equal).
-func (g Grid) IsGridNeighbor(a, b int) bool {
-	ra, ca := g.RowOf(a), g.ColOf(a)
-	rb, cb := g.RowOf(b), g.ColOf(b)
-	dr, dc := ra-rb, ca-cb
-	if dr < 0 {
-		dr = -dr
-	}
-	if dc < 0 {
-		dc = -dc
-	}
-	return dr+dc <= 1
-}
-
-// HaloExchange sends payload[i] to each neighbour i of rank (as listed
-// by Neighbors) and returns the payloads received from them, in the
-// same order. All ranks of the communicator must call it together.
-// bytes[i] is the modeled size of payload[i].
-func HaloExchange(c *Comm, g Grid, payload []any, bytes []int) []any {
-	nbrs := g.Neighbors(c.Rank())
-	if len(payload) != len(nbrs) || len(bytes) != len(nbrs) {
-		panic("mpi: HaloExchange payload count must match neighbour count")
-	}
-	for i, nb := range nbrs {
-		c.sendOp(nb, payload[i], bytes[i], opHaloExchange)
-	}
-	out := make([]any, len(nbrs))
-	for i, nb := range nbrs {
-		out[i] = c.recvOp(nb, opHaloExchange)
-	}
-	return out
-}

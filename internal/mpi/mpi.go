@@ -1,8 +1,8 @@
 // Package mpi implements the custom message-passing layer this
 // reproduction uses in place of MPI. A World runs P simulated ranks,
 // each on its own goroutine, communicating through point-to-point
-// messages and MPI-style collectives (Barrier, Bcast, Reduce,
-// AllReduce, AllGather) over prefix sub-communicators.
+// messages and MPI-style collectives (Barrier, Bcast, AllReduce,
+// AllGatherWith, AllToAllV) over prefix sub-communicators.
 //
 // Alongside the real data movement, every rank carries a virtual clock
 // charged with a LogP-style cost model: local computation costs
@@ -541,12 +541,6 @@ func (c *Comm) Charge(ops float64) {
 	c.state.clock += ops * c.world.model.PerOp
 }
 
-// ChargeTime advances the virtual clock by the given number of seconds
-// of local computation (for costs not naturally expressed in ops).
-func (c *Comm) ChargeTime(seconds float64) {
-	c.state.clock += seconds
-}
-
 // SubComm returns a communicator over the first n world ranks, or nil
 // if this rank is not a member. Point-to-point operations always use
 // world rank ids; SubComm only scopes collectives.
@@ -738,14 +732,6 @@ func (c *Comm) recvOp(from int, op *string) any {
 		st.tr.Recv(*op, from, msg.bytes, t0, st.clock, comm)
 	}
 	return msg.data
-}
-
-// SendRecv performs a simultaneous exchange with partner: data flows
-// both ways, as in MPI_Sendrecv. It is the deadlock-free primitive for
-// halo exchanges on the processor grid.
-func (c *Comm) SendRecv(partner int, data any, bytes int) any {
-	c.Send(partner, data, bytes)
-	return c.Recv(partner)
 }
 
 // log2ceil returns ceil(log2(n)) with log2ceil(1) == 0.
@@ -944,12 +930,4 @@ func (c *Comm) SyncCost(cost float64) {
 func (c *Comm) SyncCostParts(total, ts, tw, to float64) {
 	c.runCollective(opSyncCost, nil, combineNil,
 		collCost{total: total, ts: ts, tw: tw, to: to})
-}
-
-// CollectiveCost returns the modeled cost of a tree collective moving
-// `bytes` payload over this communicator: (Latency + PerByte·bytes) ·
-// ceil(log2 P).
-func (c *Comm) CollectiveCost(bytes int) float64 {
-	m := &c.world.model
-	return (m.Latency + m.PerByte*float64(bytes)) * log2ceil(c.size)
 }

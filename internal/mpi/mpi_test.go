@@ -208,7 +208,7 @@ func TestGridProperties(t *testing.T) {
 				return false
 			}
 			for _, nb := range g.Neighbors(r) {
-				if !g.IsGridNeighbor(r, nb) || !g.IsGridNeighbor(nb, r) {
+				if dr, dc := g.RowOf(r)-g.RowOf(nb), g.ColOf(r)-g.ColOf(nb); dr*dr+dc*dc != 1 {
 					return false
 				}
 				found := false
@@ -298,3 +298,70 @@ func TestRunPanicsPropagate(t *testing.T) {
 		// Other ranks finish normally; Run must still re-raise.
 	})
 }
+
+// HaloExchange sends payload[i] to each neighbour i of rank (as listed
+// by Neighbors) and returns the payloads received from them, in the
+// same order. All ranks of the communicator must call it together.
+// bytes[i] is the modeled size of payload[i].
+func HaloExchange(c *Comm, g Grid, payload []any, bytes []int) []any {
+	nbrs := g.Neighbors(c.Rank())
+	if len(payload) != len(nbrs) || len(bytes) != len(nbrs) {
+		panic("mpi: HaloExchange payload count must match neighbour count")
+	}
+	for i, nb := range nbrs {
+		c.sendOp(nb, payload[i], bytes[i], opHaloExchange)
+	}
+	out := make([]any, len(nbrs))
+	for i, nb := range nbrs {
+		out[i] = c.recvOp(nb, opHaloExchange)
+	}
+	return out
+}
+
+// Reduce is AllReduce delivered to all ranks but charged at reduce-tree
+// cost (Latency + PerByte·bytes)·log2(P); non-root ranks receiving the
+// value costs nothing extra in the model, matching the paper's use of
+// reductions whose results every processor ends up needing.
+func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
+	m := &c.world.model
+	lg := log2ceil(c.size)
+	cost := collCost{
+		total: (m.Latency + m.PerByte*float64(bytes)) * lg,
+		ts:    m.Latency * lg,
+		tw:    m.PerByte * float64(bytes) * lg,
+		bytes: int64(bytes),
+	}
+	if c.wordsEligible() {
+		if done, out := reduceWords(c, opReduce, val, op, cost); done {
+			return out
+		}
+	}
+	return reduceBoxed(c, opReduce, val, op, cost)
+}
+
+// AllGather collects one value per rank, returned in rank order to
+// every rank. Cost: Latency·log2(P) + PerByte·(P-1)·bytes (ring).
+func AllGather[T any](c *Comm, val T, bytes int) []T {
+	return AllGatherWith(c, val, bytes, func(vals []T) []T { return vals })
+}
+
+// AllGatherV collects a variable-length slice per rank; every rank
+// receives the contributions in rank order (returned per-rank to allow
+// offset recovery). bytesPerElem sizes elements; the modeled cost uses
+// the true total payload, which requires the combine callback, so the
+// cost is charged as an extra clock adjustment inside the collective:
+// Latency·log2(P) + PerByte·totalBytes.
+func AllGatherV[T any](c *Comm, vals []T, bytesPerElem int) [][]T {
+	return AllGatherVWith(c, vals, bytesPerElem, func(parts [][]T) [][]T { return parts })
+}
+
+// MaxFloat64 and SumFloat64 are common AllReduce operators.
+func MaxFloat64(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// SumFloat64 returns a + b.
+func SumFloat64(a, b float64) float64 { return a + b }

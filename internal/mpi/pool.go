@@ -20,9 +20,8 @@ import (
 //
 // Ownership protocol: SendVec transfers ownership of the buffer to the
 // receiver — the sender must not touch it afterwards. The receiver
-// calls Release (directly, or implicitly via RecvVecInto /
-// NeighborExchange) once it has consumed Data, returning the buffer to
-// the pool it came from.
+// calls Release (directly, or implicitly via NeighborExchange) once it
+// has consumed Data, returning the buffer to the pool it came from.
 
 // VecBuf is a pooled message payload: a typed slice plus the pool it
 // returns to on Release.
@@ -139,17 +138,6 @@ func SendVec[T any](c *Comm, to int, buf *VecBuf[T], bytesPerElem int) {
 // The caller owns the result and must Release it after consuming Data.
 func RecvVec[T any](c *Comm, from int) *VecBuf[T] {
 	return c.recvOp(from, opRecvVec).(*VecBuf[T])
-}
-
-// RecvVecInto receives a pooled buffer from rank `from`, copies its
-// payload into dst (reusing dst's capacity), releases the transport
-// buffer, and returns the filled slice. The fully allocation-free
-// fast path once dst's capacity has grown to the steady-state size.
-func RecvVecInto[T any](c *Comm, from int, dst []T) []T {
-	b := RecvVec[T](c, from)
-	dst = append(dst[:0], b.Data...)
-	b.Release()
-	return dst
 }
 
 // NeighborExchange is the coalesced neighbourhood exchange primitive:

@@ -5,6 +5,8 @@
 package order
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -119,32 +121,38 @@ func VertexSeparator(g *graph.Graph, part []int32) []int32 {
 // subproblems fall back to a minimum-degree-flavoured greedy ordering.
 // p is the simulated rank budget for the top-level bisection; opt seeds
 // ScalaPart. It returns perm with perm[i] = the vertex eliminated at
-// step i.
-func NestedDissection(g *graph.Graph, p int, opt core.Options) []int32 {
+// step i. A world size below one, or a bisection whose ranks fail,
+// returns an error.
+func NestedDissection(g *graph.Graph, p int, opt core.Options) ([]int32, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("order: world size p=%d, want at least 1", p)
+	}
 	perm := make([]int32, 0, g.NumVertices())
 	all := make([]int32, g.NumVertices())
 	for i := range all {
 		all[i] = int32(i)
 	}
-	nd(g, all, p, opt, &perm)
-	return perm
+	if err := nd(g, all, p, opt, &perm); err != nil {
+		return nil, err
+	}
+	return perm, nil
 }
 
 const ndLeafSize = 64
 
-func nd(g *graph.Graph, vertices []int32, p int, opt core.Options, perm *[]int32) {
+func nd(g *graph.Graph, vertices []int32, p int, opt core.Options, perm *[]int32) error {
 	if len(vertices) <= ndLeafSize {
 		leaf, back := graph.InducedSubgraph(g, vertices)
 		for _, v := range minDegreeOrder(leaf) {
 			*perm = append(*perm, back[v])
 		}
-		return
+		return nil
 	}
 	sub, back := graph.InducedSubgraph(g, vertices)
-	if p < 1 {
-		p = 1
+	res, err := core.PartitionChecked(sub, p, opt)
+	if err != nil {
+		return err
 	}
-	res := core.Partition(sub, p, opt)
 	labels := VertexSeparator(sub, res.Part)
 	var lo, hi, sep []int32
 	for v, l := range labels {
@@ -164,15 +172,20 @@ func nd(g *graph.Graph, vertices []int32, p int, opt core.Options, perm *[]int32
 		for _, v := range minDegreeOrder(leaf) {
 			*perm = append(*perm, back2[v])
 		}
-		return
+		return nil
 	}
 	half := p / 2
 	if half < 1 {
 		half = 1
 	}
-	nd(g, lo, half, opt, perm)
-	nd(g, hi, half, opt, perm)
+	if err := nd(g, lo, half, opt, perm); err != nil {
+		return err
+	}
+	if err := nd(g, hi, half, opt, perm); err != nil {
+		return err
+	}
 	*perm = append(*perm, sep...)
+	return nil
 }
 
 // minDegreeOrder is a greedy minimum-degree elimination order on a

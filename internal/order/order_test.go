@@ -13,7 +13,10 @@ import (
 func TestVertexSeparatorSeparates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := gen.DelaunayRandom(3000, seed)
-		res := core.Partition(g.G, 8, core.DefaultOptions(seed))
+		res, err := core.PartitionChecked(g.G, 8, core.DefaultOptions(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
 		labels := VertexSeparator(g.G, res.Part)
 		var sepSize int
 		for u := int32(0); u < int32(g.G.NumVertices()); u++ {
@@ -64,7 +67,10 @@ func TestVertexSeparatorIsMinimumOnPath(t *testing.T) {
 // beats the natural order's fill on a grid (the classic result).
 func TestNestedDissectionBeatsNaturalOrder(t *testing.T) {
 	g := gen.Grid2D(28, 28)
-	perm := NestedDissection(g.G, 4, core.DefaultOptions(3))
+	perm, err := NestedDissection(g.G, 4, core.DefaultOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make([]bool, g.G.NumVertices())
 	for _, v := range perm {
 		if seen[v] {
@@ -132,5 +138,18 @@ func TestMinDegreeOrderIsPermutation(t *testing.T) {
 			t.Fatalf("repeat %d", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestNestedDissectionRejectsBadWorldSize: a world size below one is an
+// error, even on a graph small enough to skip partitioning.
+func TestNestedDissectionRejectsBadWorldSize(t *testing.T) {
+	for _, n := range []int{4, 28} {
+		g := gen.Grid2D(n, n)
+		for _, p := range []int{0, -5} {
+			if _, err := NestedDissection(g.G, p, core.DefaultOptions(1)); err == nil {
+				t.Fatalf("%dx%d grid, p=%d: no error", n, n, p)
+			}
+		}
 	}
 }

@@ -57,16 +57,6 @@ type Tree struct {
 	quad         []uint8
 }
 
-// Build constructs a quadtree over pts. mass may be nil for unit
-// masses. Duplicate and near-duplicate points are handled by capping
-// subdivision depth; beyond the cap, points accumulate in the same cell
-// and only contribute through its aggregate.
-func Build(pts []geometry.Vec2, mass []float64) *Tree {
-	t := &Tree{}
-	t.Rebuild(pts, mass)
-	return t
-}
-
 // Rebuild reconstructs the tree in place over a new point set, reusing
 // the storage of previous builds. Iterative force loops that rebuild
 // the tree every step go through here to stay allocation-free in
@@ -362,9 +352,4 @@ func farExact(dx, dy, w, theta float64) bool {
 // Len returns the number of points in the tree.
 func (t *Tree) Len() int {
 	return t.n
-}
-
-// TotalMass returns the total mass in the tree.
-func (t *Tree) TotalMass() float64 {
-	return t.total
 }

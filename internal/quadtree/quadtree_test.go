@@ -246,3 +246,18 @@ func BenchmarkRebuild(b *testing.B) {
 		})
 	}
 }
+
+// Build constructs a quadtree over pts. mass may be nil for unit
+// masses. Duplicate and near-duplicate points are handled by capping
+// subdivision depth; beyond the cap, points accumulate in the same cell
+// and only contribute through its aggregate.
+func Build(pts []geometry.Vec2, mass []float64) *Tree {
+	t := &Tree{}
+	t.Rebuild(pts, mass)
+	return t
+}
+
+// TotalMass returns the total mass in the tree.
+func (t *Tree) TotalMass() float64 {
+	return t.total
+}

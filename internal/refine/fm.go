@@ -44,22 +44,6 @@ func (p *Problem) Gain(v int32) int64 {
 	return g
 }
 
-// CutWeight returns the instance's current cut contribution: internal
-// cut edges plus locked external edges to the opposite side.
-func (p *Problem) CutWeight() int64 {
-	var cut int64
-	for v := range p.Adj {
-		s := p.Side[v]
-		cut += 2 * p.Ext[v][1-s] // doubled here, halved below
-		for _, a := range p.Adj[v] {
-			if p.Side[a.To] != s {
-				cut += a.W
-			}
-		}
-	}
-	return cut / 2
-}
-
 // item is a heap entry with lazy invalidation.
 type item struct {
 	v     int32

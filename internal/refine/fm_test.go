@@ -159,3 +159,19 @@ func TestEmptyProblem(t *testing.T) {
 		t.Fatal("empty problem produced gain")
 	}
 }
+
+// CutWeight returns the instance's current cut contribution: internal
+// cut edges plus locked external edges to the opposite side.
+func (p *Problem) CutWeight() int64 {
+	var cut int64
+	for v := range p.Adj {
+		s := p.Side[v]
+		cut += 2 * p.Ext[v][1-s] // doubled here, halved below
+		for _, a := range p.Adj[v] {
+			if p.Side[a.To] != s {
+				cut += a.W
+			}
+		}
+	}
+	return cut / 2
+}

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers used by the
-// benchmark harness: geometric means, medians, and min/max ranges over
+// benchmark harness: geometric means, medians and quantiles over
 // cut-sizes and timings.
 package stats
 
@@ -25,18 +25,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Median returns the median of xs without modifying it, or 0 for an
 // empty slice. For even lengths it returns the mean of the two middle
 // elements.
@@ -51,41 +39,6 @@ func Median(xs []float64) float64 {
 		return cp[mid]
 	}
 	return (cp[mid-1] + cp[mid]) / 2
-}
-
-// MinMax returns the smallest and largest values in xs. It panics on an
-// empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// MinMaxInt64 is MinMax over int64 values (cut-sizes).
-func MinMaxInt64(xs []int64) (min, max int64) {
-	if len(xs) == 0 {
-		panic("stats: MinMaxInt64 of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // QuickSelect returns the k-th smallest element (0-based) of xs,
