@@ -95,7 +95,7 @@ type Result struct {
 // the rank and pipeline phase instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
 	if err := checkWorldSize(p); err != nil {
-		return nil, fmt.Errorf("Partition: %w", err)
+		return nil, fmt.Errorf("PartitionChecked: %w", err)
 	}
 	if opt.Model == (mpi.Model{}) {
 		opt.Model = mpi.DefaultModel()
@@ -149,7 +149,7 @@ func SequentialFallback(g *graph.Graph, seed int64) (*Result, error) {
 // errors, as in PartitionChecked.
 func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopart.ParallelConfig, model mpi.Model) (*Result, error) {
 	if err := checkGeometricInput(g, coords, p); err != nil {
-		return nil, fmt.Errorf("PartitionGeometric: %w", err)
+		return nil, fmt.Errorf("PartitionGeometricChecked: %w", err)
 	}
 	return partitionCoords(g, coords, stagePlan{
 		p: p, model: model, cfg: cfg, kernel: geopart.ParallelPartition, phase: "partition",
@@ -162,7 +162,7 @@ func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cf
 // PartitionChecked.
 func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model) (*Result, error) {
 	if err := checkGeometricInput(g, coords, p); err != nil {
-		return nil, fmt.Errorf("RCBParallel: %w", err)
+		return nil, fmt.Errorf("RCBParallelChecked: %w", err)
 	}
 	return partitionCoords(g, coords, stagePlan{p: p, model: model, kernel: rcbKernel, phase: "rcb"})
 }

@@ -127,3 +127,30 @@ func TestCheckedBadWorldSize(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedErrorPrefix: each core entry point names itself in the
+// error it returns for a bad world size.
+func TestCheckedErrorPrefix(t *testing.T) {
+	g := gen.Grid2D(4, 4)
+	for _, e := range []struct {
+		prefix string
+		run    func() error
+	}{
+		{"PartitionChecked: ", func() error {
+			_, err := PartitionChecked(g.G, 0, DefaultOptions(1))
+			return err
+		}},
+		{"PartitionGeometricChecked: ", func() error {
+			_, err := PartitionGeometricChecked(g.G, g.Coords, 0, geopart.DefaultParallelConfig(), mpi.Model{})
+			return err
+		}},
+		{"RCBParallelChecked: ", func() error {
+			_, err := RCBParallelChecked(g.G, g.Coords, 0, mpi.Model{})
+			return err
+		}},
+	} {
+		if err := e.run(); err == nil || !strings.HasPrefix(err.Error(), e.prefix) {
+			t.Errorf("p=0: got %v, want an error starting %q", err, e.prefix)
+		}
+	}
+}

@@ -18,8 +18,9 @@ import (
 // cache ran on every rank before views carried their adjacency: each
 // arc of an owned vertex is looked up by neighbour id in an owned-id
 // map, then a ghost-id map, and -1 marks a neighbour found in neither.
-// It is the differential oracle for Adjacency.
-func oracleAdjacency(g *graph.Graph, d *Distributed) (start, slot []int32) {
+// It is the differential oracle for Adjacency; w holds the aligned arc
+// weights, nil when g has unit weights.
+func oracleAdjacency(g *graph.Graph, d *Distributed) (start, slot, w []int32) {
 	local := make(map[int32]int32, len(d.OwnedIDs))
 	for i, id := range d.OwnedIDs {
 		local[id] = int32(i)
@@ -30,8 +31,13 @@ func oracleAdjacency(g *graph.Graph, d *Distributed) (start, slot []int32) {
 	}
 	nOwn := int32(len(d.OwnedIDs))
 	start = []int32{0}
+	plain := g.Plain()
+	if plain.EWgt != nil {
+		w = []int32{}
+	}
 	for _, id := range d.OwnedIDs {
-		for _, nb := range g.Neighbors(id) {
+		for k := plain.XAdj[id]; k < plain.XAdj[id+1]; k++ {
+			nb := plain.Adjncy[k]
 			s := int32(-1)
 			if li, ok := local[nb]; ok {
 				s = li
@@ -39,20 +45,28 @@ func oracleAdjacency(g *graph.Graph, d *Distributed) (start, slot []int32) {
 				s = nOwn + gi
 			}
 			slot = append(slot, s)
+			if plain.EWgt != nil {
+				w = append(w, plain.EWgt[k])
+			}
 		}
 		start = append(start, int32(len(slot)))
 	}
-	return start, slot
+	return start, slot, w
 }
 
 // withIsolated returns a copy of g with k isolated vertices appended,
-// each at a fresh coordinate.
-func withIsolated(g *gen.Generated, k int) *gen.Generated {
+// each at a fresh coordinate. With weighted set, the arcs of the copy
+// weigh 1 to 4, a function of the endpoint ids.
+func withIsolated(g *gen.Generated, k int, weighted bool) *gen.Generated {
 	n := g.G.NumVertices()
 	b := graph.NewBuilder(n + k)
 	for u := int32(0); u < int32(n); u++ {
 		for _, v := range g.G.Neighbors(u) {
-			if u < v {
+			switch {
+			case u > v:
+			case weighted:
+				b.AddWeightedEdge(u, v, 1+(u+3*v)%4)
+			default:
 				b.AddEdge(u, v)
 			}
 		}
@@ -65,12 +79,15 @@ func withIsolated(g *gen.Generated, k int) *gen.Generated {
 }
 
 // adjacencyGraphs are the differential test's inputs: a Delaunay mesh
-// with isolated vertices, plain and compressed.
+// with isolated vertices, unit and arc-weighted, plain and compressed.
 func adjacencyGraphs() map[string]*gen.Generated {
-	plain := withIsolated(gen.DelaunayRandom(3000, 11), 25)
+	plain := withIsolated(gen.DelaunayRandom(3000, 11), 25, false)
+	weighted := withIsolated(gen.DelaunayRandom(3000, 11), 25, true)
 	return map[string]*gen.Generated{
-		"plain":      plain,
-		"compressed": {G: graph.Compress(plain.G), Coords: plain.Coords},
+		"plain":               plain,
+		"compressed":          {G: graph.Compress(plain.G), Coords: plain.Coords},
+		"weighted":            weighted,
+		"compressed-weighted": {G: graph.Compress(weighted.G), Coords: weighted.Coords},
 	}
 }
 
@@ -80,10 +97,13 @@ func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, views []*Dist
 	t.Helper()
 	owned := 0
 	for r, d := range views {
-		wantStart, wantSlot := oracleAdjacency(g, d)
-		start, slot := d.Adjacency(g)
+		wantStart, wantSlot, wantW := oracleAdjacency(g, d)
+		start, slot, w := d.Adjacency(g)
 		if !slices.Equal(start, wantStart) || !slices.Equal(slot, wantSlot) {
 			t.Fatalf("%s rank %d: adjacency differs from the map-based resolution", name, r)
+		}
+		if (w == nil) != (wantW == nil) || !slices.Equal(w, wantW) {
+			t.Fatalf("%s rank %d: arc weights differ from the graph's (nil %v, want nil %v)", name, r, w == nil, wantW == nil)
 		}
 		for i, id := range d.OwnedIDs {
 			if li, ok := d.LocalSlot(id); !ok || li != int32(i) {
@@ -159,7 +179,10 @@ func TestAdjacencyHandBuiltView(t *testing.T) {
 		GhostIDs: []int32{0}, // vertex 3 is adjacent but not ghosted
 		GhostPos: []geometry.Vec2{{X: 0}},
 	}
-	start, slot := d.Adjacency(g)
+	start, slot, w := d.Adjacency(g)
+	if w != nil {
+		t.Fatalf("unit-weight graph resolved arc weights %v, want nil", w)
+	}
 	if want := []int32{0, 2, 4}; !slices.Equal(start, want) {
 		t.Fatalf("start %v, want %v", start, want)
 	}
@@ -190,7 +213,7 @@ func TestAdjacencyHandBuiltView(t *testing.T) {
 // identical views at every worker count (run it under -race to check
 // the chunks share nothing they write).
 func TestSplitCoordsWorkersBitIdentical(t *testing.T) {
-	g := withIsolated(gen.DelaunayRandom(40000, 5), 40)
+	g := withIsolated(gen.DelaunayRandom(40000, 5), 40, false)
 	for _, p := range []int{1, 7, 64} {
 		var ref []*Distributed
 		for _, w := range []int{1, 2, 8} {

@@ -718,16 +718,18 @@ type Distributed struct {
 
 	// adjStart/adjSlot is the slot-resolved adjacency (see Adjacency):
 	// the arcs of OwnedIDs[i] resolve to adjSlot[adjStart[i]:adjStart[i+1]].
+	// adjW holds the aligned arc weights, nil for unit weights.
 	adjStart []int32
 	adjSlot  []int32
+	adjW     []int32
 
 	ghostSlot map[int32]int32
 }
 
 // finish freezes the level state into a Distributed embedding after a
 // final full ghost refresh. The adjacency the level already resolved
-// becomes the view's slot-resolved adjacency, so no rank re-resolves
-// its arcs by vertex id.
+// becomes the view's slot-resolved adjacency, arc weights included, so
+// no rank re-resolves its arcs by vertex id.
 func (s *levelState) finish() *Distributed {
 	s.pushGhosts()
 	nOwn := int32(len(s.ownedIDs))
@@ -736,12 +738,19 @@ func (s *levelState) finish() *Distributed {
 		start[i+1] = start[i] + int32(len(refs))
 	}
 	slot := make([]int32, start[len(s.adj)])
+	var w []int32
+	if s.g.EdgeWeighted() {
+		w = make([]int32, len(slot))
+	}
 	k := 0
 	for _, refs := range s.adj {
 		for _, ref := range refs {
 			slot[k] = ref.idx
 			if ref.ghost {
 				slot[k] += nOwn
+			}
+			if w != nil {
+				w[k] = int32(ref.w)
 			}
 			k++
 		}
@@ -754,25 +763,31 @@ func (s *levelState) finish() *Distributed {
 		GhostPos:  s.ghostPos,
 		adjStart:  start,
 		adjSlot:   slot,
+		adjW:      w,
 		ghostSlot: s.ghostSlot,
 	}
 }
 
 // Adjacency returns the view's slot-resolved adjacency: a CSR over
 // OwnedIDs, aligned with graph.Cursor.Arcs order, whose arcs of owned
-// vertex i are slot[start[i]:start[i+1]]. Slots [0, nOwn) are owned
-// vertices (their OwnedIDs index), nOwn+g is ghost g, and -1 marks a
-// neighbour that is neither owned nor ghosted here. ParallelEmbed and
-// SplitCoords resolve it where ownership is decided; a view built by
-// hand (tests, benchmarks) resolves it against g on first use through
-// LocalSlot and GhostSlot. The slices are shared and read-only.
-func (d *Distributed) Adjacency(g *graph.Graph) (start, slot []int32) {
+// vertex i are slot[start[i]:start[i+1]] with weights w[start[i]:
+// start[i+1]]. w is nil when g has unit arc weights. Slots [0, nOwn)
+// are owned vertices (their OwnedIDs index), nOwn+g is ghost g, and -1
+// marks a neighbour that is neither owned nor ghosted here.
+// ParallelEmbed and SplitCoords resolve it where ownership is decided;
+// a view built by hand (tests, benchmarks) resolves it against g on
+// first use through LocalSlot and GhostSlot. The slices are shared and
+// read-only.
+func (d *Distributed) Adjacency(g *graph.Graph) (start, slot, w []int32) {
 	if d.adjStart == nil {
 		nOwn := int32(len(d.OwnedIDs))
 		d.adjStart = make([]int32, 1, len(d.OwnedIDs)+1)
+		if g.EdgeWeighted() {
+			d.adjW = []int32{}
+		}
 		cur := graph.GetCursor(g)
 		for _, id := range d.OwnedIDs {
-			nbrs, _ := cur.Arcs(id)
+			nbrs, wgts := cur.Arcs(id)
 			for _, nb := range nbrs {
 				s := int32(-1)
 				if li, ok := d.LocalSlot(nb); ok {
@@ -782,11 +797,14 @@ func (d *Distributed) Adjacency(g *graph.Graph) (start, slot []int32) {
 				}
 				d.adjSlot = append(d.adjSlot, s)
 			}
+			if d.adjW != nil {
+				d.adjW = append(d.adjW, wgts...)
+			}
 			d.adjStart = append(d.adjStart, int32(len(d.adjSlot)))
 		}
 		cur.Release()
 	}
-	return d.adjStart, d.adjSlot
+	return d.adjStart, d.adjSlot, d.adjW
 }
 
 // LocalSlot returns the OwnedIDs/OwnedPos index of an owned vertex, by

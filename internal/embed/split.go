@@ -25,7 +25,8 @@ const (
 // hostpar pool and resolves ownership through dense arrays instead of
 // per-rank maps: owner[v] and local[v] (v's index in its owner's
 // OwnedIDs) are host set-up state that no rank sees, and every view
-// leaves with its adjacency already resolved to slots (see Adjacency).
+// leaves with its adjacency, arc weights included, already resolved to
+// slots (see Adjacency).
 // Owned ids are in vertex order and ghosts in first-encounter order, so
 // the views are identical at every worker count.
 //
@@ -88,6 +89,7 @@ func SplitCoords(g *graph.Graph, coords []geometry.Vec2, p int) []*Distributed {
 	})
 
 	views := make([]*Distributed, p)
+	weighted := g.EdgeWeighted()
 	hostpar.ForN(p, min(hostpar.NumChunks(p, 1), maxSplitChunks), func(_, lo, hi int) {
 		cur := graph.GetCursor(g)
 		defer cur.Release()
@@ -105,10 +107,17 @@ func SplitCoords(g *graph.Graph, coords []geometry.Vec2, p int) []*Distributed {
 				start[i+1] = start[i] + int32(g.Degree(id))
 			}
 			slot := make([]int32, start[nOwn])
+			var w []int32
+			if weighted {
+				w = make([]int32, start[nOwn])
+			}
 			ghosts = ghosts[:0]
 			k := 0
 			for _, id := range owned {
-				nbrs, _ := cur.Arcs(id)
+				nbrs, wgts := cur.Arcs(id)
+				if w != nil {
+					copy(w[k:], wgts)
+				}
 				for _, nb := range nbrs {
 					if owner[nb] == int32(r) {
 						slot[k] = local[nb]
@@ -138,6 +147,7 @@ func SplitCoords(g *graph.Graph, coords []geometry.Vec2, p int) []*Distributed {
 				GhostPos: ghostPos,
 				adjStart: start,
 				adjSlot:  slot,
+				adjW:     w,
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package geopart
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -59,28 +60,36 @@ func TestGatherSamplePresized(t *testing.T) {
 	}
 }
 
-// TestEdgeCacheResolvesEndpoints cross-checks the edge topology cache
-// against the reference resolution (ghost map, owned binary search) on
-// every rank of a split view.
+// TestEdgeCacheResolvesEndpoints cross-checks the view's resolved
+// adjacency against the reference resolution (ghost map, owned binary
+// search) on every rank of a split view, and the one-pass cut count
+// against a count over the graph's CSR under the rule the cut always
+// used (neighbour id greater than the owned id, both endpoints
+// resolvable), with random side masks for 64 candidates.
 func TestEdgeCacheResolvesEndpoints(t *testing.T) {
 	g := gen.DelaunayRandom(2000, 3)
 	const p = 8
 	views := embed.SplitCoords(g.G, g.Coords, p)
+	rng := rand.New(rand.NewSource(1))
 	for r := 0; r < p; r++ {
 		d := views[r]
-		ec := buildEdgeCache(g.G, d)
+		start, slot, w := d.Adjacency(g.G)
 		nOwn := len(d.OwnedIDs)
-		if ec.nOwn != nOwn || ec.nGhost != len(d.GhostIDs) {
-			t.Fatalf("rank %d: cache sized %d/%d, want %d/%d", r, ec.nOwn, ec.nGhost, nOwn, len(d.GhostIDs))
+		if len(start) != nOwn+1 || w != nil {
+			t.Fatalf("rank %d: adjacency over %d vertices (weights nil %v), want %d and nil", r, len(start)-1, w == nil, nOwn)
 		}
-		cutEdges := 0
+		masks := make([]uint64, nOwn+len(d.GhostIDs))
+		for i := range masks {
+			masks[i] = rng.Uint64()
+		}
+		wantCut := make([]int64, 64)
 		for i, id := range d.OwnedIDs {
-			if got, wantN := ec.start[i+1]-ec.start[i], g.G.XAdj[id+1]-g.G.XAdj[id]; got != wantN {
-				t.Fatalf("rank %d vertex %d: %d cached neighbours, want %d", r, id, got, wantN)
+			if got, wantN := start[i+1]-start[i], g.G.XAdj[id+1]-g.G.XAdj[id]; got != wantN {
+				t.Fatalf("rank %d vertex %d: %d resolved neighbours, want %d", r, id, got, wantN)
 			}
 			for e := g.G.XAdj[id]; e < g.G.XAdj[id+1]; e++ {
 				nb := g.G.Adjncy[e]
-				s := ec.slot[int(ec.start[i])+int(e-g.G.XAdj[id])]
+				s := slot[int(start[i])+int(e-g.G.XAdj[id])]
 				want := int32(-1)
 				if li, ok := ownedIndex(d, nb); ok {
 					want = li
@@ -91,14 +100,18 @@ func TestEdgeCacheResolvesEndpoints(t *testing.T) {
 					t.Fatalf("rank %d edge %d->%d: slot %d, want %d", r, id, nb, s, want)
 				}
 				if nb > id && want >= 0 {
-					cutEdges++
+					x := masks[i] ^ masks[want]
+					for k := range wantCut {
+						wantCut[k] += int64(x >> k & 1)
+					}
 				}
 			}
 		}
-		if len(ec.cutA) != cutEdges || len(ec.cutB) != cutEdges || len(ec.cutW) != cutEdges {
-			t.Fatalf("rank %d: cut view has %d/%d/%d edges, want %d", r, len(ec.cutA), len(ec.cutB), len(ec.cutW), cutEdges)
+		cuts := make([]int64, 64)
+		addCuts(g.G, d, masks, 1, cuts)
+		if !slices.Equal(cuts, wantCut) {
+			t.Fatalf("rank %d: one-pass cuts %v, want %v", r, cuts, wantCut)
 		}
-		ec.release()
 	}
 }
 
@@ -219,7 +232,7 @@ func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
 	var sampleLen int
 	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
 		d := views[c.Rank()]
-		ParallelPartition(c, g.G, d, cfg) // warm pools
+		ParallelPartition(c, g.G, d, cfg) // warm up
 		n := gatherSample(c, d, 4096, func(s []sampleEntry) int { return len(s) })
 		c.Barrier()
 		var m0, m1 runtime.MemStats
@@ -244,11 +257,10 @@ func TestParallelPartitionSampleNotCopiedPerRank(t *testing.T) {
 }
 
 // TestParallelPartitionSteadyStateAllocs guards the batched kernel's
-// allocation budget: once the edge-cache and kernel-scratch pools are
-// warm, repeated partition calls must not reallocate the projection
-// block, the side bitsets, or the topology cache. The bound is
-// world-wide per call and leaves headroom for the per-call result,
-// sample, and strip structures that are intentionally fresh.
+// allocation budget: a partition call allocates its side masks, cut
+// counters and winner values a few times per rank, never per candidate
+// or per vertex. The bound is world-wide per call and leaves headroom
+// for the per-call result, sample, and strip structures.
 func TestParallelPartitionSteadyStateAllocs(t *testing.T) {
 	const (
 		p     = 4
@@ -259,7 +271,7 @@ func TestParallelPartitionSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultParallelConfig()
 	var perCall float64
 	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-		for i := 0; i < 3; i++ { // warm pools
+		for i := 0; i < 3; i++ { // warm up
 			ParallelPartition(c, g.G, views[c.Rank()], cfg)
 		}
 		c.Barrier()
@@ -351,29 +363,32 @@ func BenchmarkSplitCoords(b *testing.B) {
 
 var splitSink []*embed.Distributed
 
-// TestEdgeCacheReadsViewAdjacency: the cache reads the view's resolved
-// adjacency in place and never writes it. Reusing a pooled cache for a
-// second view, and a partition call with strip and full-cut refinement,
-// leave the first view's adjacency as it was.
+// TestEdgeCacheReadsViewAdjacency: the cut count reads the view's
+// resolved adjacency in place and never writes it. Counting on every
+// view, and a partition call with strip and full-cut refinement, leave
+// the first view's adjacency as it was, in the same arrays.
 func TestEdgeCacheReadsViewAdjacency(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 2)
 	const p = 4
 	views := embed.SplitCoords(g.G, g.Coords, p)
-	start, slot := views[0].Adjacency(g.G)
+	start, slot, _ := views[0].Adjacency(g.G)
 	wantStart, wantSlot := slices.Clone(start), slices.Clone(slot)
-	ec := buildEdgeCache(g.G, views[0])
-	if &ec.start[0] != &start[0] || &ec.slot[0] != &slot[0] {
-		t.Fatal("the cache copied the view's adjacency instead of reading it")
-	}
-	ec.release()
-	for r := 1; r < p; r++ {
-		buildEdgeCache(g.G, views[r]).release()
+	for _, d := range views {
+		masks := make([]uint64, len(d.OwnedIDs)+len(d.GhostIDs))
+		for i := range masks {
+			masks[i] = uint64(i & 1)
+		}
+		var cut [1]int64
+		addCuts(g.G, d, masks, 1, cut[:])
 	}
 	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
 		ParallelPartition(c, g.G, views[c.Rank()], fullCutConfig())
 	})
-	start, slot = views[0].Adjacency(g.G)
-	if !slices.Equal(start, wantStart) || !slices.Equal(slot, wantSlot) {
+	gotStart, gotSlot, _ := views[0].Adjacency(g.G)
+	if &gotStart[0] != &start[0] || &gotSlot[0] != &slot[0] {
+		t.Fatal("the view resolved its adjacency again instead of keeping it")
+	}
+	if !slices.Equal(gotStart, wantStart) || !slices.Equal(gotSlot, wantSlot) {
 		t.Fatal("the view's adjacency changed")
 	}
 }
@@ -389,15 +404,23 @@ func TestEdgeCacheRemoteSlot(t *testing.T) {
 		OwnedIDs: []int32{0, 1},
 		GhostIDs: []int32{}, // vertex 2 is adjacent but not ghosted
 	}
-	ec := buildEdgeCache(g, d)
-	defer ec.release()
+	start, slot, _ := d.Adjacency(g)
 	// Vertex 1's neighbour 2 must resolve to -1 and produce no cut edge.
-	for _, s := range ec.slot {
+	for _, s := range slot {
 		if s >= 2 {
-			t.Fatalf("cache resolved a slot %d beyond the view", s)
+			t.Fatalf("view resolved a slot %d beyond itself", s)
 		}
 	}
-	if len(ec.cutA) != 1 {
-		t.Fatalf("cut view has %d edges, want 1 (0-1 only)", len(ec.cutA))
+	if got := slot[start[1]:start[2]]; !slices.Equal(got, []int32{0, -1}) {
+		t.Fatalf("vertex 1 resolves to slots %v, want [0 -1]", got)
+	}
+	// Every candidate puts 0 and 1 on opposite sides, so each counts
+	// the one resolvable edge 0-1 and nothing else.
+	cuts := make([]int64, 64)
+	addCuts(g, d, []uint64{0, ^uint64(0)}, 1, cuts)
+	for k, c := range cuts {
+		if c != 1 {
+			t.Fatalf("candidate %d counts %d cut edges, want 1 (0-1 only)", k, c)
+		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // 0910.2004): where the strip pass only frees vertices near the
 // separating circle, this driver frees every vertex incident to a cut
 // edge, wherever the embedding put it. Each round: extract the local
-// boundary from the edge topology cache, gather (id, side) records of
-// the global boundary and its locked one-hop ring, solve the FM
-// subproblem on rank 0, and broadcast the flips — the same
+// boundary from the view's resolved adjacency, gather (id, side)
+// records of the global boundary and its locked one-hop ring, solve the
+// FM subproblem on rank 0, and broadcast the flips — the same
 // gather/solve/broadcast shape as refineStrip, so the communication
 // pattern is already proven on the high-P collectives. Rounds stop
 // when a solve yields no gain or the boundary empties.
@@ -115,25 +115,24 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 // ghosts' sides under the winning candidate (strip flips already
 // applied); it is updated alongside res.Side as flips arrive, because
 // the next round's boundary extraction reads both.
-func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, ghostSide []int8, totalW int64, res *ParallelResult) {
+func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ghostSide []int8, totalW int64, res *ParallelResult) {
 	c.SetPhase("refine-full")
-	nOwn, nGhost := ec.nOwn, ec.nGhost
-	slotSide := make([]int8, nOwn+nGhost)
+	nOwn := len(d.OwnedIDs)
+	start, slot, _ := d.Adjacency(g)
+	slotSide := make([]int8, nOwn+len(ghostSide))
 	for i, s := range res.Side {
 		slotSide[i] = int8(s)
 	}
 	copy(slotSide[nOwn:], ghostSide)
 	freeMask := make([]bool, nOwn)
 	for round := 0; round < cfg.FullCutRounds; round++ {
-		// Local boundary extraction over the full resolved adjacency.
-		// The cut-edge view (cutA/cutB) only stores nb > id arcs, so the
-		// larger-id endpoint of a cut edge would miss its boundary
-		// status there; the full slot array sees both directions.
+		// Local boundary extraction over the view's resolved adjacency,
+		// which lists every arc of an owned vertex in both directions.
 		for i := 0; i < nOwn; i++ {
 			freeMask[i] = false
 			si := slotSide[i]
-			for a := ec.start[i]; a < ec.start[i+1]; a++ {
-				if s := ec.slot[a]; s >= 0 && slotSide[s] != si {
+			for a := start[i]; a < start[i+1]; a++ {
+				if s := slot[a]; s >= 0 && slotSide[s] != si {
 					freeMask[i] = true
 					break
 				}

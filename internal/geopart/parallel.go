@@ -226,18 +226,6 @@ func stripWidth(cfg ParallelConfig, ss *sharedSample, k int, cutBefore int64, n 
 	return stats.Quantile(abs, frac)
 }
 
-// evaluated is what the refinement stages consume from candidate
-// evaluation: the selection derived from the reduced triples plus
-// accessors for the winning candidate's sides and separator values.
-type evaluated struct {
-	sel          selection
-	ec           *edgeCache
-	sideOf       func(k, i int) bool
-	fillValOwned func(k int, out []float64)
-	fillValGhost func(k int, out []float64)
-	release      func()
-}
-
 // ParallelPartition bisects g in parallel from a distributed embedding:
 // a gathered coordinate sample yields centerpoints, random great
 // circles become candidates whose cut and balance contributions are
@@ -265,14 +253,12 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 
 	// Evaluate every candidate locally and reduce (cut, w0, w1) triples;
 	// the winner and its strip width are derived once, in the reduction.
-	ev := evaluate(c, g, d, cs, ss.norm, func(global []int64) selection {
+	sel, masks, words := evaluate(c, g, d, cs, ss.norm, func(global []int64) selection {
 		return selectCandidate(cfg, ss, n, global)
 	})
-	defer ev.release()
-	sel := ev.sel
 	bestK := sel.k
 
-	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
+	nOwn := len(d.OwnedIDs)
 	res := &ParallelResult{
 		OwnedIDs:  d.OwnedIDs,
 		Side:      make([]int32, nOwn),
@@ -282,24 +268,24 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 		Tries:     len(cs.dirs),
 	}
 	for i := 0; i < nOwn; i++ {
-		if ev.sideOf(bestK, i) {
+		if maskBit(masks, words, i, bestK) {
 			res.Side[i] = 1
 		}
 	}
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
 
 	if cfg.Refine && n > 4 {
-		valOwned := make([]float64, nOwn)
-		ev.fillValOwned(bestK, valOwned)
-		valGhost := make([]float64, nGhost)
-		ev.fillValGhost(bestK, valGhost)
+		// The winner's separator values, recomputed the way evaluation
+		// computed them; the masks are not read past this point.
+		valOwned := separatorValues(cs, bestK, ss.norm, d.OwnedPos)
+		valGhost := separatorValues(cs, bestK, ss.norm, d.GhostPos)
 		bestT := cs.tVal[bestK]
-		stripFlips := refineStrip(c, g, d, cfg, ev.ec, valOwned, valGhost, sel.eps, bestT, totalW, res)
+		stripFlips := refineStrip(c, g, d, cfg, valOwned, valGhost, sel.eps, bestT, totalW, res)
 		if cfg.FullCutRounds > 0 {
 			// Replicate the ghosts' sides under the winning candidate:
 			// the geometric side from the separator threshold, then the
 			// strip flips that landed on our ghost copies.
-			ghostSide := make([]int8, nGhost)
+			ghostSide := make([]int8, len(d.GhostIDs))
 			for gi := range ghostSide {
 				if valueAbove(valGhost[gi], d.GhostIDs[gi], bestT, cs.tID[bestK]) {
 					ghostSide[gi] = 1
@@ -310,25 +296,21 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 					ghostSide[gi] = 1 - ghostSide[gi]
 				}
 			}
-			refineFullCut(c, g, d, cfg, ev.ec, ghostSide, totalW, res)
+			refineFullCut(c, g, d, cfg, ghostSide, totalW, res)
 		}
 	}
 	return res
 }
 
-// evaluate is the candidate-batched kernel: one edge topology cache
-// shared by every candidate, a fused per-vertex projection pass that
-// evaluates all candidate dot products for a vertex while its lifted
-// point is cache-resident, packed side bitsets over owned+ghost slots,
-// and a branchless XOR cut count over the edge cache. The reduced
+// evaluate is the candidate-batched kernel: side masks over every owned
+// and ghost slot, each vertex lifted once with all candidates evaluated
+// while it is hot, and one pass over the view's resolved adjacency that
+// counts every candidate's cut (see sideMasks and addCuts). The reduced
 // triples are handed to pick once per collective, and every rank
-// receives its selection.
-func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2, pick func(global []int64) selection) *evaluated {
+// receives its selection along with its own side masks.
+func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2, pick func(global []int64) selection) (selection, []uint64, int) {
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	ncand := len(cs.dirs)
-	ec := buildEdgeCache(g, d)
-	sc, words := getKernelScratch(ncand, nOwn, nGhost)
-	block, bits := sc.block, sc.bits
 
 	// Charged as one mapping pass per centerpoint and one scan per
 	// candidate; the kernel does that work fused, which only the host
@@ -336,80 +318,25 @@ func evaluate(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, no
 	for range cs.ms {
 		c.Charge(float64(nOwn+nGhost) * 6)
 	}
-
-	contrib := make([]int64, 3*ncand)
-	// Owned pass: lift each vertex once, evaluate every candidate while
-	// the point is hot, and fold sides and weights in the same sweep.
-	for v := 0; v < nOwn; v++ {
-		id := d.OwnedIDs[v]
-		p3 := geometry.StereoUp(norm(d.OwnedPos[v]))
-		row := block[v*ncand : (v+1)*ncand]
-		for m := range cs.ms {
-			lo, hi := cs.mobStart[m], cs.mobStart[m+1]
-			cs.ms[m].ApplyDots(p3, cs.dirs[lo:hi], row[lo:hi])
-		}
-		w := int64(g.VertexWeight(id))
-		word := v >> 6
-		bit := uint64(1) << (uint(v) & 63)
-		for k := 0; k < ncand; k++ {
-			if valueAbove(row[k], id, cs.tVal[k], cs.tID[k]) {
-				bits[k*words+word] |= bit
-				contrib[3*k+2] += w
-			} else {
-				contrib[3*k+1] += w
-			}
-		}
-	}
-	// Ghost pass: same fused evaluation, sides only, into the ghost
-	// region of each candidate's bitset. Values are not materialised —
-	// the winning candidate's ghost values are recomputed once after
-	// selection.
-	row := sc.ghostRow
-	for gi := 0; gi < nGhost; gi++ {
-		id := d.GhostIDs[gi]
-		p3 := geometry.StereoUp(norm(d.GhostPos[gi]))
-		for m := range cs.ms {
-			lo, hi := cs.mobStart[m], cs.mobStart[m+1]
-			cs.ms[m].ApplyDots(p3, cs.dirs[lo:hi], row[lo:hi])
-		}
-		slot := nOwn + gi
-		word := slot >> 6
-		bit := uint64(1) << (uint(slot) & 63)
-		for k := 0; k < ncand; k++ {
-			if valueAbove(row[k], id, cs.tVal[k], cs.tID[k]) {
-				bits[k*words+word] |= bit
-			}
-		}
-	}
+	contrib, masks, words := localContrib(g, d, cs, norm)
 	for k := 0; k < ncand; k++ {
-		contrib[3*k] = ec.countCut(bits[k*words : (k+1)*words])
 		c.Charge(float64(nOwn) * 4)
 	}
-	sel := mpi.AllReduceSliceWith(c, contrib, 8, mpi.SumInt64, pick)
+	return mpi.AllReduceSliceWith(c, contrib, 8, mpi.SumInt64, pick), masks, words
+}
 
-	return &evaluated{
-		sel: sel,
-		ec:  ec,
-		sideOf: func(k, i int) bool {
-			return bits[k*words+(i>>6)]>>(uint(i)&63)&1 == 1
-		},
-		fillValOwned: func(k int, out []float64) {
-			for i := range out {
-				out[i] = block[i*ncand+k]
-			}
-		},
-		fillValGhost: func(k int, out []float64) {
-			m := cs.ms[cs.mobOf[k]]
-			u := cs.dirs[k]
-			for gi := range out {
-				out[gi] = m.Apply(geometry.StereoUp(norm(d.GhostPos[gi]))).Dot(u)
-			}
-		},
-		release: func() {
-			sc.release()
-			ec.release()
-		},
+// localContrib is this rank's (cut, w0, w1) triple per candidate, in
+// candidate order, with the side masks it was counted on.
+func localContrib(g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) (contrib []int64, masks []uint64, words int) {
+	ncand := len(cs.dirs)
+	masks, words, upW, ownW := sideMasks(g, d, cs, norm)
+	cuts := make([]int64, ncand)
+	addCuts(g, d, masks, words, cuts)
+	contrib = make([]int64, 3*ncand)
+	for k := range cuts {
+		contrib[3*k], contrib[3*k+1], contrib[3*k+2] = cuts[k], ownW-upW[k], upW[k]
 	}
+	return contrib, masks, words
 }
 
 // imbalance2 delegates to the canonical bisection-imbalance definition

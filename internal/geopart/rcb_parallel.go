@@ -16,7 +16,8 @@ import (
 // communication is three short collectives, which is why RCB is the
 // scalability yardstick of the paper. The axis and the median are
 // rank-identical, so they are derived once inside the sample gather;
-// the cut is counted over the edge topology cache.
+// the cut is counted by the candidates' adjacency pass (addCuts), with
+// the one side as bit 0 of each slot's mask.
 func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelResult {
 	pl := gatherSample(c, d, 4096, rcbMedian)
 	axis := func(p geometry.Vec2) float64 {
@@ -26,35 +27,27 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 		return p.Y
 	}
 
-	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
-	sides := make([]bool, nOwn)
-	var cut, w0, w1 int64
-	// Resolve the topology once, side every owned and ghost slot, and
-	// count the cut by array indexing.
-	ec := buildEdgeCache(g, d)
-	slotSide := make([]bool, nOwn+nGhost)
+	nOwn := len(d.OwnedIDs)
+	var w0, w1 int64
+	masks := make([]uint64, nOwn+len(d.GhostIDs))
 	for i, id := range d.OwnedIDs {
-		s := valueAbove(axis(d.OwnedPos[i]), id, pl.tVal, pl.tID)
-		sides[i] = s
-		slotSide[i] = s
-		if s {
+		if valueAbove(axis(d.OwnedPos[i]), id, pl.tVal, pl.tID) {
+			masks[i] = 1
 			w1 += int64(g.VertexWeight(id))
 		} else {
 			w0 += int64(g.VertexWeight(id))
 		}
 	}
 	for gi, id := range d.GhostIDs {
-		slotSide[nOwn+gi] = valueAbove(axis(d.GhostPos[gi]), id, pl.tVal, pl.tID)
-	}
-	for e := range ec.cutA {
-		if slotSide[ec.cutA[e]] != slotSide[ec.cutB[e]] {
-			cut += ec.cutW[e]
+		if valueAbove(axis(d.GhostPos[gi]), id, pl.tVal, pl.tID) {
+			masks[nOwn+gi] = 1
 		}
 	}
-	ec.release()
+	var cut [1]int64
+	addCuts(g, d, masks, 1, cut[:])
 	c.Charge(float64(nOwn) * 3)
 	chargeZoltanRCB(c, g.NumVertices(), nOwn)
-	global := mpi.AllReduceSlice(c, []int64{cut, w0, w1}, 8, mpi.SumInt64)
+	global := mpi.AllReduceSlice(c, []int64{cut[0], w0, w1}, 8, mpi.SumInt64)
 	res := &ParallelResult{
 		OwnedIDs:  d.OwnedIDs,
 		Side:      make([]int32, nOwn),
@@ -63,10 +56,8 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 		SideW:     [2]int64{global[1], global[2]},
 		Tries:     1,
 	}
-	for i, s := range sides {
-		if s {
-			res.Side[i] = 1
-		}
+	for i := range res.Side {
+		res.Side[i] = int32(masks[i])
 	}
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
 	return res

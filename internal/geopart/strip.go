@@ -28,13 +28,13 @@ type stripRecord struct {
 // means there is no strip to refine.
 // Strip and ring records are gathered, concatenated and sorted by id
 // once per collective; rank 0 solves the (small) FM problem on them and
-// broadcasts the flips. ec carries the resolved edge topology, so the
-// ring scan is pure array indexing.
+// broadcasts the flips. The ring scan reads the view's resolved
+// adjacency, so it is pure array indexing.
 //
 // The returned slice is the broadcast flip list (global vertex ids),
 // identical on every rank; the full-cut pass uses it to bring its
 // ghost side replicas up to date before extracting the boundary.
-func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, valOwned, valGhost []float64, eps, tVal float64, totalW int64, res *ParallelResult) []int32 {
+func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, valOwned, valGhost []float64, eps, tVal float64, totalW int64, res *ParallelResult) []int32 {
 	c.SetPhase("refine")
 	if eps <= 0 {
 		return nil
@@ -48,10 +48,11 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 	inStrip := func(val float64) bool { return abs(val-tVal) < eps }
 	// ringTouchesStrip reports whether owned vertex i has a resolvable
 	// neighbour inside the strip.
-	nOwn := ec.nOwn
+	nOwn := len(d.OwnedIDs)
+	start, slot, _ := d.Adjacency(g)
 	ringTouchesStrip := func(i int) bool {
-		for a := ec.start[i]; a < ec.start[i+1]; a++ {
-			s := ec.slot[a]
+		for a := start[i]; a < start[i+1]; a++ {
+			s := slot[a]
 			if s < 0 {
 				continue
 			}

@@ -77,12 +77,18 @@ func (g *Graph) VertexWeight(v int32) int32 {
 	return g.VWgt[v]
 }
 
+// EdgeWeighted reports whether g carries arc weights, in EWgt or in
+// its compressed streams; false means every arc weighs 1.
+func (g *Graph) EdgeWeighted() bool {
+	return g.EWgt != nil || (g.Packed != nil && g.Packed.weighted)
+}
+
 // ArcWeight returns the weight of the arc at Adjncy index k (1 if
 // unweighted). It panics on a weighted compressed graph, where the
 // aligned EWgt array does not exist — use a Cursor there.
 func (g *Graph) ArcWeight(k int32) int32 {
 	if g.EWgt == nil {
-		if g.Packed != nil && g.Packed.weighted {
+		if g.EdgeWeighted() {
 			panic("graph: ArcWeight on a weighted compressed graph; use a Cursor")
 		}
 		return 1

@@ -19,7 +19,7 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	n := g.NumVertices()
 	hasVW := g.VWgt != nil
-	hasEW := g.EWgt != nil || (g.Packed != nil && g.Packed.weighted)
+	hasEW := g.EdgeWeighted()
 	format := ""
 	switch {
 	case hasVW && hasEW:

@@ -43,12 +43,11 @@ type flatNode struct {
 
 // Tree is a Barnes–Hut quadtree over weighted points in the plane.
 type Tree struct {
-	caps  []capCell
-	flat  []flatNode
-	pts   []geometry.Vec2
-	mass  []float64
-	n     int     // points in the tree
-	total float64 // mass of the whole tree
+	caps []capCell
+	flat []flatNode
+	pts  []geometry.Vec2
+	mass []float64
+	n    int // points in the tree
 
 	// Build scratch, reused across rebuilds: two index buffers that
 	// the levels of the build partition into alternately (see build),
@@ -63,7 +62,7 @@ type Tree struct {
 // steady state.
 func (t *Tree) Rebuild(pts []geometry.Vec2, mass []float64) {
 	t.caps, t.flat = t.caps[:0], t.flat[:0]
-	t.n, t.total = len(pts), 0
+	t.n = len(pts)
 	if len(pts) == 0 {
 		t.pts, t.mass = nil, nil
 		return
@@ -84,7 +83,7 @@ func (t *Tree) Rebuild(pts []geometry.Vec2, mass []float64) {
 	if cap(t.flat) == 0 {
 		t.flat = make([]flatNode, 0, 2*n)
 	}
-	_, t.total = t.build(t.order, t.spare, bounds, 0)
+	t.build(t.order, t.spare, bounds, 0)
 }
 
 // squareBounds pads the rect into a square so quadrants stay square.

@@ -257,7 +257,11 @@ func Build(pts []geometry.Vec2, mass []float64) *Tree {
 	return t
 }
 
-// TotalMass returns the total mass in the tree.
+// TotalMass returns the total mass in the tree: the root cell's mass,
+// or 0 when the tree has no force-visible cell.
 func (t *Tree) TotalMass() float64 {
-	return t.total
+	if len(t.flat) == 0 {
+		return 0
+	}
+	return t.flat[0].m
 }
