@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/coarsen"
 	"repro/internal/gen"
@@ -160,6 +161,75 @@ func TestParallelEmbedAdjacencyMatchesOracle(t *testing.T) {
 			}
 			checkAgainstOracle(t, fmt.Sprintf("%s P=%d", name, p), g.G, views)
 		}
+	}
+}
+
+// embedDownTo runs ParallelEmbed's level loop from the coarsest level
+// down to level stop and returns this rank's state there, nil where the
+// rank is not active at stop.
+func embedDownTo(c *mpi.Comm, h *coarsen.Hierarchy, stop int, opt ParallelOptions) *levelState {
+	opt = opt.withDefaults()
+	last := len(h.Levels) - 1
+	var st *levelState
+	for li := last; li >= stop; li-- {
+		sub := c.SubComm(h.Levels[li].Ranks)
+		if sub == nil {
+			continue
+		}
+		if li == last {
+			st = initCoarsest(sub, &h.Levels[li], opt)
+		} else {
+			st = projectLevel(sub, h, li, st, opt)
+		}
+		st.Smooth(2, 2)
+	}
+	return st
+}
+
+// TestLevelAdjacencyHandedToView: a level state keeps its adjacency in
+// the view's slot-resolved layout, and finish hands those arrays to the
+// view as they are: Adjacency returns the level's own arrays, with nil
+// weights on a unit-weight finest level, and on an arc-weighted coarse
+// level the handed-over arrays equal the map-based resolution. Views
+// straight from ParallelEmbed carry the resolved adjacency before any
+// Adjacency call.
+func TestLevelAdjacencyHandedToView(t *testing.T) {
+	g := withIsolated(gen.DelaunayRandom(3000, 11), 25, false)
+	for _, p := range []int{1, 4, 64} {
+		h := coarsen.BuildHierarchy(g.G, p, coarsen.Options{CoarsestSize: 200, Seed: 1})
+		if len(h.Levels) < 2 || !h.Levels[1].G.EdgeWeighted() {
+			t.Fatalf("P=%d: level 1 is not an arc-weighted coarse level", p)
+		}
+		opt := ParallelOptions{Seed: 3, IterCoarsest: 10, IterSmooth: 2}
+		for _, stop := range []int{0, 1} {
+			lg := h.Levels[stop].G
+			views := make([]*Distributed, p)
+			mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+				st := embedDownTo(c, h, stop, opt)
+				if st == nil {
+					views[c.Rank()] = &Distributed{}
+					return
+				}
+				d := st.finish()
+				start, slot, w := d.Adjacency(lg)
+				if unsafe.SliceData(start) != unsafe.SliceData(st.adjStart) ||
+					unsafe.SliceData(slot) != unsafe.SliceData(st.adjSlot) ||
+					unsafe.SliceData(w) != unsafe.SliceData(st.adjW) {
+					t.Errorf("P=%d level %d rank %d: the view's adjacency is a copy of the level's", p, stop, c.Rank())
+				}
+				if (w == nil) == lg.EdgeWeighted() {
+					t.Errorf("P=%d level %d rank %d: arc weights nil %v on a graph with weighted arcs %v", p, stop, c.Rank(), w == nil, lg.EdgeWeighted())
+				}
+				views[c.Rank()] = d
+			})
+			checkAgainstOracle(t, fmt.Sprintf("P=%d level %d", p, stop), lg, views)
+		}
+		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			d := ParallelEmbed(c, h, opt)
+			if len(d.OwnedIDs) > 0 && (d.adjStart == nil || d.adjW != nil) {
+				t.Errorf("P=%d rank %d: ParallelEmbed's view left its adjacency unresolved or weighted unit arcs", p, c.Rank())
+			}
+		})
 	}
 }
 

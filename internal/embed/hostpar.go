@@ -151,6 +151,7 @@ func (s *levelState) forceChunk(_, lo, hi int) {
 	ck2 := fp.C * fp.K * fp.K
 	tree := &s.tree
 	step := s.step.Step
+	nOwn := int32(len(s.pos))
 	for i := lo; i < hi; i++ {
 		p := s.pos[i]
 		cell := s.cellOf(p)
@@ -163,14 +164,18 @@ func (s *levelState) forceChunk(_, lo, hi int) {
 		}
 		rep = tree.Repulsion(p, int32(i), 0.9, ck2, s.mass[i], rep)
 		var att geometry.Vec2
-		for _, ref := range s.adj[i] {
+		for k := s.adjStart[i]; k < s.adjStart[i+1]; k++ {
 			var q geometry.Vec2
-			if ref.ghost {
-				q = s.ghostClamped[ref.idx]
+			if sl := s.adjSlot[k]; sl < nOwn {
+				q = s.pos[sl]
 			} else {
-				q = s.pos[ref.idx]
+				q = s.ghostClamped[sl-nOwn]
 			}
-			att = att.Add(fp.Attractive(p, q).Scale(ref.w))
+			w := 1.0
+			if s.adjW != nil {
+				w = float64(s.adjW[k])
+			}
+			att = att.Add(fp.Attractive(p, q).Scale(w))
 		}
 		s.hp.aTerm[i] = att.Norm()
 		s.hp.rTerm[i] = rep.Norm()
@@ -287,8 +292,8 @@ func (s *levelState) iterate() {
 	// floating-point operations). The charge depends on neither the host
 	// worker count nor the traversal.
 	ops := float64(nc * (s.lat.Grid.Size() + 8))
-	for i := range s.adj {
-		ops += float64(len(s.adj[i])) + 16
+	for i := range s.pos {
+		ops += float64(s.adjStart[i+1]-s.adjStart[i]) + 16
 	}
 	s.comm.Charge(ops)
 }

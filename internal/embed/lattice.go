@@ -174,14 +174,6 @@ func sign(x int) int {
 	return 0
 }
 
-// neighborRef resolves one adjacency endpoint: a local owned index or a
-// ghost slot.
-type neighborRef struct {
-	idx   int32
-	w     float64
-	ghost bool
-}
-
 // beta is one special vertex of the repulsion lattice: total mass and
 // centre of mass of the vertices in one cell. The paper uses one
 // special vertex per processor sub-domain; this implementation refines
@@ -264,7 +256,6 @@ type partner struct {
 type levelState struct {
 	comm *mpi.Comm
 	lat  *Lattice
-	g    *graph.Graph
 
 	ownedIDs []int32         // ascending
 	pos      []geometry.Vec2 // aligned with ownedIDs
@@ -275,8 +266,14 @@ type levelState struct {
 	ghostClamped []geometry.Vec2 // ghost coordinates clamped to the 4-neighbourhood
 	ghostSlot    map[int32]int32
 
-	adj      [][]neighborRef // per owned vertex
-	boundary []int32         // owned local indices with a ghost neighbour
+	// adjStart/adjSlot/adjW is the level's adjacency in the layout
+	// Distributed.Adjacency returns: the arcs of owned vertex i resolve
+	// to adjSlot[adjStart[i]:adjStart[i+1]], where a slot below
+	// len(ownedIDs) is an owned vertex and len(ownedIDs)+g is ghost g.
+	// adjW holds the aligned arc weights, nil for unit weights.
+	adjStart []int32
+	adjSlot  []int32
+	adjW     []int32
 
 	// Ghost update pattern, partners in ascending rank order: sendTo
 	// lists the owned local indices each partner subscribes to,
@@ -336,7 +333,6 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 	s := &levelState{
 		comm:      comm,
 		lat:       lat,
-		g:         g,
 		ownedIDs:  ownedIDs,
 		pos:       pos,
 		fp:        fp,
@@ -350,74 +346,77 @@ func newLevelState(comm *mpi.Comm, lat *Lattice, g *graph.Graph, ownedIDs []int3
 	}
 	cur := graph.GetCursor(g)
 	defer cur.Release()
-	s.mass = make([]float64, len(ownedIDs))
-	s.adj = make([][]neighborRef, len(ownedIDs))
-	nArcs := 0
-	for _, id := range ownedIDs {
-		nArcs += g.Degree(id)
+	nOwn := int32(len(ownedIDs))
+	s.mass = make([]float64, nOwn)
+	s.adjStart = make([]int32, nOwn+1)
+	for i, id := range ownedIDs {
+		s.adjStart[i+1] = s.adjStart[i] + int32(g.Degree(id))
 	}
-	arcs := make([]neighborRef, 0, nArcs) // backs every adj[i]
+	s.adjSlot = make([]int32, 0, s.adjStart[nOwn])
+	if g.EdgeWeighted() {
+		s.adjW = make([]int32, 0, s.adjStart[nOwn])
+	}
 	for i, id := range ownedIDs {
 		s.mass[i] = float64(g.VertexWeight(id))
-		start := len(arcs)
-		isBoundary := false
 		nbrs, wgts := cur.Arcs(id)
-		for k, nb := range nbrs {
-			w := float64(wgts[k])
+		for _, nb := range nbrs {
 			if li, ok := local(nb); ok {
-				arcs = append(arcs, neighborRef{idx: li, w: w})
+				s.adjSlot = append(s.adjSlot, li)
 				continue
 			}
-			isBoundary = true
 			slot, ok := s.ghostSlot[nb]
 			if !ok {
 				slot = int32(len(s.ghostIDs))
 				s.ghostSlot[nb] = slot
 				s.ghostIDs = append(s.ghostIDs, nb)
 			}
-			arcs = append(arcs, neighborRef{idx: slot, w: w, ghost: true})
+			s.adjSlot = append(s.adjSlot, nOwn+slot)
 		}
-		s.adj[i] = arcs[start:len(arcs):len(arcs)]
-		if isBoundary {
-			s.boundary = append(s.boundary, int32(i))
+		if s.adjW != nil {
+			s.adjW = append(s.adjW, wgts...)
 		}
 	}
 	s.ghostPos = make([]geometry.Vec2, len(s.ghostIDs))
 	s.ghostClamped = make([]geometry.Vec2, len(s.ghostIDs))
 	// Subscribe to ghost owners; the symmetric exchange also tells us
-	// which of our owned vertices other ranks need.
+	// which of our owned vertices other ranks need. The requests go out
+	// grouped by owner, each group in ghost order, and slots holds each
+	// request's ghost slot (its GhostIDs index) in the same layout.
 	owners := ownerOf(s.ghostIDs)
-	requests := make([][]int32, comm.Size())
-	for i, o := range owners {
+	counts := make([]int32, comm.Size())
+	for _, o := range owners {
 		if o == comm.Rank() {
 			panic("embed: ghost owned by requesting rank")
 		}
-		requests[o] = append(requests[o], s.ghostIDs[i])
+		counts[o]++
 	}
-	for o, ids := range requests {
-		if len(ids) == 0 {
-			continue
-		}
-		slots := make([]int32, len(ids))
-		for i, id := range ids {
-			slots[i] = s.ghostSlot[id]
-		}
-		s.recvFrom = append(s.recvFrom, partner{rank: o, idxs: slots})
+	at := blockStarts(counts)
+	requests := make([]int32, len(owners))
+	slots := make([]int32, len(owners))
+	for i, o := range owners {
+		requests[at[o]], slots[at[o]] = s.ghostIDs[i], int32(i)
+		at[o]++
 	}
-	got := mpi.AllToAllV(s.comm, requests, 4)
-	for r, ids := range got {
-		if r == comm.Rank() || len(ids) == 0 {
-			continue
+	for o, n := range counts {
+		if n > 0 {
+			s.recvFrom = append(s.recvFrom, partner{rank: o, idxs: slots[at[o]-n : at[o] : at[o]]})
 		}
-		idxs := make([]int32, len(ids))
-		for i, id := range ids {
-			li, ok := local(id)
-			if !ok {
-				panic("embed: subscription request for vertex not owned here")
-			}
-			idxs[i] = li
+	}
+	got := mpi.AllToAllV(s.comm, requests, counts, 4)
+	idxs := make([]int32, len(got))
+	for i, id := range got {
+		li, ok := local(id)
+		if !ok {
+			panic("embed: subscription request for vertex not owned here")
 		}
-		s.sendTo = append(s.sendTo, partner{rank: r, idxs: idxs})
+		idxs[i] = li
+	}
+	off := int32(0)
+	for r, n := range counts {
+		if n > 0 {
+			s.sendTo = append(s.sendTo, partner{rank: r, idxs: idxs[off : off+n : off+n]})
+		}
+		off += n
 	}
 	s.subS = boxSubCells
 	nc := s.subS * s.subS
@@ -727,43 +726,20 @@ type Distributed struct {
 }
 
 // finish freezes the level state into a Distributed embedding after a
-// final full ghost refresh. The adjacency the level already resolved
-// becomes the view's slot-resolved adjacency, arc weights included, so
-// no rank re-resolves its arcs by vertex id.
+// final full ghost refresh. The level's adjacency is already in the
+// view's slot-resolved layout, arc weights included, so the view takes
+// its arrays as they are and no rank re-resolves its arcs by vertex id.
 func (s *levelState) finish() *Distributed {
 	s.pushGhosts()
-	nOwn := int32(len(s.ownedIDs))
-	start := make([]int32, len(s.adj)+1)
-	for i, refs := range s.adj {
-		start[i+1] = start[i] + int32(len(refs))
-	}
-	slot := make([]int32, start[len(s.adj)])
-	var w []int32
-	if s.g.EdgeWeighted() {
-		w = make([]int32, len(slot))
-	}
-	k := 0
-	for _, refs := range s.adj {
-		for _, ref := range refs {
-			slot[k] = ref.idx
-			if ref.ghost {
-				slot[k] += nOwn
-			}
-			if w != nil {
-				w[k] = int32(ref.w)
-			}
-			k++
-		}
-	}
 	return &Distributed{
 		Lat:       s.lat,
 		OwnedIDs:  s.ownedIDs,
 		OwnedPos:  s.pos,
 		GhostIDs:  s.ghostIDs,
 		GhostPos:  s.ghostPos,
-		adjStart:  start,
-		adjSlot:   slot,
-		adjW:      w,
+		adjStart:  s.adjStart,
+		adjSlot:   s.adjSlot,
+		adjW:      s.adjW,
 		ghostSlot: s.ghostSlot,
 	}
 }

@@ -245,40 +245,29 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	lat := mpi.AllGatherVWith(sub, mySample, 16, func(parts [][]geometry.Vec2) *Lattice {
 		return NewLattice(grid, mpi.Concat(parts), bounds)
 	}).clone()
-	// Route vertices to their new owners: count first, then fill
-	// exactly-sized per-destination buffers.
-	counts := make([]int, sub.Size())
-	dest := make([][]idPos, sub.Size())
+	// Route vertices to their new owners: count first, then lay the
+	// records out by destination in one exactly-sized buffer.
 	// RankOf is a pure per-point lookup (two binary searches), so
-	// precompute it in parallel; the count and append passes stay
-	// serial in point order, so each destination's record order is the
-	// point order.
+	// precompute it in parallel; the count and fill passes stay serial
+	// in point order, so each destination's record order is the point
+	// order.
 	destRank := make([]int32, len(created))
 	hostpar.ForN(len(created), levelChunks(ranks, len(created), 512), func(_, clo, chi int) {
 		for i := clo; i < chi; i++ {
 			destRank[i] = int32(lat.RankOf(created[i].P))
 		}
 	})
+	counts := make([]int32, sub.Size())
 	for _, r := range destRank {
 		counts[r]++
 	}
-	for r, cnt := range counts {
-		if cnt > 0 {
-			dest[r] = make([]idPos, 0, cnt)
-		}
-	}
+	at := blockStarts(counts)
+	send := make([]idPos, len(created))
 	for i, ip := range created {
-		dest[destRank[i]] = append(dest[destRank[i]], ip)
+		send[at[destRank[i]]] = ip
+		at[destRank[i]]++
 	}
-	recv := mpi.AllToAllV(sub, dest, 20)
-	total := 0
-	for _, part := range recv {
-		total += len(part)
-	}
-	mine := make([]idPos, 0, total)
-	for _, part := range recv {
-		mine = append(mine, part...)
-	}
+	mine := mpi.AllToAllV(sub, send, counts, 20)
 	slices.SortFunc(mine, func(a, b idPos) int { return cmp.Compare(a.ID, b.ID) })
 	ownedIDs := make([]int32, len(mine))
 	pos := make([]geometry.Vec2, len(mine))
@@ -301,6 +290,19 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, opt.Force)
 }
 
+// blockStarts returns where each rank's block starts in a buffer laid
+// out by rank with counts[r] elements for rank r: the exclusive prefix
+// sums of counts. Callers advance the entries as fill cursors.
+func blockStarts(counts []int32) []int32 {
+	at := make([]int32, len(counts))
+	sum := int32(0)
+	for r, n := range counts {
+		at[r] = sum
+		sum += n
+	}
+	return at
+}
+
 // resolveOwners resolves the owning rank of each ghost id through a
 // distributed directory (vertex v is tracked by rank v mod P, at slot
 // v/P of that rank's dense table),
@@ -314,55 +316,58 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 // one message per partner each way, eliminating a full all-to-all round
 // — so fault-free virtual clocks only decrease, and results are
 // unchanged because the directory contents are identical.
+//
+// Both rounds move flat buffers, so beyond its payload a rank holds
+// two arrays of P int32 across the exchanges (counts and nQuery), a
+// third while it fills the requests, and no per-partner slices.
 func resolveOwners(c *mpi.Comm, owned, ghosts []int32) []int {
 	p := c.Size()
-	// Count each directory partner's registrations and queries, then
-	// lay every framed message out in one backing array; at is each
-	// message's fill cursor.
-	nReg, nQuery, at := make([]int32, p), make([]int32, p), make([]int32, p)
+	// counts[d] is the length of the framed message to directory rank
+	// d (zero when this rank neither registers nor queries there), and
+	// nQuery[d] the number of ghosts queried at d.
+	counts, nQuery := make([]int32, p), make([]int32, p)
 	for _, id := range owned {
-		nReg[int(id)%p]++
+		counts[int(id)%p]++
 	}
 	for _, id := range ghosts {
 		nQuery[int(id)%p]++
 	}
 	size := 0
-	for d := 0; d < p; d++ {
-		if nReg[d]+nQuery[d] > 0 {
-			size += 2 + int(nReg[d]+nQuery[d])
+	for d := range counts {
+		if counts[d]+nQuery[d] > 0 {
+			counts[d] += nQuery[d] + 2
 		}
+		size += int(counts[d])
 	}
 	buf := make([]int32, size)
-	dest := make([][]int32, p)
-	for d, off := 0, 0; d < p; d++ {
-		if nReg[d]+nQuery[d] == 0 {
-			continue
+	at := blockStarts(counts)
+	for d, n := range counts {
+		if n > 0 {
+			buf[at[d]], buf[at[d]+1] = n-2-nQuery[d], nQuery[d]
+			at[d] += 2
 		}
-		n := 2 + int(nReg[d]+nQuery[d])
-		msg := buf[off : off+n : off+n]
-		msg[0], msg[1] = nReg[d], nQuery[d]
-		dest[d], at[d] = msg, 2
-		off += n
 	}
 	for _, id := range owned {
 		d := int(id) % p
-		dest[d][at[d]] = id
+		buf[at[d]] = id
 		at[d]++
 	}
 	for _, id := range ghosts {
 		d := int(id) % p
-		dest[d][at[d]] = id
+		buf[at[d]] = id
 		at[d]++
 	}
-	got := mpi.AllToAllV(c, dest, 4)
+	got := mpi.AllToAllV(c, buf, counts, 4)
 	// Register every owned id first, then answer the queries: a query
 	// must see registrations from all ranks, not just earlier sources.
 	// This rank is directory rank c.Rank() and tracks exactly the ids
 	// congruent to it mod P, so dir[v/P] holds v's owner (-1 where no
-	// rank registered v).
+	// rank registered v). counts now holds each source's message length.
 	var dir []int32
 	nAns := 0
-	for src, msg := range got {
+	for src, off := 0, 0; src < p; src++ {
+		msg := got[off : off+int(counts[src])]
+		off += len(msg)
 		if len(msg) == 0 {
 			continue
 		}
@@ -378,38 +383,42 @@ func resolveOwners(c *mpi.Comm, owned, ghosts []int32) []int {
 		}
 		nAns += int(msg[1])
 	}
-	ansBuf := make([]int32, nAns)
-	answers := make([][]int32, p)
-	for src, msg := range got {
-		if len(msg) == 0 || msg[1] == 0 {
+	// The answers to each source go back in its query order; counts
+	// becomes the number of answers per source.
+	ans := make([]int32, 0, nAns)
+	for src, off := 0, 0; src < p; src++ {
+		msg := got[off : off+int(counts[src])]
+		off += len(msg)
+		counts[src] = 0
+		if len(msg) == 0 {
 			continue
 		}
-		qs := msg[2+int(msg[0]):]
-		ans := ansBuf[:len(qs):len(qs)]
-		ansBuf = ansBuf[len(qs):]
-		for i, id := range qs {
+		for _, id := range msg[2+int(msg[0]):] {
 			k := int(id) / p
 			if k >= len(dir) || dir[k] < 0 {
 				panic("embed: directory miss")
 			}
-			ans[i] = dir[k]
+			ans = append(ans, dir[k])
 		}
-		answers[src] = ans
+		counts[src] = msg[1]
 	}
-	replies := mpi.AllToAllV(c, answers, 4)
-	for d, reply := range replies {
-		if len(reply) != int(nQuery[d]) {
-			panic(fmt.Errorf("embed: directory reply from rank %d carried %d owners, want %d (truncated payload?)", d, len(reply), nQuery[d]))
+	replies := mpi.AllToAllV(c, ans, counts, 4)
+	for d, n := range counts {
+		if n != nQuery[d] {
+			panic(fmt.Errorf("embed: directory reply from rank %d carried %d owners, want %d (truncated payload?)", d, n, nQuery[d]))
 		}
 	}
 	// The k-th ghost queried at directory rank d is answered by the
-	// k-th entry of d's reply.
+	// k-th entry of d's reply; nQuery becomes the read cursor of each
+	// reply block.
 	out := make([]int, len(ghosts))
-	clear(at)
+	for d, off := 0, int32(0); d < p; d++ {
+		nQuery[d], off = off, off+counts[d]
+	}
 	for i, id := range ghosts {
 		d := int(id) % p
-		out[i] = int(replies[d][at[d]])
-		at[d]++
+		out[i] = int(replies[nQuery[d]])
+		nQuery[d]++
 	}
 	return out
 }

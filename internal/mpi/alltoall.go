@@ -2,41 +2,56 @@ package mpi
 
 import "repro/internal/hostpar"
 
-// AllToAllV delivers dest[r] to each rank r and returns the payloads
-// received, indexed by source rank (empty slices where nothing was
-// sent). dest[own rank] is moved across directly. bytesPerElem sizes
-// the modeled payload.
+// AllToAllV is the personalized all-to-all in MPI_Alltoallv's flat
+// form. On entry, send holds every outgoing element laid out by
+// destination rank in ascending order, and counts[r] is how many of
+// them go to rank r. On return, counts[r] is how many elements arrived
+// from rank r, and the returned buffer holds them laid out by source
+// rank in ascending order, this rank's own block included. A rank
+// therefore keeps one count array and one buffer per direction, and
+// nothing of length P but the counts. bytesPerElem sizes the modeled
+// payload.
 //
 // The implementation first exchanges per-destination counts (modeled as
 // the usual MPI_Alltoall of one integer per destination: Latency·log2 P
-// + PerByte·4·P per rank) and then moves only the non-empty payloads
-// with point-to-point messages, receiving in ascending source order for
-// determinism.
-func AllToAllV[T any](c *Comm, dest [][]T, bytesPerElem int) [][]T {
-	p := c.Size()
-	if len(dest) != p {
-		panic("mpi: AllToAllV needs one destination slice per rank")
-	}
-	counts := make([]int32, p)
-	for r, d := range dest {
-		counts[r] = int32(len(d))
+// + PerByte·4·P per rank) and then moves only the non-empty blocks with
+// point-to-point messages, receiving in ascending source order for
+// determinism. A block that arrives shorter than announced (an injected
+// TruncatePayload) is kept as it arrived and its count says so, which
+// leaves the caller to reject it.
+func AllToAllV[T any](c *Comm, send []T, counts []int32, bytesPerElem int) []T {
+	p, me := c.Size(), c.Rank()
+	if len(counts) != p {
+		panic("mpi: AllToAllV needs one count per rank")
 	}
 	recvCounts := exchangeCounts(c, counts)
-	for r, d := range dest {
-		if r == c.Rank() || len(d) == 0 {
-			continue
+	var own []T
+	off, total := 0, 0
+	for r, n := range counts {
+		blk := send[off : off+int(n) : off+int(n)]
+		off += int(n)
+		total += int(recvCounts[r])
+		switch {
+		case r == me:
+			own = blk
+		case n > 0:
+			c.sendOp(r, blk, bytesPerElem*len(blk), opAllToAllV)
 		}
-		c.sendOp(r, d, bytesPerElem*len(d), opAllToAllV)
 	}
-	out := make([][]T, p)
-	out[c.Rank()] = dest[c.Rank()]
+	out := make([]T, total)
+	at := 0
 	for r := 0; r < p; r++ {
-		if r == c.Rank() || recvCounts[r] == 0 {
-			continue
+		var blk []T
+		switch {
+		case r == me:
+			blk = own
+		case recvCounts[r] > 0:
+			blk = c.recvOp(r, opAllToAllV).([]T)
 		}
-		out[r] = c.recvOp(r, opAllToAllV).([]T)
+		counts[r] = int32(copy(out[at:], blk))
+		at += int(counts[r])
 	}
-	return out
+	return out[:at]
 }
 
 // exchangeCounts gives every rank the column of the count matrix that
@@ -46,7 +61,7 @@ func AllToAllV[T any](c *Comm, dest [][]T, bytesPerElem int) [][]T {
 // Host cost: the combine transposes the whole count matrix once
 // (hostpar-chunked over destinations), so each rank reads its column
 // directly — O(P²) total. The returned slice is shared read-only
-// between ranks.
+// between ranks, and counts is read only inside the combine.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
 	m := &c.world.model
 	cost := collCost{
@@ -56,27 +71,23 @@ func exchangeCounts(c *Comm, counts []int32) []int32 {
 		to:    m.PerPeer * float64(c.size),
 		bytes: 4 * int64(c.size),
 	}
-	res := c.runCollective(opAllToAllVCounts, counts, transposeCounts, cost)
-	return res.([][]int32)[c.rank]
+	cols := c.runCollective(opAllToAllVCounts, counts, transposeCounts, cost).([]int32)
+	return cols[c.rank*c.size : (c.rank+1)*c.size : (c.rank+1)*c.size]
 }
 
-// transposeCounts is the count exchange's combine: cols[dst][src] =
-// vals[src][dst], built once by the finisher over one flat backing
-// slab.
+// transposeCounts is the count exchange's combine: it lays the count
+// matrix out column-major in one flat slab, so that
+// cols[dst·P+src] = vals[src][dst].
 func transposeCounts(vals []any) any {
 	p := len(vals)
 	rows := make([][]int32, p)
 	for i, v := range vals {
 		rows[i] = v.([]int32)
 	}
-	flat := make([]int32, p*p)
-	cols := make([][]int32, p)
-	for dst := range cols {
-		cols[dst] = flat[dst*p : (dst+1)*p : (dst+1)*p]
-	}
+	cols := make([]int32, p*p)
 	hostpar.ForChunked(p, 64, func(_, lo, hi int) {
 		for dst := lo; dst < hi; dst++ {
-			col := cols[dst]
+			col := cols[dst*p : (dst+1)*p]
 			for src := 0; src < p; src++ {
 				col[src] = rows[src][dst]
 			}

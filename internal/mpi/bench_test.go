@@ -9,16 +9,15 @@ func BenchmarkAllToAllV(b *testing.B) {
 	const p = 8
 	b.ReportAllocs()
 	Run(p, DefaultModel(), func(c *Comm) {
-		dest := make([][]int32, p)
+		var send []int32
+		counts := make([]int32, p)
 		for r := 0; r < p; r++ {
 			if r == c.Rank() {
 				continue
 			}
-			part := make([]int32, 32)
-			for i := range part {
-				part[i] = int32(c.Rank()*1000 + i)
+			for i := 0; i < 32; i++ {
+				send = append(send, int32(c.Rank()*1000+i))
 			}
-			dest[r] = part
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -26,7 +25,11 @@ func BenchmarkAllToAllV(b *testing.B) {
 		}
 		c.Barrier()
 		for i := 0; i < b.N; i++ {
-			AllToAllV(c, dest, 4)
+			for r := range counts {
+				counts[r] = 32
+			}
+			counts[c.Rank()] = 0
+			AllToAllV(c, send, counts, 4)
 		}
 		c.Barrier()
 		if c.Rank() == 0 {

@@ -64,7 +64,7 @@ func clockBody(p int, m Model) [][len(clockOps)]clockSample {
 			}
 		}
 		n := 0
-		for _, got := range AllToAllV(c, dest, 4) {
+		for _, got := range allToAllParts(c, dest, 4) {
 			n += len(got)
 		}
 		rec(6, float64(n))

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -56,7 +57,7 @@ func collBody(p int, m Model) []collProbe {
 				dest[d] = []int32{int32(r), int32(d)}
 			}
 		}
-		for src, got := range AllToAllV(c, dest, 4) {
+		for src, got := range allToAllParts(c, dest, 4) {
 			if src != r && len(got) > 0 {
 				pr.a2a = append(pr.a2a, got...)
 			}
@@ -150,6 +151,72 @@ func TestDeepPendingSamePeerOrder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPendingDroppedAfterDenseAllToAllV: a rank keeps no pending
+// storage once its out-of-order backlog drains. At P = 64 every rank
+// first sends one message to every peer in a seeded scrambled order and
+// then, after a barrier, receives them in ascending source order: the
+// first receive parks the whole backlog in pending rings, and draining
+// them must leave pending nil. A dense AllToAllV, whose receives also
+// run in ascending source order, must leave it nil as well.
+func TestPendingDroppedAfterDenseAllToAllV(t *testing.T) {
+	const p = 64
+	parked := make([]int, p)
+	nilAfterSends := make([]bool, p)
+	nilAfterAllToAll := make([]bool, p)
+	Run(p, DefaultModel(), func(c *Comm) {
+		r := c.Rank()
+		for _, d := range rand.New(rand.NewSource(int64(r))).Perm(p) {
+			if d != r {
+				c.Send(d, r, 8)
+			}
+		}
+		c.Barrier()
+		for src := 0; src < p; src++ {
+			if src == r {
+				continue
+			}
+			if got := c.Recv(src).(int); got != src {
+				t.Errorf("rank %d: message from %d carried %d", r, src, got)
+			}
+			if parked[r] == 0 {
+				parked[r] = len(c.state.pending)
+			}
+		}
+		nilAfterSends[r] = c.state.pending == nil
+		send := make([]int32, 0, 4*p)
+		counts := make([]int32, p)
+		for d := range counts {
+			counts[d] = int32(1 + (r+d)%4)
+			for k := int32(0); k < counts[d]; k++ {
+				send = append(send, int32(r))
+			}
+		}
+		got := AllToAllV(c, send, counts, 4)
+		at := 0
+		for src, n := range counts {
+			if want := int32(1 + (src+r)%4); n != want {
+				t.Errorf("rank %d: %d elements from %d, want %d", r, n, src, want)
+			}
+			for _, v := range got[at : at+int(n)] {
+				if v != int32(src) {
+					t.Errorf("rank %d: element %d in %d's block", r, v, src)
+				}
+			}
+			at += int(n)
+		}
+		nilAfterAllToAll[r] = c.state.pending == nil
+	})
+	for r := 0; r < p; r++ {
+		if parked[r] == 0 {
+			t.Fatalf("rank %d: the scrambled backlog never reached the pending rings", r)
+		}
+		if !nilAfterSends[r] || !nilAfterAllToAll[r] {
+			t.Fatalf("rank %d: pending not nil after its backlog drained (point-to-point %v, all-to-all %v)",
+				r, nilAfterSends[r], nilAfterAllToAll[r])
+		}
+	}
 }
 
 // TestCollectiveSteadyStateAllocs pins the fan-in engine's headline

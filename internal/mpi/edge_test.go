@@ -22,7 +22,7 @@ func TestCollectivesSingleRankWorld(t *testing.T) {
 		if got := Concat(AllGatherV(c, []int32{1, 2}, 4)); len(got) != 2 {
 			t.Errorf("allgatherv on P=1: %v", got)
 		}
-		if got := AllToAllV(c, [][]int32{{9}}, 4); len(got) != 1 || got[0][0] != 9 {
+		if got := AllToAllV(c, []int32{9}, []int32{1}, 4); len(got) != 1 || got[0] != 9 {
 			t.Errorf("alltoallv on P=1: %v", got)
 		}
 		grid := GridFor(1)
@@ -45,7 +45,7 @@ func TestEmptyPayloadCollectives(t *testing.T) {
 			t.Errorf("empty allgatherv: %v", parts)
 		}
 		dest := make([][]int32, p)
-		got := AllToAllV(c, dest, 4)
+		got := allToAllParts(c, dest, 4)
 		for r, g := range got {
 			if len(g) != 0 {
 				t.Errorf("empty alltoallv from %d: %v", r, g)

@@ -88,7 +88,7 @@ func TestKillFaultDuringEachCollective(t *testing.T) {
 					dest[r] = []int32{int32(c.Rank())}
 				}
 			}
-			AllToAllV(c, dest, 4)
+			allToAllParts(c, dest, 4)
 		}},
 		{"haloexchange", func(c *Comm) {
 			nbrs := grid.Neighbors(c.Rank())

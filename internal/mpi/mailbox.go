@@ -110,7 +110,7 @@ func (c *Comm) drainMatch(from int) (message, bool) {
 // enqueuePending files an out-of-order message under its source. Only
 // the owning goroutine touches pending rings, and both the map and the
 // rings are lazy: a rank that only ever receives in arrival order
-// allocates neither.
+// allocates neither, and takePending drops them again once drained.
 func (st *rankState) enqueuePending(m message) {
 	if st.pending == nil {
 		st.pending = make(map[int]*msgRing, 8)
@@ -124,11 +124,23 @@ func (st *rankState) enqueuePending(m message) {
 }
 
 // takePending pops the oldest queued message from `from`, if any. O(1):
-// the ring advances its head index in place.
+// the ring advances its head index in place. A ring that drains is
+// dropped, and so is the map once no source has a backlog, so a rank
+// keeps no pending storage past the out-of-order burst that made it (a
+// dense all-to-all files up to P−1 rings per rank). A ring in the map
+// is therefore never empty.
 func (c *Comm) takePending(from int) (message, bool) {
-	q := c.state.pending[from]
+	st := c.state
+	q := st.pending[from]
 	if q == nil {
 		return message{}, false
 	}
-	return q.pop()
+	m, _ := q.pop()
+	if q.n == 0 {
+		delete(st.pending, from)
+		if len(st.pending) == 0 {
+			st.pending = nil
+		}
+	}
+	return m, true
 }

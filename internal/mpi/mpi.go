@@ -164,7 +164,6 @@ var (
 	opBcast            = internOp("Bcast")
 	opSyncCost         = internOp("SyncCost")
 	opAllReduce        = internOp("AllReduce")
-	opReduce           = internOp("Reduce")
 	opAllReduceSlice   = internOp("AllReduceSlice")
 	opAllGather        = internOp("AllGather")
 	opAllGatherV       = internOp("AllGatherV")

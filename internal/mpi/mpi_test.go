@@ -86,23 +86,25 @@ func TestAllToAllV(t *testing.T) {
 	p := 6
 	ok := make([]bool, p)
 	Run(p, DefaultModel(), func(c *Comm) {
-		dest := make([][]int32, p)
+		// Send r copies of my rank to rank r, in one flat buffer.
+		var send []int32
+		counts := make([]int32, p)
 		for r := 0; r < p; r++ {
-			// Send r copies of my rank to rank r.
 			for k := 0; k < r; k++ {
-				dest[r] = append(dest[r], int32(c.Rank()))
+				send = append(send, int32(c.Rank()))
 			}
+			counts[r] = int32(r)
 		}
-		got := AllToAllV(c, dest, 4)
-		fine := true
+		got := AllToAllV(c, send, counts, 4)
+		fine := len(got) == p*c.Rank()
 		for src := 0; src < p; src++ {
-			if len(got[src]) != c.Rank() {
+			if counts[src] != int32(c.Rank()) {
 				fine = false
 			}
-			for _, v := range got[src] {
-				if v != int32(src) {
-					fine = false
-				}
+		}
+		for i, v := range got {
+			if v != int32(i/c.Rank()) {
+				fine = false
 			}
 		}
 		ok[c.Rank()] = fine
@@ -112,6 +114,26 @@ func TestAllToAllV(t *testing.T) {
 			t.Fatalf("rank %d saw wrong alltoall payload", r)
 		}
 	}
+}
+
+// allToAllParts runs AllToAllV on per-destination slices and splits the
+// flat result by source: dest[r] goes to rank r, and the result's entry
+// src is what src sent here (nil when nothing came).
+func allToAllParts[T any](c *Comm, dest [][]T, bytesPerElem int) [][]T {
+	counts := make([]int32, len(dest))
+	var send []T
+	for r, d := range dest {
+		counts[r] = int32(len(d))
+		send = append(send, d...)
+	}
+	flat := AllToAllV(c, send, counts, bytesPerElem)
+	out := make([][]T, len(dest))
+	for src, n := range counts {
+		if n > 0 {
+			out[src], flat = flat[:n:n], flat[n:]
+		}
+	}
+	return out
 }
 
 func TestSubCommCollectives(t *testing.T) {
@@ -317,6 +339,9 @@ func HaloExchange(c *Comm, g Grid, payload []any, bytes []int) []any {
 	}
 	return out
 }
+
+// opReduce is Reduce's interned op name (see internOp).
+var opReduce = internOp("Reduce")
 
 // Reduce is AllReduce delivered to all ranks but charged at reduce-tree
 // cost (Latency + PerByte·bytes)·log2(P); non-root ranks receiving the
