@@ -43,13 +43,11 @@ func (c *cache[K, V]) get(k K, compute func() V) V {
 	return v
 }
 
-// snapshot returns a copy of the currently cached values.
-func (c *cache[K, V]) snapshot() map[K]V {
+// lookup returns the value cached under k, without computing or
+// waiting for one.
+func (c *cache[K, V]) lookup(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[K]V, len(c.vals))
-	for k, v := range c.vals {
-		out[k] = v
-	}
-	return out
+	v, ok := c.vals[k]
+	return v, ok
 }

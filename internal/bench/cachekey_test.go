@@ -64,3 +64,34 @@ func TestCacheKeySeparatesEnvironments(t *testing.T) {
 		t.Fatal("restoring the environment did not restore the cache slot")
 	}
 }
+
+// TestCompressToggledMidSweep: the graph cache is keyed by
+// representation, so a harness whose Compress flag flips between Gets
+// hands each run the representation it asked for — the compressed one
+// wrapping the cached plain build — and the modeled fields stay equal.
+func TestCompressToggledMidSweep(t *testing.T) {
+	h := New(0.03, []int{8})
+	base := h.Get("ecology1", MethodSP, 8)
+	plain := h.Graph("ecology1").G
+	h.Compress = true
+	comp := h.Graph("ecology1").G
+	if !comp.Compressed() || plain.Compressed() {
+		t.Fatal("compressed harness handed the cached plain graph, or compressing mutated it")
+	}
+	if &comp.XAdj[0] != &plain.XAdj[0] {
+		t.Fatal("compressed graph was regenerated instead of wrapping the cached plain build")
+	}
+	r := h.Get("ecology1", MethodSP, 8)
+	if r == base {
+		t.Fatal("cache returned a plain run for a compressed harness")
+	}
+	if r.Cut != base.Cut || r.Imbalance != base.Imbalance ||
+		r.Time != base.Time || r.CommTime != base.CommTime ||
+		r.Messages != base.Messages || r.BytesSent != base.BytesSent {
+		t.Fatalf("compression changed modeled results:\n  compressed: %+v\n  plain:      %+v", r, base)
+	}
+	h.Compress = false
+	if h.Graph("ecology1").G != plain {
+		t.Fatal("switching Compress back did not return the cached plain graph")
+	}
+}

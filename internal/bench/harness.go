@@ -80,14 +80,12 @@ type Harness struct {
 	Model mpi.Model
 	Out   io.Writer // progress log; nil silences
 	Trace bool      // record per-run traces and fill Run.Breakdown
-	// Compress builds every suite graph in the delta/varint compressed
-	// representation (graph.Compress) before any run touches it. Modeled
-	// results are bit-identical either way (the pipeline consumes
-	// adjacency through graph.Cursor); only host wall clocks and memory
-	// footprints change. Part of the cache fingerprint — set it before
-	// the first Graph/Get call and do not toggle it mid-sweep, because
-	// the per-name graph cache holds whichever representation was built
-	// first.
+	// Compress hands every run the suite graph in the delta/varint
+	// compressed representation (graph.Compress). Modeled results are
+	// bit-identical either way (the pipeline consumes adjacency through
+	// graph.Cursor); only host wall clocks and memory footprints change.
+	// Part of the cache fingerprint, and the graph cache is keyed by
+	// representation, so it may be toggled between Gets.
 	Compress bool
 	// Recover configures rollback recovery for ScalaPart runs (policy
 	// off keeps the historical fail-then-fallback behaviour). It is part
@@ -104,9 +102,15 @@ type Harness struct {
 	FullCutRounds int
 
 	logMu   sync.Mutex
-	graphs  cache[string, *gen.Generated]
+	graphs  cache[graphKey, *gen.Generated]
 	layouts cache[string, []geometry.Vec2]
 	runs    cache[runKey, *Run]
+}
+
+// graphKey names one cached suite graph build in one representation.
+type graphKey struct {
+	name       string
+	compressed bool
 }
 
 // New returns a harness at the given scale with the given P sweep.
@@ -152,14 +156,26 @@ func (h *Harness) logf(format string, args ...any) {
 	}
 }
 
-// Graph returns (building and caching) a suite graph by name.
+// Graph returns (building and caching) a suite graph by name, in the
+// representation h.Compress selects. A compressed graph wraps the
+// cached plain build when there is one (graph.Compress shares its XAdj
+// and VWgt); otherwise it is generated and compressed without keeping
+// the plain adjacency alive.
 func (h *Harness) Graph(name string) *gen.Generated {
-	return h.graphs.get(name, func() *gen.Generated {
+	compress := h.Compress
+	return h.graphs.get(graphKey{name, compress}, func() *gen.Generated {
+		if compress {
+			if plain, ok := h.graphs.lookup(graphKey{name: name}); ok {
+				gg := *plain
+				gg.G = graph.Compress(plain.G)
+				return &gg
+			}
+		}
 		for _, e := range gen.SuiteEntries() {
 			if e.Name == name {
 				h.logf("generating %s (scale %g)...", name, h.Scale)
 				gg := e.Build(h.Scale)
-				if h.Compress {
+				if compress {
 					gg.G = graph.Compress(gg.G)
 				}
 				return gg

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/geopart"
@@ -71,51 +69,5 @@ func TestEnvKeyFingerprintsQualityKnobs(t *testing.T) {
 	h.Trials = 1
 	if h.envKey() != base {
 		t.Error("envKey distinguishes Trials=1 from Trials=0")
-	}
-}
-
-// TestBenchRowsMatchSeedQuality recomputes ecology1 P ∈ {1, 4} of
-// BENCH_7.json — the scale-8 perf trajectory committed before the
-// quality layer existed, recorded under a since-removed batched rank
-// scheduler — with the quality knobs at their defaults (full cut off,
-// one trial), and requires every modeled field bit-identical to the
-// seed file. This is the BENCH half of the quality layer's bit-identity
-// contract: with -refine off -trials 1 the pipeline IS the historical
-// pipeline.
-func TestBenchRowsMatchSeedQuality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("recomputes scale-8 bench rows (tens of seconds)")
-	}
-	raw, err := os.ReadFile("../../BENCH_7.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file BenchFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	rows := map[int]BenchRecord{}
-	for _, r := range file.Runs {
-		if r.Graph == "ecology1" {
-			rows[r.P] = r
-		}
-	}
-
-	h := New(file.Scale, []int{1, 4})
-	h.Compress = true // BENCH_7 was recorded with -compress
-	for _, p := range []int{1, 4} {
-		want, ok := rows[p]
-		if !ok {
-			t.Fatalf("BENCH_7.json has no row for ecology1 P=%d", p)
-		}
-		got := h.Get("ecology1", MethodSP, p)
-		if got.Cut != want.Cut || got.Imbalance != want.Imbalance ||
-			got.Time != want.ModeledTime || got.CommTime != want.CommTime ||
-			got.Messages != want.Messages || got.BytesSent != want.BytesSent {
-			t.Fatalf("ecology1 P=%d drifted from BENCH_7.json:\n  want cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d\n  got  cut=%d imb=%v time=%v comm=%v msgs=%d bytes=%d",
-				p,
-				want.Cut, want.Imbalance, want.ModeledTime, want.CommTime, want.Messages, want.BytesSent,
-				got.Cut, got.Imbalance, got.Time, got.CommTime, got.Messages, got.BytesSent)
-		}
 	}
 }

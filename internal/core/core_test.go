@@ -20,6 +20,13 @@ func mustPartition(t testing.TB, g *graph.Graph, p int, opt Options) *Result {
 	return res
 }
 
+// withFullCut switches the full-cut pass on at the round count
+// -refine full selects.
+func withFullCut(opt Options) Options {
+	opt.Partition.FullCutRounds = geopart.FullRefineRounds
+	return opt
+}
+
 // TestScalaPartGrid runs the full pipeline on a grid across rank counts
 // and checks that the produced bisection is valid, balanced, and far
 // better than a random cut (a 48x48 grid has ~4500 edges; a decent

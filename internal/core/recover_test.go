@@ -88,49 +88,6 @@ func trialOptions3(trials int) Options {
 	return opt
 }
 
-// TestRecoveryZeroFaultsBitIdentical: enabling recovery without any
-// fault firing must not move a single modeled number — the reliability
-// layer's sequence tracking and the driver's checkpointing are pure
-// bookkeeping — for a single pass and for a multi-trial search.
-func TestRecoveryZeroFaultsBitIdentical(t *testing.T) {
-	g := gen.Grid2D(32, 32)
-	for _, tc := range []struct{ p, trials int }{{1, 1}, {4, 1}, {16, 1}, {64, 1}, {1, 2}, {4, 2}, {16, 2}} {
-		p := tc.p
-		base, err := PartitionChecked(g.G, p, trialOptions3(tc.trials))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Recovery != nil {
-			t.Fatalf("P=%d trials=%d: recovery off reported recovery stats %+v", p, tc.trials, base.Recovery)
-		}
-		opt := trialOptions3(tc.trials)
-		opt.Recover = RecoverOptions{Policy: RecoverRespawn}
-		rec, err := PartitionChecked(g.G, p, opt)
-		if err != nil {
-			t.Fatalf("P=%d trials=%d: %v", p, tc.trials, err)
-		}
-		if rec.Cut != base.Cut || rec.CutBefore != base.CutBefore || rec.Imbalance != base.Imbalance {
-			t.Fatalf("P=%d: recovery-enabled quality moved: cut %d vs %d", p, rec.Cut, base.Cut)
-		}
-		if rec.Times != base.Times {
-			t.Fatalf("P=%d: recovery-enabled clocks moved:\nbase: %+v\nrec:  %+v", p, base.Times, rec.Times)
-		}
-		for r := range base.Stats {
-			if rec.Stats[r] != base.Stats[r] {
-				t.Fatalf("P=%d rank %d: stats moved: %+v vs %+v", p, r, rec.Stats[r], base.Stats[r])
-			}
-		}
-		for v := range base.Part {
-			if rec.Part[v] != base.Part[v] {
-				t.Fatalf("P=%d: side of vertex %d moved", p, v)
-			}
-		}
-		if rec.Recovery == nil || rec.Recovery.Attempts != 1 || rec.Recovery.FinalP != p {
-			t.Fatalf("P=%d: unexpected recovery stats %+v", p, rec.Recovery)
-		}
-	}
-}
-
 // TestRespawnRecoversKillInEveryPhase: a rank killed during coarsening,
 // embedding, or partitioning — or, with two trials, in their combine —
 // is respawned from the newest complete checkpoint and the run finishes

@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the trace and breakdown golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata")
 
 // tracedRun partitions the deterministic 32x32 grid at p ranks with a
 // fresh Recorder attached.
@@ -108,30 +108,6 @@ func TestPipelineInvariantsAcrossP(t *testing.T) {
 		if err := CheckResult(g.G, res); err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
-	}
-}
-
-// TestTracingKeepsPipelineBitIdentical: attaching a Recorder to the
-// full pipeline must not move a single modeled quantity.
-func TestTracingKeepsPipelineBitIdentical(t *testing.T) {
-	g := gen.Grid2D(32, 32)
-	for _, p := range []int{1, 4, 16, 64} {
-		plain, err := PartitionChecked(g.G, p, DefaultOptions(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		traced, rec := tracedRun(t, p)
-		if plain.Cut != traced.Cut || plain.Imbalance != traced.Imbalance ||
-			plain.Times != traced.Times {
-			t.Fatalf("P=%d: tracing changed results:\n  off: cut=%d imb=%v %+v\n  on:  cut=%d imb=%v %+v",
-				p, plain.Cut, plain.Imbalance, plain.Times, traced.Cut, traced.Imbalance, traced.Times)
-		}
-		for r := range plain.Stats {
-			if plain.Stats[r] != traced.Stats[r] {
-				t.Fatalf("P=%d rank %d stats diverged: %+v vs %+v", p, r, plain.Stats[r], traced.Stats[r])
-			}
-		}
-		_ = rec
 	}
 }
 

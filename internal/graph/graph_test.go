@@ -262,61 +262,6 @@ func TestBlockRangeProperties(t *testing.T) {
 	}
 }
 
-func TestBoundaryCounts(t *testing.T) {
-	g := path(10)
-	boundary, ghosts := BoundaryCounts(g, 2)
-	// Blocks [0,5) and [5,10): one cut edge 4-5.
-	if boundary[0] != 1 || boundary[1] != 1 {
-		t.Fatalf("boundary = %v", boundary)
-	}
-	if ghosts[0] != 1 || ghosts[1] != 1 {
-		t.Fatalf("ghosts = %v", ghosts)
-	}
-}
-
-// TestBoundaryCountsMatchesMapReference cross-checks the epoch-stamp
-// ghost dedup against the obvious hash-set formulation on random graphs
-// and rank counts, including p > n (empty blocks).
-func TestBoundaryCountsMatchesMapReference(t *testing.T) {
-	for _, tc := range []struct {
-		n, m int
-		seed int64
-	}{{1, 0, 1}, {20, 60, 2}, {300, 2000, 3}, {50, 400, 4}} {
-		g := randomGraph(tc.n, tc.m, tc.seed)
-		for _, p := range []int{1, 2, 7, 64} {
-			gotB, gotG := BoundaryCounts(g, p)
-			wantB := make([]int, p)
-			wantG := make([]int, p)
-			seen := make(map[int64]struct{})
-			for r := 0; r < p; r++ {
-				begin, end := BlockRange(tc.n, p, r)
-				for v := begin; v < end; v++ {
-					isBoundary := false
-					for _, w := range g.Neighbors(int32(v)) {
-						if int(w) < begin || int(w) >= end {
-							isBoundary = true
-							key := int64(r)<<32 | int64(w)
-							if _, ok := seen[key]; !ok {
-								seen[key] = struct{}{}
-								wantG[r]++
-							}
-						}
-					}
-					if isBoundary {
-						wantB[r]++
-					}
-				}
-			}
-			for r := 0; r < p; r++ {
-				if gotB[r] != wantB[r] || gotG[r] != wantG[r] {
-					t.Fatalf("n=%d p=%d rank %d: got (boundary %d, ghosts %d), want (%d, %d)",
-						tc.n, p, r, gotB[r], gotG[r], wantB[r], wantG[r])
-				}
-			}
-		}
-	}
-}
-
 // TestCutSizeSymmetric: the cut is invariant under part-id swap.
 func TestCutSizeSymmetric(t *testing.T) {
 	g := randomGraph(50, 150, 3)
@@ -424,44 +369,4 @@ func TestImbalanceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// BoundaryCounts returns, for each rank under block distribution, the
-// number of its boundary vertices (owned vertices with at least one
-// neighbour owned elsewhere) and its ghost vertices (distinct non-owned
-// neighbours). These counts drive the communication-cost accounting of
-// the simulated runtime.
-//
-// Ghost dedup uses an epoch-stamp array instead of a hash set: ranks
-// are visited in order, so a neighbour already counted for the current
-// rank carries stamp r+1. One O(n) array replaces a map holding every
-// (rank, ghost) pair — no hashing, no growth, no per-edge allocation.
-func BoundaryCounts(g *Graph, p int) (boundary, ghosts []int) {
-	n := g.NumVertices()
-	boundary = make([]int, p)
-	ghosts = make([]int, p)
-	cur := GetCursor(g)
-	defer cur.Release()
-	lastSeen := make([]int32, n) // 0 = never; r+1 = counted for rank r
-	for r := 0; r < p; r++ {
-		begin, end := BlockRange(n, p, r)
-		stamp := int32(r + 1)
-		for v := begin; v < end; v++ {
-			isBoundary := false
-			nbrs, _ := cur.Arcs(int32(v))
-			for _, w := range nbrs {
-				if int(w) < begin || int(w) >= end {
-					isBoundary = true
-					if lastSeen[w] != stamp {
-						lastSeen[w] = stamp
-						ghosts[r]++
-					}
-				}
-			}
-			if isBoundary {
-				boundary[r]++
-			}
-		}
-	}
-	return boundary, ghosts
 }

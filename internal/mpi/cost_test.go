@@ -63,17 +63,6 @@ func TestSyncCostSynchronises(t *testing.T) {
 	}
 }
 
-func TestCollectiveCostFormula(t *testing.T) {
-	m := DefaultModel()
-	Run(8, m, func(c *Comm) {
-		got := c.CollectiveCost(100)
-		want := (m.Latency + 100*m.PerByte) * 3 // log2(8) = 3
-		if math.Abs(got-want) > 1e-18 {
-			panic("collective cost formula wrong")
-		}
-	})
-}
-
 func TestReduceAndAllReduceSlice(t *testing.T) {
 	p := 4
 	outs := make([][]int64, p)
@@ -136,12 +125,4 @@ func TestAsymmetricBcastCostDeterministic(t *testing.T) {
 // of local computation (for costs not naturally expressed in ops).
 func (c *Comm) ChargeTime(seconds float64) {
 	c.state.clock += seconds
-}
-
-// CollectiveCost returns the modeled cost of a tree collective moving
-// `bytes` payload over this communicator: (Latency + PerByte·bytes) ·
-// ceil(log2 P).
-func (c *Comm) CollectiveCost(bytes int) float64 {
-	m := &c.world.model
-	return (m.Latency + m.PerByte*float64(bytes)) * log2ceil(c.size)
 }
