@@ -200,7 +200,8 @@ func project(c *mpi.Comm, coarse, fine *coarsen.Level, coarseSide, fineSide []in
 	// Projection needs the coarse sides of ghost parents: an irregular
 	// exchange plus halo traffic.
 	c.ChargeComm(4, int(end-begin))
-	c.SyncCost(c.Model().PerPeer * float64(c.Size()))
+	m := c.Model()
+	c.SyncCost(m.Peers(c.Size()))
 	c.Barrier() // writes complete before the next phase reads
 }
 
@@ -273,7 +274,7 @@ func refineLevel(c *mpi.Comm, lev *coarsen.Level, side []int8, totalW int64, cfg
 		// boundary-sharing peers.
 		c.ChargeComm(4, int(halo[r]))
 		m := c.Model()
-		c.SyncCost(m.PerPeer * float64(c.Size()))
+		c.SyncCost(m.Peers(c.Size()))
 		// Balance sub-phase: every pass agrees on the remaining budget
 		// before committing moves.
 		mpi.AllReduce(c, int64(0), 8, mpi.SumInt64)
@@ -302,21 +303,19 @@ func refineLevel(c *mpi.Comm, lev *coarsen.Level, side []int8, totalW int64, cfg
 		// folded onto process subsets over log P stages, each a gather
 		// of this level's (shrinking) subgraph.
 		m := c.Model()
-		stages := log2f(c.Size())
-		c.SyncCost(m.Latency*stages*stages + m.PerByte*6*float64(g.NumVertices())*stages/2)
+		c.SyncCost(foldCost(&m, c.Size(), g.NumVertices()))
 	}
 	if cfg.BandFM {
 		bandFM(c, lev, side, sideW, totalW, cfg)
 	}
 }
 
-// log2f is ceil(log2 n) as a float with log2f(1) = 0.
-func log2f(n int) float64 {
-	l := 0.0
-	for v := 1; v < n; v <<= 1 {
-		l++
-	}
-	return l
+// foldCost is one level of Pt-Scotch's fold-with-duplication over p
+// ranks, ⌈log2 p⌉ gather stages of the level's n-vertex subgraph:
+// Latency·⌈log2 p⌉² + PerByte·6·n·⌈log2 p⌉/2.
+func foldCost(m *mpi.Model, p, n int) mpi.Cost {
+	stages := mpi.Log2Ceil(p)
+	return mpi.Flat(m.Latency*stages*stages, m.PerByte*6*float64(n)*stages/2, 0)
 }
 
 // bandFM gathers the band around the current cut to rank 0, refines it

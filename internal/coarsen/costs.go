@@ -66,11 +66,7 @@ func ChargeCosts(c *mpi.Comm, h *Hierarchy, boundary [][]int64, rounds, stepsPer
 			// One negotiation round: request + grant halo messages, an
 			// irregular counts exchange, and the convergence reduction.
 			sub.ChargeComm(8, int(boundary[li][r])*12)
-			sub.SyncCostParts(
-				m.Latency*log2f(sub.Size())+(m.PerByte*4+m.PerPeer)*float64(sub.Size()),
-				m.Latency*log2f(sub.Size()),
-				m.PerByte*4*float64(sub.Size()),
-				m.PerPeer*float64(sub.Size()))
+			sub.SyncCost(negotiationCost(&m, sub.Size()))
 			mpi.AllReduce(sub, int64(0), 8, mpi.SumInt64)
 		}
 		// Contraction exchange: each rank ships its share of matched
@@ -78,19 +74,21 @@ func ChargeCosts(c *mpi.Comm, h *Hierarchy, boundary [][]int64, rounds, stepsPer
 		// distributed; only per-rank shares move).
 		next := &h.Levels[li+1]
 		perRank := 8 * 2 * next.G.NumEdges() / sub.Size()
-		sub.SyncCostParts(
-			m.Latency*log2f(sub.Size())+m.PerByte*float64(perRank+int(boundary[li][r])*8),
-			m.Latency*log2f(sub.Size()),
-			m.PerByte*float64(perRank+int(boundary[li][r])*8),
-			0)
+		sub.SyncCost(contractionCost(&m, sub.Size(), perRank+int(boundary[li][r])*8))
 	}
 }
 
-// log2f is ceil(log2 n) as a float, with log2f(1) = 0.
-func log2f(n int) float64 {
-	l := 0.0
-	for v := 1; v < n; v <<= 1 {
-		l++
-	}
-	return l
+// negotiationCost is the irregular counts exchange of one negotiation
+// round over p ranks: Latency·⌈log2 p⌉ + (PerByte·4 + PerPeer)·p. It
+// is AllToAllV's count exchange summed in another order, and its total
+// differs from that one's in the last bit at some p, so it keeps its
+// own composition.
+func negotiationCost(m *mpi.Model, p int) mpi.Cost {
+	return mpi.Flat(m.Latency*mpi.Log2Ceil(p), 0, 0).Plus(mpi.Flat(0, m.PerByte*4, m.PerPeer).Times(float64(p)))
+}
+
+// contractionCost is the contraction exchange of bytes per rank over p
+// ranks: Latency·⌈log2 p⌉ + PerByte·bytes.
+func contractionCost(m *mpi.Model, p, bytes int) mpi.Cost {
+	return mpi.Flat(m.Latency*mpi.Log2Ceil(p), m.PerByte*float64(bytes), 0)
 }

@@ -1,10 +1,12 @@
 package coarsen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 func TestBoundaryEdgesCountsHalo(t *testing.T) {
@@ -69,5 +71,51 @@ func TestMergeOffsets(t *testing.T) {
 	}
 	if got := mergeOffsets(off, 8); len(got) != len(off) {
 		t.Fatal("growing rank count should keep offsets")
+	}
+}
+
+// TestCostCompositionsBitExact holds the negotiation and contraction
+// charges of ChargeCosts to the open-coded expressions they replaced:
+// each SyncCost must charge exactly the reference total and record
+// exactly its ts/tw/to terms, for every communicator size up to 4096
+// and a spread of contraction payloads. The model constants are read
+// through variables, as ChargeCosts reads them.
+func TestCostCompositionsBitExact(t *testing.T) {
+	models := []mpi.Model{mpi.DefaultModel(), {Latency: 7.3e-6, PerByte: 1.7e-9, PerPeer: 0.9e-6}}
+	for _, m := range models {
+		var want [][4]float64
+		rec := trace.New()
+		traced := m
+		traced.Trace = rec
+		mpi.Run(1, traced, func(c *mpi.Comm) {
+			for p := 1; p <= 4096; p++ {
+				lg := mpi.Log2Ceil(p)
+				c.SyncCost(negotiationCost(&m, p))
+				want = append(want, [4]float64{
+					m.Latency*lg + (m.PerByte*4+m.PerPeer)*float64(p),
+					m.Latency * lg, m.PerByte * 4 * float64(p), m.PerPeer * float64(p)})
+				for _, b := range []int{0, 8, 12, 100, 4096, 123457, 1 << 24} {
+					c.SyncCost(contractionCost(&m, p, b))
+					want = append(want, [4]float64{
+						m.Latency*lg + m.PerByte*float64(b), m.Latency * lg, m.PerByte * float64(b), 0})
+				}
+			}
+		})
+		var got [][4]float64
+		for _, ev := range rec.Ranks()[0].Events() {
+			if ev.Kind == trace.KindColl {
+				got = append(got, [4]float64{ev.Comm, ev.TS, ev.TW, ev.TO})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("recorded %d charges, want %d", len(got), len(want))
+		}
+		for i := range want {
+			for k := range want[i] {
+				if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
+					t.Fatalf("model %+v charge %d: got total/ts/tw/to %v, want %v", m, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

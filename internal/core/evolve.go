@@ -146,7 +146,8 @@ func (s *search) combine(c *mpi.Comm, g *graph.Graph, tp *trialPair, t *PhaseTim
 		s.runnerUp[id] = int8(second.res.Side[i])
 	}
 	c.ChargeComm(4, 6*len(second.d.OwnedIDs))
-	c.SyncCost(c.Model().PerPeer * float64(c.Size()))
+	m := c.Model()
+	c.SyncCost(m.Peers(c.Size()))
 	c.Barrier() // writes complete before cross-rank reads
 	bestSide := best.res.Side
 	nOwn := len(best.d.OwnedIDs)

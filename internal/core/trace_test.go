@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/gen"
+	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
@@ -87,6 +89,45 @@ func TestPhaseSpansSumToFinalClocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCommChargesAttributed: every collective or replayed charge that
+// books communication time carries its Section 3.1 split, so the
+// breakdown's ts/tw/to columns account for all of it. It traces both
+// baselines, whose projections and refinement passes replay per-peer
+// exchanges and whose Pt-Scotch variant replays the fold gathers, and
+// the pipeline with two trials, whose combine replays a per-peer
+// exchange.
+func TestCommChargesAttributed(t *testing.T) {
+	g := gen.Grid2D(32, 32).G
+	const p = 4
+	check := func(name string, rec *trace.Recorder) {
+		t.Helper()
+		for r, rt := range rec.Ranks() {
+			for _, ev := range rt.Events() {
+				if (ev.Kind == trace.KindColl || ev.Kind == trace.KindCharge) && ev.Comm > 0 && !(ev.TS+ev.TW+ev.TO > 0) {
+					t.Fatalf("%s rank %d: %s booked %g s of communication with no ts/tw/to split", name, r, ev.Op, ev.Comm)
+				}
+			}
+		}
+	}
+	for _, cfg := range []baseline.Config{baseline.ParMetisLike(3), baseline.PtScotchLike(3)} {
+		rec := trace.New()
+		cfg.Model = mpi.DefaultModel()
+		cfg.Model.Trace = rec
+		if _, err := baseline.PartitionChecked(g, p, cfg); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		check(cfg.Name, rec)
+	}
+	opt := DefaultOptions(3)
+	opt.Trials = 2
+	rec := trace.New()
+	opt.Model.Trace = rec
+	if _, err := PartitionChecked(g, p, opt); err != nil {
+		t.Fatalf("trials=2: %v", err)
+	}
+	check("trials=2", rec)
 }
 
 // TestPipelineInvariantsAcrossP runs the full checker stack — runtime

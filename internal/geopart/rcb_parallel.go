@@ -135,7 +135,7 @@ func rcbMedian(sample []sampleEntry) rcbPlane {
 // observes.
 func chargeZoltanRCB(c *mpi.Comm, n, nOwn int) {
 	p := c.Size()
-	levels := log2ceil(p)
+	levels := int(mpi.Log2Ceil(p))
 	if levels < 1 {
 		levels = 1 // P=1 still pays the sequential median searches
 	}
@@ -143,7 +143,7 @@ func chargeZoltanRCB(c *mpi.Comm, n, nOwn int) {
 	// tolerance is met, which converges like binary search on the
 	// coordinate range — bounded below by a small constant floor.
 	iters := 8
-	if lg := log2ceil(n + 1); lg > iters {
+	if lg := int(mpi.Log2Ceil(n + 1)); lg > iters {
 		iters = lg
 	}
 	m := c.Model()
@@ -159,26 +159,17 @@ func chargeZoltanRCB(c *mpi.Comm, n, nOwn int) {
 		if groupP < 2 {
 			groupP = 2
 		}
-		lg := float64(log2ceil(groupP))
-		// Per iteration one 3-double (24-byte) reduction over the group.
-		median := float64(iters) * (m.Latency + m.PerByte*24) * lg
-		// Coordinate migration: pairwise exchange of ~half the local
-		// records (id + 2 doubles ≈ 20 bytes each, charged for the full
-		// local share as Zoltan packs/unpacks both directions).
-		migr := 2*m.Latency + m.PerByte*float64(nOwn)*20 + 2*m.PerPeer
-		c.SyncCostParts(median+migr,
-			float64(iters)*m.Latency*lg+2*m.Latency,
-			float64(iters)*m.PerByte*24*lg+m.PerByte*float64(nOwn)*20,
-			2*m.PerPeer)
+		c.SyncCost(rcbLevelCost(&m, iters, groupP, nOwn))
 	}
 }
 
-// log2ceil mirrors mpi's tree-depth helper: ceil(log2 x) with
-// log2ceil(x<=1) = 0.
-func log2ceil(x int) int {
-	lg := 0
-	for s := 1; s < x; s <<= 1 {
-		lg++
-	}
-	return lg
+// rcbLevelCost is one RCB recursion level over groupP ranks: iters
+// median-bisection reductions of 3 doubles (24 bytes) over the group,
+// then the coordinate migration — a pairwise exchange of the local
+// records (id + 2 doubles ≈ 20 bytes each, charged for the full local
+// share as Zoltan packs/unpacks both directions).
+func rcbLevelCost(m *mpi.Model, iters, groupP, nOwn int) mpi.Cost {
+	median := m.Hop(24).Times(float64(iters)).Times(mpi.Log2Ceil(groupP))
+	migr := mpi.Flat(2*m.Latency, m.PerByte*float64(nOwn)*20, 2*m.PerPeer)
+	return median.Plus(migr)
 }

@@ -63,15 +63,7 @@ func AllToAllV[T any](c *Comm, send []T, counts []int32, bytesPerElem int) []T {
 // directly — O(P²) total. The returned slice is shared read-only
 // between ranks, and counts is read only inside the combine.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
-	m := &c.world.model
-	cost := collCost{
-		total: m.Latency*log2ceil(c.size) + m.PerByte*4*float64(c.size) + m.PerPeer*float64(c.size),
-		ts:    m.Latency * log2ceil(c.size),
-		tw:    m.PerByte * 4 * float64(c.size),
-		to:    m.PerPeer * float64(c.size),
-		bytes: 4 * int64(c.size),
-	}
-	cols := c.runCollective(opAllToAllVCounts, counts, transposeCounts, cost).([]int32)
+	cols := c.runCollective(opAllToAllVCounts, counts, transposeCounts, c.world.model.countsCost(c.size)).([]int32)
 	return cols[c.rank*c.size : (c.rank+1)*c.size : (c.rank+1)*c.size]
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Typed collectives. These are package-level generic functions because
 // Go methods cannot be generic; each wraps Comm.runCollective with the
-// standard cost formula for the operation.
+// Cost of its standard formula (cost.go).
 //
 // The reduction-shaped collectives (AllReduce, and Reduce, which only
 // the tests use) additionally have an allocation-free fast path on the
@@ -25,7 +25,7 @@ import (
 // caller to the boxed path. The operator closures below capture only
 // `f` and do not escape faninWords, so the whole path allocates
 // nothing.
-func reduceWords[T any](c *Comm, op *string, val T, f func(a, b T) T, cost collCost) (bool, T) {
+func reduceWords[T any](c *Comm, op *string, val T, f func(a, b T) T, cost Cost) (bool, T) {
 	switch p := any(&val).(type) {
 	case *float64:
 		g, ok := any(f).(func(float64, float64) float64)
@@ -111,7 +111,7 @@ func reduceWords[T any](c *Comm, op *string, val T, f func(a, b T) T, cost collC
 }
 
 // reduceBoxed is the shared boxed path of AllReduce and Reduce.
-func reduceBoxed[T any](c *Comm, op *string, val T, f func(a, b T) T, cost collCost) T {
+func reduceBoxed[T any](c *Comm, op *string, val T, f func(a, b T) T, cost Cost) T {
 	res := c.runCollective(op, val, func(vals []any) any {
 		acc := vals[0].(T)
 		for _, v := range vals[1:] {
@@ -127,14 +127,7 @@ func reduceBoxed[T any](c *Comm, op *string, val T, f func(a, b T) T, cost collC
 // is the payload size of one value. Cost: reduce tree + broadcast tree,
 // 2·(Latency + PerByte·bytes)·log2(P).
 func AllReduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	m := &c.world.model
-	lg := log2ceil(c.size)
-	cost := collCost{
-		total: 2 * (m.Latency + m.PerByte*float64(bytes)) * lg,
-		ts:    2 * m.Latency * lg,
-		tw:    2 * m.PerByte * float64(bytes) * lg,
-		bytes: int64(bytes),
-	}
+	cost := c.world.model.allReduceCost(c.size, bytes)
 	if c.wordsEligible() {
 		if done, out := reduceWords(c, opAllReduce, val, op, cost); done {
 			return out
@@ -165,15 +158,7 @@ func AllReduceSlice[T any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) 
 // read-only to each of them. A panic in derive fails the collective
 // like a panicking combine.
 func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a, b T) T, derive func(reduced []T) R) R {
-	m := &c.world.model
-	lg := log2ceil(c.size)
-	b := bytesPerElem * len(vals)
-	cost := collCost{
-		total: 2 * (m.Latency + m.PerByte*float64(b)) * lg,
-		ts:    2 * m.Latency * lg,
-		tw:    2 * m.PerByte * float64(b) * lg,
-		bytes: int64(b),
-	}
+	cost := c.world.model.allReduceCost(c.size, bytesPerElem*len(vals))
 	res := c.runCollective(opAllReduceSlice, vals, func(contribs []any) any {
 		first := contribs[0].([]T)
 		acc := append([]T(nil), first...)
@@ -205,14 +190,7 @@ func AllReduceSliceWith[T, R any](c *Comm, vals []T, bytesPerElem int, op func(a
 // Its result is shared by all ranks and is read-only to each of them. A
 // panic in derive fails the collective like a panicking combine.
 func AllGatherWith[T, R any](c *Comm, val T, bytes int, derive func(vals []T) R) R {
-	m := &c.world.model
-	lg := log2ceil(c.size)
-	cost := collCost{
-		total: m.Latency*lg + m.PerByte*float64(bytes)*float64(c.size-1),
-		ts:    m.Latency * lg,
-		tw:    m.PerByte * float64(bytes) * float64(c.size-1),
-		bytes: int64(bytes),
-	}
+	cost := c.world.model.allGatherCost(c.size, bytes)
 	res := c.runCollective(opAllGather, val, func(vals []any) any {
 		out := make([]T, len(vals))
 		for i, v := range vals {
@@ -240,18 +218,11 @@ func AllGatherWith[T, R any](c *Comm, val T, bytes int, derive func(vals []T) R)
 // ranks and is read-only to each of them. A panic in derive fails the
 // collective like a panicking combine.
 func AllGatherVWith[T, R any](c *Comm, vals []T, bytesPerElem int, derive func(parts [][]T) R) R {
-	m := &c.world.model
 	// The total size is unknown until all contributions arrive, so the
 	// collective is run with a size-exchange first: a cheap AllReduce
 	// of the local byte count, then the gather charged with the total.
 	total := AllReduce(c, len(vals)*bytesPerElem, 8, func(a, b int) int { return a + b })
-	lg := log2ceil(c.size)
-	cost := collCost{
-		total: m.Latency*lg + m.PerByte*float64(total),
-		ts:    m.Latency * lg,
-		tw:    m.PerByte * float64(total),
-		bytes: int64(total),
-	}
+	cost := c.world.model.allGatherVCost(c.size, total)
 	res := c.runCollective(opAllGatherV, vals, func(contribs []any) any {
 		out := make([][]T, len(contribs))
 		for i, v := range contribs {

@@ -211,7 +211,7 @@ func (coll *faninColl) scanMax() (mx, mc float64) {
 
 // faninBoxed is the general fan-in path: contributions box through
 // `any` and combine runs once, in rank-index order, on the finisher.
-func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cost collCost, t0 float64) any {
+func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cost Cost, t0 float64) any {
 	coll := c.world.faninFor(c.size)
 	st := c.state
 	slot := &coll.slots[c.rank]
@@ -252,17 +252,12 @@ func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cos
 // bit-identical to running the same operator through `any`. Callers
 // guarantee the world has no fault plan (payload truncation is only
 // defined on boxed contributions) and the fan-in engine is active.
-func (c *Comm) faninWords(op *string, w [4]uint64, fold func(acc, v [4]uint64) [4]uint64, cost collCost) [4]uint64 {
+func (c *Comm) faninWords(op *string, w [4]uint64, fold func(acc, v [4]uint64) [4]uint64, cost Cost) [4]uint64 {
 	c.commEvent(op)
 	st := c.state
 	t0 := st.clock
 	if c.size == 1 {
-		st.clock += cost.total
-		st.commTime += cost.total
-		if st.tr != nil {
-			st.tr.Coll(*op, 1, -1, cost.bytes, cost.ts, cost.tw, cost.to,
-				t0, st.clock, cost.total)
-		}
+		c.collSolo(op, cost, t0)
 		return w
 	}
 	coll := c.world.faninFor(c.size)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestSendCostsMatchModel(t *testing.T) {
 func TestSyncCostSynchronises(t *testing.T) {
 	stats := Run(3, DefaultModel(), func(c *Comm) {
 		c.ChargeTime(float64(c.Rank()) * 1e-3)
-		c.SyncCost(5e-4)
+		c.SyncCost(Flat(5e-4, 0, 0))
 	})
 	want := 2e-3 + 5e-4 // slowest rank + cost
 	for _, s := range stats {
@@ -125,4 +126,91 @@ func TestAsymmetricBcastCostDeterministic(t *testing.T) {
 // of local computation (for costs not naturally expressed in ops).
 func (c *Comm) ChargeTime(seconds float64) {
 	c.state.clock += seconds
+}
+
+// oracleModels are the machine constants the cost oracles sweep. They
+// are read through variables, as the runtime reads them: with untyped
+// constants Go would fold the reference expressions exactly at compile
+// time and report false mismatches.
+var oracleModels = []Model{DefaultModel(), {Latency: 7.3e-6, PerByte: 1.7e-9, PerPeer: 0.9e-6}}
+
+// oraclePayloads are the per-collective payload sizes the oracles sweep.
+var oraclePayloads = []int{0, 1, 4, 7, 8, 12, 24, 100, 333, 1000, 4096, 12345, 20000}
+
+// sameCost fails unless got charges exactly the reference total and
+// records exactly its terms and payload; at names the case.
+func sameCost(t *testing.T, at func() string, got Cost, total, ts, tw, to float64, bytes int64) {
+	t.Helper()
+	bits := math.Float64bits
+	if bits(got.total) != bits(total) || bits(got.ts) != bits(ts) || bits(got.tw) != bits(tw) ||
+		bits(got.to) != bits(to) || got.bytes != bytes {
+		t.Fatalf("%s: got total %v ts %v tw %v to %v bytes %d, want %v %v %v %v %d",
+			at(), got.total, got.ts, got.tw, got.to, got.bytes, total, ts, tw, to, bytes)
+	}
+}
+
+// TestCostCompositionsBitExact holds every runtime charge built from
+// Cost constructors to the open-coded expression it replaced: the same
+// total bits, the same ts/tw/to bits and the same payload, over every
+// communicator size up to 4096 (powers of two and not) and a spread of
+// payloads.
+func TestCostCompositionsBitExact(t *testing.T) {
+	for _, m := range oracleModels {
+		for p := 1; p <= 4096; p++ {
+			lg := Log2Ceil(p)
+			for _, b := range oraclePayloads {
+				at := func(op string) func() string {
+					return func() string { return fmt.Sprintf("%s model %+v P=%d bytes=%d", op, m, p, b) }
+				}
+				sameCost(t, at("AllReduce"), m.allReduceCost(p, b),
+					2*(m.Latency+m.PerByte*float64(b))*lg, 2*m.Latency*lg, 2*m.PerByte*float64(b)*lg, 0, int64(b))
+				sameCost(t, at("Bcast"), m.treeCost(p, b),
+					(m.Latency+m.PerByte*float64(b))*lg, m.Latency*lg, m.PerByte*float64(b)*lg, 0, int64(b))
+				sameCost(t, at("AllGatherWith"), m.allGatherCost(p, b),
+					m.Latency*lg+m.PerByte*float64(b)*float64(p-1), m.Latency*lg, m.PerByte*float64(b)*float64(p-1), 0, int64(b))
+				total := b * p
+				sameCost(t, at("AllGatherVWith"), m.allGatherVCost(p, total),
+					m.Latency*lg+m.PerByte*float64(total), m.Latency*lg, m.PerByte*float64(total), 0, int64(total))
+				for _, msgs := range []int{0, 1, 4, 8} {
+					sameCost(t, at(fmt.Sprintf("ChargeComm(%d messages)", msgs)), m.commCost(msgs, total),
+						float64(msgs)*m.Latency+float64(total)*m.PerByte, float64(msgs)*m.Latency, float64(total)*m.PerByte, 0, int64(total))
+				}
+			}
+			at := func(op string) func() string {
+				return func() string { return fmt.Sprintf("%s model %+v P=%d", op, m, p) }
+			}
+			total := m.Latency * lg
+			sameCost(t, at("Barrier"), m.treeCost(p, 0), total, total, 0, 0, 0)
+			sameCost(t, at("exchangeCounts"), m.countsCost(p),
+				m.Latency*lg+m.PerByte*4*float64(p)+m.PerPeer*float64(p),
+				m.Latency*lg, m.PerByte*4*float64(p), m.PerPeer*float64(p), 4*int64(p))
+			sameCost(t, at("Peers"), m.Peers(p), m.PerPeer*float64(p), 0, 0, m.PerPeer*float64(p), 0)
+		}
+	}
+}
+
+// TestLog2CeilMatchesLoop: Log2Ceil agrees with ⌈log2 n⌉ counted by a
+// doubling loop over every n up to 2²² and around every power of two
+// beyond it up to 2⁴⁰.
+func TestLog2CeilMatchesLoop(t *testing.T) {
+	loop := func(n int) float64 {
+		l := 0.0
+		for v := 1; v < n; v <<= 1 {
+			l++
+		}
+		return l
+	}
+	check := func(n int) {
+		if got, want := Log2Ceil(n), loop(n); got != want {
+			t.Fatalf("Log2Ceil(%d) = %v, want %v", n, got, want)
+		}
+	}
+	for n := -1; n <= 1<<22; n++ {
+		check(n)
+	}
+	for k := 22; k <= 40; k++ {
+		for _, d := range []int{-1, 0, 1} {
+			check(1<<k + d)
+		}
+	}
 }

@@ -45,7 +45,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,10 +84,11 @@ type Model struct {
 	// bit-identical to an unreliable run.
 	Reliable *Reliability
 	// Trace optionally records structured per-rank events (sends,
-	// receives, collectives with their ts/tw/to cost split, phase
-	// spans, faults) into the given recorder. Tracing is passive: it
-	// never touches virtual clocks, so a traced run is bit-identical to
-	// an untraced one. Use one Recorder per run.
+	// receives, collectives and replayed charges with the ts/tw/to
+	// terms of their Cost, phase spans, faults) into the given
+	// recorder. Tracing is passive: clocks are charged each Cost's
+	// total whether or not a recorder is attached, so a traced run is
+	// bit-identical to an untraced one. Use one Recorder per run.
 	Trace *trace.Recorder
 }
 
@@ -733,34 +733,11 @@ func (c *Comm) recvOp(from int, op *string) any {
 	return msg.data
 }
 
-// log2ceil returns ceil(log2(n)) with log2ceil(1) == 0.
-func log2ceil(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(float64(n)))
-}
-
-// collCost is the declared cost of one collective: total is the exact
-// expression charged to the clock (computed precisely as it was before
-// tracing existed, so traced and untraced runs stay bit-identical);
-// ts/tw/to split the same cost into the paper's latency, bandwidth, and
-// per-peer terms for the breakdown table, and bytes is the modeled
-// payload volume. The split is informational only — ts+tw+to may differ
-// from total in the last float bit, and only total is ever charged.
-type collCost struct {
-	total float64
-	ts    float64
-	tw    float64
-	to    float64
-	bytes int64
-}
-
 // collPrologue runs the shared front half of every collective: the
 // communication event (fault positions), payload truncation or healed
 // retransmission under an injected TruncatePayload, and the t0 clock
 // snapshot for the trace span.
-func (c *Comm) collPrologue(op *string, val any, cost collCost) (any, float64) {
+func (c *Comm) collPrologue(op *string, val any, cost Cost) (any, float64) {
 	f := c.commEvent(op)
 	if f != nil && f.Kind == TruncatePayload {
 		if m := &c.world.model; m.Reliable != nil {
@@ -786,7 +763,7 @@ func (c *Comm) collPrologue(op *string, val any, cost collCost) (any, float64) {
 // clock to the rendezvous completion time, attribute the collective's
 // own cost (not imbalance waiting) to communication time, and emit the
 // trace span.
-func (c *Comm) collCharge(op *string, myGen int64, cost collCost, t0, done float64) {
+func (c *Comm) collCharge(op *string, myGen int64, cost Cost, t0, done float64) {
 	st := c.state
 	charged := 0.0
 	if done > st.clock {
@@ -814,19 +791,25 @@ func (c *Comm) collCharge(op *string, myGen int64, cost collCost, t0, done float
 // max(clock) + cost.total and the combined value is returned to each.
 // op names the collective in fault positions and watchdog diagnostics.
 // The rendezvous itself is the fan-in engine's (collfanin.go).
-func (c *Comm) runCollective(op *string, val any, combine func(vals []any) any, cost collCost) any {
+func (c *Comm) runCollective(op *string, val any, combine func(vals []any) any, cost Cost) any {
 	val, t0 := c.collPrologue(op, val, cost)
 	if c.size == 1 {
-		st := c.state
-		st.clock += cost.total
-		st.commTime += cost.total
-		if st.tr != nil {
-			st.tr.Coll(*op, 1, -1, cost.bytes, cost.ts, cost.tw, cost.to,
-				t0, st.clock, cost.total)
-		}
+		c.collSolo(op, cost, t0)
 		return combine([]any{val})
 	}
 	return c.faninBoxed(op, val, combine, cost, t0)
+}
+
+// collSolo charges a collective on a one-rank communicator: there is
+// no one to wait for, so the whole cost is communication.
+func (c *Comm) collSolo(op *string, cost Cost, t0 float64) {
+	st := c.state
+	st.clock += cost.total
+	st.commTime += cost.total
+	if st.tr != nil {
+		st.tr.Coll(*op, 1, -1, cost.bytes, cost.ts, cost.tw, cost.to,
+			t0, st.clock, cost.total)
+	}
 }
 
 // wordsEligible reports whether typed collectives may take the unboxed
@@ -850,10 +833,7 @@ func safeCombine(combine func([]any) any, vals []any) (res any, panicked any) {
 // Barrier synchronises all ranks of the communicator; cost is a
 // log2(P)-depth tree of latencies.
 func (c *Comm) Barrier() {
-	m := &c.world.model
-	total := m.Latency * log2ceil(c.size)
-	c.runCollective(opBarrier, nil, combineNil,
-		collCost{total: total, ts: total})
+	c.runCollective(opBarrier, nil, combineNil, c.world.model.treeCost(c.size, 0))
 }
 
 // combineNil is the shared no-payload combine of Barrier and SyncCost;
@@ -866,15 +846,8 @@ func (c *Comm) Bcast(root int, data any, bytes int) any {
 	if root < 0 || root >= c.size {
 		panic("mpi: Bcast root out of range")
 	}
-	m := &c.world.model
-	lg := log2ceil(c.size)
 	return c.runCollective(opBcast, data, func(vals []any) any { return vals[root] },
-		collCost{
-			total: (m.Latency + m.PerByte*float64(bytes)) * lg,
-			ts:    m.Latency * lg,
-			tw:    m.PerByte * float64(bytes) * lg,
-			bytes: int64(bytes),
-		})
+		c.world.model.treeCost(c.size, bytes))
 }
 
 // phaseMarker supports PhaseTimer.
@@ -902,31 +875,22 @@ func (t PhaseTimer) Stop() (total, comm float64) {
 // data dependencies the simulation has already satisfied (e.g. the
 // replicated-topology coarsening exchange).
 func (c *Comm) ChargeComm(messages, bytes int) {
-	m := &c.world.model
-	d := float64(messages)*m.Latency + float64(bytes)*m.PerByte
-	t0 := c.state.clock
-	c.state.clock += d
-	c.state.commTime += d
-	if c.state.tr != nil {
-		c.state.tr.Charge("ChargeComm", int64(bytes),
-			float64(messages)*m.Latency, float64(bytes)*m.PerByte, t0, c.state.clock)
+	cost := c.world.model.commCost(messages, bytes)
+	st := c.state
+	t0 := st.clock
+	st.clock += cost.total
+	st.commTime += cost.total
+	if st.tr != nil {
+		st.tr.Charge("ChargeComm", cost.bytes, cost.ts, cost.tw, t0, st.clock)
 	}
 }
 
 // SyncCost synchronises the communicator like Barrier but charges the
-// given collective cost (seconds) instead of the barrier tree formula.
-// The cost is left unattributed in the trace breakdown; callers that
-// know the ts/tw/to split use SyncCostParts.
-func (c *Comm) SyncCost(cost float64) {
-	c.runCollective(opSyncCost, nil, combineNil, collCost{total: cost})
-}
-
-// SyncCostParts is SyncCost with the charged total decomposed into the
-// paper's latency (ts), bandwidth (tw), and per-peer (to) terms for the
-// trace breakdown. total must be the exact value the caller would have
-// passed to SyncCost — it is charged verbatim; the parts are
-// informational only.
-func (c *Comm) SyncCostParts(total, ts, tw, to float64) {
-	c.runCollective(opSyncCost, nil, combineNil,
-		collCost{total: total, ts: ts, tw: tw, to: to})
+// given cost instead of the barrier tree formula: every rank's clock
+// advances to the slowest rank's plus the cost's total, and the trace
+// attributes the charge by the cost's ts/tw/to terms. A Cost is only
+// built from Hop, Peers, Flat, Times and Plus, so every charge carries
+// its split.
+func (c *Comm) SyncCost(cost Cost) {
+	c.runCollective(opSyncCost, nil, combineNil, cost)
 }

@@ -348,14 +348,7 @@ var opReduce = internOp("Reduce")
 // value costs nothing extra in the model, matching the paper's use of
 // reductions whose results every processor ends up needing.
 func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	m := &c.world.model
-	lg := log2ceil(c.size)
-	cost := collCost{
-		total: (m.Latency + m.PerByte*float64(bytes)) * lg,
-		ts:    m.Latency * lg,
-		tw:    m.PerByte * float64(bytes) * lg,
-		bytes: int64(bytes),
-	}
+	cost := c.world.model.treeCost(c.size, bytes)
 	if c.wordsEligible() {
 		if done, out := reduceWords(c, opReduce, val, op, cost); done {
 			return out

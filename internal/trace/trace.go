@@ -58,8 +58,11 @@ const (
 // End-Start charged as communication (the remainder is waiting). TS,
 // TW, and TO split the modeled communication cost into the paper's
 // Section 3.1 terms: latency (ts), bandwidth (tw), and per-peer posting
-// overhead (to). The split is informational — the charged total is
-// computed exactly as it would be without tracing.
+// overhead (to). For collectives and replayed charges they are the
+// terms of the mpi.Cost the clock was charged with, recorded after the
+// charge and never charged themselves. They sum to the cost's total
+// exactly for one-hop and flat costs, and may differ from it by
+// rounding for tree collectives and composed replays (see mpi.Cost).
 type Event struct {
 	Kind  Kind
 	Op    string // "Send", "AllReduce", phase name for KindPhase, fault kind for KindFault
