@@ -21,7 +21,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/internal/geopart"
-	"repro/internal/hostpar"
 )
 
 func main() {
@@ -29,7 +28,7 @@ func main() {
 		experiment = flag.String("experiment", "all", "table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablations|quality|chaos|all (quality and chaos run only by name)")
 		scale      = flag.Float64("scale", 1.0, "suite size scale (1 = default bench sizes)")
 		psFlag     = flag.String("ps", "", "comma-separated processor sweep (default 1,2,...,1024)")
-		workers    = flag.Int("workers", 0, "worker pool size for the sweep and the fork-join kernels (0 = one per core)")
+		workers    = flag.Int("workers", 0, "host width: concurrent sweep runs, and the most chunks each run's kernels fork into (0 = one per core); graph builds and coarsening outside a run use GOMAXPROCS")
 		compress   = flag.Bool("compress", false, "hold suite graphs in the delta/varint compressed adjacency representation (identical tables; smaller footprint)")
 		refineFlag = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM); the quality experiment sets its own")
 		trials     = flag.Int("trials", 1, "evolutionary search width for the ScalaPart rows: N embed+partition trials with decorrelated seeds (1 = single pass); the width of the quality experiment's last row")
@@ -48,7 +47,8 @@ func main() {
 	if err := gen.CheckScale(*scale); err != nil {
 		usage("-scale: %v", err)
 	}
-	// hostpar.SetWorkers would read a negative count as "one per core".
+	// The run entry points reject a negative Model.Workers, but only
+	// after the suite graphs are built.
 	if *workers < 0 {
 		usage("-workers must not be negative (got %d)", *workers)
 	}
@@ -57,6 +57,9 @@ func main() {
 		usage("-ps: %v", err)
 	}
 	h := bench.New(*scale, ps)
+	// One width bounds both pools: concurrent sweep runs and the
+	// fork-join kernels inside each run share the host's cores.
+	h.Model.Workers = *workers
 	switch *refineFlag {
 	case "off":
 	case "full":
@@ -156,9 +159,6 @@ func main() {
 			}
 		}
 	}()
-	// One setting bounds both pools: concurrent sweep runs and the
-	// fork-join kernels inside each run share the host's cores.
-	hostpar.SetWorkers(*workers)
 	if *phaseBreak {
 		fmt.Println(h.PhaseBreakdown())
 		return

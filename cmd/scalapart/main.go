@@ -33,7 +33,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/geopart"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 	"repro/internal/trace"
 )
@@ -57,7 +56,7 @@ func main() {
 		psFlag      = flag.String("ps", "", "processor sweep for -bench-json (default 1,2,...,1024)")
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials      = flag.Int("trials", 1, "evolutionary search width for ScalaPart: run the embed+partition tail N times with decorrelated seeds and combine the two best bisections (1 = single pass)")
-		workers     = flag.Int("workers", 0, "host worker pool size for the fork-join coarsening/embedding kernels (0 = one per core)")
+		workers     = flag.Int("workers", 0, "host width of the simulated run: the most chunks its per-rank kernels fork into (0 = one per core); graph loading and coarsening outside the run use GOMAXPROCS")
 		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms); with -bench-json, embed it per run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (timeline axis = virtual clock)")
 		checkInv    = flag.Bool("check-invariants", false, "validate runtime invariants (clock monotonicity, byte symmetry, collective participation) and partition invariants after the run")
@@ -74,7 +73,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
 		os.Exit(2)
 	}
-	hostpar.SetWorkers(*workers)
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -318,7 +316,7 @@ type flagValues struct {
 // flag.Parse accepts as strings and numbers but the run cannot take as
 // is.
 type flagConfig struct {
-	model         mpi.Model // default model with the watchdog window and fault plan
+	model         mpi.Model // default model with the watchdog window, fault plan and host width
 	fullCutRounds int
 	policy        core.RecoveryPolicy
 	ps            []int // the -bench-json processor sweep
@@ -343,10 +341,12 @@ func checkFlags(v flagValues) (flagConfig, error) {
 	if v.p < 1 {
 		return cfg, fmt.Errorf("-p must be >= 1 (got %d)", v.p)
 	}
-	// hostpar.SetWorkers would read a negative count as "one per core".
+	// The run entry points reject a negative Model.Workers, but only
+	// after the graph is loaded.
 	if v.workers < 0 {
 		return cfg, fmt.Errorf("-workers must not be negative (got %d)", v.workers)
 	}
+	cfg.model.Workers = v.workers
 	// A negative Model.Watchdog would switch deadlock detection off.
 	if v.watchdog < 0 {
 		return cfg, fmt.Errorf("-watchdog must not be negative (got %v)", v.watchdog)
@@ -376,11 +376,12 @@ func checkFlags(v flagValues) (flagConfig, error) {
 // with compress set the suite graphs are held in the delta/varint
 // compressed representation (modeled fields are bit-identical either
 // way, and each row records compressed/bytes_per_edge/peak_rss). The
-// sweep takes the processor sweep, watchdog window and full-cut setting
-// of fc, but not its fault plan.
+// sweep takes the processor sweep, watchdog window, host width and
+// full-cut setting of fc, but not its fault plan.
 func writeBenchJSON(path string, scale float64, breakdown, compress bool, trials int, fc flagConfig) error {
 	h := bench.New(scale, fc.ps)
 	h.Model.Watchdog = fc.model.Watchdog
+	h.Model.Workers = fc.model.Workers
 	h.FullCutRounds = fc.fullCutRounds
 	h.Trace = breakdown
 	h.Compress = compress

@@ -74,9 +74,7 @@ func (c Config) withDefaults() Config {
 	if c.BandHops == 0 {
 		c.BandHops = 2
 	}
-	if c.Model == (mpi.Model{}) {
-		c.Model = mpi.DefaultModel()
-	}
+	c.Model = c.Model.OrDefault()
 	return c
 }
 
@@ -92,12 +90,15 @@ type Result struct {
 }
 
 // PartitionChecked bisects g on p simulated ranks with the configured
-// multilevel baseline. A world size below one is an error, and a rank
-// failure comes back as an *mpi.RankError instead of crashing the
-// caller.
+// multilevel baseline. A world size below one or a negative
+// Model.Workers is an error, and a rank failure comes back as an
+// *mpi.RankError instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, cfg Config) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("baseline: world size p=%d, want at least 1", p)
+	}
+	if cfg.Model.Workers < 0 {
+		return nil, fmt.Errorf("baseline: host width Model.Workers=%d, want at least 0", cfg.Model.Workers)
 	}
 	// The baseline is the legacy reference implementation and walks raw
 	// Adjncy throughout; a compressed input is decoded once up front

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/geopart"
-	"repro/internal/mpi"
 )
 
 // ablationGraph is the workload used by the design-choice ablations: a
@@ -24,7 +23,7 @@ func (h *Harness) AblationBlockSize() (string, error) {
 	fmt.Fprintf(&b, "Ablation: staleness block size (graph %s, P=%d).\n", ablationGraph, ablationP)
 	fmt.Fprintf(&b, "%6s %8s %12s %12s\n", "block", "cut", "embed(s)", "embed-comm")
 	for _, bs := range []int{1, 2, 4, 8} {
-		opt := core.DefaultOptions(seedOf(ablationGraph))
+		opt := h.paperOptions(seedOf(ablationGraph))
 		opt.Embed.BlockSize = bs
 		res, err := core.PartitionChecked(g.G, ablationP, opt)
 		if err != nil {
@@ -43,7 +42,7 @@ func (h *Harness) AblationStripFM() (string, error) {
 	fmt.Fprintf(&b, "Ablation: strip Fiduccia–Mattheyses refinement (graph %s, P=%d).\n", ablationGraph, ablationP)
 	fmt.Fprintf(&b, "%8s %8s %10s %12s\n", "refine", "cut", "strip", "partit.(s)")
 	for _, refine := range []bool{false, true} {
-		opt := core.DefaultOptions(seedOf(ablationGraph))
+		opt := h.paperOptions(seedOf(ablationGraph))
 		opt.Partition.Refine = refine
 		res, err := core.PartitionChecked(g.G, ablationP, opt)
 		if err != nil {
@@ -62,7 +61,7 @@ func (h *Harness) AblationTries() (string, error) {
 	fmt.Fprintf(&b, "Ablation: great-circle tries (graph %s, P=%d).\n", ablationGraph, ablationP)
 	fmt.Fprintf(&b, "%6s %8s %12s\n", "tries", "cut", "partit.(s)")
 	for _, tries := range []int{3, 7, 15, 30} {
-		opt := core.DefaultOptions(seedOf(ablationGraph))
+		opt := h.paperOptions(seedOf(ablationGraph))
 		opt.Partition.GreatCircles = tries
 		res, err := core.PartitionChecked(g.G, ablationP, opt)
 		if err != nil {
@@ -81,7 +80,7 @@ func (h *Harness) AblationLevelRetention() (string, error) {
 	fmt.Fprintf(&b, "Ablation: hierarchy level retention (graph %s, P=%d).\n", ablationGraph, ablationP)
 	fmt.Fprintf(&b, "%22s %8s %12s\n", "levels", "cut", "total(s)")
 	for _, steps := range []int{1, 2} {
-		opt := core.DefaultOptions(seedOf(ablationGraph))
+		opt := h.paperOptions(seedOf(ablationGraph))
 		opt.Coarsen.StepsPerLevel = steps
 		opt.Coarsen.RankDecay = 1 << steps
 		res, err := core.PartitionChecked(g.G, ablationP, opt)
@@ -105,13 +104,13 @@ func (h *Harness) AblationLatticeVsExact() (string, error) {
 	g := h.Graph(ablationGraph)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: lattice embedding vs exact sequential embedding (graph %s, P=%d).\n", ablationGraph, ablationP)
-	opt := core.DefaultOptions(seedOf(ablationGraph))
+	opt := h.paperOptions(seedOf(ablationGraph))
 	lat, err := core.PartitionChecked(g.G, ablationP, opt)
 	if err != nil {
 		return "", err
 	}
 	coords := embed.SequentialLayout(g.G, embed.SeqOptions{Seed: seedOf(ablationGraph)})
-	exact, err := core.PartitionGeometricChecked(g.G, coords, ablationP, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+	exact, err := core.PartitionGeometricChecked(g.G, coords, ablationP, geopart.DefaultParallelConfig(), h.paperModel())
 	if err != nil {
 		return "", err
 	}
@@ -119,7 +118,7 @@ func (h *Harness) AblationLatticeVsExact() (string, error) {
 	fmt.Fprintf(&b, "  exact BH embedding + SP-PG7-NL: cut %d\n", exact.Cut)
 	natural := "n/a"
 	if g.Coords != nil {
-		nat, err := core.PartitionGeometricChecked(g.G, g.Coords, ablationP, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+		nat, err := core.PartitionGeometricChecked(g.G, g.Coords, ablationP, geopart.DefaultParallelConfig(), h.paperModel())
 		if err != nil {
 			return "", err
 		}
@@ -137,12 +136,12 @@ func (h *Harness) AblationSSDE() (string, error) {
 	g := h.Graph(ablationGraph)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: SSDE vs force-directed embedding (graph %s, P=%d).\n", ablationGraph, ablationP)
-	lat, err := core.PartitionChecked(g.G, ablationP, core.DefaultOptions(seedOf(ablationGraph)))
+	lat, err := core.PartitionChecked(g.G, ablationP, h.paperOptions(seedOf(ablationGraph)))
 	if err != nil {
 		return "", err
 	}
 	ssde := embed.SSDELayout(g.G, embed.SSDEOptions{Seed: seedOf(ablationGraph)})
-	sp, err := core.PartitionGeometricChecked(g.G, ssde, ablationP, geopart.DefaultParallelConfig(), mpi.DefaultModel())
+	sp, err := core.PartitionGeometricChecked(g.G, ssde, ablationP, geopart.DefaultParallelConfig(), h.paperModel())
 	if err != nil {
 		return "", err
 	}

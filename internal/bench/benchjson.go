@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 
-	"repro/internal/hostpar"
 	"repro/internal/trace"
 )
 
@@ -61,7 +60,8 @@ type BenchFile struct {
 // cache in parallel) and renders the per-run records as indented JSON.
 func (h *Harness) BenchJSON() ([]byte, error) {
 	h.Precompute([]string{MethodSP})
-	file := BenchFile{Scale: h.Scale, Ps: h.Ps, HostWorkers: hostpar.Workers()}
+	workers := h.Model.ResolvedWorkers()
+	file := BenchFile{Scale: h.Scale, Ps: h.Ps, HostWorkers: workers}
 	for _, name := range SuiteNames() {
 		g := h.Graph(name)
 		bytesPerEdge := 0.0
@@ -81,7 +81,7 @@ func (h *Harness) BenchJSON() ([]byte, error) {
 				Messages:    r.Messages,
 				BytesSent:   r.BytesSent,
 				WallSeconds: r.WallSeconds,
-				HostWorkers: hostpar.Workers(),
+				HostWorkers: workers,
 				Fallback:    r.Fallback,
 
 				Compressed:   g.G.Compressed(),

@@ -1,30 +1,42 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
 // TestCacheKeySeparatesEnvironments is the regression test for the
-// singleflight cache handing back a stale Run after a process-global
-// knob changed: the key must fingerprint the worker-pool size, the
-// fault plan, and the tracing flag — not just (graph, method, p).
+// singleflight cache handing back a stale Run after a setting changed:
+// the key must fingerprint the model's host width, the fault plan, and
+// the tracing flag — not just (graph, method, p).
 func TestCacheKeySeparatesEnvironments(t *testing.T) {
 	h := New(0.03, []int{8})
 	base := h.Get("ecology1", MethodSP, 8)
 
 	t.Run("host workers", func(t *testing.T) {
-		defer hostpar.SetWorkers(hostpar.SetWorkers(3))
-		r := h.Get("ecology1", MethodSP, 8)
+		prev := h.Model.Workers
+		defer func() { h.Model.Workers = prev }()
+		h.Model.Workers = h.Model.ResolvedWorkers() + 1
+		// A second harness at width 1 runs side by side in the process.
+		narrow := New(0.03, []int{8})
+		narrow.Model.Workers = 1
+		var r, n *Run
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); r = h.Get("ecology1", MethodSP, 8) }()
+		go func() { defer wg.Done(); n = narrow.Get("ecology1", MethodSP, 8) }()
+		wg.Wait()
 		if r == base {
-			t.Fatal("cache ignored the host worker-pool size")
+			t.Fatal("cache ignored the host width")
 		}
-		// The knob must not change modeled results, only the cache slot.
-		if r.Cut != base.Cut || r.Time != base.Time {
-			t.Fatalf("worker count changed modeled results: %v/%v vs %v/%v",
-				r.Cut, r.Time, base.Cut, base.Time)
+		// The width must not change modeled results, only the cache slot.
+		for _, x := range []*Run{r, n} {
+			if x.Cut != base.Cut || x.Time != base.Time {
+				t.Fatalf("host width changed modeled results: %v/%v vs %v/%v",
+					x.Cut, x.Time, base.Cut, base.Time)
+			}
 		}
 	})
 

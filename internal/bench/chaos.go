@@ -87,7 +87,8 @@ func (r *ChaosReport) String() string {
 // constraint; only a run that exhausted its whole policy ladder may be
 // a sequential fallback. Fault-free baselines come from h.Get, so the
 // harness must carry its default (fault-free, recovery-off) settings.
-// Cases run on hostpar.Workers() goroutines.
+// Cases run concurrently, as many at once as the model's effective
+// host width.
 func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
 	c := cfg.withDefaults()
 	var cases []ChaosCase
@@ -105,7 +106,7 @@ func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
 			}
 		}
 	}
-	runJobs(len(cases), func(i int) { cases[i] = h.chaosCase(c, cases[i]) })
+	runJobs(h.Model.ResolvedWorkers(), len(cases), func(i int) { cases[i] = h.chaosCase(c, cases[i]) })
 
 	rep := &ChaosReport{Cases: cases}
 	for _, cc := range cases {

@@ -152,7 +152,7 @@ func (h *Harness) Fig2() (string, error) {
 		n = 1024
 	}
 	g := gen.DelaunayRandom(n, 1616)
-	res, err := core.PartitionChecked(g.G, 16, core.DefaultOptions(16))
+	res, err := core.PartitionChecked(g.G, 16, h.paperOptions(16))
 	if err != nil {
 		return "", err
 	}

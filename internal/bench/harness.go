@@ -21,7 +21,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/geopart"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 	"repro/internal/trace"
 )
@@ -227,19 +226,18 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 }
 
 // envKey fingerprints the settings a run depends on beyond (graph,
-// method, P): the host worker pool (wall clocks), tracing (the
-// Breakdown field), the compressed representation, recovery, trials and
-// full-cut refinement (modeled results), and the fault plan
-// (everything). Everything but the worker pool is a harness field. Two
-// Gets with different fingerprints compute independent runs instead of
-// sharing a stale cache entry.
+// method, P): the model's effective host width (wall clocks), tracing
+// (the Breakdown field), the compressed representation, recovery,
+// trials and full-cut refinement (modeled results), and the fault plan
+// (everything). Two Gets with different fingerprints compute
+// independent runs instead of sharing a stale cache entry.
 func (h *Harness) envKey() string {
 	trials := h.Trials
 	if trials < 1 {
 		trials = 1
 	}
 	return fmt.Sprintf("w%d|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%d|faults:%s",
-		hostpar.Workers(), h.Trace, h.Compress,
+		h.Model.ResolvedWorkers(), h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
 		trials, h.FullCutRounds, h.Model.Faults.Key())
 }
@@ -262,6 +260,22 @@ func (h *Harness) options(seed int64) core.Options {
 	return opt
 }
 
+// paperModel is mpi.DefaultModel at the harness model's host width: the
+// model of the experiments that run the paper's fixed configuration
+// (Figure 2, the ablations) rather than the harness's settings.
+func (h *Harness) paperModel() mpi.Model {
+	m := mpi.DefaultModel()
+	m.Workers = h.Model.Workers
+	return m
+}
+
+// paperOptions are core.DefaultOptions under paperModel.
+func (h *Harness) paperOptions(seed int64) core.Options {
+	opt := core.DefaultOptions(seed)
+	opt.Model = h.paperModel()
+	return opt
+}
+
 // ParallelMethods lists the methods whose runs execute on the simulated
 // runtime — the expensive part of the sweep and the part worth warming
 // in parallel. Sequential baselines (G30/G7/G7-NL/RCB-seq) stay lazy.
@@ -270,11 +284,11 @@ func ParallelMethods() []string {
 }
 
 // Precompute warms the run cache for methods × suite graphs × the P
-// sweep on hostpar.Workers() concurrent runs. Runs are independent and
-// individually seeded, so execution order cannot change any result; the
-// singleflight caches keep concurrent workers from duplicating shared
-// graph builds and layouts. Table and figure assembly afterwards is
-// pure lookup.
+// sweep, running as many at once as the model's effective host width.
+// Runs are independent and individually seeded, so execution order
+// cannot change any result; the singleflight caches keep concurrent
+// workers from duplicating shared graph builds and layouts. Table and
+// figure assembly afterwards is pure lookup.
 func (h *Harness) Precompute(methods []string) {
 	type job struct {
 		graph, method string
@@ -288,16 +302,15 @@ func (h *Harness) Precompute(methods []string) {
 			}
 		}
 	}
-	runJobs(len(jobs), func(i int) { h.Get(jobs[i].graph, jobs[i].method, jobs[i].p) })
+	runJobs(h.Model.ResolvedWorkers(), len(jobs), func(i int) { h.Get(jobs[i].graph, jobs[i].method, jobs[i].p) })
 }
 
-// runJobs calls job(i) for every i in [0, n) on hostpar.Workers()
+// runJobs calls job(i) for every i in [0, n) on the given number of
 // goroutines, each taking the next index as it frees up, and returns
 // when all calls have.
-func runJobs(n int, job func(i int)) {
+func runJobs(workers, n int, job func(i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
-	workers := hostpar.Workers()
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

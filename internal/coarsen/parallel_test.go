@@ -3,11 +3,11 @@ package coarsen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 )
 
 // contractBlockedSerial is the original single-threaded contraction,
@@ -140,7 +140,7 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 			match := HeavyEdgeMatch(g, rng, nil)
 			wantG, wantF2C, wantPB := contractBlockedSerial(g, match, offsets)
 			for _, w := range []int{1, 2, 8} {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				gotG, gotF2C, gotPB := contractBlocked(g, match, offsets)
 				tag := fmt.Sprintf("graph %d blocks %d workers %d", gi, blocks, w)
 				wantH := &Hierarchy{Levels: []Level{{G: wantG, Offsets: prefixSum(wantPB), ToCoarse: wantF2C}}}
@@ -163,7 +163,7 @@ func TestInvertMapParallelMatchesSerial(t *testing.T) {
 		}
 		wantOff, wantCh := invertMapSerial(toCoarse, nCoarse)
 		for _, w := range []int{1, 2, 8} {
-			defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			gotOff, gotCh := invertMap(toCoarse, nCoarse)
 			for i := range wantOff {
 				if wantOff[i] != gotOff[i] {
@@ -182,7 +182,8 @@ func TestInvertMapParallelMatchesSerial(t *testing.T) {
 // TestBuildHierarchyBitIdenticalAcrossWorkers is the package-local
 // hierarchy determinism check: every retained level's CSR arrays,
 // ownership offsets, and projection maps must agree bit-for-bit at
-// workers 1, 2, and 8, with the single-chunk run as the reference.
+// GOMAXPROCS 1, 2, and 8 (the width of a hierarchy build, which runs
+// outside any world), with the single-chunk run as the reference.
 // The full-pipeline version (cuts, clocks, traffic) lives in
 // internal/core's TestHierarchyBitIdentical.
 func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
@@ -194,10 +195,10 @@ func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
 	for gi, g := range graphs {
 		for _, p := range []int{1, 4, 16, 64} {
 			opt := Options{Seed: 42, VertsPerRank: 96}
-			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			want := BuildHierarchy(g, p, opt)
 			for _, w := range []int{2, 8} {
-				hostpar.SetWorkers(w)
+				runtime.GOMAXPROCS(w)
 				got := BuildHierarchy(g, p, opt)
 				levelsEqual(t, fmt.Sprintf("graph %d P=%d workers=%d", gi, p, w), want, got)
 			}
@@ -211,7 +212,7 @@ func TestBoundaryEdgesParallelMatchesSerial(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 4).G
 	h := BuildHierarchy(g, 16, Options{Seed: 7})
 	for _, w := range []int{1, 8} {
-		defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 		got := BoundaryEdges(h)
 		for li := range h.Levels {
 			lev := &h.Levels[li]
@@ -234,10 +235,12 @@ func TestBoundaryEdgesParallelMatchesSerial(t *testing.T) {
 }
 
 // TestContractionSteadyStateAllocs guards the contraction kernel's
-// pooled scratch: repeated contractions of the same graph must not
-// reallocate the per-chunk row and output buffers.
+// pooled scratch: repeated contractions of the same graph at width 2
+// must not reallocate the per-chunk row and output buffers. It counts
+// mallocs itself: testing.AllocsPerRun runs at GOMAXPROCS 1, which is
+// the one-chunk path.
 func TestContractionSteadyStateAllocs(t *testing.T) {
-	defer hostpar.SetWorkers(hostpar.SetWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := gen.Grid2D(80, 80).G
 	rng := rand.New(rand.NewSource(1))
 	match := HeavyEdgeMatch(g, rng, nil)
@@ -245,9 +248,14 @@ func TestContractionSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		contractBlocked(g, match, offsets) // warm pools
 	}
-	perCall := testing.AllocsPerRun(10, func() {
+	const calls = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
 		contractBlocked(g, match, offsets)
-	})
+	}
+	runtime.ReadMemStats(&m1)
+	perCall := float64(m1.Mallocs-m0.Mallocs) / calls
 	// Outputs (CSR arrays, maps, per-block counts) plus fixed
 	// bookkeeping; the per-chunk sort scratch must come from the pool.
 	if perCall > 96 {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/trace"
 )
 
@@ -38,7 +37,7 @@ const (
 type hostSetting struct {
 	name           string
 	guard          string // the test that runs it
-	workers, procs int    // hostpar workers, GOMAXPROCS
+	workers, procs int    // Model.Workers, GOMAXPROCS
 	compress       bool
 	traced         bool
 	recover        bool // respawn recovery armed, no fault planned
@@ -61,20 +60,23 @@ func (in pipelineInput) key() string { return fmt.Sprintf("%s/P%d", in.graph, in
 // seven guards, each run once. Each input's first setting is traced, so
 // that -update-golden records its whole chain.
 func pipelineInputs() []pipelineInput {
-	// Fork-join workers over {1, 2, 8} on the plain and the compressed
+	// The run's width over {1, 2, 8} on the plain and the compressed
 	// graph, and runtime threads over {1, 2, 4}: one thread steps the
 	// rank goroutines strictly one at a time, and with one worker only
-	// their interleaving varies. Grid96 is large enough that hierarchy
-	// construction forks (contraction chunks >= 1024 vertices, builder
-	// >= 4096 records) on the finer levels.
+	// their interleaving varies. GOMAXPROCS is also the width of the
+	// hierarchy construction outside the world, so the compressed rows
+	// set it equal to their run's width and compress and coarsen at
+	// {1, 2, 8} too; grid96 is large enough that construction forks
+	// (contraction chunks >= 1024 vertices, builder >= 4096 records) on
+	// the finer levels.
 	engines := []hostSetting{
 		{name: "w1-procs1-traced", guard: replayGuard, workers: 1, procs: 1, traced: true},
 		{name: "w1-procs4", guard: replayGuard, workers: 1, procs: 4},
 		{name: "w2-procs2", guard: hierarchyGuard, workers: 2, procs: 2},
 		{name: "w8-procs4", guard: highPGuard, workers: 8, procs: 4},
-		{name: "compressed-w1", guard: compressedGuard, workers: 1, compress: true},
-		{name: "compressed-w2", guard: compressedGuard, workers: 2, compress: true},
-		{name: "compressed-w8", guard: compressedGuard, workers: 8, compress: true},
+		{name: "compressed-w1", guard: compressedGuard, workers: 1, procs: 1, compress: true},
+		{name: "compressed-w2", guard: compressedGuard, workers: 2, procs: 2, compress: true},
+		{name: "compressed-w8", guard: compressedGuard, workers: 8, procs: 8, compress: true},
 	}
 	// At the largest communicators, eight workers on four threads engage
 	// the collective finisher's chunked scans and the pending-ring growth
@@ -82,10 +84,11 @@ func pipelineInputs() []pipelineInput {
 	// recorded from one worker on one thread, is the reference.
 	highP := []hostSetting{{name: "w8-procs4-traced", guard: highPGuard, workers: 8, procs: 4, traced: true}}
 	// Eight workers share the geometric partitioner's derived sample,
-	// candidates and gathered records across ranks.
+	// candidates and gathered records across ranks; GOMAXPROCS follows
+	// the width, as in the compressed rows.
 	fullCut := []hostSetting{
-		{name: "w1-traced", guard: batchingGuard, workers: 1, traced: true},
-		{name: "w8", guard: batchingGuard, workers: 8},
+		{name: "w1-traced", guard: batchingGuard, workers: 1, procs: 1, traced: true},
+		{name: "w8", guard: batchingGuard, workers: 8, procs: 8},
 	}
 	// A recorder, or recovery armed with no fault, is bookkeeping that
 	// no modeled number may see.
@@ -160,9 +163,6 @@ func phaseChain(rec *trace.Recorder) []link {
 // final link.
 func runDigests(t *testing.T, g *graph.Graph, in pipelineInput, hs hostSetting, traced bool) []link {
 	t.Helper()
-	if hs.workers > 0 {
-		defer hostpar.SetWorkers(hostpar.SetWorkers(hs.workers))
-	}
 	if hs.procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(hs.procs))
 	}
@@ -170,6 +170,7 @@ func runDigests(t *testing.T, g *graph.Graph, in pipelineInput, hs hostSetting, 
 		g = graph.Compress(g)
 	}
 	opt := DefaultOptions(in.seed)
+	opt.Model.Workers = hs.workers
 	opt.Trials = in.trials
 	if in.fullCut {
 		opt = withFullCut(opt)

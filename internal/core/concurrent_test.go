@@ -12,9 +12,10 @@ import (
 
 // TestConcurrentConfigsMatchSerial: every run setting is a value, so
 // differently configured partitions share one process without touching
-// each other. Full-cut refinement on and off, one and two trials, and
-// a repartitioning call all run at once, and each must equal its own
-// serial run in partition, cut, phase times and per-rank stats.
+// each other. Full-cut refinement on and off, one and two trials, a
+// repartitioning call, and host widths 1 and 8 all run at once, and
+// each must equal its own serial run in partition, cut, phase times and
+// per-rank stats.
 func TestConcurrentConfigsMatchSerial(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	const p = 8
@@ -41,6 +42,16 @@ func TestConcurrentConfigsMatchSerial(t *testing.T) {
 			return PartitionGeometricChecked(g.G, g.Coords, p, geo.Partition, geo.Model)
 		},
 	})
+	// Host widths 1 and 8 of the first configuration, side by side.
+	widths := len(configs)
+	for _, w := range []int{1, 8} {
+		opt := DefaultOptions(5)
+		opt.Model.Workers = w
+		configs = append(configs, config{
+			name: fmt.Sprintf("workers=%d", w),
+			run:  func() (*Result, error) { return PartitionChecked(g.G, p, opt) },
+		})
+	}
 
 	serial := make([]*Result, len(configs))
 	for i, c := range configs {
@@ -57,6 +68,15 @@ func TestConcurrentConfigsMatchSerial(t *testing.T) {
 	}
 	if serial[1].Times.Embed <= serial[0].Times.Embed {
 		t.Fatalf("a second trial charged nothing: %v vs %v", serial[1].Times.Embed, serial[0].Times.Embed)
+	}
+	// The host width moves no modeled bit (mpi's TestCommWorkersFromModel
+	// shows the width reaches the world's kernels).
+	for _, res := range serial[widths:] {
+		if res.Cut != serial[0].Cut || !slices.Equal(res.Part, serial[0].Part) ||
+			res.Times != serial[0].Times || !slices.Equal(res.Stats, serial[0].Stats) {
+			t.Fatalf("host width changed a modeled result: cut %d, times %+v; want cut %d, times %+v",
+				res.Cut, res.Times, serial[0].Cut, serial[0].Times)
+		}
 	}
 
 	concurrent := make([]*Result, len(configs))

@@ -90,16 +90,15 @@ type Result struct {
 
 // PartitionChecked runs ScalaPart on p simulated ranks and returns the
 // global bisection with its modeled timing breakdown. A world size
-// below one is an error, and a rank failure (panic, injected fault, or
-// watchdog-detected deadlock) comes back as an *mpi.RankError naming
-// the rank and pipeline phase instead of crashing the caller.
+// below one or a negative Model.Workers is an error, and a rank failure
+// (panic, injected fault, or watchdog-detected deadlock) comes back as
+// an *mpi.RankError naming the rank and pipeline phase instead of
+// crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
-	if err := checkWorldSize(p); err != nil {
+	if err := checkRun(p, opt.Model); err != nil {
 		return nil, fmt.Errorf("PartitionChecked: %w", err)
 	}
-	if opt.Model == (mpi.Model{}) {
-		opt.Model = mpi.DefaultModel()
-	}
+	opt.Model = opt.Model.OrDefault()
 	if opt.Coarsen.Seed == 0 {
 		opt.Coarsen.Seed = opt.Seed
 	}
@@ -148,7 +147,7 @@ func SequentialFallback(g *graph.Graph, seed int64) (*Result, error) {
 // refinement are timed. Bad input and rank failures come back as
 // errors, as in PartitionChecked.
 func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cfg geopart.ParallelConfig, model mpi.Model) (*Result, error) {
-	if err := checkGeometricInput(g, coords, p); err != nil {
+	if err := checkGeometricInput(g, coords, p, model); err != nil {
 		return nil, fmt.Errorf("PartitionGeometricChecked: %w", err)
 	}
 	return partitionCoords(g, coords, stagePlan{
@@ -161,7 +160,7 @@ func PartitionGeometricChecked(g *graph.Graph, coords []geometry.Vec2, p int, cf
 // yardstick. Bad input and rank failures come back as errors, as in
 // PartitionChecked.
 func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi.Model) (*Result, error) {
-	if err := checkGeometricInput(g, coords, p); err != nil {
+	if err := checkGeometricInput(g, coords, p, model); err != nil {
 		return nil, fmt.Errorf("RCBParallelChecked: %w", err)
 	}
 	return partitionCoords(g, coords, stagePlan{p: p, model: model, kernel: rcbKernel, phase: "rcb"})
@@ -171,29 +170,32 @@ func RCBParallelChecked(g *graph.Graph, coords []geometry.Vec2, p int, model mpi
 // are already distributed: only partitioning and refinement are timed,
 // so Total is the partition time.
 func partitionCoords(g *graph.Graph, coords []geometry.Vec2, pl stagePlan) (*Result, error) {
-	if pl.model == (mpi.Model{}) {
-		pl.model = mpi.DefaultModel()
-	}
+	pl.model = pl.model.OrDefault()
 	pl.start = stagePartition
 	pl.views = embed.SplitCoords(g, coords, pl.p)
 	res, _, err := pl.run(g)
 	return res, err
 }
 
-// checkWorldSize validates the world size every entry point takes.
-func checkWorldSize(p int) error {
+// checkRun validates the world size and the host width every entry
+// point takes.
+func checkRun(p int, m mpi.Model) error {
 	if p < 1 {
 		return fmt.Errorf("world size p=%d, want at least 1", p)
+	}
+	if m.Workers < 0 {
+		return fmt.Errorf("host width Model.Workers=%d, want at least 0", m.Workers)
 	}
 	return nil
 }
 
-// checkGeometricInput validates what embed.SplitCoords requires of the
-// geometric entry points' input: a positive world size and one
-// coordinate per vertex. Non-finite coordinates are accepted; they
-// partition like any other (TestGeometricCheckedBadInput).
-func checkGeometricInput(g *graph.Graph, coords []geometry.Vec2, p int) error {
-	if err := checkWorldSize(p); err != nil {
+// checkGeometricInput validates what embed.SplitCoords and the world
+// require of the geometric entry points' input: checkRun's world size
+// and width, and one coordinate per vertex. Non-finite coordinates are
+// accepted; they partition like any other
+// (TestGeometricCheckedBadInput).
+func checkGeometricInput(g *graph.Graph, coords []geometry.Vec2, p int, m mpi.Model) error {
+	if err := checkRun(p, m); err != nil {
 		return err
 	}
 	if n := g.NumVertices(); len(coords) != n {

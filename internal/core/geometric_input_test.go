@@ -154,3 +154,64 @@ func TestCheckedErrorPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedNegativeWorkers: the *Checked entry points reject a
+// negative host width (Model.Workers) with an error, before any host
+// work, instead of panicking when the world starts.
+func TestCheckedNegativeWorkers(t *testing.T) {
+	g := gen.Grid2D(12, 12)
+	entries := []struct {
+		name string
+		run  func(w int) error
+	}{
+		{"PartitionChecked", func(w int) error {
+			opt := DefaultOptions(3)
+			opt.Model.Workers = w
+			_, err := PartitionChecked(g.G, 4, opt)
+			return err
+		}},
+		{"PartitionChecked-trials-respawn", func(w int) error {
+			opt := DefaultOptions(3)
+			opt.Trials = 2
+			opt.Recover.Policy = RecoverRespawn
+			opt.Model.Workers = w
+			_, err := PartitionChecked(g.G, 4, opt)
+			return err
+		}},
+		{"PartitionGeometricChecked", func(w int) error {
+			m := mpi.DefaultModel()
+			m.Workers = w
+			_, err := PartitionGeometricChecked(g.G, g.Coords, 4, geopart.DefaultParallelConfig(), m)
+			return err
+		}},
+		{"RCBParallelChecked", func(w int) error {
+			m := mpi.DefaultModel()
+			m.Workers = w
+			_, err := RCBParallelChecked(g.G, g.Coords, 4, m)
+			return err
+		}},
+		{"baseline.PartitionChecked", func(w int) error {
+			cfg := baseline.ParMetisLike(3)
+			cfg.Model.Workers = w
+			_, err := baseline.PartitionChecked(g.G, 4, cfg)
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, w := range []int{-1, -8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.name, w), func(t *testing.T) {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked: %v", r)
+						}
+					}()
+					return e.run(w)
+				}()
+				if err == nil || !strings.Contains(err.Error(), "Model.Workers") {
+					t.Fatalf("workers=%d: got %v, want a host-width error", w, err)
+				}
+			})
+		}
+	}
+}

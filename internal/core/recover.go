@@ -363,7 +363,7 @@ func shrinkPlan(g *graph.Graph, opt Options, pl stagePlan, ck *checkpoint, coord
 	next.p = newP
 	next.rejoin = true
 	if coords != nil && snaps != nil {
-		if err := checkGeometricInput(g, coords, newP); err != nil {
+		if err := checkGeometricInput(g, coords, newP, pl.model); err != nil {
 			return stagePlan{}, nil, err
 		}
 		next.start = stagePartition

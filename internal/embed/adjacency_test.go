@@ -3,6 +3,7 @@ package embed
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geometry"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
@@ -280,15 +280,15 @@ func TestAdjacencyHandBuiltView(t *testing.T) {
 }
 
 // TestSplitCoordsWorkersBitIdentical: the host-parallel split produces
-// identical views at every worker count (run it under -race to check
-// the chunks share nothing they write).
+// identical views at every GOMAXPROCS, its width (run it under -race to
+// check the chunks share nothing they write).
 func TestSplitCoordsWorkersBitIdentical(t *testing.T) {
 	g := withIsolated(gen.DelaunayRandom(40000, 5), 40, false)
 	for _, p := range []int{1, 7, 64} {
 		var ref []*Distributed
 		for _, w := range []int{1, 2, 8} {
 			views := func() []*Distributed {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				return SplitCoords(g.G, g.Coords, p)
 			}()
 			if ref == nil {

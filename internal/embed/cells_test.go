@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
@@ -31,11 +30,10 @@ func TestChunkCap(t *testing.T) {
 			t.Errorf("chunkCap(%d workers, %d ranks) = %d, want %d", c.workers, c.ranks, got, c.want)
 		}
 	}
-	defer hostpar.SetWorkers(hostpar.SetWorkers(8))
-	if got := levelChunks(2, 1<<20, 1); got != 4 {
+	if got := levelChunks(8, 2, 1<<20, 1); got != 4 {
 		t.Errorf("levelChunks at 8 workers, 2 ranks: %d chunks, want 4", got)
 	}
-	if got := levelChunks(1, 64, 32); got != 2 {
+	if got := levelChunks(8, 1, 64, 32); got != 2 {
 		t.Errorf("levelChunks at 8 workers, 1 rank, 64 items of grain 32: %d chunks, want 2", got)
 	}
 }

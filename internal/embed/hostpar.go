@@ -14,9 +14,10 @@ import (
 // by exactly one statically assigned chunk, scalar accumulations
 // (energy, force-magnitude sums, virtual-clock charges) are reduced
 // serially in the original index order from per-element scratch, and
-// every charged cost stays the original float expression. Worker count
-// therefore never changes a coordinate, a cut, or a clock — the
-// determinism tests pin worker=1 against worker=8 exactly.
+// every charged cost stays the original float expression. The run's
+// host width (Comm.Workers) therefore never changes a coordinate, a
+// cut, or a clock — the determinism tests pin width 1 against width 8
+// exactly.
 //
 // The hot chunk bodies are pre-bound method values stored on the level
 // state, so the steady-state iteration submits pooled work without
@@ -41,15 +42,15 @@ func chunkCap(workers, ranks int) int {
 }
 
 // levelChunks returns the chunk count of a per-rank kernel over n items
-// with the given grain on a level of the given rank count: hostpar's
-// chunk count, capped by chunkCap.
-func levelChunks(ranks, n, grain int) int {
-	return min(hostpar.NumChunks(n, grain), chunkCap(hostpar.Workers(), ranks))
+// with the given grain on a level of the given rank count, in a run of
+// the given host width: hostpar's chunk count, capped by chunkCap.
+func levelChunks(width, ranks, n, grain int) int {
+	return min(hostpar.NumChunksAt(width, n, grain), chunkCap(width, ranks))
 }
 
 // forChunked runs a per-rank kernel over n items on levelChunks chunks.
 func (s *levelState) forChunked(n, grain int, body func(c, lo, hi int)) {
-	hostpar.ForN(n, levelChunks(s.comm.Size(), n, grain), body)
+	hostpar.ForN(n, levelChunks(s.comm.Workers(), s.comm.Size(), n, grain), body)
 }
 
 // hostparScratch is the levelState's host-parallel working set:

@@ -1,20 +1,21 @@
 package embed
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/geometry"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
-// embedRun executes the parallel embedding and flattens the result into
-// one position per vertex plus the per-rank stats.
-func embedRun(t *testing.T, g *gen.Generated, p int, opt ParallelOptions) ([]geometry.Vec2, []mpi.RankStats) {
+// embedRun executes the parallel embedding at the given host width and
+// flattens the result into one position per vertex plus the per-rank
+// stats.
+func embedRun(t *testing.T, g *gen.Generated, p, workers int, opt ParallelOptions) ([]geometry.Vec2, []mpi.RankStats) {
 	t.Helper()
-	out, stats := runEmbed(t, g, p, opt)
+	out, stats := runEmbedAt(t, g, p, workers, opt)
 	pos := make([]geometry.Vec2, g.G.NumVertices())
 	for _, d := range out {
 		for i, id := range d.OwnedIDs {
@@ -35,12 +36,10 @@ func TestEmbedWorkerCountBitIdentical(t *testing.T) {
 	opt := ParallelOptions{Seed: 9, IterCoarsest: 40, IterSmooth: 8}
 	const p = 4
 
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-	refPos, refStats := embedRun(t, g, p, opt)
+	refPos, refStats := embedRun(t, g, p, 1, opt)
 
 	for _, workers := range []int{2, 8} {
-		hostpar.SetWorkers(workers)
-		pos, stats := embedRun(t, g, p, opt)
+		pos, stats := embedRun(t, g, p, workers, opt)
 		for i := range refPos {
 			if pos[i] != refPos[i] {
 				t.Fatalf("workers=%d: vertex %d position %v, one worker %v", workers, i, pos[i], refPos[i])
@@ -57,18 +56,19 @@ func TestEmbedWorkerCountBitIdentical(t *testing.T) {
 }
 
 // TestSequentialLayoutWorkerBitIdentical pins the sequential
-// Barnes–Hut baseline: the force pass with any worker count must
-// reproduce the one-worker layout exactly (per-vertex forces from a
-// read-only tree, energy reduced serially in vertex order).
+// Barnes–Hut baseline: the force pass at any GOMAXPROCS (its width, as
+// it runs outside any world) must reproduce the one-thread layout
+// exactly (per-vertex forces from a read-only tree, energy reduced
+// serially in vertex order).
 func TestSequentialLayoutWorkerBitIdentical(t *testing.T) {
 	g := gen.Grid2D(24, 24)
 	opt := SeqOptions{Seed: 5, IterCoarsest: 40, IterSmooth: 10}
 
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ref := SequentialLayout(g.G, opt)
 
 	for _, workers := range []int{2, 8} {
-		hostpar.SetWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		got := SequentialLayout(g.G, opt)
 		for v := range ref {
 			if got[v] != ref[v] {
@@ -88,10 +88,11 @@ func TestSmoothSteadyStateAllocsWorkers(t *testing.T) {
 		bs     = 4
 		blocks = 20
 	)
-	defer hostpar.SetWorkers(hostpar.SetWorkers(8))
 	g := gen.Grid2D(48, 48)
 	var perBlock float64
-	mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+	m := mpi.DefaultModel()
+	m.Workers = 8
+	mpi.Run(p, m, func(c *mpi.Comm) {
 		st := benchLevelState(c, g, 7)
 		st.Smooth(4*bs, bs) // warm scratch buffers, pools, and workers
 		c.Barrier()
@@ -114,13 +115,14 @@ func TestSmoothSteadyStateAllocsWorkers(t *testing.T) {
 	t.Logf("steady-state Smooth with 8 workers: %.1f mallocs per block across %d ranks", perBlock, p)
 }
 
-// benchWorkerSweep runs fn once per worker setting, restoring the
-// previous setting afterwards.
-func benchWorkerSweep(b *testing.B, fn func(b *testing.B)) {
+// benchWorkerSweep runs fn once per host width, handing it the default
+// model at that width.
+func benchWorkerSweep(b *testing.B, fn func(b *testing.B, m mpi.Model)) {
 	for _, workers := range []int{1, 2, 8} {
-		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 8: "workers=8"}[workers], func(b *testing.B) {
-			defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-			fn(b)
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m := mpi.DefaultModel()
+			m.Workers = workers
+			fn(b, m)
 		})
 	}
 }
@@ -129,11 +131,11 @@ func benchWorkerSweep(b *testing.B, fn func(b *testing.B)) {
 // scheme (rank aggregates, inherited far field, Barnes–Hut near field,
 // attraction, displacement) at P=4, swept over host worker counts.
 func BenchmarkIterate(b *testing.B) {
-	benchWorkerSweep(b, func(b *testing.B) {
+	benchWorkerSweep(b, func(b *testing.B, m mpi.Model) {
 		const p = 4
 		g := gen.Grid2D(64, 64)
 		b.ReportAllocs()
-		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		mpi.Run(p, m, func(c *mpi.Comm) {
 			st := benchLevelState(c, g, 7)
 			st.Smooth(4, 4) // warm scratch, pools, and ghost state
 			c.Barrier()
@@ -156,14 +158,14 @@ func BenchmarkIterate(b *testing.B) {
 // two full staleness blocks per op, including the block-boundary
 // collectives.
 func BenchmarkSmoothWorkers(b *testing.B) {
-	benchWorkerSweep(b, func(b *testing.B) {
+	benchWorkerSweep(b, func(b *testing.B, m mpi.Model) {
 		const (
 			p  = 4
 			bs = 4
 		)
 		g := gen.Grid2D(64, 64)
 		b.ReportAllocs()
-		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		mpi.Run(p, m, func(c *mpi.Comm) {
 			st := benchLevelState(c, g, 7)
 			st.Smooth(2*bs, bs)
 			c.Barrier()
@@ -186,14 +188,14 @@ func BenchmarkSmoothWorkers(b *testing.B) {
 // (hierarchy reuse, per-level smoothing, projection, routing) at P=4,
 // swept over host worker counts.
 func BenchmarkParallelEmbed(b *testing.B) {
-	benchWorkerSweep(b, func(b *testing.B) {
+	benchWorkerSweep(b, func(b *testing.B, m mpi.Model) {
 		const p = 4
 		g := gen.Grid2D(48, 48)
 		h := buildBenchHierarchy(g, p)
 		opt := ParallelOptions{Seed: 7, IterCoarsest: 60, IterSmooth: 10}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			mpi.Run(p, m, func(c *mpi.Comm) {
 				ParallelEmbed(c, h, opt)
 			})
 		}

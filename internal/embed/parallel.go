@@ -159,7 +159,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	// The per-point loops below run on the ranks that hold coarse
 	// points, so they share the host's workers (see chunkCap).
 	var created []idPos
-	ranks := sub.Size()
+	width, ranks := sub.Workers(), sub.Size()
 	if coarse != nil {
 		ranks = coarse.comm.Size()
 		nKids := 0
@@ -182,7 +182,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 			}.Scale(0.5 * opt.Force.K)
 		}
 		created = make([]idPos, nKids)
-		hostpar.ForN(len(coarse.ownedIDs), levelChunks(ranks, len(coarse.ownedIDs), 16), func(_, clo, chi int) {
+		hostpar.ForN(len(coarse.ownedIDs), levelChunks(width, ranks, len(coarse.ownedIDs), 16), func(_, clo, chi int) {
 			for ci := clo; ci < chi; ci++ {
 				q := coarse.pos[ci].Scale(2)
 				k := offs[ci]
@@ -200,7 +200,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	lo := geometry.Vec2{X: math.Inf(1), Y: math.Inf(1)}
 	hi := geometry.Vec2{X: math.Inf(-1), Y: math.Inf(-1)}
 	if len(created) > 0 {
-		chunks := levelChunks(ranks, len(created), 1024)
+		chunks := levelChunks(width, ranks, len(created), 1024)
 		pLo := make([]geometry.Vec2, chunks)
 		pHi := make([]geometry.Vec2, chunks)
 		hostpar.ForN(len(created), chunks, func(c, clo, chi int) {
@@ -252,7 +252,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	// in point order, so each destination's record order is the point
 	// order.
 	destRank := make([]int32, len(created))
-	hostpar.ForN(len(created), levelChunks(ranks, len(created), 512), func(_, clo, chi int) {
+	hostpar.ForN(len(created), levelChunks(width, ranks, len(created), 512), func(_, clo, chi int) {
 		for i := clo; i < chi; i++ {
 			destRank[i] = int32(lat.RankOf(created[i].P))
 		}

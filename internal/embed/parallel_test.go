@@ -14,9 +14,17 @@ import (
 // returns the per-rank distributed results plus rank stats.
 func runEmbed(t *testing.T, g *gen.Generated, p int, opt ParallelOptions) ([]*Distributed, []mpi.RankStats) {
 	t.Helper()
+	return runEmbedAt(t, g, p, 0, opt)
+}
+
+// runEmbedAt is runEmbed in a world of the given host width.
+func runEmbedAt(t *testing.T, g *gen.Generated, p, workers int, opt ParallelOptions) ([]*Distributed, []mpi.RankStats) {
+	t.Helper()
 	h := coarsen.BuildHierarchy(g.G, p, coarsen.Options{CoarsestSize: 200, Seed: 1})
+	m := mpi.DefaultModel()
+	m.Workers = workers
 	out := make([]*Distributed, p)
-	stats := mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+	stats := mpi.Run(p, m, func(c *mpi.Comm) {
 		out[c.Rank()] = ParallelEmbed(c, h, opt)
 	})
 	return out, stats

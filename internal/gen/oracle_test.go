@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 )
 
 // The mesh path as it was before generated meshes were built in one
@@ -53,9 +52,9 @@ func buildMeshOracle(name string, pts []geometry.Vec2, maxEdge float64, reject f
 func mortonRelabelOracle(g *graph.Graph, coords []geometry.Vec2) (*graph.Graph, []geometry.Vec2) {
 	order := mortonOrderOracle(coords) // order[i] = old id at new position i
 	newID := make([]int32, g.NumVertices())
-	hostpar.For(len(order), relabelGrain, func(pos int) {
-		newID[order[pos]] = int32(pos)
-	})
+	for pos, old := range order {
+		newID[old] = int32(pos)
+	}
 	b := graph.NewBuilder(g.NumVertices())
 	for u := int32(0); u < int32(g.NumVertices()); u++ {
 		for k := g.XAdj[u]; k < g.XAdj[u+1]; k++ {
@@ -70,9 +69,9 @@ func mortonRelabelOracle(g *graph.Graph, coords []geometry.Vec2) (*graph.Graph, 
 		out.EWgt = nil
 	}
 	newCoords := make([]geometry.Vec2, len(coords))
-	hostpar.For(len(order), relabelGrain, func(pos int) {
-		newCoords[pos] = coords[order[pos]]
-	})
+	for pos, old := range order {
+		newCoords[pos] = coords[old]
+	}
 	return out, newCoords
 }
 

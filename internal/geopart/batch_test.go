@@ -11,7 +11,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
@@ -134,7 +133,7 @@ func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
 }
 
 // TestParallelPartitionReplayBitIdentical runs SP-PG7-NL and parallel
-// RCB under several hostpar worker counts and requires the cuts, sides,
+// RCB at several host widths (Model.Workers) and requires the cuts, sides,
 // weights, strip sizes and per-rank clocks of a one-worker run. The
 // full-pipeline sweep lives in core's TestBatchingBitIdentical; this is
 // the package-local check.
@@ -146,10 +145,12 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 		rcb    ParallelResult
 		clocks []float64
 	}
-	run := func(p int) outcome {
+	run := func(p, workers int) outcome {
 		views := embed.SplitCoords(g.G, g.Coords, p)
 		o := outcome{part: make([]int32, g.G.NumVertices()), clocks: make([]float64, p)}
-		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+		m := mpi.DefaultModel()
+		m.Workers = workers
+		mpi.Run(p, m, func(c *mpi.Comm) {
 			res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
 			for i, id := range res.OwnedIDs {
 				o.part[id] = res.Side[i]
@@ -163,16 +164,10 @@ func TestParallelPartitionReplayBitIdentical(t *testing.T) {
 		return o
 	}
 	for _, p := range []int{1, 4, 16} {
-		ref := func() outcome {
-			defer hostpar.SetWorkers(hostpar.SetWorkers(1))
-			return run(p)
-		}()
+		ref := run(p, 1)
 		for _, w := range []int{2, 8} {
 			name := fmt.Sprintf("P=%d, %d workers", p, w)
-			got := func() outcome {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
-				return run(p)
-			}()
+			got := run(p, w)
 			if got.sp.Cut != ref.sp.Cut || got.sp.CutBefore != ref.sp.CutBefore || got.sp.SideW != ref.sp.SideW || got.sp.StripSize != ref.sp.StripSize {
 				t.Fatalf("%s: SP results differ: %+v, one worker %+v", name, got.sp, ref.sp)
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
 
@@ -82,7 +81,7 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 
 // TestFullCutDeterministic: with full-cut on, the partition must be a
 // pure function of (graph, config, P) — identical across repeated
-// runs and hostpar worker counts.
+// runs and host widths (Model.Workers).
 func TestFullCutDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 9)
 	for _, p := range []int{1, 4, 16, 64} {
@@ -90,10 +89,9 @@ func TestFullCutDeterministic(t *testing.T) {
 		var baseCut int64
 		for run, workers := range []int{1, 8, 8} {
 			name := fmt.Sprintf("P=%d run %d workers=%d", p, run, workers)
-			part, res := func() ([]int32, *ParallelResult) {
-				defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-				return runSP(g, p, fullCutConfig(), mpi.DefaultModel())
-			}()
+			m := mpi.DefaultModel()
+			m.Workers = workers
+			part, res := runSP(g, p, fullCutConfig(), m)
 			if base == nil {
 				base, baseCut = part, res.Cut
 				continue

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-
-	"repro/internal/hostpar"
 )
 
 // randomBuilder fills a builder with a reproducible edge soup:
@@ -153,7 +151,7 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 		b := randomBuilder(tc.n, tc.records, tc.weighted, int64(1000+ci))
 		want := b.buildSerial()
 		for _, w := range []int{1, 2, 8} {
-			defer hostpar.SetWorkers(hostpar.SetWorkers(w))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			got := b.Build()
 			graphsEqual(t, fmt.Sprintf("case %d workers %d", ci, w), want, got)
 		}
@@ -184,7 +182,7 @@ func TestParallelBuildUnitWeightMergeStaysWeighted(t *testing.T) {
 // allocate only its output arrays (XAdj, Adjncy, EWgt, VWgt) plus
 // small fixed bookkeeping — not the O(E) working set.
 func TestParallelBuildSteadyStateAllocs(t *testing.T) {
-	defer hostpar.SetWorkers(hostpar.SetWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	b := randomBuilder(2000, 20000, true, 7)
 	for i := 0; i < 3; i++ {
 		b.Build() // warm the scratch pool

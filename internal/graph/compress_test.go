@@ -2,11 +2,11 @@ package graph_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 )
 
 // randomGraph builds a valid random graph: n vertices, ~avgDeg average
@@ -177,10 +177,10 @@ func TestCompressedNeighborsFallback(t *testing.T) {
 
 func TestCompressWorkerCountDeterminism(t *testing.T) {
 	g := randomGraph(t, 3000, 6, true, 11)
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ref *graph.Graph
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		cg := graph.Compress(g)
 		pl := cg.Plain()
 		if ref == nil {
@@ -222,9 +222,9 @@ func TestValidateDeterministicErrors(t *testing.T) {
 		XAdj:   []int32{0, 1, 1, 2, 3},
 		Adjncy: []int32{1, 3, 2},
 	}
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		err := bad.Validate()
 		if err == nil || err.Error() != "graph: asymmetric edge {0,1}" {
 			t.Fatalf("workers=%d: got %v", w, err)

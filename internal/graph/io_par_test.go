@@ -2,12 +2,12 @@ package graph_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 )
 
 // parseBoth runs a reader against the serial and parallel paths and
@@ -114,9 +114,9 @@ var metisCases = []struct {
 }
 
 func TestParallelMETISMatchesSerial(t *testing.T) {
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for _, tc := range metisCases {
 			t.Run(tc.name, func(t *testing.T) {
 				parseBoth(t, []byte(tc.in), false)
@@ -150,9 +150,9 @@ var mmCases = []struct {
 }
 
 func TestParallelMatrixMarketMatchesSerial(t *testing.T) {
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for _, tc := range mmCases {
 			t.Run(tc.name, func(t *testing.T) {
 				parseBoth(t, []byte(tc.in), true)
@@ -173,9 +173,9 @@ func TestParallelParseSuiteGraph(t *testing.T) {
 	if err := graph.WriteMatrixMarket(&mm, g); err != nil {
 		t.Fatal(err)
 	}
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		pg, err := parseBoth(t, metis.Bytes(), false)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

@@ -2,10 +2,10 @@ package graph_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/hostpar"
 )
 
 // streamCase is a deterministic edge stream with duplicates,
@@ -36,7 +36,7 @@ func buildViaBuilder(n int, emit func(add func(u, v, w int32))) *graph.Graph {
 // bit-identical to feeding the same stream through the Builder, across
 // weighted/unweighted streams and worker counts.
 func TestBuildStreamedMatchesBuilder(t *testing.T) {
-	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cases := []struct {
 		name     string
 		n, edges int
@@ -50,7 +50,7 @@ func TestBuildStreamedMatchesBuilder(t *testing.T) {
 		{"zero-vertices", 0, 0, false},
 	}
 	for _, w := range []int{1, 2, 8} {
-		hostpar.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for _, tc := range cases {
 			emit := streamCase(tc.n, tc.edges, tc.weighted, 42)
 			want := buildViaBuilder(tc.n, emit)

@@ -5,14 +5,19 @@
 // (coarsening, CSR assembly, boundary scans) and is therefore required
 // to be invisible to the paper's model: every kernel built on it must
 // write each output element from exactly one statically determined
-// chunk, so results are bit-identical for every worker count. The
-// chunk layout is a pure function of (n, chunk count) — never of
-// runtime scheduling — which is what the determinism tests pin.
+// chunk, so results are bit-identical for every width. The chunk
+// layout is a pure function of (width, n, grain) — never of runtime
+// scheduling — which is what the determinism tests pin.
+//
+// The package holds no width setting. Inside a simulated world a
+// kernel passes its run's width (mpi.Model.Workers, read from the Comm)
+// to NumChunksAt; host work outside a world calls NumChunks, ForChunked
+// and For, which fork to runtime.GOMAXPROCS(0).
 //
 // The pool is global and lazily grown; concurrent ForChunked calls
 // (e.g. the bench sweep running several hierarchies at once) share it,
 // so the process-wide goroutine count stays bounded by the largest
-// worker setting rather than multiplying. A caller that finds the
+// width in use rather than multiplying. A caller that finds the
 // submission queue full, or that is waiting for its own chunks, helps
 // drain the queue instead of parking — nested and concurrent use can
 // therefore never deadlock the pool.
@@ -23,29 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// workerSetting is the configured worker count; 0 means one worker per
-// available core (GOMAXPROCS). Set from the -workers flags.
-var workerSetting atomic.Int32
-
-// SetWorkers sets the host worker count and returns the previous
-// setting (0 meaning "one per core"). Passing 0 restores the default.
-// Tests flip it to prove worker count never changes results.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(workerSetting.Swap(int32(n)))
-}
-
-// Workers returns the effective worker count: the configured setting,
-// or GOMAXPROCS when unset.
-func Workers() int {
-	if n := int(workerSetting.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // maxPool caps the lazily grown pool; chunks beyond it run via the
 // queue-full inline fallback, so the cap bounds goroutines, not
@@ -103,18 +85,25 @@ func ensureWorkers(n int) {
 	poolMu.Unlock()
 }
 
-// NumChunks returns the chunk count a loop over n items with the given
-// minimum grain (iterations per chunk) splits into under the current
-// worker setting: min(Workers, n/grain), floored at 1; 0 for n <= 0.
-// It is a pure function of (n, grain, worker setting).
+// NumChunks returns the chunk count a loop outside a simulated world
+// splits n items into at the given minimum grain: NumChunksAt at
+// GOMAXPROCS width.
 func NumChunks(n, grain int) int {
+	return NumChunksAt(runtime.GOMAXPROCS(0), n, grain)
+}
+
+// NumChunksAt returns the chunk count a loop over n items with the
+// given minimum grain (iterations per chunk) splits into at the given
+// width: min(width, n/grain), floored at 1; 0 for n <= 0. It is a pure
+// function of its arguments.
+func NumChunksAt(width, n, grain int) int {
 	if n <= 0 {
 		return 0
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	c := Workers()
+	c := width
 	if mx := n / grain; c > mx {
 		c = mx
 	}
@@ -134,8 +123,7 @@ func ChunkBounds(n, chunks, c int) (lo, hi int) {
 // ForN runs body(c, lo, hi) for each of exactly `chunks` statically
 // assigned contiguous chunks of [0, n), in parallel across the pool.
 // Callers that need several passes over the same chunk layout (count,
-// convert, fill) compute chunks once with NumChunks and reuse it, so
-// all passes agree even if the worker setting changes mid-call.
+// convert, fill) compute chunks once with NumChunks and reuse it.
 // body must only write state owned by its chunk; ForN returns after
 // every chunk has completed (with the usual happens-before guarantee).
 func ForN(n, chunks int, body func(c, lo, hi int)) {

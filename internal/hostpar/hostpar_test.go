@@ -1,35 +1,46 @@
 package hostpar
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestChunkAssignmentDeterministic pins the static chunk layout: the
-// chunk count and every chunk boundary are pure functions of (n, grain,
-// worker setting), independent of scheduling — the property every
-// bit-identical kernel in coarsen and graph is built on.
+// chunk count and every chunk boundary are pure functions of (width, n,
+// grain), independent of scheduling — the property every bit-identical
+// kernel in coarsen and graph is built on. NumChunks, used outside a
+// world, must agree with NumChunksAt at the GOMAXPROCS width.
 func TestChunkAssignmentDeterministic(t *testing.T) {
-	defer SetWorkers(SetWorkers(8))
-	for _, n := range []int{1, 7, 100, 4096, 100003} {
-		for _, grain := range []int{1, 64, 4096} {
-			want := NumChunks(n, grain)
-			for trial := 0; trial < 3; trial++ {
-				var mu sync.Mutex
-				got := make(map[int][2]int)
-				ForChunked(n, grain, func(c, lo, hi int) {
-					mu.Lock()
-					got[c] = [2]int{lo, hi}
-					mu.Unlock()
-				})
-				if len(got) != want {
-					t.Fatalf("n=%d grain=%d: %d chunks ran, NumChunks says %d", n, grain, len(got), want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, width := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(width)
+		for _, n := range []int{1, 7, 100, 4096, 100003} {
+			for _, grain := range []int{1, 64, 4096} {
+				want := NumChunksAt(width, n, grain)
+				if mx := max(1, n/grain); want != min(width, mx) {
+					t.Fatalf("width=%d n=%d grain=%d: NumChunksAt = %d, want min(width, n/grain) = %d", width, n, grain, want, min(width, mx))
 				}
-				for c, b := range got {
-					lo, hi := ChunkBounds(n, want, c)
-					if b[0] != lo || b[1] != hi {
-						t.Fatalf("n=%d grain=%d chunk %d: ran [%d,%d), ChunkBounds says [%d,%d)", n, grain, c, b[0], b[1], lo, hi)
+				if got := NumChunks(n, grain); got != want {
+					t.Fatalf("GOMAXPROCS=%d n=%d grain=%d: NumChunks = %d, NumChunksAt = %d", width, n, grain, got, want)
+				}
+				for trial := 0; trial < 3; trial++ {
+					var mu sync.Mutex
+					got := make(map[int][2]int)
+					ForN(n, want, func(c, lo, hi int) {
+						mu.Lock()
+						got[c] = [2]int{lo, hi}
+						mu.Unlock()
+					})
+					if len(got) != want {
+						t.Fatalf("width=%d n=%d grain=%d: %d chunks ran, NumChunksAt says %d", width, n, grain, len(got), want)
+					}
+					for c, b := range got {
+						lo, hi := ChunkBounds(n, want, c)
+						if b[0] != lo || b[1] != hi {
+							t.Fatalf("width=%d n=%d grain=%d chunk %d: ran [%d,%d), ChunkBounds says [%d,%d)", width, n, grain, c, b[0], b[1], lo, hi)
+						}
 					}
 				}
 			}
@@ -64,11 +75,11 @@ func TestChunkBoundsPartition(t *testing.T) {
 	}
 }
 
-// TestForVisitsEachIndexOnce runs For under several worker settings and
+// TestForVisitsEachIndexOnce runs For at several GOMAXPROCS widths and
 // checks every index is visited exactly once.
 func TestForVisitsEachIndexOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
-		defer SetWorkers(SetWorkers(w))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 		const n = 50000
 		visits := make([]int32, n)
 		For(n, 1, func(i int) {
@@ -86,7 +97,7 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 // running on pool workers issue inner parallel loops whose chunks queue
 // behind them.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	defer SetWorkers(SetWorkers(8))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	var total atomic.Int64
 	For(64, 1, func(i int) {
 		For(1000, 1, func(j int) {
@@ -102,7 +113,7 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 // parallel loops, mimicking the bench sweep building hierarchies
 // concurrently; results must be independent and complete.
 func TestConcurrentCallersShareThePool(t *testing.T) {
-	defer SetWorkers(SetWorkers(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const callers = 16
 	var wg sync.WaitGroup
 	sums := make([]int64, callers)
@@ -122,30 +133,5 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 		if s != want {
 			t.Fatalf("caller %d summed %d, want %d", g, s, want)
 		}
-	}
-}
-
-// TestSetWorkersRoundTrip checks the save/restore idiom the tests and
-// flag plumbing rely on.
-func TestSetWorkersRoundTrip(t *testing.T) {
-	orig := SetWorkers(3)
-	if got := SetWorkers(orig); got != 3 {
-		t.Fatalf("SetWorkers round-trip read %d, want 3", got)
-	}
-	if SetWorkers(-5) != orig {
-		t.Fatalf("negative SetWorkers did not return prior setting")
-	}
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after clamping negative setting", Workers())
-	}
-	SetWorkers(orig)
-}
-
-// TestWorkersDefaultsToCores: with no setting, Workers tracks
-// GOMAXPROCS.
-func TestWorkersDefaultsToCores(t *testing.T) {
-	defer SetWorkers(SetWorkers(0))
-	if Workers() < 1 {
-		t.Fatalf("default Workers() = %d", Workers())
 	}
 }

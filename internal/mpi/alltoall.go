@@ -63,21 +63,21 @@ func AllToAllV[T any](c *Comm, send []T, counts []int32, bytesPerElem int) []T {
 // directly — O(P²) total. The returned slice is shared read-only
 // between ranks, and counts is read only inside the combine.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
-	cols := c.runCollective(opAllToAllVCounts, counts, transposeCounts, c.world.model.countsCost(c.size)).([]int32)
+	cols := c.runCollective(opAllToAllVCounts, counts, c.world.transposeCounts, c.world.model.countsCost(c.size)).([]int32)
 	return cols[c.rank*c.size : (c.rank+1)*c.size : (c.rank+1)*c.size]
 }
 
-// transposeCounts is the count exchange's combine: it lays the count
-// matrix out column-major in one flat slab, so that
-// cols[dst·P+src] = vals[src][dst].
-func transposeCounts(vals []any) any {
+// transposeCounts is the count exchange's combine at the given host
+// width: it lays the count matrix out column-major in one flat slab, so
+// that cols[dst·P+src] = vals[src][dst].
+func transposeCounts(width int, vals []any) any {
 	p := len(vals)
 	rows := make([][]int32, p)
 	for i, v := range vals {
 		rows[i] = v.([]int32)
 	}
 	cols := make([]int32, p*p)
-	hostpar.ForChunked(p, 64, func(_, lo, hi int) {
+	hostpar.ForN(p, hostpar.NumChunksAt(width, p, 64), func(_, lo, hi int) {
 		for dst := lo; dst < hi; dst++ {
 			col := cols[dst*p : (dst+1)*p]
 			for src := 0; src < p; src++ {

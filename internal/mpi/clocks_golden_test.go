@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/hostpar"
 )
 
 // clockOps names the collectives clockBody runs, in order.
@@ -141,8 +139,8 @@ func TestCollectiveClocksGolden(t *testing.T) {
 	if testing.Short() {
 		ps = ps[:3]
 	}
-	defer hostpar.SetWorkers(hostpar.SetWorkers(2))
 	m := DefaultModel()
+	m.Workers = 2
 	var got strings.Builder
 	for _, p := range ps {
 		got.WriteString(formatClocks(p, clockBody(p, m)))

@@ -165,15 +165,13 @@ func (c *Comm) faninWait(coll *faninColl, op *string, myGen int64) {
 
 // scanMax returns the rank-maximum clock and declared cost of the
 // current generation. Max is exact under any association, so large
-// communicators scan in hostpar chunks; small ones stay serial.
-func (coll *faninColl) scanMax() (mx, mc float64) {
+// communicators scan in up to width hostpar chunks; small ones stay
+// serial.
+func (coll *faninColl) scanMax(width int) (mx, mc float64) {
 	slots := coll.slots
 	n := len(slots)
-	if wk := hostpar.Workers(); wk > 1 && n >= faninChunkMin {
-		chunks := wk
-		if chunks > maxFaninChunks {
-			chunks = maxFaninChunks
-		}
+	if width > 1 && n >= faninChunkMin {
+		chunks := min(width, maxFaninChunks)
 		hostpar.ForN(n, chunks, func(ci, lo, hi int) {
 			cm, cc := slots[lo].clock, slots[lo].cost
 			for i := lo + 1; i < hi; i++ {
@@ -220,7 +218,7 @@ func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cos
 	slot.val = val
 	myGen, finisher := c.faninArrive(coll)
 	if finisher {
-		mx, mc := coll.scanMax()
+		mx, mc := coll.scanMax(c.world.workers)
 		vals := coll.valsView
 		for i := range coll.slots {
 			vals[i] = coll.slots[i].val
@@ -267,7 +265,7 @@ func (c *Comm) faninWords(op *string, w [4]uint64, fold func(acc, v [4]uint64) [
 	slot.w = w
 	myGen, finisher := c.faninArrive(coll)
 	if finisher {
-		mx, mc := coll.scanMax()
+		mx, mc := coll.scanMax(c.world.workers)
 		acc := coll.slots[0].w
 		for i := 1; i < coll.size; i++ {
 			acc = fold(acc, coll.slots[i].w)

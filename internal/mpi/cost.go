@@ -31,6 +31,13 @@ func (m *Model) Hop(bytes int) Cost {
 	return Cost{total: m.Latency + tw, ts: m.Latency, tw: tw}
 }
 
+// sendCost is the transit time of one point-to-point message: one hop
+// plus the backoff of any healed retransmissions,
+// (Latency + PerByte·bytes) + backoff. The receiver books it whole.
+func (m *Model) sendCost(bytes int, backoff float64) float64 {
+	return m.Hop(bytes).total + backoff
+}
+
 // Peers is the per-peer posting overhead of one irregular exchange over
 // p ranks, the o·P term: PerPeer·p.
 func (m *Model) Peers(p int) Cost {

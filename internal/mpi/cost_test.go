@@ -137,6 +137,10 @@ var oracleModels = []Model{DefaultModel(), {Latency: 7.3e-6, PerByte: 1.7e-9, Pe
 // oraclePayloads are the per-collective payload sizes the oracles sweep.
 var oraclePayloads = []int{0, 1, 4, 7, 8, 12, 24, 100, 333, 1000, 4096, 12345, 20000}
 
+// oracleBackoffs are the retransmission backoffs the send oracle adds
+// to a hop: none, one latency-sized timeout, and summed timeouts.
+var oracleBackoffs = []float64{0, 2.5e-6, 3.1e-5, 1.7e-4}
+
 // sameCost fails unless got charges exactly the reference total and
 // records exactly its terms and payload; at names the case.
 func sameCost(t *testing.T, at func() string, got Cost, total, ts, tw, to float64, bytes int64) {
@@ -151,11 +155,19 @@ func sameCost(t *testing.T, at func() string, got Cost, total, ts, tw, to float6
 
 // TestCostCompositionsBitExact holds every runtime charge built from
 // Cost constructors to the open-coded expression it replaced: the same
-// total bits, the same ts/tw/to bits and the same payload, over every
+// total bits, the same ts/tw/to bits and the same payload (for a
+// point-to-point send, the same charged bits), over every
 // communicator size up to 4096 (powers of two and not) and a spread of
 // payloads.
 func TestCostCompositionsBitExact(t *testing.T) {
 	for _, m := range oracleModels {
+		for _, b := range oraclePayloads {
+			for _, backoff := range oracleBackoffs {
+				if got, want := m.sendCost(b, backoff), m.Latency+m.PerByte*float64(b)+backoff; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Send model %+v bytes=%d backoff=%v: charged %v, want %v", m, b, backoff, got, want)
+				}
+			}
+		}
 		for p := 1; p <= 4096; p++ {
 			lg := Log2Ceil(p)
 			for _, b := range oraclePayloads {

@@ -45,6 +45,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,12 @@ type Model struct {
 	// total whether or not a recorder is attached, so a traced run is
 	// bit-identical to an untraced one. Use one Recorder per run.
 	Trace *trace.Recorder
+	// Workers is the host width of the run: the most chunks a
+	// host-parallel kernel inside the world forks into (Comm.Workers).
+	// Zero means one per core, GOMAXPROCS when the world starts; a
+	// negative width is invalid. The width changes host wall time only,
+	// never a result or a clock.
+	Workers int
 }
 
 // DefaultModel returns constants representative of the paper's testbed
@@ -104,6 +111,27 @@ func DefaultModel() Model {
 		PerOp:   1.5e-9,
 		PerPeer: 0.2e-6,
 	}
+}
+
+// OrDefault returns m, or DefaultModel at m's host width when m sets
+// nothing but Workers: the entry points read a zero model as the
+// default machine, and choosing a width does not make it another one.
+func (m Model) OrDefault() Model {
+	if m != (Model{Workers: m.Workers}) {
+		return m
+	}
+	d := DefaultModel()
+	d.Workers = m.Workers
+	return d
+}
+
+// ResolvedWorkers is the host width a world of this model runs at:
+// Workers, or GOMAXPROCS when Workers is zero.
+func (m *Model) ResolvedWorkers() int {
+	if m.Workers > 0 {
+		return m.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // RankStats is the per-rank outcome of a World run.
@@ -208,8 +236,13 @@ type rankState struct {
 // World is a group of simulated ranks. Create one per parallel run via
 // Run or RunChecked.
 type World struct {
-	size  int
-	model Model
+	size    int
+	model   Model
+	workers int // Model.ResolvedWorkers, fixed at start
+
+	// transposeCounts is the count exchange's combine bound to the
+	// world's width, built once so that AllToAllV allocates no closure.
+	transposeCounts func(vals []any) any
 
 	collMu    sync.Mutex
 	fcolls    map[int]*faninColl // fan-in rendezvous for sub-communicator sizes
@@ -256,12 +289,17 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 	if p <= 0 {
 		panic("mpi: Run with non-positive size")
 	}
+	if model.Workers < 0 {
+		panic("mpi: Run with negative Workers")
+	}
 	w := &World{
 		size:      p,
 		model:     model,
+		workers:   model.ResolvedWorkers(),
 		abortCh:   make(chan struct{}),
 		worldColl: newFaninColl(p),
 	}
+	w.transposeCounts = func(vals []any) any { return transposeCounts(w.workers, vals) }
 	var traces []*trace.RankTrace
 	if model.Trace != nil {
 		traces = model.Trace.Attach(p)
@@ -416,6 +454,11 @@ func (c *Comm) Size() int { return c.size }
 
 // Model returns the machine constants of the world.
 func (c *Comm) Model() Model { return c.world.model }
+
+// Workers returns the host width of the run, Model.ResolvedWorkers
+// when the world started. Every host-parallel kernel inside the world
+// forks into at most this many chunks.
+func (c *Comm) Workers() int { return c.world.workers }
 
 // Elapsed returns this rank's current virtual clock in seconds.
 func (c *Comm) Elapsed() float64 { return c.state.clock }
@@ -614,7 +657,7 @@ func (c *Comm) sendOp(to int, data any, bytes int, op *string) {
 			f = nil
 		}
 	}
-	cost := m.Latency + m.PerByte*float64(bytes) + backoff
+	cost := m.sendCost(bytes, backoff)
 	arrival := c.state.clock + cost
 	deliver := true
 	if f != nil {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -319,6 +320,58 @@ func TestRunPanicsPropagate(t *testing.T) {
 		}
 		// Other ranks finish normally; Run must still re-raise.
 	})
+}
+
+// TestCommWorkersFromModel: every Comm of a world, sub-communicators
+// included, reports its model's host width, and a zero width resolves
+// to GOMAXPROCS when the world starts. Kernels fork by this value, so a
+// test that runs two widths side by side compares two different widths.
+func TestCommWorkersFromModel(t *testing.T) {
+	for _, w := range []int{0, 1, 3, 8} {
+		want := w
+		if w == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		m := DefaultModel()
+		m.Workers = w
+		got := make([]int, 4)
+		Run(4, m, func(c *Comm) {
+			got[c.Rank()] = c.Workers()
+			if sub := c.SubComm(2); sub != nil && sub.Workers() != c.Workers() {
+				panic("sub-communicator width differs from its world's")
+			}
+		})
+		for r, g := range got {
+			if g != want {
+				t.Fatalf("Model.Workers=%d: rank %d reports width %d, want %d", w, r, g, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative Model.Workers started a world")
+		}
+	}()
+	m := DefaultModel()
+	m.Workers = -1
+	Run(1, m, func(*Comm) {})
+}
+
+// TestModelOrDefault: a model that sets nothing but its host width is
+// the default machine at that width; any other model stands as given.
+func TestModelOrDefault(t *testing.T) {
+	want := DefaultModel()
+	if got := (Model{}).OrDefault(); got != want {
+		t.Fatalf("zero model: got %+v, want %+v", got, want)
+	}
+	want.Workers = 3
+	if got := (Model{Workers: 3}).OrDefault(); got != want {
+		t.Fatalf("width-only model: got %+v, want %+v", got, want)
+	}
+	own := Model{Latency: 1e-6, Workers: 2}
+	if got := own.OrDefault(); got != own {
+		t.Fatalf("explicit model replaced: got %+v, want %+v", got, own)
+	}
 }
 
 // HaloExchange sends payload[i] to each neighbour i of rank (as listed

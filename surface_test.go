@@ -165,3 +165,52 @@ func receiverType(e ast.Expr) string {
 	}
 	return ""
 }
+
+// hostparPoolVars are the package-level variables internal/hostpar may
+// hold: the shared goroutine pool's state. A loop's width is a value
+// its caller passes, never a package setting.
+var hostparPoolVars = map[string]bool{"poolMu": true, "poolSize": true, "taskq": true, "jobPool": true}
+
+// TestNoProcessGlobalKnobs fails on an exported package-level Set*
+// function under internal/ and on any package-level variable of
+// internal/hostpar outside its pool state. Run settings are values (an
+// mpi.Model, an Options struct), so two differently configured runs in
+// one process cannot interfere through a global.
+func TestNoProcessGlobalKnobs(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		hostpar := filepath.ToSlash(filepath.Dir(p)) == "internal/hostpar"
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv == nil && d.Name.IsExported() && strings.HasPrefix(name, "Set") &&
+					(len(name) == 3 || strings.ToUpper(name[3:4]) == name[3:4]) {
+					t.Errorf("%s: exported setter %s: pass the setting as a value", fset.Position(d.Pos()), name)
+				}
+			case *ast.GenDecl:
+				if !hostpar || d.Tok != token.VAR {
+					continue
+				}
+				for _, s := range d.Specs {
+					for _, n := range s.(*ast.ValueSpec).Names {
+						if !hostparPoolVars[n.Name] {
+							t.Errorf("%s: hostpar package-level variable %s outside the pool state", fset.Position(n.Pos()), n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
