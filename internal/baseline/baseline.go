@@ -179,10 +179,11 @@ func initialBisect(c *mpi.Comm, cg *graph.Graph, side []int8, cfg Config) {
 		for v := 0; v < n; v++ {
 			sideW[side[v]] += int64(cg.VertexWeight(int32(v)))
 		}
-		prob, _ := refine.BuildSubproblem(cg, free, func(id int32) int8 { return side[id] },
+		out := refine.Solve(cg, free, func(id int32) int8 { return side[id] },
 			sideW, sideW[0]+sideW[1], cfg.BalanceTol, cfg.InitFMPasses)
-		prob.Run()
-		copy(side, prob.Side)
+		for _, v := range out.Flips {
+			side[v] = 1 - side[v]
+		}
 		c.Charge(float64(cg.NumEdges()) * float64(cfg.InitFMPasses) * 4)
 	}
 	// The broadcast orders rank 0's writes before everyone's reads.
@@ -367,16 +368,9 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 	// gather, and the shared side array provides the ring sides.
 	var moves []int32
 	if c.Rank() == 0 {
-		prob, ids := refine.BuildSubproblem(g, all, func(id int32) int8 { return side[id] },
-			sideW, totalW, cfg.BalanceTol, 4)
-		before := append([]int8(nil), prob.Side...)
-		prob.Run()
+		moves = refine.Solve(g, all, func(id int32) int8 { return side[id] },
+			sideW, totalW, cfg.BalanceTol, 4).Flips
 		c.Charge(float64(len(all)) * 24)
-		for i, id := range ids {
-			if prob.Side[i] != before[i] {
-				moves = append(moves, id)
-			}
-		}
 	}
 	// The payload size is modeled from the band size (identical on all
 	// ranks) so the collective's cost is symmetric.

@@ -1,6 +1,9 @@
 package baseline
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -71,6 +74,43 @@ func TestBaselineDeterminism(t *testing.T) {
 	for i := range a.Part {
 		if a.Part[i] != b.Part[i] {
 			t.Fatalf("partition differs at vertex %d", i)
+		}
+	}
+}
+
+// TestBaselineGolden pins both baselines end to end: the cut, the
+// imbalance bits, the bits of the modeled Total and Comm, and an FNV-1a
+// hash of the part vector, recorded on a 64×64 grid at P ∈ {1, 4, 16}.
+// The coarsest bisection's FM polish and Pt-Scotch's per-level band FM
+// both solve through refine, so a drift in either shows here.
+func TestBaselineGolden(t *testing.T) {
+	g := gen.Grid2D(64, 64)
+	for _, tc := range []struct {
+		cfg              Config
+		p                int
+		cut              int64
+		imb, total, comm uint64
+		hash             uint64
+	}{
+		{ParMetisLike(1), 1, 85, 0x3fa6000000000000, 0x3f51045268b94220, 0x3f3f13838eef075e, 0xc899cd1837cfba35},
+		{ParMetisLike(1), 4, 85, 0x3fa6000000000000, 0x3f5745a5bf555f9b, 0x3f5464319d4ee26c, 0xc899cd1837cfba35},
+		{ParMetisLike(1), 16, 87, 0x3fa5400000000000, 0x3f61e93b64d25f06, 0x3f61475f5e8e168a, 0xa46753c74f22c34},
+		{PtScotchLike(1), 1, 74, 0x3fa9800000000000, 0x3f599099b19297af, 0x3f44e7871a06829e, 0x114005e367bf7865},
+		{PtScotchLike(1), 4, 74, 0x3fa9800000000000, 0x3f61dd5f4acd05a2, 0x3f5db78a77eb01b0, 0x114005e367bf7865},
+		{PtScotchLike(1), 16, 75, 0x3fa8000000000000, 0x3f6bce05993378be, 0x3f69f6812e175a73, 0x4d66d8f51cb672c5},
+	} {
+		res := mustPartition(t, g.G, tc.p, tc.cfg)
+		h := fnv.New64a()
+		binary.Write(h, binary.LittleEndian, res.Part)
+		imb := math.Float64bits(res.Imbalance)
+		total, comm := math.Float64bits(res.Total), math.Float64bits(res.Comm)
+		if res.Cut != tc.cut || imb != tc.imb || h.Sum64() != tc.hash {
+			t.Errorf("%s P=%d: partition drifted: cut %d imbalance %#x hash %#x, want %d %#x %#x",
+				tc.cfg.Name, tc.p, res.Cut, imb, h.Sum64(), tc.cut, tc.imb, tc.hash)
+		}
+		if total != tc.total || comm != tc.comm {
+			t.Errorf("%s P=%d: modeled Total %#x Comm %#x, want %#x %#x",
+				tc.cfg.Name, tc.p, total, comm, tc.total, tc.comm)
 		}
 	}
 }

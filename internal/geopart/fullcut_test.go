@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
 // runSP runs one SP-PG7-NL bisection world under the given model and
@@ -160,6 +163,66 @@ func TestRefineFreeSetEmptyBoundaryWorld(t *testing.T) {
 			t.Errorf("rank %d: side weights not passed through: %v", c.Rank(), out.SideW)
 		}
 	})
+}
+
+// TestRefineFreeSetCrossRankRing fixes one global free mask, a
+// ragged vertical band of a 32×32 grid around a jagged cut, and checks that
+// RefineFreeSet's outcome (flips, gain, side weights, free count) and
+// the sides it leaves are identical at P ∈ {1, 4, 16, 64}. At P > 1 the
+// band and its locked ring cross rank borders, so a ring scan that
+// missed free ghost neighbours would leave ring vertices out of the
+// gather and change (or abort) the solve.
+func TestRefineFreeSetCrossRankRing(t *testing.T) {
+	g := gen.Grid2D(32, 32)
+	n := g.G.NumVertices()
+	totalW := g.G.TotalVertexWeight()
+	sideOf := func(id int32) int32 {
+		if p := g.Coords[id]; int(p.X)+int(p.Y)%3 >= 17 {
+			return 1
+		}
+		return 0
+	}
+	var sideW [2]int64
+	for v := int32(0); v < int32(n); v++ {
+		sideW[sideOf(v)] += int64(g.G.VertexWeight(v))
+	}
+	var want refine.FreeSetResult
+	var wantSide []int32
+	for _, p := range []int{1, 4, 16, 64} {
+		views := embed.SplitCoords(g.G, g.Coords, p)
+		got := make([]int32, n)
+		var out refine.FreeSetResult
+		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			d := views[c.Rank()]
+			side := make([]int32, len(d.OwnedIDs))
+			free := make([]bool, len(d.OwnedIDs))
+			for i, id := range d.OwnedIDs {
+				side[i] = sideOf(id)
+				x, y := int(g.Coords[id].X), int(g.Coords[id].Y)
+				free[i] = x >= 12+y%4 && x <= 17+y%4
+			}
+			res := RefineFreeSet(c, g.G, d, free, side, sideW, totalW, 0.05, 4)
+			for i, id := range d.OwnedIDs {
+				got[id] = side[i]
+			}
+			if c.Rank() == 0 {
+				out = res
+			}
+		})
+		if p == 1 {
+			if out.Gain <= 0 || out.Free != 6*32 {
+				t.Fatalf("P=1: gain %d over %d free vertices, want a positive gain over %d", out.Gain, out.Free, 6*32)
+			}
+			want, wantSide = out, got
+			continue
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Errorf("P=%d: outcome %+v, want %+v", p, out, want)
+		}
+		if !slices.Equal(got, wantSide) {
+			t.Errorf("P=%d: sides after the round differ from P=1", p)
+		}
+	}
 }
 
 // TestRCBModeledClockGolden pins ParallelRCB's Zoltan-faithful cost

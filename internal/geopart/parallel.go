@@ -280,23 +280,24 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 		valOwned := separatorValues(cs, bestK, ss.norm, d.OwnedPos)
 		valGhost := separatorValues(cs, bestK, ss.norm, d.GhostPos)
 		bestT := cs.tVal[bestK]
-		stripFlips := refineStrip(c, g, d, cfg, valOwned, valGhost, sel.eps, bestT, totalW, res)
+		side := res.Side
 		if cfg.FullCutRounds > 0 {
-			// Replicate the ghosts' sides under the winning candidate:
-			// the geometric side from the separator threshold, then the
-			// strip flips that landed on our ghost copies.
-			ghostSide := make([]int8, len(d.GhostIDs))
-			for gi := range ghostSide {
-				if valueAbove(valGhost[gi], d.GhostIDs[gi], bestT, cs.tID[bestK]) {
-					ghostSide[gi] = 1
+			// The full-cut pass also reads the ghosts' sides: extend the
+			// replica over the ghost slots with their geometric side
+			// under the winning candidate, so the strip flips land on
+			// them too.
+			side = make([]int32, nOwn+len(d.GhostIDs))
+			copy(side, res.Side)
+			res.Side = side[:nOwn:nOwn]
+			for gi, v := range valGhost {
+				if valueAbove(v, d.GhostIDs[gi], bestT, cs.tID[bestK]) {
+					side[nOwn+gi] = 1
 				}
 			}
-			for _, id := range stripFlips {
-				if gi, ok := d.GhostSlot(id); ok {
-					ghostSide[gi] = 1 - ghostSide[gi]
-				}
-			}
-			refineFullCut(c, g, d, cfg, ghostSide, totalW, res)
+		}
+		refineStrip(c, g, d, cfg, valOwned, valGhost, sel.eps, bestT, totalW, side, res)
+		if cfg.FullCutRounds > 0 {
+			refineFullCut(c, g, d, cfg, side, totalW, res)
 		}
 	}
 	return res

@@ -77,44 +77,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Build produces the CSR graph with per-vertex bucket sorts. The
-// builder remains usable (more edges may be added and Build called
-// again).
-func (b *Builder) Build() *Graph {
-	n := b.n
-	nArcs := 2 * len(b.us)
-	sc := buildScratchPool.Get().(*buildScratch)
-	sc.start = grow(sc.start, n+1)
-	sc.cursor = grow(sc.cursor, n)
-	sc.arcs = grow(sc.arcs, nArcs)
-	start, cursor, arcs := sc.start, sc.cursor, sc.arcs
-	clear(start)
-	// Count directed arcs per source and scatter into buckets. Both
-	// passes are cheap linear scans; the O(E log E) work below is the
-	// parallel part.
-	for i := range b.us {
-		start[b.us[i]+1]++
-		start[b.vs[i]+1]++
-	}
-	for u := 0; u < n; u++ {
-		start[u+1] += start[u]
-	}
-	copy(cursor, start[:n])
-	for i := range b.us {
-		u, v, w := b.us[i], b.vs[i], b.ws[i]
-		arcs[cursor[u]] = packArc(v, w)
-		cursor[u]++
-		arcs[cursor[v]] = packArc(u, w)
-		cursor[v]++
-	}
-	// Sort and merge every vertex's bucket independently; cursor[u]
-	// becomes the unique-neighbour count of u.
-	nc := hostpar.NumChunks(n, builderGrain)
-	if len(b.us) < forkMinEdges {
-		nc = min(nc, 1)
-	}
-	sc.flags = grow(sc.flags, nc)
-	flags := sc.flags
+// bucketTail finishes a bucketed build, shared by Build and
+// BuildStreamed: arcs[start[u]:start[u+1]] holds vertex u's packed
+// arcs. Every bucket is sorted and merged independently over nc
+// chunks, cursor[u] becomes u's unique-neighbour count (flags[c] chunk
+// c's non-unit-weight flag), and the rows are written at their final
+// offsets. EWgt is materialised iff wsAny or some merged weight
+// differs from 1.
+func bucketTail(n, nc int, arcs []int64, start, cursor []int32, flags []bool, wsAny bool) *Graph {
 	hostpar.ForN(n, nc, func(c, lo, hi int) {
 		any := false
 		for u := lo; u < hi; u++ {
@@ -126,7 +96,7 @@ func (b *Builder) Build() *Graph {
 		}
 		flags[c] = any
 	})
-	weighted := b.wsAny
+	weighted := wsAny
 	for _, f := range flags[:nc] {
 		weighted = weighted || f
 	}
@@ -153,8 +123,46 @@ func (b *Builder) Build() *Graph {
 			}
 		}
 	})
+	return &Graph{XAdj: xadj, Adjncy: adj, EWgt: ewgt}
+}
+
+// Build produces the CSR graph with per-vertex bucket sorts. The
+// builder remains usable (more edges may be added and Build called
+// again).
+func (b *Builder) Build() *Graph {
+	n := b.n
+	nArcs := 2 * len(b.us)
+	sc := buildScratchPool.Get().(*buildScratch)
+	sc.start = grow(sc.start, n+1)
+	sc.cursor = grow(sc.cursor, n)
+	sc.arcs = grow(sc.arcs, nArcs)
+	start, cursor, arcs := sc.start, sc.cursor, sc.arcs
+	clear(start)
+	// Count directed arcs per source and scatter into buckets. Both
+	// passes are cheap linear scans; the O(E log E) work in bucketTail
+	// is the parallel part.
+	for i := range b.us {
+		start[b.us[i]+1]++
+		start[b.vs[i]+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	copy(cursor, start[:n])
+	for i := range b.us {
+		u, v, w := b.us[i], b.vs[i], b.ws[i]
+		arcs[cursor[u]] = packArc(v, w)
+		cursor[u]++
+		arcs[cursor[v]] = packArc(u, w)
+		cursor[v]++
+	}
+	nc := hostpar.NumChunks(n, builderGrain)
+	if len(b.us) < forkMinEdges {
+		nc = min(nc, 1)
+	}
+	sc.flags = grow(sc.flags, nc)
+	g := bucketTail(n, nc, arcs, start, cursor, sc.flags, b.wsAny)
 	buildScratchPool.Put(sc)
-	g := &Graph{XAdj: xadj, Adjncy: adj, EWgt: ewgt}
 	if b.vwgt != nil {
 		g.VWgt = append([]int32(nil), b.vwgt...)
 	}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/hostpar"
 )
@@ -20,7 +19,7 @@ import (
 // Edge semantics match Builder exactly — self-loops dropped, {u,v}
 // recorded once regardless of orientation, duplicate weights summed,
 // EWgt materialised iff some surviving weight differs from 1 — and the
-// per-vertex sort/dedup tail is the Builder one, so the result
+// per-vertex sort/dedup tail is the Builder's bucketTail, so the result
 // is bit-identical to feeding the same stream through NewBuilder/Build
 // at any worker count.
 func BuildStreamed(n int, emit func(add func(u, v, w int32))) *Graph {
@@ -66,47 +65,6 @@ func BuildStreamed(n int, emit func(add func(u, v, w int32))) *Graph {
 	if replayed != kept {
 		panic(fmt.Sprintf("graph: BuildStreamed emit not deterministic: %d edges then %d", kept, replayed))
 	}
-	// The Builder tail: sort and merge every vertex's bucket
-	// independently, then write rows at their final offsets.
 	nc := hostpar.NumChunks(n, builderGrain)
-	flags := make([]bool, nc)
-	hostpar.ForN(n, nc, func(c, lo, hi int) {
-		any := false
-		for u := lo; u < hi; u++ {
-			seg := arcs[start[u]:start[u+1]]
-			slices.Sort(seg)
-			uniq, not1 := dedupArcs(seg)
-			cursor[u] = int32(uniq)
-			any = any || not1
-		}
-		flags[c] = any
-	})
-	weighted := wsAny
-	for _, f := range flags {
-		weighted = weighted || f
-	}
-	xadj := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		xadj[u+1] = xadj[u] + cursor[u]
-	}
-	adj := make([]int32, xadj[n])
-	var ewgt []int32
-	if weighted {
-		ewgt = make([]int32, len(adj))
-	}
-	hostpar.ForN(n, nc, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			seg := arcs[start[u] : start[u]+cursor[u]]
-			out := int(xadj[u])
-			for i, a := range seg {
-				adj[out+i] = arcTarget(a)
-			}
-			if weighted {
-				for i, a := range seg {
-					ewgt[out+i] = arcWeight(a)
-				}
-			}
-		}
-	})
-	return &Graph{XAdj: xadj, Adjncy: adj, EWgt: ewgt}
+	return bucketTail(n, nc, arcs, start, cursor, make([]bool, nc), wsAny)
 }

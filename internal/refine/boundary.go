@@ -1,16 +1,15 @@
-// Full-cut boundary refinement: the gather-side machinery of the
-// distributed boundary-FM pass (per "Engineering a Scalable High
-// Quality Graph Partitioner", arXiv 0910.2004). The coordinate-strip
-// refinement of Figure 2 only moves vertices near the separating
-// circle; the full-cut pass instead frees every vertex incident to a
-// cut edge, wherever it lies, and locks the one-hop ring around them.
-// geopart's distributed driver gathers those records, rank 0 solves
-// the FM subproblem here, and the flips are broadcast back.
+// Distributed FM rounds: the rank-0 half of every gather-solve-
+// broadcast refinement. geopart's strip pass (the coordinate strip of
+// Figure 2), its full-cut boundary pass (per "Engineering a Scalable
+// High Quality Graph Partitioner", arXiv 0910.2004) and core's trial
+// combine gather (id, side, free) records of their free vertices and
+// the locked one-hop ring around them; rank 0 solves the FM subproblem
+// here and the flips are broadcast back. The baselines' Pt-Scotch band
+// FM and coarsest polish solve through the same Solve.
 //
-// The pass is opt-in through geopart.ParallelConfig.FullCutRounds
-// (default 0, off): with it off, the pipeline is bit-identical to the
-// historical strip-only refinement, which is what the BENCH seed-row
-// guards pin down.
+// The full-cut pass is opt-in through geopart.ParallelConfig.
+// FullCutRounds (default 0, off): with it off, the pipeline is the
+// strip-only refinement that the BENCH seed-row guards pin down.
 package refine
 
 import (
@@ -32,7 +31,7 @@ type SideRecord struct {
 // gather collectives.
 const SideRecordBytes = 6
 
-// FreeSetResult is the outcome of one SolveFreeSet call, shaped for a
+// FreeSetResult is the outcome of one solve, shaped for a
 // single broadcast: the flipped vertex ids, the cut reduction, the
 // updated global side weights, and the free-set size (for charge
 // accounting and reporting).
@@ -50,13 +49,12 @@ type FreeSetResult struct {
 // and therefore every tie-break in the move sequence — is a
 // deterministic function of the record set alone, independent of
 // gather arrival order, rank count, or workers. recs is only read:
-// geopart.RefineFreeSet passes a slice every rank shares.
+// geopart's rounds pass a slice every rank shares.
 //
 // An empty free set returns immediately with zero flips and no
-// allocations: the full-cut driver reaches this on any level whose
-// boundary is empty (or entirely remote).
+// allocations: an empty strip, or a full-cut round whose boundary is
+// empty, reaches this.
 func SolveFreeSet(g *graph.Graph, recs []SideRecord, sideW [2]int64, totalW int64, tol float64, passes int) FreeSetResult {
-	out := FreeSetResult{SideW: sideW}
 	nfree := 0
 	for _, r := range recs {
 		if r.Free {
@@ -64,7 +62,7 @@ func SolveFreeSet(g *graph.Graph, recs []SideRecord, sideW [2]int64, totalW int6
 		}
 	}
 	if nfree == 0 {
-		return out
+		return FreeSetResult{SideW: sideW}
 	}
 	sideOfMap := make(map[int32]int8, len(recs))
 	free := make([]int32, 0, nfree)
@@ -75,21 +73,11 @@ func SolveFreeSet(g *graph.Graph, recs []SideRecord, sideW [2]int64, totalW int6
 		}
 	}
 	slices.Sort(free)
-	out.Free = len(free)
-	prob, ids := BuildSubproblem(g, free, func(id int32) int8 {
+	return Solve(g, free, func(id int32) int8 {
 		s, ok := sideOfMap[id]
 		if !ok {
 			panic("refine: free-set neighbour missing from gathered ring")
 		}
 		return s
 	}, sideW, totalW, tol, passes)
-	before := append([]int8(nil), prob.Side...)
-	out.Gain = prob.Run()
-	for i, id := range ids {
-		if prob.Side[i] != before[i] {
-			out.Flips = append(out.Flips, id)
-		}
-	}
-	out.SideW = prob.SideW
-	return out
 }

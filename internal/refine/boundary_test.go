@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -79,6 +80,35 @@ func TestSolveFreeSetImprovesNoisyCut(t *testing.T) {
 	}
 }
 
+// TestSolveFlipsReproduceRun: Solve's flips, applied to the starting
+// sides, give exactly the sides a direct Run of the same problem ends
+// with, in free order, with the same gain and side weights. The
+// baselines' coarsest polish relies on this when it applies the flips
+// instead of copying the problem's sides.
+func TestSolveFlipsReproduceRun(t *testing.T) {
+	gr := gen.Grid2D(24, 24)
+	side := noisyBisection(gr.G, 24, 0.05, 7)
+	prob, ids := fullProblem(gr.G, side, 0.03, 4)
+	gain := prob.Run()
+	sideW := sideWeights(gr.G, side)
+	out := Solve(gr.G, ids, func(id int32) int8 { return side[id] }, sideW, sideW[0]+sideW[1], 0.03, 4)
+	if gain <= 0 {
+		t.Fatalf("FM found no improvement on a noisy cut (gain %d)", gain)
+	}
+	if out.Gain != gain || out.SideW != prob.SideW || out.Free != len(ids) {
+		t.Fatalf("Solve gain %d sideW %v free %d, Run gain %d sideW %v over %d", out.Gain, out.SideW, out.Free, gain, prob.SideW, len(ids))
+	}
+	if !slices.IsSorted(out.Flips) {
+		t.Fatalf("flips not in free order: %v", out.Flips)
+	}
+	for _, id := range out.Flips {
+		side[id] = 1 - side[id]
+	}
+	if !slices.Equal(side, prob.Side) {
+		t.Fatal("sides after the flips differ from the sides Run left")
+	}
+}
+
 // TestSolveFreeSetEmptyBoundary: an empty record set and an
 // all-locked record set (the all-ghost-boundary case: every local
 // vertex is ring, the free vertices live on other ranks) must return
@@ -107,7 +137,7 @@ func TestSolveFreeSetEmptyBoundary(t *testing.T) {
 // map, cursor, or backing arrays.
 func TestBuildSubproblemEmptyFree(t *testing.T) {
 	gr := gen.Grid2D(8, 8)
-	prob, ids := BuildSubproblem(gr.G, nil, func(int32) int8 { return 0 }, [2]int64{32, 32}, 64, 0.05, 4)
+	prob, ids := buildSubproblem(gr.G, nil, func(int32) int8 { return 0 }, [2]int64{32, 32}, 64, 0.05, 4)
 	if ids != nil {
 		t.Fatalf("empty free set returned ids %v", ids)
 	}
@@ -118,9 +148,9 @@ func TestBuildSubproblemEmptyFree(t *testing.T) {
 		t.Fatalf("bookkeeping not carried: %+v", prob)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		BuildSubproblem(gr.G, nil, nil, [2]int64{32, 32}, 64, 0.05, 4)
+		buildSubproblem(gr.G, nil, nil, [2]int64{32, 32}, 64, 0.05, 4)
 	}); allocs > 1 {
-		t.Fatalf("empty BuildSubproblem allocates %v times per call, want <= 1 (the Problem header)", allocs)
+		t.Fatalf("empty buildSubproblem allocates %v times per call, want <= 1 (the Problem header)", allocs)
 	}
 }
 

@@ -43,7 +43,7 @@ func fullProblem(g *graph.Graph, side []int8, tol float64, passes int) (*Problem
 	for v := 0; v < n; v++ {
 		sideW[side[v]] += int64(g.VertexWeight(int32(v)))
 	}
-	return BuildSubproblem(g, free, func(id int32) int8 { return side[id] },
+	return buildSubproblem(g, free, func(id int32) int8 { return side[id] },
 		sideW, sideW[0]+sideW[1], tol, passes)
 }
 
@@ -114,7 +114,7 @@ func TestFMRespectsLockedExterior(t *testing.T) {
 	b.AddEdge(2, 3)
 	g := b.Build()
 	side := map[int32]int8{0: 0, 1: 1, 2: 0, 3: 1} // crossed: cut=3
-	prob, ids := BuildSubproblem(g, []int32{1, 2}, func(id int32) int8 { return side[id] },
+	prob, ids := buildSubproblem(g, []int32{1, 2}, func(id int32) int8 { return side[id] },
 		[2]int64{2, 2}, 4, 0.6, 4)
 	gain := prob.Run()
 	if gain != 2 {

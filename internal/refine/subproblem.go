@@ -2,17 +2,36 @@ package refine
 
 import "repro/internal/graph"
 
-// BuildSubproblem assembles an FM Problem over the free vertices of g.
+// Solve runs FM over the free vertices of g and reports which of them
+// moved: it builds the subproblem, runs it, and diffs the final sides
+// against the starting ones. sideOf must return the current side (0 or
+// 1) for any free vertex and for any neighbour of a free vertex. The
+// flips come in free order, and SideW carries the updated global side
+// weights. Every FM caller solves through here: the distributed rounds
+// (SolveFreeSet), Pt-Scotch's band FM and the baselines' coarsest
+// polish.
+func Solve(g *graph.Graph, free []int32, sideOf func(int32) int8, sideW [2]int64, totalW int64, tol float64, passes int) FreeSetResult {
+	prob, ids := buildSubproblem(g, free, sideOf, sideW, totalW, tol, passes)
+	before := append([]int8(nil), prob.Side...)
+	out := FreeSetResult{Gain: prob.Run(), Free: len(free)}
+	for i, id := range ids {
+		if prob.Side[i] != before[i] {
+			out.Flips = append(out.Flips, id)
+		}
+	}
+	out.SideW = prob.SideW
+	return out
+}
+
+// buildSubproblem assembles an FM Problem over the free vertices of g.
 // sideOf must return the current side (0 or 1) for any free vertex and
 // for any neighbour of a free vertex; neighbours that are not free are
 // folded into the locked external weights. It returns the problem and
 // the vertex ids aligned with problem indices.
-func BuildSubproblem(g *graph.Graph, free []int32, sideOf func(int32) int8, sideW [2]int64, totalW int64, tol float64, passes int) (*Problem, []int32) {
+func buildSubproblem(g *graph.Graph, free []int32, sideOf func(int32) int8, sideW [2]int64, totalW int64, tol float64, passes int) (*Problem, []int32) {
 	if len(free) == 0 {
 		// Empty free set: a runnable zero-vertex problem, with no map,
-		// cursor, or per-vertex allocations. The strip path guards this
-		// case at the call site, but the full-cut and combine drivers
-		// reach it whenever a level's boundary is empty.
+		// cursor, or per-vertex allocations.
 		return &Problem{SideW: sideW, TotalW: totalW, Tol: tol, MaxPasses: passes}, nil
 	}
 	local := make(map[int32]int32, len(free))
