@@ -67,7 +67,7 @@ func main() {
 	fc, err := checkFlags(flagValues{
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
-		scale: *scale, ps: *psFlag,
+		scale: *scale, ps: *psFlag, method: *method,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -115,12 +115,9 @@ func main() {
 		}
 		return
 	}
-	// Methods that execute on the simulated runtime can be traced; the
-	// purely sequential geometric baselines have no virtual clocks.
-	simulated := map[string]bool{"ScalaPart": true, "SP-PG7-NL": true, "RCB": true, "ParMetis": true, "Pt-Scotch": true}
 	var rec *trace.Recorder
 	if *phaseBreak || *traceOut != "" || *checkInv {
-		if simulated[*method] {
+		if methods[*method].simulated {
 			rec = trace.New()
 			model.Trace = rec
 		} else if *phaseBreak || *traceOut != "" {
@@ -155,8 +152,7 @@ func main() {
 			comp, perEdge, ratio, plain)
 	}
 
-	needCoords := map[string]bool{"RCB": true, "SP-PG7-NL": true, "G30": true, "G7": true, "G7-NL": true}
-	if needCoords[*method] && coords == nil {
+	if methods[*method].coords && coords == nil {
 		fmt.Println("computing sequential force-directed embedding (graph has no coordinates)...")
 		coords = embed.SequentialLayout(g, embed.SeqOptions{Seed: *seed})
 	}
@@ -244,9 +240,6 @@ func main() {
 			os.Exit(1)
 		}
 		cut, imb = st.Cut, st.Imbalance
-	default:
-		fmt.Fprintf(os.Stderr, "scalapart: unknown method %q\n", *method)
-		os.Exit(1)
 	}
 	fmt.Printf("method=%s P=%d  cut=%d  imbalance=%.3f", *method, *p, cut, imb)
 	if timeS > 0 {
@@ -304,12 +297,26 @@ func main() {
 	}
 }
 
+// methods are the -method names: whether each runs on the simulated
+// runtime (the purely sequential geometric partitioners have no virtual
+// clocks to trace) and whether it needs vertex coordinates.
+var methods = map[string]struct{ simulated, coords bool }{
+	"ScalaPart": {simulated: true},
+	"ParMetis":  {simulated: true},
+	"Pt-Scotch": {simulated: true},
+	"RCB":       {simulated: true, coords: true},
+	"SP-PG7-NL": {simulated: true, coords: true},
+	"G30":       {coords: true},
+	"G7":        {coords: true},
+	"G7-NL":     {coords: true},
+}
+
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
-	refine, recover, fault, ps string
-	trials, p, workers         int
-	watchdog                   time.Duration
-	scale                      float64
+	method, refine, recover, fault, ps string
+	trials, p, workers                 int
+	watchdog                           time.Duration
+	scale                              float64
 }
 
 // flagConfig is what checkFlags derives from the flag values that
@@ -328,6 +335,9 @@ type flagConfig struct {
 func checkFlags(v flagValues) (flagConfig, error) {
 	cfg := flagConfig{model: mpi.DefaultModel()}
 	var err error
+	if _, ok := methods[v.method]; !ok {
+		return cfg, fmt.Errorf("unknown -method %q (want ScalaPart, ParMetis, Pt-Scotch, RCB, SP-PG7-NL, G30, G7 or G7-NL)", v.method)
+	}
 	switch v.refine {
 	case "off":
 	case "full":

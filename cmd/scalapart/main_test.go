@@ -16,7 +16,7 @@ import (
 // is rejected by checkFlags, before any graph is loaded, with an error
 // naming the offending flag; everything else passes through decoded.
 func TestCheckFlags(t *testing.T) {
-	def := flagValues{refine: "off", recover: "off", trials: 1, p: 16, scale: 0.25}
+	def := flagValues{method: "ScalaPart", refine: "off", recover: "off", trials: 1, p: 16, scale: 0.25}
 	with := func(f func(*flagValues)) flagValues { v := def; f(&v); return v }
 	for _, tc := range []struct {
 		name    string
@@ -50,6 +50,7 @@ func TestCheckFlags(t *testing.T) {
 		{"watchdog", with(func(f *flagValues) { f.watchdog = 500 * time.Millisecond }), "", func(c flagConfig) bool {
 			return c.model.Watchdog == 500*time.Millisecond
 		}},
+		{"bad-method", with(func(f *flagValues) { f.method = "Bogus" }), "-method", nil},
 		{"bad-refine", with(func(f *flagValues) { f.refine = "max" }), "-refine", nil},
 		{"zero-trials", with(func(f *flagValues) { f.trials = 0 }), "-trials", nil},
 		{"zero-p", with(func(f *flagValues) { f.p = 0 }), "-p", nil},

@@ -31,26 +31,27 @@ import (
 
 // Config selects a baseline variant.
 type Config struct {
-	Name              string
-	InitSeeds         int     // greedy-growing attempts at the coarsest level
-	InitFMPasses      int     // sequential FM passes on the coarsest bisection
-	RefinePasses      int     // distributed boundary passes per level
-	NegotiationRounds int     // matching negotiation rounds per coarsening step
-	BandFM            bool    // sequential band FM per level (Pt-Scotch)
-	BandHops          int     // band radius in hops, default 2
-	FoldDup           bool    // charge Pt-Scotch's fold-with-duplication gathers
-	CoarsestSize      int     // default 800
-	BalanceTol        float64 // default 0.05
-	Seed              int64
-	Model             mpi.Model
+	InitSeeds         int // greedy-growing attempts at the coarsest level
+	InitFMPasses      int // sequential FM passes on the coarsest bisection
+	RefinePasses      int // distributed boundary passes per level
+	NegotiationRounds int // matching negotiation rounds per coarsening step
+	// BandFM adds Pt-Scotch's two per-level stages: the
+	// fold-with-duplication gathers and a sequential band FM.
+	BandFM bool
+	Seed   int64
+	Model  mpi.Model
 }
+
+// bandHops is the band radius of Pt-Scotch's band FM, in hops from the
+// cut.
+const bandHops = 2
 
 // ParMetisLike returns the speed-biased configuration.
 func ParMetisLike(seed int64) Config {
 	return Config{
 		// RefinePasses follows ParMetis's default NITER-style refinement
 		// (several alternating passes per level).
-		Name: "ParMetis", InitSeeds: 4, InitFMPasses: 2,
+		InitSeeds: 4, InitFMPasses: 2,
 		RefinePasses: 6, NegotiationRounds: 4, Seed: seed,
 	}
 }
@@ -58,24 +59,10 @@ func ParMetisLike(seed int64) Config {
 // PtScotchLike returns the quality-biased configuration.
 func PtScotchLike(seed int64) Config {
 	return Config{
-		Name: "Pt-Scotch", InitSeeds: 16, InitFMPasses: 6,
+		InitSeeds: 16, InitFMPasses: 6,
 		RefinePasses: 8, NegotiationRounds: 6,
-		BandFM: true, BandHops: 2, FoldDup: true, Seed: seed,
+		BandFM: true, Seed: seed,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.CoarsestSize == 0 {
-		c.CoarsestSize = 800
-	}
-	if c.BalanceTol == 0 {
-		c.BalanceTol = 0.05
-	}
-	if c.BandHops == 0 {
-		c.BandHops = 2
-	}
-	c.Model = c.Model.OrDefault()
-	return c
 }
 
 // Result is the outcome of a baseline run.
@@ -94,19 +81,15 @@ type Result struct {
 // Model.Workers is an error, and a rank failure comes back as an
 // *mpi.RankError instead of crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, cfg Config) (*Result, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("baseline: world size p=%d, want at least 1", p)
-	}
-	if cfg.Model.Workers < 0 {
-		return nil, fmt.Errorf("baseline: host width Model.Workers=%d, want at least 0", cfg.Model.Workers)
+	if err := mpi.CheckRun(p, cfg.Model); err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	// The baseline is the legacy reference implementation and walks raw
 	// Adjncy throughout; a compressed input is decoded once up front
 	// (Plain is the identity on plain graphs).
 	g = g.Plain()
-	cfg = cfg.withDefaults()
+	cfg.Model = cfg.Model.OrDefault()
 	h := coarsen.BuildHierarchy(g, p, coarsen.Options{
-		CoarsestSize:  cfg.CoarsestSize,
 		StepsPerLevel: 1,
 		RankDecay:     1, // every rank stays active at every level
 		Seed:          cfg.Seed,
@@ -180,7 +163,7 @@ func initialBisect(c *mpi.Comm, cg *graph.Graph, side []int8, cfg Config) {
 			sideW[side[v]] += int64(cg.VertexWeight(int32(v)))
 		}
 		out := refine.Solve(cg, free, func(id int32) int8 { return side[id] },
-			sideW, sideW[0]+sideW[1], cfg.BalanceTol, cfg.InitFMPasses)
+			sideW, sideW[0]+sideW[1], refine.BalanceTol, cfg.InitFMPasses)
 		for _, v := range out.Flips {
 			side[v] = 1 - side[v]
 		}
@@ -220,7 +203,7 @@ func refineLevel(c *mpi.Comm, lev *coarsen.Level, side []int8, totalW int64, cfg
 	}
 	global := mpi.AllReduceSlice(c, local[:], 8, mpi.SumInt64)
 	sideW := [2]int64{global[0], global[1]}
-	tolW := int64(cfg.BalanceTol * float64(totalW) / 2)
+	tolW := int64(refine.BalanceTol * float64(totalW) / 2)
 
 	for pass := 0; pass < cfg.RefinePasses; pass++ {
 		dir := int8(pass % 2)
@@ -300,15 +283,13 @@ func refineLevel(c *mpi.Comm, lev *coarsen.Level, side []int8, totalW int64, cfg
 		c.Barrier() // writes visible before the next pass reads
 	}
 
-	if cfg.FoldDup {
+	if cfg.BandFM {
 		// Pt-Scotch's fold-with-duplication: the level's graph data is
 		// folded onto process subsets over log P stages, each a gather
 		// of this level's (shrinking) subgraph.
 		m := c.Model()
 		c.SyncCost(foldCost(&m, c.Size(), g.NumVertices()))
-	}
-	if cfg.BandFM {
-		bandFM(c, lev, side, sideW, totalW, cfg)
+		bandFM(c, lev, side, sideW, totalW)
 	}
 }
 
@@ -323,11 +304,11 @@ func foldCost(m *mpi.Model, p, n int) mpi.Cost {
 // bandFM gathers the band around the current cut to rank 0, refines it
 // sequentially with FM (Pt-Scotch's band graph stage), and publishes
 // the result.
-func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW int64, cfg Config) {
+func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW int64) {
 	g := lev.G
 	r := c.Rank()
 	begin, end := lev.Offsets[r], lev.Offsets[r+1]
-	// Local band: owned vertices within BandHops of a cut edge.
+	// Local band: owned vertices within bandHops of a cut edge.
 	inBand := make(map[int32]struct{})
 	var frontier []int32
 	for v := begin; v < end; v++ {
@@ -339,7 +320,7 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 			}
 		}
 	}
-	for hop := 1; hop < cfg.BandHops; hop++ {
+	for hop := 1; hop < bandHops; hop++ {
 		var next []int32
 		for _, v := range frontier {
 			for _, nb := range g.Neighbors(v) {
@@ -359,7 +340,7 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 		band = append(band, v)
 	}
 	sort.Slice(band, func(i, j int) bool { return band[i] < band[j] })
-	c.Charge(float64(g.XAdj[end]-g.XAdj[begin]) * float64(cfg.BandHops))
+	c.Charge(float64(g.XAdj[end]-g.XAdj[begin]) * float64(bandHops))
 	all := mpi.AllGatherVWith(c, band, 4, mpi.Concat[int32])
 	if len(all) == 0 {
 		return
@@ -369,7 +350,7 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 	var moves []int32
 	if c.Rank() == 0 {
 		moves = refine.Solve(g, all, func(id int32) int8 { return side[id] },
-			sideW, totalW, cfg.BalanceTol, 4).Flips
+			sideW, totalW, refine.BalanceTol, 4).Flips
 		c.Charge(float64(len(all)) * 24)
 	}
 	// The payload size is modeled from the band size (identical on all
@@ -386,7 +367,9 @@ func bandFM(c *mpi.Comm, lev *coarsen.Level, side []int8, sideW [2]int64, totalW
 }
 
 // greedyGrow produces a bisection by BFS-growing part 0 from a random
-// seed until it holds half the vertex weight.
+// seed until it holds half the vertex weight. When growth stalls short
+// of the target (disconnected leftovers), it reseeds at the lowest
+// unvisited vertex.
 func greedyGrow(g *graph.Graph, rng *rand.Rand) []int8 {
 	n := g.NumVertices()
 	side := make([]int8, n)
@@ -399,7 +382,18 @@ func greedyGrow(g *graph.Graph, rng *rand.Rand) []int8 {
 	seed := int32(rng.Intn(n))
 	queue := []int32{seed}
 	visited[seed] = true
-	for len(queue) > 0 && grown < target {
+	next := int32(0) // no vertex below next is unvisited
+	for grown < target {
+		if len(queue) == 0 {
+			for next < int32(n) && visited[next] {
+				next++
+			}
+			if next == int32(n) {
+				break
+			}
+			visited[next] = true
+			queue = append(queue, next)
+		}
 		v := queue[0]
 		queue = queue[1:]
 		side[v] = 0
@@ -408,34 +402,6 @@ func greedyGrow(g *graph.Graph, rng *rand.Rand) []int8 {
 			if !visited[nb] {
 				visited[nb] = true
 				queue = append(queue, nb)
-			}
-		}
-	}
-	// Disconnected leftovers: if growth stalled short of the target,
-	// keep seeding.
-	for grown < target {
-		found := int32(-1)
-		for v := int32(0); v < int32(n); v++ {
-			if !visited[v] {
-				found = v
-				break
-			}
-		}
-		if found < 0 {
-			break
-		}
-		visited[found] = true
-		queue = append(queue[:0], found)
-		for len(queue) > 0 && grown < target {
-			v := queue[0]
-			queue = queue[1:]
-			side[v] = 0
-			grown += int64(g.VertexWeight(v))
-			for _, nb := range g.Neighbors(v) {
-				if !visited[nb] {
-					visited[nb] = true
-					queue = append(queue, nb)
-				}
 			}
 		}
 	}

@@ -28,16 +28,16 @@ func TestBaselinesGrid(t *testing.T) {
 		for _, p := range []int{1, 4, 16} {
 			res := mustPartition(t, g.G, p, cfg)
 			if got := graph.CutSize(g.G, res.Part); got != res.Cut {
-				t.Fatalf("%s p=%d: cut mismatch %d vs %d", cfg.Name, p, res.Cut, got)
+				t.Fatalf("%s p=%d: cut mismatch %d vs %d", label(cfg), p, res.Cut, got)
 			}
 			if res.Imbalance > 0.06 {
-				t.Fatalf("%s p=%d: imbalance %.3f", cfg.Name, p, res.Imbalance)
+				t.Fatalf("%s p=%d: imbalance %.3f", label(cfg), p, res.Imbalance)
 			}
 			if res.Cut <= 0 || res.Cut > 400 {
-				t.Fatalf("%s p=%d: implausible cut %d", cfg.Name, p, res.Cut)
+				t.Fatalf("%s p=%d: implausible cut %d", label(cfg), p, res.Cut)
 			}
 			if res.Total <= 0 || res.Comm > res.Total {
-				t.Fatalf("%s p=%d: bad timing total=%v comm=%v", cfg.Name, p, res.Total, res.Comm)
+				t.Fatalf("%s p=%d: bad timing total=%v comm=%v", label(cfg), p, res.Total, res.Comm)
 			}
 		}
 	}
@@ -106,11 +106,19 @@ func TestBaselineGolden(t *testing.T) {
 		total, comm := math.Float64bits(res.Total), math.Float64bits(res.Comm)
 		if res.Cut != tc.cut || imb != tc.imb || h.Sum64() != tc.hash {
 			t.Errorf("%s P=%d: partition drifted: cut %d imbalance %#x hash %#x, want %d %#x %#x",
-				tc.cfg.Name, tc.p, res.Cut, imb, h.Sum64(), tc.cut, tc.imb, tc.hash)
+				label(tc.cfg), tc.p, res.Cut, imb, h.Sum64(), tc.cut, tc.imb, tc.hash)
 		}
 		if total != tc.total || comm != tc.comm {
 			t.Errorf("%s P=%d: modeled Total %#x Comm %#x, want %#x %#x",
-				tc.cfg.Name, tc.p, total, comm, tc.total, tc.comm)
+				label(tc.cfg), tc.p, total, comm, tc.total, tc.comm)
 		}
 	}
+}
+
+// label names a configuration in failure messages.
+func label(cfg Config) string {
+	if cfg.BandFM {
+		return "Pt-Scotch"
+	}
+	return "ParMetis"
 }

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -96,7 +98,7 @@ func TestBaselineBalanceUnderRefinement(t *testing.T) {
 			g := gen.RandomGeometric(5000, 0.025, 5)
 			res := mustPartition(t, g.G, p, cfg)
 			if res.Imbalance > 0.08 {
-				t.Fatalf("%s p=%d: imbalance %.3f", cfg.Name, p, res.Imbalance)
+				t.Fatalf("%s p=%d: imbalance %.3f", label(cfg), p, res.Imbalance)
 			}
 		}
 	}
@@ -111,7 +113,7 @@ func TestBaselineTimesGrowWithP(t *testing.T) {
 		t1024 := mustPartition(t, g.G, 1024, cfg).Total
 		if t1024 <= t64 {
 			t.Fatalf("%s: time at P=1024 (%v) should exceed P=64 (%v) for a small graph",
-				cfg.Name, t1024, t64)
+				label(cfg), t1024, t64)
 		}
 	}
 }
@@ -122,5 +124,43 @@ func TestPtScotchSlowerButBetterOrEqual(t *testing.T) {
 	pts := mustPartition(t, g.G, 64, PtScotchLike(2))
 	if pts.Total <= pm.Total {
 		t.Fatalf("Pt-Scotch (%v) should cost more than ParMetis (%v)", pts.Total, pm.Total)
+	}
+}
+
+// TestGreedyGrowPinned pins greedyGrow's sides, as an FNV-1a hash, on a
+// disconnected graph for several seeds: two grids with isolated
+// vertices before, between and after them, so growth stalls and
+// reseeds at the lowest unvisited vertex, through isolated vertices
+// and into the other grid. The hashes were recorded before the grow
+// loop's two BFS copies were folded into one.
+func TestGreedyGrowPinned(t *testing.T) {
+	const iso = 5
+	a, b := gen.Grid2D(5, 5).G, gen.Grid2D(6, 7).G
+	bld := graph.NewBuilder(iso + a.NumVertices() + iso + b.NumVertices() + iso)
+	for _, part := range []struct {
+		g   *graph.Graph
+		off int32
+	}{{a, iso}, {b, int32(2*iso + a.NumVertices())}} {
+		for u := int32(0); u < int32(part.g.NumVertices()); u++ {
+			for _, v := range part.g.Neighbors(u) {
+				if u < v {
+					bld.AddEdge(part.off+u, part.off+v)
+				}
+			}
+		}
+	}
+	g := bld.Build()
+	want := []uint64{ // seeds 1..12
+		0x39b815e2f9e821c8, 0xe3a21c137b5093cc, 0xe3a21c137b5093cc, 0xb2df42b127d31b22,
+		0x39b815e2f9e821c8, 0x5265355066c49440, 0xdb69455d6cabb54a, 0x39b815e2f9e821c8,
+		0x4855a9b1b289a58c, 0xe3a21c137b5093cc, 0xe3a21c137b5093cc, 0x39b815e2f9e821c8,
+	}
+	for i, w := range want {
+		seed := int64(i + 1)
+		h := fnv.New64a()
+		binary.Write(h, binary.LittleEndian, greedyGrow(g, rand.New(rand.NewSource(seed))))
+		if h.Sum64() != w {
+			t.Errorf("seed %d: sides hash %#x, want %#x", seed, h.Sum64(), w)
+		}
 	}
 }

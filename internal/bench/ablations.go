@@ -140,7 +140,7 @@ func (h *Harness) AblationSSDE() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ssde := embed.SSDELayout(g.G, embed.SSDEOptions{Seed: seedOf(ablationGraph)})
+	ssde := embed.SSDELayout(g.G, seedOf(ablationGraph))
 	sp, err := core.PartitionGeometricChecked(g.G, ssde, ablationP, geopart.DefaultParallelConfig(), h.paperModel())
 	if err != nil {
 		return "", err

@@ -10,35 +10,19 @@ import (
 )
 
 // ChaosConfig parameterises a chaos soak: seeded randomized fault
-// schedules (kind × rank × event, so faults land in every pipeline
-// phase) thrown at recovery-enabled partitioning runs.
+// schedules (kill, drop, delay and truncate faults at random ranks and
+// events, so faults land in every pipeline phase) thrown at
+// recovery-enabled partitioning runs under both recovery policies.
 type ChaosConfig struct {
 	Graphs    []string
 	Ps        []int
-	Policies  []core.RecoveryPolicy
-	Schedules int                 // fault schedules per (graph, P, policy); default 3
-	Seed      int64               // base seed; schedule i of case c draws from Seed, c, i
-	MaxEvent  int64               // fault positions are drawn from [0, MaxEvent); default 400
-	Kinds     []mpi.FaultKind     // default: kill, drop, delay, truncate
-	Recover   core.RecoverOptions // Policy is overridden per case
+	Schedules int   // fault schedules per (graph, P, policy); default 3
+	Seed      int64 // base seed; schedule i of case c draws from Seed, c, i
 }
 
-func (c *ChaosConfig) withDefaults() ChaosConfig {
-	out := *c
-	if out.Schedules == 0 {
-		out.Schedules = 3
-	}
-	if out.MaxEvent == 0 {
-		out.MaxEvent = 400
-	}
-	if len(out.Kinds) == 0 {
-		out.Kinds = []mpi.FaultKind{mpi.KillRank, mpi.DropMessage, mpi.DelayMessage, mpi.TruncatePayload}
-	}
-	if len(out.Policies) == 0 {
-		out.Policies = []core.RecoveryPolicy{core.RecoverRespawn, core.RecoverShrink}
-	}
-	return out
-}
+// chaosMaxEvent bounds the fault positions: they are drawn from
+// [0, chaosMaxEvent).
+const chaosMaxEvent = 400
 
 // ChaosCase is one (graph, P, policy, schedule) soak outcome.
 type ChaosCase struct {
@@ -90,23 +74,26 @@ func (r *ChaosReport) String() string {
 // Cases run concurrently, as many at once as the model's effective
 // host width.
 func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
-	c := cfg.withDefaults()
+	schedules := cfg.Schedules
+	if schedules == 0 {
+		schedules = 3
+	}
 	var cases []ChaosCase
 	n := 0
-	for _, gname := range c.Graphs {
-		for _, p := range c.Ps {
-			for _, pol := range c.Policies {
-				for s := 0; s < c.Schedules; s++ {
+	for _, gname := range cfg.Graphs {
+		for _, p := range cfg.Ps {
+			for _, pol := range []core.RecoveryPolicy{core.RecoverRespawn, core.RecoverShrink} {
+				for s := 0; s < schedules; s++ {
 					// Distinct, deterministic per-case seeds: mix the case
 					// ordinal into the base seed with a large prime stride.
-					seed := c.Seed + int64(n)*7919
+					seed := cfg.Seed + int64(n)*7919
 					cases = append(cases, ChaosCase{Graph: gname, P: p, Policy: pol, Seed: seed})
 					n++
 				}
 			}
 		}
 	}
-	runJobs(h.Model.ResolvedWorkers(), len(cases), func(i int) { cases[i] = h.chaosCase(c, cases[i]) })
+	runJobs(h.Model.ResolvedWorkers(), len(cases), func(i int) { cases[i] = h.chaosCase(cases[i]) })
 
 	rep := &ChaosReport{Cases: cases}
 	for _, cc := range cases {
@@ -125,20 +112,19 @@ func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
 }
 
 // chaosCase runs and verifies one soak case.
-func (h *Harness) chaosCase(cfg ChaosConfig, cc ChaosCase) ChaosCase {
+func (h *Harness) chaosCase(cc ChaosCase) ChaosCase {
 	g := h.Graph(cc.Graph)
 	base := h.Get(cc.Graph, MethodSP, cc.P)
 	cc.BaseCut = base.Cut
 
-	plan := mpi.RandomPlan(cc.Seed, cc.P, cfg.MaxEvent, cfg.Kinds...)
+	plan := mpi.RandomPlan(cc.Seed, cc.P, chaosMaxEvent, mpi.KillRank, mpi.DropMessage, mpi.DelayMessage, mpi.TruncatePayload)
 	cc.Plan = plan.Key()
 
 	opt := h.options(seedOf(cc.Graph))
 	opt.Model.Faults = plan
 	rec := trace.New()
 	opt.Model.Trace = rec
-	opt.Recover = cfg.Recover
-	opt.Recover.Policy = cc.Policy
+	opt.Recover = core.RecoverOptions{Policy: cc.Policy}
 
 	res, err := core.PartitionChecked(g.G, cc.P, opt)
 	if err != nil {

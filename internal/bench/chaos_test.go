@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestChaosSoakCI is the CI chaos soak: seeded randomized fault
 // schedules against recovery-enabled partitioning over three suite
@@ -19,7 +15,6 @@ func TestChaosSoakCI(t *testing.T) {
 	rep := h.ChaosSoak(ChaosConfig{
 		Graphs:    []string{"ecology1", "ecology2", "delaunay_n20"},
 		Ps:        []int{4, 16},
-		Policies:  []core.RecoveryPolicy{core.RecoverRespawn, core.RecoverShrink},
 		Schedules: 2,
 		Seed:      1,
 	})

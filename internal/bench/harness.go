@@ -236,9 +236,9 @@ func (h *Harness) envKey() string {
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%d|faults:%s",
+	return fmt.Sprintf("w%d|trace%t|compress%t|recover:%s:%d|trials:%d|fullcut:%d|faults:%s",
 		h.Model.ResolvedWorkers(), h.Trace, h.Compress,
-		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
+		h.Recover.Policy, h.Recover.RetryBudget,
 		trials, h.FullCutRounds, h.Model.Faults.Key())
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geopart"
+	"repro/internal/refine"
 )
 
 // TestQualitySmoke is the CI quality gate: on two suite graphs at
@@ -12,7 +13,7 @@ import (
 // evolutionary search must never lose to the single-trial run it
 // contains. Scale 0.25 keeps it smoke-fast.
 func TestQualitySmoke(t *testing.T) {
-	tol := geopart.DefaultParallelConfig().Defaults().BalanceTol
+	tol := refine.BalanceTol
 	h := New(0.25, []int{4, 16})
 	hf := New(0.25, []int{4, 16})
 	hf.FullCutRounds = geopart.FullRefineRounds

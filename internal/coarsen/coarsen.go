@@ -90,8 +90,6 @@ type Options struct {
 	// CoarsestSize stops coarsening once a level has at most this many
 	// vertices. Default 800.
 	CoarsestSize int
-	// MinRanks floors the active processor count. Default 1.
-	MinRanks int
 	// StepsPerLevel is how many matching+contraction steps are fused
 	// into one retained level: 2 reproduces the paper's "retain every
 	// other graph" quartering; 1 keeps every halving step (used by the
@@ -102,7 +100,7 @@ type Options struct {
 	// baselines that keep every rank active at every level use 1.
 	RankDecay int
 	// VertsPerRank caps the active rank count of every level at
-	// n/VertsPerRank (floored at MinRanks): when the graph is small
+	// n/VertsPerRank (floored at one rank): when the graph is small
 	// relative to P, work is folded onto fewer ranks rather than spread
 	// so thin that blocked matching and the lattice embedding
 	// degenerate. 0 disables the cap.
@@ -111,14 +109,11 @@ type Options struct {
 	Seed int64
 }
 
-// capRanks applies the VertsPerRank cap and the MinRanks floor; the
+// capRanks applies the VertsPerRank cap and the floor of one rank; the
 // result never exceeds the available rank count.
 func (o Options) capRanks(ranks, n, available int) int {
 	if o.VertsPerRank > 0 && ranks > n/o.VertsPerRank {
 		ranks = n / o.VertsPerRank
-	}
-	if ranks < o.MinRanks {
-		ranks = o.MinRanks
 	}
 	if ranks > available {
 		ranks = available
@@ -132,9 +127,6 @@ func (o Options) capRanks(ranks, n, available int) int {
 func (o Options) withDefaults() Options {
 	if o.CoarsestSize == 0 {
 		o.CoarsestSize = 800
-	}
-	if o.MinRanks == 0 {
-		o.MinRanks = 1
 	}
 	if o.StepsPerLevel == 0 {
 		o.StepsPerLevel = 2
@@ -151,7 +143,7 @@ type Hierarchy struct {
 // BuildHierarchy coarsens g over p processors. Matching at every step
 // is restricted to the contiguous ownership blocks of the level's
 // active ranks, and the active rank count divides by
-// 4 (for StepsPerLevel=2) at each retained level, floored at MinRanks.
+// 4 (for StepsPerLevel=2) at each retained level, floored at one rank.
 // Coarsening stops when the coarsest target is reached or a level
 // shrinks by less than 10%.
 func BuildHierarchy(g *graph.Graph, p int, opt Options) *Hierarchy {

@@ -95,7 +95,7 @@ type Result struct {
 // an *mpi.RankError naming the rank and pipeline phase instead of
 // crashing the caller.
 func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
-	if err := checkRun(p, opt.Model); err != nil {
+	if err := mpi.CheckRun(p, opt.Model); err != nil {
 		return nil, fmt.Errorf("PartitionChecked: %w", err)
 	}
 	opt.Model = opt.Model.OrDefault()
@@ -177,25 +177,13 @@ func partitionCoords(g *graph.Graph, coords []geometry.Vec2, pl stagePlan) (*Res
 	return res, err
 }
 
-// checkRun validates the world size and the host width every entry
-// point takes.
-func checkRun(p int, m mpi.Model) error {
-	if p < 1 {
-		return fmt.Errorf("world size p=%d, want at least 1", p)
-	}
-	if m.Workers < 0 {
-		return fmt.Errorf("host width Model.Workers=%d, want at least 0", m.Workers)
-	}
-	return nil
-}
-
 // checkGeometricInput validates what embed.SplitCoords and the world
-// require of the geometric entry points' input: checkRun's world size
-// and width, and one coordinate per vertex. Non-finite coordinates are
+// require of the geometric entry points' input: mpi.CheckRun's world
+// size and width, and one coordinate per vertex. Non-finite coordinates are
 // accepted; they partition like any other
 // (TestGeometricCheckedBadInput).
 func checkGeometricInput(g *graph.Graph, coords []geometry.Vec2, p int, m mpi.Model) error {
-	if err := checkRun(p, m); err != nil {
+	if err := mpi.CheckRun(p, m); err != nil {
 		return err
 	}
 	if n := g.NumVertices(); len(coords) != n {

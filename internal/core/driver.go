@@ -140,7 +140,7 @@ func (pl stagePlan) run(g *graph.Graph) (*Result, []mpi.RankStats, error) {
 			tp, tc := ph.Stop()
 			t.Partition += tp
 			t.PartitionComm += tc
-			best.offer(s, ti, d, res)
+			best.offer(ti, d, res)
 		}
 		if best.n > 1 {
 			s.combine(c, g, best, t)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/geopart"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
 // trialSeedStride decorrelates per-trial RNG streams: trial ti adds
@@ -37,7 +38,7 @@ const (
 // trialScore is the globally replicated outcome of one trial, ordered
 // by the deterministic better() relation below.
 type trialScore struct {
-	feasible bool // imbalance within the configured tolerance
+	feasible bool // imbalance within refine.BalanceTol
 	cut      int64
 	imb      float64
 	ti       int
@@ -75,8 +76,8 @@ type trialPair struct {
 
 // offer scores trial ti's outcome and keeps it if it is among the two
 // best.
-func (tp *trialPair) offer(s *search, ti int, d *embed.Distributed, res *geopart.ParallelResult) {
-	t := trial{score: trialScore{feasible: res.Imbalance <= s.tol, cut: res.Cut, imb: res.Imbalance, ti: ti}, d: d, res: res}
+func (tp *trialPair) offer(ti int, d *embed.Distributed, res *geopart.ParallelResult) {
+	t := trial{score: trialScore{feasible: res.Imbalance <= refine.BalanceTol, cut: res.Cut, imb: res.Imbalance, ti: ti}, d: d, res: res}
 	switch {
 	case tp.n == 0 || t.score.better(tp.first.score):
 		tp.first, tp.second = t, tp.first
@@ -93,16 +94,13 @@ type trialOpts struct {
 }
 
 // search is the world-wide state of a run's trials: each trial's
-// options and, with more than one trial, the balance tolerance and FM
-// pass count the partitioner resolves, the total vertex weight, and the
-// runner-up's sides by global id, which the combine exchanges. The
+// options and, with more than one trial, the total vertex weight and
+// the runner-up's sides by global id, which the combine exchanges. The
 // embedding routes ownership by coordinates, so two trials partition
 // the id space differently and rank-local side vectors do not align
 // element-wise.
 type search struct {
 	opts     []trialOpts
-	tol      float64
-	passes   int
 	totalW   int64
 	runnerUp []int8
 }
@@ -120,8 +118,6 @@ func newSearch(g *graph.Graph, eopt embed.ParallelOptions, cfg geopart.ParallelC
 		o.cfg.Seed += int64(ti) * partSeedStride
 	}
 	if trials > 1 {
-		tuned := cfg.Defaults()
-		s.tol, s.passes = tuned.BalanceTol, tuned.FMPasses
 		s.totalW = g.TotalVertexWeight()
 		s.runnerUp = make([]int8, g.NumVertices())
 	}
@@ -174,7 +170,7 @@ func (s *search) combine(c *mpi.Comm, g *graph.Graph, tp *trialPair, t *PhaseTim
 		}
 		freeMask[i] = bestSide[i] != v
 	}
-	out := geopart.RefineFreeSet(c, g, best.d, freeMask, bestSide, best.res.SideW, s.totalW, s.tol, s.passes)
+	out := geopart.RefineFreeSet(c, g, best.d, freeMask, bestSide, best.res.SideW, s.totalW)
 	best.score.cut -= out.Gain
 	best.res.SideW = out.SideW
 	best.score.imb = graph.Imbalance2(out.SideW[0], out.SideW[1])

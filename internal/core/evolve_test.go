@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
 // TestEvolveValidAndNoWorseThanLegacy: the search includes the
@@ -19,7 +20,7 @@ import (
 // accounting (reported cut = recount).
 func TestEvolveValidAndNoWorseThanLegacy(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 5)
-	tol := DefaultOptions(42).Partition.Defaults().BalanceTol
+	tol := refine.BalanceTol
 	for _, p := range []int{1, 4, 16} {
 		legacy := mustPartition(t, g.G, p, DefaultOptions(42))
 		opt := DefaultOptions(42)

@@ -101,32 +101,16 @@ type RecoverOptions struct {
 	// mpi.DefaultRetryBudget. Any non-off policy enables the reliability
 	// layer.
 	RetryBudget int
-	// MaxRespawns bounds respawn attempts before escalating to shrink
-	// (0 = default 2, negative = no respawns).
-	MaxRespawns int
-	// MaxShrinks bounds world shrinks before falling back to the
-	// sequential baseline (0 = default 2, negative = no shrinks).
-	MaxShrinks int
 }
 
-func (o RecoverOptions) withDefaults() RecoverOptions {
-	if o.RetryBudget == 0 {
-		o.RetryBudget = mpi.DefaultRetryBudget
-	}
-	switch {
-	case o.MaxRespawns == 0:
-		o.MaxRespawns = 2
-	case o.MaxRespawns < 0:
-		o.MaxRespawns = 0
-	}
-	switch {
-	case o.MaxShrinks == 0:
-		o.MaxShrinks = 2
-	case o.MaxShrinks < 0:
-		o.MaxShrinks = 0
-	}
-	return o
-}
+// The recovery budgets: a respawn policy respawns up to maxRespawns
+// times before escalating to shrink, and either policy shrinks the
+// world up to maxShrinks times before falling back to the sequential
+// baseline.
+const (
+	maxRespawns = 2
+	maxShrinks  = 2
+)
 
 // RecoveryStats summarises what the recovery driver did to produce a
 // result. Attempts == 1 with no entries anywhere means the first world
@@ -219,11 +203,10 @@ func partitionRecover(g *graph.Graph, opt Options, pl stagePlan) (*Result, error
 		res, _, err := pl.run(g)
 		return res, err
 	}
-	ro := opt.Recover.withDefaults()
 	rs := &RecoveryStats{FinalP: pl.p}
 
 	model := pl.model
-	model.Reliable = &mpi.Reliability{RetryBudget: ro.RetryBudget}
+	model.Reliable = &mpi.Reliability{RetryBudget: opt.Recover.RetryBudget}
 	rec := model.Trace
 	// Never mutate the caller's plan: bench harnesses share one plan
 	// across cached runs.
@@ -276,14 +259,14 @@ func partitionRecover(g *graph.Graph, opt Options, pl stagePlan) (*Result, error
 			coords = assembleCoords(g, ck.embedViews)
 		}
 
-		if ro.Policy == RecoverRespawn && respawns < ro.MaxRespawns {
+		if opt.Recover.Policy == RecoverRespawn && respawns < maxRespawns {
 			respawns++
 			rs.Respawns++
 			pl = respawnPlan(pl, ck)
 			rs.Resumes = append(rs.Resumes, "respawn@"+pl.start.String())
 			continue
 		}
-		if pl.p > 1 && shrinks < ro.MaxShrinks {
+		if pl.p > 1 && shrinks < maxShrinks {
 			shrinks++
 			rs.Shrinks++
 			newP := pl.p - 1

@@ -245,12 +245,13 @@ func TestRecoveryExhaustionFallsBack(t *testing.T) {
 	const p = 4
 	opt := DefaultOptions(3)
 	// One rank death per attempt, at well-separated positions so each
-	// armed fault survives the previous attempt's disarming: rank 1 dies
-	// in attempt 1, again in the respawned attempt 2, and (renumbered
-	// from rank 2 by the shrink) the P−1 world dies in attempt 3 —
-	// overwhelming a budget of one respawn and one shrink.
-	opt.Model.Faults = mpi.NewFaultPlan().Kill(1, 2).Kill(1, 8).Kill(2, 60)
-	opt.Recover = RecoverOptions{Policy: RecoverRespawn, MaxRespawns: 1, MaxShrinks: 1}
+	// armed fault survives the previous attempts' disarming: rank 1 dies
+	// in attempt 1 and again in both respawned attempts; rank 2,
+	// renumbered to 1 by the first shrink, dies in the P−1 world; and
+	// rank 3, renumbered to 1 by both shrinks, dies in the P−2 world —
+	// overwhelming the budgets of two respawns and two shrinks.
+	opt.Model.Faults = mpi.NewFaultPlan().Kill(1, 2).Kill(1, 8).Kill(1, 14).Kill(2, 60).Kill(3, 100)
+	opt.Recover = RecoverOptions{Policy: RecoverRespawn}
 	res, err := PartitionChecked(g.G, p, opt)
 	if err != nil {
 		t.Fatalf("exhausted recovery must still deliver via fallback: %v", err)
@@ -258,7 +259,7 @@ func TestRecoveryExhaustionFallsBack(t *testing.T) {
 	if !res.Fallback {
 		t.Fatal("recovery against an overwhelming schedule did not reach the fallback")
 	}
-	if res.Recovery == nil || res.Recovery.Respawns != 1 || res.Recovery.Shrinks != 1 {
+	if res.Recovery == nil || res.Recovery.Respawns != 2 || res.Recovery.Shrinks != 2 {
 		t.Fatalf("fallback reached without exhausting both policies: %+v", res.Recovery)
 	}
 	if err := CheckResult(g.G, res); err != nil {

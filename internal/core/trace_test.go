@@ -111,14 +111,18 @@ func TestCommChargesAttributed(t *testing.T) {
 			}
 		}
 	}
-	for _, cfg := range []baseline.Config{baseline.ParMetisLike(3), baseline.PtScotchLike(3)} {
+	for _, b := range []struct {
+		name string
+		cfg  baseline.Config
+	}{{"ParMetis", baseline.ParMetisLike(3)}, {"Pt-Scotch", baseline.PtScotchLike(3)}} {
+		name, cfg := b.name, b.cfg
 		rec := trace.New()
 		cfg.Model = mpi.DefaultModel()
 		cfg.Model.Trace = rec
 		if _, err := baseline.PartitionChecked(g, p, cfg); err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		check(cfg.Name, rec)
+		check(name, rec)
 	}
 	opt := DefaultOptions(3)
 	opt.Trials = 2

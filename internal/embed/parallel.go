@@ -15,9 +15,8 @@ import (
 )
 
 // ParallelOptions configures the multilevel fixed-lattice parallel
-// embedding.
+// embedding, whose forces are DefaultForceParams.
 type ParallelOptions struct {
-	Force        ForceParams
 	BlockSize    int // iterations between global refreshes (paper: 2–8), default 4
 	IterCoarsest int // default 200
 	IterSmooth   int // per finer level, default 30
@@ -25,9 +24,6 @@ type ParallelOptions struct {
 }
 
 func (o ParallelOptions) withDefaults() ParallelOptions {
-	if o.Force == (ForceParams{}) {
-		o.Force = DefaultForceParams()
-	}
 	if o.BlockSize == 0 {
 		o.BlockSize = 4
 	}
@@ -99,7 +95,7 @@ func initCoarsest(sub *mpi.Comm, lev *coarsen.Level, opt ParallelOptions) *level
 	g := lev.G
 	n := g.NumVertices()
 	seed := opt.Seed<<8 + 101
-	side := opt.Force.K * math.Sqrt(float64(n))
+	side := DefaultForceParams().K * math.Sqrt(float64(n))
 	// Pass 1: per-axis samples for the quantile cuts.
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]float64, n)
@@ -144,7 +140,7 @@ func initCoarsest(sub *mpi.Comm, lev *coarsen.Level, opt ParallelOptions) *level
 	}
 	sub.Charge(float64(n))
 	sub.Bcast(0, nil, 16*n)
-	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, opt.Force)
+	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, DefaultForceParams())
 }
 
 // projectLevel carries the embedding from level li+1 down to level li:
@@ -179,7 +175,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 			jit[k] = geometry.Vec2{
 				X: jrng.Float64() - 0.5,
 				Y: jrng.Float64() - 0.5,
-			}.Scale(0.5 * opt.Force.K)
+			}.Scale(0.5 * DefaultForceParams().K)
 		}
 		created = make([]idPos, nKids)
 		hostpar.ForN(len(coarse.ownedIDs), levelChunks(width, ranks, len(coarse.ownedIDs), 16), func(_, clo, chi int) {
@@ -227,7 +223,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 	hi = mpi.AllReduce(sub, hi, 16, func(a, b geometry.Vec2) geometry.Vec2 {
 		return geometry.Vec2{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)}
 	})
-	bounds := geometry.Rect{X0: lo.X, Y0: lo.Y, X1: hi.X, Y1: hi.Y}.Expand(0.5 * opt.Force.K)
+	bounds := geometry.Rect{X0: lo.X, Y0: lo.Y, X1: hi.X, Y1: hi.Y}.Expand(0.5 * DefaultForceParams().K)
 	// Quantile lattice from a gathered sample.
 	grid := mpi.GridFor(sub.Size())
 	per := 4096/sub.Size() + 1
@@ -287,7 +283,7 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 		}
 		return cachedOwners
 	}
-	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, opt.Force)
+	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, DefaultForceParams())
 }
 
 // blockStarts returns where each rank's block starts in a buffer laid

@@ -12,31 +12,24 @@ import (
 )
 
 // SeqOptions configures the sequential multilevel force-directed
-// layout.
+// layout, whose forces are DefaultForceParams.
 type SeqOptions struct {
-	Force        ForceParams
-	Theta        float64 // Barnes–Hut opening criterion, default 0.85
-	IterCoarsest int     // iterations at the coarsest level, default 200
-	IterSmooth   int     // iterations at finer levels, default 50
-	CoarsestSize int     // stop coarsening at this size, default 400
+	IterCoarsest int // iterations at the coarsest level, default 200
+	IterSmooth   int // iterations at finer levels, default 50
 	Seed         int64
 }
 
+const (
+	seqTheta        = 0.85 // Barnes–Hut opening criterion
+	seqCoarsestSize = 400  // coarsening stops at this many vertices
+)
+
 func (o SeqOptions) withDefaults() SeqOptions {
-	if o.Force == (ForceParams{}) {
-		o.Force = DefaultForceParams()
-	}
-	if o.Theta == 0 {
-		o.Theta = 0.85
-	}
 	if o.IterCoarsest == 0 {
 		o.IterCoarsest = 200
 	}
 	if o.IterSmooth == 0 {
 		o.IterSmooth = 50
-	}
-	if o.CoarsestSize == 0 {
-		o.CoarsestSize = 400
 	}
 	return o
 }
@@ -52,30 +45,31 @@ func SequentialLayout(g *graph.Graph, opt SeqOptions) []geometry.Vec2 {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	h := coarsen.BuildHierarchy(g, 1, coarsen.Options{
-		CoarsestSize:  opt.CoarsestSize,
+		CoarsestSize:  seqCoarsestSize,
 		StepsPerLevel: 1,
 		Seed:          opt.Seed,
 	})
 	levels := h.Levels
 	coarsest := levels[len(levels)-1].G
 	// Random initial positions in a box sized for ~K spacing.
-	side := opt.Force.K * math.Sqrt(float64(coarsest.NumVertices()))
+	fp := DefaultForceParams()
+	side := fp.K * math.Sqrt(float64(coarsest.NumVertices()))
 	pos := make([]geometry.Vec2, coarsest.NumVertices())
 	for i := range pos {
 		pos[i] = geometry.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
-	smoothLevel(coarsest, pos, opt, opt.IterCoarsest)
+	smoothLevel(coarsest, pos, opt.IterCoarsest)
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li]
 		finePos := make([]geometry.Vec2, fine.G.NumVertices())
 		for v := range finePos {
 			cv := fine.ToCoarse[v]
 			// Interpolate: coarse position scaled ×2 plus jitter.
-			j := geometry.Vec2{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5}.Scale(0.5 * opt.Force.K)
+			j := geometry.Vec2{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5}.Scale(0.5 * fp.K)
 			finePos[v] = pos[cv].Scale(2).Add(j)
 		}
 		pos = finePos
-		smoothLevel(fine.G, pos, opt, opt.IterSmooth)
+		smoothLevel(fine.G, pos, opt.IterSmooth)
 	}
 	return pos
 }
@@ -87,7 +81,7 @@ func SequentialLayout(g *graph.Graph, opt SeqOptions) []geometry.Vec2 {
 // positions are bit-identical for every worker count. One tree arena
 // is reused across iterations and the chunk bodies are hoisted out of
 // the loop, so steady state allocates nothing.
-func smoothLevel(g *graph.Graph, pos []geometry.Vec2, opt SeqOptions, iters int) {
+func smoothLevel(g *graph.Graph, pos []geometry.Vec2, iters int) {
 	n := g.NumVertices()
 	if n <= 1 {
 		return
@@ -96,8 +90,8 @@ func smoothLevel(g *graph.Graph, pos []geometry.Vec2, opt SeqOptions, iters int)
 	for v := 0; v < n; v++ {
 		mass[v] = float64(g.VertexWeight(int32(v)))
 	}
-	ctl := NewStepController(opt.Force.K)
-	fp := opt.Force
+	fp := DefaultForceParams()
+	ctl := NewStepController(fp.K)
 	ck2 := fp.C * fp.K * fp.K
 	forces := make([]geometry.Vec2, n)
 	var tree quadtree.Tree
@@ -106,7 +100,7 @@ func smoothLevel(g *graph.Graph, pos []geometry.Vec2, opt SeqOptions, iters int)
 		defer cur.Release()
 		for v := lo; v < hi; v++ {
 			p := pos[v]
-			f := tree.Repulsion(p, int32(v), opt.Theta, ck2, mass[v], geometry.Vec2{})
+			f := tree.Repulsion(p, int32(v), seqTheta, ck2, mass[v], geometry.Vec2{})
 			nbrs, wgts := cur.Arcs(int32(v))
 			for k, w := range nbrs {
 				f = f.Add(fp.Attractive(p, pos[w]).Scale(float64(wgts[k])))

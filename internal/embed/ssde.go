@@ -8,22 +8,11 @@ import (
 	"repro/internal/graph"
 )
 
-// SSDEOptions configures the sampled spectral distance embedding.
-type SSDEOptions struct {
-	Landmarks  int // BFS sources, default 30
-	PowerIters int // power-iteration steps per eigenvector, default 60
-	Seed       int64
-}
-
-func (o SSDEOptions) withDefaults() SSDEOptions {
-	if o.Landmarks == 0 {
-		o.Landmarks = 30
-	}
-	if o.PowerIters == 0 {
-		o.PowerIters = 60
-	}
-	return o
-}
+// The sampled spectral distance embedding's sizes.
+const (
+	ssdeLandmarks  = 30 // BFS sources
+	ssdePowerIters = 60 // power-iteration steps per eigenvector
+)
 
 // SSDELayout embeds g with Sampled Spectral Distance Embedding (Çivril,
 // Magdon-Ismail & Bocek-Rivele, GD'06) — the scheme the paper's
@@ -37,17 +26,16 @@ func (o SSDEOptions) withDefaults() SSDEOptions {
 // graph size (a handful of BFS sweeps plus O(n·k) linear algebra) at
 // some cost in local untangling — exactly the trade-off the
 // SSDE-vs-lattice ablation measures.
-func SSDELayout(g *graph.Graph, opt SSDEOptions) []geometry.Vec2 {
-	opt = opt.withDefaults()
+func SSDELayout(g *graph.Graph, seed int64) []geometry.Vec2 {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil
 	}
-	k := opt.Landmarks
+	k := ssdeLandmarks
 	if k > n {
 		k = n
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	// Landmark selection: maxmin ("farthest-first") from a random
 	// start, which spreads landmarks across the graph's diameter.
 	landmarks := make([]int32, 0, k)
@@ -112,8 +100,8 @@ func SSDELayout(g *graph.Graph, opt SSDEOptions) []geometry.Vec2 {
 	// (applied as C·(Cᵀ·x), never forming the n×n product). Each axis
 	// is scaled by its singular value so the embedding keeps the true
 	// aspect ratio.
-	u1, s1 := powerIterate(c, nil, opt.PowerIters, rng)
-	u2, s2 := powerIterate(c, u1, opt.PowerIters, rng)
+	u1, s1 := powerIterate(c, nil, ssdePowerIters, rng)
+	u2, s2 := powerIterate(c, u1, ssdePowerIters, rng)
 	coords := make([]geometry.Vec2, n)
 	for v := 0; v < n; v++ {
 		coords[v] = geometry.Vec2{X: u1[v] * s1, Y: u2[v] * s2}

@@ -12,7 +12,7 @@ import (
 // elongated axis (the dominant spectral direction is the long side).
 func TestSSDEGridGeometry(t *testing.T) {
 	g := gen.Grid2D(12, 48)
-	coords := SSDELayout(g.G, SSDEOptions{Seed: 2})
+	coords := SSDELayout(g.G, 2)
 	r := geometry.BoundingRect(coords)
 	if r.Width() < 2*r.Height() {
 		t.Fatalf("grid aspect not recovered: %v x %v", r.Width(), r.Height())
@@ -37,7 +37,7 @@ func TestSSDETinyAndDisconnected(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3) // disconnected, vertex 4 isolated
 	g := b.Build()
-	coords := SSDELayout(g, SSDEOptions{Seed: 1, Landmarks: 3})
+	coords := SSDELayout(g, 1)
 	if len(coords) != 5 {
 		t.Fatalf("got %d coords", len(coords))
 	}
@@ -46,7 +46,7 @@ func TestSSDETinyAndDisconnected(t *testing.T) {
 			t.Fatal("NaN coordinate")
 		}
 	}
-	if SSDELayout(&graph.Graph{XAdj: []int32{0}}, SSDEOptions{}) != nil {
+	if SSDELayout(&graph.Graph{XAdj: []int32{0}}, 0) != nil {
 		t.Fatal("empty graph should give nil")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/graph"
+	"repro/internal/refine"
 	"repro/internal/stats"
 )
 
@@ -32,7 +33,7 @@ func Partition3D(g *graph.Graph, coords []geometry.Vec3, cfg Config) ([]int32, S
 	for i, p := range norm {
 		lifted[i] = geometry.StereoUp3(p)
 	}
-	sampleIdx := sampleIndices(n, cfg.SampleSize, rng)
+	sampleIdx := sampleIndices(n, sampleSize, rng)
 
 	bestCut := int64(math.MaxInt64)
 	var bestPart []int32
@@ -45,7 +46,7 @@ func Partition3D(g *graph.Graph, coords []geometry.Vec3, cfg Config) ([]int32, S
 		bisectByValues(vals, part)
 		cut := graph.CutSize(g, part)
 		imb := graph.Imbalance(g, part, 2)
-		if imb <= cfg.BalanceTol && cut < bestCut {
+		if imb <= refine.BalanceTol && cut < bestCut {
 			bestCut = cut
 			bestPart = append(bestPart[:0:0], part...)
 			best = Stats{Cut: cut, Imbalance: imb, BestKind: kind}

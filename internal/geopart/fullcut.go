@@ -48,11 +48,12 @@ const freeSetOutcomeBytes = 32
 // side is indexed by the view's slots: side[:nOwn] holds the owned
 // vertices' sides, and when side also covers the ghost slots
 // (nOwn+len(d.GhostIDs) entries) the flips of ghost copies land there,
-// so the caller's replica stays current in one loop.
-func solveRound(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, all []refine.SideRecord, side []int32, sideW [2]int64, totalW int64, tol float64, passes int) refine.FreeSetResult {
+// so the caller's replica stays current in one loop. Every round
+// solves at refine.BalanceTol with fmPasses passes.
+func solveRound(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, all []refine.SideRecord, side []int32, sideW [2]int64, totalW int64) refine.FreeSetResult {
 	var out refine.FreeSetResult
 	if c.Rank() == 0 {
-		out = refine.SolveFreeSet(g, all, sideW, totalW, tol, passes)
+		out = refine.SolveFreeSet(g, all, sideW, totalW, refine.BalanceTol, fmPasses)
 		c.Charge(float64(out.Free) * 20)
 	}
 	out = c.Bcast(0, out, freeSetOutcomeBytes+len(all)).(refine.FreeSetResult)
@@ -84,7 +85,7 @@ func solveRound(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, all []refine.
 // are skipped, as in the strip pass; both production view
 // constructors, ParallelEmbed and SplitCoords, ghost every neighbour,
 // so no arc is skipped on their views.
-func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask []bool, side []int32, sideW [2]int64, totalW int64, tol float64, passes int) refine.FreeSetResult {
+func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask []bool, side []int32, sideW [2]int64, totalW int64) refine.FreeSetResult {
 	// Gather the global free set.
 	var recs []refine.SideRecord
 	for i, id := range d.OwnedIDs {
@@ -129,7 +130,7 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 	all := mpi.AllGatherVWith(c, ring, refine.SideRecordBytes, func(parts [][]refine.SideRecord) []refine.SideRecord {
 		return mpi.Concat(append([][]refine.SideRecord{free}, parts...))
 	})
-	return solveRound(c, g, d, all, side, sideW, totalW, tol, passes)
+	return solveRound(c, g, d, all, side, sideW, totalW)
 }
 
 // refineFullCut applies cfg.FullCutRounds rounds of full-cut boundary
@@ -156,7 +157,7 @@ func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parall
 			}
 		}
 		c.Charge(float64(nOwn)) // the boundary scan
-		out := RefineFreeSet(c, g, d, freeMask, side, res.SideW, totalW, cfg.BalanceTol, cfg.FMPasses)
+		out := RefineFreeSet(c, g, d, freeMask, side, res.SideW, totalW)
 		if out.Free == 0 {
 			break
 		}

@@ -66,7 +66,7 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 		if fullRes.Cut > stripRes.Cut {
 			t.Fatalf("P=%d: full-cut refinement worsened the cut: %d > %d", p, fullRes.Cut, stripRes.Cut)
 		}
-		tol := DefaultParallelConfig().Defaults().BalanceTol
+		tol := refine.BalanceTol
 		limit := int64(float64(totalW) * (1 + tol) / 2)
 		if fullRes.SideW[0] > limit || fullRes.SideW[1] > limit {
 			t.Fatalf("P=%d: full-cut broke balance: %v (limit %d, tol %v)", p, fullRes.SideW, limit, tol)
@@ -155,7 +155,7 @@ func TestRefineFreeSetEmptyBoundaryWorld(t *testing.T) {
 		d := views[c.Rank()]
 		side := make([]int32, len(d.OwnedIDs))
 		free := make([]bool, len(d.OwnedIDs))
-		out := RefineFreeSet(c, g.G, d, free, side, [2]int64{int64(totalW), 0}, totalW, 0.05, 4)
+		out := RefineFreeSet(c, g.G, d, free, side, [2]int64{int64(totalW), 0}, totalW)
 		if out.Gain != 0 || out.Free != 0 || len(out.Flips) != 0 {
 			t.Errorf("rank %d: empty free set produced %+v", c.Rank(), out)
 		}
@@ -201,7 +201,7 @@ func TestRefineFreeSetCrossRankRing(t *testing.T) {
 				x, y := int(g.Coords[id].X), int(g.Coords[id].Y)
 				free[i] = x >= 12+y%4 && x <= 17+y%4
 			}
-			res := RefineFreeSet(c, g.G, d, free, side, sideW, totalW, 0.05, 4)
+			res := RefineFreeSet(c, g.G, d, free, side, sideW, totalW)
 			for i, id := range d.OwnedIDs {
 				got[id] = side[i]
 			}

@@ -24,18 +24,20 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/graph"
+	"repro/internal/refine"
 	"repro/internal/stats"
 )
 
 // Config selects the candidate mix of the geometric partitioner.
 type Config struct {
-	GreatCircles int     // total random great circles, split over centerpoints
-	Centerpoints int     // independent centerpoint computations
-	LineSeps     int     // random line separators in the plane (0 = "NL")
-	SampleSize   int     // centerpoint sample size, default 800
-	BalanceTol   float64 // accepted imbalance, default 0.05
+	GreatCircles int // total random great circles, split over centerpoints
+	Centerpoints int // independent centerpoint computations
+	LineSeps     int // random line separators in the plane (0 = "NL")
 	Seed         int64
 }
+
+// sampleSize is the number of points the centerpoint is computed from.
+const sampleSize = 800
 
 // G30 is the paper's strong sequential configuration.
 func G30() Config {
@@ -54,12 +56,6 @@ func G7NL() Config {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SampleSize == 0 {
-		c.SampleSize = 800
-	}
-	if c.BalanceTol == 0 {
-		c.BalanceTol = 0.05
-	}
 	if c.Centerpoints == 0 {
 		c.Centerpoints = 1
 	}
@@ -115,7 +111,7 @@ func Partition(g *graph.Graph, coords []geometry.Vec2, cfg Config) ([]int32, Sta
 		lifted[i] = geometry.StereoUp(p)
 	}
 	// Sample for centerpoints.
-	sampleIdx := sampleIndices(n, cfg.SampleSize, rng)
+	sampleIdx := sampleIndices(n, sampleSize, rng)
 
 	bestCut := int64(math.MaxInt64)
 	var bestPart []int32
@@ -129,7 +125,7 @@ func Partition(g *graph.Graph, coords []geometry.Vec2, cfg Config) ([]int32, Sta
 		bisectByValues(vals, part)
 		cut := graph.CutSize(g, part)
 		imb := graph.Imbalance(g, part, 2)
-		if imb <= cfg.BalanceTol && cut < bestCut {
+		if imb <= refine.BalanceTol && cut < bestCut {
 			bestCut = cut
 			bestPart = append(bestPart[:0:0], part...)
 			best = Stats{Cut: cut, Imbalance: imb, BestKind: kind}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 )
 
 // TestPartitionGridQuality: on a grid with natural coordinates, the
@@ -216,12 +217,11 @@ func TestNormalizeCentersAndScales(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.SampleSize != 800 || c.BalanceTol != 0.05 || c.Centerpoints != 1 {
-		t.Fatalf("defaults = %+v", c)
+	if sampleSize != 800 || refine.BalanceTol != 0.05 || c.Centerpoints != 1 {
+		t.Fatalf("defaults = %+v, sample %d, tolerance %v", c, sampleSize, refine.BalanceTol)
 	}
-	pc := ParallelConfig{}.withDefaults()
-	if pc.StripFactor != 8 || pc.FMPasses != 4 {
-		t.Fatalf("parallel defaults = %+v", pc)
+	if stripFactor != 8 || fmPasses != 4 {
+		t.Fatalf("parallel constants: strip factor %v, FM passes %d", stripFactor, fmPasses)
 	}
 	if g := G30(); g.GreatCircles+g.LineSeps != 30 {
 		t.Fatalf("G30 has %d tries", g.GreatCircles+g.LineSeps)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/refine"
 	"repro/internal/stats"
 )
 
@@ -17,9 +18,7 @@ import (
 // paper's does) plus the strip refinement options.
 type ParallelConfig struct {
 	Config
-	Refine      bool    // apply Fiduccia–Mattheyses on a coordinate strip
-	StripFactor float64 // strip size target, × separator edge count; default 8
-	FMPasses    int     // default 4
+	Refine bool // apply Fiduccia–Mattheyses on a coordinate strip
 	// FullCutRounds switches on the full-cut boundary-FM pass after
 	// strip refinement and bounds its rounds: 0 (the default) runs strip
 	// refinement only, n > 0 runs up to n rounds. Each round
@@ -31,6 +30,11 @@ type ParallelConfig struct {
 // FullRefineRounds is the full-cut round count -refine full selects.
 const FullRefineRounds = 4
 
+const (
+	stripFactor = 8 // strip size target, × separator edge count
+	fmPasses    = 4 // FM passes of every distributed round
+)
+
 // DefaultParallelConfig is SP-PG7-NL with strip refinement, the
 // configuration ScalaPart uses.
 func DefaultParallelConfig() ParallelConfig {
@@ -40,21 +44,8 @@ func DefaultParallelConfig() ParallelConfig {
 
 func (c ParallelConfig) withDefaults() ParallelConfig {
 	c.Config = c.Config.withDefaults()
-	if c.StripFactor == 0 {
-		c.StripFactor = 8
-	}
-	if c.FMPasses == 0 {
-		c.FMPasses = 4
-	}
 	return c
 }
-
-// Defaults returns the config with every zero field replaced by its
-// default, exactly as ParallelPartition will resolve it. Callers that
-// reuse the partitioner's balance tolerance or FM pass count outside a
-// partition call (core's evolutionary combine does) read it here so
-// both sides agree.
-func (c ParallelConfig) Defaults() ParallelConfig { return c.withDefaults() }
 
 // ParallelResult is one rank's share of a parallel bisection plus the
 // global statistics every rank ends up knowing.
@@ -175,7 +166,7 @@ func selectCandidate(cfg ParallelConfig, ss *sharedSample, n int, global []int64
 	for k := 0; k < ncand; k++ {
 		cut, w0, w1 := global[3*k], global[3*k+1], global[3*k+2]
 		imb := imbalance2(w0, w1)
-		if imb <= cfg.BalanceTol && cut < bestCut {
+		if imb <= refine.BalanceTol && cut < bestCut {
 			bestCut = cut
 			bestK = k
 		}
@@ -193,17 +184,17 @@ func selectCandidate(cfg ParallelConfig, ss *sharedSample, n int, global []int64
 	}
 	sel := selection{k: bestK, cut: bestCut, sideW: [2]int64{global[3*bestK+1], global[3*bestK+2]}}
 	if cfg.Refine && n > 4 {
-		sel.eps = stripWidth(cfg, ss, bestK, bestCut, n)
+		sel.eps = stripWidth(ss, bestK, bestCut, n)
 	}
 	return sel
 }
 
 // stripWidth is the strip half-width eps around candidate k's
 // separator: the sample quantile of |value - threshold| that puts
-// roughly StripFactor × cutBefore vertices (at least 64, at most n/4)
+// roughly stripFactor × cutBefore vertices (at least 64, at most n/4)
 // inside the strip. It returns 0 when there is no strip to refine.
-func stripWidth(cfg ParallelConfig, ss *sharedSample, k int, cutBefore int64, n int) float64 {
-	target := int(cfg.StripFactor * float64(cutBefore))
+func stripWidth(ss *sharedSample, k int, cutBefore int64, n int) float64 {
+	target := int(stripFactor * float64(cutBefore))
 	if target < 64 {
 		target = 64
 	}
@@ -295,7 +286,7 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 				}
 			}
 		}
-		refineStrip(c, g, d, cfg, valOwned, valGhost, sel.eps, bestT, totalW, side, res)
+		refineStrip(c, g, d, valOwned, valGhost, sel.eps, bestT, totalW, side, res)
 		if cfg.FullCutRounds > 0 {
 			refineFullCut(c, g, d, cfg, side, totalW, res)
 		}

@@ -11,7 +11,7 @@ import (
 // geometric cut (within a small factor of natural coordinates).
 func TestSSDEPartitionQuality(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 6)
-	ssde := embed.SSDELayout(g.G, embed.SSDEOptions{Seed: 3})
+	ssde := embed.SSDELayout(g.G, 3)
 	_, sSSDE, errS := Partition(g.G, ssde, G7NL())
 	_, sNat, errN := Partition(g.G, g.Coords, G7NL())
 	if errS != nil || errN != nil {

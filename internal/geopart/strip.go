@@ -23,7 +23,7 @@ import (
 // side is this rank's slot-indexed side replica (see solveRound): its
 // owned prefix is res.Side, and the full-cut pass extends it over the
 // ghost slots so that the strip flips land on the ghost copies too.
-func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, valOwned, valGhost []float64, eps, tVal float64, totalW int64, side []int32, res *ParallelResult) {
+func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, valOwned, valGhost []float64, eps, tVal float64, totalW int64, side []int32, res *ParallelResult) {
 	c.SetPhase("refine")
 	if eps <= 0 {
 		return
@@ -63,7 +63,7 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 		}
 	}
 	all := mpi.AllGatherVWith(c, recs, refine.SideRecordBytes, mpi.Concat[refine.SideRecord])
-	out := solveRound(c, g, d, all, side, res.SideW, totalW, cfg.BalanceTol, cfg.FMPasses)
+	out := solveRound(c, g, d, all, side, res.SideW, totalW)
 	res.Cut -= out.Gain
 	res.SideW = out.SideW
 	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])

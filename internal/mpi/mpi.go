@@ -275,6 +275,20 @@ func Run(p int, model Model, body func(*Comm)) []RankStats {
 	return stats
 }
 
+// CheckRun is the one check of a run's shape: a world size below one
+// or a negative Model.Workers is an error. Entry points that take p and
+// a model return it, wrapped in their own prefix, before doing any
+// work; RunChecked panics on it.
+func CheckRun(p int, model Model) error {
+	if p < 1 {
+		return fmt.Errorf("world size p=%d, want at least 1", p)
+	}
+	if model.Workers < 0 {
+		return fmt.Errorf("host width Model.Workers=%d, want at least 0", model.Workers)
+	}
+	return nil
+}
+
 // RunChecked executes body on p simulated ranks and returns their stats
 // in rank order. Unlike Run it never panics on rank failure and never
 // hangs: a panicking rank is converted into a poison message that
@@ -286,11 +300,8 @@ func Run(p int, model Model, body func(*Comm)) []RankStats {
 // wrapped in the returned *RankError. The returned stats are the
 // clocks at teardown — complete for fault-free runs, partial otherwise.
 func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
-	if p <= 0 {
-		panic("mpi: Run with non-positive size")
-	}
-	if model.Workers < 0 {
-		panic("mpi: Run with negative Workers")
+	if err := CheckRun(p, model); err != nil {
+		panic("mpi: Run: " + err.Error())
 	}
 	w := &World{
 		size:      p,

@@ -2,16 +2,16 @@ package mpi
 
 import "fmt"
 
-// Default reliability-layer parameters (see Reliability).
+// Reliability-layer parameters (see Reliability).
 const (
 	// DefaultRetryBudget is the number of retransmissions the reliability
 	// layer attempts for one message before declaring the link dead and
 	// escalating the drop to a rank failure.
 	DefaultRetryBudget = 3
-	// DefaultAckFactor scales the first retransmission timeout relative
-	// to the message round trip (2·Latency + PerByte·bytes); later
-	// timeouts double (bounded exponential backoff).
-	DefaultAckFactor = 4.0
+	// ackFactor scales the first retransmission timeout relative to the
+	// message round trip (2·Latency + PerByte·bytes); later timeouts
+	// double (bounded exponential backoff).
+	ackFactor = 4.0
 )
 
 // Reliability is the opt-in self-healing layer over point-to-point
@@ -45,9 +45,6 @@ type Reliability struct {
 	// RetryBudget is the maximum number of retransmissions per message;
 	// 0 selects DefaultRetryBudget.
 	RetryBudget int
-	// AckFactor scales the retransmission timeout; 0 selects
-	// DefaultAckFactor.
-	AckFactor float64
 }
 
 func (r *Reliability) budget() int {
@@ -58,14 +55,10 @@ func (r *Reliability) budget() int {
 }
 
 // ackTimeout is the virtual time the sender waits for an acknowledgement
-// before retransmitting a bytes-sized message: AckFactor times the
+// before retransmitting a bytes-sized message: ackFactor times the
 // modeled round trip of the message.
 func (r *Reliability) ackTimeout(m *Model, bytes int) float64 {
-	f := r.AckFactor
-	if f <= 0 {
-		f = DefaultAckFactor
-	}
-	return f * (2*m.Latency + m.PerByte*float64(bytes))
+	return ackFactor * (2*m.Latency + m.PerByte*float64(bytes))
 }
 
 // backoffTotal sums `attempts` exponentially doubling timeouts:

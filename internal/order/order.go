@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 )
 
 // VertexSeparator converts a bisection's edge separator into a small
@@ -121,11 +122,11 @@ func VertexSeparator(g *graph.Graph, part []int32) []int32 {
 // subproblems fall back to a minimum-degree-flavoured greedy ordering.
 // p is the simulated rank budget for the top-level bisection; opt seeds
 // ScalaPart. It returns perm with perm[i] = the vertex eliminated at
-// step i. A world size below one, or a bisection whose ranks fail,
-// returns an error.
+// step i. A world size below one, a negative opt.Model.Workers, or a
+// bisection whose ranks fail, returns an error.
 func NestedDissection(g *graph.Graph, p int, opt core.Options) ([]int32, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("order: world size p=%d, want at least 1", p)
+	if err := mpi.CheckRun(p, opt.Model); err != nil {
+		return nil, fmt.Errorf("order: %w", err)
 	}
 	perm := make([]int32, 0, g.NumVertices())
 	all := make([]int32, g.NumVertices())

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -141,8 +142,9 @@ func TestMinDegreeOrderIsPermutation(t *testing.T) {
 	}
 }
 
-// TestNestedDissectionRejectsBadWorldSize: a world size below one is an
-// error, even on a graph small enough to skip partitioning.
+// TestNestedDissectionRejectsBadWorldSize: a world size below one or a
+// negative host width is an error, even on a graph small enough to skip
+// partitioning.
 func TestNestedDissectionRejectsBadWorldSize(t *testing.T) {
 	for _, n := range []int{4, 28} {
 		g := gen.Grid2D(n, n)
@@ -150,6 +152,11 @@ func TestNestedDissectionRejectsBadWorldSize(t *testing.T) {
 			if _, err := NestedDissection(g.G, p, core.DefaultOptions(1)); err == nil {
 				t.Fatalf("%dx%d grid, p=%d: no error", n, n, p)
 			}
+		}
+		opt := core.DefaultOptions(1)
+		opt.Model.Workers = -1
+		if _, err := NestedDissection(g.G, 4, opt); err == nil || !strings.Contains(err.Error(), "order: host width") {
+			t.Fatalf("%dx%d grid, Model.Workers=-1: error %v, want the order host-width error", n, n, err)
 		}
 	}
 }

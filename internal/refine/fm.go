@@ -5,6 +5,12 @@
 // locked surroundings, or a baseline's band graph uniformly.
 package refine
 
+// BalanceTol is the accepted imbalance of every bisection in the
+// repository: the heavier side may hold at most (1+BalanceTol)·W/2 of
+// the total vertex weight W. ScalaPart, the geometric partitioners and
+// both baselines are compared at this one target, as in the paper.
+const BalanceTol = 0.05
+
 // Arc is one internal adjacency entry of a Problem.
 type Arc struct {
 	To int32

@@ -214,3 +214,134 @@ func TestNoProcessGlobalKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// unsetOptionFieldAllowlist names exported fields of option structs
+// that no production file sets, each with the reason the field stays
+// settable. Keys are "pkg.Type.Field". embed.ParallelOptions.IterSmooth
+// is not listed: the bench harness sets SeqOptions.IterSmooth, and the
+// match by name counts that.
+var unsetOptionFieldAllowlist = map[string]string{
+	"embed.ParallelOptions.IterCoarsest": "tests shorten the coarsest-level embedding to keep their runs fast",
+	"embed.SeqOptions.IterCoarsest":      "tests shorten the sequential layout's coarsest-level iterations to keep their runs fast",
+}
+
+// TestNoUnsetOptionFields fails when an exported field of an exported
+// *Options or *Config struct type declared under internal/ is set by no
+// non-test .go file of the repository, as a composite-literal key or an
+// assignment target outside a withDefaults method. A field that every
+// production caller leaves at its default takes one value: it is a
+// constant, not an option. Make it one, or list it in
+// unsetOptionFieldAllowlist with a reason.
+//
+// Fields are matched by name, not by type, as in TestNoUncalledExports:
+// any file setting a field of that name counts, so the match can only
+// err towards "set".
+func TestNoUnsetOptionFields(t *testing.T) {
+	type field struct {
+		key, name string
+		pos       token.Position
+	}
+	var fields []field
+	set := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				if !strings.HasPrefix(dir, "internal/") || d.Tok != token.TYPE {
+					continue
+				}
+				for _, s := range d.Specs {
+					ts := s.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					name := ts.Name.Name
+					if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						names := fl.Names
+						if len(names) == 0 { // embedded: the field is named after its type
+							names = []*ast.Ident{ast.NewIdent(receiverType(fl.Type))}
+							names[0].NamePos = fl.Type.Pos()
+						}
+						for _, n := range names {
+							if n.IsExported() {
+								fields = append(fields, field{path.Base(dir) + "." + name + "." + n.Name, n.Name, fset.Position(n.Pos())})
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Name.Name == "withDefaults" || d.Body == nil {
+					continue // defaulting a field is not setting it
+				}
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if k, ok := n.Key.(*ast.Ident); ok {
+							set[k.Name] = true
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if s, ok := lhs.(*ast.SelectorExpr); ok {
+								set[s.Sel.Name] = true
+							}
+						}
+					case *ast.IncDecStmt:
+						if s, ok := n.X.(*ast.SelectorExpr); ok {
+							set[s.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	var bad []string
+	for _, f := range fields {
+		declared[f.key] = true
+		if _, ok := unsetOptionFieldAllowlist[f.key]; ok {
+			if set[f.name] {
+				t.Errorf("%s is set by production code; drop it from unsetOptionFieldAllowlist", f.key)
+			}
+			continue
+		}
+		if !set[f.name] {
+			bad = append(bad, f.pos.String()+": "+f.key)
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Errorf("option field set by no non-test file: %s", b)
+	}
+	for key, reason := range unsetOptionFieldAllowlist {
+		if !declared[key] {
+			t.Errorf("unsetOptionFieldAllowlist[%q] names no option field", key)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("unsetOptionFieldAllowlist[%q] has no reason", key)
+		}
+	}
+}
