@@ -67,7 +67,7 @@ func main() {
 	fc, err := checkFlags(flagValues{
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
-		scale: *scale, ps: *psFlag, method: *method,
+		scale: *scale, ps: *psFlag, method: *method, retryBudget: *retryBudget,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -314,7 +314,7 @@ var methods = map[string]struct{ simulated, coords bool }{
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
 	method, refine, recover, fault, ps string
-	trials, p, workers                 int
+	trials, p, workers, retryBudget    int
 	watchdog                           time.Duration
 	scale                              float64
 }
@@ -362,6 +362,11 @@ func checkFlags(v flagValues) (flagConfig, error) {
 		return cfg, fmt.Errorf("-watchdog must not be negative (got %v)", v.watchdog)
 	}
 	cfg.model.Watchdog = v.watchdog
+	// The reliability layer would read a negative budget as unset and
+	// silently use its default.
+	if v.retryBudget < 0 {
+		return cfg, fmt.Errorf("-retry-budget must not be negative (got %d)", v.retryBudget)
+	}
 	if err := gen.CheckScale(v.scale); err != nil {
 		return cfg, fmt.Errorf("-scale: %v", err)
 	}

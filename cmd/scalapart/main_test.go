@@ -57,6 +57,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative-p", with(func(f *flagValues) { f.p = -3 }), "-p", nil},
 		{"negative-workers", with(func(f *flagValues) { f.workers = -4 }), "-workers", nil},
 		{"negative-watchdog", with(func(f *flagValues) { f.watchdog = -time.Second }), "-watchdog", nil},
+		{"negative-retry-budget", with(func(f *flagValues) { f.retryBudget = -5 }), "-retry-budget", nil},
 		{"scale-zero", with(func(f *flagValues) { f.scale = 0 }), "-scale", nil},
 		{"scale-negative", with(func(f *flagValues) { f.scale = -3 }), "-scale", nil},
 		{"scale-nan", with(func(f *flagValues) { f.scale = math.NaN() }), "-scale", nil},

@@ -69,7 +69,14 @@ func bubblesInput(n, holes int, seed int64) meshInput {
 	}
 	inHole := func(p geometry.Vec2) bool {
 		for _, h := range hs {
-			if p.Dist(h.c) < h.r {
+			// math.Hypot is never below the larger of |dx| and |dy|, so
+			// a point that far out on either axis is outside the hole
+			// (NaN and Inf decide the same way as Dist would).
+			dx, dy := p.X-h.c.X, p.Y-h.c.Y
+			if math.Abs(dx) >= h.r || math.Abs(dy) >= h.r {
+				continue
+			}
+			if math.Hypot(dx, dy) < h.r {
 				return true
 			}
 		}

@@ -28,38 +28,28 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, valOwned, va
 	if eps <= 0 {
 		return
 	}
-	inStrip := func(val float64) bool { return math.Abs(val-tVal) < eps }
-	// ringTouchesStrip reports whether owned vertex i has a resolvable
-	// neighbour inside the strip.
+	// Classify every owned and ghost slot once: the ring scan below
+	// then reads one flag per arc instead of re-testing the value.
 	nOwn := len(d.OwnedIDs)
-	start, slot, _ := d.Adjacency(g)
-	ringTouchesStrip := func(i int) bool {
-		for a := start[i]; a < start[i+1]; a++ {
-			s := slot[a]
-			if s < 0 {
-				continue
-			}
-			var v float64
-			if int(s) < nOwn {
-				v = valOwned[s]
-			} else {
-				v = valGhost[int(s)-nOwn]
-			}
-			if inStrip(v) {
-				return true
-			}
-		}
-		return false
+	inStrip := make([]bool, nOwn+len(valGhost))
+	for i, v := range valOwned {
+		inStrip[i] = math.Abs(v-tVal) < eps
 	}
-	// Collect local strip and ring records.
+	for k, v := range valGhost {
+		inStrip[nOwn+k] = math.Abs(v-tVal) < eps
+	}
+	// Collect local strip records, and ring records for the owned
+	// vertices with a resolvable neighbour inside the strip.
+	start, slot, _ := d.Adjacency(g)
 	var recs []refine.SideRecord
 	for i, id := range d.OwnedIDs {
-		if inStrip(valOwned[i]) {
-			recs = append(recs, refine.SideRecord{ID: id, Side: int8(side[i]), Free: true})
-			continue
+		free := inStrip[i]
+		keep := free
+		for a := start[i]; !keep && a < start[i+1]; a++ {
+			keep = slot[a] >= 0 && inStrip[slot[a]]
 		}
-		if ringTouchesStrip(i) {
-			recs = append(recs, refine.SideRecord{ID: id, Side: int8(side[i])})
+		if keep {
+			recs = append(recs, refine.SideRecord{ID: id, Side: int8(side[i]), Free: free})
 		}
 	}
 	all := mpi.AllGatherVWith(c, recs, refine.SideRecordBytes, mpi.Concat[refine.SideRecord])

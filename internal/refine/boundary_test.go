@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -191,6 +192,49 @@ func BenchmarkBoundaryFM(b *testing.B) {
 		out := SolveFreeSet(gr.G, recs, sideW, total, 0.03, 4)
 		if out.Gain <= 0 {
 			b.Fatal("boundary FM found no improvement")
+		}
+	}
+}
+
+// BenchmarkStripFM measures one strip solve of the shape a
+// repartitioning call hands rank 0: a 32k-vertex random Delaunay mesh
+// cut by a straight line at the median x, with the vertices within
+// 0.045 of the line free (about 3,000) and their outside neighbours the
+// locked ring.
+func BenchmarkStripFM(b *testing.B) {
+	gr := gen.DelaunayRandom(1<<15, 5)
+	xs := make([]float64, len(gr.Coords))
+	for i, c := range gr.Coords {
+		xs[i] = c.X
+	}
+	slices.Sort(xs)
+	line := xs[len(xs)/2]
+	const eps = 0.045
+	side := make([]int8, len(gr.Coords))
+	free := make([]bool, len(gr.Coords))
+	for i, c := range gr.Coords {
+		if c.X >= line {
+			side[i] = 1
+		}
+		free[i] = math.Abs(c.X-line) < eps
+	}
+	var recs []SideRecord
+	for v := range side {
+		ring := false
+		for _, nb := range gr.G.Neighbors(int32(v)) {
+			ring = ring || free[nb]
+		}
+		if free[v] || ring {
+			recs = append(recs, SideRecord{ID: int32(v), Side: side[v], Free: free[v]})
+		}
+	}
+	sideW := sideWeights(gr.G, side)
+	total := sideW[0] + sideW[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := SolveFreeSet(gr.G, recs, sideW, total, BalanceTol, 4); out.Gain <= 0 {
+			b.Fatal("strip FM found no improvement")
 		}
 	}
 }

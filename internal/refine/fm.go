@@ -21,7 +21,9 @@ type Arc struct {
 // move; edges leaving the instance are folded into Ext as locked
 // terminal weights. SideW tracks the side weights of the *global*
 // partition (including weight outside the instance), so balance is
-// enforced globally even when the instance is a thin strip.
+// enforced globally even when the instance is a thin strip. Adj is
+// symmetric and loop-free, as every graph.Graph is: each internal edge
+// is an arc in both of its ends' lists, with one weight.
 type Problem struct {
 	Adj  [][]Arc    // internal adjacency
 	Ext  [][2]int64 // locked external edge weight to side 0 / side 1
@@ -33,21 +35,6 @@ type Problem struct {
 	Tol    float64  // allowed imbalance: max side ≤ (1+Tol)·TotalW/2
 
 	MaxPasses int // default 4
-}
-
-// Gain returns the cut reduction achieved by moving v to the other
-// side, under the current sides.
-func (p *Problem) Gain(v int32) int64 {
-	s := p.Side[v]
-	g := p.Ext[v][1-s] - p.Ext[v][s]
-	for _, a := range p.Adj[v] {
-		if p.Side[a.To] == s {
-			g -= a.W
-		} else {
-			g += a.W
-		}
-	}
-	return g
 }
 
 // item is a heap entry with lazy invalidation.
@@ -122,6 +109,15 @@ func (h *gainHeap) pop() item {
 // the total cut weight reduction. Each pass tentatively moves every
 // vertex at most once in best-gain order (subject to balance) and rolls
 // back to the best prefix.
+//
+// A pass stops early once reach, an upper bound on the running gain of
+// every later prefix, falls to best: no later prefix can then strictly
+// beat the best one, so the roll-back, the gain and the next pass's
+// sides are those of the full pass. reach is the pass-start cut C₀ less
+// the cut weight F of the terms already fixed for the rest of the pass
+// (arcs between two moved vertices and a moved vertex's Ext terminals)
+// and less the negative weight N of every other term, each of which
+// adds at least min(0, w) to any later cut. DESIGN.md has the proof.
 func (p *Problem) Run() int64 {
 	n := len(p.Adj)
 	if n == 0 {
@@ -139,18 +135,35 @@ func (p *Problem) Run() int64 {
 	hbuf := make(gainHeap, 0, n)
 	for pass := 0; pass < passes; pass++ {
 		h := hbuf[:0]
+		// reach starts at C₀ − N. The arc terms count every internal
+		// edge twice, once from each end, so their sum halves exactly.
+		var reach, arcs int64
 		for v := 0; v < n; v++ {
 			moved[v] = false
-			gains[v] = p.Gain(int32(v))
+			s := p.Side[v]
+			e := p.Ext[v]
+			g := e[1-s] - e[s]
+			reach += e[1-s] - min(0, e[0]) - min(0, e[1])
+			for _, a := range p.Adj[v] {
+				if p.Side[a.To] == s {
+					g -= a.W
+				} else {
+					g += a.W
+					arcs += a.W
+				}
+				arcs -= min(0, a.W)
+			}
+			gains[v] = g
 			stamp[v]++
-			h = append(h, item{v: int32(v), gain: gains[v], stamp: stamp[v]})
+			h = append(h, item{v: int32(v), gain: g, stamp: stamp[v]})
 		}
+		reach += arcs / 2
 		h.init()
 		order = order[:0]
 		var running, best int64
 		bestIdx := 0
 		limit := int64(float64(p.TotalW) * (1 + p.Tol) / 2)
-		for len(h) > 0 {
+		for len(h) > 0 && reach > best {
 			it := h.pop()
 			v := it.v
 			if moved[v] || it.stamp != stamp[v] {
@@ -176,19 +189,26 @@ func (p *Problem) Run() int64 {
 				best = running
 				bestIdx = len(order)
 			}
+			// v is fixed on side 1-s: its terminal to side s stays cut.
+			e := p.Ext[v]
+			reach -= e[s] - min(0, e[0]) - min(0, e[1])
 			for _, a := range p.Adj[v] {
 				if moved[a.To] {
+					// Both ends are now fixed for the rest of the pass.
+					if p.Side[a.To] == s {
+						reach -= a.W
+					}
+					reach += min(0, a.W)
 					continue
 				}
 				// O(1) delta gain update: v just left side s, so the arc
 				// (v, a.To) flips its sign in the neighbour's gain — ±2·W
 				// depending on which side the neighbour sits on. The delta
 				// is exact int64 arithmetic on the same values a full
-				// p.Gain recompute would produce, so the heap sees
-				// bit-identical keys and the move sequence is unchanged;
-				// only the O(deg) rescan per touched neighbour is gone,
-				// which matters on the full-cut boundary where degrees are
-				// not strip-thin.
+				// recompute would produce, so the heap sees bit-identical
+				// keys and the move sequence is unchanged; only the O(deg)
+				// rescan per touched neighbour is gone, which matters on
+				// the full-cut boundary where degrees are not strip-thin.
 				if p.Side[a.To] == s {
 					gains[a.To] += 2 * a.W
 				} else {
@@ -198,7 +218,7 @@ func (p *Problem) Run() int64 {
 				h.push(item{v: a.To, gain: gains[a.To], stamp: stamp[a.To]})
 			}
 		}
-		hbuf = h // drained, but keeps any capacity the pushes grew
+		hbuf = h // keeps any capacity the pushes grew
 		// Roll back past the best prefix.
 		for i := len(order) - 1; i >= bestIdx; i-- {
 			v := order[i]
