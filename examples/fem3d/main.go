@@ -25,7 +25,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, rcb := geopart.RCBBisect3D(m.G, m.Coords)
+		_, rcb := geopart.RCBBisect(m.G, m.Coords)
 		fmt.Printf("%-8s sphere separator: cut %5d (imb %.3f, %s)\n",
 			m.Name, sph.Cut, sph.Imbalance, sph.BestKind)
 		fmt.Printf("%-8s RCB plane cut:    cut %5d (imb %.3f)\n\n",
@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// 8-way 3-D RCB for a full octree-style distribution.
-	part, err := geopart.RCB3D(grid.G, grid.Coords, 8)
+	part, err := geopart.RCB(grid.G, grid.Coords, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

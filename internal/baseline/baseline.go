@@ -376,6 +376,9 @@ func greedyGrow(g *graph.Graph, rng *rand.Rand) []int8 {
 	for i := range side {
 		side[i] = 1
 	}
+	if n == 0 {
+		return side
+	}
 	target := g.TotalVertexWeight() / 2
 	var grown int64
 	visited := make([]bool, n)

@@ -78,6 +78,20 @@ func TestBaselineDeterminism(t *testing.T) {
 	}
 }
 
+// TestBaselineEmptyGraph: both baselines partition the empty graph
+// into the empty partition, at one rank and at several.
+func TestBaselineEmptyGraph(t *testing.T) {
+	g := graph.NewBuilder(0).Build()
+	for _, cfg := range []Config{ParMetisLike(3), PtScotchLike(3)} {
+		for _, p := range []int{1, 4} {
+			res := mustPartition(t, g, p, cfg)
+			if len(res.Part) != 0 || res.Cut != 0 || res.Imbalance != 0 {
+				t.Fatalf("p=%d: part %v cut %d imbalance %v, want the empty partition", p, res.Part, res.Cut, res.Imbalance)
+			}
+		}
+	}
+}
+
 // TestBaselineGolden pins both baselines end to end: the cut, the
 // imbalance bits, the bits of the modeled Total and Comm, and an FNV-1a
 // hash of the part vector, recorded on a 64×64 grid at P ∈ {1, 4, 16}.

@@ -67,6 +67,19 @@ func TestPipelineDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestSequentialFallbackEmptyGraph: the recovery path's sequential
+// baseline returns the empty partition for the empty graph.
+func TestSequentialFallbackEmptyGraph(t *testing.T) {
+	g := graph.NewBuilder(0).Build()
+	res, err := SequentialFallback(g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckResult(g, res); err != nil || len(res.Part) != 0 {
+		t.Fatalf("part %v: %v", res.Part, err)
+	}
+}
+
 // TestPipelineKKTPower: the hub-heavy non-geometric graph class must
 // survive the geometric pipeline (the paper's hardest case).
 func TestPipelineKKTPower(t *testing.T) {

@@ -38,7 +38,11 @@ func SplitCoords(g *graph.Graph, coords []geometry.Vec2, p int) []*Distributed {
 		panic("embed: SplitCoords coordinate count mismatch")
 	}
 	grid := mpi.GridFor(p)
-	bounds := geometry.BoundingRect(coords).Expand(1e-9)
+	var bounds geometry.Rect // an empty graph splits into empty views
+	if n > 0 {
+		bounds = geometry.BoundingRect(coords)
+	}
+	bounds = bounds.Expand(1e-9)
 	// Sample for quantile cuts: every k-th point, about 8192 of them.
 	stride := n/8192 + 1
 	sample := make([]geometry.Vec2, 0, n/stride+1)

@@ -3,6 +3,7 @@ package geometry
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -111,7 +112,7 @@ func TestMoebiusProperties(t *testing.T) {
 	}
 }
 
-// TestRadonPoint: the Radon point of 5 points must lie inside their
+// TestRadonPoint: the Radon point of d+2 points must lie inside their
 // convex hull (it is a convex combination of the positive class, which
 // itself lies in the hull).
 func TestRadonPoint(t *testing.T) {
@@ -121,57 +122,73 @@ func TestRadonPoint(t *testing.T) {
 		for i := range pts {
 			pts[i] = Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
-		r, ok := RadonPoint(pts)
-		if !ok {
-			continue // degenerate draw
+		checkRadonInHull(t, trial, pts[:])
+	}
+}
+
+// checkRadonInHull checks a necessary condition of hull membership: the
+// Radon point of pts lies within the largest distance of a point of pts
+// from their centroid. A degenerate draw is skipped.
+func checkRadonInHull[V Vector[V]](t *testing.T, trial int, pts []V) {
+	t.Helper()
+	r, ok := RadonPoint(pts)
+	if !ok {
+		return
+	}
+	c := Centroid(pts)
+	maxD := 0.0
+	for _, p := range pts {
+		if d := p.Sub(c).Norm(); d > maxD {
+			maxD = d
 		}
-		// Hull membership check via LP-free necessary condition: r is
-		// within the bounding box and within max distance of centroid.
-		c := Centroid3(pts[:])
-		maxD := 0.0
-		for _, p := range pts {
-			if d := p.Dist(c); d > maxD {
-				maxD = d
-			}
-		}
-		if r.Dist(c) > maxD+1e-9 {
-			t.Fatalf("trial %d: radon point outside hull radius", trial)
-		}
+	}
+	if r.Sub(c).Norm() > maxD+1e-9 {
+		t.Fatalf("trial %d: radon point outside hull radius", trial)
 	}
 }
 
 // TestCenterpointDepth: every halfspace through the estimated
 // centerpoint should contain a decent fraction of the points (the
-// guarantee is 1/5 for a true centerpoint; the iterated estimate gets
-// close — we assert 1/8 with random directions).
+// guarantee is 1/4 for a true centerpoint in R³; the iterated estimate
+// gets close — we assert 1/8 with random directions).
 func TestCenterpointDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := make([]Vec3, 600)
 	for i := range pts {
 		pts[i] = RandomUnitVec3(rng)
 	}
+	checkCenterpointDepth(t, rng, pts, RandomUnitVec3, 50, 1.0/8)
+}
+
+// checkCenterpointDepth asserts that every one of trials random
+// halfspaces through Centerpoint(pts) holds a fraction of pts in
+// [lo, 1-lo].
+func checkCenterpointDepth[V Vector[V]](t *testing.T, rng *rand.Rand, pts []V, dir func(*rand.Rand) V, trials int, lo float64) {
+	t.Helper()
 	c := Centerpoint(pts, rng)
-	for trial := 0; trial < 50; trial++ {
-		u := RandomUnitVec3(rng)
+	for trial := 0; trial < trials; trial++ {
+		u := dir(rng)
 		above := 0
 		for _, p := range pts {
 			if p.Sub(c).Dot(u) > 0 {
 				above++
 			}
 		}
-		frac := float64(above) / float64(len(pts))
-		if frac < 1.0/8 || frac > 7.0/8 {
-			t.Fatalf("direction %d: fraction %v outside [1/8, 7/8]", trial, frac)
+		if frac := float64(above) / float64(len(pts)); frac < lo || frac > 1-lo {
+			t.Fatalf("direction %d: fraction %v outside [%v, %v]", trial, frac, lo, 1-lo)
 		}
 	}
 }
 
 func TestCentroids(t *testing.T) {
-	if c := Centroid2([]Vec2{{0, 0}, {2, 4}}); c != (Vec2{1, 2}) {
-		t.Fatalf("centroid2 = %v", c)
+	if c := Centroid([]Vec2{{0, 0}, {2, 4}}); c != (Vec2{1, 2}) {
+		t.Fatalf("2-D centroid = %v", c)
 	}
-	if c := Centroid3([]Vec3{{0, 0, 0}, {2, 2, 2}}); c != (Vec3{1, 1, 1}) {
-		t.Fatalf("centroid3 = %v", c)
+	if c := Centroid([]Vec3{{0, 0, 0}, {2, 2, 2}}); c != (Vec3{1, 1, 1}) {
+		t.Fatalf("3-D centroid = %v", c)
+	}
+	if c := Centroid([]Vec4(nil)); c != (Vec4{}) {
+		t.Fatalf("empty centroid = %v", c)
 	}
 }
 
@@ -242,6 +259,35 @@ func TestCenterpointSmallInputs(t *testing.T) {
 	}
 }
 
+// TestCenterpointPoolsConcurrent: concurrent R³ and R⁴ centerpoints,
+// which share no working buffer but draw on per-dimension pools, match
+// their serial values bit for bit (run under -race in CI).
+func TestCenterpointPoolsConcurrent(t *testing.T) {
+	src := rand.New(rand.NewSource(8))
+	p3 := make([]Vec3, 400)
+	p4 := make([]Vec4, 400)
+	for i := range p3 {
+		p3[i], p4[i] = RandomUnitVec3(src), RandomUnitVec4(src)
+	}
+	c3 := func(seed int64) Vec3 { return Centerpoint(p3, rand.New(rand.NewSource(seed))) }
+	c4 := func(seed int64) Vec4 { return Centerpoint(p4, rand.New(rand.NewSource(seed))) }
+	const runs = 8
+	var got3 [runs]Vec3
+	var got4 [runs]Vec4
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); got3[i] = c3(int64(i)) }()
+		go func() { defer wg.Done(); got4[i] = c4(int64(i)) }()
+	}
+	wg.Wait()
+	for i := 0; i < runs; i++ {
+		if got3[i] != c3(int64(i)) || got4[i] != c4(int64(i)) {
+			t.Fatalf("seed %d: concurrent centerpoints %v %v differ from serial %v %v", i, got3[i], got4[i], c3(int64(i)), c4(int64(i)))
+		}
+	}
+}
+
 func TestVec4AndStereo3(t *testing.T) {
 	v := Vec4{1, 2, 2, 0}
 	if v.Norm() != 3 {
@@ -281,20 +327,7 @@ func TestCenterpoint4Depth(t *testing.T) {
 	for i := range pts {
 		pts[i] = RandomUnitVec4(rng)
 	}
-	c := Centerpoint4(pts, rng)
-	for trial := 0; trial < 30; trial++ {
-		u := RandomUnitVec4(rng)
-		above := 0
-		for _, p := range pts {
-			if p.Sub(c).Dot(u) > 0 {
-				above++
-			}
-		}
-		frac := float64(above) / float64(len(pts))
-		if frac < 1.0/10 || frac > 9.0/10 {
-			t.Fatalf("direction %d: fraction %v", trial, frac)
-		}
-	}
+	checkCenterpointDepth(t, rng, pts, RandomUnitVec4, 30, 1.0/10)
 }
 
 func TestRadonPoint4InHull(t *testing.T) {
@@ -304,20 +337,7 @@ func TestRadonPoint4InHull(t *testing.T) {
 		for i := range pts {
 			pts[i] = Vec4{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
-		r, ok := RadonPoint4(pts)
-		if !ok {
-			continue
-		}
-		c := centroid4(pts[:])
-		maxD := 0.0
-		for _, p := range pts {
-			if d := p.Dist(c); d > maxD {
-				maxD = d
-			}
-		}
-		if r.Dist(c) > maxD+1e-9 {
-			t.Fatalf("trial %d: radon point outside hull radius", trial)
-		}
+		checkRadonInHull(t, trial, pts[:])
 	}
 }
 

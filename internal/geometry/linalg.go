@@ -3,7 +3,7 @@ package geometry
 import "math"
 
 // nvMaxRows/nvMaxCols bound the fixed-size elimination used by the
-// Radon-point systems: 4×5 in R³ and 5×6 in R⁴.
+// Radon-point systems: (d+1)×(d+2) for d ≤ 4.
 const (
 	nvMaxRows = 5
 	nvMaxCols = 6

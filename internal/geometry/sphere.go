@@ -15,6 +15,14 @@ func StereoUp(p Vec2) Vec3 {
 	return Vec3{2 * p.X / d, 2 * p.Y / d, (d - 2) / d}
 }
 
+// StereoUp3 lifts a 3-D point onto the unit 3-sphere in R⁴ by inverse
+// stereographic projection from the pole (0,0,0,1), the same map as
+// StereoUp one dimension up.
+func StereoUp3(p Vec3) Vec4 {
+	d := p.Dot(p) + 1
+	return Vec4{2 * p.X / d, 2 * p.Y / d, 2 * p.Z / d, (d - 2) / d}
+}
+
 // Moebius is the Möbius automorphism of the unit ball that maps an
 // interior point a to the origin. Applied to points on the unit sphere
 // it is the conformal map used by the geometric mesh partitioner: after
@@ -66,6 +74,36 @@ func (m Moebius) ApplyDots(q Vec3, us []Vec3, out []float64) {
 	p := m.Apply(q)
 	for j, u := range us {
 		out[j] = p.Dot(u)
+	}
+}
+
+// MoebiusToOrigin4 returns the ball automorphism of the unit ball in R⁴
+// sending the interior point a to the origin; the same formula as
+// Moebius, one dimension up.
+func MoebiusToOrigin4(a Vec4) func(Vec4) Vec4 {
+	if n := a.Norm(); n >= 0.999 {
+		a = a.Scale(0.999 / n)
+	}
+	aa := a.Dot(a)
+	return func(x Vec4) Vec4 {
+		xa := x.Sub(a)
+		den := 1 - 2*x.Dot(a) + x.Dot(x)*aa
+		if den < 1e-12 {
+			den = 1e-12
+		}
+		num := xa.Scale(1 - aa).Sub(a.Scale(xa.Dot(xa)))
+		return num.Scale(1 / den)
+	}
+}
+
+// RandomUnitVec4 returns a uniformly distributed point on the unit
+// 3-sphere.
+func RandomUnitVec4(rng *rand.Rand) Vec4 {
+	for {
+		v := Vec4{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		if n := v.Norm(); n > 1e-9 {
+			return v.Scale(1 / n)
+		}
 	}
 }
 

@@ -1,11 +1,40 @@
 // Package geometry implements the computational-geometry substrate of
-// the Gilbert–Miller–Teng geometric mesh partitioner: 2-D and 3-D
-// vectors, stereographic lifts from the plane to the unit sphere,
+// the Gilbert–Miller–Teng geometric mesh partitioner: vectors in R², R³
+// and R⁴, stereographic lifts from R^d to the unit sphere in R^(d+1),
 // approximate centerpoints via iterated Radon points, the conformal
-// dilation that centers a point cloud, and great-circle separators.
+// dilation that centers a point cloud, and great-sphere separators.
+//
+// The method is the same in every dimension, so the kernels that run a
+// bounded number of times per call (Centroid, RadonPoint, Centerpoint)
+// are written once over the Vector constraint. The per-vertex maps
+// (StereoUp, Moebius and its ApplyDots) stay concrete: a method call on
+// a type parameter is an indirect call the compiler does not inline,
+// and a generic Möbius map measured 2.2× slower in the geometric
+// partitioner's side-mask loop.
 package geometry
 
 import "math"
+
+// Vector is the constraint of the dimension-generic kernels: the vector
+// types of R², R³ and R⁴ with their arithmetic.
+type Vector[V any] interface {
+	Vec2 | Vec3 | Vec4
+	Add(V) V
+	Sub(V) V
+	Scale(float64) V
+	Dot(V) float64
+	Norm() float64
+	// Coords returns the components, zero-padded to four, and the
+	// dimension.
+	Coords() ([4]float64, int)
+}
+
+// Dim returns the dimension of the vector type V.
+func Dim[V Vector[V]]() int {
+	var v V
+	_, d := v.Coords()
+	return d
+}
 
 // Vec2 is a point or vector in the plane.
 type Vec2 struct {
@@ -30,6 +59,9 @@ func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
 
+// Coords returns (X, Y, 0, 0) and 2.
+func (v Vec2) Coords() ([4]float64, int) { return [4]float64{v.X, v.Y}, 2 }
+
 // Vec3 is a point or vector in 3-space.
 type Vec3 struct {
 	X, Y, Z float64
@@ -52,6 +84,35 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
+
+// Coords returns (X, Y, Z, 0) and 3.
+func (v Vec3) Coords() ([4]float64, int) { return [4]float64{v.X, v.Y, v.Z}, 3 }
+
+// Vec4 is a point or vector in 4-space, where 3-D meshes are lifted.
+type Vec4 struct {
+	X, Y, Z, W float64
+}
+
+// Add returns v + w.
+func (v Vec4) Add(w Vec4) Vec4 { return Vec4{v.X + w.X, v.Y + w.Y, v.Z + w.Z, v.W + w.W} }
+
+// Sub returns v - w.
+func (v Vec4) Sub(w Vec4) Vec4 { return Vec4{v.X - w.X, v.Y - w.Y, v.Z - w.Z, v.W - w.W} }
+
+// Scale returns s·v.
+func (v Vec4) Scale(s float64) Vec4 { return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s} }
+
+// Dot returns the inner product of v and w.
+func (v Vec4) Dot(w Vec4) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z + v.W*w.W }
+
+// Norm returns the Euclidean length of v.
+func (v Vec4) Norm() float64 { return math.Sqrt(v.Dot(v)) }
+
+// Dist returns the Euclidean distance between v and w.
+func (v Vec4) Dist(w Vec4) float64 { return v.Sub(w).Norm() }
+
+// Coords returns (X, Y, Z, W) and 4.
+func (v Vec4) Coords() ([4]float64, int) { return [4]float64{v.X, v.Y, v.Z, v.W}, 4 }
 
 // Rect is an axis-aligned bounding box in the plane with corners
 // (X0,Y0) (bottom-left) and (X1,Y1) (top-right).
@@ -122,26 +183,13 @@ func BoundingRect(pts []Vec2) Rect {
 	return r
 }
 
-// Centroid2 returns the arithmetic mean of pts, or the zero vector for
+// Centroid returns the arithmetic mean of pts, or the zero vector for
 // an empty slice.
-func Centroid2(pts []Vec2) Vec2 {
+func Centroid[V Vector[V]](pts []V) V {
+	var c V
 	if len(pts) == 0 {
-		return Vec2{}
+		return c
 	}
-	var c Vec2
-	for _, p := range pts {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(pts)))
-}
-
-// Centroid3 returns the arithmetic mean of pts, or the zero vector for
-// an empty slice.
-func Centroid3(pts []Vec3) Vec3 {
-	if len(pts) == 0 {
-		return Vec3{}
-	}
-	var c Vec3
 	for _, p := range pts {
 		c = c.Add(p)
 	}

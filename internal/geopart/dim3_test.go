@@ -39,7 +39,7 @@ func TestPartition3DBeatsRandomOnRGG(t *testing.T) {
 
 func TestRCBBisect3DExactOnGrid(t *testing.T) {
 	g := gen.Grid3D(8, 8, 16) // z is widest: cut a z-plane, 64 edges
-	part, st := RCBBisect3D(g.G, g.Coords)
+	part, st := RCBBisect(g.G, g.Coords)
 	if st.Cut != 64 {
 		t.Fatalf("cut = %d, want 64", st.Cut)
 	}
@@ -57,7 +57,7 @@ func TestPartition3DOnElongated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rcb := RCBBisect3D(g.G, g.Coords)
+	_, rcb := RCBBisect(g.G, g.Coords)
 	// Optimal is a 6x6=36-edge z-plane; both should find ~that.
 	if sph.Cut > 3*rcb.Cut {
 		t.Fatalf("sphere separator %d vs RCB %d", sph.Cut, rcb.Cut)
@@ -66,7 +66,7 @@ func TestPartition3DOnElongated(t *testing.T) {
 
 func TestRCB3DKWayBalanced(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
-	part, err := RCB3D(g.G, g.Coords, 8)
+	part, err := RCB(g.G, g.Coords, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,11 @@ func TestRCBInvalidPartCount(t *testing.T) {
 func TestRCB3DInvalidPartCount(t *testing.T) {
 	g := gen.Grid3D(4, 4, 4)
 	for _, parts := range []int{0, 3, 6} {
-		if _, err := RCB3D(g.G, g.Coords, parts); err == nil || !strings.Contains(err.Error(), "power of two") {
+		if _, err := RCB(g.G, g.Coords, parts); err == nil || !strings.Contains(err.Error(), "power of two") {
 			t.Fatalf("parts=%d: want power-of-two error, got %v", parts, err)
 		}
 	}
-	if _, err := RCB3D(g.G, []geometry.Vec3{{}}, 4); err == nil || !strings.Contains(err.Error(), "coordinates") {
+	if _, err := RCB(g.G, []geometry.Vec3{{}}, 4); err == nil || !strings.Contains(err.Error(), "coordinates") {
 		t.Fatalf("want coordinate mismatch error, got %v", err)
 	}
 }

@@ -163,7 +163,7 @@ func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parall
 		}
 		res.Cut -= out.Gain
 		res.SideW = out.SideW
-		res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
+		res.Imbalance = graph.Imbalance2(res.SideW[0], res.SideW[1])
 		res.Boundary = out.Free
 		if out.Gain <= 0 {
 			break

@@ -14,7 +14,9 @@
 //
 // The package also provides recursive coordinate bisection (RCB) in the
 // style of Zoltan, and the parallel formulation SP-PG7-NL that operates
-// on a distributed embedding (see parallel.go).
+// on a distributed embedding (see parallel.go). The sequential
+// partitioner (Partition, Partition3D) and RCB (RCBBisect, RCB) take
+// 2-D or 3-D coordinates through one implementation each.
 package geopart
 
 import (
@@ -67,48 +69,109 @@ type Stats struct {
 	Cut       int64
 	Imbalance float64
 	Tries     int
-	BestKind  string // "circle" or "line"
+	BestKind  string // "circle"/"line" in 2-D, "sphere"/"plane" in 3-D, "rcb"/"rcb3d"
 }
 
-// normalize centers coords on their centroid and scales so the median
-// radius is 1, the standard preconditioning before the stereographic
-// lift. It returns the transformed copy.
-func normalize(coords []geometry.Vec2) []geometry.Vec2 {
-	c := geometry.Centroid2(coords)
-	rs := make([]float64, len(coords))
-	for i, p := range coords {
-		rs[i] = p.Sub(c).Norm()
+// frameOf returns the normalisation frame of pts: their centroid, and
+// the scale that takes their median distance from it to 1 (1 itself
+// when that median is below 1e-12, or pts is empty). Centring and
+// scaling is the standard preconditioning before the stereographic
+// lift.
+func frameOf[V geometry.Vector[V]](pts []V) (centroid V, scale float64) {
+	centroid, scale = geometry.Centroid(pts), 1
+	if len(pts) == 0 {
+		return centroid, scale
 	}
-	med := stats.Quantile(rs, 0.5)
-	if med < 1e-12 {
-		med = 1
+	rs := make([]float64, len(pts))
+	for i, p := range pts {
+		rs[i] = p.Sub(centroid).Norm()
 	}
-	out := make([]geometry.Vec2, len(coords))
-	inv := 1 / med
+	if med := stats.Quantile(rs, 0.5); med > 1e-12 {
+		scale = 1 / med
+	}
+	return centroid, scale
+}
+
+// normalize returns coords mapped into their frameOf frame.
+func normalize[V geometry.Vector[V]](coords []V) []V {
+	c, scale := frameOf(coords)
+	out := make([]V, len(coords))
 	for i, p := range coords {
-		out[i] = p.Sub(c).Scale(inv)
+		out[i] = p.Sub(c).Scale(scale)
 	}
 	return out
 }
 
+// space is what the geometric partitioner needs to know about the
+// dimension of its input, points P in R^d lifted to L in R^(d+1): the
+// stereographic lift, the Möbius map that moves a centerpoint to the
+// origin, the random directions of the great-sphere candidates (in
+// R^(d+1)) and of the hyperplane candidates (in R^d), and the names the
+// two kinds report as Stats.BestKind.
+type space[P geometry.Vector[P], L geometry.Vector[L]] struct {
+	name                 string
+	lift                 func(P) L
+	moebius              func(center L) func(L) L
+	sphereDir            func(*rand.Rand) L
+	lineDir              func(*rand.Rand) P
+	sphereKind, lineKind string
+}
+
+var (
+	plane = space[geometry.Vec2, geometry.Vec3]{
+		name: "Partition",
+		lift: geometry.StereoUp,
+		moebius: func(center geometry.Vec3) func(geometry.Vec3) geometry.Vec3 {
+			return geometry.NewMoebius(center).Apply
+		},
+		sphereDir:  geometry.RandomUnitVec3,
+		lineDir:    geometry.RandomUnitVec2,
+		sphereKind: "circle",
+		lineKind:   "line",
+	}
+	volume = space[geometry.Vec3, geometry.Vec4]{
+		name:       "Partition3D",
+		lift:       geometry.StereoUp3,
+		moebius:    geometry.MoebiusToOrigin4,
+		sphereDir:  geometry.RandomUnitVec4,
+		lineDir:    geometry.RandomUnitVec3,
+		sphereKind: "sphere",
+		lineKind:   "plane",
+	}
+)
+
 // Partition bisects g using the geometric mesh partitioning scheme on
-// the given vertex coordinates. It returns the part assignment (0/1)
-// and statistics of the best separator found, or an error when the
-// coordinate array does not match the graph.
+// the given 2-D vertex coordinates. It returns the part assignment
+// (0/1) and statistics of the best separator found, or an error when
+// the coordinate array does not match the graph.
 func Partition(g *graph.Graph, coords []geometry.Vec2, cfg Config) ([]int32, Stats, error) {
+	return partition(plane, g, coords, cfg)
+}
+
+// Partition3D is Partition on 3-D vertex coordinates: points lift to
+// the unit 3-sphere in R⁴, random great 2-spheres (hyperplanes through
+// the origin) are the candidates, and line separators are planes in R³.
+// The Gilbert–Miller–Teng guarantees cover well-shaped 3-D meshes with
+// O(n^{2/3}) separators.
+func Partition3D(g *graph.Graph, coords []geometry.Vec3, cfg Config) ([]int32, Stats, error) {
+	return partition(volume, g, coords, cfg)
+}
+
+// partition is the geometric mesh partitioner in either dimension.
+func partition[P geometry.Vector[P], L geometry.Vector[L]](sp space[P, L], g *graph.Graph, coords []P, cfg Config) ([]int32, Stats, error) {
 	cfg = cfg.withDefaults()
 	n := g.NumVertices()
 	if len(coords) != n {
-		return nil, Stats{}, fmt.Errorf("geopart: Partition got %d coordinates for %d vertices", len(coords), n)
+		return nil, Stats{}, fmt.Errorf("geopart: %s got %d coordinates for %d vertices", sp.name, len(coords), n)
 	}
-	if n == 1 {
-		return []int32{0}, Stats{}, nil
+	if n <= 1 {
+		return make([]int32, n), Stats{}, nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	norm := normalize(coords)
-	lifted := make([]geometry.Vec3, n)
+	lifted := make([]L, n)
 	for i, p := range norm {
-		lifted[i] = geometry.StereoUp(p)
+		lifted[i] = sp.lift(p)
 	}
 	// Sample for centerpoints.
 	sampleIdx := sampleIndices(n, sampleSize, rng)
@@ -134,13 +197,13 @@ func Partition(g *graph.Graph, coords []geometry.Vec2, cfg Config) ([]int32, Sta
 
 	perCP := cfg.GreatCircles / cfg.Centerpoints
 	extra := cfg.GreatCircles % cfg.Centerpoints
-	sample3 := make([]geometry.Vec3, len(sampleIdx))
-	mapped := make([]geometry.Vec3, n)
+	sample := make([]L, len(sampleIdx))
+	mapped := make([]L, n)
 	for cp := 0; cp < cfg.Centerpoints; cp++ {
 		for i, idx := range sampleIdx {
-			sample3[i] = lifted[idx]
+			sample[i] = lifted[idx]
 		}
-		center := geometry.Centerpoint(sample3, rng)
+		center := geometry.Centerpoint(sample, rng)
 		circles := perCP
 		if cp < extra {
 			circles++
@@ -152,24 +215,24 @@ func Partition(g *graph.Graph, coords []geometry.Vec2, cfg Config) ([]int32, Sta
 			// would be pure waste.
 			continue
 		}
-		mob := geometry.NewMoebius(center)
+		mob := sp.moebius(center)
 		for i, q := range lifted {
-			mapped[i] = mob.Apply(q)
+			mapped[i] = mob(q)
 		}
 		for t := 0; t < circles; t++ {
-			u := geometry.RandomUnitVec3(rng)
+			u := sp.sphereDir(rng)
 			for i, q := range mapped {
 				vals[i] = q.Dot(u)
 			}
-			evaluate("circle")
+			evaluate(sp.sphereKind)
 		}
 	}
 	for t := 0; t < cfg.LineSeps; t++ {
-		u := geometry.RandomUnitVec2(rng)
+		u := sp.lineDir(rng)
 		for i, p := range norm {
 			vals[i] = p.Dot(u)
 		}
-		evaluate("line")
+		evaluate(sp.lineKind)
 	}
 	if bestPart == nil {
 		// Nothing within tolerance (degenerate input); fall back to an

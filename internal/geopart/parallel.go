@@ -165,7 +165,7 @@ func selectCandidate(cfg ParallelConfig, ss *sharedSample, n int, global []int64
 	bestCut := int64(math.MaxInt64)
 	for k := 0; k < ncand; k++ {
 		cut, w0, w1 := global[3*k], global[3*k+1], global[3*k+2]
-		imb := imbalance2(w0, w1)
+		imb := graph.Imbalance2(w0, w1)
 		if imb <= refine.BalanceTol && cut < bestCut {
 			bestCut = cut
 			bestK = k
@@ -175,7 +175,7 @@ func selectCandidate(cfg ParallelConfig, ss *sharedSample, n int, global []int64
 		// No candidate within tolerance: take the most balanced one.
 		bestImb := math.Inf(1)
 		for k := 0; k < ncand; k++ {
-			if imb := imbalance2(global[3*k+1], global[3*k+2]); imb < bestImb {
+			if imb := graph.Imbalance2(global[3*k+1], global[3*k+2]); imb < bestImb {
 				bestImb = imb
 				bestK = k
 			}
@@ -263,7 +263,7 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 			res.Side[i] = 1
 		}
 	}
-	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
+	res.Imbalance = graph.Imbalance2(res.SideW[0], res.SideW[1])
 
 	if cfg.Refine && n > 4 {
 		// The winner's separator values, recomputed the way evaluation
@@ -331,13 +331,6 @@ func localContrib(g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(g
 	return contrib, masks, words
 }
 
-// imbalance2 delegates to the canonical bisection-imbalance definition
-// in the graph package, so the parallel accept path and the sequential
-// one (graph.Imbalance(g, part, 2)) agree bit-for-bit on every split.
-func imbalance2(w0, w1 int64) float64 {
-	return graph.Imbalance2(w0, w1)
-}
-
 // gatherSample gathers an id-tagged coordinate sample of roughly
 // `target` global entries and hands it to derive once per collective;
 // every rank receives derive's result, which is read-only. The local
@@ -360,7 +353,7 @@ func gatherSample[R any](c *mpi.Comm, d *embed.Distributed, target int, derive f
 
 // sharedSample is the rank-identical state of one ParallelPartition
 // call, derived once from the gathered sample and read by every rank:
-// the normalisation (centroid and inverse median radius), the sample
+// the normalisation frame (frameOf of the sample), the sample
 // lifted to the sphere, and the candidate set.
 type sharedSample struct {
 	centroid geometry.Vec2
@@ -379,25 +372,15 @@ func (ss *sharedSample) norm(p geometry.Vec2) geometry.Vec2 {
 // rng is seeded here: nothing after candidate construction draws from
 // it.
 func deriveSample(cfg ParallelConfig, sample []sampleEntry) *sharedSample {
-	ss := &sharedSample{scale: 1}
-	var sum geometry.Vec2
-	for _, s := range sample {
-		sum = sum.Add(s.P)
-	}
-	count := len(sample)
-	ss.centroid = sum.Scale(1 / math.Max(float64(count), 1))
-	if count > 0 {
-		rs := make([]float64, count)
-		for i, s := range sample {
-			rs[i] = s.P.Sub(ss.centroid).Norm()
-		}
-		if med := stats.Quantile(rs, 0.5); med > 1e-12 {
-			ss.scale = 1 / med
-		}
-	}
-	ss.sample3 = make([]geometry.Vec3, count)
+	pts := make([]geometry.Vec2, len(sample))
 	for i, s := range sample {
-		ss.sample3[i] = geometry.StereoUp(ss.norm(s.P))
+		pts[i] = s.P
+	}
+	ss := &sharedSample{}
+	ss.centroid, ss.scale = frameOf(pts)
+	ss.sample3 = make([]geometry.Vec3, len(pts))
+	for i, p := range pts {
+		ss.sample3[i] = geometry.StereoUp(ss.norm(p))
 	}
 	ss.cs = buildCandidates(cfg, rand.New(rand.NewSource(cfg.Seed+17)), ss.sample3)
 	return ss

@@ -59,7 +59,7 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	for i := range res.Side {
 		res.Side[i] = int32(masks[i])
 	}
-	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
+	res.Imbalance = graph.Imbalance2(res.SideW[0], res.SideW[1])
 	return res
 }
 
@@ -75,27 +75,11 @@ type rcbPlane struct {
 // cut only needs the wider axis, not exact bounds) and the sample
 // median along it, with an id tie-break.
 func rcbMedian(sample []sampleEntry) rcbPlane {
-	var lo, hi [2]float64
+	pts := make([]geometry.Vec2, len(sample))
 	for i, s := range sample {
-		x, y := s.P.X, s.P.Y
-		if i == 0 {
-			lo, hi = [2]float64{x, y}, [2]float64{x, y}
-			continue
-		}
-		if x < lo[0] {
-			lo[0] = x
-		}
-		if x > hi[0] {
-			hi[0] = x
-		}
-		if y < lo[1] {
-			lo[1] = y
-		}
-		if y > hi[1] {
-			hi[1] = y
-		}
+		pts[i] = s.P
 	}
-	pl := rcbPlane{useX: hi[0]-lo[0] >= hi[1]-lo[1]}
+	pl := rcbPlane{useX: widestAxis(pts) == 0}
 	type vi struct {
 		v  float64
 		id int32

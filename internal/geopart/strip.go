@@ -56,6 +56,6 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, valOwned, va
 	out := solveRound(c, g, d, all, side, res.SideW, totalW)
 	res.Cut -= out.Gain
 	res.SideW = out.SideW
-	res.Imbalance = imbalance2(res.SideW[0], res.SideW[1])
+	res.Imbalance = graph.Imbalance2(res.SideW[0], res.SideW[1])
 	res.StripSize = out.Free
 }

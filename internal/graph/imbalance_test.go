@@ -14,17 +14,20 @@ func TestImbalance2Table(t *testing.T) {
 	oddSplit -= 1
 	huge := 2 * float64(int64(1)<<40) / float64(int64(1)<<40+1)
 	huge -= 1
+	sixtyForty := 2 * float64(60) / float64(100)
+	sixtyForty -= 1
 	cases := []struct {
 		w0, w1 int64
 		want   float64
 	}{
-		{0, 0, 0},          // empty graph: defined as balanced
-		{0, 10, 1},         // one side empty: 100% over ideal
-		{10, 0, 1},         // symmetric in the arguments
-		{5, 5, 0},          // perfect balance
-		{3, 4, oddSplit},   // odd total: inexact division
-		{4, 3, oddSplit},   // same split, swapped
-		{1, 1 << 40, huge}, // huge side
+		{0, 0, 0},            // empty graph: defined as balanced
+		{0, 10, 1},           // one side empty: 100% over ideal
+		{10, 0, 1},           // symmetric in the arguments
+		{5, 5, 0},            // perfect balance
+		{3, 4, oddSplit},     // odd total: inexact division
+		{4, 3, oddSplit},     // same split, swapped
+		{60, 40, sixtyForty}, // a 60/40 split is 20% over ideal
+		{1, 1 << 40, huge},   // huge side
 	}
 	for _, tc := range cases {
 		if got := Imbalance2(tc.w0, tc.w1); got != tc.want {
