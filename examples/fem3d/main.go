@@ -25,7 +25,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, rcb := geopart.RCBBisect(m.G, m.Coords)
+		_, rcb, err := geopart.RCBBisect(m.G, m.Coords)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-8s sphere separator: cut %5d (imb %.3f, %s)\n",
 			m.Name, sph.Cut, sph.Imbalance, sph.BestKind)
 		fmt.Printf("%-8s RCB plane cut:    cut %5d (imb %.3f)\n\n",

@@ -468,7 +468,10 @@ func (h *Harness) compute(graphName, method string, p int) *Run {
 		}
 		run.Cut, run.Imbalance = st.Cut, st.Imbalance
 	case MethodRCBSeq:
-		_, st := geopart.RCBBisect(g.G, h.huCoords(graphName))
+		_, st, err := geopart.RCBBisect(g.G, h.huCoords(graphName))
+		if err != nil {
+			panic("bench: " + err.Error()) // harness-built coords always match
+		}
 		run.Cut, run.Imbalance = st.Cut, st.Imbalance
 	default:
 		panic("bench: unknown method " + method)

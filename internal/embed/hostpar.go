@@ -3,6 +3,7 @@ package embed
 import (
 	"repro/internal/geometry"
 	"repro/internal/hostpar"
+	"repro/internal/quadtree"
 )
 
 // Host-parallel embedding kernels.
@@ -142,52 +143,69 @@ func repelAll(fp ForceParams, p geometry.Vec2, aggs []beta, f geometry.Vec2) geo
 	return f
 }
 
-// forceChunk evaluates the full force on owned vertices [lo, hi),
-// writing the displacement and the per-vertex energy/magnitude terms.
-// Within one vertex the repulsion terms are added in a fixed order
-// (inherited far field, ring cells, then the Barnes–Hut clusters in
-// tree order); the tree is read-only here.
+// forceChunk evaluates the full force on the owned vertices at
+// positions [lo, hi) of the tree's point order, four at a time, writing
+// each vertex's displacement and energy/magnitude terms at its own
+// index. Within one vertex the repulsion terms are added in a fixed
+// order (inherited far field, ring cells, then the Barnes–Hut clusters
+// in tree order), whichever group the vertex falls in; the tree is
+// read-only here.
 func (s *levelState) forceChunk(_, lo, hi int) {
 	fp := s.fp
 	ck2 := fp.C * fp.K * fp.K
-	tree := &s.tree
-	step := s.step.Step
+	order := s.tree.Order()
+	var g quadtree.Group
+	for k := lo; k < hi; k += 4 {
+		lanes := order[k:min(k+4, hi)]
+		g.Reset()
+		for _, v := range lanes {
+			p := s.pos[v]
+			cell := s.cellOf(p)
+			rep := s.inherit[cell].Scale(s.mass[v])
+			for _, ni := range s.ring[cell] {
+				b := s.near[ni]
+				if b.Mu > 0 {
+					rep = rep.Add(fp.Repulsive(p, b.Phi, b.Mu).Scale(s.mass[v]))
+				}
+			}
+			g.Add(p, v, s.mass[v], rep)
+		}
+		s.tree.RepulsionGroup(&g, 0.9, ck2)
+		for l, v := range lanes {
+			s.finishForce(int(v), g.Acc(l))
+		}
+	}
+}
+
+// finishForce adds the attraction on owned vertex i to its repulsion rep
+// and writes the vertex's displacement and energy/magnitude terms.
+func (s *levelState) finishForce(i int, rep geometry.Vec2) {
+	fp := s.fp
+	p := s.pos[i]
 	nOwn := int32(len(s.pos))
-	for i := lo; i < hi; i++ {
-		p := s.pos[i]
-		cell := s.cellOf(p)
-		rep := s.inherit[cell].Scale(s.mass[i])
-		for _, ni := range s.ring[cell] {
-			b := s.near[ni]
-			if b.Mu > 0 {
-				rep = rep.Add(fp.Repulsive(p, b.Phi, b.Mu).Scale(s.mass[i]))
-			}
-		}
-		rep = tree.Repulsion(p, int32(i), 0.9, ck2, s.mass[i], rep)
-		var att geometry.Vec2
-		for k := s.adjStart[i]; k < s.adjStart[i+1]; k++ {
-			var q geometry.Vec2
-			if sl := s.adjSlot[k]; sl < nOwn {
-				q = s.pos[sl]
-			} else {
-				q = s.ghostClamped[sl-nOwn]
-			}
-			w := 1.0
-			if s.adjW != nil {
-				w = float64(s.adjW[k])
-			}
-			att = att.Add(fp.Attractive(p, q).Scale(w))
-		}
-		s.hp.aTerm[i] = att.Norm()
-		s.hp.rTerm[i] = rep.Norm()
-		f := rep.Add(att)
-		s.hp.eTerm[i] = f.Dot(f)
-		n := f.Norm()
-		if n > 1e-12 {
-			s.moves[i] = f.Scale(step / n)
+	var att geometry.Vec2
+	for k := s.adjStart[i]; k < s.adjStart[i+1]; k++ {
+		var q geometry.Vec2
+		if sl := s.adjSlot[k]; sl < nOwn {
+			q = s.pos[sl]
 		} else {
-			s.moves[i] = geometry.Vec2{}
+			q = s.ghostClamped[sl-nOwn]
 		}
+		w := 1.0
+		if s.adjW != nil {
+			w = float64(s.adjW[k])
+		}
+		att = att.Add(fp.Attractive(p, q).Scale(w))
+	}
+	s.hp.aTerm[i] = att.Norm()
+	s.hp.rTerm[i] = rep.Norm()
+	f := rep.Add(att)
+	s.hp.eTerm[i] = f.Dot(f)
+	n := f.Norm()
+	if n > 1e-12 {
+		s.moves[i] = f.Scale(s.step.Step / n)
+	} else {
+		s.moves[i] = geometry.Vec2{}
 	}
 }
 

@@ -75,12 +75,13 @@ func SequentialLayout(g *graph.Graph, opt SeqOptions) []geometry.Vec2 {
 }
 
 // smoothLevel runs force iterations with Barnes–Hut repulsion. The
-// force pass runs chunked on the hostpar pool (the tree is read-only
-// there and forces[v] is written by exactly one chunk) and the energy
-// is reduced serially in vertex order from the stored forces, so
-// positions are bit-identical for every worker count. One tree arena
-// is reused across iterations and the chunk bodies are hoisted out of
-// the loop, so steady state allocates nothing.
+// force pass runs chunked on the hostpar pool over the tree's point
+// order, four points to a RepulsionGroup (the tree is read-only there
+// and forces[v] is written by exactly one chunk), and the energy is
+// reduced serially in vertex order from the stored forces, so positions
+// are bit-identical for every worker count. One tree arena is reused
+// across iterations and the chunk bodies are hoisted out of the loop,
+// so steady state allocates nothing.
 func smoothLevel(g *graph.Graph, pos []geometry.Vec2, iters int) {
 	n := g.NumVertices()
 	if n <= 1 {
@@ -98,14 +99,23 @@ func smoothLevel(g *graph.Graph, pos []geometry.Vec2, iters int) {
 	forceBody := func(_, lo, hi int) {
 		cur := graph.GetCursor(g)
 		defer cur.Release()
-		for v := lo; v < hi; v++ {
-			p := pos[v]
-			f := tree.Repulsion(p, int32(v), seqTheta, ck2, mass[v], geometry.Vec2{})
-			nbrs, wgts := cur.Arcs(int32(v))
-			for k, w := range nbrs {
-				f = f.Add(fp.Attractive(p, pos[w]).Scale(float64(wgts[k])))
+		order := tree.Order()
+		var grp quadtree.Group
+		for k := lo; k < hi; k += 4 {
+			lanes := order[k:min(k+4, hi)]
+			grp.Reset()
+			for _, v := range lanes {
+				grp.Add(pos[v], v, mass[v], geometry.Vec2{})
 			}
-			forces[v] = f
+			tree.RepulsionGroup(&grp, seqTheta, ck2)
+			for l, v := range lanes {
+				p, f := pos[v], grp.Acc(l)
+				nbrs, wgts := cur.Arcs(v)
+				for j, w := range nbrs {
+					f = f.Add(fp.Attractive(p, pos[w]).Scale(float64(wgts[j])))
+				}
+				forces[v] = f
+			}
 		}
 	}
 	updateBody := func(_, lo, hi int) {

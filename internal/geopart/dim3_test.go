@@ -39,7 +39,10 @@ func TestPartition3DBeatsRandomOnRGG(t *testing.T) {
 
 func TestRCBBisect3DExactOnGrid(t *testing.T) {
 	g := gen.Grid3D(8, 8, 16) // z is widest: cut a z-plane, 64 edges
-	part, st := RCBBisect(g.G, g.Coords)
+	part, st, err := RCBBisect(g.G, g.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Cut != 64 {
 		t.Fatalf("cut = %d, want 64", st.Cut)
 	}
@@ -57,7 +60,10 @@ func TestPartition3DOnElongated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rcb := RCBBisect(g.G, g.Coords)
+	_, rcb, err := RCBBisect(g.G, g.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Optimal is a 6x6=36-edge z-plane; both should find ~that.
 	if sph.Cut > 3*rcb.Cut {
 		t.Fatalf("sphere separator %d vs RCB %d", sph.Cut, rcb.Cut)

@@ -40,6 +40,23 @@ func TestRCBInvalidPartCount(t *testing.T) {
 	}
 }
 
+// TestRCBBisectCoordMismatchError: too few coordinates (which would
+// index past the array) and surplus ones (which would be ignored) both
+// come back as RCB's error, in 2-D and 3-D.
+func TestRCBBisectCoordMismatchError(t *testing.T) {
+	g := gen.Grid2D(4, 4)
+	surplus := append(append([]geometry.Vec2{}, g.Coords...), geometry.Vec2{})
+	for name, coords := range map[string][]geometry.Vec2{"short": g.Coords[:3], "surplus": surplus} {
+		if _, _, err := RCBBisect(g.G, coords); err == nil || !strings.Contains(err.Error(), "coordinates") {
+			t.Fatalf("%s: want coordinate mismatch error, got %v", name, err)
+		}
+	}
+	g3 := gen.Grid3D(4, 4, 4)
+	if _, _, err := RCBBisect(g3.G, g3.Coords[:7]); err == nil || !strings.Contains(err.Error(), "coordinates") {
+		t.Fatalf("3-D short: want coordinate mismatch error, got %v", err)
+	}
+}
+
 func TestRCB3DInvalidPartCount(t *testing.T) {
 	g := gen.Grid3D(4, 4, 4)
 	for _, parts := range []int{0, 3, 6} {

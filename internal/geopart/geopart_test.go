@@ -55,7 +55,10 @@ func TestG30NotWorseOnAverage(t *testing.T) {
 
 func TestRCBBisectExactOnGrid(t *testing.T) {
 	g := gen.Grid2D(16, 32) // wider than tall: cut along x median
-	part, st := RCBBisect(g.G, g.Coords)
+	part, st, err := RCBBisect(g.G, g.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Cut != 16 {
 		t.Fatalf("cut = %d, want 16", st.Cut)
 	}
@@ -178,7 +181,10 @@ func TestParallelPartitionSidesConsistent(t *testing.T) {
 
 func TestParallelRCBMatchesSequentialOnGrid(t *testing.T) {
 	g := gen.Grid2D(24, 48)
-	_, seq := RCBBisect(g.G, g.Coords)
+	_, seq, err := RCBBisect(g.G, g.Coords)
+	if err != nil {
+		t.Fatal(err)
+	}
 	views := embed.SplitCoords(g.G, g.Coords, 4)
 	var cut int64
 	mpi.Run(4, mpi.DefaultModel(), func(c *mpi.Comm) {
@@ -262,8 +268,8 @@ func TestEmptyGraph(t *testing.T) {
 		if err != nil || len(part) != 0 || st.Cut != 0 {
 			t.Fatalf("%s: Partition = %v %+v %v, want the empty partition", in.name, part, st, err)
 		}
-		if part, st := in.rcb(); len(part) != 0 || st.Cut != 0 {
-			t.Fatalf("%s: RCBBisect = %v %+v, want the empty partition", in.name, part, st)
+		if part, st, err := in.rcb(); err != nil || len(part) != 0 || st.Cut != 0 {
+			t.Fatalf("%s: RCBBisect = %v %+v %v, want the empty partition", in.name, part, st, err)
 		}
 		if part, err := in.kway(4); err != nil || len(part) != 0 {
 			t.Fatalf("%s: RCB = %v %v, want the empty partition", in.name, part, err)

@@ -12,12 +12,16 @@ import (
 // on 2-D or 3-D coordinates: the median plane orthogonal to the widest
 // coordinate extent, exactly as Zoltan's RCB produces a two-way split.
 // Ties are broken by vertex id so integer grids bisect exactly. Its
-// BestKind is "rcb" in 2-D and "rcb3d" in 3-D.
-func RCBBisect[P geometry.Vector[P]](g *graph.Graph, coords []P) ([]int32, Stats) {
+// BestKind is "rcb" in 2-D and "rcb3d" in 3-D. It returns an error for
+// a coordinate array that does not match the graph.
+func RCBBisect[P geometry.Vector[P]](g *graph.Graph, coords []P) ([]int32, Stats, error) {
 	n := g.NumVertices()
+	if err := checkRCBCoords(len(coords), n); err != nil {
+		return nil, Stats{}, err
+	}
 	part := make([]int32, n)
 	if n <= 1 {
-		return part, Stats{Tries: 1}
+		return part, Stats{Tries: 1}, nil
 	}
 	rcbSplit(coords, identity(n), part, 0, 2)
 	kind := "rcb"
@@ -29,7 +33,7 @@ func RCBBisect[P geometry.Vector[P]](g *graph.Graph, coords []P) ([]int32, Stats
 		Imbalance: graph.Imbalance(g, part, 2),
 		Tries:     1,
 		BestKind:  kind,
-	}
+	}, nil
 }
 
 // RCB recursively bisects g into parts pieces (a power of two) by
@@ -42,12 +46,21 @@ func RCB[P geometry.Vector[P]](g *graph.Graph, coords []P, parts int) ([]int32, 
 		return nil, fmt.Errorf("geopart: RCB part count %d must be a power of two", parts)
 	}
 	n := g.NumVertices()
-	if len(coords) != n {
-		return nil, fmt.Errorf("geopart: RCB got %d coordinates for %d vertices", len(coords), n)
+	if err := checkRCBCoords(len(coords), n); err != nil {
+		return nil, err
 	}
 	part := make([]int32, n)
 	rcbSplit(coords, identity(n), part, 0, parts)
 	return part, nil
+}
+
+// checkRCBCoords rejects a coordinate count that does not match the
+// graph's vertex count.
+func checkRCBCoords(coords, n int) error {
+	if coords != n {
+		return fmt.Errorf("geopart: RCB got %d coordinates for %d vertices", coords, n)
+	}
+	return nil
 }
 
 // identity returns the vertex ids 0..n-1.

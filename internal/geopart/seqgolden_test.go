@@ -20,7 +20,7 @@ type seqInput struct {
 	name   string
 	g      *graph.Graph
 	bisect func(Config) ([]int32, Stats, error)
-	rcb    func() ([]int32, Stats)
+	rcb    func() ([]int32, Stats, error)
 	kway   func(parts int) ([]int32, error)
 }
 
@@ -29,7 +29,7 @@ func seqInput2D(name string, g *graph.Graph, coords []geometry.Vec2) seqInput {
 		name:   name,
 		g:      g,
 		bisect: func(cfg Config) ([]int32, Stats, error) { return Partition(g, coords, cfg) },
-		rcb:    func() ([]int32, Stats) { return RCBBisect(g, coords) },
+		rcb:    func() ([]int32, Stats, error) { return RCBBisect(g, coords) },
 		kway:   func(parts int) ([]int32, error) { return RCB(g, coords, parts) },
 	}
 }
@@ -39,7 +39,7 @@ func seqInput3D(name string, g *graph.Graph, coords []geometry.Vec3) seqInput {
 		name:   name,
 		g:      g,
 		bisect: func(cfg Config) ([]int32, Stats, error) { return Partition3D(g, coords, cfg) },
-		rcb:    func() ([]int32, Stats) { return RCBBisect(g, coords) },
+		rcb:    func() ([]int32, Stats, error) { return RCBBisect(g, coords) },
 		kway:   func(parts int) ([]int32, error) { return RCB(g, coords, parts) },
 	}
 }
@@ -124,9 +124,12 @@ func TestSequentialGeometricGolden(t *testing.T) {
 			}
 			check(in.name+"/"+c.name, in.g, part, st, 2)
 		}
-		part, st := in.rcb()
+		part, st, err := in.rcb()
+		if err != nil {
+			t.Fatal(err)
+		}
 		check(in.name+"/rcb", in.g, part, st, 2)
-		part, err := in.kway(8)
+		part, err = in.kway(8)
 		if err != nil {
 			t.Fatal(err)
 		}

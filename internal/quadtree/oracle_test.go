@@ -357,32 +357,41 @@ func TestRepulsionFilterBand(t *testing.T) {
 	pts, mass := cloud(3, 500, 0, 1, 1)
 	tr := Build(pts, mass)
 	for _, theta := range []float64{0.5, 0.9, 1.2} {
-		var band []geometry.Vec2
-		disagree := 0
-		for _, f := range tr.flat {
-			if f.pt != -1 {
-				continue
-			}
-			// Off-axis (3-4-5 direction), so both tests round.
-			x, y := f.x+0.6*f.w/theta, f.y+0.8*f.w/theta
-			for k := -8; k <= 8; k++ {
-				p := geometry.Vec2{X: math.Float64frombits(math.Float64bits(x) + uint64(k)), Y: y}
-				dx, dy := p.X-f.x, p.Y-f.y
-				d2 := dx*dx + dy*dy
-				if r := f.w * f.w / (theta * theta * d2); math.Abs(r-1) > 1e-9 {
-					t.Fatalf("theta %v ulp %d: w²/(θ²d²) = %v is outside the filter band", theta, k, r)
-				}
-				if (f.w*f.w < theta*theta*d2) != farExact(dx, dy, f.w, theta) {
-					disagree++
-				}
-				band = append(band, p)
-			}
-		}
-		if disagree == 0 {
-			t.Fatalf("theta %v: no band query separates the squared test from the exact one", theta)
-		}
-		checkAgainstOracle(t, pts, mass, theta, band...)
+		checkAgainstOracle(t, pts, mass, theta, bandQueries(t, tr, theta)...)
 	}
+}
+
+// bandQueries returns, for every cell of tr without a depth-cap residue,
+// queries whose w/d against it lies within the filter's relative band
+// of θ, and fails unless some of them separate the bare squared test
+// w² < θ²d² from the exact one.
+func bandQueries(t testing.TB, tr *Tree, theta float64) []geometry.Vec2 {
+	t.Helper()
+	var band []geometry.Vec2
+	disagree := 0
+	for _, f := range tr.flat {
+		if f.pt != -1 {
+			continue
+		}
+		// Off-axis (3-4-5 direction), so both tests round.
+		x, y := f.x+0.6*f.w/theta, f.y+0.8*f.w/theta
+		for k := -8; k <= 8; k++ {
+			p := geometry.Vec2{X: math.Float64frombits(math.Float64bits(x) + uint64(k)), Y: y}
+			dx, dy := p.X-f.x, p.Y-f.y
+			d2 := dx*dx + dy*dy
+			if r := f.w * f.w / (theta * theta * d2); math.Abs(r-1) > 1e-9 {
+				t.Fatalf("theta %v ulp %d: w²/(θ²d²) = %v is outside the filter band", theta, k, r)
+			}
+			if (f.w*f.w < theta*theta*d2) != farExact(dx, dy, f.w, theta) {
+				disagree++
+			}
+			band = append(band, p)
+		}
+	}
+	if disagree == 0 {
+		t.Fatalf("theta %v: no band query separates the squared test from the exact one", theta)
+	}
+	return band
 }
 
 // FuzzRepulsion drives the differential check over generated clouds:

@@ -10,7 +10,10 @@
 // of the points into each cell's four quadrants and recurses into them
 // in quadrant order. The force kernel (Repulsion) walks that array
 // without recursion or callbacks: an accepted cluster jumps past its
-// subtree, anything else steps to the next entry.
+// subtree, anything else steps to the next entry. RepulsionGroup walks
+// it once for up to four points in lock step, each point adding exactly
+// the terms of its own Repulsion (see DESIGN.md, "The Barnes–Hut force
+// kernel").
 package quadtree
 
 import (
@@ -52,6 +55,7 @@ type Tree struct {
 	// Build scratch, reused across rebuilds: two index buffers that
 	// the levels of the build partition into alternately (see build),
 	// and the quadrant of each point of the cell being partitioned.
+	// After a build, order holds the points in tree preorder (Order).
 	order, spare []int32
 	quad         []uint8
 }
@@ -124,6 +128,17 @@ func (t *Tree) massOf(i int32) float64 {
 	return t.mass[i]
 }
 
+// Order returns every point of the tree once, in tree preorder: the
+// points in the order of the leaves and depth-cap cells that hold them,
+// zero-mass points at the place of their dropped leaves, and the points
+// of one depth-cap cell in index order. Consecutive points of this order
+// lie close together and mostly take the same opening decisions, which
+// is what RepulsionGroup's lanes share. The slice is the tree's own
+// storage: read-only, and valid until the next Rebuild.
+func (t *Tree) Order() []int32 {
+	return t.order[:t.n]
+}
+
 // build writes the cell of rect b at the given depth, holding the points
 // idx (len(idx) > 0, in ascending index order), and its force-visible
 // subtree to t.flat in preorder, and returns the cell's centre of mass
@@ -142,7 +157,16 @@ func (t *Tree) massOf(i int32) float64 {
 // child's centre·mass in quadrant order, and is scaled by 1/mass when
 // mass > 0 (zero centre otherwise). That fixed order is what makes
 // every cluster term reproducible bit for bit.
+//
+// idx and spare are the same range of t.order and t.spare, in turn by
+// depth, so t.order holds idx at even depths and spare at odd ones. A
+// leaf or a depth-cap cell at an odd depth copies its points into
+// spare, which puts every point into t.order in preorder; no ancestor
+// reads that range again.
 func (t *Tree) build(idx, spare []int32, b geometry.Rect, depth int) (geometry.Vec2, float64) {
+	if depth%2 == 1 && (len(idx) == 1 || depth >= maxDepth) {
+		copy(spare, idx)
+	}
 	if len(idx) == 1 && depth < maxDepth {
 		return t.leaf(idx[0], b.Width())
 	}

@@ -210,22 +210,50 @@ func TestRebuildRepulsionSteadyStateAllocs(t *testing.T) {
 
 var benchSink geometry.Vec2
 
-// BenchmarkRepulsion measures one force iteration's tree work on a
-// 16384-point unit-mass cloud: a Rebuild plus the repulsion on every
-// point at θ = 0.9, as the lattice embedding's near field runs it.
+// BenchmarkRepulsion measures the force kernel alone, one repulsion
+// sweep over every point of a unit-mass cloud at θ = 0.9, as the
+// lattice embedding's near field runs it, at a few hundred points per
+// rank's worth (1024) and at Figure 9's density (32768): Repulsion point
+// by point in index order and in tree order, and RepulsionGroup four
+// points at a time in tree order.
 func BenchmarkRepulsion(b *testing.B) {
-	pts := randomPoints(16384, 1)
-	var tr Tree
-	tr.Rebuild(pts, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
+	for _, n := range []int{1024, 32768} {
+		pts := randomPoints(n, 1)
+		var tr Tree
 		tr.Rebuild(pts, nil)
-		var acc geometry.Vec2
-		for i, p := range pts {
-			acc = tr.Repulsion(p, int32(i), 0.9, 0.2, 1, acc)
-		}
-		benchSink = acc
+		b.Run(strconv.Itoa(n)+"/scalar-index", func(b *testing.B) {
+			for k := 0; k < b.N; k++ {
+				var acc geometry.Vec2
+				for i, p := range pts {
+					acc = tr.Repulsion(p, int32(i), 0.9, 0.2, 1, acc)
+				}
+				benchSink = acc
+			}
+		})
+		b.Run(strconv.Itoa(n)+"/scalar-tree", func(b *testing.B) {
+			for k := 0; k < b.N; k++ {
+				var acc geometry.Vec2
+				for _, v := range tr.Order() {
+					acc = tr.Repulsion(pts[v], v, 0.9, 0.2, 1, acc)
+				}
+				benchSink = acc
+			}
+		})
+		b.Run(strconv.Itoa(n)+"/group-tree", func(b *testing.B) {
+			b.ReportAllocs()
+			var g Group
+			for k := 0; k < b.N; k++ {
+				order := tr.Order()
+				for j := 0; j < len(order); j += 4 {
+					g.Reset()
+					for _, v := range order[j:min(j+4, len(order))] {
+						g.Add(pts[v], v, 1, geometry.Vec2{})
+					}
+					tr.RepulsionGroup(&g, 0.9, 0.2)
+				}
+				benchSink = g.Acc(0)
+			}
+		})
 	}
 }
 
