@@ -144,9 +144,9 @@ func repelAll(fp ForceParams, p geometry.Vec2, aggs []beta, f geometry.Vec2) geo
 }
 
 // forceChunk evaluates the full force on the owned vertices at
-// positions [lo, hi) of the tree's point order, four at a time, writing
-// each vertex's displacement and energy/magnitude terms at its own
-// index. Within one vertex the repulsion terms are added in a fixed
+// positions [lo, hi) of the tree's point order, eight at a time,
+// writing each vertex's displacement and energy/magnitude terms at its
+// own index. Within one vertex the repulsion terms are added in a fixed
 // order (inherited far field, ring cells, then the Barnes–Hut clusters
 // in tree order), whichever group the vertex falls in; the tree is
 // read-only here.
@@ -155,8 +155,8 @@ func (s *levelState) forceChunk(_, lo, hi int) {
 	ck2 := fp.C * fp.K * fp.K
 	order := s.tree.Order()
 	var g quadtree.Group
-	for k := lo; k < hi; k += 4 {
-		lanes := order[k:min(k+4, hi)]
+	for k := lo; k < hi; k += quadtree.GroupLanes {
+		lanes := order[k:min(k+quadtree.GroupLanes, hi)]
 		g.Reset()
 		for _, v := range lanes {
 			p := s.pos[v]

@@ -76,7 +76,7 @@ func SequentialLayout(g *graph.Graph, opt SeqOptions) []geometry.Vec2 {
 
 // smoothLevel runs force iterations with Barnes–Hut repulsion. The
 // force pass runs chunked on the hostpar pool over the tree's point
-// order, four points to a RepulsionGroup (the tree is read-only there
+// order, eight points to a RepulsionGroup (the tree is read-only there
 // and forces[v] is written by exactly one chunk), and the energy is
 // reduced serially in vertex order from the stored forces, so positions
 // are bit-identical for every worker count. One tree arena is reused
@@ -101,8 +101,8 @@ func smoothLevel(g *graph.Graph, pos []geometry.Vec2, iters int) {
 		defer cur.Release()
 		order := tree.Order()
 		var grp quadtree.Group
-		for k := lo; k < hi; k += 4 {
-			lanes := order[k:min(k+4, hi)]
+		for k := lo; k < hi; k += quadtree.GroupLanes {
+			lanes := order[k:min(k+quadtree.GroupLanes, hi)]
 			grp.Reset()
 			for _, v := range lanes {
 				grp.Add(pos[v], v, mass[v], geometry.Vec2{})

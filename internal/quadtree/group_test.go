@@ -30,25 +30,27 @@ func groupQueries(tr *Tree, pts []geometry.Vec2, mass []float64, free []geometry
 	return qs
 }
 
-// checkGroups answers qs with RepulsionGroup in groups of 1, 2, 3, 4, 1,
-// ... lanes (sizes rotated by shift) and holds every lane to its own
-// Repulsion bit for bit.
+// checkGroups answers qs with RepulsionGroup in groups of 1, 2, ..., 8,
+// 1, ... lanes (sizes rotated by shift), on every kernel the CPU runs,
+// and holds every lane to its own Repulsion bit for bit.
 func checkGroups(t testing.TB, tr *Tree, qs []groupQuery, theta, ck2 float64, shift int) {
 	t.Helper()
 	var g Group
-	for k, size := 0, shift; k < len(qs); size++ {
-		lanes := qs[k:min(k+size%4+1, len(qs))]
-		k += len(lanes)
-		g.Reset()
-		for _, q := range lanes {
-			g.Add(q.p, q.exclude, q.mi, q.acc)
-		}
-		tr.RepulsionGroup(&g, theta, ck2)
-		for l, q := range lanes {
-			want := tr.Repulsion(q.p, q.exclude, theta, ck2, q.mi, q.acc)
-			got := g.Acc(l)
-			if !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
-				t.Fatalf("theta %v lane %d of %d, query %+v: group %v, Repulsion %v", theta, l, len(lanes), q, got, want)
+	for k := scalarWalk; k <= hostKernel; k++ {
+		for i, size := 0, shift; i < len(qs); size++ {
+			lanes := qs[i:min(i+size%GroupLanes+1, len(qs))]
+			i += len(lanes)
+			g.Reset()
+			for _, q := range lanes {
+				g.Add(q.p, q.exclude, q.mi, q.acc)
+			}
+			tr.repulsionGroup(&g, theta, ck2, k)
+			for l, q := range lanes {
+				want := tr.Repulsion(q.p, q.exclude, theta, ck2, q.mi, q.acc)
+				got := g.Acc(l)
+				if !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
+					t.Fatalf("%v kernel, theta %v lane %d of %d, query %+v: group %v, Repulsion %v", k, theta, l, len(lanes), q, got, want)
+				}
 			}
 		}
 	}
@@ -105,43 +107,102 @@ func TestRepulsionGroupMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLockstepRunsWithoutFallback calls the four-lane kernel directly:
-// on a positive-mass cloud it must finish at least 99% of the groups of
-// four consecutive points in tree order without falling back, each one
-// bit for bit equal to Repulsion, so the group test above cannot pass
-// by always falling back.
+// TestLockstepRunsWithoutFallback calls the four-lane kernel directly
+// on groups of eight: on a positive-mass cloud each half, lanes 0–3 and
+// lanes 4–7, must finish at least 99% of its groups of consecutive
+// points in tree order without falling back, every finished lane bit
+// for bit equal to Repulsion, so the group test above cannot pass by
+// always falling back.
 func TestLockstepRunsWithoutFallback(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no four-lane kernel on this build")
+	checkNoFallback(t, fourLanes, []uint8{0x0f, 0xf0})
+}
+
+// TestLockstep8RunsWithoutFallback is TestLockstepRunsWithoutFallback
+// for the eight-lane kernel, which finishes a group whole.
+func TestLockstep8RunsWithoutFallback(t *testing.T) {
+	checkNoFallback(t, eightLanes, []uint8{0xff})
+}
+
+// String names k in test logs and benchmark names.
+func (k kernel) String() string {
+	return [...]string{"scalar", "lanes4", "lanes8"}[k]
+}
+
+// checkNoFallback runs kernel k on the groups of eight consecutive
+// points in tree order of a 3,000-point positive-mass cloud and requires
+// each lane set of parts to finish in at least 99% of the groups.
+func checkNoFallback(t *testing.T, k kernel, parts []uint8) {
+	if hostKernel < k {
+		t.Skipf("the %v kernel does not run here: this CPU or build runs at most the %v kernel", k, hostKernel)
 	}
 	ck2 := fpC * fpK * fpK
 	pts, mass := cloud(11, 3000, 0, 1, 40)
 	tr := Build(pts, mass)
 	qs := groupQueries(tr, pts, mass, nil)
 	for _, theta := range []float64{0.5, 0.9, 1.2} {
-		groups, ran := 0, 0
+		groups, ran := 0, make([]int, len(parts))
 		var g Group
-		for k := 0; k < len(qs); k += 4 {
-			lanes := qs[k:min(k+4, len(qs))]
+		for i := 0; i < len(qs); i += GroupLanes {
+			lanes := qs[i:min(i+GroupLanes, len(qs))]
 			g.Reset()
 			for _, q := range lanes {
 				g.Add(q.p, q.exclude, q.mi, q.acc)
 			}
 			groups++
-			if !tr.lockstep(&g, filterTheta2(theta), ck2) {
-				continue
+			done := tr.lockstep(&g, k, filterTheta2(theta), ck2)
+			for j, part := range parts {
+				if done&part == part {
+					ran[j]++
+				}
 			}
-			ran++
 			for l, q := range lanes {
+				if done>>l&1 == 0 {
+					continue
+				}
 				want := tr.Repulsion(q.p, q.exclude, theta, ck2, q.mi, q.acc)
 				if got := g.Acc(l); !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
 					t.Fatalf("theta %v lane %d, query %+v: kernel %v, Repulsion %v", theta, l, q, got, want)
 				}
 			}
 		}
-		t.Logf("theta %v: %d of %d groups ran without fallback", theta, ran, groups)
-		if 100*ran < 99*groups {
-			t.Fatalf("theta %v: the kernel finished %d of %d groups, want at least 99%%", theta, ran, groups)
+		for j, part := range parts {
+			t.Logf("%v kernel, theta %v, lanes %08b: %d of %d groups ran without fallback", k, theta, part, ran[j], groups)
+			if 100*ran[j] < 99*groups {
+				t.Fatalf("theta %v, lanes %08b: the kernel finished %d of %d groups, want at least 99%%", theta, part, ran[j], groups)
+			}
+		}
+	}
+}
+
+// TestKernelFor holds the kernel choice to the CPU features and the
+// operating system state each kernel needs.
+func TestKernelFor(t *testing.T) {
+	const (
+		base   = cpuOSXSAVE | cpuAVX
+		avx512 = cpuAVX2 | cpuAVX512F | cpuAVX512D
+	)
+	for _, c := range []struct {
+		name                              string
+		maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32
+		want                              kernel
+	}{
+		{"avx512 with zmm state", 7, base, 0xe7, avx512, eightLanes},
+		{"avx512 with exactly the needed state", 0xd, base, 0xe6, avx512, eightLanes},
+		{"avx512 without zmm state", 7, base, 0x06, avx512, fourLanes},
+		{"avx512 without opmask state", 7, base, 0xc6, avx512, fourLanes},
+		{"avx512 without hi16 zmm state", 7, base, 0x66, avx512, fourLanes},
+		{"avx512f without dq", 7, base, 0xe6, cpuAVX2 | cpuAVX512F, fourLanes},
+		{"avx2", 7, base, 0x07, cpuAVX2, fourLanes},
+		{"avx2 without osxsave", 7, cpuAVX, 0, cpuAVX2, scalarWalk},
+		{"avx2 without avx", 7, cpuOSXSAVE, 0x07, cpuAVX2, scalarWalk},
+		{"avx2 without ymm state", 7, base, 0x03, cpuAVX2, scalarWalk},
+		{"avx512 without ymm state", 7, base, 0xe3, avx512, scalarWalk},
+		{"no leaf 7", 6, base, 0xe7, avx512, scalarWalk},
+		{"leaf 0 only", 0, 0, 0, 0, scalarWalk},
+		{"avx without avx2", 7, base, 0x07, 0, scalarWalk},
+	} {
+		if got := kernelFor(c.maxLeaf, c.leaf1ECX, c.xcr0, c.leaf7EBX); got != c.want {
+			t.Errorf("%s: kernelFor = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 // in quadrant order. The force kernel (Repulsion) walks that array
 // without recursion or callbacks: an accepted cluster jumps past its
 // subtree, anything else steps to the next entry. RepulsionGroup walks
-// it once for up to four points in lock step, each point adding exactly
+// it once for up to eight points in lock step, each point adding exactly
 // the terms of its own Repulsion (see DESIGN.md, "The Barnes–Hut force
 // kernel").
 package quadtree

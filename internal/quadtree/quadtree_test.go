@@ -214,8 +214,9 @@ var benchSink geometry.Vec2
 // sweep over every point of a unit-mass cloud at θ = 0.9, as the
 // lattice embedding's near field runs it, at a few hundred points per
 // rank's worth (1024) and at Figure 9's density (32768): Repulsion point
-// by point in index order and in tree order, and RepulsionGroup four
-// points at a time in tree order.
+// by point in index order and in tree order, and groups of eight points
+// in tree order on the four-lane kernel (two halves) and on the
+// eight-lane kernel.
 func BenchmarkRepulsion(b *testing.B) {
 	for _, n := range []int{1024, 32768} {
 		pts := randomPoints(n, 1)
@@ -239,21 +240,26 @@ func BenchmarkRepulsion(b *testing.B) {
 				benchSink = acc
 			}
 		})
-		b.Run(strconv.Itoa(n)+"/group-tree", func(b *testing.B) {
-			b.ReportAllocs()
-			var g Group
-			for k := 0; k < b.N; k++ {
-				order := tr.Order()
-				for j := 0; j < len(order); j += 4 {
-					g.Reset()
-					for _, v := range order[j:min(j+4, len(order))] {
-						g.Add(pts[v], v, 1, geometry.Vec2{})
-					}
-					tr.RepulsionGroup(&g, 0.9, 0.2)
+		for _, k := range []kernel{fourLanes, eightLanes} {
+			b.Run(strconv.Itoa(n)+"/"+k.String()+"-tree", func(b *testing.B) {
+				if hostKernel < k {
+					b.Skipf("this CPU or build runs at most the %v kernel", hostKernel)
 				}
-				benchSink = g.Acc(0)
-			}
-		})
+				b.ReportAllocs()
+				var g Group
+				for j := 0; j < b.N; j++ {
+					order := tr.Order()
+					for i := 0; i < len(order); i += GroupLanes {
+						g.Reset()
+						for _, v := range order[i:min(i+GroupLanes, len(order))] {
+							g.Add(pts[v], v, 1, geometry.Vec2{})
+						}
+						tr.repulsionGroup(&g, 0.9, 0.2, k)
+					}
+					benchSink = g.Acc(0)
+				}
+			})
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ GLOBL maxD2<>(SB), RODATA|NOPTR, $32
 	VMOVUPD      eps<>(SB), Y14; \
 	VMAXPD       Y10, Y14, Y10; \
 	VMOVSD       flatNode_m(DX), X14; \
-	VMULSD       ck2+40(FP), X14, X14; \
+	VMULSD       ck2+48(FP), X14, X14; \
 	VBROADCASTSD X14, Y14; \
 	VDIVPD       Y10, Y14, Y14; \
 	VMULPD       Y14, Y8, Y8; \
@@ -66,16 +66,19 @@ GLOBL maxD2<>(SB), RODATA|NOPTR, $32
 	VMOVQ        R, X; \
 	VPBROADCASTQ X, Y
 
-// func walk4(flat []flatNode, grp *Group, th2, ck2 float64) bool
+// func walk4(flat []flatNode, grp *Group, lane0 int, th2, ck2 float64) bool
 //
-// Registers: AX flat, BX len(flat), CX node i, DX &flat[i], SI grp,
+// Registers: AX flat, BX len(flat), CX node i, DX &flat[i], SI &lane
+// lane0 of grp (each Group field at its own offset from SI),
 // R8 pt, R10 skip; Y0/Y1 query x/y, Y2 mi, Y3/Y4 acc x/y, Y5 resume,
 // Y6 exclude, Y7 th2, Y12 inactive lanes (resume > i).
-TEXT ·walk4(SB), NOSPLIT, $0-49
+TEXT ·walk4(SB), NOSPLIT, $0-57
 	MOVQ         flat_base+0(FP), AX
 	MOVQ         flat_len+8(FP), BX
 	MOVQ         grp+24(FP), SI
-	VBROADCASTSD th2+32(FP), Y7
+	MOVQ         lane0+32(FP), R11
+	LEAQ         (SI)(R11*8), SI
+	VBROADCASTSD th2+40(FP), Y7
 	VMOVUPD      Group_x(SI), Y0
 	VMOVUPD      Group_y(SI), Y1
 	VMOVUPD      Group_mi(SI), Y2
@@ -175,12 +178,12 @@ done:
 	VMOVUPD      Y3, Group_accX(SI)
 	VMOVUPD      Y4, Group_accY(SI)
 	VZEROUPPER
-	MOVB         $1, ret+48(FP)
+	MOVB         $1, ret+56(FP)
 	RET
 
 fallback:
 	VZEROUPPER
-	MOVB         $0, ret+48(FP)
+	MOVB         $0, ret+56(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
