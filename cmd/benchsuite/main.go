@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/gen"
-	"repro/internal/geopart"
 )
 
 func main() {
@@ -44,34 +43,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchsuite: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if err := gen.CheckScale(*scale); err != nil {
-		usage("-scale: %v", err)
-	}
-	// The run entry points reject a negative Model.Workers, but only
-	// after the suite graphs are built.
-	if *workers < 0 {
-		usage("-workers must not be negative (got %d)", *workers)
-	}
-	ps, err := bench.ParsePs(*psFlag)
+	h, err := checkFlags(flagValues{
+		scale: *scale, ps: *psFlag, refine: *refineFlag,
+		trials: *trials, workers: *workers, chaosSchedules: *chaosRuns,
+	})
 	if err != nil {
-		usage("-ps: %v", err)
-	}
-	h := bench.New(*scale, ps)
-	// One width bounds both pools: concurrent sweep runs and the
-	// fork-join kernels inside each run share the host's cores.
-	h.Model.Workers = *workers
-	switch *refineFlag {
-	case "off":
-	case "full":
-		h.FullCutRounds = geopart.FullRefineRounds
-	default:
-		usage("unknown -refine mode %q (want off or full)", *refineFlag)
-	}
-	if *trials < 1 {
-		usage("-trials must be >= 1 (got %d)", *trials)
+		usage("%v", err)
 	}
 	h.Compress = *compress
-	h.Trials = *trials
 	if !*quiet {
 		h.Out = os.Stderr
 	}
@@ -180,4 +159,36 @@ func main() {
 		}
 		fmt.Println(out)
 	}
+}
+
+// flagValues are the flag values checkFlags validates.
+type flagValues struct {
+	ps, refine                      string
+	scale                           float64
+	trials, workers, chaosSchedules int
+}
+
+// checkFlags validates the flag values before any graph is built, so a
+// configuration that cannot run fails at once with one line, and
+// returns the harness they describe.
+func checkFlags(v flagValues) (*bench.Harness, error) {
+	if err := gen.CheckScale(v.scale); err != nil {
+		return nil, fmt.Errorf("-scale: %v", err)
+	}
+	run, err := bench.ParseRunConfig(v.refine, v.trials, v.workers)
+	if err != nil {
+		return nil, err
+	}
+	ps, err := bench.ParsePs(v.ps)
+	if err != nil {
+		return nil, fmt.Errorf("-ps: %v", err)
+	}
+	if v.chaosSchedules < 1 {
+		return nil, fmt.Errorf("-chaos-schedules must be >= 1 (got %d)", v.chaosSchedules)
+	}
+	h := bench.New(v.scale, ps)
+	// One width (-workers) bounds both pools: concurrent sweep runs and
+	// the fork-join kernels inside each run share the host's cores.
+	h.RunConfig = run
+	return h, nil
 }

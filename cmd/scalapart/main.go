@@ -3,8 +3,9 @@
 // modeled parallel execution time.
 //
 // The graph comes either from a METIS file (-file) or from the built-in
-// synthetic suite (-graph, -scale). Methods needing coordinates (RCB,
-// G30/G7/G7-NL, SP-PG7-NL) use the graph's natural coordinates when
+// synthetic suite (-graph, -scale). The methods are the entries of the
+// bench method table. Those needing coordinates (SP-PG7-NL, RCB, G30,
+// G7, G7-NL, RCB-seq) use the graph's natural coordinates when
 // available, otherwise a sequential force-directed embedding.
 //
 // Examples:
@@ -25,13 +26,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/geometry"
-	"repro/internal/geopart"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -42,7 +41,7 @@ func main() {
 		file        = flag.String("file", "", "METIS graph file to partition")
 		name        = flag.String("graph", "", "built-in suite graph name (see -list)")
 		scale       = flag.Float64("scale", 0.25, "size scale for built-in graphs")
-		method      = flag.String("method", "ScalaPart", "ScalaPart | ParMetis | Pt-Scotch | RCB | SP-PG7-NL | G30 | G7 | G7-NL")
+		method      = flag.String("method", bench.MethodSP, strings.Join(bench.MethodNames(), " | "))
 		compress    = flag.Bool("compress", false, "hold the graph in the delta/varint compressed adjacency representation (identical results, smaller footprint); with -bench-json, sweep on compressed graphs")
 		p           = flag.Int("p", 16, "simulated processor count")
 		seed        = flag.Int64("seed", 42, "random seed")
@@ -101,37 +100,37 @@ func main() {
 		}
 	}()
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, *phaseBreak, *compress, *trials, fc); err != nil {
+		if err := writeBenchJSON(*benchJSON, *scale, *phaseBreak, *compress, fc); err != nil {
 			fmt.Fprintln(os.Stderr, "scalapart:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("perf trajectory written to %s\n", *benchJSON)
 		return
 	}
-	model := fc.model
 	if *list {
 		for _, e := range gen.SuiteEntries() {
 			fmt.Println(e.Name)
 		}
 		return
 	}
+	m := fc.method
 	var rec *trace.Recorder
 	if *phaseBreak || *traceOut != "" || *checkInv {
-		if methods[*method].simulated {
+		if m.Simulated {
 			rec = trace.New()
-			model.Trace = rec
+			fc.run.Model.Trace = rec
 		} else if *phaseBreak || *traceOut != "" {
-			fmt.Fprintf(os.Stderr, "scalapart: WARNING: -phase-breakdown/-trace need a simulated-runtime method; %s runs sequentially\n", *method)
+			fmt.Fprintf(os.Stderr, "scalapart: WARNING: -phase-breakdown/-trace need a simulated-runtime method; %s runs sequentially\n", m.Name)
 		}
 	}
-	if fc.policy != core.RecoverOff && *method != "ScalaPart" {
-		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -recover applies to the ScalaPart pipeline; %s runs without rollback recovery\n", *method)
+	if fc.run.Recover.Policy != core.RecoverOff && m.Name != bench.MethodSP {
+		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -recover applies to the ScalaPart pipeline; %s runs without rollback recovery\n", m.Name)
 	}
-	if *trials > 1 && *method != "ScalaPart" {
-		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -trials drives the ScalaPart evolutionary search; %s runs a single pass\n", *method)
+	if fc.run.Trials > 1 && m.Name != bench.MethodSP {
+		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -trials drives the ScalaPart evolutionary search; %s runs a single pass\n", m.Name)
 	}
-	if *refineFlag == "full" && *method != "ScalaPart" && *method != "SP-PG7-NL" {
-		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -refine full applies to the geodesic pipelines; %s is unaffected\n", *method)
+	if fc.run.FullCutRounds > 0 && m.Name != bench.MethodSP && m.Name != bench.MethodSPPG {
+		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -refine full applies to the geodesic pipelines; %s is unaffected\n", m.Name)
 	}
 	g, coords, err := loadGraph(*file, *name, *scale)
 	if err != nil {
@@ -152,111 +151,45 @@ func main() {
 			comp, perEdge, ratio, plain)
 	}
 
-	if methods[*method].coords && coords == nil {
+	if m.Coords && coords == nil {
 		fmt.Println("computing sequential force-directed embedding (graph has no coordinates)...")
 		coords = embed.SequentialLayout(g, embed.SeqOptions{Seed: *seed})
 	}
 
-	var part []int32
-	var cut int64
-	var timeS, imb float64
-	fallback := false
-	// retrySequential retries a failed parallel run with the sequential
-	// baseline partitioner, printing the rank diagnostic first. The
-	// fallback result is clearly flagged; a healthy run is never touched.
-	retrySequential := func(runErr error) *core.Result {
-		fmt.Fprintf(os.Stderr, "scalapart: WARNING: parallel run failed: %v\n", runErr)
+	res, err := m.Run(g, coords, *p, *seed, fc.run)
+	if res == nil {
+		fmt.Fprintln(os.Stderr, "scalapart:", err)
+		os.Exit(1)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scalapart: WARNING: parallel run failed: %v\n", err)
 		fmt.Fprintf(os.Stderr, "scalapart: WARNING: retrying with the sequential baseline partitioner\n")
-		res, err := core.SequentialFallback(g, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalapart:", err)
-			os.Exit(1)
-		}
-		fallback = true
-		return res
+	} else if m.Name == bench.MethodSP {
+		fmt.Printf("phases: coarsen %.4fs  embed %.4fs  partition %.4fs (strip %d vertices)\n",
+			res.Times.Coarsen, res.Times.Embed, res.Times.Partition, res.StripSize)
 	}
-	switch *method {
-	case "ScalaPart":
-		opt := core.DefaultOptions(*seed)
-		opt.Model = model
-		opt.Partition.FullCutRounds = fc.fullCutRounds
-		opt.Trials = *trials
-		opt.Recover = core.RecoverOptions{Policy: fc.policy, RetryBudget: *retryBudget}
-		res, runErr := core.PartitionChecked(g, *p, opt)
-		if runErr != nil {
-			res = retrySequential(runErr)
-		} else {
-			fmt.Printf("phases: coarsen %.4fs  embed %.4fs  partition %.4fs (strip %d vertices)\n",
-				res.Times.Coarsen, res.Times.Embed, res.Times.Partition, res.StripSize)
+	if res.Recovery != nil {
+		fmt.Println(res.Recovery)
+		for _, r := range res.Recovery.Resumes {
+			fmt.Printf("  resumed: %s\n", r)
 		}
-		if res.Recovery != nil {
-			fmt.Println(res.Recovery)
-			for _, r := range res.Recovery.Resumes {
-				fmt.Printf("  resumed: %s\n", r)
-			}
-		}
-		fallback = fallback || res.Fallback
-		part, cut, imb, timeS = res.Part, res.Cut, res.Imbalance, res.Times.Total
-	case "SP-PG7-NL":
-		cfg := geopart.DefaultParallelConfig()
-		cfg.FullCutRounds = fc.fullCutRounds
-		res, runErr := core.PartitionGeometricChecked(g, coords, *p, cfg, model)
-		if runErr != nil {
-			res = retrySequential(runErr)
-		}
-		part, cut, imb, timeS = res.Part, res.Cut, res.Imbalance, res.Times.Total
-	case "RCB":
-		res, runErr := core.RCBParallelChecked(g, coords, *p, model)
-		if runErr != nil {
-			res = retrySequential(runErr)
-		}
-		part, cut, imb, timeS = res.Part, res.Cut, res.Imbalance, res.Times.Total
-	case "ParMetis", "Pt-Scotch":
-		cfg := baseline.ParMetisLike(*seed)
-		if *method == "Pt-Scotch" {
-			cfg = baseline.PtScotchLike(*seed)
-		}
-		cfg.Model = model
-		res, runErr := baseline.PartitionChecked(g, *p, cfg)
-		if runErr != nil {
-			cres := retrySequential(runErr)
-			part, cut, imb, timeS = cres.Part, cres.Cut, cres.Imbalance, cres.Times.Total
-		} else {
-			part, cut, imb, timeS = res.Part, res.Cut, res.Imbalance, res.Total
-		}
-	case "G30", "G7", "G7-NL":
-		cfg := geopart.G30()
-		if *method == "G7" {
-			cfg = geopart.G7()
-		}
-		if *method == "G7-NL" {
-			cfg = geopart.G7NL()
-		}
-		cfg.Seed = *seed
-		var st geopart.Stats
-		part, st, err = geopart.Partition(g, coords, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scalapart:", err)
-			os.Exit(1)
-		}
-		cut, imb = st.Cut, st.Imbalance
 	}
-	fmt.Printf("method=%s P=%d  cut=%d  imbalance=%.3f", *method, *p, cut, imb)
-	if timeS > 0 {
-		fmt.Printf("  modeled-time=%.4fs", timeS)
+	fmt.Printf("method=%s P=%d  cut=%d  imbalance=%.3f", m.Name, *p, res.Cut, res.Imbalance)
+	if res.Times.Total > 0 {
+		fmt.Printf("  modeled-time=%.4fs", res.Times.Total)
 	}
-	if fallback {
+	if res.Fallback {
 		fmt.Printf("  [sequential fallback]")
 	}
 	fmt.Println()
 	if *out != "" {
-		if err := writeParts(*out, part); err != nil {
+		if err := writeParts(*out, res.Part); err != nil {
 			fmt.Fprintln(os.Stderr, "scalapart:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("partition written to %s\n", *out)
 	}
-	if rec != nil && fallback {
+	if rec != nil && res.Fallback {
 		fmt.Fprintln(os.Stderr, "scalapart: WARNING: the traced parallel run failed; trace output covers the partial run, invariant checks use the fallback partition")
 	}
 	if rec != nil && *phaseBreak {
@@ -280,13 +213,13 @@ func main() {
 	}
 	if *checkInv {
 		failed := false
-		if rec != nil && !fallback {
+		if rec != nil && !res.Fallback {
 			if err := rec.CheckInvariants(); err != nil {
 				fmt.Fprintln(os.Stderr, "scalapart:", err)
 				failed = true
 			}
 		}
-		if err := core.CheckPartition(g, part, cut, imb); err != nil {
+		if err := core.CheckResult(g, res); err != nil {
 			fmt.Fprintln(os.Stderr, "scalapart:", err)
 			failed = true
 		}
@@ -295,20 +228,6 @@ func main() {
 		}
 		fmt.Println("invariants OK")
 	}
-}
-
-// methods are the -method names: whether each runs on the simulated
-// runtime (the purely sequential geometric partitioners have no virtual
-// clocks to trace) and whether it needs vertex coordinates.
-var methods = map[string]struct{ simulated, coords bool }{
-	"ScalaPart": {simulated: true},
-	"ParMetis":  {simulated: true},
-	"Pt-Scotch": {simulated: true},
-	"RCB":       {simulated: true, coords: true},
-	"SP-PG7-NL": {simulated: true, coords: true},
-	"G30":       {coords: true},
-	"G7":        {coords: true},
-	"G7-NL":     {coords: true},
 }
 
 // flagValues are the flag values checkFlags validates.
@@ -323,61 +242,49 @@ type flagValues struct {
 // flag.Parse accepts as strings and numbers but the run cannot take as
 // is.
 type flagConfig struct {
-	model         mpi.Model // default model with the watchdog window, fault plan and host width
-	fullCutRounds int
-	policy        core.RecoveryPolicy
-	ps            []int // the -bench-json processor sweep
+	method bench.Method
+	run    bench.RunConfig // the default model with the watchdog window, fault plan and host width; recovery, trials, full-cut rounds
+	ps     []int           // the -bench-json processor sweep
 }
 
 // checkFlags validates every flag value and flag combination before any
 // graph is loaded, so a configuration that cannot run fails at once with
 // one line instead of surfacing later as a rank failure or a panic.
 func checkFlags(v flagValues) (flagConfig, error) {
-	cfg := flagConfig{model: mpi.DefaultModel()}
+	var cfg flagConfig
+	var ok bool
+	if cfg.method, ok = bench.LookupMethod(v.method); !ok {
+		return cfg, fmt.Errorf("unknown -method %q (want %s)", v.method, strings.Join(bench.MethodNames(), ", "))
+	}
 	var err error
-	if _, ok := methods[v.method]; !ok {
-		return cfg, fmt.Errorf("unknown -method %q (want ScalaPart, ParMetis, Pt-Scotch, RCB, SP-PG7-NL, G30, G7 or G7-NL)", v.method)
-	}
-	switch v.refine {
-	case "off":
-	case "full":
-		cfg.fullCutRounds = geopart.FullRefineRounds
-	default:
-		return cfg, fmt.Errorf("unknown -refine mode %q (want off or full)", v.refine)
-	}
-	if v.trials < 1 {
-		return cfg, fmt.Errorf("-trials must be >= 1 (got %d)", v.trials)
+	if cfg.run, err = bench.ParseRunConfig(v.refine, v.trials, v.workers); err != nil {
+		return cfg, err
 	}
 	if v.p < 1 {
 		return cfg, fmt.Errorf("-p must be >= 1 (got %d)", v.p)
 	}
-	// The run entry points reject a negative Model.Workers, but only
-	// after the graph is loaded.
-	if v.workers < 0 {
-		return cfg, fmt.Errorf("-workers must not be negative (got %d)", v.workers)
-	}
-	cfg.model.Workers = v.workers
 	// A negative Model.Watchdog would switch deadlock detection off.
 	if v.watchdog < 0 {
 		return cfg, fmt.Errorf("-watchdog must not be negative (got %v)", v.watchdog)
 	}
-	cfg.model.Watchdog = v.watchdog
+	cfg.run.Model.Watchdog = v.watchdog
 	// The reliability layer would read a negative budget as unset and
 	// silently use its default.
 	if v.retryBudget < 0 {
 		return cfg, fmt.Errorf("-retry-budget must not be negative (got %d)", v.retryBudget)
 	}
+	cfg.run.Recover.RetryBudget = v.retryBudget
 	if err := gen.CheckScale(v.scale); err != nil {
 		return cfg, fmt.Errorf("-scale: %v", err)
 	}
 	if cfg.ps, err = bench.ParsePs(v.ps); err != nil {
 		return cfg, fmt.Errorf("-ps: %v", err)
 	}
-	if cfg.policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
+	if cfg.run.Recover.Policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
 		return cfg, err
 	}
 	if v.fault != "" {
-		if cfg.model.Faults, err = parseFaultPlan(v.fault); err != nil {
+		if cfg.run.Model.Faults, err = parseFaultPlan(v.fault); err != nil {
 			return cfg, err
 		}
 	}
@@ -391,16 +298,16 @@ func checkFlags(v flagValues) (flagConfig, error) {
 // with compress set the suite graphs are held in the delta/varint
 // compressed representation (modeled fields are bit-identical either
 // way, and each row records compressed/bytes_per_edge/peak_rss). The
-// sweep takes the processor sweep, watchdog window, host width and
-// full-cut setting of fc, but not its fault plan.
-func writeBenchJSON(path string, scale float64, breakdown, compress bool, trials int, fc flagConfig) error {
+// sweep takes the processor sweep, watchdog window, host width, trials
+// and full-cut setting of fc, but not its fault plan or recovery.
+func writeBenchJSON(path string, scale float64, breakdown, compress bool, fc flagConfig) error {
 	h := bench.New(scale, fc.ps)
-	h.Model.Watchdog = fc.model.Watchdog
-	h.Model.Workers = fc.model.Workers
-	h.FullCutRounds = fc.fullCutRounds
+	h.Model.Watchdog = fc.run.Model.Watchdog
+	h.Model.Workers = fc.run.Model.Workers
+	h.FullCutRounds = fc.run.FullCutRounds
+	h.Trials = fc.run.Trials
 	h.Trace = breakdown
 	h.Compress = compress
-	h.Trials = trials
 	h.Out = os.Stderr
 	data, err := h.BenchJSON()
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/embed"
 	"repro/internal/geopart"
 	"repro/internal/mpi"
 )
@@ -26,29 +28,30 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{"defaults", def, "", func(c flagConfig) bool {
 			m := mpi.DefaultModel()
-			return c.model == m && c.fullCutRounds == 0 && c.policy == core.RecoverOff
+			return c.method.Name == bench.MethodSP && c.run.Model == m && c.run.FullCutRounds == 0 &&
+				c.run.Recover.Policy == core.RecoverOff && c.run.Trials == 1
 		}},
 		{"refine-full", with(func(f *flagValues) { f.refine = "full" }), "", func(c flagConfig) bool {
-			return c.fullCutRounds == geopart.FullRefineRounds
+			return c.run.FullCutRounds == geopart.FullRefineRounds
 		}},
 		{"ps", with(func(f *flagValues) { f.ps = "1, 16" }), "", func(c flagConfig) bool {
 			return slices.Equal(c.ps, []int{1, 16})
 		}},
 		{"trials-alone", with(func(f *flagValues) { f.trials = 3 }), "", nil},
 		{"recover-alone", with(func(f *flagValues) { f.recover = "respawn" }), "", func(c flagConfig) bool {
-			return c.policy == core.RecoverRespawn
+			return c.run.Recover.Policy == core.RecoverRespawn
 		}},
 		{"fault", with(func(f *flagValues) { f.fault = "kill:2@40" }), "", func(c flagConfig) bool {
-			return c.model.Faults != nil && c.model.Faults.Len() == 1
+			return c.run.Model.Faults != nil && c.run.Model.Faults.Len() == 1
 		}},
 		{"trials-respawn", with(func(f *flagValues) { f.trials, f.recover = 2, "respawn" }), "", func(c flagConfig) bool {
-			return c.policy == core.RecoverRespawn
+			return c.run.Recover.Policy == core.RecoverRespawn
 		}},
 		{"trials-shrink", with(func(f *flagValues) { f.trials, f.recover = 4, "shrink" }), "", func(c flagConfig) bool {
-			return c.policy == core.RecoverShrink
+			return c.run.Recover.Policy == core.RecoverShrink
 		}},
 		{"watchdog", with(func(f *flagValues) { f.watchdog = 500 * time.Millisecond }), "", func(c flagConfig) bool {
-			return c.model.Watchdog == 500*time.Millisecond
+			return c.run.Model.Watchdog == 500*time.Millisecond
 		}},
 		{"bad-method", with(func(f *flagValues) { f.method = "Bogus" }), "-method", nil},
 		{"bad-refine", with(func(f *flagValues) { f.refine = "max" }), "-refine", nil},
@@ -83,5 +86,40 @@ func TestCheckFlags(t *testing.T) {
 				t.Fatalf("error %q: want one line mentioning %q", msg, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestEveryMethodRuns: every entry of the method table accepted by
+// -method runs on a graph with natural coordinates and on one without
+// (where scalapart computes a layout for the methods that need one),
+// and each result passes CheckResult.
+func TestEveryMethodRuns(t *testing.T) {
+	for _, name := range []string{"ecology1", "kkt_power"} {
+		g, coords, err := loadGraph("", name, 0.03)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (coords != nil) != (name == "ecology1") {
+			t.Fatalf("%s: natural coordinates %t", name, coords != nil)
+		}
+		if coords == nil {
+			coords = embed.SequentialLayout(g, embed.SeqOptions{Seed: 42})
+		}
+		for _, method := range bench.MethodNames() {
+			fc, err := checkFlags(flagValues{method: method, refine: "off", recover: "off", trials: 1, p: 8, scale: 0.03})
+			if err != nil {
+				t.Fatalf("%s rejected: %v", method, err)
+			}
+			res, err := fc.method.Run(g, coords, 8, 42, fc.run)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", method, name, err)
+			}
+			if res.Fallback {
+				t.Fatalf("%s on %s: fault-free run fell back", method, name)
+			}
+			if err := core.CheckResult(g, res); err != nil {
+				t.Fatalf("%s on %s: %v", method, name, err)
+			}
+		}
 	}
 }

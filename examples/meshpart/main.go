@@ -1,18 +1,15 @@
 // Meshpart: the FEM-workload comparison of the paper's intro — bisect
-// a finite-element-style mesh with every partitioner in the repository
-// and compare cut quality and modeled parallel time across processor
-// counts.
+// a finite-element-style mesh with every parallel partitioner of the
+// method table and compare cut quality and modeled parallel time across
+// processor counts.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/bench"
 	"repro/internal/gen"
-	"repro/internal/geopart"
-	"repro/internal/mpi"
 )
 
 func main() {
@@ -25,23 +22,15 @@ func main() {
 
 	fmt.Printf("%-12s %6s %8s %12s\n", "method", "P", "cut", "modeled-time")
 	for _, p := range []int{4, 64, 512} {
-		sp := must(core.PartitionChecked(g, p, core.DefaultOptions(1)))
-		fmt.Printf("%-12s %6d %8d %11.4fs\n", "ScalaPart", p, sp.Cut, sp.Times.Total)
-
-		pm := must(baseline.PartitionChecked(g, p, baseline.ParMetisLike(1)))
-		fmt.Printf("%-12s %6d %8d %11.4fs\n", "ParMetis", p, pm.Cut, pm.Total)
-
-		pts := must(baseline.PartitionChecked(g, p, baseline.PtScotchLike(1)))
-		fmt.Printf("%-12s %6d %8d %11.4fs\n", "Pt-Scotch", p, pts.Cut, pts.Total)
-
+		// Every method of the table that runs on the simulated runtime.
 		// The mesh has natural coordinates, so RCB and the partition-
 		// only ScalaPart (SP-PG7-NL) apply directly — the use case of
 		// the paper's Figure 4.
-		rcb := must(core.RCBParallelChecked(g, mesh.Coords, p, mpi.DefaultModel()))
-		fmt.Printf("%-12s %6d %8d %11.4fs\n", "RCB", p, rcb.Cut, rcb.Times.Total)
-
-		pg := must(core.PartitionGeometricChecked(g, mesh.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel()))
-		fmt.Printf("%-12s %6d %8d %11.4fs\n", "SP-PG7-NL", p, pg.Cut, pg.Times.Total)
+		for _, name := range bench.ParallelMethods() {
+			m, _ := bench.LookupMethod(name)
+			res := must(m.Run(g, mesh.Coords, p, 1, bench.RunConfig{}))
+			fmt.Printf("%-12s %6d %8d %11.4fs\n", name, p, res.Cut, res.Times.Total)
+		}
 		fmt.Println()
 	}
 	fmt.Println("Note how RCB is fastest but cuts worst, the multilevel baselines")

@@ -16,7 +16,7 @@ import (
 type ChaosConfig struct {
 	Graphs    []string
 	Ps        []int
-	Schedules int   // fault schedules per (graph, P, policy); default 3
+	Schedules int   // fault schedules per (graph, P, policy)
 	Seed      int64 // base seed; schedule i of case c draws from Seed, c, i
 }
 
@@ -74,16 +74,12 @@ func (r *ChaosReport) String() string {
 // Cases run concurrently, as many at once as the model's effective
 // host width.
 func (h *Harness) ChaosSoak(cfg ChaosConfig) *ChaosReport {
-	schedules := cfg.Schedules
-	if schedules == 0 {
-		schedules = 3
-	}
 	var cases []ChaosCase
 	n := 0
 	for _, gname := range cfg.Graphs {
 		for _, p := range cfg.Ps {
 			for _, pol := range []core.RecoveryPolicy{core.RecoverRespawn, core.RecoverShrink} {
-				for s := 0; s < schedules; s++ {
+				for s := 0; s < cfg.Schedules; s++ {
 					// Distinct, deterministic per-case seeds: mix the case
 					// ordinal into the base seed with a large prime stride.
 					seed := cfg.Seed + int64(n)*7919

@@ -14,28 +14,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/gen"
 	"repro/internal/geometry"
-	"repro/internal/geopart"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/trace"
-)
-
-// Method names, as used throughout tables and figures.
-const (
-	MethodSP     = "ScalaPart"
-	MethodSPPG   = "SP-PG7-NL"
-	MethodPM     = "ParMetis"
-	MethodPTS    = "Pt-Scotch"
-	MethodRCB    = "RCB"
-	MethodG30    = "G30"
-	MethodG7     = "G7"
-	MethodG7NL   = "G7-NL"
-	MethodRCBSeq = "RCB-seq"
 )
 
 // Run is one cached (graph, method, P) outcome.
@@ -51,7 +36,7 @@ type Run struct {
 	PeakRSS     int64           // max heap+stack in-use bytes sampled during the run
 	Messages    int64           // point-to-point messages, summed over ranks
 	BytesSent   int64           // point-to-point payload bytes, summed over ranks
-	Times       core.PhaseTimes // phase breakdown (ScalaPart runs)
+	Times       core.PhaseTimes // phase breakdown (ScalaPart runs; the partition phase of SP-PG7-NL and RCB)
 	StripSize   int
 	Fallback    bool // the parallel run failed; this is the sequential recovery result
 
@@ -76,7 +61,10 @@ type runKey struct {
 type Harness struct {
 	Scale float64 // suite scale; 1 = default bench sizes
 	Ps    []int   // processor sweep
-	Model mpi.Model
+	// RunConfig is every run's model, recovery, trials and full-cut
+	// setting. All of it is part of the cache fingerprint, so sweeps
+	// under different settings never share entries.
+	RunConfig
 	Out   io.Writer // progress log; nil silences
 	Trace bool      // record per-run traces and fill Run.Breakdown
 	// Compress hands every run the suite graph in the delta/varint
@@ -86,19 +74,6 @@ type Harness struct {
 	// Part of the cache fingerprint, and the graph cache is keyed by
 	// representation, so it may be toggled between Gets.
 	Compress bool
-	// Recover configures rollback recovery for ScalaPart runs (policy
-	// off keeps the historical fail-then-fallback behaviour). It is part
-	// of the cache fingerprint, so recovered and plain sweeps never
-	// share entries.
-	Recover core.RecoverOptions
-	// Trials > 1 runs ScalaPart with the evolutionary multi-trial
-	// search (core.Options.Trials). Part of the cache fingerprint;
-	// 0 and 1 both mean the single-pass pipeline and share entries.
-	Trials int
-	// FullCutRounds > 0 adds the full-cut boundary-FM pass to the
-	// ScalaPart and SP-PG7-NL runs (geopart.ParallelConfig's field of
-	// the same name). Part of the cache fingerprint.
-	FullCutRounds int
 
 	logMu   sync.Mutex
 	graphs  cache[graphKey, *gen.Generated]
@@ -115,9 +90,9 @@ type graphKey struct {
 // New returns a harness at the given scale with the given P sweep.
 func New(scale float64, ps []int) *Harness {
 	return &Harness{
-		Scale: scale,
-		Ps:    ps,
-		Model: mpi.DefaultModel(),
+		Scale:     scale,
+		Ps:        ps,
+		RunConfig: RunConfig{Model: mpi.DefaultModel()},
 	}
 }
 
@@ -242,24 +217,6 @@ func (h *Harness) envKey() string {
 		trials, h.FullCutRounds, h.Model.Faults.Key())
 }
 
-// partitionConfig is SP-PG7-NL as the harness runs it.
-func (h *Harness) partitionConfig() geopart.ParallelConfig {
-	cfg := geopart.DefaultParallelConfig()
-	cfg.FullCutRounds = h.FullCutRounds
-	return cfg
-}
-
-// options are the ScalaPart options of a harness run under the given
-// seed.
-func (h *Harness) options(seed int64) core.Options {
-	opt := core.DefaultOptions(seed)
-	opt.Model = h.Model
-	opt.Recover = h.Recover
-	opt.Trials = h.Trials
-	opt.Partition = h.partitionConfig()
-	return opt
-}
-
 // paperModel is mpi.DefaultModel at the harness model's host width: the
 // model of the experiments that run the paper's fixed configuration
 // (Figure 2, the ablations) rather than the harness's settings.
@@ -274,13 +231,6 @@ func (h *Harness) paperOptions(seed int64) core.Options {
 	opt := core.DefaultOptions(seed)
 	opt.Model = h.paperModel()
 	return opt
-}
-
-// ParallelMethods lists the methods whose runs execute on the simulated
-// runtime — the expensive part of the sweep and the part worth warming
-// in parallel. Sequential baselines (G30/G7/G7-NL/RCB-seq) stay lazy.
-func ParallelMethods() []string {
-	return []string{MethodSP, MethodSPPG, MethodPM, MethodPTS, MethodRCB}
 }
 
 // Precompute warms the run cache for methods × suite graphs × the P
@@ -327,22 +277,6 @@ func runJobs(workers, n int, job func(i int)) {
 	wg.Wait()
 }
 
-// fallbackRun completes a run whose parallel execution failed: the
-// diagnostic is logged and the sequential baseline partitioner supplies
-// the partition, clearly flagged so tables never silently mix degraded
-// and healthy results.
-func (h *Harness) fallbackRun(run *Run, g *gen.Generated, seed int64, runErr error) *Run {
-	h.logf("  FAILED: %v", runErr)
-	h.logf("  falling back to the sequential baseline partitioner")
-	res, err := core.SequentialFallback(g.G, seed)
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
-	run.Cut, run.Imbalance = res.Cut, res.Imbalance
-	run.Fallback = true
-	return run
-}
-
 // startPeakSampler starts a goroutine that samples the live Go memory
 // footprint (heap + goroutine stacks in use — the portable proxy for
 // resident set) every 50ms and returns a stop function reporting the
@@ -380,102 +314,50 @@ func startPeakSampler() func() int64 {
 	return func() int64 { close(done); return <-result }
 }
 
-// addStats folds per-rank runtime statistics into the run's totals.
-func (run *Run) addStats(stats []mpi.RankStats) {
-	for _, s := range stats {
-		run.Messages += s.Messages
-		run.BytesSent += s.BytesSent
-	}
-}
-
+// compute runs one method on a suite graph. A simulated method whose run
+// fails is logged and recorded as the sequential fallback's result,
+// flagged, so tables never silently mix degraded and healthy results.
 func (h *Harness) compute(graphName, method string, p int) *Run {
-	g := h.Graph(graphName)
-	seed := seedOf(graphName)
+	m, ok := LookupMethod(method)
+	if !ok {
+		panic("bench: unknown method " + method)
+	}
 	run := &Run{Graph: graphName, Method: method, P: p}
+	g := h.Graph(graphName)
+	var coords []geometry.Vec2
+	if m.Coords {
+		coords = h.huCoords(graphName)
+	}
+	cfg := h.RunConfig
+	var rec *trace.Recorder
+	if h.Trace && m.Simulated {
+		rec = trace.New()
+		cfg.Model.Trace = rec
+	}
 	h.logf("run %-10s %-18s P=%-5d", method, graphName, p)
 	start := time.Now()
 	stopSampler := startPeakSampler()
-	defer func() {
-		run.PeakRSS = stopSampler()
-		run.WallSeconds = time.Since(start).Seconds()
-		h.logf("  %-10s %-18s P=%-5d modeled %.4gs  wall %.2fs", method, graphName, p, run.Time, run.WallSeconds)
-	}()
-	switch method {
-	case MethodSP:
-		opt := h.options(seed)
-		var rec *trace.Recorder
-		if h.Trace {
-			rec = trace.New()
-			opt.Model.Trace = rec
-		}
-		res, err := core.PartitionChecked(g.G, p, opt)
-		if err != nil {
-			return h.fallbackRun(run, g, seed, err)
-		}
-		run.Fallback = res.Fallback
-		run.Cut, run.Imbalance = res.Cut, res.Imbalance
-		run.Time, run.CommTime = res.Times.Total, res.Times.TotalComm
-		run.Times = res.Times
-		run.StripSize = res.StripSize
-		run.addStats(res.Stats)
-		if rec != nil {
-			run.Breakdown = rec.Breakdown().Phases
-		}
-	case MethodSPPG:
-		res, err := core.PartitionGeometricChecked(g.G, h.huCoords(graphName), p, h.partitionConfig(), h.Model)
-		if err != nil {
-			return h.fallbackRun(run, g, seed, err)
-		}
-		run.Cut, run.Imbalance = res.Cut, res.Imbalance
-		run.Time, run.CommTime = res.Times.Total, res.Times.TotalComm
-		run.StripSize = res.StripSize
-		run.addStats(res.Stats)
-	case MethodRCB:
-		res, err := core.RCBParallelChecked(g.G, h.huCoords(graphName), p, h.Model)
-		if err != nil {
-			return h.fallbackRun(run, g, seed, err)
-		}
-		run.Cut, run.Imbalance = res.Cut, res.Imbalance
-		run.Time, run.CommTime = res.Times.Total, res.Times.TotalComm
-		run.addStats(res.Stats)
-	case MethodPM, MethodPTS:
-		cfg := baseline.ParMetisLike(seed)
-		if method == MethodPTS {
-			cfg = baseline.PtScotchLike(seed)
-		}
-		cfg.Model = h.Model
-		res, err := baseline.PartitionChecked(g.G, p, cfg)
-		if err != nil {
-			return h.fallbackRun(run, g, seed, err)
-		}
-		run.Cut, run.Imbalance = res.Cut, res.Imbalance
-		run.Time, run.CommTime = res.Total, res.Comm
-		run.addStats(res.Stats)
-	case MethodG30, MethodG7, MethodG7NL:
-		var cfg geopart.Config
-		switch method {
-		case MethodG30:
-			cfg = geopart.G30()
-		case MethodG7:
-			cfg = geopart.G7()
-		default:
-			cfg = geopart.G7NL()
-		}
-		cfg.Seed = seed
-		_, st, err := geopart.Partition(g.G, h.huCoords(graphName), cfg)
-		if err != nil {
-			panic("bench: " + err.Error()) // harness-built coords always match
-		}
-		run.Cut, run.Imbalance = st.Cut, st.Imbalance
-	case MethodRCBSeq:
-		_, st, err := geopart.RCBBisect(g.G, h.huCoords(graphName))
-		if err != nil {
-			panic("bench: " + err.Error()) // harness-built coords always match
-		}
-		run.Cut, run.Imbalance = st.Cut, st.Imbalance
-	default:
-		panic("bench: unknown method " + method)
+	res, err := m.Run(g.G, coords, p, seedOf(graphName), cfg)
+	run.PeakRSS = stopSampler()
+	run.WallSeconds = time.Since(start).Seconds()
+	if res == nil {
+		// Harness-built coordinates always match, and the fallback runs
+		// under a pristine model.
+		panic("bench: " + err.Error())
 	}
+	if err != nil {
+		h.logf("  FAILED: %v", err)
+		h.logf("  falling back to the sequential baseline partitioner")
+	} else if rec != nil {
+		run.Breakdown = rec.Breakdown().Phases
+	}
+	run.Cut, run.Imbalance, run.StripSize, run.Fallback = res.Cut, res.Imbalance, res.StripSize, res.Fallback
+	run.Time, run.CommTime, run.Times = res.Times.Total, res.Times.TotalComm, res.Times
+	for _, s := range res.Stats {
+		run.Messages += s.Messages
+		run.BytesSent += s.BytesSent
+	}
+	h.logf("  %-10s %-18s P=%-5d modeled %.4gs  wall %.2fs", method, graphName, p, run.Time, run.WallSeconds)
 	return run
 }
 

@@ -117,6 +117,26 @@ func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
 	})
 }
 
+// BaselineChecked runs the multilevel baseline partitioner cfg
+// configures on p simulated ranks (baseline.PartitionChecked, whose
+// errors it returns) and reports its outcome as a Result: the
+// baseline's modeled time and communication time are Times.Total and
+// Times.TotalComm.
+func BaselineChecked(g *graph.Graph, p int, cfg baseline.Config) (*Result, error) {
+	res, err := baseline.PartitionChecked(g, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Part:      res.Part,
+		Cut:       res.Cut,
+		Imbalance: res.Imbalance,
+		P:         res.P,
+		Times:     PhaseTimes{Total: res.Total, TotalComm: res.Comm},
+		Stats:     res.Stats,
+	}, nil
+}
+
 // SequentialFallback partitions g with the single-rank ParMetis-like
 // baseline under a pristine cost model (no fault plan, no watchdog),
 // the recovery path drivers use after a parallel run fails. The result
@@ -125,19 +145,12 @@ func PartitionChecked(g *graph.Graph, p int, opt Options) (*Result, error) {
 func SequentialFallback(g *graph.Graph, seed int64) (*Result, error) {
 	cfg := baseline.ParMetisLike(seed)
 	cfg.Model = mpi.DefaultModel() // never inherit faults into the recovery path
-	res, err := baseline.PartitionChecked(g, 1, cfg)
+	res, err := BaselineChecked(g, 1, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sequential fallback failed: %w", err)
 	}
-	return &Result{
-		Part:      res.Part,
-		Cut:       res.Cut,
-		Imbalance: res.Imbalance,
-		P:         1,
-		Times:     PhaseTimes{Total: res.Total, TotalComm: res.Comm},
-		Stats:     res.Stats,
-		Fallback:  true,
-	}, nil
+	res.Fallback = true
+	return res, nil
 }
 
 // PartitionGeometricChecked runs only the parallel geometric

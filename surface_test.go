@@ -217,11 +217,10 @@ func TestNoProcessGlobalKnobs(t *testing.T) {
 
 // unsetOptionFieldAllowlist names exported fields of option structs
 // that no production file sets, each with the reason the field stays
-// settable. Keys are "pkg.Type.Field". embed.ParallelOptions.IterSmooth
-// is not listed: the bench harness sets SeqOptions.IterSmooth, and the
-// match by name counts that.
+// settable. Keys are "pkg.Type.Field".
 var unsetOptionFieldAllowlist = map[string]string{
 	"embed.ParallelOptions.IterCoarsest": "tests shorten the coarsest-level embedding to keep their runs fast",
+	"embed.ParallelOptions.IterSmooth":   "tests shorten the per-level smoothing of the embedding to keep their runs fast",
 	"embed.SeqOptions.IterCoarsest":      "tests shorten the sequential layout's coarsest-level iterations to keep their runs fast",
 }
 
@@ -233,16 +232,17 @@ var unsetOptionFieldAllowlist = map[string]string{
 // constant, not an option. Make it one, or list it in
 // unsetOptionFieldAllowlist with a reason.
 //
-// Fields are matched by name, not by type, as in TestNoUncalledExports:
-// any file setting a field of that name counts, so the match can only
-// err towards "set".
+// A key of a composite literal whose type is written out sets the field
+// of that type only. Other keys and assignment targets are matched by
+// name, as in TestNoUncalledExports: any file setting a field of that
+// name counts, so the match can only err towards "set".
 func TestNoUnsetOptionFields(t *testing.T) {
 	type field struct {
 		key, name string
 		pos       token.Position
 	}
 	var fields []field
-	set := map[string]bool{}
+	set := map[string]bool{} // "pkg.Type.Field" for typed literal keys, else the bare field name
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -294,9 +294,22 @@ func TestNoUnsetOptionFields(t *testing.T) {
 				}
 				ast.Inspect(d.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
-					case *ast.KeyValueExpr:
-						if k, ok := n.Key.(*ast.Ident); ok {
-							set[k.Name] = true
+					case *ast.CompositeLit:
+						typ := ""
+						switch lt := n.Type.(type) {
+						case *ast.Ident:
+							typ = path.Base(dir) + "." + lt.Name + "."
+						case *ast.SelectorExpr:
+							if pkg, ok := lt.X.(*ast.Ident); ok {
+								typ = pkg.Name + "." + lt.Sel.Name + "."
+							}
+						}
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if k, ok := kv.Key.(*ast.Ident); ok {
+									set[typ+k.Name] = true
+								}
+							}
 						}
 					case *ast.AssignStmt:
 						for _, lhs := range n.Lhs {
@@ -322,13 +335,14 @@ func TestNoUnsetOptionFields(t *testing.T) {
 	var bad []string
 	for _, f := range fields {
 		declared[f.key] = true
+		isSet := set[f.key] || set[f.name]
 		if _, ok := unsetOptionFieldAllowlist[f.key]; ok {
-			if set[f.name] {
+			if isSet {
 				t.Errorf("%s is set by production code; drop it from unsetOptionFieldAllowlist", f.key)
 			}
 			continue
 		}
-		if !set[f.name] {
+		if !isSet {
 			bad = append(bad, f.pos.String()+": "+f.key)
 		}
 	}
