@@ -67,6 +67,7 @@ func main() {
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
 		scale: *scale, ps: *psFlag, method: *method, retryBudget: *retryBudget,
+		benchJSON: *benchJSON,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -232,10 +233,10 @@ func main() {
 
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
-	method, refine, recover, fault, ps string
-	trials, p, workers, retryBudget    int
-	watchdog                           time.Duration
-	scale                              float64
+	method, refine, recover, fault, ps, benchJSON string
+	trials, p, workers, retryBudget               int
+	watchdog                                      time.Duration
+	scale                                         float64
 }
 
 // flagConfig is what checkFlags derives from the flag values that
@@ -288,6 +289,18 @@ func checkFlags(v flagValues) (flagConfig, error) {
 			return cfg, err
 		}
 	}
+	// The -bench-json sweep runs fault-free ScalaPart only; a flag it
+	// would ignore is an error, not a silent no-op.
+	if v.benchJSON != "" {
+		switch {
+		case cfg.method.Name != bench.MethodSP:
+			return cfg, fmt.Errorf("-bench-json sweeps %s only, not -method %s", bench.MethodSP, cfg.method.Name)
+		case cfg.run.Recover.Policy != core.RecoverOff:
+			return cfg, fmt.Errorf("-bench-json runs without recovery, not -recover %s", v.recover)
+		case v.fault != "":
+			return cfg, fmt.Errorf("-bench-json runs fault-free, not -fault %s", v.fault)
+		}
+	}
 	return cfg, nil
 }
 
@@ -299,7 +312,8 @@ func checkFlags(v flagValues) (flagConfig, error) {
 // compressed representation (modeled fields are bit-identical either
 // way, and each row records compressed/bytes_per_edge/peak_rss). The
 // sweep takes the processor sweep, watchdog window, host width, trials
-// and full-cut setting of fc, but not its fault plan or recovery.
+// and full-cut setting of fc; checkFlags rejects a fault plan, a
+// recovery policy or another method alongside -bench-json.
 func writeBenchJSON(path string, scale float64, breakdown, compress bool, fc flagConfig) error {
 	h := bench.New(scale, fc.ps)
 	h.Model.Watchdog = fc.run.Model.Watchdog

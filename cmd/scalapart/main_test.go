@@ -67,6 +67,10 @@ func TestCheckFlags(t *testing.T) {
 		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
 		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},
 		{"bad-ps", with(func(f *flagValues) { f.ps = "1,0" }), "-ps", nil},
+		{"bench-json", with(func(f *flagValues) { f.benchJSON, f.ps, f.trials = "b.json", "1,16", 2 }), "", nil},
+		{"bench-json-method", with(func(f *flagValues) { f.benchJSON, f.method = "b.json", bench.MethodPM }), "-method", nil},
+		{"bench-json-recover", with(func(f *flagValues) { f.benchJSON, f.recover = "b.json", "respawn" }), "-recover", nil},
+		{"bench-json-fault", with(func(f *flagValues) { f.benchJSON, f.fault = "b.json", "kill:2@40" }), "-fault", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := checkFlags(tc.in)

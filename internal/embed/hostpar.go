@@ -62,20 +62,17 @@ type hostparScratch struct {
 	eTerm, aTerm, rTerm []float64 // per-vertex f·f, |att|, |rep|
 	cellIdx             []int32   // per-point sub-cell index
 
-	scaleF    float64         // rescale factor for fnScalePos
-	packIdxs  []int32         // owned indices being packed
-	packVec2  []geometry.Vec2 // Vec2 payload destination
-	packF64   []float64       // float64 payload destination
-	packBase  int             // first float64 slot of the coord block
-	applyIdxs []int32         // ghost slots being installed
-	applyVec2 []geometry.Vec2 // Vec2 payload source
-	applyF64  []float64       // float64 payload source
-	applyBase int             // first float64 slot of the coord block
+	scaleF    float64   // rescale factor for fnScalePos
+	packIdxs  []int32   // owned indices being packed
+	packF64   []float64 // payload destination
+	packBase  int       // first payload slot of the coord block
+	applyIdxs []int32   // ghost slots being installed
+	applyF64  []float64 // payload source
+	applyBase int       // first payload slot of the coord block
 
 	fnInherit, fnForce, fnMove func(c, lo, hi int)
 	fnCellIdx, fnScalePos      func(c, lo, hi int)
-	fnPackVec2, fnPackF64      func(c, lo, hi int)
-	fnApplyVec2, fnApplyF64    func(c, lo, hi int)
+	fnPackF64, fnApplyF64      func(c, lo, hi int)
 }
 
 // initHostpar sizes the scratch and binds the chunk bodies once per
@@ -91,9 +88,7 @@ func (s *levelState) initHostpar() {
 	s.hp.fnMove = s.moveChunk
 	s.hp.fnCellIdx = s.cellIdxChunk
 	s.hp.fnScalePos = s.scalePosChunk
-	s.hp.fnPackVec2 = s.packVec2Chunk
 	s.hp.fnPackF64 = s.packF64Chunk
-	s.hp.fnApplyVec2 = s.applyVec2Chunk
 	s.hp.fnApplyF64 = s.applyF64Chunk
 }
 
@@ -232,16 +227,8 @@ func (s *levelState) scalePosChunk(_, lo, hi int) {
 	}
 }
 
-// packVec2Chunk gathers pos[packIdxs[k]] into packVec2 for k in
-// [lo, hi): the pushGhosts payload fill.
-func (s *levelState) packVec2Chunk(_, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		s.hp.packVec2[k] = s.pos[s.hp.packIdxs[k]]
-	}
-}
-
-// packF64Chunk gathers subscribed coordinates into the flat neighbour
-// payload: slots packBase+2k, packBase+2k+1 for k in [lo, hi).
+// packF64Chunk gathers subscribed coordinates into a flat payload:
+// slots packBase+2k, packBase+2k+1 for k in [lo, hi).
 func (s *levelState) packF64Chunk(_, lo, hi int) {
 	d, base := s.hp.packF64, s.hp.packBase
 	for k := lo; k < hi; k++ {
@@ -250,17 +237,9 @@ func (s *levelState) packF64Chunk(_, lo, hi int) {
 	}
 }
 
-// applyVec2Chunk installs ghost coordinates [lo, hi) from a Vec2
-// payload. Slots within one partner's message are distinct, so each
-// ghost slot is written by exactly one chunk.
-func (s *levelState) applyVec2Chunk(_, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		s.setGhost(s.hp.applyIdxs[k], s.hp.applyVec2[k])
-	}
-}
-
-// applyF64Chunk installs ghost coordinates [lo, hi) from the flat
-// neighbour payload starting at applyBase.
+// applyF64Chunk installs ghost coordinates [lo, hi) from a flat
+// payload starting at applyBase. Slots within one partner's message are
+// distinct, so each ghost slot is written by exactly one chunk.
 func (s *levelState) applyF64Chunk(_, lo, hi int) {
 	d, base := s.hp.applyF64, s.hp.applyBase
 	for k := lo; k < hi; k++ {
@@ -348,13 +327,6 @@ func (s *levelState) computeCells() {
 	}
 }
 
-// packGhostPayload fills dst[k] = pos[idxs[k]].
-func (s *levelState) packGhostPayload(dst []geometry.Vec2, idxs []int32) {
-	s.hp.packIdxs, s.hp.packVec2 = idxs, dst
-	s.forChunked(len(idxs), grainCopy, s.hp.fnPackVec2)
-	s.hp.packIdxs, s.hp.packVec2 = nil, nil
-}
-
 // packCoordPayload fills d[base+2k], d[base+2k+1] = pos[idxs[k]].
 func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
 	s.hp.packIdxs, s.hp.packF64, s.hp.packBase = idxs, d, base
@@ -362,16 +334,8 @@ func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
 	s.hp.packIdxs, s.hp.packF64 = nil, nil
 }
 
-// installGhosts sets ghost slots from a Vec2 payload (clamping each
-// coordinate to the 4-neighbourhood).
-func (s *levelState) installGhosts(slots []int32, payload []geometry.Vec2) {
-	s.hp.applyIdxs, s.hp.applyVec2 = slots, payload
-	s.forChunked(len(slots), grainGhost, s.hp.fnApplyVec2)
-	s.hp.applyIdxs, s.hp.applyVec2 = nil, nil
-}
-
-// installGhostsFlat sets ghost slots from the flat neighbour payload
-// starting at base.
+// installGhostsFlat sets ghost slots from a flat payload starting at
+// base (clamping each coordinate to the 4-neighbourhood).
 func (s *levelState) installGhostsFlat(slots []int32, d []float64, base int) {
 	s.hp.applyIdxs, s.hp.applyF64, s.hp.applyBase = slots, d, base
 	s.forChunked(len(slots), grainGhost, s.hp.fnApplyF64)

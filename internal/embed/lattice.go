@@ -516,26 +516,33 @@ func (s *levelState) cellOf(p geometry.Vec2) int {
 	return cy*s.subS + cx
 }
 
+// ghostBufs pools the ghost refresh payloads. They have the neighbour
+// exchange's element type but their own sizes, and a pool shared by
+// both hands each side buffers sized for the other, which it then
+// reallocates.
+var ghostBufs = mpi.NewVecPool[float64]()
+
 // pushGhosts sends subscribed coordinates to every subscription
-// partner: the full once-per-block refresh. Payloads travel through the
-// pooled typed fast path, so the steady-state refresh allocates
-// nothing: one pooled message per partner, released by the receiver.
+// partner: the full once-per-block refresh. Each partner gets one
+// pooled flat []float64 message of X, Y pairs, the coordinate layout of
+// the neighbour exchange, released by the receiver, so the steady-state
+// refresh allocates nothing.
 func (s *levelState) pushGhosts() {
 	for _, p := range s.sendTo {
-		buf := mpi.Vec2Bufs.Get(len(p.idxs))
-		s.packGhostPayload(buf.Data, p.idxs)
-		mpi.SendVec(s.comm, p.rank, buf, 16)
+		buf := ghostBufs.Get(2 * len(p.idxs))
+		s.packCoordPayload(buf.Data, 0, p.idxs)
+		mpi.SendVec(s.comm, p.rank, buf, 8)
 	}
 	for _, p := range s.recvFrom {
-		b := mpi.RecvVec[geometry.Vec2](s.comm, p.rank)
-		if len(b.Data) != len(p.idxs) {
+		b := mpi.RecvVec[float64](s.comm, p.rank)
+		if len(b.Data) != 2*len(p.idxs) {
 			// A corrupted (truncated) refresh must not index out of
 			// range and must not strand the pooled transport buffer.
 			n := len(b.Data)
 			b.Release()
-			panic(fmt.Errorf("embed: ghost refresh from rank %d carried %d coordinates, want %d at comm event %d (truncated payload?)", p.rank, n, len(p.idxs), s.comm.Events()-1))
+			panic(fmt.Errorf("embed: ghost refresh from rank %d carried %d values, want %d at comm event %d (truncated payload?)", p.rank, n, 2*len(p.idxs), s.comm.Events()-1))
 		}
-		s.installGhosts(p.idxs, b.Data)
+		s.installGhostsFlat(p.idxs, b.Data, 0)
 		b.Release()
 	}
 }

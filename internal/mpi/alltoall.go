@@ -63,19 +63,15 @@ func AllToAllV[T any](c *Comm, send []T, counts []int32, bytesPerElem int) []T {
 // directly — O(P²) total. The returned slice is shared read-only
 // between ranks, and counts is read only inside the combine.
 func exchangeCounts(c *Comm, counts []int32) []int32 {
-	cols := c.runCollective(opAllToAllVCounts, counts, c.world.transposeCounts, c.world.model.countsCost(c.size)).([]int32)
+	cols := collective(c, opAllToAllVCounts, counts, c.world.model.countsCost(c.size), c.world.transposeCounts)
 	return cols[c.rank*c.size : (c.rank+1)*c.size : (c.rank+1)*c.size]
 }
 
 // transposeCounts is the count exchange's combine at the given host
 // width: it lays the count matrix out column-major in one flat slab, so
-// that cols[dst·P+src] = vals[src][dst].
-func transposeCounts(width int, vals []any) any {
-	p := len(vals)
-	rows := make([][]int32, p)
-	for i, v := range vals {
-		rows[i] = v.([]int32)
-	}
+// that cols[dst·P+src] = rows[src][dst].
+func transposeCounts(width int, rows [][]int32) []int32 {
+	p := len(rows)
 	cols := make([]int32, p*p)
 	hostpar.ForN(p, hostpar.NumChunksAt(width, p, 64), func(_, lo, hi int) {
 		for dst := lo; dst < hi; dst++ {

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -10,47 +12,57 @@ import (
 // The fan-in collective engine.
 //
 // A rendezvous that serializes every rank through one mutex and a
-// sync.Cond broadcast, boxing each AllReduce contribution through
-// `any`, pays O(P) lock handoffs and O(P) allocations per collective,
-// which at P = 1024 made the rendezvous itself the gate on the scale-8
-// sweep. The fan-in engine uses generation-stamped arrival slots
-// instead:
+// sync.Cond broadcast, boxing each contribution through `any`, pays
+// O(P) lock handoffs and O(P) allocations per collective, which at
+// P = 1024 made the rendezvous itself the gate on the scale-8 sweep.
+// The fan-in engine uses generation-stamped arrival slots and typed
+// contribution slabs instead:
 //
-//   - Each rank owns slots[rank] and writes its contribution (clock,
-//     declared cost, and either an inline [4]uint64 word payload or a
-//     boxed value) before announcing arrival with one atomic add. The
-//     add's happens-before chain makes every slot visible to the last
-//     arriver without any lock.
+//   - Each rank writes its contribution into its index of a reusable
+//     []T slab, which the rendezvous keeps per payload and result type,
+//     and its clock, declared cost and loss flag into slots[rank]. It
+//     then announces arrival with one atomic add. The add's
+//     happens-before chain makes every slot and slab entry visible to
+//     the last arriver without any lock.
 //   - The last arriver is the finisher: it scans the slots for the
 //     clock/cost maxima (hostpar-chunked at large P — exact, since
-//     float max is associative), folds the contributions in rank-index
-//     order (never chunked: bit-identity requires the rank-order
-//     fold), publishes the result, bumps the generation counter, and
-//     broadcasts the rendezvous cond once.
+//     float max is associative), runs the combine over the slab in
+//     rank-index order (never chunked: bit-identity requires the
+//     rank-order fold), clears the slab, publishes the typed result in
+//     the slab, bumps the generation counter, and broadcasts the
+//     rendezvous cond once.
 //   - Waiters park on the cond and re-check the generation; the
 //     rendezvous mutex guards only the park/wake handshake — never the
 //     contribution slots, the combine, or any allocation. An abort
 //     broadcasts the cond so parked waiters wake, observe the abort,
 //     and tear down (see World.abort).
 //
-// Steady-state cost per collective is O(P) total work and zero
-// allocations; arrival itself takes no lock. Result slots are safe to
-// overwrite only when the next generation completes, which requires
-// every rank — including the slowest reader of the previous result —
-// to arrive again first, so no reader can observe a torn result.
+// Steady-state cost per collective is O(P) total work and no
+// allocation beyond what the combine itself makes; arrival takes no
+// lock. A result is safe to overwrite only when the next generation of
+// the same types completes, which requires every rank — including the
+// slowest reader of the previous result — to arrive again first, so no
+// reader can observe a torn result.
 //
 // Virtual clocks, traffic and event counts up to P = 1024 are pinned by
 // TestCollectiveClocksGolden, recorded while a mutex+cond engine was
 // still in the tree and agreed with this one bit for bit.
 
-// collSlot is one rank's contribution to the current generation. The
+// collSlot is one rank's bookkeeping for the current generation. The
 // owning rank writes it before its arrival add; only the finisher reads
 // it, after observing the full arrival count.
 type collSlot struct {
 	clock float64
 	cost  float64
-	w     [4]uint64 // inline payload of the word path (unused when boxed)
-	val   any       // boxed payload of the general path (nil on the word path)
+	lost  bool // a TruncatePayload fault destroyed the contribution
+}
+
+// collSlab holds one payload and result type's side of a rendezvous:
+// every rank's contribution to the current generation, by rank, and
+// the result of the latest completed generation of these types.
+type collSlab[T, R any] struct {
+	vals []T
+	res  R
 }
 
 // faninColl is the fan-in rendezvous for one communicator size.
@@ -64,14 +76,12 @@ type faninColl struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	slots    []collSlot
-	valsView []any // finisher-only scratch: boxed contributions in rank order
+	slots []collSlot
+	slabs sync.Map // reflect.Type of *collSlab[T, R] → *collSlab[T, R]
 
-	// Results of the latest completed generation; written by the
-	// finisher before the gen bump, read by waiters after observing it.
-	resVal any
-	resW   [4]uint64
-	done   float64
+	// Completion time of the latest generation; written by the finisher
+	// before the gen bump, read by waiters after observing it.
+	done float64
 
 	// Finisher-only scratch for hostpar-chunked max scans.
 	chunkClock []float64
@@ -87,9 +97,8 @@ const (
 
 func newFaninColl(size int) *faninColl {
 	fc := &faninColl{
-		size:     size,
-		slots:    make([]collSlot, size),
-		valsView: make([]any, size),
+		size:  size,
+		slots: make([]collSlot, size),
 	}
 	fc.cond = sync.NewCond(&fc.mu)
 	if size >= faninChunkMin {
@@ -207,76 +216,109 @@ func (coll *faninColl) scanMax(width int) (mx, mc float64) {
 	return mx, mc
 }
 
-// faninBoxed is the general fan-in path: contributions box through
-// `any` and combine runs once, in rank-index order, on the finisher.
-func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cost Cost, t0 float64) any {
-	coll := c.world.faninFor(c.size)
+// slabFor returns the rendezvous' slab for payload type T and result
+// type R, creating it on the first collective of these types.
+func slabFor[T, R any](coll *faninColl) *collSlab[T, R] {
+	key := reflect.TypeFor[*collSlab[T, R]]()
+	s, ok := coll.slabs.Load(key)
+	if !ok {
+		s, _ = coll.slabs.LoadOrStore(key, &collSlab[T, R]{vals: make([]T, coll.size)})
+	}
+	return s.(*collSlab[T, R])
+}
+
+// collective is the one rendezvous every collective runs: each rank of
+// the communicator contributes val, combine runs once over the
+// contributions in rank order on the rank that arrives last, every
+// rank's clock advances to max(clock) + cost.total, and every rank
+// receives combine's result. op names the collective in fault
+// positions, watchdog diagnostics and the trace.
+//
+// combine's argument is the rendezvous' reused slab, cleared as soon
+// as combine returns: a combine that hands the contributions on copies
+// them. A panic in combine fails the finishing rank, and a contribution
+// lost to a TruncatePayload fault fails its own rank; either aborts the
+// world.
+func collective[T, R any](c *Comm, op *string, val T, cost Cost, combine func(vals []T) R) R {
+	kept := true
+	if f := c.commEvent(op); f != nil && f.Kind == TruncatePayload && !c.healTruncation(op, cost) {
+		val, kept = truncateContribution(val)
+	}
 	st := c.state
+	t0 := st.clock
+	coll := c.world.faninFor(c.size)
+	slab := slabFor[T, R](coll)
+	slab.vals[c.rank] = val
 	slot := &coll.slots[c.rank]
+	slot.lost = !kept
+	if c.size == 1 {
+		c.collSolo(op, cost, t0)
+		return slab.finish(c.world, coll, op, combine)
+	}
 	slot.clock = st.clock
 	slot.cost = cost.total
-	slot.val = val
 	myGen, finisher := c.faninArrive(coll)
 	if finisher {
 		mx, mc := coll.scanMax(c.world.workers)
-		vals := coll.valsView
-		for i := range coll.slots {
-			vals[i] = coll.slots[i].val
-			coll.slots[i].val = nil
-		}
-		// combine is user code and may panic (e.g. on a truncated
-		// contribution); the panic propagates to this rank's teardown,
-		// which aborts the world and wakes the parked peers via abortCh —
-		// the generation is never published.
-		res, perr := safeCombine(combine, vals)
-		if perr != nil {
-			panic(perr)
-		}
-		coll.resVal = res
+		slab.res = slab.finish(c.world, coll, op, combine)
 		coll.done = mx + mc
 		c.faninComplete(coll)
 	} else {
 		c.faninWait(coll, op, myGen)
 	}
-	res, done := coll.resVal, coll.done
+	res, done := slab.res, coll.done
 	c.collCharge(op, myGen, cost, t0, done)
 	return res
 }
 
-// faninWords is the allocation-free fan-in path for fixed-size payloads
-// (float64, int64, int, Vec2, [3]float64 and friends encoded into at
-// most four words). fold is applied in rank-index order by the finisher
-// — the exact combine order of the boxed path — so results are
-// bit-identical to running the same operator through `any`. Callers
-// guarantee the world has no fault plan (payload truncation is only
-// defined on boxed contributions) and the fan-in engine is active.
-func (c *Comm) faninWords(op *string, w [4]uint64, fold func(acc, v [4]uint64) [4]uint64, cost Cost) [4]uint64 {
-	c.commEvent(op)
-	st := c.state
-	t0 := st.clock
-	if c.size == 1 {
-		c.collSolo(op, cost, t0)
-		return w
-	}
-	coll := c.world.faninFor(c.size)
-	slot := &coll.slots[c.rank]
-	slot.clock = st.clock
-	slot.cost = cost.total
-	slot.w = w
-	myGen, finisher := c.faninArrive(coll)
-	if finisher {
-		mx, mc := coll.scanMax(c.world.workers)
-		acc := coll.slots[0].w
-		for i := 1; i < coll.size; i++ {
-			acc = fold(acc, coll.slots[i].w)
+// finish runs on the finisher: it fails the collective if a
+// contribution was lost, and otherwise combines the contributions in
+// rank order. A loss is reported as the failure of the rank whose
+// contribution it was, in that rank's phase, whichever rank happens to
+// finish. The slab is cleared either way, so it keeps no payload alive
+// past its generation.
+func (s *collSlab[T, R]) finish(w *World, coll *faninColl, op *string, combine func(vals []T) R) R {
+	defer clear(s.vals)
+	for i := range coll.slots {
+		if coll.slots[i].lost {
+			w.abort(&RankError{Rank: i, Phase: w.ranks[i].wait.phaseStr(),
+				Err: fmt.Errorf("mpi: %s lost the contribution of rank %d: truncated payload?", *op, i)})
+			panic(abortSignal{})
 		}
-		coll.resW = acc
-		coll.done = mx + mc
-		c.faninComplete(coll)
-	} else {
-		c.faninWait(coll, op, myGen)
 	}
-	res, done := coll.resW, coll.done
-	c.collCharge(op, myGen, cost, t0, done)
-	return res
+	return combine(s.vals)
+}
+
+// healTruncation handles a TruncatePayload fault on a collective
+// contribution under a reliability layer: the checksummed copy is
+// rejected and retransmitted intact after one ack timeout. The late
+// rank's clock enters the rendezvous max, so the whole collective
+// absorbs the hiccup deterministically. Without a reliability layer it
+// reports false and the contribution is truncated.
+func (c *Comm) healTruncation(op *string, cost Cost) bool {
+	m := &c.world.model
+	if m.Reliable == nil {
+		return false
+	}
+	timeout := m.Reliable.ackTimeout(m, int(cost.bytes))
+	rt0 := c.state.clock
+	c.state.clock += timeout
+	c.state.commTime += timeout
+	if c.state.tr != nil {
+		c.state.tr.Retry(*op, -1, 1, cost.bytes, rt0, c.state.clock)
+	}
+	return true
+}
+
+// truncateContribution applies a TruncatePayload fault to a collective
+// contribution: a slice keeps its first half, a contribution without
+// payload (a Barrier's, or a nil Bcast argument) has nothing to lose,
+// and any other value is lost. It reports whether the contribution
+// survived.
+func truncateContribution[T any](val T) (T, bool) {
+	if any(val) == nil || reflect.TypeFor[T]().Size() == 0 {
+		return val, true
+	}
+	out, ok := truncatePayload(val).(T)
+	return out, ok
 }

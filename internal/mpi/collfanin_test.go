@@ -12,9 +12,9 @@ import (
 )
 
 // collProbe is everything one rank observed from the mixed collective
-// body below: every reduction flavour the pipeline uses (word-path
-// types and boxed types), gathers, an AllToAllV, a Bcast, a
-// sub-communicator reduction, and the rank's final RankStats.
+// body below: every reduction payload type the pipeline uses, a string
+// reduction, gathers, an AllToAllV, a Bcast, a sub-communicator
+// reduction, and the rank's final RankStats.
 type collProbe struct {
 	sum   float64
 	mx    float64
@@ -22,7 +22,7 @@ type collProbe struct {
 	arr   [3]float64
 	i64   int64
 	i     int
-	str   string // boxed path: concatenation is order-sensitive
+	str   string // concatenation is order-sensitive
 	gath  []float64
 	gathV []int32
 	a2a   []int32
@@ -74,40 +74,42 @@ func collBody(p int, m Model) []collProbe {
 	return probes
 }
 
-// TestCollectiveWordPathMatchesBoxed pins the reduction fast path: the
-// unboxed word path (fault-free worlds) must reproduce the boxed path
-// (taken by any world with a fault plan, here an empty one) exactly —
-// results compared through Float64bits, clocks and traffic through
-// RankStats — at every communicator size the suite sweeps, up to
-// P = 1024.
+// TestCollectiveWordPathMatchesBoxed pins that a fault plan changes
+// nothing while no fault fires: a world with an empty plan must
+// reproduce a fault-free world exactly — results compared through
+// Float64bits, clocks and traffic through RankStats — at every
+// communicator size the suite sweeps, up to P = 1024. The name is kept
+// from when the two worlds took different payload paths (an inline
+// word encoding and boxing through any); both now run the one typed
+// rendezvous.
 func TestCollectiveWordPathMatchesBoxed(t *testing.T) {
-	boxed := DefaultModel()
-	boxed.Faults = NewFaultPlan()
+	planned := DefaultModel()
+	planned.Faults = NewFaultPlan()
 	for _, p := range []int{1, 4, 64, 256, 1024} {
 		if p > 64 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			want := collBody(p, boxed)
+			want := collBody(p, planned)
 			got := collBody(p, DefaultModel())
 			for r := range want {
 				w, g := want[r], got[r]
 				if math.Float64bits(w.sum) != math.Float64bits(g.sum) ||
 					math.Float64bits(w.mx) != math.Float64bits(g.mx) ||
 					math.Float64bits(w.sub) != math.Float64bits(g.sub) {
-					t.Fatalf("rank %d float reductions differ: boxed (%v,%v,%v) words (%v,%v,%v)",
+					t.Fatalf("rank %d float reductions differ: empty plan (%v,%v,%v) no plan (%v,%v,%v)",
 						r, w.sum, w.mx, w.sub, g.sum, g.mx, g.sub)
 				}
 				if w.vec != g.vec || w.arr != g.arr || w.i64 != g.i64 || w.i != g.i ||
 					w.str != g.str || w.bcast != g.bcast {
-					t.Fatalf("rank %d reductions differ:\n boxed %+v\n words %+v", r, w, g)
+					t.Fatalf("rank %d reductions differ:\n empty plan %+v\n no plan %+v", r, w, g)
 				}
 				if !reflect.DeepEqual(w.gath, g.gath) || !reflect.DeepEqual(w.gathV, g.gathV) ||
 					!reflect.DeepEqual(w.a2a, g.a2a) {
-					t.Fatalf("rank %d gathers differ:\n boxed %+v\n words %+v", r, w, g)
+					t.Fatalf("rank %d gathers differ:\n empty plan %+v\n no plan %+v", r, w, g)
 				}
 				if w.stats != g.stats {
-					t.Fatalf("rank %d stats differ:\n boxed %+v\n words %+v", r, w.stats, g.stats)
+					t.Fatalf("rank %d stats differ:\n empty plan %+v\n no plan %+v", r, w.stats, g.stats)
 				}
 			}
 		})
@@ -221,16 +223,53 @@ func TestPendingDroppedAfterDenseAllToAllV(t *testing.T) {
 
 // TestCollectiveSteadyStateAllocs pins the fan-in engine's headline
 // property: after warm-up, collectives allocate nothing — on any rank,
-// not just the caller's. A rendezvous that boxed one contribution per
-// rank per collective (P allocations per op) would fail the threshold
-// below by two orders of magnitude.
+// not just the caller's — whatever the payload type and whether or not
+// the world carries a fault plan. A rendezvous that boxed one
+// contribution per rank per collective (P allocations per op) would
+// fail the threshold below by two orders of magnitude.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
-	const p, ops = 64, 400
+	const p = 64
+	// The plan's one fault, a delay, fires at rank 0's first event: a
+	// warm-up collective, where a delay has nothing to delay. The world
+	// runs with a plan attached, and no fault fires in the measured
+	// window.
+	faulted := DefaultModel()
+	faulted.Faults = NewFaultPlan().Delay(0, 0, 1e-3)
+	floats := make([]float64, p)
+	sumFloats := func(c *Comm) {
+		floats[c.Rank()] = AllReduce(c, floats[c.Rank()]/p+float64(c.Rank()), 8, SumFloat64)
+	}
+	pairs := make([][2]int64, p)
+	for _, tc := range []struct {
+		name string
+		m    Model
+		step func(c *Comm)
+	}{
+		{"float64", DefaultModel(), sumFloats},
+		{"fault-plan", faulted, sumFloats},
+		{"[2]int64", DefaultModel(), func(c *Comm) {
+			pairs[c.Rank()] = AllReduce(c, [2]int64{pairs[c.Rank()][1] + 1, int64(c.Rank())}, 16,
+				func(a, b [2]int64) [2]int64 { return [2]int64{a[0] + b[0], a[1] ^ b[1]} })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := steadyStateAllocs(p, 400, tc.m, tc.step); allocs > 200 {
+				t.Fatalf("steady-state collectives allocated %d times over %d ops (want ~0)", allocs, 2*400)
+			}
+		})
+	}
+}
+
+// steadyStateAllocs runs step and a Barrier ops times on p ranks, after
+// a warm-up, and returns the world-wide mallocs of those rounds. At
+// p = 64 and 400 rounds, reductions that boxed their contributions
+// would make at least 25600 allocations; the fan-in engine's budget is
+// runtime noise.
+func steadyStateAllocs(p, ops int, m Model, step func(c *Comm)) uint64 {
 	var m0, m1 runtime.MemStats
-	Run(p, DefaultModel(), func(c *Comm) {
-		acc := float64(c.Rank())
-		for i := 0; i < 4; i++ { // warm the rendezvous and the word path
-			acc = AllReduce(c, acc*0.5, 8, SumFloat64)
+	Run(p, m, func(c *Comm) {
+		for i := 0; i < 4; i++ { // warm the rendezvous and its slabs
+			step(c)
 			c.Barrier()
 		}
 		c.Barrier()
@@ -241,7 +280,7 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		}
 		c.Barrier()
 		for i := 0; i < ops; i++ {
-			acc = AllReduce(c, acc*0.5, 8, SumFloat64)
+			step(c)
 			c.Barrier()
 		}
 		if c.Rank() == 0 {
@@ -249,10 +288,5 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		}
 		c.Barrier()
 	})
-	allocs := m1.Mallocs - m0.Mallocs
-	// 2·ops collectives over 64 ranks would be ≥ 51200 boxed
-	// allocations; the fan-in engine's budget is runtime noise.
-	if allocs > 200 {
-		t.Fatalf("steady-state collectives allocated %d times over %d ops (want ~0)", allocs, 2*ops)
-	}
+	return m1.Mallocs - m0.Mallocs
 }

@@ -35,9 +35,11 @@ const (
 	// TruncatePayload corrupts the payload the target rank contributes
 	// at its Event-th communication operation: slice payloads (pooled
 	// buffers included) keep their first ⌊n/2⌋ elements — an odd-length
-	// payload loses the larger half — and anything else becomes nil.
-	// Collectives that combine the contribution typically panic on the
-	// mismatch, which surfaces as a RankError at the combining rank.
+	// payload loses the larger half. Any other message payload becomes
+	// nil; any other collective contribution is lost, unless it carries
+	// no payload at all (a Barrier's), and the collective then fails
+	// with a RankError for the rank whose contribution was lost. A
+	// combine that rejects a halved slice fails the combining rank.
 	// With Model.Reliable set the corruption is caught by the payload
 	// checksum and healed by one retransmission charged one ack timeout,
 	// so the intact data always gets through.

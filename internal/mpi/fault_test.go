@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/geometry"
 )
 
 // watchdogModel returns a default model with a short watchdog window so
@@ -239,6 +241,54 @@ func TestTruncateCollectivePayload(t *testing.T) {
 		t.Fatalf("error should surface the length mismatch, got %v", err)
 	}
 	requireNoGoroutineLeak(t, baseline)
+}
+
+// TestTruncatedContributionDescriptiveError: a TruncatePayload fault on
+// a contribution that is not a slice loses it, and the collective fails
+// with a RankError for the contributing rank, in its phase, whose
+// message names the op and ends with "truncated payload?" — not a raw
+// interface-conversion panic from whichever rank finished, and not a
+// hang. It covers a reduction of a Vec2, a Bcast root's int, and a
+// one-rank world.
+func TestTruncatedContributionDescriptiveError(t *testing.T) {
+	addVec2 := func(a, b geometry.Vec2) geometry.Vec2 { return a.Add(b) }
+	cases := []struct {
+		name, want string
+		p, rank    int
+		body       func(c *Comm)
+	}{
+		{"allreduce-vec2", "AllReduce lost the contribution of rank 1", 4, 1, func(c *Comm) {
+			AllReduce(c, geometry.Vec2{X: float64(c.Rank())}, 16, addVec2)
+		}},
+		{"bcast-root", "Bcast lost the contribution of rank 1", 4, 1, func(c *Comm) {
+			c.Bcast(1, c.Rank(), 8)
+		}},
+		{"one-rank", "AllReduce lost the contribution of rank 0", 1, 0, func(c *Comm) {
+			AllReduce(c, geometry.Vec2{X: 1}, 16, addVec2)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			m := watchdogModel(time.Second)
+			m.Faults = NewFaultPlan().Truncate(tc.rank, 0)
+			_, err := RunChecked(tc.p, m, func(c *Comm) {
+				c.SetPhase("centroid")
+				tc.body(c)
+			})
+			var re *RankError
+			if !errors.As(err, &re) {
+				t.Fatalf("want *RankError, got %T: %v", err, err)
+			}
+			if re.Rank != tc.rank || re.Phase != "centroid" {
+				t.Fatalf("failure of rank %d in phase %q, want rank %d in centroid: %v", re.Rank, re.Phase, tc.rank, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.want) || !strings.HasSuffix(msg, "truncated payload?") {
+				t.Fatalf("error does not describe the lost contribution: %v", err)
+			}
+			requireNoGoroutineLeak(t, baseline)
+		})
+	}
 }
 
 // TestFaultFreeClocksUnchanged pins the acceptance requirement that

@@ -187,7 +187,6 @@ var (
 	opSendVec          = internOp("SendVec")
 	opRecvVec          = internOp("RecvVec")
 	opNeighborExchange = internOp("NeighborExchange")
-	opHaloExchange     = internOp("HaloExchange")
 	opBarrier          = internOp("Barrier")
 	opBcast            = internOp("Bcast")
 	opSyncCost         = internOp("SyncCost")
@@ -242,7 +241,7 @@ type World struct {
 
 	// transposeCounts is the count exchange's combine bound to the
 	// world's width, built once so that AllToAllV allocates no closure.
-	transposeCounts func(vals []any) any
+	transposeCounts func(rows [][]int32) []int32
 
 	collMu    sync.Mutex
 	fcolls    map[int]*faninColl // fan-in rendezvous for sub-communicator sizes
@@ -310,7 +309,7 @@ func RunChecked(p int, model Model, body func(*Comm)) ([]RankStats, error) {
 		abortCh:   make(chan struct{}),
 		worldColl: newFaninColl(p),
 	}
-	w.transposeCounts = func(vals []any) any { return transposeCounts(w.workers, vals) }
+	w.transposeCounts = func(rows [][]int32) []int32 { return transposeCounts(w.workers, rows) }
 	var traces []*trace.RankTrace
 	if model.Trace != nil {
 		traces = model.Trace.Attach(p)
@@ -787,32 +786,6 @@ func (c *Comm) recvOp(from int, op *string) any {
 	return msg.data
 }
 
-// collPrologue runs the shared front half of every collective: the
-// communication event (fault positions), payload truncation or healed
-// retransmission under an injected TruncatePayload, and the t0 clock
-// snapshot for the trace span.
-func (c *Comm) collPrologue(op *string, val any, cost Cost) (any, float64) {
-	f := c.commEvent(op)
-	if f != nil && f.Kind == TruncatePayload {
-		if m := &c.world.model; m.Reliable != nil {
-			// Checksummed contribution: the corrupted copy is rejected
-			// and retransmitted intact after one ack timeout. The late
-			// rank's clock enters the rendezvous max, so the whole
-			// collective absorbs the hiccup deterministically.
-			timeout := m.Reliable.ackTimeout(m, int(cost.bytes))
-			rt0 := c.state.clock
-			c.state.clock += timeout
-			c.state.commTime += timeout
-			if c.state.tr != nil {
-				c.state.tr.Retry(*op, -1, 1, cost.bytes, rt0, c.state.clock)
-			}
-		} else {
-			val = truncatePayload(val)
-		}
-	}
-	return val, c.state.clock
-}
-
 // collCharge runs the shared back half of every collective: advance the
 // clock to the rendezvous completion time, attribute the collective's
 // own cost (not imbalance waiting) to communication time, and emit the
@@ -839,21 +812,6 @@ func (c *Comm) collCharge(op *string, myGen int64, cost Cost, t0, done float64) 
 	}
 }
 
-// runCollective performs the generation-matched rendezvous: every rank
-// of the communicator contributes val; combine runs once, in rank
-// order, when the last rank arrives; all ranks' clocks advance to
-// max(clock) + cost.total and the combined value is returned to each.
-// op names the collective in fault positions and watchdog diagnostics.
-// The rendezvous itself is the fan-in engine's (collfanin.go).
-func (c *Comm) runCollective(op *string, val any, combine func(vals []any) any, cost Cost) any {
-	val, t0 := c.collPrologue(op, val, cost)
-	if c.size == 1 {
-		c.collSolo(op, cost, t0)
-		return combine([]any{val})
-	}
-	return c.faninBoxed(op, val, combine, cost, t0)
-}
-
 // collSolo charges a collective on a one-rank communicator: there is
 // no one to wait for, so the whole cost is communication.
 func (c *Comm) collSolo(op *string, cost Cost, t0 float64) {
@@ -866,33 +824,15 @@ func (c *Comm) collSolo(op *string, cost Cost, t0 float64) {
 	}
 }
 
-// wordsEligible reports whether typed collectives may take the unboxed
-// word path: only without a fault plan, because payload truncation is
-// only defined on boxed contributions.
-func (c *Comm) wordsEligible() bool {
-	return c.world.model.Faults == nil
-}
-
-// safeCombine runs combine, converting a panic into a returned value so
-// callers can release locks before re-raising.
-func safeCombine(combine func([]any) any, vals []any) (res any, panicked any) {
-	defer func() {
-		if e := recover(); e != nil {
-			panicked = e
-		}
-	}()
-	return combine(vals), nil
-}
-
 // Barrier synchronises all ranks of the communicator; cost is a
 // log2(P)-depth tree of latencies.
 func (c *Comm) Barrier() {
-	c.runCollective(opBarrier, nil, combineNil, c.world.model.treeCost(c.size, 0))
+	collective(c, opBarrier, struct{}{}, c.world.model.treeCost(c.size, 0), noPayload)
 }
 
-// combineNil is the shared no-payload combine of Barrier and SyncCost;
-// a package-level func value keeps those collectives allocation-free.
-var combineNil = func([]any) any { return nil }
+// noPayload is the combine of the collectives without payload, Barrier
+// and SyncCost.
+func noPayload([]struct{}) struct{} { return struct{}{} }
 
 // Bcast distributes root's data to every rank. bytes is the payload
 // size; cost is a binomial tree: (Latency + PerByte·bytes)·log2(P).
@@ -900,8 +840,8 @@ func (c *Comm) Bcast(root int, data any, bytes int) any {
 	if root < 0 || root >= c.size {
 		panic("mpi: Bcast root out of range")
 	}
-	return c.runCollective(opBcast, data, func(vals []any) any { return vals[root] },
-		c.world.model.treeCost(c.size, bytes))
+	return collective(c, opBcast, data, c.world.model.treeCost(c.size, bytes),
+		func(vals []any) any { return vals[root] })
 }
 
 // phaseMarker supports PhaseTimer.
@@ -946,5 +886,5 @@ func (c *Comm) ChargeComm(messages, bytes int) {
 // built from Hop, Peers, Flat, Times and Plus, so every charge carries
 // its split.
 func (c *Comm) SyncCost(cost Cost) {
-	c.runCollective(opSyncCost, nil, combineNil, cost)
+	collective(c, opSyncCost, struct{}{}, cost, noPayload)
 }

@@ -374,6 +374,9 @@ func TestModelOrDefault(t *testing.T) {
 	}
 }
 
+// opHaloExchange is HaloExchange's interned op name (see internOp).
+var opHaloExchange = internOp("HaloExchange")
+
 // HaloExchange sends payload[i] to each neighbour i of rank (as listed
 // by Neighbors) and returns the payloads received from them, in the
 // same order. All ranks of the communicator must call it together.
@@ -401,13 +404,7 @@ var opReduce = internOp("Reduce")
 // value costs nothing extra in the model, matching the paper's use of
 // reductions whose results every processor ends up needing.
 func Reduce[T any](c *Comm, val T, bytes int, op func(a, b T) T) T {
-	cost := c.world.model.treeCost(c.size, bytes)
-	if c.wordsEligible() {
-		if done, out := reduceWords(c, opReduce, val, op, cost); done {
-			return out
-		}
-	}
-	return reduceBoxed(c, opReduce, val, op, cost)
+	return reduce(c, opReduce, val, op, c.world.model.treeCost(c.size, bytes))
 }
 
 // AllGather collects one value per rank, returned in rank order to

@@ -3,8 +3,6 @@ package mpi
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/geometry"
 )
 
 // Typed, pooled point-to-point fast paths. The generic Send/Recv API
@@ -63,12 +61,9 @@ type VecPool[T any] struct {
 // NewVecPool returns an empty pool for []T payloads.
 func NewVecPool[T any]() *VecPool[T] { return &VecPool[T]{} }
 
-// Shared pools for the payload types of the embedding hot loop.
-var (
-	Vec2Bufs    = NewVecPool[geometry.Vec2]()
-	Int32Bufs   = NewVecPool[int32]()
-	Float64Bufs = NewVecPool[float64]()
-)
+// Float64Bufs is the pool of the embedding's per-iteration neighbour
+// exchange.
+var Float64Bufs = NewVecPool[float64]()
 
 // Pool accounting: an opt-in ledger of buffer Gets and Releases, used
 // by fault tests to assert that every buffer drawn from a pool is

@@ -9,10 +9,11 @@ import (
 func TestSendVecRecvVecRoundTrip(t *testing.T) {
 	const p = 3
 	got := make([][]geometry.Vec2, p)
+	pool := NewVecPool[geometry.Vec2]()
 	Run(p, DefaultModel(), func(c *Comm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() + p - 1) % p
-		buf := Vec2Bufs.Get(4)
+		buf := pool.Get(4)
 		for i := range buf.Data {
 			buf.Data[i] = geometry.Vec2{X: float64(c.Rank()), Y: float64(i)}
 		}
@@ -175,9 +176,10 @@ func TestTruncateFaultOnVecBuf(t *testing.T) {
 	model := DefaultModel()
 	model.Faults = NewFaultPlan().Truncate(0, 0)
 	var gotLen int
+	pool := NewVecPool[int32]()
 	Run(2, model, func(c *Comm) {
 		if c.Rank() == 0 {
-			buf := Int32Bufs.Get(8)
+			buf := pool.Get(8)
 			for i := range buf.Data {
 				buf.Data[i] = int32(i)
 			}

@@ -44,9 +44,10 @@ func TestDroppedVecBufReturnsToPool(t *testing.T) {
 // it) must be drained and its pooled payload released at teardown.
 func TestTeardownDrainsUnreceivedBuffers(t *testing.T) {
 	defer setPoolAccounting(setPoolAccounting(true))
+	pool := NewVecPool[int32]()
 	_, err := RunChecked(2, DefaultModel(), func(c *Comm) {
 		if c.Rank() == 0 {
-			SendVec(c, 1, Int32Bufs.Get(16), 4)
+			SendVec(c, 1, pool.Get(16), 4)
 		}
 	})
 	if err != nil {
