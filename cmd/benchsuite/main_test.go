@@ -13,10 +13,10 @@ import (
 
 // TestCheckFlags: every flag value the sweep cannot take is rejected by
 // checkFlags, before any graph is built, with one line naming the
-// offending flag; everything else configures the harness. (An unknown
-// -experiment is rejected by main, which holds the experiment list.)
+// offending flag; everything else configures the harness and selects
+// the experiments to run.
 func TestCheckFlags(t *testing.T) {
-	def := flagValues{refine: "off", scale: 1, trials: 1, chaosSchedules: 3}
+	def := flagValues{experiment: "all", refine: "off", scale: 1, trials: 1, chaosSchedules: 3}
 	with := func(f func(*flagValues)) flagValues { v := def; f(&v); return v }
 	for _, tc := range []struct {
 		name    string
@@ -41,6 +41,7 @@ func TestCheckFlags(t *testing.T) {
 			return h.Trials == 3
 		}},
 		{"one-chaos-schedule", with(func(f *flagValues) { f.chaosSchedules = 1 }), "", nil},
+		{"bench-json", with(func(f *flagValues) { f.experiment = "bench-json" }), "", nil},
 		{"bad-refine", with(func(f *flagValues) { f.refine = "max" }), "-refine", nil},
 		{"zero-trials", with(func(f *flagValues) { f.trials = 0 }), "-trials", nil},
 		{"negative-workers", with(func(f *flagValues) { f.workers = -1 }), "-workers", nil},
@@ -49,15 +50,19 @@ func TestCheckFlags(t *testing.T) {
 		{"scale-nan", with(func(f *flagValues) { f.scale = math.NaN() }), "-scale", nil},
 		{"zero-chaos-schedules", with(func(f *flagValues) { f.chaosSchedules = 0 }), "-chaos-schedules", nil},
 		{"negative-chaos-schedules", with(func(f *flagValues) { f.chaosSchedules = -2 }), "-chaos-schedules", nil},
+		{"unknown-experiment", with(func(f *flagValues) { f.experiment = "table9" }), "-experiment", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := checkFlags(tc.in)
+			h, run, err := checkFlags(tc.in)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected a valid configuration: %v", err)
 				}
 				if tc.check != nil && !tc.check(h) {
 					t.Fatalf("decoded %+v", h)
+				}
+				if names := experimentNames(run); tc.in.experiment != "all" && !slices.Equal(names, []string{tc.in.experiment}) {
+					t.Fatalf("-experiment %s selects %v", tc.in.experiment, names)
 				}
 				return
 			}
@@ -69,4 +74,26 @@ func TestCheckFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAllSkipsByNameExperiments: "all" runs the paper's tables, figures
+// and ablations in table order; quality, chaos and bench-json run only
+// when named.
+func TestAllSkipsByNameExperiments(t *testing.T) {
+	_, run, err := checkFlags(flagValues{experiment: "all", refine: "off", scale: 1, trials: 1, chaosSchedules: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table4", "ablations"}
+	if got := experimentNames(run); !slices.Equal(got, want) {
+		t.Fatalf("all selects %v, want %v", got, want)
+	}
+}
+
+func experimentNames(run []experiment) []string {
+	names := make([]string, len(run))
+	for i, e := range run {
+		names[i] = e.name
+	}
+	return names
 }

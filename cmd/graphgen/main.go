@@ -75,15 +75,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return usageError{fmt.Errorf("unknown -format %q (want metis or mm)", *format)}
 	}
-	var built *gen.Generated
-	for _, e := range gen.SuiteEntries() {
-		if e.Name == *name {
-			built = e.Build(*scale)
-			break
-		}
-	}
-	if built == nil {
-		return fmt.Errorf("unknown graph %q", *name)
+	built, err := gen.Build(*name, *scale)
+	if err != nil {
+		return err
 	}
 	if *coords != "" && built.Coords == nil {
 		return fmt.Errorf("%s has no natural coordinates", *name)

@@ -1,5 +1,6 @@
 // Command ndorder computes a nested-dissection fill-reducing ordering
-// for a graph (METIS file or built-in suite graph) using ScalaPart as
+// for a graph (a MatrixMarket file when its name ends in .mtx, a METIS
+// file otherwise, or a built-in suite graph) using ScalaPart as
 // the separator engine, and reports the symbolic Cholesky fill against
 // the natural ordering.
 //
@@ -14,13 +15,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/order"
 )
 
 func main() {
 	var (
-		file  = flag.String("file", "", "METIS graph file")
+		file  = flag.String("file", "", "graph file: MatrixMarket if the name ends in .mtx, METIS otherwise")
 		name  = flag.String("graph", "ecology1", "built-in suite graph name")
 		scale = flag.Float64("scale", 0.25, "size scale for built-in graphs")
 		p     = flag.Int("p", 8, "simulated ranks per bisection")
@@ -36,31 +36,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndorder: -p must be at least 1 (got %d)\n", *p)
 		os.Exit(2)
 	}
-	var g *graph.Graph
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndorder:", err)
-			os.Exit(1)
-		}
-		g, err = graph.ReadMETIS(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndorder:", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, e := range gen.SuiteEntries() {
-			if e.Name == *name {
-				g = e.Build(*scale).G
-				break
-			}
-		}
-		if g == nil {
-			fmt.Fprintf(os.Stderr, "ndorder: unknown graph %q\n", *name)
-			os.Exit(1)
-		}
+	in, err := gen.Load(*file, *name, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ndorder:", err)
+		os.Exit(1)
 	}
+	g := in.G
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
 	perm, err := order.NestedDissection(g, *p, core.DefaultOptions(*seed))
 	if err != nil {

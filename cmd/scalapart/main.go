@@ -2,8 +2,9 @@
 // partitioners in this repository and reports cut size, balance, and
 // modeled parallel execution time.
 //
-// The graph comes either from a METIS file (-file) or from the built-in
-// synthetic suite (-graph, -scale). The methods are the entries of the
+// The graph comes either from a file (-file: MatrixMarket when the name
+// ends in .mtx, METIS otherwise) or from the built-in synthetic suite
+// (-graph, -scale). The methods are the entries of the
 // bench method table. Those needing coordinates (SP-PG7-NL, RCB, G30,
 // G7, G7-NL, RCB-seq) use the graph's natural coordinates when
 // available, otherwise a sequential force-directed embedding.
@@ -30,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/gen"
-	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -38,11 +38,11 @@ import (
 
 func main() {
 	var (
-		file        = flag.String("file", "", "METIS graph file to partition")
-		name        = flag.String("graph", "", "built-in suite graph name (see -list)")
+		file        = flag.String("file", "", "graph file to partition: MatrixMarket if the name ends in .mtx, METIS otherwise")
+		name        = flag.String("graph", "delaunay_n20", "built-in suite graph name (see -list)")
 		scale       = flag.Float64("scale", 0.25, "size scale for built-in graphs")
 		method      = flag.String("method", bench.MethodSP, strings.Join(bench.MethodNames(), " | "))
-		compress    = flag.Bool("compress", false, "hold the graph in the delta/varint compressed adjacency representation (identical results, smaller footprint); with -bench-json, sweep on compressed graphs")
+		compress    = flag.Bool("compress", false, "hold the graph in the delta/varint compressed adjacency representation (identical results, smaller footprint)")
 		p           = flag.Int("p", 16, "simulated processor count")
 		seed        = flag.Int64("seed", 42, "random seed")
 		out         = flag.String("out", "", "write per-vertex part ids to this file")
@@ -51,12 +51,10 @@ func main() {
 		recoverFlag = flag.String("recover", "off", "rank-failure recovery policy for ScalaPart: off | respawn | shrink")
 		retryBudget = flag.Int("retry-budget", 0, "max retransmissions per message under -recover (0 = default budget)")
 		watchdog    = flag.Duration("watchdog", 0, "deadlock watchdog stall window (0 = built-in default of 2s; must not be negative)")
-		benchJSON   = flag.String("bench-json", "", "sweep ScalaPart over the suite and write perf-trajectory JSON to this file, then exit")
-		psFlag      = flag.String("ps", "", "processor sweep for -bench-json (default 1,2,...,1024)")
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials      = flag.Int("trials", 1, "evolutionary search width for ScalaPart: run the embed+partition tail N times with decorrelated seeds and combine the two best bisections (1 = single pass)")
 		workers     = flag.Int("workers", 0, "host width of the simulated run: the most chunks its per-rank kernels fork into (0 = one per core); graph loading and coarsening outside the run use GOMAXPROCS")
-		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms); with -bench-json, embed it per run")
+		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms)")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (timeline axis = virtual clock)")
 		checkInv    = flag.Bool("check-invariants", false, "validate runtime invariants (clock monotonicity, byte symmetry, collective participation) and partition invariants after the run")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -66,8 +64,7 @@ func main() {
 	fc, err := checkFlags(flagValues{
 		refine: *refineFlag, recover: *recoverFlag, fault: *fault,
 		trials: *trials, p: *p, workers: *workers, watchdog: *watchdog,
-		scale: *scale, ps: *psFlag, method: *method, retryBudget: *retryBudget,
-		benchJSON: *benchJSON,
+		scale: *scale, method: *method, retryBudget: *retryBudget,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
@@ -100,14 +97,6 @@ func main() {
 			}
 		}
 	}()
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *scale, *phaseBreak, *compress, fc); err != nil {
-			fmt.Fprintln(os.Stderr, "scalapart:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf trajectory written to %s\n", *benchJSON)
-		return
-	}
 	if *list {
 		for _, e := range gen.SuiteEntries() {
 			fmt.Println(e.Name)
@@ -133,11 +122,12 @@ func main() {
 	if fc.run.FullCutRounds > 0 && m.Name != bench.MethodSP && m.Name != bench.MethodSPPG {
 		fmt.Fprintf(os.Stderr, "scalapart: WARNING: -refine full applies to the geodesic pipelines; %s is unaffected\n", m.Name)
 	}
-	g, coords, err := loadGraph(*file, *name, *scale)
+	in, err := gen.Load(*file, *name, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scalapart:", err)
 		os.Exit(1)
 	}
+	g, coords := in.G, in.Coords
 	fmt.Printf("graph: n=%d m=%d\n", g.NumVertices(), g.NumEdges())
 	if *compress {
 		plain := g.AdjacencyBytes()
@@ -233,10 +223,10 @@ func main() {
 
 // flagValues are the flag values checkFlags validates.
 type flagValues struct {
-	method, refine, recover, fault, ps, benchJSON string
-	trials, p, workers, retryBudget               int
-	watchdog                                      time.Duration
-	scale                                         float64
+	method, refine, recover, fault  string
+	trials, p, workers, retryBudget int
+	watchdog                        time.Duration
+	scale                           float64
 }
 
 // flagConfig is what checkFlags derives from the flag values that
@@ -245,7 +235,6 @@ type flagValues struct {
 type flagConfig struct {
 	method bench.Method
 	run    bench.RunConfig // the default model with the watchdog window, fault plan and host width; recovery, trials, full-cut rounds
-	ps     []int           // the -bench-json processor sweep
 }
 
 // checkFlags validates every flag value and flag combination before any
@@ -278,9 +267,6 @@ func checkFlags(v flagValues) (flagConfig, error) {
 	if err := gen.CheckScale(v.scale); err != nil {
 		return cfg, fmt.Errorf("-scale: %v", err)
 	}
-	if cfg.ps, err = bench.ParsePs(v.ps); err != nil {
-		return cfg, fmt.Errorf("-ps: %v", err)
-	}
 	if cfg.run.Recover.Policy, err = core.ParseRecoveryPolicy(v.recover); err != nil {
 		return cfg, err
 	}
@@ -289,45 +275,7 @@ func checkFlags(v flagValues) (flagConfig, error) {
 			return cfg, err
 		}
 	}
-	// The -bench-json sweep runs fault-free ScalaPart only; a flag it
-	// would ignore is an error, not a silent no-op.
-	if v.benchJSON != "" {
-		switch {
-		case cfg.method.Name != bench.MethodSP:
-			return cfg, fmt.Errorf("-bench-json sweeps %s only, not -method %s", bench.MethodSP, cfg.method.Name)
-		case cfg.run.Recover.Policy != core.RecoverOff:
-			return cfg, fmt.Errorf("-bench-json runs without recovery, not -recover %s", v.recover)
-		case v.fault != "":
-			return cfg, fmt.Errorf("-bench-json runs fault-free, not -fault %s", v.fault)
-		}
-	}
 	return cfg, nil
-}
-
-// writeBenchJSON runs the ScalaPart suite sweep at the given scale and
-// writes the BENCH perf-trajectory file (modeled time, comm time,
-// message counts, and host wall-clock per run). With breakdown set the
-// sweep runs traced and each row carries its phase_breakdown array;
-// with compress set the suite graphs are held in the delta/varint
-// compressed representation (modeled fields are bit-identical either
-// way, and each row records compressed/bytes_per_edge/peak_rss). The
-// sweep takes the processor sweep, watchdog window, host width, trials
-// and full-cut setting of fc; checkFlags rejects a fault plan, a
-// recovery policy or another method alongside -bench-json.
-func writeBenchJSON(path string, scale float64, breakdown, compress bool, fc flagConfig) error {
-	h := bench.New(scale, fc.ps)
-	h.Model.Watchdog = fc.run.Model.Watchdog
-	h.Model.Workers = fc.run.Model.Workers
-	h.FullCutRounds = fc.run.FullCutRounds
-	h.Trials = fc.run.Trials
-	h.Trace = breakdown
-	h.Compress = compress
-	h.Out = os.Stderr
-	data, err := h.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // parseFaultPlan parses the -fault flag: comma-separated specs of the
@@ -381,33 +329,6 @@ func parseFaultPlan(spec string) (*mpi.FaultPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-func loadGraph(file, name string, scale float64) (*graph.Graph, []geometry.Vec2, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var g *graph.Graph
-		if strings.HasSuffix(file, ".mtx") {
-			g, err = graph.ReadMatrixMarket(f)
-		} else {
-			g, err = graph.ReadMETIS(f)
-		}
-		return g, nil, err
-	}
-	if name == "" {
-		name = "delaunay_n20"
-	}
-	for _, e := range gen.SuiteEntries() {
-		if e.Name == name {
-			gg := e.Build(scale)
-			return gg.G, gg.Coords, nil
-		}
-	}
-	return nil, nil, fmt.Errorf("unknown graph %q (try -list)", name)
 }
 
 func writeParts(path string, part []int32) error {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/gen"
 	"repro/internal/geopart"
 	"repro/internal/mpi"
 )
@@ -33,9 +33,6 @@ func TestCheckFlags(t *testing.T) {
 		}},
 		{"refine-full", with(func(f *flagValues) { f.refine = "full" }), "", func(c flagConfig) bool {
 			return c.run.FullCutRounds == geopart.FullRefineRounds
-		}},
-		{"ps", with(func(f *flagValues) { f.ps = "1, 16" }), "", func(c flagConfig) bool {
-			return slices.Equal(c.ps, []int{1, 16})
 		}},
 		{"trials-alone", with(func(f *flagValues) { f.trials = 3 }), "", nil},
 		{"recover-alone", with(func(f *flagValues) { f.recover = "respawn" }), "", func(c flagConfig) bool {
@@ -66,11 +63,6 @@ func TestCheckFlags(t *testing.T) {
 		{"scale-nan", with(func(f *flagValues) { f.scale = math.NaN() }), "-scale", nil},
 		{"bad-recover", with(func(f *flagValues) { f.recover = "retry" }), "retry", nil},
 		{"bad-fault", with(func(f *flagValues) { f.fault = "kill" }), "kill", nil},
-		{"bad-ps", with(func(f *flagValues) { f.ps = "1,0" }), "-ps", nil},
-		{"bench-json", with(func(f *flagValues) { f.benchJSON, f.ps, f.trials = "b.json", "1,16", 2 }), "", nil},
-		{"bench-json-method", with(func(f *flagValues) { f.benchJSON, f.method = "b.json", bench.MethodPM }), "-method", nil},
-		{"bench-json-recover", with(func(f *flagValues) { f.benchJSON, f.recover = "b.json", "respawn" }), "-recover", nil},
-		{"bench-json-fault", with(func(f *flagValues) { f.benchJSON, f.fault = "b.json", "kill:2@40" }), "-fault", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := checkFlags(tc.in)
@@ -96,13 +88,15 @@ func TestCheckFlags(t *testing.T) {
 // TestEveryMethodRuns: every entry of the method table accepted by
 // -method runs on a graph with natural coordinates and on one without
 // (where scalapart computes a layout for the methods that need one),
-// and each result passes CheckResult.
+// and each result passes CheckResult. The graphs come through the suite
+// lookup scalapart's -graph uses.
 func TestEveryMethodRuns(t *testing.T) {
 	for _, name := range []string{"ecology1", "kkt_power"} {
-		g, coords, err := loadGraph("", name, 0.03)
+		built, err := gen.Build(name, 0.03)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g, coords := built.G, built.Coords
 		if (coords != nil) != (name == "ecology1") {
 			t.Fatalf("%s: natural coordinates %t", name, coords != nil)
 		}

@@ -145,17 +145,15 @@ func (h *Harness) Graph(name string) *gen.Generated {
 				return &gg
 			}
 		}
-		for _, e := range gen.SuiteEntries() {
-			if e.Name == name {
-				h.logf("generating %s (scale %g)...", name, h.Scale)
-				gg := e.Build(h.Scale)
-				if compress {
-					gg.G = graph.Compress(gg.G)
-				}
-				return gg
-			}
+		h.logf("generating %s (scale %g)...", name, h.Scale)
+		gg, err := gen.Build(name, h.Scale)
+		if err != nil {
+			panic("bench: " + err.Error())
 		}
-		panic("bench: unknown suite graph " + name)
+		if compress {
+			gg.G = graph.Compress(gg.G)
+		}
+		return gg
 	})
 }
 

@@ -271,18 +271,8 @@ func projectLevel(sub *mpi.Comm, h *coarsen.Hierarchy, li int, coarse *levelStat
 		ownedIDs[i] = ip.ID
 		pos[i] = ip.P
 	}
-	// Distributed directory for ghost-owner resolution, memoised: the
-	// ghost set of a level is fixed, so the coalesced exchange runs once
-	// and later refreshes reuse the answer.
-	var cachedIDs []int32
-	var cachedOwners []int
-	ownerOf := func(ids []int32) []int {
-		if cachedOwners == nil || !slices.Equal(cachedIDs, ids) {
-			cachedIDs = slices.Clone(ids)
-			cachedOwners = resolveOwners(sub, ownedIDs, ids)
-		}
-		return cachedOwners
-	}
+	// Ghost owners come from a distributed directory.
+	ownerOf := func(ids []int32) []int { return resolveOwners(sub, ownedIDs, ids) }
 	return newLevelState(sub, lat, g, ownedIDs, pos, ownerOf, DefaultForceParams())
 }
 

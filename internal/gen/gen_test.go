@@ -3,7 +3,10 @@ package gen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -45,6 +48,37 @@ func TestSuiteDeterministic(t *testing.T) {
 				t.Fatalf("%s: adjacency differs at %d", e.Name, i)
 			}
 		}
+	}
+}
+
+// TestBuildLooksUpSuiteNames: Build returns the named suite entry's
+// graph, and every name outside the suite gets the same one-line error,
+// which lists the suite's names.
+func TestBuildLooksUpSuiteNames(t *testing.T) {
+	for _, e := range SuiteEntries() {
+		got, err := Build(e.Name, 0.02)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		want := e.Build(0.02)
+		if got.Name != e.Name || !slices.Equal(got.G.XAdj, want.G.XAdj) || !slices.Equal(got.G.Adjncy, want.G.Adjncy) {
+			t.Fatalf("%s: Build differs from the entry's own build", e.Name)
+		}
+	}
+	var msgs []string
+	for _, name := range []string{"nope", "", "Ecology1"} {
+		g, err := Build(name, 0.02)
+		if err == nil || g != nil {
+			t.Fatalf("Build(%q) = %v, %v; want an error", name, g, err)
+		}
+		msg := strings.Replace(err.Error(), strconv.Quote(name), "NAME", 1)
+		if strings.Contains(msg, "\n") || !strings.Contains(msg, "hugebubbles-00020") {
+			t.Fatalf("Build(%q): error %q, want one line listing the suite", name, err)
+		}
+		msgs = append(msgs, msg)
+	}
+	if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
+		t.Fatalf("unknown names get different errors: %q", msgs)
 	}
 }
 

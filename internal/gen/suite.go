@@ -3,6 +3,9 @@ package gen
 import (
 	"fmt"
 	"math"
+	"strings"
+
+	"repro/internal/graph"
 )
 
 // SuiteEntry names one graph of the evaluation suite and knows how to
@@ -27,57 +30,54 @@ func scaled(n int, scale float64, lo int) int {
 // so the full 1–1024-rank sweep runs on one machine); tests use smaller
 // scales. Each entry is deterministic.
 func SuiteEntries() []SuiteEntry {
-	side := func(n int, scale float64, lo int) int {
-		s := scaled(n, scale, lo)
-		return s
+	// side is a grid side length at area scale s.
+	side := func(n int, s float64) int { return scaled(n, sqrtScale(s), 12) }
+	entries := []SuiteEntry{
+		{"ecology1", func(s float64) *Generated { return Grid2D(side(128, s), side(128, s)) }},
+		{"ecology2", func(s float64) *Generated { return Grid2D(side(127, s), side(129, s)) }},
+		{"delaunay_n20", func(s float64) *Generated { return DelaunayRandom(scaled(16384, s, 256), 2020) }},
+		{"G3_circuit", func(s float64) *Generated { return Circuit(side(158, s), side(158, s), 33) }},
+		{"kkt_power", func(s float64) *Generated { return KKTPower(scaled(33000, s, 300), 44) }},
+		{"hugetrace-00000", func(s float64) *Generated { return Trace(scaled(72000, s, 400), 55) }},
+		{"delaunay_n23", func(s float64) *Generated { return DelaunayRandom(scaled(131072, s, 512), 2323) }},
+		{"delaunay_n24", func(s float64) *Generated { return DelaunayRandom(scaled(262144, s, 1024), 2424) }},
+		{"hugebubbles-00020", func(s float64) *Generated { return Bubbles(scaled(280000, s, 1200), 20, 66) }},
 	}
-	return []SuiteEntry{
-		{"ecology1", func(s float64) *Generated {
-			g := Grid2D(side(128, sqrtScale(s), 12), side(128, sqrtScale(s), 12))
-			g.Name = "ecology1"
+	for i, e := range entries {
+		entries[i].Build = func(s float64) *Generated {
+			g := e.Build(s)
+			g.Name = e.Name
 			return g
-		}},
-		{"ecology2", func(s float64) *Generated {
-			g := Grid2D(side(127, sqrtScale(s), 12), side(129, sqrtScale(s), 12))
-			g.Name = "ecology2"
-			return g
-		}},
-		{"delaunay_n20", func(s float64) *Generated {
-			g := DelaunayRandom(scaled(16384, s, 256), 2020)
-			g.Name = "delaunay_n20"
-			return g
-		}},
-		{"G3_circuit", func(s float64) *Generated {
-			g := Circuit(side(158, sqrtScale(s), 12), side(158, sqrtScale(s), 12), 33)
-			g.Name = "G3_circuit"
-			return g
-		}},
-		{"kkt_power", func(s float64) *Generated {
-			g := KKTPower(scaled(33000, s, 300), 44)
-			g.Name = "kkt_power"
-			return g
-		}},
-		{"hugetrace-00000", func(s float64) *Generated {
-			g := Trace(scaled(72000, s, 400), 55)
-			g.Name = "hugetrace-00000"
-			return g
-		}},
-		{"delaunay_n23", func(s float64) *Generated {
-			g := DelaunayRandom(scaled(131072, s, 512), 2323)
-			g.Name = "delaunay_n23"
-			return g
-		}},
-		{"delaunay_n24", func(s float64) *Generated {
-			g := DelaunayRandom(scaled(262144, s, 1024), 2424)
-			g.Name = "delaunay_n24"
-			return g
-		}},
-		{"hugebubbles-00020", func(s float64) *Generated {
-			g := Bubbles(scaled(280000, s, 1200), 20, 66)
-			g.Name = "hugebubbles-00020"
-			return g
-		}},
+		}
 	}
+	return entries
+}
+
+// Build builds the suite graph with the given name at the given scale.
+// A name outside the suite is an error that lists the suite's names.
+func Build(name string, scale float64) (*Generated, error) {
+	var names []string
+	for _, e := range SuiteEntries() {
+		if e.Name == name {
+			return e.Build(scale), nil
+		}
+		names = append(names, e.Name)
+	}
+	return nil, fmt.Errorf("unknown suite graph %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// Load returns the graph a command names: the graph in file (see
+// graph.ReadFile), which carries no coordinates, or when file is empty
+// the suite graph name at scale (see Build).
+func Load(file, name string, scale float64) (*Generated, error) {
+	if file == "" {
+		return Build(name, scale)
+	}
+	g, err := graph.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	return &Generated{Name: file, G: g}, nil
 }
 
 // sqrtScale converts an area scale into a side-length scale for the

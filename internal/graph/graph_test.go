@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -231,6 +233,43 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.XAdj, g.XAdj) || !reflect.DeepEqual(got.Adjncy, g.Adjncy) {
 		t.Fatal("structure mismatch after MatrixMarket round trip")
+	}
+}
+
+// TestReadFileFormatRule: ReadFile reads a .mtx file as MatrixMarket
+// and any other as METIS, so one graph written in both formats loads
+// into identical graphs, each equal to the original.
+func TestReadFileFormatRule(t *testing.T) {
+	g := randomGraph(40, 120, 3)
+	g.EWgt = nil // the pattern format carries no weights
+	dir := t.TempDir()
+	var loaded []*Graph
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer, *Graph) error
+	}{{"g.graph", WriteMETIS}, {"g.mtx", WriteMatrixMarket}} {
+		var buf bytes.Buffer
+		if err := f.write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, f.name)
+		if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(p)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(got.XAdj, g.XAdj) || !reflect.DeepEqual(got.Adjncy, g.Adjncy) {
+			t.Fatalf("%s: structure differs from the graph written", f.name)
+		}
+		loaded = append(loaded, got)
+	}
+	if !reflect.DeepEqual(loaded[0], loaded[1]) {
+		t.Fatal("the METIS and MatrixMarket files load into different graphs")
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing.graph")); err == nil {
+		t.Fatal("a missing file loaded")
 	}
 }
 

@@ -4,9 +4,25 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
+
+// ReadFile reads the graph file at path: a name ending in ".mtx" is a
+// MatrixMarket file, any other a METIS file.
+func ReadFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".mtx") {
+		return ReadMatrixMarket(f)
+	}
+	return ReadMETIS(f)
+}
 
 // WriteMETIS writes g in the METIS graph-file format: a header line
 // "n m [fmt]" followed by one line per vertex listing its 1-based

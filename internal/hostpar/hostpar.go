@@ -49,6 +49,13 @@ type job struct {
 	n       int
 	chunks  int
 	pending atomic.Int32
+
+	// The panic of the lowest-indexed chunk that panicked, if any; ForN
+	// re-raises it on its caller once every chunk has finished.
+	panicMu  sync.Mutex
+	panicked bool
+	panicC   int
+	panicVal any
 }
 
 var jobPool = sync.Pool{New: func() any { return new(job) }}
@@ -61,11 +68,24 @@ type task struct {
 }
 
 func (t task) run() {
+	defer t.j.done(t.c)
 	lo, hi := ChunkBounds(t.j.n, t.j.chunks, t.c)
 	t.j.body(t.c, lo, hi)
-	// Last touch of t.j: the decrement publishes the body's writes to
-	// the ForN caller spinning on pending, which then owns the job.
-	t.j.pending.Add(-1)
+}
+
+// done ends chunk c: it records the chunk's panic, if any, instead of
+// letting it kill a pool goroutine, then counts the chunk finished.
+func (j *job) done(c int) {
+	if v := recover(); v != nil {
+		j.panicMu.Lock()
+		if !j.panicked || c < j.panicC {
+			j.panicked, j.panicC, j.panicVal = true, c, v
+		}
+		j.panicMu.Unlock()
+	}
+	// Last touch of j: the decrement publishes the body's writes to the
+	// ForN caller spinning on pending, which then owns the job.
+	j.pending.Add(-1)
 }
 
 // ensureWorkers grows the shared pool to at least n parked workers.
@@ -126,6 +146,9 @@ func ChunkBounds(n, chunks, c int) (lo, hi int) {
 // convert, fill) compute chunks once with NumChunks and reuse it.
 // body must only write state owned by its chunk; ForN returns after
 // every chunk has completed (with the usual happens-before guarantee).
+// A chunk that panics does not stop the others: once every chunk has
+// finished, ForN panics on its caller with the value of the
+// lowest-indexed chunk that panicked.
 func ForN(n, chunks int, body func(c, lo, hi int)) {
 	if n <= 0 || chunks <= 0 {
 		return
@@ -137,7 +160,7 @@ func ForN(n, chunks int, body func(c, lo, hi int)) {
 	ensureWorkers(chunks - 1)
 	j := jobPool.Get().(*job)
 	j.body, j.n, j.chunks = body, n, chunks
-	j.pending.Store(int32(chunks - 1))
+	j.pending.Store(int32(chunks))
 	for c := 1; c < chunks; c++ {
 		t := task{j: j, c: c}
 		select {
@@ -146,8 +169,7 @@ func ForN(n, chunks int, body func(c, lo, hi int)) {
 			t.run() // queue full: run inline rather than block
 		}
 	}
-	lo, hi := ChunkBounds(n, chunks, 0)
-	body(0, lo, hi)
+	task{j: j, c: 0}.run()
 	// Help drain the shared queue while waiting: parking here could
 	// strand nested invocations whose chunks sit in the queue behind
 	// other waiting callers.
@@ -159,8 +181,13 @@ func ForN(n, chunks int, body func(c, lo, hi int)) {
 			runtime.Gosched()
 		}
 	}
-	j.body = nil // drop the closure reference before pooling
+	panicked, v := j.panicked, j.panicVal
+	// Drop the closure and panic references before pooling.
+	j.body, j.panicked, j.panicVal = nil, false, nil
 	jobPool.Put(j)
+	if panicked {
+		panic(v)
+	}
 }
 
 // ForChunked runs body(c, lo, hi) over NumChunks(n, grain) static

@@ -135,3 +135,53 @@ func TestConcurrentCallersShareThePool(t *testing.T) {
 		}
 	}
 }
+
+// TestForNPanicReachesCaller: a chunk's panic, on a pool goroutine or
+// on the caller's own chunk 0, does not kill the process or cut the
+// other chunks short. ForN lets every chunk finish and then panics on
+// its caller with the value of the lowest-indexed chunk that panicked.
+// The pool stays usable afterwards, and a loop that does not panic
+// allocates nothing.
+func TestForNPanicReachesCaller(t *testing.T) {
+	const n, chunks = 64, 8
+	for _, tc := range []struct {
+		name  string
+		panic []int // chunks that panic, with their index as the value
+		want  int
+	}{
+		{"pool-chunks", []int{5, 2, 7}, 2},
+		{"chunk-zero", []int{0, 3}, 0},
+		{"last-chunk", []int{chunks - 1}, chunks - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ran atomic.Int32
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				ForN(n, chunks, func(c, lo, hi int) {
+					ran.Add(1)
+					for _, p := range tc.panic {
+						if c == p {
+							panic(c)
+						}
+					}
+				})
+				return nil
+			}()
+			if got != tc.want {
+				t.Fatalf("ForN panicked with %v, want chunk %d's value", got, tc.want)
+			}
+			if ran.Load() != chunks {
+				t.Fatalf("%d of %d chunks ran", ran.Load(), chunks)
+			}
+		})
+	}
+	var sum atomic.Int64
+	ForN(n, chunks, func(_, lo, hi int) { sum.Add(int64(hi - lo)) })
+	if sum.Load() != n {
+		t.Fatalf("after the panics, a loop covered %d of %d items", sum.Load(), n)
+	}
+	body := func(_, lo, hi int) { sum.Add(int64(hi - lo)) }
+	if allocs := testing.AllocsPerRun(100, func() { ForN(n, chunks, body) }); allocs != 0 {
+		t.Fatalf("a loop without panics allocated %v times per call", allocs)
+	}
+}

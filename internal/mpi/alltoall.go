@@ -1,6 +1,10 @@
 package mpi
 
-import "repro/internal/hostpar"
+import (
+	"fmt"
+
+	"repro/internal/hostpar"
+)
 
 // AllToAllV is the personalized all-to-all in MPI_Alltoallv's flat
 // form. On entry, send holds every outgoing element laid out by
@@ -69,9 +73,15 @@ func exchangeCounts(c *Comm, counts []int32) []int32 {
 
 // transposeCounts is the count exchange's combine at the given host
 // width: it lays the count matrix out column-major in one flat slab, so
-// that cols[dst·P+src] = rows[src][dst].
+// that cols[dst·P+src] = rows[src][dst]. A row of the wrong length (a
+// TruncatePayload fault halves one) panics before the transpose forks.
 func transposeCounts(width int, rows [][]int32) []int32 {
 	p := len(rows)
+	for src, row := range rows {
+		if len(row) != p {
+			panic(fmt.Sprintf("mpi: rank %d sent %d counts to a %d-rank count exchange", src, len(row), p))
+		}
+	}
 	cols := make([]int32, p*p)
 	hostpar.ForN(p, hostpar.NumChunksAt(width, p, 64), func(_, lo, hi int) {
 		for dst := lo; dst < hi; dst++ {

@@ -52,9 +52,10 @@ import (
 // owning rank writes it before its arrival add; only the finisher reads
 // it, after observing the full arrival count.
 type collSlot struct {
-	clock float64
-	cost  float64
-	lost  bool // a TruncatePayload fault destroyed the contribution
+	clock  float64
+	cost   float64
+	lost   bool // a TruncatePayload fault destroyed the contribution
+	halved bool // a TruncatePayload fault cut the contribution, a slice, to its first half
 }
 
 // collSlab holds one payload and result type's side of a rendezvous:
@@ -236,13 +237,14 @@ func slabFor[T, R any](coll *faninColl) *collSlab[T, R] {
 //
 // combine's argument is the rendezvous' reused slab, cleared as soon
 // as combine returns: a combine that hands the contributions on copies
-// them. A panic in combine fails the finishing rank, and a contribution
-// lost to a TruncatePayload fault fails its own rank; either aborts the
-// world.
+// them. A contribution lost to a TruncatePayload fault fails its own
+// rank, and so does a panic in combine while such a fault has halved a
+// contribution (the lowest halved rank's); any other panic in combine
+// fails the finishing rank. Each aborts the world.
 func collective[T, R any](c *Comm, op *string, val T, cost Cost, combine func(vals []T) R) R {
-	kept := true
+	lost, halved := false, false
 	if f := c.commEvent(op); f != nil && f.Kind == TruncatePayload && !c.healTruncation(op, cost) {
-		val, kept = truncateContribution(val)
+		val, lost, halved = truncateContribution(val)
 	}
 	st := c.state
 	t0 := st.clock
@@ -250,7 +252,7 @@ func collective[T, R any](c *Comm, op *string, val T, cost Cost, combine func(va
 	slab := slabFor[T, R](coll)
 	slab.vals[c.rank] = val
 	slot := &coll.slots[c.rank]
-	slot.lost = !kept
+	slot.lost, slot.halved = lost, halved
 	if c.size == 1 {
 		c.collSolo(op, cost, t0)
 		return slab.finish(c.world, coll, op, combine)
@@ -275,18 +277,38 @@ func collective[T, R any](c *Comm, op *string, val T, cost Cost, combine func(va
 // contribution was lost, and otherwise combines the contributions in
 // rank order. A loss is reported as the failure of the rank whose
 // contribution it was, in that rank's phase, whichever rank happens to
-// finish. The slab is cleared either way, so it keeps no payload alive
-// past its generation.
+// finish; so is a panic in combine while a contribution is halved,
+// charged to the lowest halved rank. The slab is cleared either way, so
+// it keeps no payload alive past its generation.
 func (s *collSlab[T, R]) finish(w *World, coll *faninColl, op *string, combine func(vals []T) R) R {
 	defer clear(s.vals)
+	halved := -1
 	for i := range coll.slots {
 		if coll.slots[i].lost {
-			w.abort(&RankError{Rank: i, Phase: w.ranks[i].wait.phaseStr(),
-				Err: fmt.Errorf("mpi: %s lost the contribution of rank %d: truncated payload?", *op, i)})
-			panic(abortSignal{})
+			w.abortRank(i, fmt.Errorf("mpi: %s lost the contribution of rank %d: truncated payload?", *op, i))
+		}
+		if halved < 0 && coll.slots[i].halved {
+			halved = i
 		}
 	}
+	if halved >= 0 {
+		defer func() {
+			if v := recover(); v != nil {
+				if _, torn := v.(abortSignal); !torn {
+					w.abortRank(halved, fmt.Errorf("mpi: %s failed on the halved contribution of rank %d (%v): truncated payload?", *op, halved, v))
+				}
+				panic(v)
+			}
+		}()
+	}
 	return combine(s.vals)
+}
+
+// abortRank aborts the world with err as the failure of the given rank,
+// in that rank's phase, and tears the calling rank down.
+func (w *World) abortRank(rank int, err error) {
+	w.abort(&RankError{Rank: rank, Phase: w.ranks[rank].wait.phaseStr(), Err: err})
+	panic(abortSignal{})
 }
 
 // healTruncation handles a TruncatePayload fault on a collective
@@ -313,12 +335,12 @@ func (c *Comm) healTruncation(op *string, cost Cost) bool {
 // truncateContribution applies a TruncatePayload fault to a collective
 // contribution: a slice keeps its first half, a contribution without
 // payload (a Barrier's, or a nil Bcast argument) has nothing to lose,
-// and any other value is lost. It reports whether the contribution
-// survived.
-func truncateContribution[T any](val T) (T, bool) {
+// and any other value is lost. It reports whether the contribution was
+// lost and whether it was halved.
+func truncateContribution[T any](val T) (out T, lost, halved bool) {
 	if any(val) == nil || reflect.TypeFor[T]().Size() == 0 {
-		return val, true
+		return val, false, false
 	}
-	out, ok := truncatePayload(val).(T)
-	return out, ok
+	out, halved = truncatePayload(val).(T)
+	return out, !halved, halved
 }

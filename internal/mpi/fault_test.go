@@ -291,6 +291,65 @@ func TestTruncatedContributionDescriptiveError(t *testing.T) {
 	}
 }
 
+// TestTruncatedSliceFailsItsRank: a TruncatePayload fault that halves
+// one rank's AllReduceSlice contribution fails that rank, in its phase,
+// whichever rank arrives last and runs the combine. Twenty runs let the
+// finisher vary.
+func TestTruncatedSliceFailsItsRank(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		m := watchdogModel(time.Second)
+		m.Faults = NewFaultPlan().Truncate(1, 0)
+		_, err := RunChecked(4, m, func(c *Comm) {
+			c.SetPhase("reduce-slice")
+			AllReduceSlice(c, []int64{1, 2, 3, 4}, 8, SumInt64)
+		})
+		var re *RankError
+		if !errors.As(err, &re) {
+			t.Fatalf("run %d: want *RankError, got %T: %v", run, err, err)
+		}
+		if re.Rank != 1 || re.Phase != "reduce-slice" {
+			t.Fatalf("run %d: failure of rank %d in phase %q, want rank 1 in reduce-slice: %v", run, re.Rank, re.Phase, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "halved contribution of rank 1") || !strings.HasSuffix(msg, "truncated payload?") {
+			t.Fatalf("run %d: error does not describe the halved contribution: %v", run, err)
+		}
+	}
+}
+
+// TestTruncatedCountsFailTheirRank: a TruncatePayload fault on one
+// rank's AllToAllV count row fails that rank with a message that says
+// what was short. At P = 256 on two host workers the count transpose
+// forks into chunks; the row check runs before it does, so a short row
+// is a RankError there too, never a crash on a pool goroutine.
+func TestTruncatedCountsFailTheirRank(t *testing.T) {
+	for _, p := range []int{4, 256} {
+		baseline := runtime.NumGoroutine()
+		m := watchdogModel(5 * time.Second)
+		m.Workers = 2
+		m.Faults = NewFaultPlan().Truncate(1, 0)
+		_, err := RunChecked(p, m, func(c *Comm) {
+			c.SetPhase("route")
+			send, counts := make([]int32, c.Size()), make([]int32, c.Size())
+			for r := range counts {
+				counts[r] = 1
+			}
+			AllToAllV(c, send, counts, 4)
+		})
+		var re *RankError
+		if !errors.As(err, &re) {
+			t.Fatalf("P=%d: want *RankError, got %T: %v", p, err, err)
+		}
+		if re.Rank != 1 || re.Phase != "route" {
+			t.Fatalf("P=%d: failure of rank %d in phase %q, want rank 1 in route: %v", p, re.Rank, re.Phase, err)
+		}
+		want := fmt.Sprintf("rank 1 sent %d counts to a %d-rank count exchange", p/2, p)
+		if msg := err.Error(); !strings.Contains(msg, want) || !strings.HasSuffix(msg, "truncated payload?") {
+			t.Fatalf("P=%d: error %q, want it to say %q", p, err, want)
+		}
+		requireNoGoroutineLeak(t, baseline)
+	}
+}
+
 // TestFaultFreeClocksUnchanged pins the acceptance requirement that
 // fault-free runs are bit-identical with and without the fault-handling
 // machinery engaged (empty plan, watchdog on or off).
